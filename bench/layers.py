@@ -1,0 +1,205 @@
+"""Layer bench: the Bianchi projection and the commutant nullspaces.
+
+Times two layers of weitzlab, each measurement in a fresh interpreter so
+that it pays every cold cost a CLI process pays:
+
+* ``random_curvature(n, seed)`` for n = 4 ... 16 (curvature sources);
+* every ``numerics.nullspace`` call made by ``isotypic_decompose`` for the
+  four ``decompose`` invocations of the isotypic workload, plus the
+  ``sym0`` / ``so:3`` case at n = 6 (the dense kernel).
+
+Each child runs with one BLAS/OpenMP thread and a 3 GiB address-space cap,
+and reports its own peak RSS.  The record holds the median of five repeats,
+the sizes (n, rep dimension d, generator count N, system rows and columns)
+and the git revision of the tree measured.  A ``random_curvature`` size that
+fails or exceeds the child time limit ends that ladder; a failed
+``decompose`` case is recorded with its error and the next case runs.
+
+    python bench/layers.py                       # writes BENCH_2.json
+    python bench/layers.py --baseline-src OTHER/src --out BENCH_2.json
+
+With ``--baseline-src`` the same measurements also run against another
+source tree (for example a checkout of the parent commit) and are stored
+under ``"baseline"``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+THREADS = "1"
+CAP_BYTES = 3 << 30
+REPEATS = 5
+CHILD_TIMEOUT_S = 300
+CURVATURE_NS = range(4, 17)
+DECOMPOSE_CASES = (
+    (6, "exterior:2", "u:3"),
+    (5, "adjoint", "so:4"),
+    (5, "sym0", "so:3"),
+    (4, "tensor:vector,vector", "so-full"),
+    (6, "sym0", "so:3"),
+)
+
+
+# ---------------------------------------------------------------------------
+# child side: one measurement, printed as JSON on stdout
+# ---------------------------------------------------------------------------
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _child_curvature(n: int) -> dict:
+    from weitzlab import curvature
+
+    t0 = time.perf_counter()
+    curvature.random_curvature(n, 1)
+    return {"seconds": time.perf_counter() - t0, "peak_rss_mb": _peak_rss_mb()}
+
+
+def _child_nullspace(n: int, rep: str, sub: str) -> dict:
+    from weitzlab import cli, numerics, representations
+    from weitzlab.so_algebra import basis
+
+    restricted = cli.parse_rep(rep, basis(n))
+    if sub != "so-full":
+        restricted = representations.rep_restrict(restricted, cli.parse_subalgebra(sub, n))
+    systems = []
+    inner = numerics.nullspace
+
+    def timed(a, *args, **kwargs):
+        t0 = time.perf_counter()
+        out = inner(a, *args, **kwargs)
+        systems.append({"rows": len(a), "cols": len(a[0]), "seconds": time.perf_counter() - t0})
+        return out
+
+    numerics.nullspace = timed
+    representations.isotypic_decompose(restricted, seed=0)
+    return {
+        "d": restricted.dim,
+        "N": len(restricted.mats),
+        "systems": systems,
+        "peak_rss_mb": _peak_rss_mb(),
+    }
+
+
+def _child(argv: list[str]) -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (CAP_BYTES, CAP_BYTES))
+    kind, *rest = argv
+    if kind == "curvature":
+        result = _child_curvature(int(rest[0]))
+    else:
+        result = _child_nullspace(int(rest[0]), rest[1], rest[2])
+    sys.stdout.write(json.dumps(result) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# parent side
+# ---------------------------------------------------------------------------
+
+
+def _run_child(src: str, args: list[str]) -> dict:
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=THREADS, OMP_NUM_THREADS=THREADS)
+    try:
+        proc = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--child", *args],
+            env=env, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return {"error": f"timed out after {CHILD_TIMEOUT_S} s"}
+    if proc.returncode != 0:
+        lines = proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"]
+        return {"error": lines[-1][:200]}
+    return json.loads(proc.stdout)
+
+
+def _repeat(src: str, args: list[str]) -> list[dict] | dict:
+    runs = []
+    for _ in range(REPEATS):
+        run = _run_child(src, args)
+        if "error" in run:
+            return run
+        runs.append(run)
+    return runs
+
+
+def _median(runs: list[dict], key: str) -> float:
+    return statistics.median(r[key] for r in runs)
+
+
+def _revision(src: str) -> str:
+    proc = subprocess.run(["git", "-C", src, "describe", "--always", "--dirty", "--abbrev=40"], capture_output=True, text=True)
+    return proc.stdout.strip() or "unknown"
+
+
+def measure(src: str) -> dict:
+    curvature = []
+    for n in CURVATURE_NS:
+        runs = _repeat(src, ["curvature", str(n)])
+        entry = {"n": n, "N": n * (n - 1) // 2}
+        if isinstance(runs, dict):
+            curvature.append({**entry, **runs})
+            break
+        curvature.append({**entry, "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb")})
+        print(f"  random_curvature n={n}: {curvature[-1]['seconds']:.4f} s", file=sys.stderr)
+    nullspace = []
+    for n, rep, sub in DECOMPOSE_CASES:
+        runs = _repeat(src, ["nullspace", str(n), rep, sub])
+        entry = {"n": n, "rep": rep, "sub": sub}
+        if isinstance(runs, dict):
+            nullspace.append({**entry, **runs})
+            continue
+        systems = [
+            {**shape, "seconds": statistics.median(r["systems"][k]["seconds"] for r in runs)}
+            for k, shape in enumerate({"rows": s["rows"], "cols": s["cols"]} for s in runs[0]["systems"])
+        ]
+        nullspace.append(
+            {**entry, "d": runs[0]["d"], "N": runs[0]["N"], "systems": systems, "peak_rss_mb": _median(runs, "peak_rss_mb")}
+        )
+        print(f"  nullspace {n} {rep} {sub}: {sum(s['seconds'] for s in systems):.4f} s", file=sys.stderr)
+    return {"revision": _revision(src), "random_curvature": curvature, "nullspace": nullspace}
+
+
+def main() -> None:
+    if len(sys.argv) > 1 and sys.argv[1] == "--child":
+        _child(sys.argv[2:])
+        return
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_2.json"))
+    parser.add_argument("--baseline-src", default=None, help="another source tree to measure the same way")
+    args = parser.parse_args()
+    import numpy
+
+    record = {
+        "env": {
+            "OPENBLAS_NUM_THREADS": THREADS,
+            "address_space_cap_bytes": CAP_BYTES,
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "cpus": os.cpu_count(),
+            "machine": platform.machine(),
+        },
+        "stat": f"median over {REPEATS} repeats, each in a fresh process",
+    }
+    print("current:", file=sys.stderr)
+    record["current"] = measure(os.path.join(REPO, "src"))
+    if args.baseline_src:
+        print("baseline:", file=sys.stderr)
+        record["baseline"] = measure(os.path.abspath(args.baseline_src))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -29,7 +29,7 @@ from . import spin as spinmod
 from . import suites
 from . import weitzenbock as wb
 from .report import ARTIFACT_VERSION, CheckReport, canonical_json, digest
-from .so_algebra import basis as so_basis, simple_algebra, u_subalgebra
+from .so_algebra import basis as so_basis, parse_type_rank, simple_algebra, u_subalgebra
 
 __all__ = ["main"]
 
@@ -153,6 +153,13 @@ def parse_curvature(source: str, n: int | None) -> tuple[curv.CurvatureOperator,
     raise UsageError(f"unknown curvature source {source!r}")
 
 
+def _subalgebra_size(spec: str) -> int:
+    try:
+        return int(spec.split(":", 1)[1])
+    except ValueError as exc:
+        raise UsageError(f"bad size in subalgebra spec {spec!r}") from exc
+
+
 def parse_subalgebra(spec: str, n: int):
     """``so-full | u:m | so:m | file:<path>`` (file: list of n x n matrices)."""
     amb = so_basis(n)
@@ -161,12 +168,12 @@ def parse_subalgebra(spec: str, n: int):
 
         return Subalgebra(ambient=amb, elements=amb.elements, label=f"so({n})")
     if spec.startswith("u:"):
-        m = int(spec[2:])
+        m = _subalgebra_size(spec)
         if 2 * m != n:
             raise DimensionError(f"u({m}) needs ambient so({2 * m}), got so({n})")
         return u_subalgebra(m)
     if spec.startswith("so:"):
-        m = int(spec[3:])
+        m = _subalgebra_size(spec)
         if not 2 <= m <= n:
             raise DimensionError(f"so({m}) does not embed in so({n})")
         from .so_algebra import Subalgebra
@@ -264,6 +271,11 @@ def cmd_check(args) -> tuple[dict, int]:
         operator, echo = parse_curvature(args.curvature, args.n)
         n = echo.get("n", args.n)
     algebras = args.algebra.split(",") if args.algebra else None
+    for label in algebras or ():
+        try:
+            parse_type_rank(label)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     reports = suites.run_suite(
         args.suite,
         n=n if n is not None else 4,
@@ -410,10 +422,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.n is not None and args.n < 2:
+            raise UsageError(f"--n must be at least 2, got {args.n}")
         payload, code = args.func(args)
         _emit(payload, args.format, args.out)
         return code
-    except UsageError as exc:
+    except (UsageError, suites.SuiteConfigError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except DimensionError as exc:

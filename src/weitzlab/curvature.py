@@ -12,12 +12,12 @@ time (the round sphere gives the identity matrix, and the curvature term on
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
 from .so_algebra import SimpleAlgebraData, basis as so_basis, expand, pair_list
 
 __all__ = [
@@ -73,20 +73,31 @@ def curvature_operator(n: int, matrix, bianchi: bool | None = None, sym_tol: flo
 # ---------------------------------------------------------------------------
 
 
+def _pair_index(n: int):
+    """Index arrays ``(i_a, j_a, i_b, j_b)`` broadcasting over the pair grid;
+    ``np.triu_indices`` order is the lexicographic :func:`pair_list` order."""
+    i, j = np.triu_indices(n, 1)
+    return i[:, None], j[:, None], i[None, :], j[None, :]
+
+
 def to_tensor(op: CurvatureOperator) -> np.ndarray:
     """Rank-4 form: ``T[i,j,k,l]`` with the pair (anti)symmetries, ``T = 2 R``
     on sorted pairs."""
     n = op.n
     t = np.zeros((n, n, n, n))
-    pairs = pair_list(n)
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            v = 2.0 * op.matrix[a, b]
-            t[i, j, k, l] = v
-            t[j, i, k, l] = -v
-            t[i, j, l, k] = -v
-            t[j, i, l, k] = v
+    i, j, k, l = _pair_index(n)
+    v = 2.0 * op.matrix
+    t[i, j, k, l] = v
+    t[j, i, k, l] = -v
+    t[i, j, l, k] = -v
+    t[j, i, l, k] = v
     return t
+
+
+def _pair_matrix(t: np.ndarray) -> np.ndarray:
+    """Symmetric pair-basis matrix ``R_ab = T[i_a, j_a, i_b, j_b] / 2``."""
+    r = t[_pair_index(t.shape[0])] / 2.0
+    return (r + r.T) / 2.0
 
 
 def from_tensor(t: np.ndarray, tol: float = 1e-10) -> CurvatureOperator:
@@ -103,13 +114,7 @@ def from_tensor(t: np.ndarray, tol: float = 1e-10) -> CurvatureOperator:
     ):
         if np.linalg.norm(viol) > tol * scale:
             raise ValueError(f"tensor violates {label} beyond tolerance")
-    pairs = pair_list(n)
-    npairs = len(pairs)
-    r = np.zeros((npairs, npairs))
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            r[a, b] = t[i, j, k, l] / 2.0
-    return curvature_operator(n, (r + r.T) / 2.0)
+    return curvature_operator(n, _pair_matrix(t))
 
 
 def _cyclic_sum(t: np.ndarray) -> np.ndarray:
@@ -127,66 +132,28 @@ def bianchi_residual_matrix(n: int, matrix: np.ndarray) -> float:
     return float(np.linalg.norm(_cyclic_sum(t))) / scale
 
 
-_SYM_CACHE: dict[int, tuple] = {}
-
-
-def _sym_coords(n: int):
-    """Orthonormal coordinates on symmetric N x N matrices (Frobenius)."""
-    npairs = n * (n - 1) // 2
-    if n in _SYM_CACHE:
-        return _SYM_CACHE[n]
-    mats = []
-    for a in range(npairs):
-        for b in range(a, npairs):
-            m = np.zeros((npairs, npairs))
-            if a == b:
-                m[a, a] = 1.0
-            else:
-                m[a, b] = m[b, a] = 1.0 / np.sqrt(2.0)
-            mats.append(m)
-    _SYM_CACHE[n] = tuple(mats)
-    return _SYM_CACHE[n]
-
-
-_BIANCHI_PROJ_CACHE: dict[int, np.ndarray] = {}
-
-
-def _bianchi_projector(n: int) -> np.ndarray:
-    """Orthogonal projector, in symmetric-matrix coordinates, onto the kernel
-    of the cyclic-sum map (the algebraic curvature tensors)."""
-    if n in _BIANCHI_PROJ_CACHE:
-        return _BIANCHI_PROJ_CACHE[n]
-    coords = _sym_coords(n)
-    cols = []
-    for m in coords:
-        t = to_tensor(CurvatureOperator(n=n, matrix=m, bianchi_flag=False))
-        cols.append(_cyclic_sum(t).ravel())
-    null = numerics.nullspace(np.array(cols).T, atol=1e-12)
-    proj = np.real(null @ null.conj().T)
-    _BIANCHI_PROJ_CACHE[n] = proj
-    return proj
-
-
-def _to_sym_coords(n: int, matrix: np.ndarray) -> np.ndarray:
-    coords = _sym_coords(n)
-    return np.array([float(np.sum(matrix * c)) for c in coords])
-
-
-def _from_sym_coords(n: int, vec: np.ndarray) -> np.ndarray:
-    coords = _sym_coords(n)
-    return sum(v * c for v, c in zip(vec, coords))
+def _alt(t: np.ndarray) -> np.ndarray:
+    """Full antisymmetrisation of a 4-tensor (an orthogonal projector)."""
+    out = np.zeros_like(t)
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        out += (-1) ** inversions * np.transpose(t, perm)
+    return out / 24.0
 
 
 def bianchi_project(op: CurvatureOperator) -> CurvatureOperator:
-    """Orthogonal projection onto the algebraic-curvature subspace."""
-    proj = _bianchi_projector(op.n)
-    vec = proj @ _to_sym_coords(op.n, op.matrix)
-    return CurvatureOperator(n=op.n, matrix=_from_sym_coords(op.n, vec), bianchi_flag=True)
+    """Orthogonal projection onto the algebraic-curvature subspace.
+
+    On Sym^2(Lambda^2) the first-Bianchi defect is exactly the Lambda^4
+    component, so the projection is ``T -> T - Alt(T)`` on the tensor form.
+    """
+    t = to_tensor(op)
+    return CurvatureOperator(n=op.n, matrix=_pair_matrix(t - _alt(t)), bianchi_flag=True)
 
 
 def bianchi_space_dimension(n: int) -> int:
     """Dimension of the algebraic-curvature subspace of Sym^2(Lambda^2)."""
-    return int(round(float(np.trace(_bianchi_projector(n)))))
+    return n * n * (n * n - 1) // 12
 
 
 # ---------------------------------------------------------------------------
@@ -369,39 +336,27 @@ def curvature_from_json(payload) -> CurvatureOperator:
     return curvature_operator(n, np.array(payload["R"], dtype=float), bianchi=None, sym_tol=1e-9)
 
 
-def constant_sectional_tensor(n: int, kappa: float = 2.0) -> np.ndarray:
-    """Tensor form of constant sectional curvature kappa (oracle helper)."""
-    t = np.zeros((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            t[i, j, i, j] += kappa
-            t[i, j, j, i] -= kappa
-    return t
-
-
-def _einstein_projector(n: int = 4) -> np.ndarray:
-    """Projector in symmetric coordinates onto {Bianchi, trace-free Ricci = 0}."""
-    coords = _sym_coords(n)
-    proj_b = _bianchi_projector(n)
-    rows = []
-    for m in coords:
-        opm = CurvatureOperator(n=n, matrix=m, bianchi_flag=False)
-        ric = ricci(opm)
-        ric0 = ric - np.trace(ric) / n * np.eye(n)
-        rows.append(ric0.ravel())
-    ric_map = np.array(rows).T  # (n^2, ncoords)
-    stacked = np.vstack([np.eye(len(coords)) - proj_b, ric_map])
-    null = numerics.nullspace(stacked, atol=1e-12)
-    return np.real(null @ null.conj().T)
-
-
-_EINSTEIN_CACHE: dict[int, np.ndarray] = {}
-
-
 def einstein_project(op: CurvatureOperator) -> CurvatureOperator:
     """Project a curvature operator onto the Einstein (Ricci = scalar/n) part
-    of the Bianchi subspace."""
-    if op.n not in _EINSTEIN_CACHE:
-        _EINSTEIN_CACHE[op.n] = _einstein_projector(op.n)
-    vec = _EINSTEIN_CACHE[op.n] @ _to_sym_coords(op.n, op.matrix)
-    return CurvatureOperator(n=op.n, matrix=_from_sym_coords(op.n, vec), bianchi_flag=True)
+    of the Bianchi subspace.
+
+    After the Bianchi projection this removes the trace-free Ricci component
+    ``Ric0 (.) g / (n - 2)``, with the Kulkarni-Nomizu product
+    ``(h (.) g)_ijkl = h_ik g_jl + h_jl g_ik - h_il g_jk - h_jk g_il``
+    (Besse, Einstein Manifolds, 1.G); that component is orthogonal to the
+    Weyl and scalar parts, so the result is the orthogonal projection.
+    """
+    n = op.n
+    proj = bianchi_project(op)
+    ric = ricci(proj)
+    ric0 = ric - np.trace(ric) / n * np.eye(n)
+    g = np.eye(n)
+    kn = (
+        np.einsum("ik,jl->ijkl", ric0, g)
+        + np.einsum("jl,ik->ijkl", ric0, g)
+        - np.einsum("il,jk->ijkl", ric0, g)
+        - np.einsum("jk,il->ijkl", ric0, g)
+    )
+    # at n = 2 the trace-free Ricci tensor of a Bianchi operator is exactly 0
+    t = to_tensor(proj) - kn / max(n - 2, 1)
+    return CurvatureOperator(n=n, matrix=_pair_matrix(t), bianchi_flag=True)

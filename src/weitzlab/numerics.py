@@ -95,7 +95,9 @@ def nullspace(a, tol: float = DEFAULT_NULLSPACE_TOL, atol: float = 0.0) -> np.nd
     if tol <= 0:
         raise ValueError("nullspace tolerance must be positive")
     m = as_matrix(a)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    # only a wide matrix needs the full V; U is never read, so a tall or
+    # square system takes the thin SVD and never builds its (rows x rows) U
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     smax = s[0] if s.size else 0.0
     cutoff = max(tol * smax, atol)
     rank = int(np.sum(s > cutoff)) if smax > cutoff else 0

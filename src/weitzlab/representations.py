@@ -10,6 +10,7 @@ Representations are stored extensionally; no symbolic machinery.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -49,10 +50,6 @@ class Rep:
     dim: int
     mats: tuple[np.ndarray, ...]
     label: str
-
-    @property
-    def n_generators(self) -> int:
-        return len(self.mats)
 
     def stacked(self) -> np.ndarray:
         return np.array(self.mats)
@@ -366,7 +363,8 @@ def isotypic_decompose(r: Rep, seed: int = 0, cluster_tol: float = 1e-6) -> list
     recorded by callers) Hermitian element of the *center* of the commutant;
     the Casimir alone cannot separate inequivalent pieces with equal Casimir
     eigenvalue.  Pieces are ordered by ascending Casimir eigenvalue, then by
-    the generic element's eigenvalue.
+    dimension, then by their projector entries, so the order does not depend
+    on the basis the commutant nullspace happens to return.
     """
     comm = intertwiners(r, r)
     center = _center_of_commutant(comm)
@@ -410,5 +408,21 @@ def isotypic_decompose(r: Rep, seed: int = 0, cluster_tol: float = 1e-6) -> list
         pieces.append(
             IsotypicPiece(projector=proj, dim=len(idx), multiplicity=mult, casimir_eigenvalue=lam)
         )
-    pieces.sort(key=lambda p: (round(p.casimir_eigenvalue, 9), p.dim))
+    pieces.sort(key=functools.cmp_to_key(_piece_order))
     return pieces
+
+
+def _piece_order(a: IsotypicPiece, b: IsotypicPiece) -> int:
+    """Ascending Casimir eigenvalue, then dimension; pieces tied on both
+    compare at the first projector entry where they differ, real part first."""
+    ka = (round(a.casimir_eigenvalue, 9), a.dim)
+    kb = (round(b.casimir_eigenvalue, 9), b.dim)
+    if ka != kb:
+        return -1 if ka < kb else 1
+    diff = np.flatnonzero(np.abs(a.projector - b.projector) > 1e-9)
+    if diff.size == 0:
+        return 0
+    x, y = a.projector.flat[diff[0]], b.projector.flat[diff[0]]
+    if abs(x.real - y.real) > 1e-9:
+        return -1 if x.real < y.real else 1
+    return -1 if x.imag < y.imag else 1

@@ -15,7 +15,7 @@ roots, rational Gram matrix normalised so long roots have squared length 2).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -384,12 +384,6 @@ class SimpleAlgebraData:
     model: tuple[np.ndarray, ...]
     ad: tuple[np.ndarray, ...]
     roots: RootData
-    killing_factor: Fraction = field(default=Fraction(1))
-
-    @property
-    def structure_constants(self) -> np.ndarray:
-        """f[c, a, b] with [y_c, y_b] = sum_a f[c, a, b] y_a (equals ad[c])."""
-        return np.array([np.real(m) for m in self.ad])
 
 
 def _orthonormalize_killing(raw: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:

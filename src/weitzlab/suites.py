@@ -20,8 +20,14 @@ from .so_algebra import basis as so_basis, simple_algebra
 
 __all__ = [
     "SUITE_NAMES",
+    "SuiteConfigError",
     "run_suite",
 ]
+
+
+class SuiteConfigError(ValueError):
+    """A suite request that names no suite, or whose verdict would rest on
+    zero trials (a vacuous pass)."""
 
 
 def _lichnerowicz_one(n: int, op, tol: float) -> tuple[float, float]:
@@ -402,6 +408,11 @@ def run_suite(
     operator: curv.CurvatureOperator | None = None,
 ) -> list[CheckReport]:
     """Dispatch a named suite with shared configuration."""
+    trial_driven = name in ("lichnerowicz", "bochner", "lemma:k2", "lemma:k4", "blocks4") or (
+        name == "positivity" and operator is None
+    )
+    if trial_driven and trials < 1:
+        raise SuiteConfigError(f"suite {name!r} needs trials >= 1, got {trials}")
     algebras = algebras or _DEFAULT_ALGEBRAS
     if name == "lichnerowicz":
         return lichnerowicz_suite(n, trials, seed, tol=tolerance or 1e-9)
@@ -421,4 +432,4 @@ def run_suite(
         return blocks4_suite(trials, seed, tol=tolerance or 1e-9)
     if name == "positivity":
         return positivity_suite(n, trials, seed, tol=tolerance or 1e-9, operator=operator)
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    raise SuiteConfigError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")

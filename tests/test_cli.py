@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from weitzlab import cli
 from weitzlab import curvature as curv
@@ -156,6 +157,35 @@ class TestCheckCommand:
         )
         assert code == 1
         assert payload["reports"][0]["tolerance"] == 1e-30
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["check", "strange", "--algebra", "E8"],
+            ["decompose", "--n", "6", "--rep", "vector", "--sub", "u:x"],
+            ["k", "--n", "1", "--rep", "vector", "--curvature", "sphere"],
+            ["check", "lemma:k4", "--trials", "0"],
+        ),
+        ids=("unknown-algebra", "malformed-subalgebra-size", "n-below-2", "zero-trials"),
+    )
+    def test_exit_2_with_error_line(self, argv, capsys):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_positivity_with_operator_ignores_trials(self, tmp_path, capsys):
+        # an explicit operator gives one report and runs no trials
+        op = curv.curvature_operator(3, np.eye(3))
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(curv.curvature_to_json(op)))
+        argv = ["check", "positivity", "--n", "3", "--curvature", f"file:{path}", "--trials", "0"]
+        code, payload = run_json(argv, capsys)
+        assert code == 0
+        assert payload["reports"][0]["check"] == "positivity-report"
 
 
 class TestDecomposeCommand:

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import numpy as np
 import pytest
@@ -16,6 +17,56 @@ def ricci_by_index_loops(op):
         for k in range(n):
             out[i, k] = sum(t[i, j, k, j] for j in range(n))
     return out
+
+
+def sym_coords(n):
+    """Frobenius-orthonormal basis of the symmetric N x N matrices."""
+    npairs = n * (n - 1) // 2
+    mats = []
+    for a in range(npairs):
+        for b in range(a, npairs):
+            m = np.zeros((npairs, npairs))
+            if a == b:
+                m[a, a] = 1.0
+            else:
+                m[a, b] = m[b, a] = 1.0 / np.sqrt(2.0)
+            mats.append(m)
+    return np.array(mats)
+
+
+def svd_nullspace(a, rtol=1e-10):
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s > rtol * s[0]))
+    return vh[rank:].T
+
+
+def bianchi_projector_oracle(n):
+    """Projector, in symmetric coordinates, onto the SVD nullspace of the
+    cyclic sum T_ijkl + T_jkil + T_kijl written with explicit transposes."""
+    coords = sym_coords(n)
+    cols = []
+    for m in coords:
+        t = curv.to_tensor(curv.CurvatureOperator(n=n, matrix=m, bianchi_flag=False))
+        cyc = t + t.transpose(2, 0, 1, 3) + t.transpose(1, 2, 0, 3)
+        cols.append(cyc.ravel())
+    null = svd_nullspace(np.array(cols).T)
+    return coords, null @ null.T
+
+
+def einstein_projector_oracle(n):
+    """Projector onto {Bianchi, trace-free Ricci = 0} from a stacked SVD."""
+    coords, proj_b = bianchi_projector_oracle(n)
+    rows = []
+    for m in coords:
+        ric = ricci_by_index_loops(curv.CurvatureOperator(n=n, matrix=m, bianchi_flag=False))
+        rows.append((ric - np.trace(ric) / n * np.eye(n)).ravel())
+    null = svd_nullspace(np.vstack([np.eye(len(coords)) - proj_b, np.array(rows).T]))
+    return coords, null @ null.T
+
+
+def apply_in_coords(coords, proj, matrix):
+    vec = proj @ np.einsum("kab,ab->k", coords, matrix)
+    return np.einsum("k,kab->ab", vec, coords)
 
 
 class TestTensorConversion:
@@ -41,6 +92,19 @@ class TestTensorConversion:
             op = curv.random_symmetric(n, seed)
             back = curv.from_tensor(curv.to_tensor(op))
             assert np.allclose(back.matrix, op.matrix, atol=1e-12)
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 7))
+    def test_matches_pair_list_loops(self, n):
+        # reference: entrywise assignment over the lexicographic pair list
+        op = curv.random_symmetric(n, 3)
+        want = np.zeros((n, n, n, n))
+        for a, (i, j) in enumerate(so.pair_list(n)):
+            for b, (k, l) in enumerate(so.pair_list(n)):
+                v = 2.0 * op.matrix[a, b]
+                want[i, j, k, l], want[j, i, k, l] = v, -v
+                want[i, j, l, k], want[j, i, l, k] = -v, v
+        assert np.array_equal(curv.to_tensor(op), want)
+        assert np.array_equal(curv.from_tensor(want).matrix, op.matrix)
 
     def test_tensor_round_trip_from_tensor_side(self):
         op = curv.random_curvature(4, 0)
@@ -89,6 +153,35 @@ class TestBianchi:
         rhs = float(np.sum(a.matrix * pb))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
+    @pytest.mark.parametrize("n", (3, 4, 5, 6))
+    def test_closed_form_matches_svd_oracle(self, n):
+        coords, proj = bianchi_projector_oracle(n)
+        assert round(float(np.trace(proj))) == curv.bianchi_space_dimension(n)
+        for seed in range(3):
+            op = curv.random_symmetric(n, seed)
+            want = apply_in_coords(coords, proj, op.matrix)
+            got = curv.bianchi_project(op)
+            assert got.bianchi_flag
+            assert np.max(np.abs(got.matrix - want)) <= 1e-13
+            # idempotent, and self-adjoint in the Frobenius pairing
+            assert np.max(np.abs(curv.bianchi_project(got).matrix - got.matrix)) <= 1e-13
+            other = curv.random_symmetric(n, seed + 100)
+            lhs = float(np.sum(got.matrix * other.matrix))
+            rhs = float(np.sum(op.matrix * curv.bianchi_project(other).matrix))
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_dimension_formula(self, n):
+        # Sym^2(Lambda^2) minus its Lambda^4 component
+        npairs = n * (n - 1) // 2
+        assert curv.bianchi_space_dimension(n) == npairs * (npairs + 1) // 2 - comb(n, 4)
+        assert curv.bianchi_space_dimension(n) == n * n * (n * n - 1) // 12
+
+    def test_random_curvature_at_n16(self):
+        for seed in (1, 2):
+            op = curv.random_curvature(16, seed)
+            assert curv.bianchi_residual(op) <= 1e-12
+
     @pytest.mark.parametrize("n", (4, 5, 6, 7, 8))
     def test_random_curvature_satisfies_bianchi(self, n):
         op = curv.random_curvature(n, 3)
@@ -99,6 +192,26 @@ class TestBianchi:
         a = curv.random_curvature(4, 42)
         b = curv.random_curvature(4, 42)
         assert np.array_equal(a.matrix, b.matrix)
+
+
+class TestEinsteinProject:
+    @pytest.mark.parametrize("n", (4, 5))
+    def test_matches_svd_oracle(self, n):
+        coords, proj = einstein_projector_oracle(n)
+        for seed in range(3):
+            op = curv.random_symmetric(n, seed)
+            want = apply_in_coords(coords, proj, op.matrix)
+            assert np.max(np.abs(curv.einstein_project(op).matrix - want)) <= 1e-13
+
+    @pytest.mark.parametrize("n", (3, 4, 5, 6))
+    def test_kills_trace_free_ricci_and_keeps_scalar(self, n):
+        op = curv.random_symmetric(n, 4)
+        proj = curv.einstein_project(op)
+        ric0 = curv.ricci(proj) - curv.scalar(proj) / n * np.eye(n)
+        assert np.linalg.norm(ric0) <= 1e-12
+        assert abs(curv.scalar(proj) - curv.scalar(op)) <= 1e-12 * max(1.0, abs(curv.scalar(op)))
+        assert curv.bianchi_residual(proj) <= 1e-12
+        assert proj.bianchi_flag
 
 
 class TestSphereAndRicci:

@@ -89,6 +89,20 @@ class TestNullspace:
         d3 = numerics.nullspace(q @ a).shape[1]
         assert d1 == d2 == d3 == 2
 
+    @pytest.mark.parametrize(
+        "shape, rank",
+        (((40, 6), 4), ((6, 6), 4), ((1, 7), 1), ((3, 9), 3)),
+        ids=("tall", "square", "wide-row", "wide"),
+    )
+    def test_shapes(self, shape, rank):
+        rng = np.random.default_rng(12)
+        rows, cols = shape
+        a = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+        basis = numerics.nullspace(a)
+        assert basis.shape == (cols, cols - rank)
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(cols - rank)) <= 1e-12
+        assert np.linalg.norm(a @ basis) <= 1e-12 * np.linalg.norm(a)
+
     def test_positive_tolerance_required(self):
         with pytest.raises(ValueError):
             numerics.nullspace(np.eye(2), tol=0.0)

@@ -281,3 +281,18 @@ class TestIsotypic:
         p2 = reps.isotypic_decompose(r, seed=5)
         for a, b in zip(p1, p2):
             assert np.array_equal(a.projector, b.projector)
+
+    def test_piece_order_independent_of_nullspace_basis(self, monkeypatch):
+        # the two 3-dimensional pieces of the 2-forms under u(3) tie on
+        # Casimir eigenvalue and dimension and are complex conjugates; their
+        # order must not follow the basis the commutant nullspace returns
+        from weitzlab import numerics
+
+        r = reps.rep_restrict(reps.rep_exterior(so.basis(6), 2), so.u_subalgebra(3))
+        want = reps.isotypic_decompose(r)
+        inner = numerics.nullspace
+        monkeypatch.setattr(numerics, "nullspace", lambda *a, **k: inner(*a, **k)[:, ::-1])
+        got = reps.isotypic_decompose(r)
+        assert [p.dim for p in got] == [p.dim for p in want]
+        for a, b in zip(want, got):
+            assert np.linalg.norm(a.projector - b.projector) <= 1e-9

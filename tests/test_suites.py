@@ -44,6 +44,11 @@ class TestSuites:
         with pytest.raises(ValueError):
             suites.run_suite("bogus")
 
+    @pytest.mark.parametrize("name", ("lichnerowicz", "bochner", "lemma:k2", "lemma:k4", "blocks4", "positivity"))
+    def test_zero_trials_rejected(self, name):
+        with pytest.raises(suites.SuiteConfigError):
+            suites.run_suite(name, n=3, trials=0)
+
     def test_lichnerowicz_suite_contains_control(self):
         reports = suites.run_suite("lichnerowicz", n=3, trials=2, seed=5)
         names = [r.check for r in reports]
