@@ -1,22 +1,26 @@
-"""Layer bench: the Bianchi projection and the commutant nullspaces.
+"""Layer bench: curvature sources, commutant nullspaces, the projection
+lemma suites and the adjoint representation.
 
-Times two layers of weitzlab, each measurement in a fresh interpreter so
+Times four layers of weitzlab, each measurement in a fresh interpreter so
 that it pays every cold cost a CLI process pays:
 
 * ``random_curvature(n, seed)`` for n = 4 ... 16 (curvature sources);
 * every ``numerics.nullspace`` call made by ``isotypic_decompose`` for the
   four ``decompose`` invocations of the isotypic workload, plus the
-  ``sym0`` / ``so:3`` case at n = 6 (the dense kernel).
+  ``sym0`` / ``so:3`` case at n = 6 (the dense kernel);
+* ``suites.lemma_suite("k4", 10, seed)`` and ``lemma_suite("k2", 20, seed)``
+  (a suite: tensor powers of the spinors, permutation checks, K and W);
+* ``rep_adjoint`` at n = 10 and n = 12 (representation construction).
 
 Each child runs with one BLAS/OpenMP thread and a 3 GiB address-space cap,
 and reports its own peak RSS.  The record holds the median of five repeats,
-the sizes (n, rep dimension d, generator count N, system rows and columns)
-and the git revision of the tree measured.  A ``random_curvature`` size that
+the sizes (n, rep dimension d, generator count N, tensor power k, system
+rows and columns) and the git revision of the tree measured.  A ``random_curvature`` size that
 fails or exceeds the child time limit ends that ladder; a failed
 ``decompose`` case is recorded with its error and the next case runs.
 
-    python bench/layers.py                       # writes BENCH_2.json
-    python bench/layers.py --baseline-src OTHER/src --out BENCH_2.json
+    python bench/layers.py                       # writes BENCH_3.json
+    python bench/layers.py --baseline-src OTHER/src --out BENCH_3.json
 
 With ``--baseline-src`` the same measurements also run against another
 source tree (for example a checkout of the parent commit) and are stored
@@ -48,6 +52,10 @@ DECOMPOSE_CASES = (
     (4, "tensor:vector,vector", "so-full"),
     (6, "sym0", "so:3"),
 )
+#: (kind, trials) of each lemma suite timed; every suite starts at LEMMA_SEED.
+LEMMA_CASES = (("k4", 10), ("k2", 20))
+LEMMA_SEED = 1
+ADJOINT_NS = (10, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +101,34 @@ def _child_nullspace(n: int, rep: str, sub: str) -> dict:
     }
 
 
+def _child_lemma(kind: str, trials: int) -> dict:
+    from weitzlab import suites
+
+    t0 = time.perf_counter()
+    reports = suites.lemma_suite(kind, trials, LEMMA_SEED)
+    seconds = time.perf_counter() - t0
+    return {"seconds": seconds, "n": reports[0].inputs["n"], "peak_rss_mb": _peak_rss_mb()}
+
+
+def _child_adjoint(n: int) -> dict:
+    from weitzlab.representations import rep_adjoint
+    from weitzlab.so_algebra import basis
+
+    b = basis(n)
+    t0 = time.perf_counter()
+    rep_adjoint(b)
+    return {"seconds": time.perf_counter() - t0, "peak_rss_mb": _peak_rss_mb()}
+
+
 def _child(argv: list[str]) -> None:
     resource.setrlimit(resource.RLIMIT_AS, (CAP_BYTES, CAP_BYTES))
     kind, *rest = argv
     if kind == "curvature":
         result = _child_curvature(int(rest[0]))
+    elif kind == "lemma":
+        result = _child_lemma(rest[0], int(rest[1]))
+    elif kind == "adjoint":
+        result = _child_adjoint(int(rest[0]))
     else:
         result = _child_nullspace(int(rest[0]), rest[1], rest[2])
     sys.stdout.write(json.dumps(result) + "\n")
@@ -167,7 +198,38 @@ def measure(src: str) -> dict:
             {**entry, "d": runs[0]["d"], "N": runs[0]["N"], "systems": systems, "peak_rss_mb": _median(runs, "peak_rss_mb")}
         )
         print(f"  nullspace {n} {rep} {sub}: {sum(s['seconds'] for s in systems):.4f} s", file=sys.stderr)
-    return {"revision": _revision(src), "random_curvature": curvature, "nullspace": nullspace}
+    lemma = []
+    for kind, trials in LEMMA_CASES:
+        runs = _repeat(src, ["lemma", kind, str(trials)])
+        entry = {"suite": f"lemma:{kind}", "trials": trials, "seed": LEMMA_SEED, "k": int(kind[1:])}
+        if isinstance(runs, dict):
+            lemma.append({**entry, **runs})
+            continue
+        n = runs[0]["n"]
+        d = 2 ** (n // 2)  # spinor dimension
+        lemma.append(
+            {
+                **entry, "n": n, "d": d, "N": n * (n - 1) // 2, "power_dim": d ** entry["k"],
+                "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb"),
+            }
+        )
+        print(f"  lemma_suite {kind} x{trials}: {lemma[-1]['seconds']:.4f} s", file=sys.stderr)
+    adjoint = []
+    for n in ADJOINT_NS:
+        runs = _repeat(src, ["adjoint", str(n)])
+        entry = {"n": n, "d": n * (n - 1) // 2, "N": n * (n - 1) // 2}
+        if isinstance(runs, dict):
+            adjoint.append({**entry, **runs})
+            continue
+        adjoint.append({**entry, "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb")})
+        print(f"  rep_adjoint n={n}: {adjoint[-1]['seconds']:.4f} s", file=sys.stderr)
+    return {
+        "revision": _revision(src),
+        "random_curvature": curvature,
+        "nullspace": nullspace,
+        "lemma_suite": lemma,
+        "rep_adjoint": adjoint,
+    }
 
 
 def main() -> None:
@@ -175,7 +237,7 @@ def main() -> None:
         _child(sys.argv[2:])
         return
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_2.json"))
+    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_3.json"))
     parser.add_argument("--baseline-src", default=None, help="another source tree to measure the same way")
     args = parser.parse_args()
     import numpy

@@ -291,6 +291,12 @@ def cmd_check(args) -> tuple[dict, int]:
     return payload, code
 
 
+def projector_digest(p: np.ndarray) -> str:
+    """Digest of a projector rounded to 12 places.  Adding 0.0 turns -0.0
+    into +0.0, so the digest depends only on the rounded values."""
+    return digest(np.round(p, 12) + 0.0)
+
+
 def cmd_decompose(args) -> tuple[dict, int]:
     if args.n is None:
         raise UsageError("decompose needs --n")
@@ -317,7 +323,7 @@ def cmd_decompose(args) -> tuple[dict, int]:
                     "dim": p.dim,
                     "multiplicity": p.multiplicity,
                     "casimir_eigenvalue": float(p.casimir_eigenvalue),
-                    "projector_digest": digest(np.round(p.projector, 12)),
+                    "projector_digest": projector_digest(p.projector),
                 }
                 for p in pieces
             ],

@@ -104,15 +104,11 @@ def rep_vector(basis: SoBasis) -> Rep:
 
 
 def rep_adjoint(basis: SoBasis) -> Rep:
-    """ad of so(n) on itself in the orthonormal basis."""
-    n_gen = basis.dim
-    mats = []
-    for a in range(n_gen):
-        m = np.zeros((n_gen, n_gen), dtype=complex)
-        for b in range(n_gen):
-            m[:, b] = expand(basis, bracket(basis.elements[a], basis.elements[b]))
-        mats.append(m)
-    return Rep(basis=basis, dim=n_gen, mats=tuple(mats), label="adjoint")
+    """ad of so(n) on itself in the orthonormal basis.  The basis element
+    x_ij is e_i ^ e_j, and ad is the derivation action on 2-forms, so this
+    is ``rep_exterior(basis, 2)`` under its own label."""
+    ext = rep_exterior(basis, 2)
+    return Rep(basis=basis, dim=ext.dim, mats=ext.mats, label="adjoint")
 
 
 def _exterior_action(x: np.ndarray, n: int, p: int) -> np.ndarray:

@@ -177,12 +177,10 @@ def lemma_suite(kind: str, trials: int, seed: int, tol: float | None = None) -> 
         tol = 1e-8 if tol is None else tol
     else:
         raise ValueError(f"unknown lemma configuration {kind!r}")
-    out = []
-    for t in range(trials):
-        op = curv.random_curvature(n, seed + t)
-        rep = wb.lemma_check(op, k, proj, gens, tol=tol)
-        rep.inputs["seed"] = seed + t
-        out.append(rep)
+    seeds = [seed + t for t in range(trials)]
+    out = wb.lemma_check([curv.random_curvature(n, s) for s in seeds], k, proj, gens, tol=tol)
+    for rep, s in zip(out, seeds):
+        rep.inputs["seed"] = s
     return out
 
 

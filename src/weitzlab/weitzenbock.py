@@ -16,6 +16,7 @@ symmetric and the generators are skew-adjoint.  On top of it:
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,12 +150,15 @@ def twisted_term_k(r: CurvatureOperator, rho: Rep, k: int) -> np.ndarray:
     _check_compatible(r, rho)
     if k < 1:
         raise ValueError("twisted term needs k >= 1")
-    d = rho.dim
-    tail_dim = d ** (k - 1)
-    first = numerics.kron(k_matrix(r, rho), np.eye(tail_dim))
-    if k == 1:
+    return _twisted_term_tail(r, rho, tensor_power_rep(rho, k - 1) if k > 1 else None)
+
+
+def _twisted_term_tail(r: CurvatureOperator, rho: Rep, tail: Rep | None) -> np.ndarray:
+    """:func:`twisted_term_k` with factors 2..k given as the prebuilt power
+    ``tail = rho^(x)(k-1)`` (``None`` for k = 1)."""
+    first = numerics.kron(k_matrix(r, rho), np.eye(1 if tail is None else tail.dim))
+    if tail is None:
         return -4.0 * first
-    tail = tensor_power_rep(rho, k - 1)
     weighted = np.tensordot(r.matrix, tail.stacked(), axes=(1, 0))
     cross = sum(numerics.kron(rho.mats[a], weighted[a]) for a in range(len(rho.mats)))
     return -4.0 * (first + cross)
@@ -218,27 +222,36 @@ def sym_projector(d: int) -> np.ndarray:
 
 
 def lemma_check(
-    r: CurvatureOperator,
+    ops: Sequence[CurvatureOperator],
     k: int,
     e_projector: np.ndarray,
     gamma_generators: list[tuple[int, ...]],
     tol: float = 1e-9,
-) -> CheckReport:
+) -> list[CheckReport]:
     """Verify ``P K P = -(k/4) P W P`` on a permutation-fixed subspace of the
-    k-th tensor power of the spinor space.
+    k-th tensor power of the spinor space, once for each curvature operator.
 
     Preconditions (violations raise :class:`LemmaPreconditionError`): the
     projector must be an orthogonal projector whose image is invariant under
     the spin action and pointwise fixed by every listed permutation, and the
-    permutations must generate a transitive group on the k slots.
+    permutations must generate a transitive group on the k slots.  They do not
+    depend on R, so they are checked once per call, and the tensor powers and
+    the subspace basis are built once; each operator then costs K, W and the
+    two sandwiches.  The operators must be a non-empty sequence on one so(n).
     """
     from .so_algebra import basis as so_basis
 
-    rho = rep_spin(so_basis(r.n))
+    ops = list(ops)
+    if not ops:
+        raise ValueError("lemma_check needs at least one curvature operator")
+    if any(r.n != ops[0].n for r in ops):
+        raise ValueError(f"curvature operators live on different so(n): n in {sorted({r.n for r in ops})}")
+    n = ops[0].n
+    rho = rep_spin(so_basis(n))
     d = rho.dim
     p = np.asarray(e_projector, dtype=complex)
     if p.shape != (d ** k, d ** k):
-        raise ValueError(f"projector must be {d ** k} x {d ** k} for n={r.n}, k={k}")
+        raise ValueError(f"projector must be {d ** k} x {d ** k} for n={n}, k={k}")
     scale = max(1.0, float(np.linalg.norm(p)))
     if np.linalg.norm(p @ p - p) > 1e-9 * scale or np.linalg.norm(p - p.conj().T) > 1e-9 * scale:
         raise LemmaPreconditionError("E_projector is not an orthogonal projector")
@@ -259,14 +272,31 @@ def lemma_check(
     if not _transitive([tuple(g) for g in gamma_generators], k):
         raise LemmaPreconditionError("the permutation group is not transitive on the factors")
 
+    tail = tensor_power_rep(rho, k - 1) if k > 1 else None
+    cols = numerics.orthonormal_columns(p, atol=0.5)  # projector eigenvalues are 0/1
+    return [_lemma_report(r, k, p, rho, power, tail, cols, gamma_generators, tol) for r in ops]
+
+
+def _lemma_report(
+    r: CurvatureOperator,
+    k: int,
+    p: np.ndarray,
+    rho: Rep,
+    power: Rep,
+    tail: Rep | None,
+    cols: np.ndarray,
+    gamma_generators: list[tuple[int, ...]],
+    tol: float,
+) -> CheckReport:
+    """The R-dependent part of :func:`lemma_check`.  Its own scope, so one
+    operator's d^k x d^k temporaries are freed before the next is built."""
     kmat = k_matrix(r, power)
-    w = twisted_term_k(r, rho, k)
+    w = _twisted_term_tail(r, rho, tail)
     lhs = p @ kmat @ p
     rhs = -(k / 4.0) * (p @ w @ p)
     knorm = float(np.linalg.norm(kmat))
     residual = float(np.linalg.norm(lhs - rhs))
     tolerance = tol * (1.0 + knorm)
-    cols = numerics.orthonormal_columns(p, atol=0.5)  # projector eigenvalues are 0/1
     restricted = cols.conj().T @ kmat @ cols
     spectrum, _ = numerics.eig_hermitian(restricted, hermitian_tol=1e-8)
     return CheckReport(

@@ -7,6 +7,7 @@ import pytest
 
 from weitzlab import cli
 from weitzlab import curvature as curv
+from weitzlab.report import digest
 
 
 def run_cli(args, capsys):
@@ -228,6 +229,15 @@ class TestDecomposeCommand:
         assert code == 0
         dims = sorted(p["dim"] for p in payload["reports"][0]["details"]["pieces"])
         assert dims == [1, 3]
+
+
+    def test_projector_digest_ignores_sign_of_zero(self):
+        # off-diagonal dust rounds to +0.0 in one projector and -0.0 in the other
+        p = np.array([[0.5, 1e-17], [3e-18, 0.5]])
+        q = np.array([[0.5, -1e-17], [-3e-18, 0.5]])
+        assert digest(np.round(p, 12)) != digest(np.round(q, 12))
+        assert cli.projector_digest(p) == cli.projector_digest(q)
+        assert cli.projector_digest(p) != cli.projector_digest(p + 1e-6)
 
 
 class TestOutputFormats:

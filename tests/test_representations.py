@@ -62,6 +62,19 @@ class TestConstructors:
         for r in (reps.rep_vector(b), reps.rep_adjoint(b), reps.rep_exterior(b, 2)):
             assert reps.homomorphism_residual(r) <= 1e-10
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_adjoint_equals_bracket_construction(self, n):
+        # oracle: column b of ad(x_a) is the expansion of [x_a, x_b]
+        b = so.basis(n)
+        oracle = [
+            np.array([so.expand(b, so.bracket(xa, xb)) for xb in b.elements], dtype=complex).T
+            for xa in b.elements
+        ]
+        r = reps.rep_adjoint(b)
+        assert r.label == "adjoint" and r.dim == b.dim
+        assert len(r.mats) == len(oracle)
+        assert all(np.array_equal(m, o) for m, o in zip(r.mats, oracle))
+
     def test_dispatcher(self, b3):
         assert reps.rep_standard(b3, "vector").label == "vector"
         assert reps.rep_standard(b3, "exterior", 2).dim == 3

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -222,20 +224,25 @@ def _k4_projector():
     return e @ e.conj().T
 
 
+K4_GENERATORS = [(1, 0, 3, 2), (2, 3, 0, 1)]
+
+
 class TestLemmaCheck:
     def test_k2_sym_square(self):
         p = wb.sym_projector(2)
-        for seed in range(20):
-            op = curv.random_curvature(3, seed)
-            rep = wb.lemma_check(op, 2, p, [(1, 0)])
+        ops = [curv.random_curvature(3, seed) for seed in range(20)]
+        reports = wb.lemma_check(ops, 2, p, [(1, 0)])
+        assert len(reports) == 20
+        for rep in reports:
             assert rep.passed
             assert rep.details["t"] == -2.0
 
     def test_k4_curvature_tensor_space(self):
         p = _k4_projector()
-        for seed in range(3):
-            op = curv.random_curvature(4, seed)
-            rep = wb.lemma_check(op, 4, p, [(1, 0, 3, 2), (2, 3, 0, 1)], tol=1e-8)
+        ops = [curv.random_curvature(4, seed) for seed in range(3)]
+        reports = wb.lemma_check(ops, 4, p, K4_GENERATORS, tol=1e-8)
+        assert len(reports) == 3
+        for rep in reports:
             assert rep.passed
             assert rep.details["t"] == -1.0
             assert rep.inputs["subspace_dim"] == 21
@@ -250,36 +257,75 @@ class TestLemmaCheck:
         for perm in itertools.permutations(range(3)):
             sym += wb.permutation_matrix(perm, d)
         sym /= 6.0
-        for seed in range(5):
-            op = curv.random_curvature(3, seed)
-            rep = wb.lemma_check(op, 3, sym, [(1, 0, 2), (0, 2, 1)])
+        ops = [curv.random_curvature(3, seed) for seed in range(5)]
+        for rep in wb.lemma_check(ops, 3, sym, [(1, 0, 2), (0, 2, 1)]):
             assert rep.passed
             assert abs(rep.details["t"] + 4.0 / 3.0) < 1e-12
 
+    @pytest.mark.parametrize(
+        "n, k, projector, generators",
+        (
+            (3, 2, lambda: wb.sym_projector(2), [(1, 0)]),
+            (4, 4, _k4_projector, K4_GENERATORS),
+        ),
+    )
+    def test_sequence_equals_one_call_per_operator(self, n, k, projector, generators):
+        from weitzlab.report import canonical_json
+
+        p = projector()
+        ops = [curv.random_curvature(n, seed) for seed in (11, 12, 13)]
+        together = wb.lemma_check(ops, k, p, generators, tol=1e-8)
+        assert len(together) == 3
+        for op, rep in zip(ops, together):
+            [alone] = wb.lemma_check([op], k, p, generators, tol=1e-8)
+            assert canonical_json(rep.to_dict()) == canonical_json(alone.to_dict())
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="at least one curvature operator") as info:
+            wb.lemma_check([], 2, wb.sym_projector(2), [(1, 0)])
+        assert not isinstance(info.value, wb.LemmaPreconditionError)
+
+    def test_mixed_n_rejected(self):
+        ops = [curv.random_curvature(3, 0), curv.random_curvature(4, 0)]
+        with pytest.raises(ValueError, match=re.escape("different so(n)")) as info:
+            wb.lemma_check(ops, 2, wb.sym_projector(2), [(1, 0)])
+        assert not isinstance(info.value, wb.LemmaPreconditionError)
+
     def test_full_tensor_square_fails_precondition(self):
         # the swap acts as -1 on the antisymmetric part, so E = V (x) V fails
-        op = curv.random_curvature(3, 0)
-        with pytest.raises(wb.LemmaPreconditionError, match="fix the subspace"):
-            wb.lemma_check(op, 2, np.eye(4), [(1, 0)])
+        ops = [curv.random_curvature(3, 0), curv.random_curvature(3, 1)]
+        with pytest.raises(
+            wb.LemmaPreconditionError,
+            match=re.escape("permutation (1, 0) does not fix the subspace pointwise"),
+        ):
+            wb.lemma_check(ops, 2, np.eye(4), [(1, 0)])
 
     def test_intransitive_group_fails_precondition(self):
-        op = curv.random_curvature(3, 0)
+        ops = [curv.random_curvature(3, 0), curv.random_curvature(3, 1)]
         d = 2
         p = np.eye(d ** 2)
-        with pytest.raises(wb.LemmaPreconditionError, match="transitive"):
-            wb.lemma_check(op, 2, p, [(0, 1)])  # identity permutation only
+        with pytest.raises(
+            wb.LemmaPreconditionError,
+            match=re.escape("the permutation group is not transitive on the factors"),
+        ):
+            wb.lemma_check(ops, 2, p, [(0, 1)])  # identity permutation only
 
     def test_non_projector_rejected(self):
-        op = curv.random_curvature(3, 0)
-        with pytest.raises(wb.LemmaPreconditionError, match="orthogonal projector"):
-            wb.lemma_check(op, 2, 0.5 * np.eye(4), [(1, 0)])
+        ops = [curv.random_curvature(3, 0), curv.random_curvature(3, 1)]
+        with pytest.raises(
+            wb.LemmaPreconditionError, match=re.escape("E_projector is not an orthogonal projector")
+        ):
+            wb.lemma_check(ops, 2, 0.5 * np.eye(4), [(1, 0)])
 
     def test_non_invariant_projector_rejected(self):
-        op = curv.random_curvature(3, 0)
+        ops = [curv.random_curvature(3, 0), curv.random_curvature(3, 1)]
         p = np.zeros((4, 4))
         p[0, 0] = 1.0  # spans e_1 (x) e_1, not spin-invariant
-        with pytest.raises(wb.LemmaPreconditionError, match="invariant"):
-            wb.lemma_check(op, 2, p, [(1, 0)])
+        with pytest.raises(
+            wb.LemmaPreconditionError,
+            match=re.escape("E_projector image is not invariant under the spin action"),
+        ):
+            wb.lemma_check(ops, 2, p, [(1, 0)])
 
 
 class TestPermutationMatrix:
