@@ -1,5 +1,5 @@
 """Layer bench: curvature sources, commutant nullspaces, the projection
-lemma suites and the adjoint representation.
+lemma suites and representation construction.
 
 Times four layers of weitzlab, each measurement in a fresh interpreter so
 that it pays every cold cost a CLI process pays:
@@ -10,7 +10,9 @@ that it pays every cold cost a CLI process pays:
   ``sym0`` / ``so:3`` case at n = 6 (the dense kernel);
 * ``suites.lemma_suite("k4", 10, seed)`` and ``lemma_suite("k2", 20, seed)``
   (a suite: tensor powers of the spinors, permutation checks, K and W);
-* ``rep_adjoint`` at n = 10 and n = 12 (representation construction).
+* ``rep_adjoint`` at n = 10 and 12, ``rep_exterior`` at (n, p) = (10, 5)
+  and (12, 6), ``rep_sym`` at (10, 3) and ``rep_sym0`` at n = 14
+  (representation construction).
 
 Each child runs with one BLAS/OpenMP thread and a 3 GiB address-space cap,
 and reports its own peak RSS.  The record holds the median of five repeats,
@@ -19,8 +21,8 @@ rows and columns) and the git revision of the tree measured.  A ``random_curvatu
 fails or exceeds the child time limit ends that ladder; a failed
 ``decompose`` case is recorded with its error and the next case runs.
 
-    python bench/layers.py                       # writes BENCH_3.json
-    python bench/layers.py --baseline-src OTHER/src --out BENCH_3.json
+    python bench/layers.py                       # writes BENCH_4.json
+    python bench/layers.py --baseline-src OTHER/src --out BENCH_4.json
 
 With ``--baseline-src`` the same measurements also run against another
 source tree (for example a checkout of the parent commit) and are stored
@@ -55,7 +57,15 @@ DECOMPOSE_CASES = (
 #: (kind, trials) of each lemma suite timed; every suite starts at LEMMA_SEED.
 LEMMA_CASES = (("k4", 10), ("k2", 20))
 LEMMA_SEED = 1
-ADJOINT_NS = (10, 12)
+#: (constructor, n, degree p or None) of each representation timed.
+REP_CASES = (
+    ("rep_adjoint", 10, None),
+    ("rep_adjoint", 12, None),
+    ("rep_exterior", 10, 5),
+    ("rep_exterior", 12, 6),
+    ("rep_sym", 10, 3),
+    ("rep_sym0", 14, None),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +120,15 @@ def _child_lemma(kind: str, trials: int) -> dict:
     return {"seconds": seconds, "n": reports[0].inputs["n"], "peak_rss_mb": _peak_rss_mb()}
 
 
-def _child_adjoint(n: int) -> dict:
-    from weitzlab.representations import rep_adjoint
+def _child_rep(constructor: str, n: int, p: int | None) -> dict:
+    from weitzlab import representations
     from weitzlab.so_algebra import basis
 
     b = basis(n)
+    build = getattr(representations, constructor)
     t0 = time.perf_counter()
-    rep_adjoint(b)
-    return {"seconds": time.perf_counter() - t0, "peak_rss_mb": _peak_rss_mb()}
+    r = build(b) if p is None else build(b, p)
+    return {"seconds": time.perf_counter() - t0, "d": r.dim, "peak_rss_mb": _peak_rss_mb()}
 
 
 def _child(argv: list[str]) -> None:
@@ -127,8 +138,8 @@ def _child(argv: list[str]) -> None:
         result = _child_curvature(int(rest[0]))
     elif kind == "lemma":
         result = _child_lemma(rest[0], int(rest[1]))
-    elif kind == "adjoint":
-        result = _child_adjoint(int(rest[0]))
+    elif kind == "rep":
+        result = _child_rep(rest[0], int(rest[1]), int(rest[2]) if len(rest) > 2 else None)
     else:
         result = _child_nullspace(int(rest[0]), rest[1], rest[2])
     sys.stdout.write(json.dumps(result) + "\n")
@@ -214,21 +225,23 @@ def measure(src: str) -> dict:
             }
         )
         print(f"  lemma_suite {kind} x{trials}: {lemma[-1]['seconds']:.4f} s", file=sys.stderr)
-    adjoint = []
-    for n in ADJOINT_NS:
-        runs = _repeat(src, ["adjoint", str(n)])
-        entry = {"n": n, "d": n * (n - 1) // 2, "N": n * (n - 1) // 2}
+    representations = []
+    for constructor, n, p in REP_CASES:
+        runs = _repeat(src, ["rep", constructor, str(n)] + ([] if p is None else [str(p)]))
+        entry = {"constructor": constructor, "n": n, "p": p, "N": n * (n - 1) // 2}
         if isinstance(runs, dict):
-            adjoint.append({**entry, **runs})
+            representations.append({**entry, **runs})
             continue
-        adjoint.append({**entry, "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb")})
-        print(f"  rep_adjoint n={n}: {adjoint[-1]['seconds']:.4f} s", file=sys.stderr)
+        representations.append(
+            {**entry, "d": runs[0]["d"], "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb")}
+        )
+        print(f"  {constructor} n={n} p={p}: {representations[-1]['seconds']:.4f} s", file=sys.stderr)
     return {
         "revision": _revision(src),
         "random_curvature": curvature,
         "nullspace": nullspace,
         "lemma_suite": lemma,
-        "rep_adjoint": adjoint,
+        "representations": representations,
     }
 
 
@@ -237,7 +250,7 @@ def main() -> None:
         _child(sys.argv[2:])
         return
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_3.json"))
+    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_4.json"))
     parser.add_argument("--baseline-src", default=None, help="another source tree to measure the same way")
     args = parser.parse_args()
     import numpy

@@ -222,27 +222,14 @@ def cmd_k(args) -> tuple[dict, int]:
     basis = so_basis(op.n)
     rep = parse_rep(args.rep, basis)
     try:
-        tK = wb.laplacian_curvature(op, rep, args.preset if args.preset else args.t)
+        t = wb.laplacian_t(args.preset if args.preset else args.t)
         ken = wb.k_term(op, rep)
+    except wb.CompatibilityError as exc:
+        raise DimensionError(str(exc)) from exc
     except ValueError as exc:
-        if "basis directions" in str(exc) or "lives on" in str(exc):
-            raise DimensionError(str(exc)) from exc
         raise UsageError(str(exc)) from exc
+    tK = t * ken.matrix
     w = np.linalg.eigvalsh((tK + tK.conj().T) / 2.0)
-    verdict = wb.vanishing_verdict(tK, tol=args.tolerance or 1e-9)
-    low, high = float(np.min(w)), float(np.max(w))
-    if low > 1e-12:
-        definiteness = "positive-definite"
-    elif high < -1e-12:
-        definiteness = "negative-definite"
-    elif low >= -1e-12 and high <= 1e-12:
-        definiteness = "zero"
-    elif low >= -1e-12:
-        definiteness = "positive-semidefinite"
-    elif high <= 1e-12:
-        definiteness = "negative-semidefinite"
-    else:
-        definiteness = "indefinite"
     report = CheckReport(
         check="k-term",
         inputs={**echo, "rep": args.rep, "t": args.preset if args.preset else args.t},
@@ -251,8 +238,8 @@ def cmd_k(args) -> tuple[dict, int]:
         passed=ken.self_adjoint_residual <= 1e-10,
         spectrum=[float(x) for x in w],
         details={
-            "definiteness": definiteness,
-            "vanishing_verdict": verdict,
+            "definiteness": wb.definiteness(w, 1e-12),
+            "vanishing_verdict": wb.vanishing_conclusion(wb.definiteness(w, args.tolerance or 1e-9)),
             "k_spectrum": [float(x) for x in ken.spectrum],
         },
     )

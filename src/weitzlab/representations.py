@@ -55,14 +55,10 @@ class Rep:
         return np.array(self.mats)
 
 
-def _basis_matrices(b: SoBasis | Subalgebra) -> tuple[np.ndarray, ...]:
-    return b.elements
-
-
 def _same_basis(r1: Rep, r2: Rep) -> bool:
     if r1.basis is r2.basis:
         return True
-    b1, b2 = _basis_matrices(r1.basis), _basis_matrices(r2.basis)
+    b1, b2 = r1.basis.elements, r2.basis.elements
     return len(b1) == len(b2) and all(np.array_equal(x, y) for x, y in zip(b1, b2))
 
 
@@ -72,7 +68,7 @@ def homomorphism_residual(r: Rep) -> float:
     Brackets of basis elements are expanded over the (orthonormal) basis, so
     this also fails loudly if the underlying set is not closed under bracket.
     """
-    elements = _basis_matrices(r.basis)
+    elements = r.basis.elements
     stacked = r.stacked()
     worst = 0.0
     for a, b in itertools.combinations(range(len(elements)), 2):
@@ -95,7 +91,7 @@ def skew_adjoint_residual(r: Rep) -> float:
 
 def rep_trivial(basis: SoBasis | Subalgebra) -> Rep:
     z = np.zeros((1, 1), dtype=complex)
-    return Rep(basis=basis, dim=1, mats=tuple(z.copy() for _ in _basis_matrices(basis)), label="trivial")
+    return Rep(basis=basis, dim=1, mats=tuple(z.copy() for _ in basis.elements), label="trivial")
 
 
 def rep_vector(basis: SoBasis) -> Rep:
@@ -111,86 +107,78 @@ def rep_adjoint(basis: SoBasis) -> Rep:
     return Rep(basis=basis, dim=ext.dim, mats=ext.mats, label="adjoint")
 
 
-def _exterior_action(x: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Derivation action of an n x n matrix on Lambda^p with the orthonormal
-    basis e_{i1} ^ ... ^ e_{ip}, i1 < ... < ip, in lexicographic order."""
-    combos = list(itertools.combinations(range(n), p))
-    index = {c: k for k, c in enumerate(combos)}
-    d = len(combos)
-    out = np.zeros((d, d), dtype=complex)
-    for col, combo in enumerate(combos):
-        for slot in range(p):
-            i = combo[slot]
-            for j in range(n):
-                c = x[j, i]
-                if c == 0 or (j != i and j in combo):
-                    continue
-                replaced = list(combo)
-                replaced[slot] = j
-                order = np.argsort(replaced)
-                sign = 1.0
-                # parity of the permutation sorting `replaced`
-                seen = [False] * p
-                for start in range(p):
-                    if seen[start]:
-                        continue
-                    cycle = 0
-                    k = start
-                    while not seen[k]:
-                        seen[k] = True
-                        k = int(order[k])
-                        cycle += 1
-                    if cycle % 2 == 0:
-                        sign = -sign
-                row = index[tuple(sorted(replaced))]
-                out[row, col] += sign * c
-    return out
+def _lex_rank(c: np.ndarray, m: int) -> np.ndarray:
+    """Position of each strictly increasing row of ``c`` (entries below m)
+    in ``itertools.combinations(range(m), p)``.  The combinations after c
+    agree with it up to some slot k and exceed it there, so they number
+    sum_k C(m-1-c_k, p-k); only values up to the dimension are ever formed."""
+    p = c.shape[1]
+    after = np.zeros(len(c), dtype=np.intp)
+    for k in range(p):
+        after += np.array([comb(m - 1 - v, p - k) for v in range(k, m - p + k + 1)])[c[:, k] - k]
+    return comb(m, p) - 1 - after
+
+
+def _derivation_table(n: int, p: int, alternating: bool) -> tuple[np.ndarray, ...]:
+    """Index table of the derivation action of an n x n matrix x on Lambda^p
+    (``alternating``) or Sym^p, in the orthonormal monomial basis in
+    lexicographic order.  One entry per basis monomial ``col``, slot holding
+    index ``i`` and replacement ``j`` (Lambda^p skips a j already in the
+    monomial), in that order: x adds ``weight * x[j, i]`` at ``(row, col)``.
+    The weight is the sign of the sort that puts j in place on Lambda^p and
+    sqrt(norm[row] / norm[col]) on Sym^p, the norm of a monomial being the
+    product of the factorials of its multiplicities."""
+    powers = itertools.combinations if alternating else itertools.combinations_with_replacement
+    monos = np.array(list(powers(range(n), p)), dtype=np.intp)
+    col, slot, j = (a.ravel() for a in np.indices((len(monos), p, n)))
+    i = monos[col, slot]
+    if alternating:
+        keep = (j == i) | ~(monos[col] == j[:, None]).any(axis=1)
+        col, slot, j, i = col[keep], slot[keep], j[keep], i[keep]
+    src = monos[col]
+    replaced = src.copy()
+    replaced[np.arange(len(col)), slot] = j
+    target = np.sort(replaced, axis=1)
+    if alternating:
+        row = _lex_rank(target, n)
+        # j passes the monomial's indices strictly between i and j
+        lo, hi = np.minimum(i, j)[:, None], np.maximum(i, j)[:, None]
+        weight = 1.0 - 2.0 * (((src > lo) & (src < hi)).sum(axis=1) % 2)
+    else:
+        row = _lex_rank(target + np.arange(p), n + p - 1)
+        factorial = np.cumprod([1.0, *range(1, p + 1)])
+        norms = factorial[(monos[:, :, None] == np.arange(n)).sum(axis=1)].prod(axis=1)
+        weight = np.sqrt(norms[row] / norms[col])
+    return col, i, j, row, weight
+
+
+def _power_mats(basis: SoBasis, p: int, alternating: bool, dim: int) -> tuple[np.ndarray, ...]:
+    """Generators on Lambda^p or Sym^p from one :func:`_derivation_table`.
+    Only a generator's nonzero terms are written, so the pages of each
+    ``dim x dim`` matrix that stay zero are never touched."""
+    col, i, j, row, weight = _derivation_table(basis.n, p, alternating)
+    mats = []
+    for x in basis.elements:
+        c = np.asarray(x, dtype=complex)[j, i]
+        nz = c != 0
+        out = np.zeros((dim, dim), dtype=complex)
+        np.add.at(out, (row[nz], col[nz]), weight[nz] * c[nz])
+        mats.append(out)
+    return tuple(mats)
 
 
 def rep_exterior(basis: SoBasis, p: int) -> Rep:
     if not 0 <= p <= basis.n:
         raise ValueError(f"exterior power p={p} out of range for n={basis.n}")
-    if p == 0:
-        r = rep_trivial(basis)
-        return Rep(basis=basis, dim=1, mats=r.mats, label="exterior(0)")
-    mats = tuple(_exterior_action(np.asarray(x, dtype=complex), basis.n, p) for x in basis.elements)
-    return Rep(basis=basis, dim=comb(basis.n, p), mats=mats, label=f"exterior({p})")
-
-
-def _sym_action(x: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Derivation action on Sym^p in the orthonormal monomial basis."""
-    monos = list(itertools.combinations_with_replacement(range(n), p))
-    index = {m: k for k, m in enumerate(monos)}
-
-    def mult_factorial(mono):
-        f = 1.0
-        for _, grp in itertools.groupby(mono):
-            c = len(list(grp))
-            for t in range(2, c + 1):
-                f *= t
-        return f
-
-    norms = np.array([mult_factorial(m) for m in monos])  # prod of multiplicities!
-    d = len(monos)
-    out = np.zeros((d, d), dtype=complex)
-    for col, mono in enumerate(monos):
-        for slot in range(p):
-            i = mono[slot]
-            for j in range(n):
-                c = x[j, i]
-                if c == 0:
-                    continue
-                replaced = tuple(sorted(mono[:slot] + (j,) + mono[slot + 1:]))
-                row = index[replaced]
-                out[row, col] += c * np.sqrt(norms[row] / norms[col])
-    return out
+    dim = comb(basis.n, p)
+    return Rep(basis=basis, dim=dim, mats=_power_mats(basis, p, True, dim), label=f"exterior({p})")
 
 
 def rep_sym(basis: SoBasis, p: int) -> Rep:
     if p < 1:
         raise ValueError("symmetric power needs p >= 1")
-    mats = tuple(_sym_action(np.asarray(x, dtype=complex), basis.n, p) for x in basis.elements)
-    return Rep(basis=basis, dim=comb(basis.n + p - 1, p), mats=mats, label=f"sym({p})")
+    dim = comb(basis.n + p - 1, p)
+    return Rep(basis=basis, dim=dim, mats=_power_mats(basis, p, False, dim), label=f"sym({p})")
 
 
 def rep_sym0(basis: SoBasis) -> Rep:

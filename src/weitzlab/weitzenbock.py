@@ -37,14 +37,17 @@ from .so_algebra import SoBasis
 from .spin import rep_half_spin, rep_spin
 
 __all__ = [
+    "CompatibilityError",
     "CurvatureEndomorphism",
     "LemmaPreconditionError",
     "PositivityEntry",
     "PositivityReport",
     "LAPLACIAN_PRESETS",
+    "definiteness",
     "k_matrix",
     "k_term",
     "laplacian_curvature",
+    "laplacian_t",
     "lemma_check",
     "permutation_matrix",
     "positivity_report",
@@ -53,6 +56,7 @@ __all__ = [
     "tensor_power_rep",
     "twisted_term",
     "twisted_term_k",
+    "vanishing_conclusion",
     "vanishing_verdict",
 ]
 
@@ -76,16 +80,21 @@ class CurvatureEndomorphism:
     self_adjoint_residual: float
 
 
+class CompatibilityError(ValueError):
+    """A curvature operator and a representation over different so(n), or
+    with different numbers of basis directions."""
+
+
 def _check_compatible(r: CurvatureOperator, rep: Rep) -> None:
     if len(rep.mats) != r.matrix.shape[0]:
-        raise ValueError(
+        raise CompatibilityError(
             f"curvature operator has {r.matrix.shape[0]} basis directions but the "
             f"representation has {len(rep.mats)} generators"
         )
     base = rep.basis
     n = base.ambient.n if hasattr(base, "ambient") else base.n
     if n != r.n:
-        raise ValueError(f"curvature lives on so({r.n}) but the representation on so({n})")
+        raise CompatibilityError(f"curvature lives on so({r.n}) but the representation on so({n})")
 
 
 def k_matrix(r: CurvatureOperator, rep: Rep) -> np.ndarray:
@@ -107,13 +116,18 @@ def k_term(r: CurvatureOperator, rep: Rep) -> CurvatureEndomorphism:
     )
 
 
-def laplacian_curvature(r: CurvatureOperator, rep: Rep, t) -> np.ndarray:
-    """The zeroth-order term ``t K``; ``t`` may be a number or a preset name."""
+def laplacian_t(t) -> float:
+    """The multiple t of K for a number or a preset name."""
     if isinstance(t, str):
         if t not in LAPLACIAN_PRESETS:
             raise ValueError(f"unknown Laplacian preset {t!r}; choose from {sorted(LAPLACIAN_PRESETS)}")
         t = LAPLACIAN_PRESETS[t]
-    return float(t) * k_matrix(r, rep)
+    return float(t)
+
+
+def laplacian_curvature(r: CurvatureOperator, rep: Rep, t) -> np.ndarray:
+    """The zeroth-order term ``t K``; ``t`` may be a number or a preset name."""
+    return laplacian_t(t) * k_matrix(r, rep)
 
 
 def twisted_term(r: CurvatureOperator, rho: Rep, sigma: Rep) -> np.ndarray:
@@ -147,21 +161,11 @@ def tensor_power_rep(rho: Rep, k: int) -> Rep:
 def twisted_term_k(r: CurvatureOperator, rho: Rep, k: int) -> np.ndarray:
     """k-factor twisted term: the two-factor formula with the second slot
     replaced by the sum of the actions on factors 2..k."""
-    _check_compatible(r, rho)
     if k < 1:
         raise ValueError("twisted term needs k >= 1")
-    return _twisted_term_tail(r, rho, tensor_power_rep(rho, k - 1) if k > 1 else None)
-
-
-def _twisted_term_tail(r: CurvatureOperator, rho: Rep, tail: Rep | None) -> np.ndarray:
-    """:func:`twisted_term_k` with factors 2..k given as the prebuilt power
-    ``tail = rho^(x)(k-1)`` (``None`` for k = 1)."""
-    first = numerics.kron(k_matrix(r, rho), np.eye(1 if tail is None else tail.dim))
-    if tail is None:
-        return -4.0 * first
-    weighted = np.tensordot(r.matrix, tail.stacked(), axes=(1, 0))
-    cross = sum(numerics.kron(rho.mats[a], weighted[a]) for a in range(len(rho.mats)))
-    return -4.0 * (first + cross)
+    if k == 1:
+        return -4.0 * k_matrix(r, rho)
+    return twisted_term(r, rho, tensor_power_rep(rho, k - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -184,20 +188,8 @@ def permutation_matrix(perm: tuple[int, ...], d: int) -> np.ndarray:
         raise ValueError(f"{perm} is not a permutation of 0..{k - 1}")
     dim = d ** k
     p = np.zeros((dim, dim))
-    for src in range(dim):
-        digits = []
-        rest = src
-        for _ in range(k):
-            digits.append(rest % d)
-            rest //= d
-        digits.reverse()  # digits[s] = index in slot s
-        out = [0] * k
-        for s in range(k):
-            out[perm[s]] = digits[s]
-        dst = 0
-        for s in range(k):
-            dst = dst * d + out[s]
-        p[dst, src] = 1.0
+    # entry src of the transposed index array is the flat index of the image of e_src
+    p[np.arange(dim).reshape((d,) * k).transpose(perm).ravel(), np.arange(dim)] = 1.0
     return p
 
 
@@ -291,7 +283,7 @@ def _lemma_report(
     """The R-dependent part of :func:`lemma_check`.  Its own scope, so one
     operator's d^k x d^k temporaries are freed before the next is built."""
     kmat = k_matrix(r, power)
-    w = _twisted_term_tail(r, rho, tail)
+    w = -4.0 * k_matrix(r, rho) if tail is None else twisted_term(r, rho, tail)
     lhs = p @ kmat @ p
     rhs = -(k / 4.0) * (p @ w @ p)
     knorm = float(np.linalg.norm(kmat))
@@ -375,20 +367,14 @@ def standard_family(basis: SoBasis) -> list[Rep]:
 
 def _entry_for(r: CurvatureOperator, rep: Rep, tol: float) -> PositivityEntry:
     k = k_matrix(r, rep)
-    w = np.linalg.eigvalsh((k + k.conj().T) / 2.0)
-    min_neg_k = float(np.min(-w))
-    if min_neg_k > tol:
-        verdict = "positive"
-    elif min_neg_k >= -tol:
-        verdict = "semi-definite"
-    else:
-        verdict = "indefinite"
+    neg_w = -np.linalg.eigvalsh((k + k.conj().T) / 2.0)
+    verdicts = {"positive-definite": "positive", "zero": "semi-definite", "positive-semidefinite": "semi-definite"}
     return PositivityEntry(
         label=rep.label,
         dim=rep.dim,
         irreducible=commutant_dimension(rep, "C") == 1,
-        min_eig_neg_k=min_neg_k,
-        verdict=verdict,
+        min_eig_neg_k=float(np.min(neg_w)),
+        verdict=verdicts.get(definiteness(neg_w, tol), "indefinite"),
     )
 
 
@@ -456,18 +442,38 @@ def positivity_report(
     )
 
 
+def definiteness(w: np.ndarray, tol: float) -> str:
+    """Sign class of a real spectrum: each extreme eigenvalue counts as
+    positive above ``tol``, negative below ``-tol`` and zero in between.  An
+    empty spectrum is ``"zero"``; a NaN extreme fails every comparison, so a
+    NaN spectrum is ``"indefinite"``."""
+    w = np.asarray(w)
+    low, high = (float(np.min(w)), float(np.max(w))) if w.size else (0.0, 0.0)
+    low_sign = 1 if low > tol else 0 if low >= -tol else -1
+    high_sign = -1 if high < -tol else 0 if high <= tol else 1
+    return {
+        (1, 1): "positive-definite",
+        (0, 1): "positive-semidefinite",
+        (0, 0): "zero",
+        (-1, 1): "indefinite",
+        (-1, 0): "negative-semidefinite",
+        (-1, -1): "negative-definite",
+    }[low_sign, high_sign]
+
+
+def vanishing_conclusion(label: str) -> str:
+    """Pointwise vanishing conclusion from the :func:`definiteness` of the
+    curvature term ``t K``: strictly positive kills the null space,
+    semi-definite leaves only parallel sections, a negative direction gives
+    no conclusion."""
+    conclusion = {"positive-definite": "vanishes", "zero": "parallel-only", "positive-semidefinite": "parallel-only"}
+    return conclusion.get(label, "no-conclusion")
+
+
 def vanishing_verdict(tk: np.ndarray, tol: float = 1e-9) -> str:
-    """Pointwise vanishing conclusion from the curvature term ``t K``:
-    strictly positive kills the null space, semi-definite leaves only parallel
-    sections, a negative direction gives no conclusion."""
+    """:func:`vanishing_conclusion` for the self-adjoint matrix ``t K``."""
     m = np.asarray(tk, dtype=complex)
     scale = max(1.0, float(np.linalg.norm(m)))
     if np.linalg.norm(m - m.conj().T) > 1e-9 * scale:
         raise ValueError("vanishing_verdict needs a self-adjoint matrix")
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    low = float(np.min(w)) if w.size else 0.0
-    if low > tol:
-        return "vanishes"
-    if low >= -tol:
-        return "parallel-only"
-    return "no-conclusion"
+    return vanishing_conclusion(definiteness(np.linalg.eigvalsh((m + m.conj().T) / 2.0), tol))

@@ -69,6 +69,48 @@ class TestKCommand:
         # -4K = s/4 = dim/16 = 3/16 on the A1 group spinors
         assert np.allclose(payload["reports"][0]["spectrum"], 3.0 / 16.0)
 
+    @pytest.mark.parametrize(
+        ("argv", "definiteness", "verdict"),
+        [
+            (["--n", "4", "--rep", "spin", "--t", "-4"], "positive-definite", "vanishes"),
+            (["--n", "4", "--rep", "vector", "--t", "2"], "negative-definite", "no-conclusion"),
+            (["--n", "4", "--rep", "trivial"], "zero", "parallel-only"),
+            (["--n", "4", "--rep", "exterior:4", "--preset", "hodge"], "zero", "parallel-only"),
+        ],
+    )
+    def test_definiteness_field(self, argv, definiteness, verdict, capsys):
+        code, payload = run_json(["k", *argv, "--curvature", "sphere"], capsys)
+        assert code == 0
+        details = payload["reports"][0]["details"]
+        assert details["definiteness"] == definiteness
+        assert details["vanishing_verdict"] == verdict
+
+    def test_indefinite_field(self, tmp_path, capsys):
+        # diag(1, -1) on the first two basis directions: K has both signs on
+        # the vector representation of so(3)
+        path = tmp_path / "indefinite.json"
+        path.write_text(json.dumps(curv.curvature_to_json(curv.curvature_operator(3, np.diag([1.0, -1.0, 0.0])))))
+        code, payload = run_json(["k", "--n", "3", "--rep", "vector", "--curvature", f"file:{path}"], capsys)
+        assert code == 0
+        assert payload["reports"][0]["details"]["definiteness"] == "indefinite"
+
+    def test_compatibility_error_exit_3_other_value_error_exit_2(self, monkeypatch, capsys):
+        # the exit code follows the exception type, not its message
+        from weitzlab import weitzenbock as wb
+
+        argv = ["k", "--n", "3", "--rep", "vector", "--curvature", "sphere"]
+
+        def raising(exc):
+            def k_term(r, rep):
+                raise exc
+            return k_term
+
+        monkeypatch.setattr(wb, "k_term", raising(wb.CompatibilityError("x")))
+        assert cli.main(argv) == 3
+        monkeypatch.setattr(wb, "k_term", raising(ValueError("3 basis directions; lives on so(3)")))
+        assert cli.main(argv) == 2
+        capsys.readouterr()
+
     def test_dimension_mismatch_exit_3(self, capsys):
         code = cli.main(["k", "--n", "5", "--rep", "vector", "--curvature", "group:A1"])
         capsys.readouterr()

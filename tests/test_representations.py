@@ -1,9 +1,64 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from weitzlab import representations as reps
 from weitzlab import so_algebra as so
 from weitzlab.spin import rep_spin
+
+
+def _exterior_action_loop(x, n, p):
+    """Oracle: derivation action of x on Lambda^p, term by term, with the
+    sign of each term from the cycle structure of the sorting permutation."""
+    combos = list(itertools.combinations(range(n), p))
+    index = {c: k for k, c in enumerate(combos)}
+    out = np.zeros((len(combos), len(combos)), dtype=complex)
+    for col, combo in enumerate(combos):
+        for slot in range(p):
+            i = combo[slot]
+            for j in range(n):
+                c = x[j, i]
+                if c == 0 or (j != i and j in combo):
+                    continue
+                replaced = list(combo)
+                replaced[slot] = j
+                order = np.argsort(replaced)
+                sign = 1.0
+                seen = [False] * p
+                for start in range(p):
+                    if seen[start]:
+                        continue
+                    cycle = 0
+                    k = start
+                    while not seen[k]:
+                        seen[k] = True
+                        k = int(order[k])
+                        cycle += 1
+                    if cycle % 2 == 0:
+                        sign = -sign
+                out[index[tuple(sorted(replaced))], col] += sign * c
+    return out
+
+
+def _sym_action_loop(x, n, p):
+    """Oracle: derivation action of x on Sym^p in the orthonormal monomial
+    basis, term by term."""
+    monos = list(itertools.combinations_with_replacement(range(n), p))
+    index = {m: k for k, m in enumerate(monos)}
+    norms = np.array([np.prod([float(math.factorial(len(list(g)))) for _, g in itertools.groupby(m)]) for m in monos])
+    out = np.zeros((len(monos), len(monos)), dtype=complex)
+    for col, mono in enumerate(monos):
+        for slot in range(p):
+            i = mono[slot]
+            for j in range(n):
+                c = x[j, i]
+                if c == 0:
+                    continue
+                row = index[tuple(sorted(mono[:slot] + (j,) + mono[slot + 1:]))]
+                out[row, col] += c * np.sqrt(norms[row] / norms[col])
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +129,24 @@ class TestConstructors:
         assert r.label == "adjoint" and r.dim == b.dim
         assert len(r.mats) == len(oracle)
         assert all(np.array_equal(m, o) for m, o in zip(r.mats, oracle))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_exterior_bit_equal_to_loop_oracle(self, n):
+        b = so.basis(n)
+        for p in range(n + 1):
+            r = reps.rep_exterior(b, p)
+            oracle = [_exterior_action_loop(np.asarray(x, dtype=complex), n, p) for x in b.elements]
+            assert r.dim == oracle[0].shape[0] and r.label == f"exterior({p})"
+            assert [m.tobytes() for m in r.mats] == [o.tobytes() for o in oracle]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_sym_bit_equal_to_loop_oracle(self, n):
+        b = so.basis(n)
+        for p in range(1, 5):
+            r = reps.rep_sym(b, p)
+            oracle = [_sym_action_loop(np.asarray(x, dtype=complex), n, p) for x in b.elements]
+            assert r.dim == oracle[0].shape[0] and r.label == f"sym({p})"
+            assert [m.tobytes() for m in r.mats] == [o.tobytes() for o in oracle]
 
     def test_dispatcher(self, b3):
         assert reps.rep_standard(b3, "vector").label == "vector"

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -122,6 +123,17 @@ class TestNaturality:
             hodge_ss = wb.laplacian_curvature(op, ss, "hodge")
             resid = np.linalg.norm(hodge_ss @ t - t @ hodge_ext)
             assert resid <= 1e-9 * (1.0 + np.linalg.norm(hodge_ext))
+
+
+class TestCompatibility:
+    def test_mismatch_is_a_typed_value_error(self, b4):
+        # so(3) inside so(4): three generators like so(3), but over so(4)
+        so3 = so.Subalgebra(ambient=b4, elements=tuple(np.pad(x, (0, 1)) for x in so.basis(3).elements))
+        with pytest.raises(wb.CompatibilityError, match=re.escape("curvature lives on so(3)")):
+            wb.k_matrix(curv.sphere(3), reps.rep_restrict(reps.rep_vector(b4), so3))
+        with pytest.raises(wb.CompatibilityError, match="basis directions"):
+            wb.k_matrix(curv.sphere(4), reps.rep_restrict(reps.rep_vector(b4), so.u_subalgebra(2)))
+        assert issubclass(wb.CompatibilityError, ValueError)
 
 
 class TestLaplacianPresets:
@@ -344,6 +356,22 @@ class TestPermutationMatrix:
         b = wb.permutation_matrix((2, 0, 1), 2)
         assert np.allclose(a @ b, np.eye(8))
 
+    @pytest.mark.parametrize("k", range(1, 5))
+    @pytest.mark.parametrize("d", range(1, 4))
+    def test_equals_digit_loop_oracle(self, k, d):
+        # oracle: write src in base d (slot 0 most significant), move the
+        # digit of slot s to slot perm[s], read dst back
+        for perm in itertools.permutations(range(k)):
+            oracle = np.zeros((d ** k, d ** k))
+            for src in range(d ** k):
+                digits = [(src // d ** (k - 1 - s)) % d for s in range(k)]
+                out = [0] * k
+                for s in range(k):
+                    out[perm[s]] = digits[s]
+                oracle[sum(v * d ** (k - 1 - s) for s, v in enumerate(out)), src] = 1.0
+            got = wb.permutation_matrix(perm, d)
+            assert got.dtype == oracle.dtype and got.tobytes() == oracle.tobytes()
+
 
 class TestPositivity:
     def test_sphere_positive_on_family(self, b3):
@@ -388,6 +416,43 @@ class TestPositivity:
         rep = wb.positivity_report(curv.sphere(3))
         d = rep.to_dict()
         assert set(d) == {"curvature", "r_spectrum", "entries", "overall", "diagnostic"}
+
+
+TOL = 1e-9
+# (spectrum, definiteness, vanishing verdict, positivity-entry verdict when
+# -K has this spectrum): all six labels, each extreme just inside and just
+# outside +-TOL
+CLASSIFIER_CASES = [
+    ([1.5 * TOL, 1.0], "positive-definite", "vanishes", "positive"),
+    ([TOL, 1.0], "positive-semidefinite", "parallel-only", "semi-definite"),
+    ([-TOL, 1.0], "positive-semidefinite", "parallel-only", "semi-definite"),
+    ([-1.5 * TOL, 1.0], "indefinite", "no-conclusion", "indefinite"),
+    ([-TOL, TOL], "zero", "parallel-only", "semi-definite"),
+    ([-1.0, 1.5 * TOL], "indefinite", "no-conclusion", "indefinite"),
+    ([-1.0, TOL], "negative-semidefinite", "no-conclusion", "indefinite"),
+    ([-1.0, -TOL], "negative-semidefinite", "no-conclusion", "indefinite"),
+    ([-1.0, -1.5 * TOL], "negative-definite", "no-conclusion", "indefinite"),
+]
+
+
+@pytest.mark.parametrize(("w", "label", "vanishing", "entry"), CLASSIFIER_CASES)
+def test_one_spectrum_classifier(w, label, vanishing, entry, monkeypatch):
+    w = np.array(w)
+    assert wb.definiteness(w, TOL) == label
+    assert wb.definiteness(w[::-1], TOL) == label  # only the extremes count
+    assert wb.vanishing_conclusion(label) == vanishing
+    assert wb.vanishing_verdict(np.diag(w), tol=TOL) == vanishing
+    # _entry_for classifies -K; hand it a K whose -K has spectrum w
+    monkeypatch.setattr(wb, "k_matrix", lambda r, rep: np.diag(-w))
+    e = wb._entry_for(curv.sphere(2), reps.rep_vector(so.basis(2)), TOL)
+    assert e.verdict == entry
+    assert e.min_eig_neg_k == w.min()
+
+
+def test_classifier_edge_spectra():
+    assert wb.definiteness(np.array([]), TOL) == "zero"
+    assert wb.definiteness(np.array([np.nan, 1.0]), TOL) == "indefinite"
+    assert wb.vanishing_verdict(np.zeros((0, 0))) == "parallel-only"
 
 
 class TestVanishingVerdict:
