@@ -1,7 +1,7 @@
 """Layer bench: curvature sources, commutant nullspaces, the projection
-lemma suites and representation construction.
+lemma suites, representation construction and the positivity report.
 
-Times four layers of weitzlab, each measurement in a fresh interpreter so
+Times five layers of weitzlab, each measurement in a fresh interpreter so
 that it pays every cold cost a CLI process pays:
 
 * ``random_curvature(n, seed)`` for n = 4 ... 16 (curvature sources);
@@ -12,17 +12,23 @@ that it pays every cold cost a CLI process pays:
   (a suite: tensor powers of the spinors, permutation checks, K and W);
 * ``rep_adjoint`` at n = 10 and 12, ``rep_exterior`` at (n, p) = (10, 5)
   and (12, 6), ``rep_sym`` at (10, 3) and ``rep_sym0`` at n = 14
-  (representation construction).
+  (representation construction);
+* ``weitzenbock.positivity_report`` on ``random_curvature(n, 2)`` for
+  n = 3 ... 6; the operator is indefinite, so the diagnostic search over the
+  pairwise tensor products of the standard family runs at its default cap
+  (the positivity suite with an explicit operator).
 
 Each child runs with one BLAS/OpenMP thread and a 3 GiB address-space cap,
 and reports its own peak RSS.  The record holds the median of five repeats,
 the sizes (n, rep dimension d, generator count N, tensor power k, system
-rows and columns) and the git revision of the tree measured.  A ``random_curvature`` size that
+rows and columns, family dimensions, products searched and the largest
+product dimension) and the git revision of the tree measured.  A ``random_curvature`` size that
 fails or exceeds the child time limit ends that ladder; a failed
-``decompose`` case is recorded with its error and the next case runs.
+``decompose``, lemma, representation or positivity case is recorded with
+its error and the next case runs.
 
-    python bench/layers.py                       # writes BENCH_4.json
-    python bench/layers.py --baseline-src OTHER/src --out BENCH_4.json
+    python bench/layers.py                       # writes BENCH_5.json
+    python bench/layers.py --baseline-src OTHER/src --out BENCH_5.json
 
 With ``--baseline-src`` the same measurements also run against another
 source tree (for example a checkout of the parent commit) and are stored
@@ -32,6 +38,7 @@ under ``"baseline"``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -66,6 +73,11 @@ REP_CASES = (
     ("rep_sym", 10, 3),
     ("rep_sym0", 14, None),
 )
+#: n of each positivity report; the curvature operator is random_curvature(n, POSITIVITY_SEED).
+POSITIVITY_NS = range(3, 7)
+POSITIVITY_SEED = 2
+#: positivity_report's default cap on the dimension of a searched tensor product.
+SEARCH_DIM_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +143,27 @@ def _child_rep(constructor: str, n: int, p: int | None) -> dict:
     return {"seconds": time.perf_counter() - t0, "d": r.dim, "peak_rss_mb": _peak_rss_mb()}
 
 
+def _child_positivity(n: int) -> dict:
+    from weitzlab import curvature, weitzenbock
+    from weitzlab.so_algebra import basis
+
+    op = curvature.random_curvature(n, POSITIVITY_SEED)
+    t0 = time.perf_counter()
+    report = weitzenbock.positivity_report(op)
+    seconds = time.perf_counter() - t0
+    if not report.diagnostic:
+        raise SystemExit(f"random_curvature({n}, {POSITIVITY_SEED}) is not indefinite: no search ran")
+    dims = [r.dim for r in weitzenbock.standard_family(basis(n))]
+    products = [a * b for a, b in itertools.combinations_with_replacement(dims, 2) if a * b <= SEARCH_DIM_CAP]
+    return {
+        "seconds": seconds,
+        "family_dims": dims,
+        "products_searched": len(report.diagnostic["searched"]) - len(dims),
+        "max_product_dim": max(products),
+        "peak_rss_mb": _peak_rss_mb(),
+    }
+
+
 def _child(argv: list[str]) -> None:
     resource.setrlimit(resource.RLIMIT_AS, (CAP_BYTES, CAP_BYTES))
     kind, *rest = argv
@@ -140,6 +173,8 @@ def _child(argv: list[str]) -> None:
         result = _child_lemma(rest[0], int(rest[1]))
     elif kind == "rep":
         result = _child_rep(rest[0], int(rest[1]), int(rest[2]) if len(rest) > 2 else None)
+    elif kind == "positivity":
+        result = _child_positivity(int(rest[0]))
     else:
         result = _child_nullspace(int(rest[0]), rest[1], rest[2])
     sys.stdout.write(json.dumps(result) + "\n")
@@ -236,12 +271,26 @@ def measure(src: str) -> dict:
             {**entry, "d": runs[0]["d"], "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb")}
         )
         print(f"  {constructor} n={n} p={p}: {representations[-1]['seconds']:.4f} s", file=sys.stderr)
+    positivity = []
+    for n in POSITIVITY_NS:
+        runs = _repeat(src, ["positivity", str(n)])
+        entry = {"n": n, "N": n * (n - 1) // 2, "seed": POSITIVITY_SEED, "search_dim_cap": SEARCH_DIM_CAP}
+        if isinstance(runs, dict):
+            positivity.append({**entry, **runs})
+            print(f"  positivity_report n={n}: {runs['error']}", file=sys.stderr)
+            continue
+        sizes = {key: runs[0][key] for key in ("family_dims", "products_searched", "max_product_dim")}
+        positivity.append(
+            {**entry, **sizes, "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb")}
+        )
+        print(f"  positivity_report n={n}: {positivity[-1]['seconds']:.4f} s", file=sys.stderr)
     return {
         "revision": _revision(src),
         "random_curvature": curvature,
         "nullspace": nullspace,
         "lemma_suite": lemma,
         "representations": representations,
+        "positivity_report": positivity,
     }
 
 
@@ -250,7 +299,7 @@ def main() -> None:
         _child(sys.argv[2:])
         return
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_4.json"))
+    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_5.json"))
     parser.add_argument("--baseline-src", default=None, help="another source tree to measure the same way")
     args = parser.parse_args()
     import numpy

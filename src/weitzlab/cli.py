@@ -8,10 +8,10 @@ Three commands:
 * ``decompose`` isotypic decomposition of a representation restricted to a
                 subalgebra.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage or schema error,
-3 dimension mismatch.  Output is canonical JSON (17-significant-digit floats,
-sorted keys) so identical configurations give byte-identical bytes; CSV and
-pretty text are derived views.
+Exit codes: 0 all checks passed, 1 a check failed, 2 usage or schema error
+(or out of memory), 3 dimension mismatch.  Output is canonical JSON
+(17-significant-digit floats, sorted keys) so identical configurations give
+byte-identical bytes; CSV and pretty text are derived views.
 """
 
 from __future__ import annotations
@@ -428,6 +428,10 @@ def main(argv=None) -> int:
         return EXIT_DIMENSION
     except wb.LemmaPreconditionError as exc:
         sys.stderr.write(f"precondition failed: {exc}\n")
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy's message names the shape and size that could not be allocated
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'allocation failed'}\n")
         return EXIT_USAGE
 
 

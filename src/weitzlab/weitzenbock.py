@@ -49,6 +49,7 @@ __all__ = [
     "laplacian_curvature",
     "laplacian_t",
     "lemma_check",
+    "neg_k_spectrum",
     "permutation_matrix",
     "positivity_report",
     "standard_family",
@@ -365,16 +366,28 @@ def standard_family(basis: SoBasis) -> list[Rep]:
     return fam
 
 
-def _entry_for(r: CurvatureOperator, rep: Rep, tol: float) -> PositivityEntry:
+def neg_k_spectrum(r: CurvatureOperator, rep: Rep) -> np.ndarray:
+    """Eigenvalues of -K on ``rep``, from the Hermitian part of K."""
     k = k_matrix(r, rep)
-    neg_w = -np.linalg.eigvalsh((k + k.conj().T) / 2.0)
+    return -np.linalg.eigvalsh((k + k.conj().T) / 2.0)
+
+
+def _classify_neg_k(r: CurvatureOperator, rep: Rep, tol: float) -> tuple[float, str]:
+    """Smallest eigenvalue of -K on ``rep`` and its positivity verdict:
+    positive, semi-definite or indefinite."""
+    neg_w = neg_k_spectrum(r, rep)
     verdicts = {"positive-definite": "positive", "zero": "semi-definite", "positive-semidefinite": "semi-definite"}
+    return float(np.min(neg_w)), verdicts.get(definiteness(neg_w, tol), "indefinite")
+
+
+def _entry_for(r: CurvatureOperator, rep: Rep, tol: float) -> PositivityEntry:
+    min_eig, verdict = _classify_neg_k(r, rep, tol)
     return PositivityEntry(
         label=rep.label,
         dim=rep.dim,
         irreducible=commutant_dimension(rep, "C") == 1,
-        min_eig_neg_k=float(np.min(neg_w)),
-        verdict=verdicts.get(definiteness(neg_w, tol), "indefinite"),
+        min_eig_neg_k=min_eig,
+        verdict=verdict,
     )
 
 
@@ -391,7 +404,9 @@ def positivity_report(
     operator has a negative direction, a finite counterexample search runs
     over the family and pairwise tensor products up to ``search_dim_cap``
     total dimension; that search is reported as DIAGNOSTIC only, because the
-    genuine converse quantifies over all representations.
+    genuine converse quantifies over all representations.  The search only
+    classifies -K on each product; irreducibility is computed for the family
+    entries alone.
     """
     from .so_algebra import basis as so_basis
     from .representations import rep_tensor
@@ -419,9 +434,8 @@ def positivity_report(
             if ra.dim * rb.dim > search_dim_cap:
                 continue
             t = rep_tensor(ra, rb)
-            e = _entry_for(r, t, tol)
             searched.append(t.label)
-            if e.verdict == "indefinite":
+            if _classify_neg_k(r, t, tol)[1] == "indefinite":
                 counterexamples.append(t.label)
         diagnostic = {
             "searched": searched,

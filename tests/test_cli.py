@@ -176,6 +176,20 @@ class TestCheckCommand:
         assert code == 0
         assert payload["summary"]["diagnostic"] >= 1
 
+    @pytest.mark.parametrize(("n", "seed"), ((4, 1), (5, 2)))
+    def test_positivity_search_completes_for_random_curvature(self, n, seed, capsys):
+        # these random operators are indefinite, so the only report is the
+        # diagnostic one; the product search classifies -K without solving
+        # a commutant per product
+        code, payload = run_json(
+            ["check", "positivity", "--n", str(n), "--curvature", f"random:{seed}"], capsys
+        )
+        assert code == 0
+        [report] = payload["reports"]
+        assert report["check"] == "positivity-report"
+        assert report["diagnostic"] is True
+        assert "DIAGNOSTIC" in report["details"]["overall"]
+
     def test_schema_violation_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 3, "R": [[1.0]]}))
@@ -219,6 +233,21 @@ class TestUsageErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_memory_error_exit_2_with_error_line(self, monkeypatch, capsys):
+        # an allocation failure is a resource error, not a failed check: one
+        # line that keeps numpy's message, exit 2, no traceback
+        message = "Unable to allocate 657. MiB for an array with shape (81, 81, 81, 81) and data type complex128"
+
+        def cmd_check(args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "cmd_check", cmd_check)
+        code = cli.main(["check", "positivity", "--n", "4", "--curvature", "random:1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: out of memory: {message}\n"
 
     def test_positivity_with_operator_ignores_trials(self, tmp_path, capsys):
         # an explicit operator gives one report and runs no trials

@@ -408,6 +408,80 @@ class TestPositivity:
                     w = np.linalg.eigvalsh((k + k.conj().T) / 2)
                     assert np.min(-w) > 0, f"n={n} seed={seed} rep={r.label}"
 
+    def test_search_solves_commutants_for_family_only(self, monkeypatch):
+        # irreducibility is reported for family entries only, so the product
+        # search must not solve a commutant
+        op = curv.curvature_operator(3, np.diag([1.0, 1.0, -1.0]))
+        family = wb.standard_family(so.basis(3))
+        calls = []
+        solve = wb.commutant_dimension
+
+        def counting(rep, field):
+            calls.append(rep.label)
+            return solve(rep, field)
+
+        monkeypatch.setattr(wb, "commutant_dimension", counting)
+        rep = wb.positivity_report(op, reps=family)
+        assert calls == [r.label for r in family]
+        assert len(rep.diagnostic["searched"]) > len(family)
+
+    @pytest.mark.parametrize(
+        ("n", "matrix", "cap"),
+        (
+            (3, np.diag([1.0, 1.0, -1.0]), 4096),
+            (3, np.diag([-1.7, 1.3, 1.7]), 4096),
+            (4, np.diag([1.0, -1.0, 2.0, 0.5, -0.25, 1.5]), 24),
+        ),
+        ids=("n3-one-negative", "n3-mixed-verdicts", "n4-cap24"),
+    )
+    def test_report_equals_full_entry_oracle(self, n, matrix, cap):
+        # oracle: the search builds a full entry, commutant included, for
+        # every product and keeps only its label and verdict
+        op = curv.curvature_operator(n, matrix)
+        family = wb.standard_family(so.basis(n))
+
+        def full_entry(rep):
+            k = wb.k_matrix(op, rep)
+            neg_w = -np.linalg.eigvalsh((k + k.conj().T) / 2.0)
+            label = wb.definiteness(neg_w, TOL)
+            verdict = {"positive-definite": "positive", "zero": "semi-definite", "positive-semidefinite": "semi-definite"}
+            return wb.PositivityEntry(
+                label=rep.label,
+                dim=rep.dim,
+                irreducible=reps.commutant_dimension(rep, "C") == 1,
+                min_eig_neg_k=float(np.min(neg_w)),
+                verdict=verdict.get(label, "indefinite"),
+            )
+
+        entries = [full_entry(r) for r in family]
+        searched = [e.label for e in entries]
+        counterexamples = [e.label for e in entries if e.verdict == "indefinite"]
+        for ra, rb in itertools.combinations_with_replacement(family, 2):
+            if ra.dim * rb.dim <= cap:
+                e = full_entry(reps.rep_tensor(ra, rb))
+                searched.append(e.label)
+                if e.verdict == "indefinite":
+                    counterexamples.append(e.label)
+
+        got = wb.positivity_report(op, reps=family, tol=TOL, search_dim_cap=cap).to_dict()
+        assert got["diagnostic"]["searched"] == searched
+        assert got["diagnostic"]["counterexamples"] == sorted(set(counterexamples))
+        assert got["overall"] == (
+            "curvature operator not positive: counterexample representations found (DIAGNOSTIC)"
+            if counterexamples
+            else "curvature operator not positive: no counterexample within the finite family (DIAGNOSTIC)"
+        )
+        assert got["entries"] == [
+            {
+                "label": e.label,
+                "dim": e.dim,
+                "irreducible": e.irreducible,
+                "min_eig_neg_k": e.min_eig_neg_k,
+                "verdict": e.verdict,
+            }
+            for e in entries
+        ]
+
     def test_empty_family_rejected(self, b3):
         with pytest.raises(ValueError):
             wb.positivity_report(curv.sphere(3), reps=[])
