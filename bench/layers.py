@@ -1,13 +1,16 @@
-"""Layer bench: curvature sources, commutant nullspaces, the projection
-lemma suites, representation construction and the positivity report.
+"""Layer bench: curvature sources, commutant solves, isotypic splits, the
+projection lemma suites, representation construction and the positivity
+report.
 
-Times five layers of weitzlab, each measurement in a fresh interpreter so
+Times six layers of weitzlab, each measurement in a fresh interpreter so
 that it pays every cold cost a CLI process pays:
 
 * ``random_curvature(n, seed)`` for n = 4 ... 16 (curvature sources);
-* every ``numerics.nullspace`` call made by ``isotypic_decompose`` for the
-  four ``decompose`` invocations of the isotypic workload, plus the
-  ``sym0`` / ``so:3`` case at n = 6 (the dense kernel);
+* ``representations.intertwiners(r, r)``, the commutant solve, for sym0 at
+  n = 6, the adjoint at n = 7, spin at n = 8 and exterior(3) at n = 7 (the
+  dense kernel);
+* a whole ``isotypic_decompose`` for the four ``decompose`` invocations of
+  the isotypic workload, plus the ``sym0`` / ``so:3`` case at n = 6;
 * ``suites.lemma_suite("k4", 10, seed)`` and ``lemma_suite("k2", 20, seed)``
   (a suite: tensor powers of the spinors, permutation checks, K and W);
 * ``rep_adjoint`` at n = 10 and 12, ``rep_exterior`` at (n, p) = (10, 5)
@@ -20,15 +23,15 @@ that it pays every cold cost a CLI process pays:
 
 Each child runs with one BLAS/OpenMP thread and a 3 GiB address-space cap,
 and reports its own peak RSS.  The record holds the median of five repeats,
-the sizes (n, rep dimension d, generator count N, tensor power k, system
-rows and columns, family dimensions, products searched and the largest
-product dimension) and the git revision of the tree measured.  A ``random_curvature`` size that
-fails or exceeds the child time limit ends that ladder; a failed
-``decompose``, lemma, representation or positivity case is recorded with
-its error and the next case runs.
+the sizes (n, rep dimension d, generator count N, tensor power k, commutant
+dimension, number of isotypic pieces, family dimensions, products searched
+and the largest product dimension) and the git revision of the tree
+measured.  A ``random_curvature`` size that fails or exceeds the child time
+limit ends that ladder; any other failed case is recorded with its error and
+the next case runs.
 
-    python bench/layers.py                       # writes BENCH_5.json
-    python bench/layers.py --baseline-src OTHER/src --out BENCH_5.json
+    python bench/layers.py                       # writes BENCH_6.json
+    python bench/layers.py --baseline-src OTHER/src --out BENCH_6.json
 
 With ``--baseline-src`` the same measurements also run against another
 source tree (for example a checkout of the parent commit) and are stored
@@ -54,6 +57,9 @@ CAP_BYTES = 3 << 30
 REPEATS = 5
 CHILD_TIMEOUT_S = 300
 CURVATURE_NS = range(4, 17)
+#: (n, rep) of each commutant solve timed.
+INTERTWINER_CASES = ((6, "sym0"), (7, "adjoint"), (8, "spin"), (7, "exterior:3"))
+#: (n, rep, subalgebra) of each isotypic decomposition timed.
 DECOMPOSE_CASES = (
     (6, "exterior:2", "u:3"),
     (5, "adjoint", "so:4"),
@@ -97,28 +103,32 @@ def _child_curvature(n: int) -> dict:
     return {"seconds": time.perf_counter() - t0, "peak_rss_mb": _peak_rss_mb()}
 
 
-def _child_nullspace(n: int, rep: str, sub: str) -> dict:
-    from weitzlab import cli, numerics, representations
+def _child_intertwiners(n: int, rep: str) -> dict:
+    from weitzlab import cli, representations
+    from weitzlab.so_algebra import basis
+
+    r = cli.parse_rep(rep, basis(n))
+    t0 = time.perf_counter()
+    comm = representations.intertwiners(r, r)
+    seconds = time.perf_counter() - t0
+    return {"seconds": seconds, "d": r.dim, "commutant_dim": len(comm), "peak_rss_mb": _peak_rss_mb()}
+
+
+def _child_decompose(n: int, rep: str, sub: str) -> dict:
+    from weitzlab import cli, representations
     from weitzlab.so_algebra import basis
 
     restricted = cli.parse_rep(rep, basis(n))
     if sub != "so-full":
         restricted = representations.rep_restrict(restricted, cli.parse_subalgebra(sub, n))
-    systems = []
-    inner = numerics.nullspace
-
-    def timed(a, *args, **kwargs):
-        t0 = time.perf_counter()
-        out = inner(a, *args, **kwargs)
-        systems.append({"rows": len(a), "cols": len(a[0]), "seconds": time.perf_counter() - t0})
-        return out
-
-    numerics.nullspace = timed
-    representations.isotypic_decompose(restricted, seed=0)
+    t0 = time.perf_counter()
+    pieces = representations.isotypic_decompose(restricted, seed=0)
+    seconds = time.perf_counter() - t0
     return {
+        "seconds": seconds,
         "d": restricted.dim,
         "N": len(restricted.mats),
-        "systems": systems,
+        "pieces": len(pieces),
         "peak_rss_mb": _peak_rss_mb(),
     }
 
@@ -175,8 +185,10 @@ def _child(argv: list[str]) -> None:
         result = _child_rep(rest[0], int(rest[1]), int(rest[2]) if len(rest) > 2 else None)
     elif kind == "positivity":
         result = _child_positivity(int(rest[0]))
+    elif kind == "intertwiners":
+        result = _child_intertwiners(int(rest[0]), rest[1])
     else:
-        result = _child_nullspace(int(rest[0]), rest[1], rest[2])
+        result = _child_decompose(int(rest[0]), rest[1], rest[2])
     sys.stdout.write(json.dumps(result) + "\n")
 
 
@@ -229,21 +241,31 @@ def measure(src: str) -> dict:
             break
         curvature.append({**entry, "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb")})
         print(f"  random_curvature n={n}: {curvature[-1]['seconds']:.4f} s", file=sys.stderr)
-    nullspace = []
+    intertwiners = []
+    for n, rep in INTERTWINER_CASES:
+        runs = _repeat(src, ["intertwiners", str(n), rep])
+        entry = {"n": n, "rep": rep, "N": n * (n - 1) // 2}
+        if isinstance(runs, dict):
+            intertwiners.append({**entry, **runs})
+            print(f"  intertwiners {n} {rep}: {runs['error']}", file=sys.stderr)
+            continue
+        sizes = {key: runs[0][key] for key in ("d", "commutant_dim")}
+        intertwiners.append(
+            {**entry, **sizes, "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb")}
+        )
+        print(f"  intertwiners {n} {rep}: {intertwiners[-1]['seconds']:.4f} s", file=sys.stderr)
+    decompose = []
     for n, rep, sub in DECOMPOSE_CASES:
-        runs = _repeat(src, ["nullspace", str(n), rep, sub])
+        runs = _repeat(src, ["decompose", str(n), rep, sub])
         entry = {"n": n, "rep": rep, "sub": sub}
         if isinstance(runs, dict):
-            nullspace.append({**entry, **runs})
+            decompose.append({**entry, **runs})
             continue
-        systems = [
-            {**shape, "seconds": statistics.median(r["systems"][k]["seconds"] for r in runs)}
-            for k, shape in enumerate({"rows": s["rows"], "cols": s["cols"]} for s in runs[0]["systems"])
-        ]
-        nullspace.append(
-            {**entry, "d": runs[0]["d"], "N": runs[0]["N"], "systems": systems, "peak_rss_mb": _median(runs, "peak_rss_mb")}
+        sizes = {key: runs[0][key] for key in ("d", "N", "pieces")}
+        decompose.append(
+            {**entry, **sizes, "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb")}
         )
-        print(f"  nullspace {n} {rep} {sub}: {sum(s['seconds'] for s in systems):.4f} s", file=sys.stderr)
+        print(f"  isotypic_decompose {n} {rep} {sub}: {decompose[-1]['seconds']:.4f} s", file=sys.stderr)
     lemma = []
     for kind, trials in LEMMA_CASES:
         runs = _repeat(src, ["lemma", kind, str(trials)])
@@ -287,7 +309,8 @@ def measure(src: str) -> dict:
     return {
         "revision": _revision(src),
         "random_curvature": curvature,
-        "nullspace": nullspace,
+        "intertwiners": intertwiners,
+        "isotypic_decompose": decompose,
         "lemma_suite": lemma,
         "representations": representations,
         "positivity_report": positivity,
@@ -299,7 +322,7 @@ def main() -> None:
         _child(sys.argv[2:])
         return
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_5.json"))
+    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_6.json"))
     parser.add_argument("--baseline-src", default=None, help="another source tree to measure the same way")
     args = parser.parse_args()
     import numpy

@@ -1,5 +1,6 @@
 """Dense matrix kernel: Hermitian eigendecomposition, nullspaces, Kronecker
-products and orthogonal projections.
+products and Kronecker sums ``sum_x a[x] (x) b[x]`` over stacks of matrices,
+and orthogonal projections.
 
 Everything is computed in double-precision complex; real inputs are the
 imaginary-part-zero case.  All functions are pure and never mutate their
@@ -16,13 +17,14 @@ __all__ = [
     "fix_phases",
     "frobenius",
     "kron",
+    "kron_sum",
     "nullspace",
     "orthonormal_columns",
     "projector",
 ]
 
 #: Relative singular-value cutoff used by :func:`nullspace` when no tolerance
-#: is supplied.  Intertwiner spaces downstream have singular-value gaps many
+#: is supplied.  The nullspaces downstream have singular-value gaps many
 #: orders of magnitude wider than this at the sizes we handle.
 DEFAULT_NULLSPACE_TOL = 1e-9
 
@@ -108,6 +110,15 @@ def nullspace(a, tol: float = DEFAULT_NULLSPACE_TOL, atol: float = 0.0) -> np.nd
 def kron(a, b) -> np.ndarray:
     """Kronecker product, ``(a ⊗ b)(u ⊗ v) = a u ⊗ b v``."""
     return np.kron(np.asarray(a), np.asarray(b))
+
+
+def kron_sum(a, b) -> np.ndarray:
+    """``sum_x a[x] (x) b[x]`` for stacks ``a`` of shape (N, p, q) and ``b`` of
+    shape (N, r, s): one (p q, N) @ (N, r s) product, then one transpose."""
+    a, b = np.asarray(a), np.asarray(b)
+    (count, p, q), (_, r, s) = a.shape, b.shape
+    prod = a.reshape(count, p * q).T @ b.reshape(count, r * s)
+    return prod.reshape(p, q, r, s).transpose(0, 2, 1, 3).reshape(p * r, q * s)
 
 
 def orthonormal_columns(a, tol: float = DEFAULT_NULLSPACE_TOL, atol: float = 0.0) -> np.ndarray:

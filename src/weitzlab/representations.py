@@ -253,35 +253,38 @@ def casimir(r: Rep) -> np.ndarray:
     return np.einsum("aij,ajk->ik", m, m)
 
 
-def intertwiners(r1: Rep, r2: Rep) -> list[np.ndarray]:
-    """Orthonormal basis (Frobenius) of ``{T : sigma(x_a) T = T rho(x_a)}``.
+#: Relative cutoff of :func:`intertwiners`: an eigenvalue of G at or below
+#: this multiple of the largest counts as zero.  On the constructed reps the
+#: kernel's are rounding dust (<= 1e-15 relative) and the rest >= 1/40 of it.
+KERNEL_TOL = 1e-9
 
-    Maps go from the space of ``r1`` to the space of ``r2``.
-    """
+
+def intertwiners(r1: Rep, r2: Rep) -> list[np.ndarray]:
+    """Orthonormal basis (Frobenius) of ``{T : sigma(x_a) T = T rho(x_a)}``,
+    maps from the space of ``r1`` (rho) to that of ``r2`` (sigma): the kernel
+    of ``G = sum_a B_a^H B_a``, ``B_a = sigma_a (x) 1 - 1 (x) rho_a^T`` acting
+    on the row-major ``vec T``, from one Hermitian eigendecomposition.  For
+    skew-adjoint generators G is minus the Casimir of Hom(rho, sigma)."""
     if not _same_basis(r1, r2):
         raise ValueError("intertwiners need representations over the same basis")
     d1, d2 = r1.dim, r2.dim
-    i1, i2 = np.eye(d1), np.eye(d2)
-    blocks = [numerics.kron(m2, i1) - numerics.kron(i2, m1.T) for m1, m2 in zip(r1.mats, r2.mats)]
-    null = numerics.nullspace(np.vstack(blocks))
-    return [null[:, k].reshape(d2, d1) for k in range(null.shape[1])]
+    rho, sigma = r1.stacked(), r2.stacked()
+    cross = numerics.kron_sum(sigma.conj().transpose(0, 2, 1), rho.transpose(0, 2, 1))
+    g = numerics.kron(np.einsum("aji,ajk->ik", sigma.conj(), sigma), np.eye(d1)) - cross
+    g += numerics.kron(np.eye(d2), np.einsum("aij,akj->ik", rho.conj(), rho)) - cross.conj().T
+    w, v = numerics.eig_hermitian(g)
+    kernel = v[:, w <= KERNEL_TOL * w[-1]]
+    return [kernel[:, k].reshape(d2, d1) for k in range(kernel.shape[1])]
 
 
 def commutant_dimension(r: Rep, field: str = "C") -> int:
-    """Dimension of the commutant, over C or (for real matrix reps) over R."""
-    if field == "C":
-        return len(intertwiners(r, r))
-    if field != "R":
+    """Dimension of the commutant over C, or over R for a rep by real
+    matrices, whose real commutant has the complex one's dimension."""
+    if field not in ("C", "R"):
         raise ValueError("field must be 'C' or 'R'")
-    d = r.dim
-    eye = np.eye(d)
-    blocks = []
-    for m in r.mats:
-        op = numerics.kron(m, eye) - numerics.kron(eye, m.T)
-        blocks.append(np.real(op))
-        blocks.append(np.imag(op))
-    null = numerics.nullspace(np.vstack(blocks))
-    return null.shape[1]
+    if field == "R" and any(np.any(np.imag(m)) for m in r.mats):
+        raise ValueError(f"the real commutant needs real matrices; {r.label} has complex entries")
+    return len(intertwiners(r, r))
 
 
 def is_irreducible(r: Rep) -> bool:
@@ -290,28 +293,19 @@ def is_irreducible(r: Rep) -> bool:
 
 
 def invariant_bilinear_forms(r: Rep) -> list[tuple[np.ndarray, int]]:
-    """Solutions of ``rho(x_a)^T B + B rho(x_a) = 0`` classified by symmetry.
+    """Solutions of ``rho(x_a)^T B + B rho(x_a) = 0`` classified by symmetry:
+    the intertwiners from rho to its dual ``-rho^T``.
 
     Returns pairs ``(B, s)`` with ``B^T = s B``, ``s = +1`` or ``-1``; the B's
     are Frobenius-orthonormal and each is purely symmetric or antisymmetric.
     """
     d = r.dim
-    eye = np.eye(d)
-    blocks = [numerics.kron(m.T, eye) + numerics.kron(eye, m.T) for m in r.mats]
-    null = numerics.nullspace(np.vstack(blocks))
-    sym, skew = [], []
-    for k in range(null.shape[1]):
-        b = null[:, k].reshape(d, d)
-        sym.append(((b + b.T) / 2).ravel())
-        skew.append(((b - b.T) / 2).ravel())
+    forms = intertwiners(r, Rep(basis=r.basis, dim=d, mats=tuple(-m.T for m in r.mats), label=f"{r.label}*"))
     out = []
-    for part, sign in ((sym, 1), (skew, -1)):
-        if not part:
-            continue
-        # nullspace vectors are unit norm, so components below 1e-10 are dust
-        span = numerics.orthonormal_columns(np.array(part).T, atol=1e-10)
-        for k in range(span.shape[1]):
-            out.append((span[:, k].reshape(d, d), sign))
+    for sign in (1, -1) if forms else ():
+        # intertwiners are unit norm, so components below 1e-10 are dust
+        span = numerics.orthonormal_columns(np.array([(b + sign * b.T).ravel() / 2 for b in forms]).T, atol=1e-10)
+        out.extend((span[:, k].reshape(d, d), sign) for k in range(span.shape[1]))
     return out
 
 
@@ -348,7 +342,7 @@ def isotypic_decompose(r: Rep, seed: int = 0, cluster_tol: float = 1e-6) -> list
     the Casimir alone cannot separate inequivalent pieces with equal Casimir
     eigenvalue.  Pieces are ordered by ascending Casimir eigenvalue, then by
     dimension, then by their projector entries, so the order does not depend
-    on the basis the commutant nullspace happens to return.
+    on the basis :func:`intertwiners` happens to return.
     """
     comm = intertwiners(r, r)
     center = _center_of_commutant(comm)

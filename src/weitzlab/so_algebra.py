@@ -436,6 +436,8 @@ _DIMENSIONS = {
 
 def parse_type_rank(label: str) -> tuple[str, int]:
     label = label.strip().upper().replace("_", "")
+    if not label:
+        raise ValueError("empty algebra label")
     if label == "G2":
         return "G", 2
     family, rank_s = label[0], label[1:]

@@ -224,8 +224,14 @@ class TestUsageErrors:
             ["decompose", "--n", "6", "--rep", "vector", "--sub", "u:x"],
             ["k", "--n", "1", "--rep", "vector", "--curvature", "sphere"],
             ["check", "lemma:k4", "--trials", "0"],
+            ["check", "strange", "--algebra", ","],
+            ["check", "strange", "--algebra", "A2,"],
+            ["check", "strange", "--algebra", " "],
         ),
-        ids=("unknown-algebra", "malformed-subalgebra-size", "n-below-2", "zero-trials"),
+        ids=(
+            "unknown-algebra", "malformed-subalgebra-size", "n-below-2", "zero-trials",
+            "empty-algebra-labels", "trailing-comma-algebra", "blank-algebra",
+        ),
     )
     def test_exit_2_with_error_line(self, argv, capsys):
         code = cli.main(argv)

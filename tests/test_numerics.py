@@ -151,6 +151,16 @@ class TestKron:
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
 
 
+    def test_kron_sum_rectangular_stack(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((5, 2, 3)) + 1j * rng.standard_normal((5, 2, 3))
+        b = rng.standard_normal((5, 4, 1)) + 1j * rng.standard_normal((5, 4, 1))
+        want = sum(np.kron(x, y) for x, y in zip(a, b))
+        got = numerics.kron_sum(a, b)
+        assert got.shape == (8, 3)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
 class TestProjectors:
     def test_projector_idempotent(self):
         rng = np.random.default_rng(1)

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from weitzlab import numerics
 from weitzlab import representations as reps
 from weitzlab import so_algebra as so
-from weitzlab.spin import rep_spin
+from weitzlab.spin import rep_half_spin, rep_spin
 
 
 def _exterior_action_loop(x, n, p):
@@ -59,6 +60,50 @@ def _sym_action_loop(x, n, p):
                 row = index[tuple(sorted(mono[:slot] + (j,) + mono[slot + 1:]))]
                 out[row, col] += c * np.sqrt(norms[row] / norms[col])
     return out
+
+
+def _stacked_kernel(blocks) -> np.ndarray:
+    """Oracle: SVD nullspace of the stacked (N d1 d2) x (d1 d2) system."""
+    return numerics.nullspace(np.vstack(blocks))
+
+
+def _intertwiners_oracle(r1, r2) -> np.ndarray:
+    """Columns: row-major vec T of a basis of {T : sigma T = T rho}."""
+    i1, i2 = np.eye(r1.dim), np.eye(r2.dim)
+    return _stacked_kernel([np.kron(m2, i1) - np.kron(i2, m1.T) for m1, m2 in zip(r1.mats, r2.mats)])
+
+
+def _forms_oracle(r) -> list[tuple[np.ndarray, int]]:
+    """Invariant bilinear forms from the stacked system rho^T B + B rho = 0,
+    split into symmetric and antisymmetric parts."""
+    d = r.dim
+    eye = np.eye(d)
+    null = _stacked_kernel([np.kron(m.T, eye) + np.kron(eye, m.T) for m in r.mats])
+    out = []
+    for sign in (1, -1):
+        parts = [((b + sign * b.T) / 2).ravel() for b in (null[:, k].reshape(d, d) for k in range(null.shape[1]))]
+        if parts:
+            span = numerics.orthonormal_columns(np.array(parts).T, atol=1e-10)
+            out.extend((span[:, k].reshape(d, d), sign) for k in range(span.shape[1]))
+    return out
+
+
+def _span_projector(vecs) -> np.ndarray:
+    q = np.array([np.ravel(v) for v in vecs]).T
+    return q @ q.conj().T
+
+
+def _oracle_cases():
+    b3, b4, b6 = so.basis(3), so.basis(4), so.basis(6)
+    v3 = reps.rep_vector(b3)
+    return {
+        "vector->vector(x)vector": (v3, reps.rep_tensor(v3, v3)),
+        "exterior(2)|u(3)": 2 * (reps.rep_restrict(reps.rep_exterior(b6, 2), so.u_subalgebra(3)),),
+        "sym0 n=4": 2 * (reps.rep_sym0(b4),),
+        "spin+ n=4": 2 * (rep_half_spin(b4, 1),),
+        "spin- n=6": 2 * (rep_half_spin(b6, -1),),
+        "spin+ n=8": 2 * (rep_half_spin(so.basis(8), 1),),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +293,39 @@ class TestIntertwiners:
         assert reps.commutant_dimension(reps.rep_vector(b3), "R") == 1
 
 
+class TestKernelOracle:
+    """intertwiners and invariant_bilinear_forms against the stacked
+    Kronecker system solved by SVD."""
+
+    @pytest.mark.parametrize("case", list(_oracle_cases()))
+    def test_intertwiners_match_stacked_system(self, case):
+        r1, r2 = _oracle_cases()[case]
+        got = reps.intertwiners(r1, r2)
+        want = _intertwiners_oracle(r1, r2)
+        assert len(got) == want.shape[1]
+        assert all(t.shape == (r2.dim, r1.dim) for t in got)
+        assert np.linalg.norm(_span_projector(got) - want @ want.conj().T) <= 1e-12
+
+    def test_rectangular_hom_is_one_dimensional(self):
+        r1, r2 = _oracle_cases()["vector->vector(x)vector"]
+        assert len(reps.intertwiners(r1, r2)) == 1
+
+    @pytest.mark.parametrize("case", list(_oracle_cases())[1:])
+    def test_forms_match_stacked_system(self, case):
+        r, _ = _oracle_cases()[case]
+        got = reps.invariant_bilinear_forms(r)
+        want = _forms_oracle(r)
+        assert [s for _, s in got] == [s for _, s in want]
+        for sign in (1, -1):
+            pg = _span_projector([b for b, s in got if s == sign])
+            pw = _span_projector([b for b, s in want if s == sign])
+            assert np.linalg.norm(pg - pw) <= 1e-12
+
+    def test_real_commutant_rejects_complex_matrices(self, b4):
+        with pytest.raises(ValueError):
+            reps.commutant_dimension(rep_spin(b4), "R")
+
+
 class TestInvariantForms:
     def test_vector_standard_form(self, b3):
         forms = reps.invariant_bilinear_forms(reps.rep_vector(b3))
@@ -371,13 +449,14 @@ class TestIsotypic:
     def test_piece_order_independent_of_nullspace_basis(self, monkeypatch):
         # the two 3-dimensional pieces of the 2-forms under u(3) tie on
         # Casimir eigenvalue and dimension and are complex conjugates; their
-        # order must not follow the basis the commutant nullspace returns
-        from weitzlab import numerics
-
+        # order must follow neither the commutant basis nor the basis of its
+        # center
         r = reps.rep_restrict(reps.rep_exterior(so.basis(6), 2), so.u_subalgebra(3))
         want = reps.isotypic_decompose(r)
         inner = numerics.nullspace
         monkeypatch.setattr(numerics, "nullspace", lambda *a, **k: inner(*a, **k)[:, ::-1])
+        solve = reps.intertwiners
+        monkeypatch.setattr(reps, "intertwiners", lambda *a: solve(*a)[::-1])
         got = reps.isotypic_decompose(r)
         assert [p.dim for p in got] == [p.dim for p in want]
         for a, b in zip(want, got):
