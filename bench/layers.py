@@ -1,8 +1,8 @@
 """Layer bench: curvature sources, commutant solves, isotypic splits, the
-projection lemma suites, representation construction and the positivity
-report.
+projection lemma suites, representation construction, the positivity report
+and the assembly of K.
 
-Times six layers of weitzlab, each measurement in a fresh interpreter so
+Times seven layers of weitzlab, each measurement in a fresh interpreter so
 that it pays every cold cost a CLI process pays:
 
 * ``random_curvature(n, seed)`` for n = 4 ... 16 (curvature sources);
@@ -19,19 +19,25 @@ that it pays every cold cost a CLI process pays:
 * ``weitzenbock.positivity_report`` on ``random_curvature(n, 2)`` for
   n = 3 ... 6; the operator is indefinite, so the diagnostic search over the
   pairwise tensor products of the standard family runs at its default cap
-  (the positivity suite with an explicit operator).
+  (the positivity suite with an explicit operator);
+* ``weitzenbock.k_matrix`` on ``random_curvature(n, 1)`` for exterior(5) at
+  n = 10, exterior(6) at n = 12, sym(3) at n = 10, spin at n = 14, the
+  fourth tensor power of the n = 4 spinors (the lemma:k4 power) and
+  exterior(3) (x) exterior(3) at n = 7 (the largest positivity product at
+  n = 7), with the time to build each representation beside it (assembly
+  of K).
 
 Each child runs with one BLAS/OpenMP thread and a 3 GiB address-space cap,
 and reports its own peak RSS.  The record holds the median of five repeats,
 the sizes (n, rep dimension d, generator count N, tensor power k, commutant
-dimension, number of isotypic pieces, family dimensions, products searched
-and the largest product dimension) and the git revision of the tree
+dimension, number of isotypic pieces, family dimensions, products searched,
+the largest product dimension and the nonzero generator entries) and the git revision of the tree
 measured.  A ``random_curvature`` size that fails or exceeds the child time
 limit ends that ladder; any other failed case is recorded with its error and
 the next case runs.
 
-    python bench/layers.py                       # writes BENCH_6.json
-    python bench/layers.py --baseline-src OTHER/src --out BENCH_6.json
+    python bench/layers.py                       # writes BENCH_7.json
+    python bench/layers.py --baseline-src OTHER/src --out BENCH_7.json
 
 With ``--baseline-src`` the same measurements also run against another
 source tree (for example a checkout of the parent commit) and are stored
@@ -84,6 +90,16 @@ POSITIVITY_NS = range(3, 7)
 POSITIVITY_SEED = 2
 #: positivity_report's default cap on the dimension of a searched tensor product.
 SEARCH_DIM_CAP = 4096
+#: (n, rep) of each K assembly timed; "power:SEL:k" is the k-th tensor power of SEL.
+K_CASES = (
+    (10, "exterior:5"),
+    (12, "exterior:6"),
+    (10, "sym:3"),
+    (14, "spin"),
+    (4, "power:spin:4"),
+    (7, "tensor:exterior:3,exterior:3"),
+)
+K_SEED = 1
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +190,29 @@ def _child_positivity(n: int) -> dict:
     }
 
 
+def _child_k(n: int, rep: str) -> dict:
+    import numpy as np
+
+    from weitzlab import cli, curvature, weitzenbock
+    from weitzlab.so_algebra import basis
+
+    op = curvature.random_curvature(n, K_SEED)
+    t0 = time.perf_counter()
+    if rep.startswith("power:"):
+        _, sel, k = rep.split(":")
+        r = weitzenbock.tensor_power_rep(cli.parse_rep(sel, basis(n)), int(k))
+    else:
+        r = cli.parse_rep(rep, basis(n))
+    build = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    weitzenbock.k_matrix(op, r)
+    seconds = time.perf_counter() - t0
+    peak = _peak_rss_mb()
+    # a tree without generator tables counts the nonzeros of its dense matrices
+    nnz = len(r.table.val) if hasattr(r, "table") else sum(int(np.count_nonzero(m)) for m in r.mats)
+    return {"seconds": seconds, "build_seconds": build, "d": r.dim, "nnz": nnz, "peak_rss_mb": peak}
+
+
 def _child(argv: list[str]) -> None:
     resource.setrlimit(resource.RLIMIT_AS, (CAP_BYTES, CAP_BYTES))
     kind, *rest = argv
@@ -187,6 +226,8 @@ def _child(argv: list[str]) -> None:
         result = _child_positivity(int(rest[0]))
     elif kind == "intertwiners":
         result = _child_intertwiners(int(rest[0]), rest[1])
+    elif kind == "k":
+        result = _child_k(int(rest[0]), rest[1])
     else:
         result = _child_decompose(int(rest[0]), rest[1], rest[2])
     sys.stdout.write(json.dumps(result) + "\n")
@@ -306,6 +347,18 @@ def measure(src: str) -> dict:
             {**entry, **sizes, "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb")}
         )
         print(f"  positivity_report n={n}: {positivity[-1]['seconds']:.4f} s", file=sys.stderr)
+    k_assembly = []
+    for n, rep in K_CASES:
+        runs = _repeat(src, ["k", str(n), rep])
+        entry = {"n": n, "rep": rep, "N": n * (n - 1) // 2, "seed": K_SEED}
+        if isinstance(runs, dict):
+            k_assembly.append({**entry, **runs})
+            print(f"  k_matrix {n} {rep}: {runs['error']}", file=sys.stderr)
+            continue
+        sizes = {key: runs[0][key] for key in ("d", "nnz")}
+        medians = {key: _median(runs, key) for key in ("seconds", "build_seconds", "peak_rss_mb")}
+        k_assembly.append({**entry, **sizes, **medians})
+        print(f"  k_matrix {n} {rep}: {medians['seconds']:.4f} s", file=sys.stderr)
     return {
         "revision": _revision(src),
         "random_curvature": curvature,
@@ -314,6 +367,7 @@ def measure(src: str) -> dict:
         "lemma_suite": lemma,
         "representations": representations,
         "positivity_report": positivity,
+        "k_matrix": k_assembly,
     }
 
 
@@ -322,7 +376,7 @@ def main() -> None:
         _child(sys.argv[2:])
         return
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_6.json"))
+    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_7.json"))
     parser.add_argument("--baseline-src", default=None, help="another source tree to measure the same way")
     args = parser.parse_args()
     import numpy

@@ -228,8 +228,8 @@ def cmd_k(args) -> tuple[dict, int]:
         raise DimensionError(str(exc)) from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    tK = t * ken.matrix
-    w = np.linalg.eigvalsh((tK + tK.conj().T) / 2.0)
+    # the spectrum of tK is t times that of K; adding 0.0 turns -0.0 into 0.0
+    w = np.sort(t * ken.spectrum) + 0.0
     report = CheckReport(
         check="k-term",
         inputs={**echo, "rep": args.rep, "t": args.preset if args.preset else args.t},

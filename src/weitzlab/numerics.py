@@ -1,6 +1,6 @@
-"""Dense matrix kernel: Hermitian eigendecomposition, nullspaces, Kronecker
-products and Kronecker sums ``sum_x a[x] (x) b[x]`` over stacks of matrices,
-and orthogonal projections.
+"""Dense matrix kernel: Hermitian eigenvalues and eigendecomposition,
+nullspaces, Kronecker products and Kronecker sums ``sum_x a[x] (x) b[x]``
+over stacks of matrices, and orthogonal projections.
 
 Everything is computed in double-precision complex; real inputs are the
 imaginary-part-zero case.  All functions are pure and never mutate their
@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "as_matrix",
     "eig_hermitian",
+    "eigvals_hermitian",
     "fix_phases",
     "frobenius",
     "kron",
@@ -76,14 +77,25 @@ def eig_hermitian(a, hermitian_tol: float = 1e-12):
         eigenvectors as the columns of ``v``, with phases fixed by the
         first-nonzero-positive convention.
     """
+    w, v = np.linalg.eigh(_hermitian_part(a, hermitian_tol))
+    return w, fix_phases(v)
+
+
+def eigvals_hermitian(a, hermitian_tol: float = 1e-12) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, under the precondition
+    of :func:`eig_hermitian`, without the eigenvectors."""
+    return np.linalg.eigvalsh(_hermitian_part(a, hermitian_tol))
+
+
+def _hermitian_part(a, hermitian_tol: float) -> np.ndarray:
+    """``(a + a*) / 2``, after checking ``||a - a*|| <= hermitian_tol * ||a||``."""
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"eig_hermitian needs a square matrix, got {m.shape}")
     scale = frobenius(m)
     if scale > 0 and frobenius(m - m.conj().T) > hermitian_tol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return w, fix_phases(v)
+    return (m + m.conj().T) / 2.0
 
 
 def nullspace(a, tol: float = DEFAULT_NULLSPACE_TOL, atol: float = 0.0) -> np.ndarray:

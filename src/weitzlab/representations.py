@@ -1,10 +1,12 @@
-"""Representations of so(n) and its subalgebras as explicit matrix lists.
+"""Representations of so(n) and its subalgebras as explicit generator tables.
 
 A :class:`Rep` stores one endomorphism per orthonormal basis element of the
 algebra (so(n) or a subalgebra), acting on a complex vector space with an
 orthonormal basis, so every constructed action is skew-adjoint.  Tensor,
 exterior and symmetric powers act by derivations.
 
+The endomorphisms are stored as one table of their nonzero entries
+(:class:`GenTable`); the dense matrices are views built on demand.
 Representations are stored extensionally; no symbolic machinery.
 """
 
@@ -12,8 +14,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from . import numerics
 from .so_algebra import SoBasis, Subalgebra, bracket, expand, inner
 
 __all__ = [
+    "GenTable",
     "IsotypicPiece",
     "Rep",
     "casimir",
@@ -42,17 +46,82 @@ __all__ = [
 ]
 
 
+class GenTable(NamedTuple):
+    """Nonzero generator entries, ``rho(x_gen)[row, col] = val``: one entry
+    per position, exact zeros left out, sorted by (gen, row, col)."""
+
+    gen: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+
+
+def gen_table(gen, row, col, val, dim: int) -> GenTable:
+    """Canonical :class:`GenTable` from entries in any order: the entries of
+    one position are summed in the order given, and sums that are exactly
+    zero are dropped."""
+    gen, row, col = (np.asarray(a, dtype=np.intp) for a in (gen, row, col))
+    val = np.asarray(val, dtype=complex)
+    key, where = np.unique((gen * dim + row) * dim + col, return_inverse=True)
+    total = np.empty(len(key), dtype=complex)
+    total.real = np.bincount(where, val.real, len(key))
+    total.imag = np.bincount(where, val.imag, len(key))
+    keep = total != 0
+    key = key[keep]
+    return GenTable(key // (dim * dim), key // dim % dim, key % dim, total[keep])
+
+
 @dataclass(frozen=True)
 class Rep:
-    """Matrix representation: one complex ``dim x dim`` matrix per generator."""
+    """Matrix representation: one complex ``dim x dim`` matrix per generator,
+    stored as the table of their nonzero entries.  ``mats`` and
+    :meth:`stacked` are dense read-only views, built on first use and kept."""
 
     basis: SoBasis | Subalgebra
     dim: int
-    mats: tuple[np.ndarray, ...]
+    table: GenTable
     label: str
 
+    @classmethod
+    def from_mats(cls, basis: SoBasis | Subalgebra, dim: int, mats, label: str) -> Rep:
+        """Rep from dense generators, read one at a time, so an iterable of
+        matrices computed on the fly never exists as a whole stack."""
+        parts = []
+        for a, m in enumerate(mats):
+            m = np.asarray(m, dtype=complex)
+            row, col = np.nonzero(m)
+            parts.append((np.full(len(row), a), row, col, m[row, col]))
+        gen, row, col, val = (np.concatenate(p) for p in zip(*parts)) if parts else ([], [], [], [])
+        return cls(basis=basis, dim=dim, table=gen_table(gen, row, col, val, dim), label=label)
+
+    @property
+    def count(self) -> int:
+        """Number of generators, one per basis element."""
+        return len(self.basis.elements)
+
+    @functools.cached_property
+    def _dense(self) -> np.ndarray:
+        out = np.zeros((self.count, self.dim, self.dim), dtype=complex)
+        out[self.table.gen, self.table.row, self.table.col] = self.table.val
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def mats(self) -> tuple[np.ndarray, ...]:
+        return tuple(self._dense)
+
     def stacked(self) -> np.ndarray:
-        return np.array(self.mats)
+        return self._dense
+
+    def each_mat(self):
+        """The dense generators one at a time, without building the stack."""
+        t = self.table
+        start = np.searchsorted(t.gen, np.arange(self.count + 1))
+        for a in range(self.count):
+            out = np.zeros((self.dim, self.dim), dtype=complex)
+            part = slice(start[a], start[a + 1])
+            out[t.row[part], t.col[part]] = t.val[part]
+            yield out
 
 
 def _same_basis(r1: Rep, r2: Rep) -> bool:
@@ -90,21 +159,18 @@ def skew_adjoint_residual(r: Rep) -> float:
 
 
 def rep_trivial(basis: SoBasis | Subalgebra) -> Rep:
-    z = np.zeros((1, 1), dtype=complex)
-    return Rep(basis=basis, dim=1, mats=tuple(z.copy() for _ in basis.elements), label="trivial")
+    return Rep(basis=basis, dim=1, table=gen_table([], [], [], [], 1), label="trivial")
 
 
 def rep_vector(basis: SoBasis) -> Rep:
-    mats = tuple(np.asarray(x, dtype=complex) for x in basis.elements)
-    return Rep(basis=basis, dim=basis.n, mats=mats, label="vector")
+    return Rep.from_mats(basis, basis.n, basis.elements, "vector")
 
 
 def rep_adjoint(basis: SoBasis) -> Rep:
     """ad of so(n) on itself in the orthonormal basis.  The basis element
     x_ij is e_i ^ e_j, and ad is the derivation action on 2-forms, so this
     is ``rep_exterior(basis, 2)`` under its own label."""
-    ext = rep_exterior(basis, 2)
-    return Rep(basis=basis, dim=ext.dim, mats=ext.mats, label="adjoint")
+    return replace(rep_exterior(basis, 2), label="adjoint")
 
 
 def _lex_rank(c: np.ndarray, m: int) -> np.ndarray:
@@ -152,33 +218,32 @@ def _derivation_table(n: int, p: int, alternating: bool) -> tuple[np.ndarray, ..
     return col, i, j, row, weight
 
 
-def _power_mats(basis: SoBasis, p: int, alternating: bool, dim: int) -> tuple[np.ndarray, ...]:
-    """Generators on Lambda^p or Sym^p from one :func:`_derivation_table`.
-    Only a generator's nonzero terms are written, so the pages of each
-    ``dim x dim`` matrix that stay zero are never touched."""
+def _power_table(basis: SoBasis, p: int, alternating: bool, dim: int) -> GenTable:
+    """Generator table on Lambda^p or Sym^p: each :func:`_derivation_table`
+    term taken with the generator whose x[j, i] is nonzero."""
     col, i, j, row, weight = _derivation_table(basis.n, p, alternating)
-    mats = []
-    for x in basis.elements:
-        c = np.asarray(x, dtype=complex)[j, i]
-        nz = c != 0
-        out = np.zeros((dim, dim), dtype=complex)
-        np.add.at(out, (row[nz], col[nz]), weight[nz] * c[nz])
-        mats.append(out)
-    return tuple(mats)
+    x = rep_vector(basis).table
+    # entry of the vector table at each position; the pair basis
+    # x_ab = E_ab - E_ba has at most one generator nonzero there
+    entry = np.full((basis.n, basis.n), -1)
+    entry[x.row, x.col] = np.arange(len(x.val))
+    term = np.flatnonzero(entry[j, i] >= 0)
+    e = entry[j[term], i[term]]
+    return gen_table(x.gen[e], row[term], col[term], weight[term] * x.val[e], dim)
 
 
 def rep_exterior(basis: SoBasis, p: int) -> Rep:
     if not 0 <= p <= basis.n:
         raise ValueError(f"exterior power p={p} out of range for n={basis.n}")
     dim = comb(basis.n, p)
-    return Rep(basis=basis, dim=dim, mats=_power_mats(basis, p, True, dim), label=f"exterior({p})")
+    return Rep(basis=basis, dim=dim, table=_power_table(basis, p, True, dim), label=f"exterior({p})")
 
 
 def rep_sym(basis: SoBasis, p: int) -> Rep:
     if p < 1:
         raise ValueError("symmetric power needs p >= 1")
     dim = comb(basis.n + p - 1, p)
-    return Rep(basis=basis, dim=dim, mats=_power_mats(basis, p, False, dim), label=f"sym({p})")
+    return Rep(basis=basis, dim=dim, table=_power_table(basis, p, False, dim), label=f"sym({p})")
 
 
 def rep_sym0(basis: SoBasis) -> Rep:
@@ -192,8 +257,7 @@ def rep_sym0(basis: SoBasis) -> Rep:
             metric[k, 0] = 1.0
     metric /= np.linalg.norm(metric)
     cols = numerics.nullspace(metric.conj().T)  # orthonormal complement of the metric vector
-    mats = tuple(cols.conj().T @ m @ cols for m in s2.mats)
-    return Rep(basis=basis, dim=s2.dim - 1, mats=mats, label="sym0(2)")
+    return Rep.from_mats(basis, s2.dim - 1, (cols.conj().T @ m @ cols for m in s2.each_mat()), "sym0(2)")
 
 
 def rep_standard(basis: SoBasis, kind: str, p: int | None = None) -> Rep:
@@ -218,13 +282,19 @@ def rep_standard(basis: SoBasis, kind: str, p: int | None = None) -> Rep:
 
 
 def rep_tensor(r1: Rep, r2: Rep) -> Rep:
-    """Tensor product: generators act as ``rho(x) (x) 1 + 1 (x) sigma(x)``."""
+    """Tensor product: generators act as ``rho(x) (x) 1 + 1 (x) sigma(x)``,
+    whose table holds each entry of rho once per basis vector of sigma's
+    space and each entry of sigma once per basis vector of rho's."""
     if not _same_basis(r1, r2):
         raise ValueError("tensor factors live over different bases")
-    i1 = np.eye(r1.dim)
-    i2 = np.eye(r2.dim)
-    mats = tuple(numerics.kron(m1, i2) + numerics.kron(i1, m2) for m1, m2 in zip(r1.mats, r2.mats))
-    return Rep(basis=r1.basis, dim=r1.dim * r2.dim, mats=mats, label=f"{r1.label}(x){r2.label}")
+    (t1, d1), (t2, d2) = (r1.table, r1.dim), (r2.table, r2.dim)
+    k, i = np.arange(d2), np.arange(d1)[:, None]
+    gen = np.concatenate([np.repeat(t1.gen, d2), np.tile(t2.gen, d1)])
+    row = np.concatenate([(t1.row[:, None] * d2 + k).ravel(), (i * d2 + t2.row).ravel()])
+    col = np.concatenate([(t1.col[:, None] * d2 + k).ravel(), (i * d2 + t2.col).ravel()])
+    val = np.concatenate([np.repeat(t1.val, d2), np.tile(t2.val, d1)])
+    table = gen_table(gen, row, col, val, d1 * d2)
+    return Rep(basis=r1.basis, dim=d1 * d2, table=table, label=f"{r1.label}(x){r2.label}")
 
 
 def rep_restrict(r: Rep, h: Subalgebra) -> Rep:
@@ -235,11 +305,8 @@ def rep_restrict(r: Rep, h: Subalgebra) -> Rep:
     if h.ambient.n != r.basis.n:
         raise ValueError(f"subalgebra ambient so({h.ambient.n}) does not match rep over so({r.basis.n})")
     stacked = r.stacked()
-    mats = []
-    for g in h.elements:
-        coeff = expand(r.basis, g)
-        mats.append(np.tensordot(coeff, stacked, axes=(0, 0)))
-    return Rep(basis=h, dim=r.dim, mats=tuple(mats), label=f"{r.label}|{h.label}")
+    mats = (np.tensordot(expand(r.basis, g), stacked, axes=(0, 0)) for g in h.elements)
+    return Rep.from_mats(h, r.dim, mats, f"{r.label}|{h.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +349,7 @@ def commutant_dimension(r: Rep, field: str = "C") -> int:
     matrices, whose real commutant has the complex one's dimension."""
     if field not in ("C", "R"):
         raise ValueError("field must be 'C' or 'R'")
-    if field == "R" and any(np.any(np.imag(m)) for m in r.mats):
+    if field == "R" and np.any(r.table.val.imag):
         raise ValueError(f"the real commutant needs real matrices; {r.label} has complex entries")
     return len(intertwiners(r, r))
 
@@ -300,7 +367,9 @@ def invariant_bilinear_forms(r: Rep) -> list[tuple[np.ndarray, int]]:
     are Frobenius-orthonormal and each is purely symmetric or antisymmetric.
     """
     d = r.dim
-    forms = intertwiners(r, Rep(basis=r.basis, dim=d, mats=tuple(-m.T for m in r.mats), label=f"{r.label}*"))
+    t = r.table
+    dual = Rep(basis=r.basis, dim=d, table=gen_table(t.gen, t.col, t.row, -t.val, d), label=f"{r.label}*")
+    forms = intertwiners(r, dual)
     out = []
     for sign in (1, -1) if forms else ():
         # intertwiners are unit norm, so components below 1e-10 are dust

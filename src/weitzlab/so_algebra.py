@@ -338,32 +338,17 @@ def _octonion_table() -> np.ndarray:
 
 
 def _g2_basis() -> list[np.ndarray]:
-    """Derivations of the octonions, acting on the imaginary units (7 x 7)."""
-    c = _octonion_table()
-    # Unknown D (7x7). Constraint per (i, j): sum_k c[i,j,k] D[:,k] equals
-    # sum_p D[p,i] c[p,j,:] + sum_q D[q,j] c[i,q,:]  (imaginary part), and the
-    # real part forces skewness, which the imaginary system implies here.
-    rows = []
-    for i in range(7):
-        for j in range(7):
-            for m in range(7):
-                row = np.zeros((7, 7))
-                # LHS: sum_k c[i,j,k] D[m,k]
-                for k in range(7):
-                    row[m, k] += c[i, j, k]
-                # RHS: sum_p D[p,i] c[p,j,m] + sum_q D[q,j] c[i,q,m]
-                for p in range(7):
-                    row[p, i] -= c[p, j, m]
-                for q in range(7):
-                    row[q, j] -= c[i, q, m]
-                rows.append(row.ravel())
-            # real part: -D[j,i] - D[i,j] = 0
-            row = np.zeros((7, 7))
-            row[j, i] += 1.0
-            row[i, j] += 1.0
-            rows.append(row.ravel())
-    null = numerics.nullspace(np.array(rows))
-    out = [np.real(null[:, k]).reshape(7, 7) for k in range(null.shape[1])]
+    """Derivations of the octonions, acting on the imaginary units (7 x 7).
+
+    so(7) splits as g2 plus a copy of R^7, and contracting D with the
+    octonion 3-form c projects onto that copy, so g2 is the D in so(7) with
+    ``sum_jk c[i,j,k] D[j,k] = 0`` for every i: over the pair basis
+    x_ab = E_ab - E_ba, seven equations ``sum_(a<b) c[i,a,b] t_ab = 0``.
+    """
+    so7 = basis(7)
+    a, b = np.array(so7.pairs).T
+    null = numerics.nullspace(_octonion_table()[:, a, b])
+    out = [np.tensordot(np.real(null[:, k]), np.array(so7.elements), axes=(0, 0)) for k in range(null.shape[1])]
     if len(out) != 14:
         raise RuntimeError(f"octonion derivation algebra has dimension {len(out)}, expected 14")
     return out

@@ -17,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from . import numerics
-from .representations import Rep, invariant_bilinear_forms, rep_exterior
+from .representations import Rep, gen_table, invariant_bilinear_forms, rep_exterior
 from .so_algebra import SoBasis
 
 __all__ = [
@@ -52,40 +52,65 @@ class CliffordGenerators:
         return worst
 
 
+def _kron_monomial(a, b):
+    """Kronecker product of monomial matrices given as (perm, phase) pairs:
+    row r of a matrix holds its one nonzero, phase[r], in column perm[r]."""
+    (pa, fa), (pb, fb) = a, b
+    return (pa[:, None] * len(pb) + pb).ravel(), (fa[:, None] * fb).ravel()
+
+
+def _clifford_monomials(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The generators of :func:`gamma` as monomial matrices: ``(perm,
+    phase)`` of shape (n, dim), ``gamma_i[r, perm[i, r]] = phase[i, r]``."""
+    if n < 2:
+        raise ValueError("gamma needs n >= 2")
+    swap = np.array([1, 0])
+    g1 = (swap, np.array([1.0, -1.0], dtype=complex))
+    g2 = (swap, np.array([1.0j, 1.0j]))
+    gammas = [g1, g2]
+    m = 1
+    while 2 * m < n - (n % 2):
+        s3 = (np.arange(2), np.array([1.0, -1.0], dtype=complex))
+        eye = (np.arange(2 ** m), np.ones(2 ** m))
+        gammas = [_kron_monomial(g, s3) for g in gammas] + [_kron_monomial(eye, g1), _kron_monomial(eye, g2)]
+        m += 1
+    if n % 2 == 1:
+        # the volume element: (a b)[r, pb[pa[r]]] = fa[r] fb[pa[r]]
+        perm, phase = gammas[0]
+        for pb, fb in gammas[1:]:
+            perm, phase = pb[perm], phase * fb[perm]
+        gammas.append((perm, (1.0j if m % 2 == 0 else 1.0) * phase))
+    perm, phase = (np.array(a) for a in zip(*gammas))
+    return perm, phase
+
+
 def gamma(n: int) -> CliffordGenerators:
     """Clifford generators on ``2^floor(n/2)`` dimensions.
 
     Even ranks are built recursively: the two seed 2x2 generators, then each
     step tensors the old generators with diag(1, -1) and appends two new ones
     acting on the fresh factor.  Odd ranks append the (suitably scaled) volume
-    element of the even-rank algebra below.
+    element of the even-rank algebra below.  Every generator is monomial
+    (:func:`_clifford_monomials`); this densifies them.
     """
-    if n < 2:
-        raise ValueError("gamma needs n >= 2")
-    g1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    g2 = np.array([[0.0, 1.0j], [1.0j, 0.0]], dtype=complex)
-    gammas = [g1, g2]
-    m = 1
-    while 2 * m < n - (n % 2):
-        s3 = np.diag([1.0, -1.0]).astype(complex)
-        gammas = [numerics.kron(g, s3) for g in gammas]
-        eye = np.eye(2 ** m)
-        gammas.append(numerics.kron(eye, g1))
-        gammas.append(numerics.kron(eye, g2))
-        m += 1
-    if n % 2 == 1:
-        vol = reduce(lambda a, b: a @ b, gammas)
-        scale = 1.0j if m % 2 == 0 else 1.0
-        extra = scale * vol
-        gammas = gammas + [extra]
-    return CliffordGenerators(n=n, dim=2 ** (n // 2), gammas=tuple(gammas))
+    perm, phase = _clifford_monomials(n)
+    dim = perm.shape[1]
+    gammas = np.zeros((n, dim, dim), dtype=complex)
+    gammas[np.arange(n)[:, None], np.arange(dim), perm] = phase
+    return CliffordGenerators(n=n, dim=dim, gammas=tuple(gammas))
 
 
 def rep_spin(basis: SoBasis) -> Rep:
-    """Spin representation: ``x_ij`` maps to ``-e_i e_j / 2``."""
-    cg = gamma(basis.n)
-    mats = tuple(-(cg.gammas[i] @ cg.gammas[j]) / 2.0 for i, j in basis.pairs)
-    return Rep(basis=basis, dim=cg.dim, mats=mats, label="spin")
+    """Spin representation: ``x_ij`` maps to ``-e_i e_j / 2``, monomial like
+    the Clifford generators: row r holds its one entry in column
+    ``perm_j[perm_i[r]]``."""
+    perm, phase = _clifford_monomials(basis.n)
+    count, dim = len(basis.pairs), perm.shape[1]
+    i, j = np.array(basis.pairs).reshape(-1, 2).T
+    col = np.take_along_axis(perm[j], perm[i], axis=1)
+    val = -(phase[i] * np.take_along_axis(phase[j], perm[i], axis=1)) / 2.0
+    gen, row = np.repeat(np.arange(count), dim), np.tile(np.arange(dim), count)
+    return Rep(basis=basis, dim=dim, table=gen_table(gen, row, col.ravel(), val.ravel(), dim), label="spin")
 
 
 def chirality(cg: CliffordGenerators) -> np.ndarray:
@@ -112,9 +137,8 @@ def rep_half_spin(basis: SoBasis, sign: int) -> Rep:
     full = rep_spin(basis)
     plus, minus = half_spin_columns(basis.n)
     cols = plus if sign > 0 else minus
-    mats = tuple(cols.conj().T @ m @ cols for m in full.mats)
-    tag = "+" if sign > 0 else "-"
-    return Rep(basis=basis, dim=cols.shape[1], mats=mats, label=f"spin{tag}")
+    mats = (cols.conj().T @ m @ cols for m in full.each_mat())
+    return Rep.from_mats(basis, cols.shape[1], mats, f"spin{'+' if sign > 0 else '-'}")
 
 
 @dataclass(frozen=True)
@@ -164,16 +188,11 @@ def _invertible_pairing(n: int) -> np.ndarray:
 def rep_full_exterior(basis: SoBasis) -> Rep:
     """Block sum of all exterior powers, degree-major basis order."""
     parts = [rep_exterior(basis, p) for p in range(basis.n + 1)]
-    dim = sum(r.dim for r in parts)
-    mats = []
-    for a in range(basis.dim):
-        blocks = np.zeros((dim, dim), dtype=complex)
-        off = 0
-        for r in parts:
-            blocks[off:off + r.dim, off:off + r.dim] = r.mats[a]
-            off += r.dim
-        mats.append(blocks)
-    return Rep(basis=basis, dim=dim, mats=tuple(mats), label="exterior(*)")
+    offsets = np.cumsum([0] + [r.dim for r in parts])
+    blocks = [(r.table.gen, r.table.row + off, r.table.col + off, r.table.val) for r, off in zip(parts, offsets)]
+    gen, row, col, val = (np.concatenate(a) for a in zip(*blocks))
+    dim = int(offsets[-1])
+    return Rep(basis=basis, dim=dim, table=gen_table(gen, row, col, val, dim), label="exterior(*)")
 
 
 def clifford_symbol(n: int) -> np.ndarray:

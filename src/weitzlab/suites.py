@@ -229,19 +229,14 @@ def group_model_suite(labels: list[str], tol: float = 1e-10) -> list[CheckReport
             )
         )
         # spinor curvature term -(1/2) sum rho(ad y_c)^2 = (dim/16) Id,
-        # equivalently -4K = s/4 for the group curvature operator
+        # equivalently -4K = s/4 for the group curvature operator.  With C
+        # the coefficients of the ad(y_c), the term is -K(R') for
+        # R' = C^T C / 2, built here apart from bi_invariant_group.
         sp = spinmod.rep_spin(so_basis(g.dim))
         k = wb.k_matrix(op, sp)
         term_resid = float(np.linalg.norm(-4.0 * k - (g.dim / 16.0) * np.eye(sp.dim)))
-        direct = -0.5 * sum(
-            np.linalg.matrix_power(
-                np.tensordot(
-                    np.array([float(x) for x in coeff]), sp.stacked(), axes=(0, 0)
-                ),
-                2,
-            )
-            for coeff in _ad_coefficients(g)
-        )
+        c = np.array(_ad_coefficients(g))
+        direct = -wb.k_matrix(curv.curvature_operator(g.dim, c.T @ c / 2.0), sp)
         direct_resid = float(np.linalg.norm(direct - (g.dim / 16.0) * np.eye(sp.dim)))
         out.append(
             CheckReport(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,10 +88,10 @@ class CompatibilityError(ValueError):
 
 
 def _check_compatible(r: CurvatureOperator, rep: Rep) -> None:
-    if len(rep.mats) != r.matrix.shape[0]:
+    if rep.count != r.matrix.shape[0]:
         raise CompatibilityError(
             f"curvature operator has {r.matrix.shape[0]} basis directions but the "
-            f"representation has {len(rep.mats)} generators"
+            f"representation has {rep.count} generators"
         )
     base = rep.basis
     n = base.ambient.n if hasattr(base, "ambient") else base.n
@@ -99,12 +99,47 @@ def _check_compatible(r: CurvatureOperator, rep: Rep) -> None:
         raise CompatibilityError(f"curvature lives on so({r.n}) but the representation on so({n})")
 
 
+#: Most (left entry, right entry) pairs :func:`k_matrix` forms at once; each
+#: pair costs about 70 bytes of temporaries.
+PAIR_CHUNK = 1 << 18
+
+
 def k_matrix(r: CurvatureOperator, rep: Rep) -> np.ndarray:
-    """The matrix ``sum_ab R_ab rho(x_a) rho(x_b)`` without the spectral data."""
+    """The matrix ``sum_ab R_ab rho(x_a) rho(x_b)`` without the spectral data.
+
+    A join of the generator table with itself on the inner index j: every
+    entry ``rho_a[i, j]`` pairs with every entry ``rho_b[j, k]``, and the pair
+    adds ``R_ab rho_a[i, j] rho_b[j, k]`` to ``K[i, k]``.  The pairs are formed
+    and summed by ``np.bincount`` in chunks of at most :data:`PAIR_CHUNK`
+    (more only when one entry alone has more partners)."""
     _check_compatible(r, rep)
-    m = rep.stacked()
-    s = np.tensordot(r.matrix, m, axes=(1, 0))
-    return np.matmul(m, s).sum(axis=0)
+    d = rep.dim
+    # entries sorted by row: the partners of a left entry rho_a[i, j] are the
+    # run of row j, and left entries of one row fill a few rows of K at a time
+    by_row = np.argsort(rep.table.row, kind="stable")
+    gen, row, col, val = (a[by_row] for a in rep.table)
+    val = val.real if not np.any(val.imag) else val
+    start = np.searchsorted(row, np.arange(d + 1))
+    partners = start[col + 1] - start[col]
+    ends = np.cumsum(partners)
+    shift = start[col] - (ends - partners)  # the p-th pair overall takes right entry p + shift
+    weights, gen_l, row_l = r.matrix.ravel(), gen * rep.count, row * d
+    k = np.zeros(d * d, dtype=val.dtype)
+    lo = 0
+    while lo < len(val):
+        done = ends[lo] - partners[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, done + PAIR_CHUNK, side="right")))
+        left = np.repeat(np.arange(lo, hi), partners[lo:hi])
+        right = shift[left] + np.arange(done, done + len(left))
+        w = weights[gen_l[left] + gen[right]] * val[left] * val[right]
+        flat = row_l[left] + col[right]
+        if w.dtype.kind == "c":
+            k.real += np.bincount(flat, w.real, d * d)
+            k.imag += np.bincount(flat, w.imag, d * d)
+        else:
+            k += np.bincount(flat, w, d * d)
+        lo = hi
+    return k.astype(complex, copy=False).reshape(d, d)
 
 
 def k_term(r: CurvatureOperator, rep: Rep) -> CurvatureEndomorphism:
@@ -112,7 +147,7 @@ def k_term(r: CurvatureOperator, rep: Rep) -> CurvatureEndomorphism:
     k = k_matrix(r, rep)
     scale = max(1.0, float(np.linalg.norm(k)))
     residual = float(np.linalg.norm(k - k.conj().T)) / scale
-    w, _ = numerics.eig_hermitian(k, hermitian_tol=1e-10)
+    w = numerics.eigvals_hermitian(k, hermitian_tol=1e-10)
     return CurvatureEndomorphism(
         rep_label=rep.label, matrix=k, spectrum=w, self_adjoint_residual=residual
     )
@@ -124,6 +159,8 @@ def laplacian_t(t) -> float:
         if t not in LAPLACIAN_PRESETS:
             raise ValueError(f"unknown Laplacian preset {t!r}; choose from {sorted(LAPLACIAN_PRESETS)}")
         t = LAPLACIAN_PRESETS[t]
+    if not np.isfinite(t):
+        raise ValueError(f"the multiple t of K must be finite, got {t}")
     return float(t)
 
 
@@ -148,7 +185,7 @@ def tensor_power_rep(rho: Rep, k: int) -> Rep:
     power = rho
     for _ in range(k - 1):
         power = rep_tensor(power, rho)
-    return Rep(basis=rho.basis, dim=power.dim, mats=power.mats, label=f"{rho.label}^(x){k}")
+    return replace(power, label=f"{rho.label}^(x){k}")
 
 
 def twisted_term_k(r: CurvatureOperator, rho: Rep, k: int) -> np.ndarray:

@@ -1,10 +1,14 @@
 import json
+import os
+import re
+import resource
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import weitzlab
 from weitzlab import cli
 from weitzlab import curvature as curv
 from weitzlab.report import digest
@@ -53,6 +57,15 @@ class TestKCommand:
         )
         assert code == 0
         assert payload["reports"][0]["spectrum"] == [6, 6, 6, 6]
+
+    @pytest.mark.parametrize("t", ("-2.5", "0", "-0", "3"))
+    def test_spectrum_is_t_times_k_spectrum(self, t, capsys):
+        code, out = run_cli(["k", "--n", "4", "--rep", "exterior:2", "--curvature", "random:3", "--t", t], capsys)
+        report = json.loads(out)["reports"][0]
+        assert code == 0
+        assert report["spectrum"] == list(np.sort(float(t) * np.array(report["details"]["k_spectrum"])))
+        # no negative zero in the canonical payload
+        assert not re.search(r"[\[,]-0[,\]]", out)
 
     def test_tensor_selector(self, capsys):
         code, payload = run_json(
@@ -144,6 +157,48 @@ class TestKCommand:
         assert code == 2
 
 
+CAP_BYTES = 3 << 30
+
+
+def run_capped(args):
+    """The CLI in a child process under a 3 GiB address-space cap, set in
+    the child only, with one BLAS thread."""
+    src = os.path.dirname(os.path.dirname(weitzlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "weitzlab", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (CAP_BYTES, CAP_BYTES)),
+    )
+
+
+class TestScaleLimit:
+    def test_exterior6_n12_sphere(self):
+        # K of the sphere is the Casimir, -p(n - p) on all of Lambda^p
+        out = run_capped(["k", "--n", "12", "--rep", "exterior:6", "--curvature", "sphere"])
+        assert out.returncode == 0, out.stderr
+        spectrum = json.loads(out.stdout)["reports"][0]["spectrum"]
+        assert len(spectrum) == 924
+        assert np.max(np.abs(np.array(spectrum) + 36.0)) <= 36.0 * 1e-12
+
+    def test_exterior6_n12_random(self):
+        out = run_capped(["k", "--n", "12", "--rep", "exterior:6", "--curvature", "random:1"])
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["reports"][0]["pass"] is True
+
+    def test_group_model_c3(self):
+        # spin of so(21): 210 monomial generators on 1024 dimensions
+        out = run_capped(["check", "group-model", "--algebra", "C3", "--seed", "1"])
+        assert out.returncode == 0, out.stderr
+        reports = json.loads(out.stdout)["reports"]
+        assert [r["check"] for r in reports][-1] == "group-spin-curvature-term"
+        assert all(r["pass"] for r in reports)
+
+
 class TestCheckCommand:
     def test_lichnerowicz_passes(self, capsys):
         code, payload = run_json(
@@ -224,13 +279,15 @@ class TestUsageErrors:
             ["decompose", "--n", "6", "--rep", "vector", "--sub", "u:x"],
             ["k", "--n", "1", "--rep", "vector", "--curvature", "sphere"],
             ["check", "lemma:k4", "--trials", "0"],
+            ["k", "--n", "3", "--rep", "vector", "--curvature", "sphere", "--t", "nan"],
+            ["k", "--n", "3", "--rep", "vector", "--curvature", "sphere", "--t", "inf"],
             ["check", "strange", "--algebra", ","],
             ["check", "strange", "--algebra", "A2,"],
             ["check", "strange", "--algebra", " "],
         ),
         ids=(
             "unknown-algebra", "malformed-subalgebra-size", "n-below-2", "zero-trials",
-            "empty-algebra-labels", "trailing-comma-algebra", "blank-algebra",
+            "nan-t", "infinite-t", "empty-algebra-labels", "trailing-comma-algebra", "blank-algebra",
         ),
     )
     def test_exit_2_with_error_line(self, argv, capsys):

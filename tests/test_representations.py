@@ -62,6 +62,20 @@ def _sym_action_loop(x, n, p):
     return out
 
 
+def _power_mats_dense(b, p, alternating, dim):
+    """Oracle: the dense generators of Lambda^p or Sym^p, written one
+    generator at a time from the derivation table."""
+    col, i, j, row, weight = reps._derivation_table(b.n, p, alternating)
+    mats = []
+    for x in b.elements:
+        c = np.asarray(x, dtype=complex)[j, i]
+        nz = c != 0
+        out = np.zeros((dim, dim), dtype=complex)
+        np.add.at(out, (row[nz], col[nz]), weight[nz] * c[nz])
+        mats.append(out)
+    return np.array(mats)
+
+
 def _stacked_kernel(blocks) -> np.ndarray:
     """Oracle: SVD nullspace of the stacked (N d1 d2) x (d1 d2) system."""
     return numerics.nullspace(np.vstack(blocks))
@@ -193,6 +207,16 @@ class TestConstructors:
             assert r.dim == oracle[0].shape[0] and r.label == f"sym({p})"
             assert [m.tobytes() for m in r.mats] == [o.tobytes() for o in oracle]
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_power_tables_equal_dense_construction(self, n):
+        b = so.basis(n)
+        for p in range(n + 1):
+            r = reps.rep_exterior(b, p)
+            assert np.array_equal(r.stacked(), _power_mats_dense(b, p, True, r.dim))
+        for p in range(1, 5):
+            r = reps.rep_sym(b, p)
+            assert np.array_equal(r.stacked(), _power_mats_dense(b, p, False, r.dim))
+
     def test_dispatcher(self, b3):
         assert reps.rep_standard(b3, "vector").label == "vector"
         assert reps.rep_standard(b3, "exterior", 2).dim == 3
@@ -200,6 +224,35 @@ class TestConstructors:
             reps.rep_standard(b3, "exterior")
         with pytest.raises(ValueError):
             reps.rep_standard(b3, "nonsense")
+
+
+class TestGenTable:
+    def test_canonical_form(self):
+        # duplicates summed in the order given, exact zeros dropped, entries
+        # sorted by (gen, row, col)
+        t = reps.gen_table([1, 0, 1, 0, 0], [0, 1, 0, 0, 1], [1, 0, 1, 1, 0], [2.0, 1j, 3.0, 5.0, -1j], 2)
+        assert t.gen.tolist() == [0, 1] and t.row.tolist() == [0, 0] and t.col.tolist() == [1, 1]
+        assert t.val.tolist() == [5.0, 5.0]
+
+    def test_from_mats_round_trip(self, b4):
+        r = reps.rep_sym0(b4)
+        again = reps.Rep.from_mats(b4, r.dim, r.mats, r.label)
+        for a, b in zip(again.table, r.table):
+            assert np.array_equal(a, b)
+        assert all(np.array_equal(m, e) for m, e in zip(r.mats, r.each_mat()))
+
+    def test_dense_views_are_read_only_and_kept(self, b3):
+        r = reps.rep_exterior(b3, 1)
+        assert r.stacked() is r.stacked()
+        with pytest.raises(ValueError):
+            r.stacked()[0, 0, 0] = 1.0
+
+    def test_tensor_table_size(self, b4):
+        # nnz(rho (x) 1 + 1 (x) sigma) = nnz(rho) d_sigma + d_rho nnz(sigma)
+        # when no diagonal entries meet
+        v, e = reps.rep_vector(b4), reps.rep_exterior(b4, 2)
+        t = reps.rep_tensor(v, e)
+        assert len(t.table.val) == len(v.table.val) * e.dim + v.dim * len(e.table.val)
 
 
 class TestTensor:
@@ -433,7 +486,7 @@ class TestIsotypic:
         mats = tuple(
             np.block([[m, np.zeros((4, 4))], [np.zeros((4, 4)), m]]) for m in r.mats
         )
-        doubled = reps.Rep(basis=b4, dim=8, mats=mats, label="vector+vector")
+        doubled = reps.Rep.from_mats(b4, 8, mats, "vector+vector")
         pieces = reps.isotypic_decompose(doubled)
         assert len(pieces) == 1
         assert pieces[0].dim == 8

@@ -156,6 +156,20 @@ class TestSimpleAlgebra:
         assert g.rank == 2
         assert len(g.roots.positive_roots) == 6
 
+    def test_g2_model_derives_the_octonions(self):
+        # D(xy) = D(x) y + x D(y) on the imaginary units, where
+        # e_i e_j = -delta_ij + sum_k c[i,j,k] e_k
+        c = so._octonion_table()
+        g = so.simple_algebra("G2")
+        assert len(g.model) == 14
+        for d in g.model:
+            d = np.real(d)
+            lhs = np.einsum("km,ijm->ijk", d, c)
+            rhs = np.einsum("ai,ajk->ijk", d, c) + np.einsum("aj,iak->ijk", d, c)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12
+            # the real parts: -<D e_i, e_j> - <e_i, D e_j> = 0, i.e. D is skew
+            assert np.max(np.abs(d + d.T)) <= 1e-12
+
     @pytest.mark.parametrize("label", LABELS)
     def test_positive_root_count(self, label):
         g = so.simple_algebra(label)

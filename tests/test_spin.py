@@ -8,7 +8,30 @@ from weitzlab import so_algebra as so
 from weitzlab import spin
 
 
+def _gamma_dense(n):
+    """Oracle: the Clifford generators by dense Kronecker products."""
+    g1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    g2 = np.array([[0.0, 1.0j], [1.0j, 0.0]], dtype=complex)
+    gammas = [g1, g2]
+    m = 1
+    while 2 * m < n - (n % 2):
+        s3 = np.diag([1.0, -1.0]).astype(complex)
+        gammas = [np.kron(g, s3) for g in gammas]
+        gammas += [np.kron(np.eye(2 ** m), g1), np.kron(np.eye(2 ** m), g2)]
+        m += 1
+    if n % 2 == 1:
+        gammas.append((1.0j if m % 2 == 0 else 1.0) * reduce(lambda a, b: a @ b, gammas))
+    return gammas
+
+
 class TestGamma:
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_monomial_form_equals_dense_kronecker_oracle(self, n):
+        got = spin.gamma(n).gammas
+        want = _gamma_dense(n)
+        assert len(got) == len(want) == n
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_clifford_relations(self, n):
         cg = spin.gamma(n)
@@ -48,6 +71,17 @@ class TestGamma:
 
 
 class TestRepSpin:
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_table_equals_dense_products(self, n):
+        # the old construction: -e_i e_j / 2 by dense products
+        b = so.basis(n)
+        g = _gamma_dense(n)
+        want = np.array([-(g[i] @ g[j]) / 2.0 for i, j in b.pairs])
+        r = spin.rep_spin(b)
+        assert np.array_equal(r.stacked(), want)
+        # monomial: one entry per row and generator
+        assert len(r.table.val) == len(b.pairs) * r.dim
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_generator_squares(self, n):
         r = spin.rep_spin(so.basis(n))

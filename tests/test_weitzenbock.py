@@ -65,6 +65,62 @@ class TestKTerm:
         assert np.all(np.diff(ken.spectrum) >= 0)
 
 
+def _k_matrix_dense(r, rep):
+    """Oracle: K from the dense (N, d, d) generator stack, by N dense products."""
+    m = rep.stacked()
+    s = np.tensordot(r.matrix, m, axes=(1, 0))
+    return np.matmul(m, s).sum(axis=0)
+
+
+def _constructor_cases(n):
+    """One rep from every constructor on so(n), restrictions included."""
+    b = so.basis(n)
+    vec, sp = reps.rep_vector(b), spin.rep_spin(b)
+    cases = [vec, reps.rep_trivial(b), reps.rep_adjoint(b), reps.rep_sym0(b), sp]
+    cases += [reps.rep_exterior(b, p) for p in range(n + 1)]
+    cases += [reps.rep_sym(b, p) for p in (1, 2, 3)]
+    cases += [reps.rep_tensor(vec, sp), wb.tensor_power_rep(vec, 2), wb.tensor_power_rep(vec, 3)]
+    if n % 2 == 0:
+        cases += [spin.rep_half_spin(b, 1), spin.rep_half_spin(b, -1)]
+        cases.append(reps.rep_restrict(reps.rep_exterior(b, 2), so.u_subalgebra(n // 2)))
+    small = so.basis(n - 1)
+    block = [np.pad(x, ((0, 1), (0, 1))) for x in small.elements]
+    cases.append(reps.rep_restrict(sp, so.Subalgebra(ambient=b, elements=tuple(block), label=f"so({n - 1})")))
+    return cases
+
+
+class TestKMatrixAgainstDenseOracle:
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_every_constructor(self, n):
+        b = so.basis(n)
+        ops = [curv.random_curvature(n, 7), curv.random_symmetric(n, 7)]
+        assert ops[0].bianchi_flag and not ops[1].bianchi_flag
+        for rep in _constructor_cases(n):
+            if isinstance(rep.basis, so.Subalgebra):
+                # R compressed onto the subalgebra, and a random symmetric form on it
+                coeff = np.array([so.expand(b, x) for x in rep.basis.elements])
+                m = np.random.default_rng(n).standard_normal((rep.count, rep.count))
+                forms = [coeff @ op.matrix @ coeff.T for op in ops] + [m + m.T]
+                cases = [curv.CurvatureOperator(n=n, matrix=f, bianchi_flag=False) for f in forms]
+            else:
+                cases = ops
+            for op in cases:
+                want = _k_matrix_dense(op, rep)
+                got = wb.k_matrix(op, rep)
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert got.shape == want.shape and got.dtype == complex, rep.label
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale, (n, rep.label)
+
+    def test_chunked_join_equals_one_chunk(self, monkeypatch):
+        # a budget below one entry's partner count puts every left entry in a
+        # chunk of its own; the pairs and their order are the same
+        rep = reps.rep_sym(so.basis(5), 2)
+        op = curv.random_curvature(5, 3)
+        whole = wb.k_matrix(op, rep)
+        monkeypatch.setattr(wb, "PAIR_CHUNK", 1)
+        assert np.array_equal(wb.k_matrix(op, rep), whole)
+
+
 class TestLichnerowicz:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_identity_on_bianchi_curvatures(self, n):
