@@ -1,8 +1,8 @@
 """Layer bench: curvature sources, commutant solves, isotypic splits, the
-projection lemma suites, representation construction, the positivity report
-and the assembly of K.
+projection lemma suites, the other trial-driven suites, representation
+construction, the positivity report and the assembly of K.
 
-Times seven layers of weitzlab, each measurement in a fresh interpreter so
+Times eight layers of weitzlab, each measurement in a fresh interpreter so
 that it pays every cold cost a CLI process pays:
 
 * ``random_curvature(n, seed)`` for n = 4 ... 16 (curvature sources);
@@ -13,6 +13,10 @@ that it pays every cold cost a CLI process pays:
   the isotypic workload, plus the ``sym0`` / ``so:3`` case at n = 6;
 * ``suites.lemma_suite("k4", 10, seed)`` and ``lemma_suite("k2", 20, seed)``
   (a suite: tensor powers of the spinors, permutation checks, K and W);
+* ``suites.lichnerowicz_suite`` at n = 4, 5 and 7, ``bochner_suite`` at
+  n = 7 and ``blocks4_suite``, each with 20 trials (the other trial-driven
+  suites: seeded draws, Bianchi projection, K on spinors or vectors, the
+  4-d blocks and the report digests);
 * ``rep_adjoint`` at n = 10 and 12, ``rep_exterior`` at (n, p) = (10, 5)
   and (12, 6), ``rep_sym`` at (10, 3) and ``rep_sym0`` at n = 14
   (representation construction);
@@ -36,8 +40,8 @@ measured.  A ``random_curvature`` size that fails or exceeds the child time
 limit ends that ladder; any other failed case is recorded with its error and
 the next case runs.
 
-    python bench/layers.py                       # writes BENCH_7.json
-    python bench/layers.py --baseline-src OTHER/src --out BENCH_7.json
+    python bench/layers.py                       # writes BENCH_8.json
+    python bench/layers.py --baseline-src OTHER/src --out BENCH_8.json
 
 With ``--baseline-src`` the same measurements also run against another
 source tree (for example a checkout of the parent commit) and are stored
@@ -76,6 +80,10 @@ DECOMPOSE_CASES = (
 #: (kind, trials) of each lemma suite timed; every suite starts at LEMMA_SEED.
 LEMMA_CASES = (("k4", 10), ("k2", 20))
 LEMMA_SEED = 1
+#: (suite, n or None) of each trial-driven suite timed, with TRIAL_COUNT trials from TRIAL_SEED.
+TRIAL_CASES = (("lichnerowicz", 4), ("lichnerowicz", 5), ("lichnerowicz", 7), ("bochner", 7), ("blocks4", None))
+TRIAL_COUNT = 20
+TRIAL_SEED = 1
 #: (constructor, n, degree p or None) of each representation timed.
 REP_CASES = (
     ("rep_adjoint", 10, None),
@@ -158,6 +166,16 @@ def _child_lemma(kind: str, trials: int) -> dict:
     return {"seconds": seconds, "n": reports[0].inputs["n"], "peak_rss_mb": _peak_rss_mb()}
 
 
+def _child_trials(suite: str, n: int | None) -> dict:
+    from weitzlab import suites
+
+    run = getattr(suites, f"{suite}_suite")
+    t0 = time.perf_counter()
+    reports = run(TRIAL_COUNT, TRIAL_SEED) if n is None else run(n, TRIAL_COUNT, TRIAL_SEED)
+    seconds = time.perf_counter() - t0
+    return {"seconds": seconds, "reports": len(reports), "peak_rss_mb": _peak_rss_mb()}
+
+
 def _child_rep(constructor: str, n: int, p: int | None) -> dict:
     from weitzlab import representations
     from weitzlab.so_algebra import basis
@@ -220,6 +238,8 @@ def _child(argv: list[str]) -> None:
         result = _child_curvature(int(rest[0]))
     elif kind == "lemma":
         result = _child_lemma(rest[0], int(rest[1]))
+    elif kind == "trials":
+        result = _child_trials(rest[0], int(rest[1]) if len(rest) > 1 else None)
     elif kind == "rep":
         result = _child_rep(rest[0], int(rest[1]), int(rest[2]) if len(rest) > 2 else None)
     elif kind == "positivity":
@@ -323,6 +343,23 @@ def measure(src: str) -> dict:
             }
         )
         print(f"  lemma_suite {kind} x{trials}: {lemma[-1]['seconds']:.4f} s", file=sys.stderr)
+    trial_suites = []
+    for suite, n in TRIAL_CASES:
+        runs = _repeat(src, ["trials", suite] + ([] if n is None else [str(n)]))
+        size = 4 if n is None else n
+        d = {"lichnerowicz": 2 ** (size // 2), "bochner": size}.get(suite, 6)  # spinors, vectors, Lambda^2
+        entry = {"suite": suite, "n": size, "d": d, "N": size * (size - 1) // 2, "trials": TRIAL_COUNT, "seed": TRIAL_SEED}
+        if isinstance(runs, dict):
+            trial_suites.append({**entry, **runs})
+            print(f"  {suite}_suite n={size}: {runs['error']}", file=sys.stderr)
+            continue
+        trial_suites.append(
+            {
+                **entry, "reports": runs[0]["reports"],
+                "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb"),
+            }
+        )
+        print(f"  {suite}_suite n={size} x{TRIAL_COUNT}: {trial_suites[-1]['seconds']:.4f} s", file=sys.stderr)
     representations = []
     for constructor, n, p in REP_CASES:
         runs = _repeat(src, ["rep", constructor, str(n)] + ([] if p is None else [str(p)]))
@@ -365,6 +402,7 @@ def measure(src: str) -> dict:
         "intertwiners": intertwiners,
         "isotypic_decompose": decompose,
         "lemma_suite": lemma,
+        "trial_suites": trial_suites,
         "representations": representations,
         "positivity_report": positivity,
         "k_matrix": k_assembly,
@@ -376,7 +414,7 @@ def main() -> None:
         _child(sys.argv[2:])
         return
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_7.json"))
+    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_8.json"))
     parser.add_argument("--baseline-src", default=None, help="another source tree to measure the same way")
     args = parser.parse_args()
     import numpy

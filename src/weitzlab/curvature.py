@@ -12,6 +12,7 @@ time (the round sphere gives the identity matrix, and the curvature term on
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -42,7 +43,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CurvatureOperator:
-    """Symmetric N x N matrix over the so(n) pair basis, N = n(n-1)/2."""
+    """Symmetric N x N matrix over the so(n) pair basis, N = n(n-1)/2, or a
+    stack of them with shape (T, N, N), which :func:`to_tensor`,
+    :func:`bianchi_project` and :func:`weitzenbock.k_matrix` take whole."""
 
     n: int
     matrix: np.ndarray
@@ -51,6 +54,13 @@ class CurvatureOperator:
     @property
     def pairs(self):
         return pair_list(self.n)
+
+    def unstack(self) -> list[CurvatureOperator]:
+        """The operators of a stack, each a view of its slice; a single
+        operator unstacks to itself."""
+        if self.matrix.ndim == 2:
+            return [self]
+        return [CurvatureOperator(n=self.n, matrix=m, bianchi_flag=self.bianchi_flag) for m in self.matrix]
 
 
 def curvature_operator(n: int, matrix, bianchi: bool | None = None, sym_tol: float = 1e-12) -> CurvatureOperator:
@@ -73,31 +83,35 @@ def curvature_operator(n: int, matrix, bianchi: bool | None = None, sym_tol: flo
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _pair_index(n: int):
     """Index arrays ``(i_a, j_a, i_b, j_b)`` broadcasting over the pair grid;
-    ``np.triu_indices`` order is the lexicographic :func:`pair_list` order."""
+    ``np.triu_indices`` order is the lexicographic :func:`pair_list` order.
+    Built once per n; the arrays are read-only."""
     i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
     return i[:, None], j[:, None], i[None, :], j[None, :]
 
 
 def to_tensor(op: CurvatureOperator) -> np.ndarray:
     """Rank-4 form: ``T[i,j,k,l]`` with the pair (anti)symmetries, ``T = 2 R``
-    on sorted pairs."""
+    on sorted pairs; a stack of operators gives a stack of tensors."""
     n = op.n
-    t = np.zeros((n, n, n, n))
-    i, j, k, l = _pair_index(n)
     v = 2.0 * op.matrix
-    t[i, j, k, l] = v
-    t[j, i, k, l] = -v
-    t[i, j, l, k] = -v
-    t[j, i, l, k] = v
+    t = np.zeros(v.shape[:-2] + (n, n, n, n))
+    i, j, k, l = _pair_index(n)
+    t[..., i, j, k, l] = v
+    t[..., j, i, k, l] = -v
+    t[..., i, j, l, k] = -v
+    t[..., j, i, l, k] = v
     return t
 
 
 def _pair_matrix(t: np.ndarray) -> np.ndarray:
-    """Symmetric pair-basis matrix ``R_ab = T[i_a, j_a, i_b, j_b] / 2``."""
-    r = t[_pair_index(t.shape[0])] / 2.0
-    return (r + r.T) / 2.0
+    """Symmetric pair-basis matrix ``R_ab = T[i_a, j_a, i_b, j_b] / 2``, over
+    the last four axes."""
+    r = t[(Ellipsis, *_pair_index(t.shape[-1]))] / 2.0
+    return (r + r.swapaxes(-1, -2)) / 2.0
 
 
 def from_tensor(t: np.ndarray, tol: float = 1e-10) -> CurvatureOperator:
@@ -132,12 +146,20 @@ def bianchi_residual_matrix(n: int, matrix: np.ndarray) -> float:
     return float(np.linalg.norm(_cyclic_sum(t))) / scale
 
 
+#: The 24 permutations of four slots, each with its sign.
+_SIGNED_PERMUTATIONS = tuple(
+    (perm, (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
+    for perm in itertools.permutations(range(4))
+)
+
+
 def _alt(t: np.ndarray) -> np.ndarray:
-    """Full antisymmetrisation of a 4-tensor (an orthogonal projector)."""
+    """Full antisymmetrisation of a 4-tensor (an orthogonal projector), over
+    the last four axes."""
+    batch = tuple(range(t.ndim - 4))
     out = np.zeros_like(t)
-    for perm in itertools.permutations(range(4)):
-        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        out += (-1) ** inversions * np.transpose(t, perm)
+    for perm, sign in _SIGNED_PERMUTATIONS:
+        out += sign * np.transpose(t, batch + tuple(len(batch) + p for p in perm))
     return out / 24.0
 
 
@@ -146,6 +168,8 @@ def bianchi_project(op: CurvatureOperator) -> CurvatureOperator:
 
     On Sym^2(Lambda^2) the first-Bianchi defect is exactly the Lambda^4
     component, so the projection is ``T -> T - Alt(T)`` on the tensor form.
+    A stack is projected whole; every step is elementwise over the stack, so
+    each operator comes out bit-equal to its projection alone.
     """
     t = to_tensor(op)
     return CurvatureOperator(n=op.n, matrix=_pair_matrix(t - _alt(t)), bianchi_flag=True)
@@ -170,17 +194,21 @@ def sphere(n: int) -> CurvatureOperator:
     return CurvatureOperator(n=n, matrix=np.eye(npairs), bianchi_flag=True)
 
 
-def random_symmetric(n: int, seed: int) -> CurvatureOperator:
-    """Seeded Gaussian symmetric operator, *not* Bianchi-projected."""
+def random_symmetric(n: int, seed) -> CurvatureOperator:
+    """Seeded Gaussian symmetric operator, *not* Bianchi-projected.  A
+    sequence of seeds gives the stack of their operators, each drawn from
+    ``default_rng`` of its own seed; one seed is the stack of one."""
     npairs = n * (n - 1) // 2
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((npairs, npairs))
-    m = (g + g.T) / 2.0
-    return CurvatureOperator(n=n, matrix=m, bianchi_flag=False)
+    single = np.ndim(seed) == 0
+    draws = [np.random.default_rng(s).standard_normal((npairs, npairs)) for s in ([seed] if single else seed)]
+    g = np.array(draws).reshape(-1, npairs, npairs)
+    m = (g + g.swapaxes(1, 2)) / 2.0
+    return CurvatureOperator(n=n, matrix=m[0] if single else m, bianchi_flag=False)
 
 
-def random_curvature(n: int, seed: int) -> CurvatureOperator:
-    """Seeded Gaussian symmetric operator projected onto the Bianchi subspace."""
+def random_curvature(n: int, seed) -> CurvatureOperator:
+    """Seeded Gaussian symmetric operator projected onto the Bianchi
+    subspace; a sequence of seeds gives the stack of their operators."""
     return bianchi_project(random_symmetric(n, seed))
 
 
@@ -241,9 +269,11 @@ def _hodge_star_coefficients() -> np.ndarray:
     return star
 
 
+@functools.cache
 def _self_dual_bases() -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal bases of the +-1 eigenspaces of the star,
-    labelled so that the + side acts trivially on negative-chirality spinors."""
+    labelled so that the + side acts trivially on negative-chirality spinors.
+    Built once per process; the arrays are read-only."""
     from .spin import half_spin_columns, rep_spin
 
     star = _hodge_star_coefficients()
@@ -276,6 +306,7 @@ def _self_dual_bases() -> tuple[np.ndarray, np.ndarray]:
 
     if acts_on_minus(bp) > acts_on_minus(bm):
         bp, bm = bm, bp
+    bp.flags.writeable = bm.flags.writeable = False
     return bp, bm
 
 

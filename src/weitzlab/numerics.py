@@ -3,8 +3,9 @@ nullspaces, Kronecker products and Kronecker sums ``sum_x a[x] (x) b[x]``
 over stacks of matrices, and orthogonal projections.
 
 Everything is computed in double-precision complex; real inputs are the
-imaginary-part-zero case.  All functions are pure and never mutate their
-arguments, so concurrent use is safe.
+imaginary-part-zero case, which only :func:`eigvals_hermitian` treats apart,
+with the real symmetric solver.  All functions are pure and never mutate
+their arguments, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -83,8 +84,10 @@ def eig_hermitian(a, hermitian_tol: float = 1e-12):
 
 def eigvals_hermitian(a, hermitian_tol: float = 1e-12) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, under the precondition
-    of :func:`eig_hermitian`, without the eigenvectors."""
-    return np.linalg.eigvalsh(_hermitian_part(a, hermitian_tol))
+    of :func:`eig_hermitian`, without the eigenvectors.  A Hermitian part
+    whose imaginary part is exactly zero takes the real symmetric solver."""
+    h = _hermitian_part(a, hermitian_tol)
+    return np.linalg.eigvalsh(h if np.any(h.imag) else h.real)
 
 
 def _hermitian_part(a, hermitian_tol: float) -> np.ndarray:

@@ -35,6 +35,10 @@ def _render(value) -> str:
         out = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         return f'"{out}"'
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and value.ndim:
+            if not np.isfinite(value).all():
+                raise ValueError("cannot serialise non-finite float")
+            return _render_floats(value)
         return _render(value.tolist())
     if isinstance(value, dict):
         items = sorted(value.items(), key=lambda kv: str(kv[0]))
@@ -45,6 +49,14 @@ def _render(value) -> str:
     if hasattr(value, "to_dict"):
         return _render(value.to_dict())
     raise TypeError(f"cannot serialise value of type {type(value)!r}")
+
+
+def _render_floats(a: np.ndarray) -> str:
+    """A finite real array as :func:`_render` renders its ``tolist()``, one
+    join per row instead of one recursive call per entry."""
+    if a.ndim == 1:
+        return "[" + ",".join(format(v, ".17g") for v in a.tolist()) + "]"
+    return "[" + ",".join(_render_floats(row) for row in a) + "]"
 
 
 def canonical_json(value) -> str:

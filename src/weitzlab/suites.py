@@ -26,44 +26,71 @@ __all__ = [
 
 
 class SuiteConfigError(ValueError):
-    """A suite request that names no suite, or whose verdict would rest on
-    zero trials (a vacuous pass)."""
+    """A suite request that names no suite, whose verdict would rest on zero
+    trials (a vacuous pass), or whose trials would not fit the report budget."""
 
 
-def _lichnerowicz_one(n: int, op, tol: float) -> tuple[float, float]:
-    sp = spinmod.rep_spin(so_basis(n))
-    k = wb.k_matrix(op, sp)
+#: Bytes of stacked curvature tensors and K's that one batch of trials may
+#: hold, so that memory does not grow with the number of trials.
+TRIAL_BATCH_BYTES = 1 << 20
+
+#: Bytes one trial's report is taken to cost.  Measured as Python objects,
+#: a lichnerowicz report holds about 2.5 KiB and a lemma:k4 report, the
+#: largest, 4 KiB; their canonical JSON adds 0.2 and 0.7 KiB.
+REPORT_BYTES = 4 << 10
+
+#: Bytes of reports one suite run may hold.  :func:`run_suite` refuses a
+#: larger trial count before it draws any operator.
+REPORT_BUDGET_BYTES = 256 << 20
+
+
+def _seed_batches(first: int, trials: int, n: int, d: int):
+    """Seeds ``first, first + 1, ...`` of ``trials`` trials, in consecutive
+    ranges whose curvature tensors (four n^4 float arrays per trial while
+    they are projected) and K's (two d x d complex matrices per trial) fit
+    :data:`TRIAL_BATCH_BYTES`."""
+    size = max(1, TRIAL_BATCH_BYTES // (32 * n**4 + 32 * d * d))
+    for lo in range(0, trials, size):
+        yield range(first + lo, first + min(trials, lo + size))
+
+
+def _lichnerowicz_residual(op, k: np.ndarray) -> tuple[float, float]:
     s = curv.scalar(op)
-    resid = float(np.linalg.norm(-4.0 * k - (s / 4.0) * np.eye(sp.dim)))
+    resid = float(np.linalg.norm(-4.0 * k - (s / 4.0) * np.eye(len(k))))
     return resid / (1.0 + float(np.linalg.norm(k))), s
 
 
 def lichnerowicz_suite(n: int, trials: int, seed: int, tol: float = 1e-9) -> list[CheckReport]:
     """-4 K on spinors equals scalar/4 for Bianchi operators; a control batch
     of unprojected symmetric operators must violate the identity."""
+    sp = spinmod.rep_spin(so_basis(n))
     out = []
-    for t in range(trials):
-        op = curv.random_curvature(n, seed + t)
-        resid, s = _lichnerowicz_one(n, op, tol)
-        out.append(
-            CheckReport(
-                check="lichnerowicz",
-                inputs={"n": n, "seed": seed + t, "curvature": digest(op.matrix)},
-                residual=resid,
-                tolerance=tol,
-                passed=resid <= tol,
-                details={"scalar_curvature": s},
+    for seeds in _seed_batches(seed, trials, n, sp.dim):
+        ops = curv.random_curvature(n, seeds)
+        for s, op, k in zip(seeds, ops.unstack(), wb.k_matrix(ops, sp)):
+            resid, scal = _lichnerowicz_residual(op, k)
+            out.append(
+                CheckReport(
+                    check="lichnerowicz",
+                    inputs={"n": n, "seed": s, "curvature": digest(op.matrix)},
+                    residual=resid,
+                    tolerance=tol,
+                    passed=resid <= tol,
+                    details={"scalar_curvature": scal},
+                )
             )
-        )
     # negative control: without the first Bianchi identity the identity breaks
     control_n = max(n, 4)  # at n=3 every symmetric operator is Bianchi
+    if control_n != n:
+        sp = spinmod.rep_spin(so_basis(control_n))
     hits = 0
     control_trials = 100
-    for t in range(control_trials):
-        op = curv.random_symmetric(control_n, seed + 10_000 + t)
-        resid, _ = _lichnerowicz_one(control_n, op, tol)
-        if resid > 1e-3:
-            hits += 1
+    for seeds in _seed_batches(seed + 10_000, control_trials, control_n, sp.dim):
+        ops = curv.random_symmetric(control_n, seeds)
+        for op, k in zip(ops.unstack(), wb.k_matrix(ops, sp)):
+            resid, _ = _lichnerowicz_residual(op, k)
+            if resid > 1e-3:
+                hits += 1
     out.append(
         CheckReport(
             check="lichnerowicz-negative-control",
@@ -81,19 +108,19 @@ def bochner_suite(n: int, trials: int, seed: int, tol: float = 1e-10) -> list[Ch
     """-2 K on the vector representation equals the Ricci endomorphism."""
     v = reps.rep_vector(so_basis(n))
     out = []
-    for t in range(trials):
-        op = curv.random_curvature(n, seed + t)
-        k = wb.k_matrix(op, v)
-        resid = float(np.linalg.norm(-2.0 * k - curv.ricci(op)))
-        out.append(
-            CheckReport(
-                check="bochner",
-                inputs={"n": n, "seed": seed + t, "curvature": digest(op.matrix)},
-                residual=resid,
-                tolerance=tol,
-                passed=resid <= tol,
+    for seeds in _seed_batches(seed, trials, n, v.dim):
+        ops = curv.random_curvature(n, seeds)
+        for s, op, k in zip(seeds, ops.unstack(), wb.k_matrix(ops, v)):
+            resid = float(np.linalg.norm(-2.0 * k - curv.ricci(op)))
+            out.append(
+                CheckReport(
+                    check="bochner",
+                    inputs={"n": n, "seed": s, "curvature": digest(op.matrix)},
+                    residual=resid,
+                    tolerance=tol,
+                    passed=resid <= tol,
+                )
             )
-        )
     return out
 
 
@@ -177,9 +204,10 @@ def lemma_suite(kind: str, trials: int, seed: int, tol: float | None = None) -> 
         tol = 1e-8 if tol is None else tol
     else:
         raise ValueError(f"unknown lemma configuration {kind!r}")
-    seeds = [seed + t for t in range(trials)]
-    out = wb.lemma_check([curv.random_curvature(n, s) for s in seeds], k, proj, gens, tol=tol)
-    for rep, s in zip(out, seeds):
+    d = 2 ** (n // 2)  # spinor dimension
+    stacks = [curv.random_curvature(n, seeds) for seeds in _seed_batches(seed, trials, n, d**k)]
+    out = wb.lemma_check(stacks, k, proj, gens, tol=tol)
+    for rep, s in zip(out, range(seed, seed + trials)):
         rep.inputs["seed"] = s
     return out
 
@@ -265,44 +293,43 @@ def blocks4_suite(trials: int, seed: int, tol: float = 1e-9) -> list[CheckReport
     multiple of the trace-free Ricci norm."""
     out = []
     ratios = []
-    for t in range(trials):
-        op = curv.random_curvature(4, seed + t)
-        blocks = curv.four_dim_blocks(op)
-        ric = curv.ricci(op)
-        ric0 = ric - np.trace(ric) / 4.0 * np.eye(4)
-        mixed_small = float(np.linalg.norm(blocks.mixed)) <= tol
-        ric0_small = float(np.linalg.norm(ric0)) <= tol
-        agree = mixed_small == ric0_small
-        if not ric0_small:
-            ratios.append(float(np.linalg.norm(blocks.mixed)) / float(np.linalg.norm(ric0)))
-        reassembly = float(np.linalg.norm(blocks.reassemble() - op.matrix))
-        out.append(
-            CheckReport(
-                check="blocks4-mixed-iff-ric0",
-                inputs={"seed": seed + t, "curvature": digest(op.matrix)},
-                residual=reassembly,
-                tolerance=1e-12,
-                passed=agree and reassembly <= 1e-12,
-                details={
-                    "mixed_norm": float(np.linalg.norm(blocks.mixed)),
-                    "ric0_norm": float(np.linalg.norm(ric0)),
-                },
+    for seeds in _seed_batches(seed, trials, 4, 0):  # no K is assembled
+        for s, op in zip(seeds, curv.random_curvature(4, seeds).unstack()):
+            blocks = curv.four_dim_blocks(op)
+            ric = curv.ricci(op)
+            ric0 = ric - np.trace(ric) / 4.0 * np.eye(4)
+            mixed_small = float(np.linalg.norm(blocks.mixed)) <= tol
+            ric0_small = float(np.linalg.norm(ric0)) <= tol
+            agree = mixed_small == ric0_small
+            if not ric0_small:
+                ratios.append(float(np.linalg.norm(blocks.mixed)) / float(np.linalg.norm(ric0)))
+            reassembly = float(np.linalg.norm(blocks.reassemble() - op.matrix))
+            out.append(
+                CheckReport(
+                    check="blocks4-mixed-iff-ric0",
+                    inputs={"seed": s, "curvature": digest(op.matrix)},
+                    residual=reassembly,
+                    tolerance=1e-12,
+                    passed=agree and reassembly <= 1e-12,
+                    details={
+                        "mixed_norm": float(np.linalg.norm(blocks.mixed)),
+                        "ric0_norm": float(np.linalg.norm(ric0)),
+                    },
+                )
             )
-        )
     # Einstein-projected samples must kill the mixed block
-    for t in range(min(trials, 20)):
-        op = curv.einstein_project(curv.random_curvature(4, seed + 50_000 + t))
-        blocks = curv.four_dim_blocks(op)
-        resid = float(np.linalg.norm(blocks.mixed))
-        out.append(
-            CheckReport(
-                check="blocks4-einstein-mixed-vanishes",
-                inputs={"seed": seed + 50_000 + t},
-                residual=resid,
-                tolerance=tol,
-                passed=resid <= tol,
+    for seeds in _seed_batches(seed + 50_000, min(trials, 20), 4, 0):
+        for s, op in zip(seeds, curv.random_curvature(4, seeds).unstack()):
+            resid = float(np.linalg.norm(curv.four_dim_blocks(curv.einstein_project(op)).mixed))
+            out.append(
+                CheckReport(
+                    check="blocks4-einstein-mixed-vanishes",
+                    inputs={"seed": s},
+                    residual=resid,
+                    tolerance=tol,
+                    passed=resid <= tol,
+                )
             )
-        )
     if ratios:
         spread = (max(ratios) - min(ratios)) / max(ratios)
         out.append(
@@ -318,13 +345,14 @@ def blocks4_suite(trials: int, seed: int, tol: float = 1e-9) -> list[CheckReport
     return out
 
 
-def positive_definite_curvature(n: int, seed: int) -> curv.CurvatureOperator:
+def positive_definite_curvature(n: int, seed) -> curv.CurvatureOperator:
     """Seeded positive-definite Bianchi operator: identity plus a controlled
-    Bianchi perturbation."""
+    Bianchi perturbation; a sequence of seeds gives the stack of them."""
     bump = curv.random_curvature(n, seed)
-    norm = float(np.linalg.norm(bump.matrix))
     npairs = n * (n - 1) // 2
-    mat = np.eye(npairs) + 0.3 * bump.matrix / max(norm, 1e-12)
+    norms = [float(np.linalg.norm(op.matrix)) for op in bump.unstack()]
+    scale = np.maximum(norms, 1e-12).reshape(bump.matrix.shape[:-2] + (1, 1))
+    mat = np.eye(npairs) + 0.3 * bump.matrix / scale
     return curv.CurvatureOperator(n=n, matrix=mat, bianchi_flag=True)
 
 
@@ -357,10 +385,10 @@ def positivity_suite(
         )
         return out
     worst = np.inf
-    for t in range(trials):
-        op = positive_definite_curvature(n, seed + t)
+    for seeds in _seed_batches(seed, trials, n, max(r.dim for r in family)):
+        ops = positive_definite_curvature(n, seeds)
         for r in family:
-            worst = min(worst, float(np.min(wb.neg_k_spectrum(op, r))))
+            worst = min(worst, float(np.min(wb.neg_k_spectrum(ops, r))))
     out.append(
         CheckReport(
             check="positivity-forward",
@@ -404,6 +432,12 @@ def run_suite(
     )
     if trial_driven and trials < 1:
         raise SuiteConfigError(f"suite {name!r} needs trials >= 1, got {trials}")
+    if trial_driven and trials * REPORT_BYTES > REPORT_BUDGET_BYTES:
+        raise SuiteConfigError(
+            f"suite {name!r} cannot run {trials} trials: their reports would take about "
+            f"{-(-trials * REPORT_BYTES >> 20)} MiB at {REPORT_BYTES} bytes each, over the "
+            f"{REPORT_BUDGET_BYTES >> 20} MiB report budget (at most {REPORT_BUDGET_BYTES // REPORT_BYTES} trials)"
+        )
     algebras = algebras or _DEFAULT_ALGEBRAS
     if name == "lichnerowicz":
         return lichnerowicz_suite(n, trials, seed, tol=tolerance or 1e-9)

@@ -88,9 +88,10 @@ class CompatibilityError(ValueError):
 
 
 def _check_compatible(r: CurvatureOperator, rep: Rep) -> None:
-    if rep.count != r.matrix.shape[0]:
+    npairs = r.matrix.shape[-1]
+    if rep.count != npairs:
         raise CompatibilityError(
-            f"curvature operator has {r.matrix.shape[0]} basis directions but the "
+            f"curvature operator has {npairs} basis directions but the "
             f"representation has {rep.count} generators"
         )
     base = rep.basis
@@ -99,19 +100,25 @@ def _check_compatible(r: CurvatureOperator, rep: Rep) -> None:
         raise CompatibilityError(f"curvature lives on so({r.n}) but the representation on so({n})")
 
 
-#: Most (left entry, right entry) pairs :func:`k_matrix` forms at once; each
-#: pair costs about 70 bytes of temporaries.
+#: Most (left entry, right entry) pairs :func:`k_matrix` forms at once, and
+#: most pairs times operators it weights in one pass; each costs about 70
+#: bytes of temporaries.
 PAIR_CHUNK = 1 << 18
 
 
 def k_matrix(r: CurvatureOperator, rep: Rep) -> np.ndarray:
-    """The matrix ``sum_ab R_ab rho(x_a) rho(x_b)`` without the spectral data.
+    """The matrix ``sum_ab R_ab rho(x_a) rho(x_b)`` without the spectral data;
+    for a stack of T operators, the (T, d, d) stack of their matrices.
 
     A join of the generator table with itself on the inner index j: every
     entry ``rho_a[i, j]`` pairs with every entry ``rho_b[j, k]``, and the pair
     adds ``R_ab rho_a[i, j] rho_b[j, k]`` to ``K[i, k]``.  The pairs are formed
-    and summed by ``np.bincount`` in chunks of at most :data:`PAIR_CHUNK`
-    (more only when one entry alone has more partners)."""
+    in chunks of at most :data:`PAIR_CHUNK` (more only when one entry alone
+    has more partners) and summed by ``np.bincount``.  Each chunk is formed
+    once for the whole stack and weighted by a group of operators at a time,
+    at most ``PAIR_CHUNK // pairs`` of them, whose sums go to one
+    ``np.bincount`` over ``t d^2 + i d + k``.  The chunks do not depend on the
+    stack, so each K is bit-equal to the join of its operator alone."""
     _check_compatible(r, rep)
     d = rep.dim
     # entries sorted by row: the partners of a left entry rho_a[i, j] are the
@@ -123,23 +130,34 @@ def k_matrix(r: CurvatureOperator, rep: Rep) -> np.ndarray:
     partners = start[col + 1] - start[col]
     ends = np.cumsum(partners)
     shift = start[col] - (ends - partners)  # the p-th pair overall takes right entry p + shift
-    weights, gen_l, row_l = r.matrix.ravel(), gen * rep.count, row * d
-    k = np.zeros(d * d, dtype=val.dtype)
+    weights, gen_l, row_l = r.matrix.reshape(-1, rep.count ** 2), gen * rep.count, row * d
+    k = np.zeros((len(weights), d * d), dtype=val.dtype)
     lo = 0
     while lo < len(val):
         done = ends[lo] - partners[lo]
         hi = max(lo + 1, int(np.searchsorted(ends, done + PAIR_CHUNK, side="right")))
         left = np.repeat(np.arange(lo, hi), partners[lo:hi])
         right = shift[left] + np.arange(done, done + len(left))
-        w = weights[gen_l[left] + gen[right]] * val[left] * val[right]
-        flat = row_l[left] + col[right]
-        if w.dtype.kind == "c":
-            k.real += np.bincount(flat, w.real, d * d)
-            k.imag += np.bincount(flat, w.imag, d * d)
-        else:
-            k += np.bincount(flat, w, d * d)
+        group = max(1, PAIR_CHUNK // len(left))
+        for t in range(0, len(weights), group):
+            # the gather indexes the first axis alone and the second product is
+            # taken in place: a slice beside the index array, or operands of
+            # two shapes, would each cost another per-pair temporary
+            rows = weights[t : t + group]
+            rows = rows[0] if len(rows) == 1 else rows.T
+            w = rows[gen_l[left] + gen[right]].T * val[left]
+            w *= val[right]
+            flat = row_l[left] + col[right]
+            if w.ndim == 2:  # operator t + s sums into bins s d^2 + flat
+                flat = (np.arange(len(w))[:, None] * (d * d) + flat).ravel()
+            part = k[t : t + group]
+            if w.dtype.kind == "c":
+                part.real += np.bincount(flat, w.real.ravel(), part.size).reshape(part.shape)
+                part.imag += np.bincount(flat, w.imag.ravel(), part.size).reshape(part.shape)
+            else:
+                part += np.bincount(flat, w.ravel(), part.size).reshape(part.shape)
         lo = hi
-    return k.astype(complex, copy=False).reshape(d, d)
+    return k.astype(complex, copy=False).reshape(r.matrix.shape[:-2] + (d, d))
 
 
 def k_term(r: CurvatureOperator, rep: Rep) -> CurvatureEndomorphism:
@@ -259,7 +277,9 @@ def lemma_check(
     permutations must generate a transitive group on the k slots.  They do not
     depend on R, so they are checked once per call, and the tensor powers and
     the subspace basis are built once; each operator then costs K, W and the
-    two sandwiches.  The operators must be a non-empty sequence on one so(n).
+    two sandwiches.  The operators must be a non-empty sequence on one so(n);
+    an entry may be a stack, whose K's are assembled in one join, and the
+    reports follow the operators in order.
     """
     from .so_algebra import basis as so_basis
 
@@ -277,17 +297,19 @@ def lemma_check(
     scale = max(1.0, float(np.linalg.norm(p)))
     if np.linalg.norm(p @ p - p) > 1e-9 * scale or np.linalg.norm(p - p.conj().T) > 1e-9 * scale:
         raise LemmaPreconditionError("E_projector is not an orthogonal projector")
+    # P = Q Q^H, so ||X P|| = ||X Q||: every check below acts on the columns Q
+    cols = numerics.orthonormal_columns(p, atol=0.5)  # projector eigenvalues are 0/1
     power = tensor_power_rep(rho, k)
-    inv = max(float(np.linalg.norm((np.eye(d ** k) - p) @ m @ p)) for m in power.mats)
-    if inv > 1e-9 * max(1.0, max(float(np.linalg.norm(m)) for m in power.mats)):
+    mats = power.stacked()
+    inv = max(float(np.linalg.norm(m - p @ m)) for m in mats @ cols)  # (I - P) rho_a Q
+    if inv > 1e-9 * max(1.0, max(float(np.linalg.norm(m)) for m in mats)):
         raise LemmaPreconditionError("E_projector image is not invariant under the spin action")
     if not gamma_generators:
         raise LemmaPreconditionError("no permutation generators given")
     for perm in gamma_generators:
         if len(perm) != k:
             raise LemmaPreconditionError(f"permutation {perm} does not act on {k} letters")
-        pm = permutation_matrix(tuple(perm), d)
-        if np.linalg.norm((pm - np.eye(d ** k)) @ p) > 1e-9 * scale:
+        if np.linalg.norm(permutation_matrix(tuple(perm), d) @ cols - cols) > 1e-9 * scale:
             raise LemmaPreconditionError(
                 f"permutation {perm} does not fix the subspace pointwise"
             )
@@ -295,25 +317,30 @@ def lemma_check(
         raise LemmaPreconditionError("the permutation group is not transitive on the factors")
 
     tail = tensor_power_rep(rho, k - 1) if k > 1 else None
-    cols = numerics.orthonormal_columns(p, atol=0.5)  # projector eigenvalues are 0/1
-    return [_lemma_report(r, k, rho, power, tail, cols, gamma_generators, tol) for r in ops]
+    out = []
+    for batch in ops:
+        kmats = k_matrix(batch, power).reshape(-1, d ** k, d ** k)
+        out.extend(
+            _lemma_report(r, kmat, k, rho, tail, cols, gamma_generators, tol) for r, kmat in zip(batch.unstack(), kmats)
+        )
+        del kmats  # freed before the next batch is joined
+    return out
 
 
 def _lemma_report(
     r: CurvatureOperator,
+    kmat: np.ndarray,
     k: int,
     rho: Rep,
-    power: Rep,
     tail: Rep | None,
     cols: np.ndarray,
     gamma_generators: list[tuple[int, ...]],
     tol: float,
 ) -> CheckReport:
-    """The R-dependent part of :func:`lemma_check`.  Its own scope, so one
-    operator's d^k x d^k temporaries are freed before the next is built.
-    Both sides are compared on the orthonormal columns Q of the projector
-    P = Q Q^H, since ||P X P|| = ||Q^H X Q||."""
-    kmat = k_matrix(r, power)
+    """The R-dependent part of :func:`lemma_check`, given K on the tensor
+    power.  Its own scope, so one operator's d^k x d^k temporaries are freed
+    before the next is built.  Both sides are compared on the orthonormal
+    columns Q of the projector P = Q Q^H, since ||P X P|| = ||Q^H X Q||."""
     w = -4.0 * k_matrix(r, rho) if tail is None else twisted_term(r, rho, tail)
     restricted = cols.conj().T @ kmat @ cols
     knorm = float(np.linalg.norm(kmat))
@@ -395,9 +422,10 @@ def standard_family(basis: SoBasis) -> list[Rep]:
 
 
 def neg_k_spectrum(r: CurvatureOperator, rep: Rep) -> np.ndarray:
-    """Eigenvalues of -K on ``rep``, from the Hermitian part of K."""
+    """Eigenvalues of -K on ``rep``, from the Hermitian part of K; for a
+    stack of operators, one row of eigenvalues per operator."""
     k = k_matrix(r, rep)
-    return -np.linalg.eigvalsh((k + k.conj().T) / 2.0)
+    return -np.linalg.eigvalsh((k + k.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def _classify_neg_k(r: CurvatureOperator, rep: Rep, tol: float) -> tuple[float, str]:

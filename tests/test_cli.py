@@ -4,6 +4,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -197,6 +198,20 @@ class TestScaleLimit:
         reports = json.loads(out.stdout)["reports"]
         assert [r["check"] for r in reports][-1] == "group-spin-curvature-term"
         assert all(r["pass"] for r in reports)
+
+
+class TestTrialPreflight:
+    def test_huge_trial_count_refused_before_any_work(self):
+        # 10^9 lemma:k2 trials would be hours of work and gigabytes of
+        # reports; the pre-flight refuses them in about a start-up's time
+        started = time.perf_counter()
+        out = run_capped(["check", "lemma:k2", "--trials", "1000000000", "--seed", "1"])
+        elapsed = time.perf_counter() - started
+        assert out.returncode == 2
+        assert elapsed < 2.0
+        assert out.stdout == ""
+        [line] = out.stderr.splitlines()
+        assert line.startswith("error: ") and "1000000000" in line and "MiB" in line
 
 
 class TestCheckCommand:

@@ -6,6 +6,7 @@ import pytest
 
 from weitzlab import curvature as curv
 from weitzlab import so_algebra as so
+from weitzlab.report import digest
 
 
 def ricci_by_index_loops(op):
@@ -194,6 +195,51 @@ class TestBianchi:
         assert np.array_equal(a.matrix, b.matrix)
 
 
+class TestStackedOperators:
+    SEEDS = (3, 4, 11, 1012)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("draw", (curv.random_curvature, curv.random_symmetric), ids=("bianchi", "raw"))
+    def test_stack_equals_per_seed_draws(self, n, draw):
+        npairs = n * (n - 1) // 2
+        stack = draw(n, self.SEEDS)
+        assert stack.matrix.shape == (len(self.SEEDS), npairs, npairs)
+        for seed, op in zip(self.SEEDS, stack.unstack()):
+            alone = draw(n, seed)
+            assert alone.matrix.shape == (npairs, npairs)
+            assert np.array_equal(op.matrix, alone.matrix)
+            assert op.bianchi_flag == alone.bianchi_flag
+            assert digest(op.matrix) == digest(alone.matrix)
+
+    def test_range_of_seeds_and_empty_stack(self):
+        assert np.array_equal(curv.random_curvature(4, range(5, 8)).matrix, curv.random_curvature(4, [5, 6, 7]).matrix)
+        assert curv.random_curvature(4, []).matrix.shape == (0, 6, 6)
+
+    @pytest.mark.parametrize("n", (3, 5))
+    def test_tensor_form_of_a_stack(self, n):
+        stack = curv.random_symmetric(n, self.SEEDS)
+        tensors = curv.to_tensor(stack)
+        assert tensors.shape == (len(self.SEEDS),) + (n,) * 4
+        alt, back = curv._alt(tensors), curv._pair_matrix(tensors)
+        for t, a, m, op in zip(tensors, alt, back, stack.unstack()):
+            assert np.array_equal(t, curv.to_tensor(op))
+            assert np.array_equal(a, curv._alt(t))
+            assert np.array_equal(m, curv._pair_matrix(t))
+            assert np.array_equal(m, op.matrix)
+
+    def test_projection_of_a_stack(self):
+        stack = curv.random_symmetric(6, self.SEEDS)
+        projected = curv.bianchi_project(stack)
+        assert projected.bianchi_flag
+        for op, alone in zip(projected.unstack(), stack.unstack()):
+            assert np.array_equal(op.matrix, curv.bianchi_project(alone).matrix)
+
+    def test_single_operator_unstacks_to_itself(self):
+        op = curv.random_curvature(4, 1)
+        [alone] = op.unstack()
+        assert alone is op
+
+
 class TestEinsteinProject:
     @pytest.mark.parametrize("n", (4, 5))
     def test_matches_svd_oracle(self, n):
@@ -301,6 +347,16 @@ class TestFourDimBlocks:
         assert not op.bianchi_flag
         with pytest.raises(ValueError, match="Bianchi"):
             curv.four_dim_blocks(op)
+
+    def test_self_dual_bases_built_once_and_read_only(self):
+        bp, bm = curv._self_dual_bases()
+        assert curv._self_dual_bases()[0] is bp
+        for basis in (bp, bm):
+            assert not basis.flags.writeable
+            with pytest.raises(ValueError):
+                basis[0, 0] = 1.0
+        blocks = curv.four_dim_blocks(curv.random_curvature(4, 1))
+        assert blocks.basis_plus is bp and blocks.basis_minus is bm
 
 
 class TestJsonInterface:

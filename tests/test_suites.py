@@ -25,6 +25,42 @@ class TestCanonicalJson:
     def test_ndarray_support(self):
         assert canonical_json(np.array([1.0, 2.0])) == "[1,2]"
 
+    @pytest.mark.parametrize(
+        "value",
+        (
+            np.array([-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e-300, 1e-300, 1.0 / 3.0]),
+            np.array([[1e300, -0.0], [5e-324, -1e-300]]),
+            np.random.default_rng(0).standard_normal((3, 4, 5)),
+            np.random.default_rng(1).standard_normal((6, 6))[:, ::2],
+            np.array([0.5, -0.0], dtype=np.float32),
+            np.array(-0.0),
+            np.array(2.5),
+            np.zeros(0),
+            np.zeros((0, 3)),
+            np.zeros((3, 0)),
+            np.arange(6).reshape(2, 3),
+            np.array([True, False]),
+            np.array([1.0 + 2.0j, -0.0 - 1e-300j]),
+        ),
+        ids=(
+            "signed-zero-subnormal-extremes", "matrix", "rank-3", "strided", "float32", "zero-d-negative-zero",
+            "zero-d", "empty", "empty-rows", "empty-columns", "int", "bool", "complex",
+        ),
+    )
+    def test_array_rendering_equals_the_list_rendering(self, value):
+        from weitzlab import report
+
+        assert canonical_json(value) == report._render(value.tolist())
+        assert canonical_json({"m": value}) == report._render({"m": value.tolist()})
+
+    def test_negative_zero_renders_signed(self):
+        assert canonical_json(np.array([[-0.0, 0.0]])) == "[[-0,0]]"
+
+    @pytest.mark.parametrize("bad", (np.array([1.0, np.nan]), np.array([[0.0], [np.inf]]), np.array(-np.inf)))
+    def test_non_finite_array_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_json(bad)
+
     def test_digest_stable(self):
         a = digest({"x": [1.0, 2.0]})
         b = digest({"x": [1.0, 2.0]})
@@ -48,6 +84,26 @@ class TestSuites:
     def test_zero_trials_rejected(self, name):
         with pytest.raises(suites.SuiteConfigError):
             suites.run_suite(name, n=3, trials=0)
+
+    @pytest.mark.parametrize("name", ("lichnerowicz", "bochner", "lemma:k2", "lemma:k4", "blocks4", "positivity"))
+    def test_trial_count_over_the_report_budget_rejected(self, name, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("an operator was drawn before the pre-flight")
+
+        monkeypatch.setattr(curv, "random_symmetric", no_draws)
+        trials = 10**9
+        with pytest.raises(suites.SuiteConfigError) as info:
+            suites.run_suite(name, n=3, trials=trials)
+        message = str(info.value)
+        assert str(trials) in message
+        assert f"{suites.REPORT_BUDGET_BYTES >> 20} MiB" in message
+        assert "\n" not in message
+
+    def test_report_budget_is_a_trial_cap(self, monkeypatch):
+        monkeypatch.setattr(suites, "REPORT_BUDGET_BYTES", 3 * suites.REPORT_BYTES)
+        assert len(suites.run_suite("bochner", n=3, trials=3)) == 3
+        with pytest.raises(suites.SuiteConfigError, match="at most 3 trials"):
+            suites.run_suite("bochner", n=3, trials=4)
 
     def test_lichnerowicz_suite_contains_control(self):
         reports = suites.run_suite("lichnerowicz", n=3, trials=2, seed=5)
@@ -88,3 +144,47 @@ class TestSuites:
             op = suites.positive_definite_curvature(n, 0)
             assert op.bianchi_flag
             assert np.min(np.linalg.eigvalsh(op.matrix)) > 0.5
+
+
+class TestBatchedTrials:
+    CASES = (
+        ("lichnerowicz", {"n": 3, "trials": 4, "seed": 2}),
+        ("lichnerowicz", {"n": 5, "trials": 6, "seed": 7}),
+        ("bochner", {"n": 6, "trials": 5, "seed": 3}),
+        ("blocks4", {"trials": 5, "seed": 4}),
+        ("lemma:k2", {"trials": 5, "seed": 5}),
+        ("lemma:k4", {"trials": 2, "seed": 6}),
+        ("positivity", {"n": 4, "trials": 3, "seed": 5}),
+    )
+
+    @pytest.mark.parametrize("name, kwargs", CASES, ids=[c[0] for c in CASES])
+    def test_batch_size_does_not_change_the_reports(self, name, kwargs, monkeypatch):
+        # the default budget takes each of these suites in one batch; a budget
+        # of one byte takes one trial per batch
+        whole = [canonical_json(r.to_dict()) for r in suites.run_suite(name, **kwargs)]
+        monkeypatch.setattr(suites, "TRIAL_BATCH_BYTES", 1)
+        assert [canonical_json(r.to_dict()) for r in suites.run_suite(name, **kwargs)] == whole
+
+    def test_seed_batches_cover_the_trials_in_order(self, monkeypatch):
+        batches = list(suites._seed_batches(10, 100, 7, 8))
+        assert [s for b in batches for s in b] == list(range(10, 110))
+        per_trial = 32 * 7**4 + 32 * 8 * 8
+        assert all(len(b) * per_trial <= suites.TRIAL_BATCH_BYTES for b in batches)
+        assert len(batches) > 1
+        monkeypatch.setattr(suites, "TRIAL_BATCH_BYTES", 1)
+        assert [len(b) for b in suites._seed_batches(0, 3, 4, 256)] == [1, 1, 1]
+
+    def test_batches_do_not_grow_with_the_trials(self, monkeypatch):
+        from weitzlab import weitzenbock as wb
+
+        sizes = []
+        join = wb.k_matrix
+
+        def counting(r, rep):
+            sizes.append(r.matrix.shape[0] if r.matrix.ndim == 3 else 1)
+            return join(r, rep)
+
+        monkeypatch.setattr(wb, "k_matrix", counting)
+        monkeypatch.setattr(suites, "TRIAL_BATCH_BYTES", 32 * 3**4 * 5 + 32 * 2 * 2 * 5)
+        suites.lichnerowicz_suite(3, 23, 1)
+        assert max(sizes) == 5 and sum(sizes) == 23 + 100

@@ -121,6 +121,101 @@ class TestKMatrixAgainstDenseOracle:
         assert np.array_equal(wb.k_matrix(op, rep), whole)
 
 
+def _batch_cases(n):
+    """Spin, vector, Lambda^2 and sym0 on so(n); at n = 4 also the lemma:k4
+    power, the fourth tensor power of the spinors."""
+    b = so.basis(n)
+    cases = [spin.rep_spin(b), reps.rep_vector(b), reps.rep_exterior(b, 2), reps.rep_sym0(b)]
+    if n == 4:
+        cases.append(wb.tensor_power_rep(cases[0], 4))
+    return cases
+
+
+def _pair_count(rep):
+    """Pairs the join forms: each entry rho_a[i, j] meets every entry of row j."""
+    return int(np.sum(np.bincount(rep.table.row, minlength=rep.dim)[rep.table.col]))
+
+
+class TestBatchedKMatrix:
+    SEEDS = (20, 21, 22, 23, 24)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_stack_equals_single_joins(self, n):
+        stacks = [curv.random_curvature(n, self.SEEDS), curv.random_symmetric(n, self.SEEDS)]
+        for rep in _batch_cases(n):
+            for stack in stacks:
+                got = wb.k_matrix(stack, rep)
+                assert got.shape == (len(self.SEEDS), rep.dim, rep.dim) and got.dtype == complex
+                for k, op in zip(got, stack.unstack()):
+                    assert np.array_equal(k, wb.k_matrix(op, rep)), (n, rep.label)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_one_pair_budget(self, n, monkeypatch):
+        # every left entry is a chunk of its own and every operator a group
+        # of its own; the sums keep their order, so nothing moves
+        stack = curv.random_symmetric(n, self.SEEDS[:2])
+        cases = _batch_cases(n)
+        whole = [wb.k_matrix(stack, rep) for rep in cases]
+        monkeypatch.setattr(wb, "PAIR_CHUNK", 1)
+        for rep, want in zip(cases, whole):
+            got = wb.k_matrix(stack, rep)
+            for k, w, op in zip(got, want, stack.unstack()):
+                assert np.array_equal(k, wb.k_matrix(op, rep)), (n, rep.label)
+                if rep.label in ("vector", "exterior(2)"):
+                    # one generator per position: the chunking cannot regroup a sum
+                    assert np.array_equal(k, w), (n, rep.label)
+
+    @pytest.mark.parametrize("n", (4, 5))
+    def test_groups_smaller_than_the_stack(self, n, monkeypatch):
+        # one chunk, weighted by two operators at a time: groups of 2, 2 and 1
+        stack = curv.random_curvature(n, self.SEEDS)
+        for rep in _batch_cases(n):
+            want = wb.k_matrix(stack, rep)
+            monkeypatch.setattr(wb, "PAIR_CHUNK", 2 * _pair_count(rep))
+            assert np.array_equal(wb.k_matrix(stack, rep), want), rep.label
+            monkeypatch.undo()
+
+    def test_stack_of_one_and_empty_stack(self, b4):
+        rep = spin.rep_spin(b4)
+        one = curv.random_curvature(4, [7])
+        assert np.array_equal(wb.k_matrix(one, rep)[0], wb.k_matrix(curv.random_curvature(4, 7), rep))
+        assert wb.k_matrix(curv.random_curvature(4, []), rep).shape == (0, 4, 4)
+
+    def test_neg_k_spectrum_of_a_stack(self, b4):
+        stack = curv.random_curvature(4, self.SEEDS)
+        for rep in wb.standard_family(b4):
+            rows = wb.neg_k_spectrum(stack, rep)
+            for row, op in zip(rows, stack.unstack()):
+                assert np.array_equal(row, wb.neg_k_spectrum(op, rep)), rep.label
+
+
+class TestRealSpectrum:
+    def test_real_k_takes_the_real_solver(self):
+        # vector, exterior and sym0 tables are real: K is real and its
+        # eigenvalues come from the real symmetric solver, within rounding of
+        # the complex one
+        b = so.basis(6)
+        op = curv.random_curvature(6, 2)
+        for rep in (reps.rep_vector(b), reps.rep_exterior(b, 3), reps.rep_sym0(b)):
+            k = wb.k_matrix(op, rep)
+            assert not np.any(k.imag)
+            ken = wb.k_term(op, rep)
+            assert np.array_equal(ken.spectrum, np.linalg.eigvalsh(((k + k.conj().T) / 2).real))
+            complex_w = np.linalg.eigvalsh((k + k.conj().T) / 2)
+            assert np.max(np.abs(ken.spectrum - complex_w)) <= 1e-12 * max(1.0, np.max(np.abs(complex_w)))
+
+    def test_complex_k_keeps_the_complex_solver(self):
+        rep = spin.rep_spin(so.basis(6))
+        op = curv.random_symmetric(6, 2)
+        k = wb.k_matrix(op, rep)
+        assert np.any(k.imag)
+        assert np.array_equal(wb.k_term(op, rep).spectrum, np.linalg.eigvalsh((k + k.conj().T) / 2))
+
+    def test_hermiticity_precondition_still_applies(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            numerics.eigvals_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 class TestLichnerowicz:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_identity_on_bianchi_curvatures(self, n):
@@ -347,6 +442,23 @@ class TestLemmaCheck:
         for op, rep in zip(ops, together):
             [alone] = wb.lemma_check([op], k, p, generators, tol=1e-8)
             assert canonical_json(rep.to_dict()) == canonical_json(alone.to_dict())
+
+    @pytest.mark.parametrize(
+        "n, k, projector, generators",
+        (
+            (3, 2, lambda: wb.sym_projector(2), [(1, 0)]),
+            (4, 4, _k4_projector, K4_GENERATORS),
+        ),
+    )
+    def test_stacks_equal_single_operators(self, n, k, projector, generators):
+        from weitzlab.report import canonical_json
+
+        p = projector()
+        seeds = (11, 12, 13, 14)
+        entries = [curv.random_curvature(n, seeds[:3]), curv.random_curvature(n, seeds[3])]
+        stacked = wb.lemma_check(entries, k, p, generators, tol=1e-8)
+        alone = wb.lemma_check([curv.random_curvature(n, s) for s in seeds], k, p, generators, tol=1e-8)
+        assert [canonical_json(r.to_dict()) for r in stacked] == [canonical_json(r.to_dict()) for r in alone]
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="at least one curvature operator") as info:
