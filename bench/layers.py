@@ -7,8 +7,8 @@ that it pays every cold cost a CLI process pays:
 
 * ``random_curvature(n, seed)`` for n = 4 ... 16 (curvature sources);
 * ``representations.intertwiners(r, r)``, the commutant solve, for sym0 at
-  n = 6, the adjoint at n = 7, spin at n = 8 and exterior(3) at n = 7 (the
-  dense kernel);
+  n = 6, the adjoint at n = 7, spin at n = 8 and exterior(3) at n = 7 and 8
+  (the dense kernel);
 * a whole ``isotypic_decompose`` for the four ``decompose`` invocations of
   the isotypic workload, plus the ``sym0`` / ``so:3`` case at n = 6;
 * ``suites.lemma_suite("k4", 10, seed)`` and ``lemma_suite("k2", 20, seed)``
@@ -21,7 +21,7 @@ that it pays every cold cost a CLI process pays:
   and (12, 6), ``rep_sym`` at (10, 3) and ``rep_sym0`` at n = 14
   (representation construction);
 * ``weitzenbock.positivity_report`` on ``random_curvature(n, 2)`` for
-  n = 3 ... 6; the operator is indefinite, so the diagnostic search over the
+  n = 3 ... 7; the operator is indefinite, so the diagnostic search over the
   pairwise tensor products of the standard family runs at its default cap
   (the positivity suite with an explicit operator);
 * ``weitzenbock.k_matrix`` on ``random_curvature(n, 1)`` for exterior(5) at
@@ -40,8 +40,8 @@ measured.  A ``random_curvature`` size that fails or exceeds the child time
 limit ends that ladder; any other failed case is recorded with its error and
 the next case runs.
 
-    python bench/layers.py                       # writes BENCH_8.json
-    python bench/layers.py --baseline-src OTHER/src --out BENCH_8.json
+    python bench/layers.py                       # writes BENCH_9.json
+    python bench/layers.py --baseline-src OTHER/src --out BENCH_9.json
 
 With ``--baseline-src`` the same measurements also run against another
 source tree (for example a checkout of the parent commit) and are stored
@@ -68,7 +68,7 @@ REPEATS = 5
 CHILD_TIMEOUT_S = 300
 CURVATURE_NS = range(4, 17)
 #: (n, rep) of each commutant solve timed.
-INTERTWINER_CASES = ((6, "sym0"), (7, "adjoint"), (8, "spin"), (7, "exterior:3"))
+INTERTWINER_CASES = ((6, "sym0"), (7, "adjoint"), (8, "spin"), (7, "exterior:3"), (8, "exterior:3"))
 #: (n, rep, subalgebra) of each isotypic decomposition timed.
 DECOMPOSE_CASES = (
     (6, "exterior:2", "u:3"),
@@ -94,7 +94,7 @@ REP_CASES = (
     ("rep_sym0", 14, None),
 )
 #: n of each positivity report; the curvature operator is random_curvature(n, POSITIVITY_SEED).
-POSITIVITY_NS = range(3, 7)
+POSITIVITY_NS = range(3, 8)
 POSITIVITY_SEED = 2
 #: positivity_report's default cap on the dimension of a searched tensor product.
 SEARCH_DIM_CAP = 4096
@@ -414,7 +414,7 @@ def main() -> None:
         _child(sys.argv[2:])
         return
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_8.json"))
+    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_9.json"))
     parser.add_argument("--baseline-src", default=None, help="another source tree to measure the same way")
     args = parser.parse_args()
     import numpy

@@ -2,10 +2,11 @@
 nullspaces, Kronecker products and Kronecker sums ``sum_x a[x] (x) b[x]``
 over stacks of matrices, and orthogonal projections.
 
-Everything is computed in double-precision complex; real inputs are the
-imaginary-part-zero case, which only :func:`eigvals_hermitian` treats apart,
-with the real symmetric solver.  All functions are pure and never mutate
-their arguments, so concurrent use is safe.
+Matrices are double-precision complex, except in the Hermitian
+eigensolvers: there real input stays float64, and a Hermitian part whose
+imaginary part is exactly zero (:func:`real_if_exact`) goes to the real
+symmetric solver, whose eigenvectors are real.  All functions are pure and
+never mutate their arguments, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "nullspace",
     "orthonormal_columns",
     "projector",
+    "real_if_exact",
 ]
 
 #: Relative singular-value cutoff used by :func:`nullspace` when no tolerance
@@ -31,9 +33,10 @@ __all__ = [
 DEFAULT_NULLSPACE_TOL = 1e-9
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a 2-d complex128 array, rejecting non-finite entries."""
-    m = np.asarray(a, dtype=np.complex128)
+def as_matrix(a, dtype=np.complex128) -> np.ndarray:
+    """Coerce ``a`` to a 2-d array of ``dtype`` (complex128 by default),
+    rejecting non-finite entries."""
+    m = np.asarray(a, dtype=dtype)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of dimension {m.ndim}")
     if not np.all(np.isfinite(m)):
@@ -45,20 +48,26 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+def real_if_exact(a: np.ndarray) -> np.ndarray:
+    """``a.real`` when ``a`` is complex with an imaginary part that is
+    exactly zero, else ``a``: the rule that sends a Hermitian matrix to the
+    real symmetric solver."""
+    return a.real if np.iscomplexobj(a) and not np.any(a.imag) else a
+
+
 def fix_phases(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate each column so its first non-negligible entry is positive real.
+    """Rotate each column so its first non-negligible entry is positive real
+    (a sign flip on real input, which stays float64); a column with no such
+    entry is left as it is.
 
     This pins the phase/sign freedom of eigenvectors and nullspace bases so
     that repeated runs on identical input produce byte-identical output.
     """
-    v = np.array(v, dtype=np.complex128, copy=True)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.nonzero(np.abs(col) > tol)[0]
-        if nz.size == 0:
-            continue
-        pivot = col[nz[0]]
-        v[:, j] = col * (np.abs(pivot) / pivot)
+    v = np.array(v, dtype=np.result_type(v, np.float64), copy=True)
+    big = np.abs(v) > tol
+    has = big.any(axis=0)
+    pivot = v[big.argmax(axis=0), np.arange(v.shape[1])]
+    np.multiply(v, np.abs(pivot) / np.where(has, pivot, 1), out=v, where=has)
     return v
 
 
@@ -76,7 +85,9 @@ def eig_hermitian(a, hermitian_tol: float = 1e-12):
     -------
     (w, v) : eigenvalues ascending (real 1-d array) and orthonormal
         eigenvectors as the columns of ``v``, with phases fixed by the
-        first-nonzero-positive convention.
+        first-nonzero-positive convention.  A Hermitian part whose imaginary
+        part is exactly zero takes the real symmetric solver, and ``v`` is
+        then real.
     """
     w, v = np.linalg.eigh(_hermitian_part(a, hermitian_tol))
     return w, fix_phases(v)
@@ -84,21 +95,21 @@ def eig_hermitian(a, hermitian_tol: float = 1e-12):
 
 def eigvals_hermitian(a, hermitian_tol: float = 1e-12) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, under the precondition
-    of :func:`eig_hermitian`, without the eigenvectors.  A Hermitian part
-    whose imaginary part is exactly zero takes the real symmetric solver."""
-    h = _hermitian_part(a, hermitian_tol)
-    return np.linalg.eigvalsh(h if np.any(h.imag) else h.real)
+    of :func:`eig_hermitian`, without the eigenvectors, from the same solver."""
+    return np.linalg.eigvalsh(_hermitian_part(a, hermitian_tol))
 
 
 def _hermitian_part(a, hermitian_tol: float) -> np.ndarray:
-    """``(a + a*) / 2``, after checking ``||a - a*|| <= hermitian_tol * ||a||``."""
-    m = as_matrix(a)
+    """``(a + a*) / 2``, after checking ``||a - a*|| <= hermitian_tol * ||a||``;
+    float64 for real input and for a part whose imaginary part is zero."""
+    a = np.asarray(a)
+    m = as_matrix(a, np.result_type(a, np.float64))
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"eig_hermitian needs a square matrix, got {m.shape}")
     scale = frobenius(m)
     if scale > 0 and frobenius(m - m.conj().T) > hermitian_tol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return (m + m.conj().T) / 2.0
+    return real_if_exact((m + m.conj().T) / 2.0)
 
 
 def nullspace(a, tol: float = DEFAULT_NULLSPACE_TOL, atol: float = 0.0) -> np.ndarray:

@@ -35,7 +35,7 @@ def _render(value) -> str:
         out = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         return f'"{out}"'
     if isinstance(value, np.ndarray):
-        if value.dtype.kind == "f" and value.ndim:
+        if value.dtype.kind in "fc" and value.ndim:
             if not np.isfinite(value).all():
                 raise ValueError("cannot serialise non-finite float")
             return _render_floats(value)
@@ -52,11 +52,14 @@ def _render(value) -> str:
 
 
 def _render_floats(a: np.ndarray) -> str:
-    """A finite real array as :func:`_render` renders its ``tolist()``, one
-    join per row instead of one recursive call per entry."""
-    if a.ndim == 1:
-        return "[" + ",".join(format(v, ".17g") for v in a.tolist()) + "]"
-    return "[" + ",".join(_render_floats(row) for row in a) + "]"
+    """A finite real or complex array as :func:`_render` renders its
+    ``tolist()``, one join per row instead of one recursive call per entry."""
+    if a.ndim > 1:
+        return "[" + ",".join(_render_floats(row) for row in a) + "]"
+    if a.dtype.kind == "c":
+        pairs = zip(a.imag.tolist(), a.real.tolist())
+        return "[" + ",".join(f'{{"im":{im:.17g},"re":{re:.17g}}}' for im, re in pairs) + "]"
+    return "[" + ",".join(format(v, ".17g") for v in a.tolist()) + "]"
 
 
 def canonical_json(value) -> str:

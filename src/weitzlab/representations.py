@@ -331,11 +331,14 @@ def intertwiners(r1: Rep, r2: Rep) -> list[np.ndarray]:
     maps from the space of ``r1`` (rho) to that of ``r2`` (sigma): the kernel
     of ``G = sum_a B_a^H B_a``, ``B_a = sigma_a (x) 1 - 1 (x) rho_a^T`` acting
     on the row-major ``vec T``, from one Hermitian eigendecomposition.  For
-    skew-adjoint generators G is minus the Casimir of Hom(rho, sigma)."""
+    skew-adjoint generators G is minus the Casimir of Hom(rho, sigma).  When
+    both tables are real, G is built from the real stacks, solved by the real
+    symmetric solver, and the intertwiners are real."""
     if not _same_basis(r1, r2):
         raise ValueError("intertwiners need representations over the same basis")
     d1, d2 = r1.dim, r2.dim
-    rho, sigma = r1.stacked(), r2.stacked()
+    real = not (np.any(r1.table.val.imag) or np.any(r2.table.val.imag))
+    rho, sigma = (r.stacked().real if real else r.stacked() for r in (r1, r2))
     cross = numerics.kron_sum(sigma.conj().transpose(0, 2, 1), rho.transpose(0, 2, 1))
     g = numerics.kron(np.einsum("aji,ajk->ik", sigma.conj(), sigma), np.eye(d1)) - cross
     g += numerics.kron(np.eye(d2), np.einsum("aij,akj->ik", rho.conj(), rho)) - cross.conj().T
@@ -390,17 +393,24 @@ class IsotypicPiece:
 
 
 def _center_of_commutant(comm: list[np.ndarray]) -> list[np.ndarray]:
+    """Basis of the elements of span(comm) that commute with all of comm: the
+    nullspace of the matrix whose column j stacks [C_j, C_i] over i."""
     k = len(comm)
     if k == 1:
         return list(comm)
-    cols = []
-    for j in range(k):
-        col = np.concatenate([bracket(comm[j], comm[i]).ravel() for i in range(k)])
-        cols.append(col)
+    c = np.array(comm)
+    d = c.shape[1]
+    # prod[j, :, i, :] = C_j C_i: all k^2 products in one (k d) x (k d) product
+    prod = (c.reshape(k * d, d) @ c.transpose(1, 0, 2).reshape(d, k * d)).reshape(k, d, k, d)
+    # brackets[j, i] = [C_j, C_i], written in place so that brackets[j]
+    # flattens to column j without a copy, and prod is freed before the SVD
+    brackets = np.empty((k, k, d, d), dtype=prod.dtype)
+    np.subtract(prod.transpose(0, 2, 1, 3), prod.transpose(2, 0, 1, 3), out=brackets)
+    del prod
     # commutant elements are unit norm; an abelian commutant gives a matrix of
     # rounding dust here, hence the absolute floor
-    null = numerics.nullspace(np.array(cols).T, atol=1e-10)
-    return [sum(null[j, m] * comm[j] for j in range(k)) for m in range(null.shape[1])]
+    null = numerics.nullspace(brackets.reshape(k, k * d * d).T, atol=1e-10)
+    return list(np.tensordot(null, c, axes=(0, 0)))
 
 
 def isotypic_decompose(r: Rep, seed: int = 0, cluster_tol: float = 1e-6) -> list[IsotypicPiece]:

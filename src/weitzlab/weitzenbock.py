@@ -417,7 +417,9 @@ def standard_family(basis: SoBasis) -> list[Rep]:
         fam.append(rep_half_spin(basis, -1))
     else:
         fam.append(rep_spin(basis))
-    fam.append(rep_adjoint(basis))
+    # ad is the derivation action on 2-forms: for n >= 5 it shares the table
+    # of the family's exterior(2), so each result on it is computed once
+    fam.append(replace(fam[1], label="adjoint") if n >= 5 else rep_adjoint(basis))
     return fam
 
 
@@ -425,7 +427,7 @@ def neg_k_spectrum(r: CurvatureOperator, rep: Rep) -> np.ndarray:
     """Eigenvalues of -K on ``rep``, from the Hermitian part of K; for a
     stack of operators, one row of eigenvalues per operator."""
     k = k_matrix(r, rep)
-    return -np.linalg.eigvalsh((k + k.conj().swapaxes(-1, -2)) / 2.0)
+    return -np.linalg.eigvalsh(numerics.real_if_exact((k + k.conj().swapaxes(-1, -2)) / 2.0))
 
 
 def _classify_neg_k(r: CurvatureOperator, rep: Rep, tol: float) -> tuple[float, str]:
@@ -471,7 +473,12 @@ def positivity_report(
     if not reps:
         raise ValueError("positivity_report needs a non-empty representation family")
     r_eigs = np.linalg.eigvalsh(r.matrix)
-    entries = [_entry_for(r, rep, tol) for rep in reps]
+    # family members and products that share their tables share every result
+    by_table: dict = {}
+    for rep in reps:
+        if id(rep.table) not in by_table:
+            by_table[id(rep.table)] = _entry_for(r, rep, tol)
+    entries = [replace(by_table[id(rep.table)], label=rep.label) for rep in reps]
     diagnostic: dict = {}
     if np.min(r_eigs) > tol:
         bad = [e.label for e in entries if e.verdict != "positive"]
@@ -485,12 +492,16 @@ def positivity_report(
     else:
         counterexamples = [e.label for e in entries if e.verdict == "indefinite"]
         searched = [e.label for e in entries]
+        indefinite: dict = {}
         for ra, rb in itertools.combinations_with_replacement(reps, 2):
             if ra.dim * rb.dim > search_dim_cap:
                 continue
             t = rep_tensor(ra, rb)
             searched.append(t.label)
-            if _classify_neg_k(r, t, tol)[1] == "indefinite":
+            key = (id(ra.table), id(rb.table))
+            if key not in indefinite:
+                indefinite[key] = _classify_neg_k(r, t, tol)[1] == "indefinite"
+            if indefinite[key]:
                 counterexamples.append(t.label)
         diagnostic = {
             "searched": searched,

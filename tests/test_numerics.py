@@ -172,3 +172,118 @@ class TestProjectors:
     def test_orthonormal_columns_of_dust_is_empty(self):
         dust = 1e-17 * np.ones((4, 2))
         assert numerics.orthonormal_columns(dust, atol=1e-10).shape[1] == 0
+
+
+def _fix_phases_loop(v, tol=1e-12):
+    """Oracle: the phase convention one column at a time.  Complex input is
+    fixed in complex arithmetic; real input stays real, where the factor is
+    the sign of the pivot."""
+    v = np.array(v, dtype=np.result_type(v, np.float64), copy=True)
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        nz = np.nonzero(np.abs(col) > tol)[0]
+        if nz.size:
+            v[:, j] = col * (np.abs(col[nz[0]]) / col[nz[0]])
+    return v
+
+
+def _awkward_columns(rng, d, k):
+    """Complex (d, k) with exact zeros, signed zeros, entries near the 1e-12
+    cutoff, subnormals and whole zero columns."""
+    a = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    a[rng.random((d, k)) < 0.3] = 0
+    a[rng.random((d, k)) < 0.1] *= 1e-12
+    a[rng.random((d, k)) < 0.1] = complex(-0.0, -0.0)
+    a[rng.random((d, k)) < 0.05] = 5e-324
+    a[:, rng.random(k) < 0.2] = 0
+    return a
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestFixPhases:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_equal_to_the_column_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            d, k = rng.integers(1, 12, size=2)
+            if d * k == 1:
+                continue  # see test_single_entry
+            a = _awkward_columns(rng, d, k)
+            for x in (a, a.real.copy(), a.imag.copy()):
+                got, want = numerics.fix_phases(x), _fix_phases_loop(x)
+                assert got.dtype == want.dtype == (np.complex128 if x is a else np.float64)
+                assert np.array_equal(_bits(got), _bits(want))
+
+    def test_single_entry(self):
+        # numpy multiplies a one-entry 2-d array by another path than a
+        # one-entry column, which may round the last bit of the complex
+        # product apart; the convention and the value hold
+        for z in (0.3 - 1.7j, -2.0 + 0j, 1e-13j, -5.0, 0.0):
+            got, want = numerics.fix_phases(np.array([[z]])), _fix_phases_loop(np.array([[z]]))
+            assert got.dtype == want.dtype
+            assert abs(got[0, 0] - want[0, 0]) <= 1e-15 * abs(z)
+            assert got[0, 0].real >= 0 and (abs(z) <= 1e-12 or abs(got[0, 0].imag) <= 1e-15 * abs(z))
+
+    def test_zero_columns_untouched(self):
+        a = np.array([[-0.0, 1.0], [-0.0, -2.0]]) * (1 - 1j)
+        got = numerics.fix_phases(a)
+        assert np.array_equal(_bits(got[:, 0]), _bits(a[:, 0]))
+        assert got[0, 1] == abs(a[0, 1])
+
+
+class TestRealEigHermitian:
+    def test_eigenvalues_match_the_complex_solver(self):
+        rng = np.random.default_rng(11)
+        for size in (1, 2, 5, 17, 64, 130):
+            g = rng.standard_normal((size, size))
+            a = (g + g.T) / 2
+            w, v = numerics.eig_hermitian(a)
+            want = np.linalg.eigvalsh(a.astype(complex))
+            assert v.dtype == np.float64
+            assert np.max(np.abs(w - want)) <= 1e-12 * np.linalg.norm(a)
+            assert np.linalg.norm(a @ v - v * w) <= 1e-12 * max(1.0, np.linalg.norm(a))
+            assert np.linalg.norm(v.T @ v - np.eye(size)) <= 1e-12 * size
+
+    def test_columns_keep_the_first_nonzero_positive_convention(self):
+        rng = np.random.default_rng(12)
+        g = rng.standard_normal((40, 40))
+        _, v = numerics.eig_hermitian(g + g.T)
+        first = v[np.argmax(np.abs(v) > 1e-12, axis=0), np.arange(40)]
+        assert np.all(first > 0)
+
+    def test_complex_input_with_zero_imaginary_part_is_solved_real(self):
+        rng = np.random.default_rng(13)
+        g = rng.standard_normal((9, 9))
+        a = (g + g.T).astype(complex)
+        w, v = numerics.eig_hermitian(a)
+        w_real, v_real = numerics.eig_hermitian(a.real)
+        assert v.dtype == np.float64
+        assert np.array_equal(w, w_real) and np.array_equal(v, v_real)
+        # the eigenvalues-only solve is another LAPACK routine, equal to rounding
+        assert np.max(np.abs(numerics.eigvals_hermitian(a) - w)) <= 1e-12 * np.linalg.norm(a)
+
+    def test_complex_hermitian_stays_complex(self):
+        rng = np.random.default_rng(14)
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        w, v = numerics.eig_hermitian(g + g.conj().T)
+        assert v.dtype == np.complex128
+        want_w, want_v = np.linalg.eigh(g + g.conj().T)
+        assert np.array_equal(w, want_w)
+        assert np.array_equal(_bits(v), _bits(_fix_phases_loop(want_v)))
+
+    def test_non_symmetric_real_input_raises(self):
+        a = np.array([[1.0, 2.0], [2.0 + 1e-6, 1.0]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            numerics.eig_hermitian(a)
+        with pytest.raises(ValueError, match="Hermitian"):
+            numerics.eigvals_hermitian(a)
+
+    def test_real_if_exact(self):
+        z = np.array([[1.0, -0.0j]])
+        assert numerics.real_if_exact(z).dtype == np.float64
+        assert numerics.real_if_exact(z + 1e-300j).dtype == np.complex128
+        r = np.eye(2)
+        assert numerics.real_if_exact(r) is r

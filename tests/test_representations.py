@@ -102,6 +102,64 @@ def _forms_oracle(r) -> list[tuple[np.ndarray, int]]:
     return out
 
 
+def _fix_phases_loop(v, tol=1e-12):
+    """Oracle: the phase convention one column at a time, in complex."""
+    v = np.array(v, dtype=np.complex128, copy=True)
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        nz = np.nonzero(np.abs(col) > tol)[0]
+        if nz.size:
+            v[:, j] = col * (np.abs(col[nz[0]]) / col[nz[0]])
+    return v
+
+
+def _complex_eig(g):
+    """Oracle: the complex Hermitian solver and the column loop of the phase
+    convention, whatever the imaginary part of ``g`` holds."""
+    w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
+    return w, _fix_phases_loop(v)
+
+
+def _complex_intertwiners(r1, r2, solve=_complex_eig) -> list[np.ndarray]:
+    """Oracle: the normal-matrix kernel with G built from the complex stacks,
+    whatever the tables hold.  With ``solve=numerics.eig_hermitian`` this is
+    the complex-table solve as it stood before real tables were kept real."""
+    d1, d2 = r1.dim, r2.dim
+    rho, sigma = r1.stacked(), r2.stacked()
+    cross = numerics.kron_sum(sigma.conj().transpose(0, 2, 1), rho.transpose(0, 2, 1))
+    g = numerics.kron(np.einsum("aji,ajk->ik", sigma.conj(), sigma), np.eye(d1)) - cross
+    g += numerics.kron(np.eye(d2), np.einsum("aij,akj->ik", rho.conj(), rho)) - cross.conj().T
+    w, v = solve(g)
+    kernel = v[:, w <= reps.KERNEL_TOL * w[-1]]
+    return [kernel[:, k].reshape(d2, d1) for k in range(kernel.shape[1])]
+
+
+def _center_loop(comm) -> list[np.ndarray]:
+    """Oracle: the center of the commutant from one bracket per pair."""
+    cols = [np.concatenate([so.bracket(a, b).ravel() for b in comm]) for a in comm]
+    null = numerics.nullspace(np.array(cols).T, atol=1e-10)
+    return [sum(null[j, m] * comm[j] for j in range(len(comm))) for m in range(null.shape[1])]
+
+
+def _real_kernel_cases() -> dict:
+    """Real reps at n = 3 ... 7 and their restrictions to u(m) and so(m)."""
+    cases = {}
+    for n in range(3, 8):
+        for kind in ("vector", "exterior:2", "exterior:3", "sym0", "adjoint"):
+            cases[f"{kind} n={n}"] = (n, kind, None)
+            if n <= 6:
+                subs = [f"so:{n - 1}"] + ([f"u:{n // 2}"] if n % 2 == 0 else [])
+                cases.update({f"{kind}|{sub} n={n}": (n, kind, sub) for sub in subs})
+    return cases
+
+
+def _build_rep(n, kind, sub):
+    from weitzlab.cli import parse_rep, parse_subalgebra
+
+    r = parse_rep(kind, so.basis(n))
+    return r if sub is None else reps.rep_restrict(r, parse_subalgebra(sub, n))
+
+
 def _span_projector(vecs) -> np.ndarray:
     q = np.array([np.ravel(v) for v in vecs]).T
     return q @ q.conj().T
@@ -377,6 +435,58 @@ class TestKernelOracle:
     def test_real_commutant_rejects_complex_matrices(self, b4):
         with pytest.raises(ValueError):
             reps.commutant_dimension(rep_spin(b4), "R")
+
+
+class TestRealKernel:
+    """Real tables give a real G and a real kernel with the span of the
+    complex solve; complex tables take the complex solve unchanged."""
+
+    @pytest.mark.parametrize(("case", "spec"), list(_real_kernel_cases().items()), ids=list(_real_kernel_cases()))
+    def test_real_kernel_spans_the_complex_kernel(self, case, spec):
+        r = _build_rep(*spec)
+        assert not np.any(r.table.val.imag)
+        got = reps.intertwiners(r, r)
+        want = _complex_intertwiners(r, r)
+        assert len(got) == len(want)
+        assert all(t.dtype == np.float64 for t in got)
+        assert np.linalg.norm(_span_projector(got) - _span_projector(want)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "case",
+        ("spin n=3", "spin n=5", "spin n=6", "spin+ n=4", "spin- n=6", "spin+ n=8", "vector(x)spin n=3", "vector(x)spin n=4"),
+    )
+    def test_complex_tables_bit_equal_to_the_complex_solve(self, case):
+        label, n = case.split(" n=")
+        b = so.basis(int(n))
+        r = {
+            "spin": lambda: rep_spin(b),
+            "spin+": lambda: rep_half_spin(b, 1),
+            "spin-": lambda: rep_half_spin(b, -1),
+            "vector(x)spin": lambda: reps.rep_tensor(reps.rep_vector(b), rep_spin(b)),
+        }[label]()
+        assert np.any(r.table.val.imag)
+        got = reps.intertwiners(r, r)
+        want = _complex_intertwiners(r, r, solve=numerics.eig_hermitian)
+        assert len(got) == len(want)
+        for t, u in zip(got, want):
+            assert t.dtype == u.dtype
+            assert np.array_equal(t.view(np.uint64), u.view(np.uint64))
+        # the spin commutants' G has an exactly zero imaginary part, so the
+        # real solver takes it; the span is the complex solver's
+        full = _complex_intertwiners(r, r)
+        assert len(full) == len(got)
+        assert np.linalg.norm(_span_projector(got) - _span_projector(full)) <= 1e-12
+
+    @pytest.mark.parametrize(("n", "kind", "sub"), ((6, "sym0", "so:3"), (6, "exterior:2", "u:3"), (4, "spin", "so:3")))
+    def test_center_matches_one_bracket_per_pair(self, n, kind, sub):
+        r = _build_rep(n, kind, sub)
+        comm = reps.intertwiners(r, r)
+        got = reps._center_of_commutant(comm)
+        want = _center_loop(comm)
+        assert len(got) == len(want) >= 1
+        assert np.linalg.norm(_span_projector(got) - _span_projector(want)) <= 1e-12
+        for z in got:
+            assert all(np.linalg.norm(z @ c - c @ z) <= 1e-10 for c in comm)
 
 
 class TestInvariantForms:

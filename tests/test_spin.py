@@ -116,6 +116,19 @@ class TestHalfSpin:
         plus, minus = spin.half_spin_columns(n)
         assert plus.shape[1] == minus.shape[1] == 2 ** (n // 2 - 1)
 
+    @pytest.mark.parametrize("n", range(2, 17, 2))
+    def test_columns_bit_equal_to_the_complex_solve(self, n):
+        # the chirality is real, so the real solver takes it; its eigenvectors
+        # are the unit vectors the complex solver gave, in the same order
+        nu = spin.chirality(spin.gamma(n))
+        w, v = np.linalg.eigh((nu + nu.conj().T) / 2.0)
+        for j in range(v.shape[1]):  # the phase convention, column by column in complex
+            pivot = v[np.nonzero(np.abs(v[:, j]) > 1e-12)[0][0], j]
+            v[:, j] = v[:, j] * (np.abs(pivot) / pivot)
+        for got, want in zip(spin.half_spin_columns(n), (v[:, w > 0], v[:, w < 0])):
+            assert not np.any(want.imag)
+            assert np.array_equal(got.view(np.uint64), want.real.copy().view(np.uint64))
+
     def test_chirality_squares_to_identity(self):
         for n in (4, 6):
             nu = spin.chirality(spin.gamma(n))

@@ -41,10 +41,20 @@ class TestCanonicalJson:
             np.arange(6).reshape(2, 3),
             np.array([True, False]),
             np.array([1.0 + 2.0j, -0.0 - 1e-300j]),
+            np.array([[complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -1e300)], [1e-300j, -1e300, 1 / 3 - 1j / 7]]),
+            (lambda g: g.standard_normal((3, 4, 5)) + 1j * g.standard_normal((3, 4, 5)))(np.random.default_rng(2)),
+            (np.arange(36.0) - 1j * np.arange(36.0)[::-1]).reshape(6, 6)[::2, 1::2],
+            np.array([0.5 - 0.25j, -0.0j], dtype=np.complex64),
+            np.array(complex(-0.0, -0.0)),
+            np.zeros(0, dtype=complex),
+            np.zeros((0, 3), dtype=complex),
+            np.zeros((3, 0), dtype=complex),
         ),
         ids=(
             "signed-zero-subnormal-extremes", "matrix", "rank-3", "strided", "float32", "zero-d-negative-zero",
-            "zero-d", "empty", "empty-rows", "empty-columns", "int", "bool", "complex",
+            "zero-d", "empty", "empty-rows", "empty-columns", "int", "bool", "complex", "complex-matrix-extremes",
+            "complex-rank-3", "complex-strided", "complex64", "complex-zero-d", "complex-empty",
+            "complex-empty-rows", "complex-empty-columns",
         ),
     )
     def test_array_rendering_equals_the_list_rendering(self, value):
@@ -56,7 +66,17 @@ class TestCanonicalJson:
     def test_negative_zero_renders_signed(self):
         assert canonical_json(np.array([[-0.0, 0.0]])) == "[[-0,0]]"
 
-    @pytest.mark.parametrize("bad", (np.array([1.0, np.nan]), np.array([[0.0], [np.inf]]), np.array(-np.inf)))
+    @pytest.mark.parametrize(
+        "bad",
+        (
+            np.array([1.0, np.nan]),
+            np.array([[0.0], [np.inf]]),
+            np.array(-np.inf),
+            np.array([1j, complex(np.nan, 0.0)]),
+            np.array([[0j], [complex(0.0, -np.inf)]]),
+            np.array(complex(np.inf, 1.0)),
+        ),
+    )
     def test_non_finite_array_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             canonical_json(bad)

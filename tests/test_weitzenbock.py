@@ -610,7 +610,7 @@ class TestPositivity:
 
         def full_entry(rep):
             k = wb.k_matrix(op, rep)
-            neg_w = -np.linalg.eigvalsh((k + k.conj().T) / 2.0)
+            neg_w = -np.linalg.eigvalsh(numerics.real_if_exact((k + k.conj().T) / 2.0))
             label = wb.definiteness(neg_w, TOL)
             verdict = {"positive-definite": "positive", "zero": "semi-definite", "positive-semidefinite": "semi-definite"}
             return wb.PositivityEntry(
@@ -734,3 +734,74 @@ class TestStandardFamily:
             assert "exterior(2)" in labels
         for r in fam:
             assert reps.homomorphism_residual(r) <= 1e-10
+
+    @pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
+    def test_adjoint_shares_the_exterior2_table(self, n):
+        fam = {r.label: r for r in wb.standard_family(so.basis(n))}
+        adjoint = fam["adjoint"]
+        assert np.array_equal(adjoint.stacked(), reps.rep_adjoint(so.basis(n)).stacked())
+        if n >= 5:
+            assert adjoint.table is fam["exterior(2)"].table
+
+
+class TestDistinctTables:
+    """positivity_report computes each entry and each product once per
+    distinct (ordered pair of) generator tables, and its payload equals the
+    one that computes every family member and product on its own."""
+
+    @staticmethod
+    def _undeduplicated(op, family, tol=1e-9, cap=4096) -> dict:
+        entries = [wb._entry_for(op, r, tol) for r in family]
+        searched = [e.label for e in entries]
+        counterexamples = [e.label for e in entries if e.verdict == "indefinite"]
+        for ra, rb in itertools.combinations_with_replacement(family, 2):
+            if ra.dim * rb.dim <= cap:
+                t = reps.rep_tensor(ra, rb)
+                searched.append(t.label)
+                if wb._classify_neg_k(op, t, tol)[1] == "indefinite":
+                    counterexamples.append(t.label)
+        return {"entries": entries, "searched": searched, "counterexamples": sorted(set(counterexamples))}
+
+    @pytest.mark.parametrize("n", (5, 6))
+    def test_each_distinct_entry_and_product_once(self, n, monkeypatch):
+        op = curv.random_curvature(n, 2)
+        family = wb.standard_family(so.basis(n))
+        want = self._undeduplicated(op, family)
+        classified, solved = [], []
+        classify, solve = wb._classify_neg_k, wb.commutant_dimension
+
+        def counting_classify(r, rep, tol):
+            classified.append(rep.label)
+            return classify(r, rep, tol)
+
+        def counting_solve(rep, field):
+            solved.append(rep.label)
+            return solve(rep, field)
+
+        monkeypatch.setattr(wb, "_classify_neg_k", counting_classify)
+        monkeypatch.setattr(wb, "commutant_dimension", counting_solve)
+        got = wb.positivity_report(op, reps=family)
+        tables = [id(r.table) for r in family]
+        pairs = {(id(a.table), id(b.table)) for a, b in itertools.combinations_with_replacement(family, 2)}
+        assert len(set(tables)) == len(family) - 1  # the adjoint is exterior(2)'s table
+        assert solved == [r.label for r in family if r.label != "adjoint"]
+        assert len(classified) == len(set(tables)) + len(pairs) == len(set(classified))
+        assert got.entries == want["entries"]
+        assert got.diagnostic["searched"] == want["searched"]
+        assert got.diagnostic["counterexamples"] == want["counterexamples"]
+
+    @pytest.mark.parametrize("n", (5, 6))
+    def test_forward_suite_classifies_each_table_once(self, n, monkeypatch):
+        from weitzlab import suites
+
+        tables = []
+        neg_k = wb.neg_k_spectrum
+
+        def counting(ops, rep):
+            tables.append(rep.table)
+            return neg_k(ops, rep)
+
+        monkeypatch.setattr(wb, "neg_k_spectrum", counting)
+        suites.positivity_suite(n, 2, 1)
+        family = wb.standard_family(so.basis(n))
+        assert len(tables) == len({id(t) for t in tables}) == len(family) - 1
