@@ -40,8 +40,8 @@ measured.  A ``random_curvature`` size that fails or exceeds the child time
 limit ends that ladder; any other failed case is recorded with its error and
 the next case runs.
 
-    python bench/layers.py                       # writes BENCH_9.json
-    python bench/layers.py --baseline-src OTHER/src --out BENCH_9.json
+    python bench/layers.py                       # writes BENCH_10.json
+    python bench/layers.py --baseline-src OTHER/src --out BENCH_10.json
 
 With ``--baseline-src`` the same measurements also run against another
 source tree (for example a checkout of the parent commit) and are stored
@@ -414,7 +414,7 @@ def main() -> None:
         _child(sys.argv[2:])
         return
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_9.json"))
+    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_10.json"))
     parser.add_argument("--baseline-src", default=None, help="another source tree to measure the same way")
     args = parser.parse_args()
     import numpy

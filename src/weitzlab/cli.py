@@ -47,14 +47,18 @@ class DimensionError(Exception):
     pass
 
 
-def _default_tolerance() -> float | None:
+def _tolerance(given: float | None) -> float | None:
+    """``--tolerance``, else ``WEITZLAB_TOL``, else None; a tolerance must
+    be a finite number >= 0."""
     raw = os.environ.get("WEITZLAB_TOL")
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise UsageError(f"WEITZLAB_TOL is not a float: {raw!r}") from exc
+    if given is None and raw is not None:
+        try:
+            given = float(raw)
+        except ValueError as exc:
+            raise UsageError(f"WEITZLAB_TOL is not a float: {raw!r}") from exc
+    if given is not None and not (np.isfinite(given) and given >= 0):
+        raise UsageError(f"tolerance must be finite and non-negative, got {given!r}")
+    return given
 
 
 def _ci_mode() -> bool:
@@ -131,7 +135,7 @@ def parse_curvature(source: str, n: int | None) -> tuple[curv.CurvatureOperator,
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read curvature file {path!r}: {exc}") from exc
         try:
             op = curv.curvature_from_json(payload)
@@ -192,12 +196,19 @@ def parse_subalgebra(spec: str, n: int):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
+            if not isinstance(payload, list) or not payload:
+                raise ValueError("expected a non-empty list of matrices")
             mats = [np.array(m, dtype=float) for m in payload]
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
+        except (OSError, TypeError, ValueError) as exc:
             raise UsageError(f"cannot read subalgebra file {path!r}: {exc}") from exc
         for m in mats:
             if m.shape != (n, n):
                 raise DimensionError(f"subalgebra element has shape {m.shape}, expected ({n}, {n})")
+            if not np.all(np.isfinite(m)):
+                raise UsageError(f"subalgebra file {path!r} has non-finite entries")
+            a = m / max(1.0, float(np.max(np.abs(m))))  # the same test, safe from overflow
+            if np.linalg.norm(a + a.T) > 1e-9 * max(1.0, float(np.linalg.norm(a))):
+                raise UsageError(f"subalgebra element in {path!r} is not skew-symmetric")
         from . import numerics
 
         coeff = np.array([expand(amb, m) for m in mats])
@@ -382,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--n", type=int, default=None, help="dimension n of so(n)")
         p.add_argument("--seed", type=int, default=None, help="seed for random inputs")
-        p.add_argument("--tolerance", type=float, default=_default_tolerance(), help="tolerance override")
+        p.add_argument("--tolerance", type=float, default=None, help="tolerance override (default: WEITZLAB_TOL)")
         p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
@@ -417,6 +428,7 @@ def main(argv=None) -> int:
     try:
         if args.n is not None and args.n < 2:
             raise UsageError(f"--n must be at least 2, got {args.n}")
+        args.tolerance = _tolerance(args.tolerance)
         payload, code = args.func(args)
         _emit(payload, args.format, args.out)
         return code

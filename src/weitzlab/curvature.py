@@ -338,6 +338,8 @@ def four_dim_blocks(op: CurvatureOperator) -> FourDimBlocks:
 
 CURVATURE_SCHEMA_BASIS = "lex-upper"
 CURVATURE_SCHEMA_NORMALIZATION = "half-tensor"
+#: Largest magnitude of an entry of R that the JSON schema accepts.
+CURVATURE_ENTRY_MAX = 1e100
 
 
 def curvature_to_json(op: CurvatureOperator) -> dict:
@@ -363,8 +365,17 @@ def curvature_from_json(payload) -> CurvatureOperator:
         raise ValueError(f"unsupported basis {payload['basis']!r}")
     if payload["normalization"] != CURVATURE_SCHEMA_NORMALIZATION:
         raise ValueError(f"unsupported normalization {payload['normalization']!r}")
-    n = int(payload["n"])
-    return curvature_operator(n, np.array(payload["R"], dtype=float), bianchi=None, sym_tol=1e-9)
+    n = payload["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise ValueError(f"'n' must be a JSON integer >= 2, got {n!r}")
+    try:
+        m = np.array(payload["R"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'R' is not a matrix of numbers: {exc}") from exc
+    # NaN fails the comparison; beyond the bound K's entries could overflow
+    if not np.all(np.abs(m) <= CURVATURE_ENTRY_MAX):
+        raise ValueError(f"'R' entries must be finite and at most {CURVATURE_ENTRY_MAX:g} in magnitude")
+    return curvature_operator(n, m, bianchi=None, sym_tol=1e-9)
 
 
 def einstein_project(op: CurvatureOperator) -> CurvatureOperator:

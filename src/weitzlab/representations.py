@@ -392,78 +392,49 @@ class IsotypicPiece:
     casimir_eigenvalue: float
 
 
-def _center_of_commutant(comm: list[np.ndarray]) -> list[np.ndarray]:
-    """Basis of the elements of span(comm) that commute with all of comm: the
-    nullspace of the matrix whose column j stacks [C_j, C_i] over i."""
-    k = len(comm)
-    if k == 1:
-        return list(comm)
-    c = np.array(comm)
-    d = c.shape[1]
-    # prod[j, :, i, :] = C_j C_i: all k^2 products in one (k d) x (k d) product
-    prod = (c.reshape(k * d, d) @ c.transpose(1, 0, 2).reshape(d, k * d)).reshape(k, d, k, d)
-    # brackets[j, i] = [C_j, C_i], written in place so that brackets[j]
-    # flattens to column j without a copy, and prod is freed before the SVD
-    brackets = np.empty((k, k, d, d), dtype=prod.dtype)
-    np.subtract(prod.transpose(0, 2, 1, 3), prod.transpose(2, 0, 1, 3), out=brackets)
-    del prod
-    # commutant elements are unit norm; an abelian commutant gives a matrix of
-    # rounding dust here, hence the absolute floor
-    null = numerics.nullspace(brackets.reshape(k, k * d * d).T, atol=1e-10)
-    return list(np.tensordot(null, c, axes=(0, 0)))
-
-
 def isotypic_decompose(r: Rep, seed: int = 0, cluster_tol: float = 1e-6) -> list[IsotypicPiece]:
     """Split a representation into isotypic pieces.
 
-    The projectors come from the eigenspaces of a pseudorandom (seeded,
-    recorded by callers) Hermitian element of the *center* of the commutant;
-    the Casimir alone cannot separate inequivalent pieces with equal Casimir
-    eigenvalue.  Pieces are ordered by ascending Casimir eigenvalue, then by
-    dimension, then by their projector entries, so the order does not depend
-    on the basis :func:`intertwiners` happens to return.
+    By Schur's lemma the commutant is the sum of one matrix algebra M_m(C)
+    per isotypic piece V (x) C^m.  The Hermitian part of a pseudorandom
+    (seeded, recorded by callers) complex combination of the commutant's
+    orthonormal basis T_k acts on each piece as 1 (x) A with A generic, so
+    its eigenvalue clusters are irreducible subrepresentations E_p.  With
+    Q_p the columns of cluster p, ``L[p, q] = sum_k ||Q_p^H T_k Q_q||^2``
+    is dim Hom(E_q, E_p): 1 between equivalent clusters, 0 otherwise.  A
+    piece joins the clusters linked to its first one, and its multiplicity
+    is sqrt(sum of L over them), the square root of its commutant block's
+    dimension.  The coefficients are complex: a real combination of a real
+    rep's commutant has no antisymmetric Hermitian part, and the pieces a
+    complex structure separates would merge.  Pieces are ordered by
+    ascending Casimir eigenvalue, then by dimension, then by their projector
+    entries, so the order does not depend on the basis :func:`intertwiners`
+    happens to return.
     """
-    comm = intertwiners(r, r)
-    center = _center_of_commutant(comm)
-    # Hermitian part of the center as a *real* vector space: orthonormalising
-    # over C would rotate phases and lose Hermiticity.
-    vecs = []
-    for z in center:
-        for h in ((z + z.conj().T) / 2, (z - z.conj().T) / 2j):
-            v = h.ravel()
-            vecs.append(np.concatenate([v.real, v.imag]))
-    span = numerics.orthonormal_columns(np.array(vecs).T, atol=1e-10)
-    d2 = r.dim * r.dim
-    basis_herm = [
-        (np.real(span[:d2, m]) + 1j * np.real(span[d2:, m])).reshape(r.dim, r.dim)
-        for m in range(span.shape[1])
-    ]
+    comm = np.array(intertwiners(r, r))
     rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(len(basis_herm))
-    generic = sum(c * h for c, h in zip(coeff, basis_herm))
-    generic = (generic + generic.conj().T) / 2
-    w, v = numerics.eig_hermitian(generic, hermitian_tol=1e-8)
+    coeff = rng.standard_normal(len(comm)) + 1j * rng.standard_normal(len(comm))
+    generic = np.tensordot(coeff, comm, axes=1)
+    w, v = numerics.eig_hermitian((generic + generic.conj().T) / 2)
     scale = max(1.0, float(np.max(np.abs(w))))
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] <= cluster_tol * scale:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
+    # eigenvalues ascend, so each cluster is a run of them
+    opens = np.diff(w, prepend=-np.inf) > cluster_tol * scale
+    cluster = np.cumsum(opens) - 1
+    starts = np.flatnonzero(opens)
+    # |Q^H T_k Q|^2 summed over k, then over each pair of clusters
+    mass = np.sum(np.abs(v.conj().T @ comm @ v) ** 2, axis=0)
+    links = np.add.reduceat(np.add.reduceat(mass, starts, axis=0), starts, axis=1)
+    first = (links > 0.5).argmax(axis=1)
     cas = casimir(r)
     pieces = []
-    for idx in clusters:
-        cols = v[:, idx]
+    for lead in sorted(set(first.tolist())):
+        member = first == lead
+        cols = v[:, member[cluster]]
         proj = numerics.projector(cols)
-        cas_block = cols.conj().T @ cas @ cols
-        lam = float(np.real(np.trace(cas_block)) / len(idx))
-        # multiplicity^2 = dimension of the commutant block on this piece
-        blk = np.array([(proj @ t @ proj).ravel() for t in comm])
-        svals = np.linalg.svd(blk, compute_uv=False)
-        rank = int(np.sum(svals > 1e-8 * max(1.0, svals[0]))) if svals.size else 0
-        mult = int(round(np.sqrt(rank)))
+        lam = float(np.real(np.trace(cols.conj().T @ cas @ cols)) / cols.shape[1])
+        mult = int(round(np.sqrt(links[np.ix_(member, member)].sum())))
         pieces.append(
-            IsotypicPiece(projector=proj, dim=len(idx), multiplicity=mult, casimir_eigenvalue=lam)
+            IsotypicPiece(projector=proj, dim=cols.shape[1], multiplicity=mult, casimir_eigenvalue=lam)
         )
     pieces.sort(key=functools.cmp_to_key(_piece_order))
     return pieces

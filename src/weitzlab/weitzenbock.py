@@ -407,7 +407,8 @@ class PositivityReport:
 
 def standard_family(basis: SoBasis) -> list[Rep]:
     """Default representation family: vector, exterior powers 2 <= p < n/2,
-    trace-free Sym^2, spin (half-spins for even n), adjoint."""
+    trace-free Sym^2, spin (half-spins for even n), adjoint for n >= 3
+    (so(2) is abelian, so its adjoint is trivial)."""
     n = basis.n
     fam = [rep_vector(basis)]
     fam.extend(rep_exterior(basis, p) for p in range(2, (n + 1) // 2))
@@ -419,7 +420,8 @@ def standard_family(basis: SoBasis) -> list[Rep]:
         fam.append(rep_spin(basis))
     # ad is the derivation action on 2-forms: for n >= 5 it shares the table
     # of the family's exterior(2), so each result on it is computed once
-    fam.append(replace(fam[1], label="adjoint") if n >= 5 else rep_adjoint(basis))
+    if n >= 3:
+        fam.append(replace(fam[1], label="adjoint") if n >= 5 else rep_adjoint(basis))
     return fam
 
 

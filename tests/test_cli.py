@@ -1,13 +1,19 @@
+import io
 import json
+import math
 import os
 import re
 import resource
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weitzlab
 from weitzlab import cli
@@ -284,6 +290,21 @@ class TestCheckCommand:
         )
         assert code == 1
         assert payload["reports"][0]["tolerance"] == 1e-30
+        assert payload["config"]["tolerance"] == 1e-30
+
+    def test_positivity_at_n2_passes(self, tmp_path, capsys):
+        # so(2)'s adjoint is trivial, so the family leaves it out and the
+        # forward claim holds on every entry
+        code, payload = run_json(["check", "positivity", "--n", "2", "--seed", "1"], capsys)
+        assert code == 0
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(curv.curvature_to_json(curv.curvature_operator(2, np.eye(1)))))
+        code, payload = run_json(["check", "positivity", "--curvature", f"file:{path}"], capsys)
+        assert code == 0
+        assert [e["label"] for e in payload["reports"][0]["details"]["entries"]] == ["vector", "sym0(2)", "spin+", "spin-"]
+        code, payload = run_json(["check", "sphere-casimir", "--n", "2"], capsys)
+        assert code == 0
+        assert [r["inputs"]["rep"] for r in payload["reports"]] == ["vector", "sym0(2)", "spin+", "spin-"]
 
 
 class TestUsageErrors:
@@ -311,6 +332,38 @@ class TestUsageErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        ("env", "payload", "argv"),
+        (
+            ({"WEITZLAB_TOL": "abc"}, None, ["k", "--n", "3", "--rep", "vector", "--curvature", "sphere"]),
+            ({}, None, ["check", "lemma:k2", "--tolerance", "nan", "--trials", "1"]),
+            ({}, None, ["k", "--n", "3", "--rep", "vector", "--curvature", "sphere", "--tolerance=-1e-9"]),
+            ({"WEITZLAB_TOL": "inf"}, None, ["check", "lemma:k2", "--trials", "1"]),
+            ({}, [], ["decompose", "--n", "3", "--rep", "vector", "--sub", "file:{path}"]),
+            ({}, [[[0.0, math.nan, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]], ["decompose", "--n", "3", "--rep", "vector", "--sub", "file:{path}"]),
+            ({}, [np.eye(3).tolist()], ["decompose", "--n", "3", "--rep", "vector", "--sub", "file:{path}"]),
+            ({}, {"n": 2.7, "basis": "lex-upper", "normalization": "half-tensor", "R": [[1.0]]}, ["k", "--rep", "vector", "--curvature", "file:{path}"]),
+            ({}, {"n": True, "basis": "lex-upper", "normalization": "half-tensor", "R": [[1.0]]}, ["k", "--rep", "vector", "--curvature", "file:{path}"]),
+            ({}, {"n": 2, "basis": "lex-upper", "normalization": "half-tensor", "R": [[1e300]]}, ["check", "positivity", "--curvature", "file:{path}"]),
+        ),
+        ids=(
+            "env-tolerance-not-a-float", "nan-tolerance", "negative-tolerance", "infinite-env-tolerance",
+            "empty-subalgebra-file", "nan-subalgebra-entry", "symmetric-subalgebra-element",
+            "fractional-curvature-n", "boolean-curvature-n", "huge-curvature-entry",
+        ),
+    )
+    def test_contract_inputs_exit_2_with_one_error_line(self, env, payload, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("WEITZLAB_TOL", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code = cli.main([a.format(path=path) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_memory_error_exit_2_with_error_line(self, monkeypatch, capsys):
         # an allocation failure is a resource error, not a failed check: one
@@ -455,3 +508,108 @@ class TestDeterminism:
         first = subprocess.run(args, capture_output=True, check=True).stdout
         second = subprocess.run(args, capture_output=True, check=True).stdout
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed exit-code contract
+# ---------------------------------------------------------------------------
+
+_K_SPHERE = ["k", "--n", "3", "--rep", "vector", "--curvature", "sphere"]
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_ENTRY = st.one_of(st.integers(-3, 3), st.floats(-10, 10), _ANY_FLOAT)
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+def _not_skew(m: np.ndarray) -> bool:
+    """||m + m^T|| > 1e-9 max(1, ||m||), evaluated on m scaled to entries
+    of magnitude at most 1 where it is larger, so nothing overflows."""
+    a = m / max(1.0, float(np.max(np.abs(m))))
+    return float(np.linalg.norm(a + a.T)) > 1e-9 * max(1.0, float(np.linalg.norm(a)))
+
+
+def _refused_tolerance(raw: str) -> bool:
+    try:
+        tol = float(raw)
+    except ValueError:
+        return True
+    return not (math.isfinite(tol) and tol >= 0)
+
+
+def _matrix(n: int):
+    """An n x n list of rows: skew, arbitrary, or with junk entries."""
+    def skew(upper):
+        m = np.zeros((n, n))
+        m[np.triu_indices(n, 1)] = upper
+        return (m - m.T).tolist()
+
+    entries = st.lists(_ENTRY, min_size=n * n, max_size=n * n).map(lambda v: np.reshape(v, (n, n)).tolist())
+    upper = st.lists(_ENTRY, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    return st.one_of(upper.map(skew), entries, st.lists(st.lists(st.one_of(_ENTRY, _JUNK), max_size=n), max_size=n))
+
+
+@st.composite
+def _contract_case(draw):
+    """``(env, argv, payload, must_refuse)``: one CLI run with a fuzzed
+    ``--tolerance``, ``WEITZLAB_TOL``, ``--sub file:`` payload or curvature
+    JSON payload (written to ``{path}``), and whether the contract requires
+    exit 2 for it."""
+    kind = draw(st.sampled_from(("tolerance", "env", "sub", "curvature")))
+    if kind == "tolerance":
+        tol = repr(draw(_ANY_FLOAT))
+        return {}, _K_SPHERE + [f"--tolerance={tol}"], None, _refused_tolerance(tol)
+    if kind == "env":
+        text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6)
+        raw = draw(st.one_of(_ANY_FLOAT.map(repr), text))
+        return {"WEITZLAB_TOL": raw}, _K_SPHERE, None, _refused_tolerance(raw)
+    if kind == "sub":
+        n = draw(st.integers(2, 4))
+        payload = draw(st.one_of(st.lists(st.one_of(_matrix(n), _matrix(n - 1)), max_size=3), _JUNK))
+        mats = [np.array(m, dtype=object) for m in payload] if isinstance(payload, list) else []
+        if all(m.shape == (n, n) and all(isinstance(x, (int, float)) for x in m.flat) for m in mats):
+            mats = [m.astype(float) for m in mats]
+            bad = [not np.all(np.isfinite(a)) or _not_skew(a) for a in mats]
+        else:
+            bad = []
+        refuse = payload == [] or any(bad)
+        argv = ["decompose", "--n", str(n), "--rep", "vector", "--sub", "file:{path}"]
+        return {}, argv, payload, refuse
+    m = draw(st.integers(2, 4))
+    n = draw(st.one_of(st.just(m), st.integers(-1, 5), _ANY_FLOAT, _JUNK, st.lists(st.integers(2, 4), max_size=1)))
+    upper = draw(st.lists(_ENTRY, min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2))
+    v = np.asarray(upper, dtype=float)
+    with np.errstate(all="ignore"):
+        # symmetric diagonal, symmetric rank one, or not symmetric
+        rows = draw(st.sampled_from((np.diag(v), np.outer(v, v), np.add.outer(v, 2 * v))))
+    payload = {"n": n, "basis": "lex-upper", "normalization": "half-tensor", "R": rows.tolist()}
+    command = draw(st.sampled_from((["k", "--rep", "vector"], ["check", "positivity"])))
+    refuse = isinstance(n, bool) or not isinstance(n, int) or n < 2
+    return {}, command + ["--curvature", "file:{path}"], payload, refuse
+
+
+def _run_main(env: dict, argv: list[str], payload) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        for key in ("WEITZLAB_TOL", "WEITZLAB_CI"):
+            os.environ.pop(key, None)
+        os.environ.update(env)
+        code = cli.main([a.format(path=path) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_contract_case())
+def test_fuzzed_inputs_keep_the_exit_code_contract(case):
+    """main never raises, returns 1 only with a failing gating report, and
+    refuses an invalid tolerance, subalgebra file or curvature ``n`` with
+    exit 2 and one ``error:`` line."""
+    env, argv, payload, must_refuse = case
+    code, out, err = _run_main(env, argv, payload)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert json.loads(out)["summary"]["failed"] > 0
+    if must_refuse:
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1

@@ -735,6 +735,13 @@ class TestStandardFamily:
         for r in fam:
             assert reps.homomorphism_residual(r) <= 1e-10
 
+    def test_so2_family_leaves_out_the_trivial_adjoint(self):
+        # so(2) is abelian, so its adjoint is trivial and -K vanishes on it
+        fam = wb.standard_family(so.basis(2))
+        assert [r.label for r in fam] == ["vector", "sym0(2)", "spin+", "spin-"]
+        op = curv.curvature_operator(2, np.eye(1))
+        assert "FORWARD-VIOLATION" not in wb.positivity_report(op).overall
+
     @pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
     def test_adjoint_shares_the_exterior2_table(self, n):
         fam = {r.label: r for r in wb.standard_family(so.basis(n))}
