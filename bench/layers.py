@@ -1,10 +1,14 @@
-"""Layer bench: curvature sources, commutant solves, isotypic splits, the
-projection lemma suites, the other trial-driven suites, representation
-construction, the positivity report and the assembly of K.
+"""Layer bench: the cold start, curvature sources, commutant solves,
+isotypic splits, the projection lemma suites, the other trial-driven suites,
+representation construction, the positivity report and the assembly of K.
 
-Times eight layers of weitzlab, each measurement in a fresh interpreter so
+Times nine layers of weitzlab, each measurement in a fresh interpreter so
 that it pays every cold cost a CLI process pays:
 
+* ``python -m weitzlab --version`` and ``python -c "import weitzlab.cli"``
+  with ``PYTHONDONTWRITEBYTECODE=1``, timed from spawn to exit, so that each
+  compiles the package from source as a benchmark child does (the CLI
+  process, import included);
 * ``random_curvature(n, seed)`` for n = 4 ... 16 (curvature sources);
 * ``representations.intertwiners(r, r)``, the commutant solve, for sym0 at
   n = 6, the adjoint at n = 7, spin at n = 8 and exterior(3) at n = 7 and 8
@@ -32,20 +36,23 @@ that it pays every cold cost a CLI process pays:
   of K).
 
 Each child runs with one BLAS/OpenMP thread and a 3 GiB address-space cap,
-and reports its own peak RSS.  The record holds the median of five repeats,
-the sizes (n, rep dimension d, generator count N, tensor power k, commutant
-dimension, number of isotypic pieces, family dimensions, products searched,
-the largest product dimension and the nonzero generator entries) and the git revision of the tree
-measured.  A ``random_curvature`` size that fails or exceeds the child time
+and reports its own peak RSS (a cold start's comes from its rusage).  The
+record holds the median of five repeats (21 for a cold start), the sizes
+(n, rep dimension d, generator count N, tensor power k, commutant dimension,
+number of isotypic pieces, family dimensions, products searched, the largest
+product dimension and the nonzero generator entries) and the git revision of
+the tree measured.  A ``random_curvature`` size that fails or exceeds the child time
 limit ends that ladder; any other failed case is recorded with its error and
 the next case runs.
 
-    python bench/layers.py                       # writes BENCH_10.json
-    python bench/layers.py --baseline-src OTHER/src --out BENCH_10.json
+    python bench/layers.py                       # writes BENCH_11.json
+    python bench/layers.py --baseline-src OTHER/src --out BENCH_11.json
 
 With ``--baseline-src`` the same measurements also run against another
 source tree (for example a checkout of the parent commit) and are stored
-under ``"baseline"``.
+under ``"baseline"``.  The two trees take turns repeat by repeat within each
+case, the first turn alternating, so that a drift of the host's speed during
+the run lands on both alike.
 """
 
 from __future__ import annotations
@@ -108,6 +115,13 @@ K_CASES = (
     (7, "tensor:exterior:3,exterior:3"),
 )
 K_SEED = 1
+#: (name, interpreter arguments) of each cold start timed: the whole CLI
+#: process and the package import alone, both compiled from source.
+COLD_CASES = (
+    ("weitzlab --version", ["-m", "weitzlab", "--version"]),
+    ("import weitzlab.cli", ["-c", "import weitzlab.cli"]),
+)
+COLD_REPEATS = 21
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +177,12 @@ def _child_lemma(kind: str, trials: int) -> dict:
     t0 = time.perf_counter()
     reports = suites.lemma_suite(kind, trials, LEMMA_SEED)
     seconds = time.perf_counter() - t0
-    return {"seconds": seconds, "n": reports[0].inputs["n"], "peak_rss_mb": _peak_rss_mb()}
+    n = reports[0].inputs["n"]
+    d = 2 ** (n // 2)  # spinor dimension
+    return {
+        "seconds": seconds, "n": n, "d": d, "N": n * (n - 1) // 2, "power_dim": d ** int(kind[1:]),
+        "peak_rss_mb": _peak_rss_mb(),
+    }
 
 
 def _child_trials(suite: str, n: int | None) -> dict:
@@ -258,12 +277,15 @@ def _child(argv: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _child_env(src: str) -> dict:
+    return dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=THREADS, OMP_NUM_THREADS=THREADS)
+
+
 def _run_child(src: str, args: list[str]) -> dict:
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=THREADS, OMP_NUM_THREADS=THREADS)
     try:
         proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--child", *args],
-            env=env, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
+            env=_child_env(src), capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
         return {"error": f"timed out after {CHILD_TIMEOUT_S} s"}
@@ -273,13 +295,38 @@ def _run_child(src: str, args: list[str]) -> dict:
     return json.loads(proc.stdout)
 
 
-def _repeat(src: str, args: list[str]) -> list[dict] | dict:
-    runs = []
-    for _ in range(REPEATS):
-        run = _run_child(src, args)
-        if "error" in run:
-            return run
-        runs.append(run)
+def _cap_child() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (CAP_BYTES, CAP_BYTES))
+
+
+def _run_cold(src: str, args: list[str]) -> dict:
+    """One fresh ``python ARGS`` that compiles the package from source, timed
+    from outside from spawn to exit, with its peak RSS from its rusage."""
+    env = dict(_child_env(src), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, *args], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, preexec_fn=_cap_child
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    seconds = time.perf_counter() - start
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        return {"error": f"exit {code}"}
+    return {"seconds": seconds, "peak_rss_mb": usage.ru_maxrss / 1024.0}
+
+
+def _repeat(srcs: list[str], args: list[str], run=_run_child, repeats: int = REPEATS) -> list:
+    """``repeats`` runs of one case in each tree, the trees taking turns run
+    by run (and the first turn alternating), so that a drift of the host
+    between runs lands on every tree alike.  Per tree, the list of runs or
+    the first failed run's error."""
+    runs: list = [[] for _ in srcs]
+    for i in range(repeats):
+        order = range(len(srcs)) if i % 2 == 0 else reversed(range(len(srcs)))
+        for t in order:
+            if isinstance(runs[t], list):
+                result = run(srcs[t], args)
+                runs[t] = result if "error" in result else runs[t] + [result]
     return runs
 
 
@@ -292,121 +339,62 @@ def _revision(src: str) -> str:
     return proc.stdout.strip() or "unknown"
 
 
-def measure(src: str) -> dict:
-    curvature = []
+def measure(srcs: list[str]) -> list[dict]:
+    """One record per source tree, each case measured in all trees in turn."""
+    records = [{"revision": _revision(src)} for src in srcs]
+
+    def case(section, args, entry, label, sizes=(), medians=("seconds", "peak_rss_mb"), trees=None, **how):
+        """Measures one case in ``trees`` (default all) and appends its entry
+        to each tree's ``section``; returns the trees where it failed."""
+        trees = range(len(srcs)) if trees is None else trees
+        failed = []
+        for t, runs in zip(trees, _repeat([srcs[t] for t in trees], args, **how)):
+            if isinstance(runs, dict):
+                failed.append(t)
+                records[t].setdefault(section, []).append({**entry, **runs})
+                print(f"  [{t}] {label}: {runs['error']}", file=sys.stderr)
+                continue
+            values = {**{k: runs[0][k] for k in sizes}, **{k: _median(runs, k) for k in medians}}
+            records[t].setdefault(section, []).append({**entry, **values})
+            print(f"  [{t}] {label}: {values['seconds']:.4f} s", file=sys.stderr)
+        return failed
+
+    for name, args in COLD_CASES:
+        case("cold_start", args, {"command": name, "repeats": COLD_REPEATS}, name, run=_run_cold, repeats=COLD_REPEATS)
+    ladder = list(range(len(srcs)))  # the trees whose curvature ladder goes on
     for n in CURVATURE_NS:
-        runs = _repeat(src, ["curvature", str(n)])
-        entry = {"n": n, "N": n * (n - 1) // 2}
-        if isinstance(runs, dict):
-            curvature.append({**entry, **runs})
+        if not ladder:
             break
-        curvature.append({**entry, "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb")})
-        print(f"  random_curvature n={n}: {curvature[-1]['seconds']:.4f} s", file=sys.stderr)
-    intertwiners = []
+        failed = case("random_curvature", ["curvature", str(n)], {"n": n, "N": n * (n - 1) // 2}, f"random_curvature n={n}", trees=ladder)
+        ladder = [t for t in ladder if t not in failed]
     for n, rep in INTERTWINER_CASES:
-        runs = _repeat(src, ["intertwiners", str(n), rep])
         entry = {"n": n, "rep": rep, "N": n * (n - 1) // 2}
-        if isinstance(runs, dict):
-            intertwiners.append({**entry, **runs})
-            print(f"  intertwiners {n} {rep}: {runs['error']}", file=sys.stderr)
-            continue
-        sizes = {key: runs[0][key] for key in ("d", "commutant_dim")}
-        intertwiners.append(
-            {**entry, **sizes, "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb")}
-        )
-        print(f"  intertwiners {n} {rep}: {intertwiners[-1]['seconds']:.4f} s", file=sys.stderr)
-    decompose = []
+        case("intertwiners", ["intertwiners", str(n), rep], entry, f"intertwiners {n} {rep}", sizes=("d", "commutant_dim"))
     for n, rep, sub in DECOMPOSE_CASES:
-        runs = _repeat(src, ["decompose", str(n), rep, sub])
         entry = {"n": n, "rep": rep, "sub": sub}
-        if isinstance(runs, dict):
-            decompose.append({**entry, **runs})
-            continue
-        sizes = {key: runs[0][key] for key in ("d", "N", "pieces")}
-        decompose.append(
-            {**entry, **sizes, "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb")}
-        )
-        print(f"  isotypic_decompose {n} {rep} {sub}: {decompose[-1]['seconds']:.4f} s", file=sys.stderr)
-    lemma = []
+        case("isotypic_decompose", ["decompose", str(n), rep, sub], entry, f"isotypic_decompose {n} {rep} {sub}", sizes=("d", "N", "pieces"))
     for kind, trials in LEMMA_CASES:
-        runs = _repeat(src, ["lemma", kind, str(trials)])
         entry = {"suite": f"lemma:{kind}", "trials": trials, "seed": LEMMA_SEED, "k": int(kind[1:])}
-        if isinstance(runs, dict):
-            lemma.append({**entry, **runs})
-            continue
-        n = runs[0]["n"]
-        d = 2 ** (n // 2)  # spinor dimension
-        lemma.append(
-            {
-                **entry, "n": n, "d": d, "N": n * (n - 1) // 2, "power_dim": d ** entry["k"],
-                "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb"),
-            }
-        )
-        print(f"  lemma_suite {kind} x{trials}: {lemma[-1]['seconds']:.4f} s", file=sys.stderr)
-    trial_suites = []
+        case("lemma_suite", ["lemma", kind, str(trials)], entry, f"lemma_suite {kind} x{trials}", sizes=("n", "d", "N", "power_dim"))
     for suite, n in TRIAL_CASES:
-        runs = _repeat(src, ["trials", suite] + ([] if n is None else [str(n)]))
         size = 4 if n is None else n
         d = {"lichnerowicz": 2 ** (size // 2), "bochner": size}.get(suite, 6)  # spinors, vectors, Lambda^2
         entry = {"suite": suite, "n": size, "d": d, "N": size * (size - 1) // 2, "trials": TRIAL_COUNT, "seed": TRIAL_SEED}
-        if isinstance(runs, dict):
-            trial_suites.append({**entry, **runs})
-            print(f"  {suite}_suite n={size}: {runs['error']}", file=sys.stderr)
-            continue
-        trial_suites.append(
-            {
-                **entry, "reports": runs[0]["reports"],
-                "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb"),
-            }
-        )
-        print(f"  {suite}_suite n={size} x{TRIAL_COUNT}: {trial_suites[-1]['seconds']:.4f} s", file=sys.stderr)
-    representations = []
+        args = ["trials", suite] + ([] if n is None else [str(n)])
+        case("trial_suites", args, entry, f"{suite}_suite n={size} x{TRIAL_COUNT}", sizes=("reports",))
     for constructor, n, p in REP_CASES:
-        runs = _repeat(src, ["rep", constructor, str(n)] + ([] if p is None else [str(p)]))
         entry = {"constructor": constructor, "n": n, "p": p, "N": n * (n - 1) // 2}
-        if isinstance(runs, dict):
-            representations.append({**entry, **runs})
-            continue
-        representations.append(
-            {**entry, "d": runs[0]["d"], "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb")}
-        )
-        print(f"  {constructor} n={n} p={p}: {representations[-1]['seconds']:.4f} s", file=sys.stderr)
-    positivity = []
+        args = ["rep", constructor, str(n)] + ([] if p is None else [str(p)])
+        case("representations", args, entry, f"{constructor} n={n} p={p}", sizes=("d",))
     for n in POSITIVITY_NS:
-        runs = _repeat(src, ["positivity", str(n)])
         entry = {"n": n, "N": n * (n - 1) // 2, "seed": POSITIVITY_SEED, "search_dim_cap": SEARCH_DIM_CAP}
-        if isinstance(runs, dict):
-            positivity.append({**entry, **runs})
-            print(f"  positivity_report n={n}: {runs['error']}", file=sys.stderr)
-            continue
-        sizes = {key: runs[0][key] for key in ("family_dims", "products_searched", "max_product_dim")}
-        positivity.append(
-            {**entry, **sizes, "seconds": _median(runs, "seconds"), "peak_rss_mb": _median(runs, "peak_rss_mb")}
-        )
-        print(f"  positivity_report n={n}: {positivity[-1]['seconds']:.4f} s", file=sys.stderr)
-    k_assembly = []
+        sizes = ("family_dims", "products_searched", "max_product_dim")
+        case("positivity_report", ["positivity", str(n)], entry, f"positivity_report n={n}", sizes=sizes)
     for n, rep in K_CASES:
-        runs = _repeat(src, ["k", str(n), rep])
         entry = {"n": n, "rep": rep, "N": n * (n - 1) // 2, "seed": K_SEED}
-        if isinstance(runs, dict):
-            k_assembly.append({**entry, **runs})
-            print(f"  k_matrix {n} {rep}: {runs['error']}", file=sys.stderr)
-            continue
-        sizes = {key: runs[0][key] for key in ("d", "nnz")}
-        medians = {key: _median(runs, key) for key in ("seconds", "build_seconds", "peak_rss_mb")}
-        k_assembly.append({**entry, **sizes, **medians})
-        print(f"  k_matrix {n} {rep}: {medians['seconds']:.4f} s", file=sys.stderr)
-    return {
-        "revision": _revision(src),
-        "random_curvature": curvature,
-        "intertwiners": intertwiners,
-        "isotypic_decompose": decompose,
-        "lemma_suite": lemma,
-        "trial_suites": trial_suites,
-        "representations": representations,
-        "positivity_report": positivity,
-        "k_matrix": k_assembly,
-    }
+        medians = ("seconds", "build_seconds", "peak_rss_mb")
+        case("k_matrix", ["k", str(n), rep], entry, f"k_matrix {n} {rep}", sizes=("d", "nnz"), medians=medians)
+    return records
 
 
 def main() -> None:
@@ -414,7 +402,7 @@ def main() -> None:
         _child(sys.argv[2:])
         return
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_10.json"))
+    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_11.json"))
     parser.add_argument("--baseline-src", default=None, help="another source tree to measure the same way")
     args = parser.parse_args()
     import numpy
@@ -428,13 +416,19 @@ def main() -> None:
             "cpus": os.cpu_count(),
             "machine": platform.machine(),
         },
-        "stat": f"median over {REPEATS} repeats, each in a fresh process",
+        "stat": (
+            f"median over {REPEATS} repeats ({COLD_REPEATS} for cold_start), each in a fresh process; "
+            "with a baseline, the two trees take turns repeat by repeat"
+        ),
     }
-    print("current:", file=sys.stderr)
-    record["current"] = measure(os.path.join(REPO, "src"))
+    srcs = [os.path.join(REPO, "src")]
     if args.baseline_src:
-        print("baseline:", file=sys.stderr)
-        record["baseline"] = measure(os.path.abspath(args.baseline_src))
+        srcs.append(os.path.abspath(args.baseline_src))
+    print("[0] current" + (", [1] baseline" if args.baseline_src else ""), file=sys.stderr)
+    results = measure(srcs)
+    record["current"] = results[0]
+    if args.baseline_src:
+        record["baseline"] = results[1]
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -8,16 +8,16 @@ Three commands:
 * ``decompose`` isotypic decomposition of a representation restricted to a
                 subalgebra.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage or schema error
-(or out of memory), 3 dimension mismatch.  Output is canonical JSON
-(17-significant-digit floats, sorted keys) so identical configurations give
-byte-identical bytes; CSV and pretty text are derived views.
+Exit codes: 0 all checks passed, 1 a check failed or no check gated the run,
+2 usage or schema error (or out of memory), 3 dimension mismatch.  Output is
+canonical JSON (17-significant-digit floats, sorted keys) so identical
+configurations give byte-identical bytes; CSV and pretty text are derived
+views.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -132,6 +132,8 @@ def parse_curvature(source: str, n: int | None) -> tuple[curv.CurvatureOperator,
         return op, {"source": f"group:{g.label}", "n": op.n}
     if src.startswith("file:"):
         path = src[len("file:"):]
+        import json
+
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -149,6 +151,8 @@ def parse_curvature(source: str, n: int | None) -> tuple[curv.CurvatureOperator,
             seed = int(src[len("random:"):])
         except ValueError as exc:
             raise UsageError(f"bad seed in {source!r}") from exc
+        if seed < 0:
+            raise UsageError(f"seed in {source!r} must be non-negative")
         if n is None:
             raise UsageError("random curvature needs --n")
         return curv.random_curvature(n, seed), {"source": "random", "seed": seed, "n": n}
@@ -191,6 +195,8 @@ def parse_subalgebra(spec: str, n: int):
         return Subalgebra(ambient=amb, elements=tuple(elements), label=f"so({m})")
     if spec.startswith("file:"):
         path = spec[len("file:"):]
+        import json
+
         from .so_algebra import Subalgebra, expand
 
         try:
@@ -283,10 +289,7 @@ def cmd_check(args) -> tuple[dict, int]:
         tolerance=args.tolerance,
         operator=operator,
     )
-    payload = _payload(args, reports)
-    gating = [r for r in reports if not r.diagnostic]
-    code = EXIT_OK if all(r.passed for r in gating) else EXIT_CHECK_FAILED
-    return payload, code
+    return _payload(args, reports), EXIT_OK if suites.run_passed(reports) else EXIT_CHECK_FAILED
 
 
 def projector_digest(p: np.ndarray) -> str:
@@ -428,6 +431,8 @@ def main(argv=None) -> int:
     try:
         if args.n is not None and args.n < 2:
             raise UsageError(f"--n must be at least 2, got {args.n}")
+        if args.seed is not None and args.seed < 0:
+            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         args.tolerance = _tolerance(args.tolerance)
         payload, code = args.func(args)
         _emit(payload, args.format, args.out)

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CurvatureOperator:
+class CurvatureOperator(NamedTuple):
     """Symmetric N x N matrix over the so(n) pair basis, N = n(n-1)/2, or a
     stack of them with shape (T, N, N), which :func:`to_tensor`,
     :func:`bianchi_project` and :func:`weitzenbock.k_matrix` take whole."""
@@ -239,8 +237,7 @@ def scalar(op: CurvatureOperator) -> float:
     return float(np.trace(ricci(op)))
 
 
-@dataclass(frozen=True)
-class FourDimBlocks:
+class FourDimBlocks(NamedTuple):
     """Block decomposition of a 4-dimensional curvature operator over the
     self-dual / anti-self-dual splitting of the 2-forms."""
 
@@ -355,6 +352,8 @@ def curvature_from_json(payload) -> CurvatureOperator:
     """Load a curvature operator from the JSON schema, enforcing symmetry and
     recording the Bianchi check in the flag."""
     if isinstance(payload, (str, bytes)):
+        import json
+
         payload = json.loads(payload)
     if not isinstance(payload, dict):
         raise ValueError("curvature JSON must be an object")

@@ -7,9 +7,6 @@ byte-identical output.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = ["ARTIFACT_VERSION", "CheckReport", "canonical_json", "digest"]
@@ -44,10 +41,11 @@ def _render(value) -> str:
         items = sorted(value.items(), key=lambda kv: str(kv[0]))
         body = ",".join(f"{_render(str(k))}:{_render(v)}" for k, v in items)
         return "{" + body + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_render(v) for v in value) + "]"
+    # before the tuple branch: a record that is a named tuple renders as its dict
     if hasattr(value, "to_dict"):
         return _render(value.to_dict())
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(_render(v) for v in value) + "]"
     raise TypeError(f"cannot serialise value of type {type(value)!r}")
 
 
@@ -69,22 +67,29 @@ def canonical_json(value) -> str:
 
 def digest(value) -> str:
     """Short content digest of any canonically serialisable value."""
+    import hashlib  # on first use: a process that never digests does not load it
+
     return hashlib.sha256(canonical_json(value).encode()).hexdigest()[:16]
 
 
-@dataclass
 class CheckReport:
     """Result of one verification: name, input digests/seeds, residual vs
     tolerance, verdict, and optionally a spectrum and free-form details."""
 
-    check: str
-    inputs: dict
-    residual: float
-    tolerance: float
-    passed: bool
-    spectrum: list | None = None
-    details: dict = field(default_factory=dict)
-    diagnostic: bool = False
+    def __init__(
+        self,
+        check: str,
+        inputs: dict,
+        residual: float,
+        tolerance: float,
+        passed: bool,
+        spectrum: list | None = None,
+        details: dict | None = None,
+        diagnostic: bool = False,
+    ):
+        self.check, self.inputs, self.residual, self.tolerance = check, inputs, residual, tolerance
+        self.passed, self.spectrum, self.diagnostic = passed, spectrum, diagnostic
+        self.details = {} if details is None else details
 
     def to_dict(self) -> dict:
         out = {

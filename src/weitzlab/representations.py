@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
 from math import comb
 from typing import NamedTuple
 
@@ -71,16 +70,17 @@ def gen_table(gen, row, col, val, dim: int) -> GenTable:
     return GenTable(key // (dim * dim), key // dim % dim, key % dim, total[keep])
 
 
-@dataclass(frozen=True)
 class Rep:
     """Matrix representation: one complex ``dim x dim`` matrix per generator,
     stored as the table of their nonzero entries.  ``mats`` and
     :meth:`stacked` are dense read-only views, built on first use and kept."""
 
-    basis: SoBasis | Subalgebra
-    dim: int
-    table: GenTable
-    label: str
+    def __init__(self, basis: SoBasis | Subalgebra, dim: int, table: GenTable, label: str):
+        self.basis, self.dim, self.table, self.label = basis, dim, table, label
+
+    def relabeled(self, label: str) -> Rep:
+        """The same representation, sharing its table, under another label."""
+        return Rep(self.basis, self.dim, self.table, label)
 
     @classmethod
     def from_mats(cls, basis: SoBasis | Subalgebra, dim: int, mats, label: str) -> Rep:
@@ -170,7 +170,7 @@ def rep_adjoint(basis: SoBasis) -> Rep:
     """ad of so(n) on itself in the orthonormal basis.  The basis element
     x_ij is e_i ^ e_j, and ad is the derivation action on 2-forms, so this
     is ``rep_exterior(basis, 2)`` under its own label."""
-    return replace(rep_exterior(basis, 2), label="adjoint")
+    return rep_exterior(basis, 2).relabeled("adjoint")
 
 
 def _lex_rank(c: np.ndarray, m: int) -> np.ndarray:
@@ -381,8 +381,7 @@ def invariant_bilinear_forms(r: Rep) -> list[tuple[np.ndarray, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class IsotypicPiece:
+class IsotypicPiece(NamedTuple):
     """One isotypic block: orthogonal projector, its dimension, the dimension
     of the multiplicity space, and the Casimir eigenvalue on the block."""
 

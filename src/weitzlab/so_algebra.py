@@ -15,8 +15,8 @@ roots, rational Gram matrix normalised so long roots have squared length 2).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +57,7 @@ def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-@dataclass(frozen=True)
-class SoBasis:
+class SoBasis(NamedTuple):
     """Orthonormal basis of so(n): skew matrices x_a indexed by pairs (i, j)."""
 
     n: int
@@ -94,8 +93,7 @@ def expand(so: SoBasis, m: np.ndarray) -> np.ndarray:
     return np.array([inner(x, m) for x in so.elements])
 
 
-@dataclass(frozen=True)
-class Subalgebra:
+class Subalgebra(NamedTuple):
     """Orthonormalised spanning set of a subalgebra h of so(n)."""
 
     ambient: SoBasis
@@ -195,8 +193,7 @@ _DUAL_COXETER = {
 }
 
 
-@dataclass(frozen=True)
-class RootData:
+class RootData(NamedTuple):
     """Rational root data: roots as coefficient vectors over the simple roots."""
 
     family: str
@@ -354,8 +351,7 @@ def _g2_basis() -> list[np.ndarray]:
     return out
 
 
-@dataclass(frozen=True)
-class SimpleAlgebraData:
+class SimpleAlgebraData(NamedTuple):
     """A compact simple Lie algebra in a -B-orthonormal basis.
 
     ``model`` holds the basis matrices y_a of the defining matrix model,

@@ -11,8 +11,8 @@ matrices.  A basis element ``x_ij`` of so(n) acts on spinors as
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CliffordGenerators:
+class CliffordGenerators(NamedTuple):
     n: int
     dim: int
     gammas: tuple[np.ndarray, ...]
@@ -141,8 +140,7 @@ def rep_half_spin(basis: SoBasis, sign: int) -> Rep:
     return Rep.from_mats(basis, cols.shape[1], mats, f"spin{'+' if sign > 0 else '-'}")
 
 
-@dataclass(frozen=True)
-class SpinorPairing:
+class SpinorPairing(NamedTuple):
     """Invariant bilinear forms on spinors.
 
     ``forms`` lives on the full spinor space; ``half_forms`` holds the induced

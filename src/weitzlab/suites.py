@@ -21,6 +21,7 @@ from .so_algebra import basis as so_basis, simple_algebra
 __all__ = [
     "SUITE_NAMES",
     "SuiteConfigError",
+    "run_passed",
     "run_suite",
 ]
 
@@ -401,6 +402,16 @@ def positivity_suite(
         )
     )
     return out
+
+
+def run_passed(reports: list[CheckReport]) -> bool:
+    """Whether a suite run passes: it has gating reports and all of them
+    pass.  Zero gating reports verify nothing, so such a run fails, except
+    for the positivity report of an operator with a negative direction.
+    That report is diagnostic, because its converse search is finite, but
+    it is the whole answer the run was asked for, so it settles the run."""
+    gating = [r for r in reports if not r.diagnostic] or [r for r in reports if r.check == "positivity-report"]
+    return bool(gating) and all(r.passed for r in gating)
 
 
 SUITE_NAMES = (

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +74,7 @@ LAPLACIAN_PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class CurvatureEndomorphism:
+class CurvatureEndomorphism(NamedTuple):
     rep_label: str
     matrix: np.ndarray
     spectrum: np.ndarray
@@ -118,7 +117,8 @@ def k_matrix(r: CurvatureOperator, rep: Rep) -> np.ndarray:
     once for the whole stack and weighted by a group of operators at a time,
     at most ``PAIR_CHUNK // pairs`` of them, whose sums go to one
     ``np.bincount`` over ``t d^2 + i d + k``.  The chunks do not depend on the
-    stack, so each K is bit-equal to the join of its operator alone."""
+    stack, so each K is bit-equal to the join of its operator alone.  K is
+    float64 when the table is real and complex otherwise."""
     _check_compatible(r, rep)
     d = rep.dim
     # entries sorted by row: the partners of a left entry rho_a[i, j] are the
@@ -157,7 +157,7 @@ def k_matrix(r: CurvatureOperator, rep: Rep) -> np.ndarray:
             else:
                 part += np.bincount(flat, w.ravel(), part.size).reshape(part.shape)
         lo = hi
-    return k.astype(complex, copy=False).reshape(r.matrix.shape[:-2] + (d, d))
+    return k.reshape(r.matrix.shape[:-2] + (d, d))
 
 
 def k_term(r: CurvatureOperator, rep: Rep) -> CurvatureEndomorphism:
@@ -203,7 +203,7 @@ def tensor_power_rep(rho: Rep, k: int) -> Rep:
     power = rho
     for _ in range(k - 1):
         power = rep_tensor(power, rho)
-    return replace(power, label=f"{rho.label}^(x){k}")
+    return power.relabeled(f"{rho.label}^(x){k}")
 
 
 def twisted_term_k(r: CurvatureOperator, rho: Rep, k: int) -> np.ndarray:
@@ -369,8 +369,7 @@ def _lemma_report(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PositivityEntry:
+class PositivityEntry(NamedTuple):
     label: str
     dim: int
     irreducible: bool
@@ -378,13 +377,12 @@ class PositivityEntry:
     verdict: str
 
 
-@dataclass
 class PositivityReport:
-    curvature_digest: str
-    r_spectrum: list
-    entries: list[PositivityEntry]
-    overall: str
-    diagnostic: dict = field(default_factory=dict)
+    def __init__(
+        self, curvature_digest: str, r_spectrum: list, entries: list[PositivityEntry], overall: str, diagnostic: dict
+    ):
+        self.curvature_digest, self.r_spectrum, self.entries = curvature_digest, r_spectrum, entries
+        self.overall, self.diagnostic = overall, diagnostic
 
     def to_dict(self) -> dict:
         return {
@@ -421,7 +419,7 @@ def standard_family(basis: SoBasis) -> list[Rep]:
     # ad is the derivation action on 2-forms: for n >= 5 it shares the table
     # of the family's exterior(2), so each result on it is computed once
     if n >= 3:
-        fam.append(replace(fam[1], label="adjoint") if n >= 5 else rep_adjoint(basis))
+        fam.append(fam[1].relabeled("adjoint") if n >= 5 else rep_adjoint(basis))
     return fam
 
 
@@ -480,7 +478,7 @@ def positivity_report(
     for rep in reps:
         if id(rep.table) not in by_table:
             by_table[id(rep.table)] = _entry_for(r, rep, tol)
-    entries = [replace(by_table[id(rep.table)], label=rep.label) for rep in reps]
+    entries = [by_table[id(rep.table)]._replace(label=rep.label) for rep in reps]
     diagnostic: dict = {}
     if np.min(r_eigs) > tol:
         bad = [e.label for e in entries if e.verdict != "positive"]

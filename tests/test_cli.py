@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import weitzlab
 from weitzlab import cli
 from weitzlab import curvature as curv
-from weitzlab.report import digest
+from weitzlab.report import CheckReport, digest
 
 
 def run_cli(args, capsys):
@@ -241,6 +241,19 @@ class TestCheckCommand:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("diagnostics", (0, 2))
+    def test_run_without_gating_reports_fails(self, diagnostics, capsys, monkeypatch):
+        # zero gating reports verify nothing: no report at all, or diagnostic
+        # ones alone, that all pass
+        stub = [
+            CheckReport(check="demo", inputs={}, residual=0.0, tolerance=1.0, passed=True, diagnostic=True)
+            for _ in range(diagnostics)
+        ]
+        monkeypatch.setattr(cli.suites, "run_suite", lambda *args, **kwargs: stub)
+        code, payload = run_json(["check", "bochner", "--n", "3"], capsys)
+        assert code == 1
+        assert payload["summary"] == {"diagnostic": diagnostics, "failed": 0, "passed": diagnostics, "total": diagnostics}
+
     def test_positivity_with_indefinite_file_is_diagnostic(self, tmp_path, capsys):
         op = curv.curvature_operator(3, np.diag([1.0, 1.0, -1.0]))
         path = tmp_path / "r.json"
@@ -346,11 +359,15 @@ class TestUsageErrors:
             ({}, {"n": 2.7, "basis": "lex-upper", "normalization": "half-tensor", "R": [[1.0]]}, ["k", "--rep", "vector", "--curvature", "file:{path}"]),
             ({}, {"n": True, "basis": "lex-upper", "normalization": "half-tensor", "R": [[1.0]]}, ["k", "--rep", "vector", "--curvature", "file:{path}"]),
             ({}, {"n": 2, "basis": "lex-upper", "normalization": "half-tensor", "R": [[1e300]]}, ["check", "positivity", "--curvature", "file:{path}"]),
+            ({}, None, ["k", "--n", "3", "--rep", "vector", "--curvature", "random:-1"]),
+            ({}, None, ["check", "bochner", "--n", "3", "--seed", "-1"]),
+            ({}, None, ["decompose", "--n", "3", "--rep", "vector", "--sub", "so-full", "--seed", "-2"]),
         ),
         ids=(
             "env-tolerance-not-a-float", "nan-tolerance", "negative-tolerance", "infinite-env-tolerance",
             "empty-subalgebra-file", "nan-subalgebra-entry", "symmetric-subalgebra-element",
             "fractional-curvature-n", "boolean-curvature-n", "huge-curvature-entry",
+            "negative-curvature-seed", "negative-suite-seed", "negative-decompose-seed",
         ),
     )
     def test_contract_inputs_exit_2_with_one_error_line(self, env, payload, argv, tmp_path, monkeypatch, capsys):
@@ -470,6 +487,45 @@ class TestOutputFormats:
             assert rep["residual"] == float(format(rep["residual"], ".17g"))
 
 
+#: Reports, in a fresh interpreter, the standard modules below that
+#: ``import weitzlab.cli`` loads, then those that a ``k`` run loads as well,
+#: and whether every module of the package named on the command line is loaded.
+_IMPORT_PROBE = """
+import sys
+watched = ("dataclasses", "hashlib", "json")
+before = set(sys.modules)
+import weitzlab.cli
+on_import = [m for m in watched if m in sys.modules and m not in before]
+layers = all("weitzlab." + m in sys.modules for m in sys.argv[1:])
+weitzlab.cli.main(["k", "--n", "4", "--rep", "vector", "--curvature", "sphere"])
+on_run = [m for m in watched if m in sys.modules and m not in before]
+print(repr((on_import, layers, on_run)))
+"""
+
+
+class TestColdStart:
+    def test_import_loads_every_layer_and_no_unused_standard_module(self):
+        # the tracer that times each layer wraps only the modules loaded by
+        # ``import weitzlab.cli``, so all of them must load eagerly; the
+        # standard modules a command does not use must not load at all
+        import ast
+        import importlib.util
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location("tracing", os.path.join(root, "clibench", "tracing.py"))
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        src = os.path.dirname(os.path.dirname(weitzlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, *tracing.MODULES],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        on_import, layers, on_run = ast.literal_eval(out.stdout.splitlines()[-1])
+        assert layers, tracing.MODULES
+        assert on_import == [] and on_run == []
+
+
 class TestDeterminism:
     def test_byte_identical_json(self):
         args = [
@@ -547,13 +603,53 @@ def _matrix(n: int):
     return st.one_of(upper.map(skew), entries, st.lists(st.lists(st.one_of(_ENTRY, _JUNK), max_size=n), max_size=n))
 
 
+#: Degrees of ``exterior:p`` and ``sym:p``: at most 3, so that sym:3 at
+#: n = 6 (d = 56) is the largest factor, and a few that do not parse.
+_DEGREE = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(("", "x", "1.5", " 2", "+1")))
+_BASE_REP = st.one_of(
+    st.sampled_from(("vector", "trivial", "adjoint", "sym0", "spin", "spin:+", "spin:-", " vector", "Vector", "")),
+    st.tuples(st.sampled_from(("exterior", "sym")), _DEGREE).map(":".join),
+    st.text(max_size=4),
+)
+#: Selectors, tensor products of two factors only up to n = 4, where a
+#: product has d <= 400 and K at most 2.5 MB.
+_TENSOR_REP = st.tuples(_BASE_REP, _BASE_REP).map(lambda ab: "tensor:" + ",".join(ab)) | st.just("tensor:vector")
+#: Algebra labels: the small ones that build (so(14) at most), labels that do
+#: not parse, and junk without digits, so no larger algebra is ever named.
+_LABEL = st.one_of(
+    st.sampled_from(("A1", "A2", "B2", "G2", "a1", "A_2", " A1", "A0", "B1", "E8", "Z3", "A", "")),
+    st.text("ABCDEGab_ -", max_size=3),
+)
+_SOURCE = st.one_of(
+    st.sampled_from(("sphere", "random", "random:", "random:x", "random: 2", "file:", "file:/nonexistent.json", "moon")),
+    st.integers(-3, 2**70).map(lambda s: f"random:{s}"),
+    _LABEL.map(lambda label: f"group:{label}"),
+    st.text(max_size=5),
+)
+
+
 @st.composite
 def _contract_case(draw):
     """``(env, argv, payload, must_refuse)``: one CLI run with a fuzzed
-    ``--tolerance``, ``WEITZLAB_TOL``, ``--sub file:`` payload or curvature
-    JSON payload (written to ``{path}``), and whether the contract requires
-    exit 2 for it."""
-    kind = draw(st.sampled_from(("tolerance", "env", "sub", "curvature")))
+    ``--tolerance``, ``WEITZLAB_TOL``, ``--sub file:`` payload, curvature
+    JSON payload (written to ``{path}``), ``--rep`` selector, ``--curvature``
+    source or ``--algebra`` list, and whether the contract requires exit 2
+    for it."""
+    kind = draw(st.sampled_from(("tolerance", "env", "sub", "curvature", "rep", "source", "algebra")))
+    if kind == "rep":
+        n = draw(st.integers(2, 6))
+        selector = draw(_BASE_REP | _TENSOR_REP if n <= 4 else _BASE_REP)
+        source = draw(st.sampled_from(("sphere", "random:1")))
+        return {}, ["k", "--n", str(n), f"--rep={selector}", "--curvature", source], None, False
+    if kind == "source":
+        n = draw(st.one_of(st.none(), st.integers(2, 6)))
+        size = [] if n is None else ["--n", str(n)]
+        return {}, ["k", *size, "--rep", "vector", f"--curvature={draw(_SOURCE)}"], None, False
+    if kind == "algebra":
+        # an empty list means the default algebras, whose D4 asks for a 4 GiB K
+        labels = draw(st.lists(_LABEL, min_size=1, max_size=2).map(",".join).filter(bool))
+        suite = draw(st.sampled_from(("strange", "group-model")))
+        return {}, ["check", suite, f"--algebra={labels}"], None, False
     if kind == "tolerance":
         tol = repr(draw(_ANY_FLOAT))
         return {}, _K_SPHERE + [f"--tolerance={tol}"], None, _refused_tolerance(tol)
@@ -595,21 +691,24 @@ def _run_main(env: dict, argv: list[str], payload) -> tuple[int, str, str]:
         for key in ("WEITZLAB_TOL", "WEITZLAB_CI"):
             os.environ.pop(key, None)
         os.environ.update(env)
-        code = cli.main([a.format(path=path) for a in argv])
+        code = cli.main([a.replace("{path}", path) for a in argv])
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_contract_case())
 def test_fuzzed_inputs_keep_the_exit_code_contract(case):
-    """main never raises, returns 1 only with a failing gating report, and
-    refuses an invalid tolerance, subalgebra file or curvature ``n`` with
-    exit 2 and one ``error:`` line."""
+    """main never raises, returns 1 only with a failing gating report or
+    none at all, and refuses an invalid tolerance, subalgebra file or
+    curvature ``n`` with exit 2 and one ``error:`` line."""
     env, argv, payload, must_refuse = case
     code, out, err = _run_main(env, argv, payload)
     assert code in (0, 1, 2, 3)
     if code == 1:
-        assert json.loads(out)["summary"]["failed"] > 0
+        summary = json.loads(out)["summary"]
+        assert summary["failed"] > 0 or summary["diagnostic"] == summary["total"]
+    if code in (2, 3):
+        assert out == "" and err.count("\n") == 1
     if must_refuse:
         assert code == 2
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1

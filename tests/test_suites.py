@@ -63,6 +63,20 @@ class TestCanonicalJson:
         assert canonical_json(value) == report._render(value.tolist())
         assert canonical_json({"m": value}) == report._render({"m": value.tolist()})
 
+    def test_tuple_with_to_dict_renders_as_its_dict(self):
+        from typing import NamedTuple
+
+        class Record(NamedTuple):
+            b: float
+            a: int
+
+            def to_dict(self):
+                return {"a": self.a, "b": self.b}
+
+        assert canonical_json(Record(0.5, 2)) == '{"a":2,"b":0.5}'
+        assert canonical_json([Record(1.0, 0)]) == '[{"a":0,"b":1}]'
+        assert canonical_json((0.5, 2)) == "[0.5,2]"
+
     def test_negative_zero_renders_signed(self):
         assert canonical_json(np.array([[-0.0, 0.0]])) == "[[-0,0]]"
 

@@ -108,7 +108,7 @@ class TestKMatrixAgainstDenseOracle:
                 want = _k_matrix_dense(op, rep)
                 got = wb.k_matrix(op, rep)
                 scale = max(1.0, float(np.max(np.abs(want))))
-                assert got.shape == want.shape and got.dtype == complex, rep.label
+                assert got.shape == want.shape and got.dtype == _k_dtype(rep), rep.label
                 assert np.max(np.abs(got - want)) <= 1e-12 * scale, (n, rep.label)
 
     def test_chunked_join_equals_one_chunk(self, monkeypatch):
@@ -119,6 +119,11 @@ class TestKMatrixAgainstDenseOracle:
         whole = wb.k_matrix(op, rep)
         monkeypatch.setattr(wb, "PAIR_CHUNK", 1)
         assert np.array_equal(wb.k_matrix(op, rep), whole)
+
+
+def _k_dtype(rep):
+    """K is complex exactly when the generator table is."""
+    return np.dtype(complex if np.any(rep.table.val.imag) else float)
 
 
 def _batch_cases(n):
@@ -145,7 +150,7 @@ class TestBatchedKMatrix:
         for rep in _batch_cases(n):
             for stack in stacks:
                 got = wb.k_matrix(stack, rep)
-                assert got.shape == (len(self.SEEDS), rep.dim, rep.dim) and got.dtype == complex
+                assert got.shape == (len(self.SEEDS), rep.dim, rep.dim) and got.dtype == _k_dtype(rep)
                 for k, op in zip(got, stack.unstack()):
                     assert np.array_equal(k, wb.k_matrix(op, rep)), (n, rep.label)
 
