@@ -16,7 +16,8 @@ that it pays every cold cost a CLI process pays:
 * a whole ``isotypic_decompose`` for the four ``decompose`` invocations of
   the isotypic workload, plus the ``sym0`` / ``so:3`` case at n = 6;
 * ``suites.lemma_suite("k4", 10, seed)`` and ``lemma_suite("k2", 20, seed)``
-  (a suite: tensor powers of the spinors, permutation checks, K and W);
+  (a suite: the spinor tensor power, the checks on the subspace basis, K
+  and W restricted to the subspace);
 * ``suites.lichnerowicz_suite`` at n = 4, 5 and 7, ``bochner_suite`` at
   n = 7 and ``blocks4_suite``, each with 20 trials (the other trial-driven
   suites: seeded draws, Bianchi projection, K on spinors or vectors, the
@@ -45,8 +46,10 @@ the tree measured.  A ``random_curvature`` size that fails or exceeds the child 
 limit ends that ladder; any other failed case is recorded with its error and
 the next case runs.
 
-    python bench/layers.py                       # writes BENCH_11.json
-    python bench/layers.py --baseline-src OTHER/src --out BENCH_11.json
+    python bench/layers.py --out BENCH_<pr>.json
+    python bench/layers.py --baseline-src OTHER/src --out BENCH_<pr>.json
+
+``--out`` is required, so that no run overwrites an earlier record.
 
 With ``--baseline-src`` the same measurements also run against another
 source tree (for example a checkout of the parent commit) and are stored
@@ -402,7 +405,7 @@ def main() -> None:
         _child(sys.argv[2:])
         return
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_11.json"))
+    parser.add_argument("--out", required=True, help="the JSON record to write")
     parser.add_argument("--baseline-src", default=None, help="another source tree to measure the same way")
     args = parser.parse_args()
     import numpy

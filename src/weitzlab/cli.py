@@ -247,6 +247,7 @@ def cmd_k(args) -> tuple[dict, int]:
         raise UsageError(str(exc)) from exc
     # the spectrum of tK is t times that of K; adding 0.0 turns -0.0 into 0.0
     w = np.sort(t * ken.spectrum) + 0.0
+    vanishing_tol = 1e-9 if args.tolerance is None else args.tolerance
     report = CheckReport(
         check="k-term",
         inputs={**echo, "rep": args.rep, "t": args.preset if args.preset else args.t},
@@ -256,7 +257,7 @@ def cmd_k(args) -> tuple[dict, int]:
         spectrum=[float(x) for x in w],
         details={
             "definiteness": wb.definiteness(w, 1e-12),
-            "vanishing_verdict": wb.vanishing_conclusion(wb.definiteness(w, args.tolerance or 1e-9)),
+            "vanishing_verdict": wb.vanishing_conclusion(wb.definiteness(w, vanishing_tol)),
             "k_spectrum": [float(x) for x in ken.spectrum],
         },
     )

@@ -1,6 +1,6 @@
 """Dense matrix kernel: Hermitian eigenvalues and eigendecomposition,
-nullspaces, Kronecker products and Kronecker sums ``sum_x a[x] (x) b[x]``
-over stacks of matrices, and orthogonal projections.
+nullspaces, Kronecker sums ``sum_x a[x] (x) b[x]`` over stacks of matrices,
+orthonormal column bases and orthogonal projectors.
 
 Matrices are double-precision complex, except in the Hermitian
 eigensolvers: there real input stays float64, and a Hermitian part whose
@@ -19,7 +19,6 @@ __all__ = [
     "eigvals_hermitian",
     "fix_phases",
     "frobenius",
-    "kron",
     "kron_sum",
     "nullspace",
     "orthonormal_columns",
@@ -131,11 +130,6 @@ def nullspace(a, tol: float = DEFAULT_NULLSPACE_TOL, atol: float = 0.0) -> np.nd
     rank = int(np.sum(s > cutoff)) if smax > cutoff else 0
     basis = vh[rank:].conj().T
     return fix_phases(basis)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, ``(a ⊗ b)(u ⊗ v) = a u ⊗ b v``."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def kron_sum(a, b) -> np.ndarray:

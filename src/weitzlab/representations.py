@@ -340,8 +340,8 @@ def intertwiners(r1: Rep, r2: Rep) -> list[np.ndarray]:
     real = not (np.any(r1.table.val.imag) or np.any(r2.table.val.imag))
     rho, sigma = (r.stacked().real if real else r.stacked() for r in (r1, r2))
     cross = numerics.kron_sum(sigma.conj().transpose(0, 2, 1), rho.transpose(0, 2, 1))
-    g = numerics.kron(np.einsum("aji,ajk->ik", sigma.conj(), sigma), np.eye(d1)) - cross
-    g += numerics.kron(np.eye(d2), np.einsum("aij,akj->ik", rho.conj(), rho)) - cross.conj().T
+    g = np.kron(np.einsum("aji,ajk->ik", sigma.conj(), sigma), np.eye(d1)) - cross
+    g += np.kron(np.eye(d2), np.einsum("aij,akj->ik", rho.conj(), rho)) - cross.conj().T
     w, v = numerics.eig_hermitian(g)
     kernel = v[:, w <= KERNEL_TOL * w[-1]]
     return [kernel[:, k].reshape(d2, d1) for k in range(kernel.shape[1])]

@@ -178,7 +178,9 @@ def sphere_casimir_suite(n: int, tol: float = 1e-12, hw_tol: float = 1e-9) -> li
 
 
 def _lemma_k2_config():
-    return 3, 2, wb.sym_projector(2), [(1, 0)]
+    # Sym^2 of C^2 inside C^2 (x) C^2: e00, (e01 + e10) / sqrt 2, e11
+    half = np.sqrt(0.5)
+    return 3, 2, np.array([[1, 0, 0], [0, half, 0], [0, half, 0], [0, 0, 1]], dtype=complex), [(1, 0)]
 
 
 def _lemma_k4_config():
@@ -189,8 +191,7 @@ def _lemma_k4_config():
         for b in range(a, 6):
             v = np.kron(q2[:, a], q2[:, b]) + np.kron(q2[:, b], q2[:, a])
             cols.append(v)
-    e = numerics.orthonormal_columns(np.array(cols).T)
-    return 4, 4, e @ e.conj().T, [(1, 0, 3, 2), (2, 3, 0, 1)]
+    return 4, 4, numerics.orthonormal_columns(np.array(cols).T), [(1, 0, 3, 2), (2, 3, 0, 1)]
 
 
 def lemma_suite(kind: str, trials: int, seed: int, tol: float | None = None) -> list[CheckReport]:
@@ -198,16 +199,16 @@ def lemma_suite(kind: str, trials: int, seed: int, tol: float | None = None) -> 
     k2 runs on Sym^2 of the n=3 spinors, k4 on the curvature-tensor space
     (symmetric square of the 2-forms) inside the 4th power of n=4 spinors."""
     if kind == "k2":
-        n, k, proj, gens = _lemma_k2_config()
+        n, k, cols, gens = _lemma_k2_config()
         tol = 1e-9 if tol is None else tol
     elif kind == "k4":
-        n, k, proj, gens = _lemma_k4_config()
+        n, k, cols, gens = _lemma_k4_config()
         tol = 1e-8 if tol is None else tol
     else:
         raise ValueError(f"unknown lemma configuration {kind!r}")
     d = 2 ** (n // 2)  # spinor dimension
     stacks = [curv.random_curvature(n, seeds) for seeds in _seed_batches(seed, trials, n, d**k)]
-    out = wb.lemma_check(stacks, k, proj, gens, tol=tol)
+    out = wb.lemma_check(stacks, k, cols, gens, tol=tol)
     for rep, s in zip(out, range(seed, seed + trials)):
         rep.inputs["seed"] = s
     return out
@@ -451,22 +452,24 @@ def run_suite(
             f"{REPORT_BUDGET_BYTES >> 20} MiB report budget (at most {REPORT_BUDGET_BYTES // REPORT_BYTES} trials)"
         )
     algebras = algebras or _DEFAULT_ALGEBRAS
+    # an unset tolerance leaves each suite its own default; 0 is a tolerance
+    tol = {} if tolerance is None else {"tol": tolerance}
     if name == "lichnerowicz":
-        return lichnerowicz_suite(n, trials, seed, tol=tolerance or 1e-9)
+        return lichnerowicz_suite(n, trials, seed, **tol)
     if name == "bochner":
-        return bochner_suite(n, trials, seed, tol=tolerance or 1e-10)
+        return bochner_suite(n, trials, seed, **tol)
     if name == "sphere-casimir":
-        return sphere_casimir_suite(n, tol=tolerance or 1e-12)
+        return sphere_casimir_suite(n, **tol)
     if name == "lemma:k2":
-        return lemma_suite("k2", trials, seed, tol=tolerance)
+        return lemma_suite("k2", trials, seed, **tol)
     if name == "lemma:k4":
-        return lemma_suite("k4", trials, seed, tol=tolerance)
+        return lemma_suite("k4", trials, seed, **tol)
     if name == "strange":
         return strange_suite(algebras)
     if name == "group-model":
         return group_model_suite(algebras)
     if name == "blocks4":
-        return blocks4_suite(trials, seed, tol=tolerance or 1e-9)
+        return blocks4_suite(trials, seed, **tol)
     if name == "positivity":
-        return positivity_suite(n, trials, seed, tol=tolerance or 1e-9, operator=operator)
+        return positivity_suite(n, trials, seed, operator=operator, **tol)
     raise SuiteConfigError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")

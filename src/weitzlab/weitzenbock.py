@@ -6,9 +6,9 @@ symmetric and the generators are skew-adjoint.  On top of it:
 
 * named multiples ``t K`` matching the classical geometric operators
   (spinor, Hodge, Lichnerowicz, Killing, curvature-tensor);
-* the twisted term ``W`` for tensor products and its k-factor version;
 * a verifier for the projection identity ``P K P = -(k/4) P W P`` on
-  permutation-fixed subspaces of spinor tensor powers;
+  permutation-fixed subspaces E of spinor tensor powers, with the twisted
+  term ``W`` formed only on E, from an orthonormal basis of E;
 * a positivity analyzer for families of representations, with a finite
   diagnostic search standing in for the (infinite-dimensional) converse.
 """
@@ -51,15 +51,10 @@ __all__ = [
     "laplacian_t",
     "lemma_check",
     "neg_k_spectrum",
-    "permutation_matrix",
     "positivity_report",
     "standard_family",
-    "sym_projector",
     "tensor_power_rep",
-    "twisted_term",
-    "twisted_term_k",
     "vanishing_conclusion",
-    "vanishing_verdict",
 ]
 
 #: Values of t for the classical operators: the spinor Laplacian carries -4K,
@@ -187,15 +182,6 @@ def laplacian_curvature(r: CurvatureOperator, rep: Rep, t) -> np.ndarray:
     return laplacian_t(t) * k_matrix(r, rep)
 
 
-def twisted_term(r: CurvatureOperator, rho: Rep, sigma: Rep) -> np.ndarray:
-    """``-4 sum_ab R_ab (rho(x_a) rho(x_b) (x) 1 + rho(x_a) (x) sigma(x_b))``."""
-    _check_compatible(r, rho)
-    _check_compatible(r, sigma)
-    first = numerics.kron(k_matrix(r, rho), np.eye(sigma.dim))
-    weighted = np.tensordot(r.matrix, sigma.stacked(), axes=(1, 0))
-    return -4.0 * (first + numerics.kron_sum(rho.stacked(), weighted))
-
-
 def tensor_power_rep(rho: Rep, k: int) -> Rep:
     """k-fold tensor power: generators act by the sum over the k slots."""
     if k < 1:
@@ -206,16 +192,6 @@ def tensor_power_rep(rho: Rep, k: int) -> Rep:
     return power.relabeled(f"{rho.label}^(x){k}")
 
 
-def twisted_term_k(r: CurvatureOperator, rho: Rep, k: int) -> np.ndarray:
-    """k-factor twisted term: the two-factor formula with the second slot
-    replaced by the sum of the actions on factors 2..k."""
-    if k < 1:
-        raise ValueError("twisted term needs k >= 1")
-    if k == 1:
-        return -4.0 * k_matrix(r, rho)
-    return twisted_term(r, rho, tensor_power_rep(rho, k - 1))
-
-
 # ---------------------------------------------------------------------------
 # Projection lemma verifier
 # ---------------------------------------------------------------------------
@@ -223,22 +199,6 @@ def twisted_term_k(r: CurvatureOperator, rho: Rep, k: int) -> np.ndarray:
 
 class LemmaPreconditionError(ValueError):
     """A stated hypothesis of the projection identity fails for these inputs."""
-
-
-def permutation_matrix(perm: tuple[int, ...], d: int) -> np.ndarray:
-    """Matrix of a permutation of tensor factors on (C^d)^(x) k.
-
-    ``perm[s]`` is the slot the s-th factor is sent to:
-    ``P (v_0 (x) ... (x) v_{k-1}) = w`` with ``w_{perm[s]} = v_s``.
-    """
-    k = len(perm)
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"{perm} is not a permutation of 0..{k - 1}")
-    dim = d ** k
-    p = np.zeros((dim, dim))
-    # entry src of the transposed index array is the flat index of the image of e_src
-    p[np.arange(dim).reshape((d,) * k).transpose(perm).ravel(), np.arange(dim)] = 1.0
-    return p
 
 
 def _transitive(perms: list[tuple[int, ...]], k: int) -> bool:
@@ -256,30 +216,46 @@ def _transitive(perms: list[tuple[int, ...]], k: int) -> bool:
     return len(reach) == k
 
 
-def sym_projector(d: int) -> np.ndarray:
-    """Orthogonal projector onto Sym^2 inside C^d (x) C^d."""
-    return (np.eye(d * d) + permutation_matrix((1, 0), d)) / 2.0
+def _generator_action(rep: Rep, x: np.ndarray) -> np.ndarray:
+    """The (N, dim, m) stack ``rho(x_a) x`` for a (dim, m) block ``x``,
+    scattered from the generator table without the dense generators."""
+    t = rep.table
+    out = np.zeros((rep.count * rep.dim, x.shape[1]), dtype=complex)
+    np.add.at(out, t.gen * rep.dim + t.row, t.val[:, None] * x[t.col])
+    return out.reshape(rep.count, rep.dim, -1)
+
+
+def _twisted_gram(rho: Rep, y: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (N, N, m, m) Gram ``Y1_a^H Y_b`` with ``Y1_a = (rho_a (x) 1) Q``
+    and ``Y_b`` the tensor-power action on Q.  The twisted term is
+    ``W = -4 sum_ab R_ab (rho_a (x) 1) rho^(x)k_b``, so for skew-adjoint
+    generators ``Q^H W Q = 4 sum_ab R_ab Y1_a^H Y_b``; for k = 1, Y1 = Y."""
+    y1 = _generator_action(rho, cols.reshape(rho.dim, -1)).reshape(y.shape)
+    return y1.conj().swapaxes(1, 2)[:, None] @ y[None]
 
 
 def lemma_check(
     ops: Sequence[CurvatureOperator],
     k: int,
-    e_projector: np.ndarray,
+    e_columns: np.ndarray,
     gamma_generators: list[tuple[int, ...]],
     tol: float = 1e-9,
 ) -> list[CheckReport]:
-    """Verify ``P K P = -(k/4) P W P`` on a permutation-fixed subspace of the
+    """Verify ``P K P = -(k/4) P W P`` on a permutation-fixed subspace E of the
     k-th tensor power of the spinor space, once for each curvature operator.
 
+    E is given by orthonormal columns Q, P = Q Q^H, and both sides are
+    compared as ``Q^H K Q`` and ``Q^H W Q``, since ``||P X P|| = ||Q^H X Q||``.
     Preconditions (violations raise :class:`LemmaPreconditionError`): the
-    projector must be an orthogonal projector whose image is invariant under
-    the spin action and pointwise fixed by every listed permutation, and the
-    permutations must generate a transitive group on the k slots.  They do not
-    depend on R, so they are checked once per call, and the tensor powers and
-    the subspace basis are built once; each operator then costs K, W and the
-    two sandwiches.  The operators must be a non-empty sequence on one so(n);
-    an entry may be a stack, whose K's are assembled in one join, and the
-    reports follow the operators in order.
+    columns must be orthonormal and span a subspace invariant under the spin
+    action and pointwise fixed by every listed permutation of the tensor
+    slots, and the permutations must generate a transitive group on the k
+    slots.  They do not depend on R, so they are checked once per call, on
+    Q alone.  K comes from the join of the tensor power's table; W is formed
+    only on E, from the Gram of :func:`_twisted_gram`, so the two sides are
+    computed by independent paths.  The operators must be a non-empty
+    sequence on one so(n); an entry may be a stack, whose K's are assembled
+    in one join, and the reports follow the operators in order.
     """
     from .so_algebra import basis as so_basis
 
@@ -291,38 +267,39 @@ def lemma_check(
     n = ops[0].n
     rho = rep_spin(so_basis(n))
     d = rho.dim
-    p = np.asarray(e_projector, dtype=complex)
-    if p.shape != (d ** k, d ** k):
-        raise ValueError(f"projector must be {d ** k} x {d ** k} for n={n}, k={k}")
-    scale = max(1.0, float(np.linalg.norm(p)))
-    if np.linalg.norm(p @ p - p) > 1e-9 * scale or np.linalg.norm(p - p.conj().T) > 1e-9 * scale:
-        raise LemmaPreconditionError("E_projector is not an orthogonal projector")
-    # P = Q Q^H, so ||X P|| = ||X Q||: every check below acts on the columns Q
-    cols = numerics.orthonormal_columns(p, atol=0.5)  # projector eigenvalues are 0/1
+    q = np.asarray(e_columns, dtype=complex)
+    if q.ndim != 2 or q.shape[0] != d ** k:
+        raise ValueError(f"E columns must form a matrix with {d ** k} rows for n={n}, k={k}")
+    m = q.shape[1]
+    if not np.linalg.norm(q.conj().T @ q - np.eye(m)) <= 1e-9:  # NaN fails too
+        raise LemmaPreconditionError("E columns are not orthonormal")
+    scale = max(1.0, float(np.linalg.norm(q)))
     power = tensor_power_rep(rho, k)
-    mats = power.stacked()
-    inv = max(float(np.linalg.norm(m - p @ m)) for m in mats @ cols)  # (I - P) rho_a Q
-    if inv > 1e-9 * max(1.0, max(float(np.linalg.norm(m)) for m in mats)):
-        raise LemmaPreconditionError("E_projector image is not invariant under the spin action")
+    y = _generator_action(power, q)
+    t = power.table
+    gen_norm = float(np.sqrt(np.bincount(t.gen, np.abs(t.val) ** 2, power.count).max()))
+    if np.linalg.norm(y - q @ (q.conj().T @ y), axis=(1, 2)).max() > 1e-9 * max(1.0, gen_norm):
+        raise LemmaPreconditionError("E is not invariant under the spin action")
     if not gamma_generators:
         raise LemmaPreconditionError("no permutation generators given")
+    slots = q.reshape((d,) * k + (m,))
     for perm in gamma_generators:
         if len(perm) != k:
             raise LemmaPreconditionError(f"permutation {perm} does not act on {k} letters")
-        if np.linalg.norm(permutation_matrix(tuple(perm), d) @ cols - cols) > 1e-9 * scale:
-            raise LemmaPreconditionError(
-                f"permutation {perm} does not fix the subspace pointwise"
-            )
+        if sorted(perm) != list(range(k)):
+            raise LemmaPreconditionError(f"{perm} is not a permutation of 0..{k - 1}")
+        # the slots of Q moved by perm: a vector is fixed by a permutation
+        # exactly when it is fixed by its inverse, so either convention serves
+        if np.linalg.norm(slots.transpose(*perm, k) - slots) > 1e-9 * scale:
+            raise LemmaPreconditionError(f"permutation {perm} does not fix the subspace pointwise")
     if not _transitive([tuple(g) for g in gamma_generators], k):
         raise LemmaPreconditionError("the permutation group is not transitive on the factors")
 
-    tail = tensor_power_rep(rho, k - 1) if k > 1 else None
+    gram = _twisted_gram(rho, y, q)
     out = []
     for batch in ops:
         kmats = k_matrix(batch, power).reshape(-1, d ** k, d ** k)
-        out.extend(
-            _lemma_report(r, kmat, k, rho, tail, cols, gamma_generators, tol) for r, kmat in zip(batch.unstack(), kmats)
-        )
+        out.extend(_lemma_report(r, kmat, gram, k, q, gamma_generators, tol) for r, kmat in zip(batch.unstack(), kmats))
         del kmats  # freed before the next batch is joined
     return out
 
@@ -330,21 +307,18 @@ def lemma_check(
 def _lemma_report(
     r: CurvatureOperator,
     kmat: np.ndarray,
+    gram: np.ndarray,
     k: int,
-    rho: Rep,
-    tail: Rep | None,
     cols: np.ndarray,
     gamma_generators: list[tuple[int, ...]],
     tol: float,
 ) -> CheckReport:
     """The R-dependent part of :func:`lemma_check`, given K on the tensor
-    power.  Its own scope, so one operator's d^k x d^k temporaries are freed
-    before the next is built.  Both sides are compared on the orthonormal
-    columns Q of the projector P = Q Q^H, since ||P X P|| = ||Q^H X Q||."""
-    w = -4.0 * k_matrix(r, rho) if tail is None else twisted_term(r, rho, tail)
+    power and the Gram of :func:`_twisted_gram`."""
     restricted = cols.conj().T @ kmat @ cols
+    w_restricted = 4.0 * np.tensordot(r.matrix, gram, axes=2)
     knorm = float(np.linalg.norm(kmat))
-    residual = float(np.linalg.norm(restricted + (k / 4.0) * (cols.conj().T @ w @ cols)))
+    residual = float(np.linalg.norm(restricted + (k / 4.0) * w_restricted))
     tolerance = tol * (1.0 + knorm)
     spectrum, _ = numerics.eig_hermitian(restricted, hermitian_tol=1e-8)
     return CheckReport(
@@ -549,11 +523,3 @@ def vanishing_conclusion(label: str) -> str:
     conclusion = {"positive-definite": "vanishes", "zero": "parallel-only", "positive-semidefinite": "parallel-only"}
     return conclusion.get(label, "no-conclusion")
 
-
-def vanishing_verdict(tk: np.ndarray, tol: float = 1e-9) -> str:
-    """:func:`vanishing_conclusion` for the self-adjoint matrix ``t K``."""
-    m = np.asarray(tk, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if np.linalg.norm(m - m.conj().T) > 1e-9 * scale:
-        raise ValueError("vanishing_verdict needs a self-adjoint matrix")
-    return vanishing_conclusion(definiteness(np.linalg.eigvalsh((m + m.conj().T) / 2.0), tol))

@@ -50,6 +50,16 @@ class TestKCommand:
         assert payload["reports"][0]["spectrum"] == [0]
         assert payload["reports"][0]["details"]["vanishing_verdict"] == "parallel-only"
 
+    def test_tolerance_zero_sets_the_vanishing_threshold(self, capsys):
+        # t K has spectrum -3e-12 everywhere: inside the default 1e-9,
+        # so parallel-only, but negative at an explicit tolerance of 0
+        args = ["k", "--n", "4", "--rep", "vector", "--curvature", "sphere", "--t", "1e-12"]
+        _, default = run_json(args, capsys)
+        _, zero = run_json(args + ["--tolerance", "0"], capsys)
+        assert max(default["reports"][0]["spectrum"]) < 0
+        assert default["reports"][0]["details"]["vanishing_verdict"] == "parallel-only"
+        assert zero["reports"][0]["details"]["vanishing_verdict"] == "no-conclusion"
+
     def test_vector_sphere_ricci(self, capsys):
         code, payload = run_json(
             ["k", "--n", "3", "--rep", "vector", "--curvature", "sphere", "--t", "-2"], capsys
@@ -235,6 +245,24 @@ class TestCheckCommand:
         assert code == 0
         assert payload["summary"]["total"] == 4
         assert payload["summary"]["passed"] == 4
+
+    @pytest.mark.parametrize(
+        "suite, check",
+        (
+            ("lichnerowicz", "lichnerowicz"),
+            ("bochner", "bochner"),
+            ("sphere-casimir", "sphere-casimir"),
+            ("blocks4", "blocks4-einstein-mixed-vanishes"),
+            ("positivity", "positivity-forward"),
+        ),
+    )
+    def test_tolerance_zero_gates_at_zero(self, suite, check, capsys):
+        # an explicit 0 is a tolerance, not a request for the default: the
+        # gate is the tolerance the config echoes
+        _, payload = run_json(["check", suite, "--n", "4", "--trials", "2", "--seed", "1", "--tolerance", "0"], capsys)
+        assert payload["config"]["tolerance"] == 0
+        gated = [r for r in payload["reports"] if r["check"] == check]
+        assert gated and all(r["tolerance"] == 0 for r in gated)
 
     def test_unknown_suite_exit_2(self, capsys):
         code = cli.main(["check", "wibble"])

@@ -109,48 +109,6 @@ class TestNullspace:
 
 
 class TestKron:
-    def test_identities(self):
-        assert np.array_equal(numerics.kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_leibniz_on_simple_tensors(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((4, 4))
-        u = rng.standard_normal(3)
-        v = rng.standard_normal(4)
-        lhs = (numerics.kron(a, np.eye(4)) + numerics.kron(np.eye(3), b)) @ np.kron(u, v)
-        rhs = np.kron(a @ u, v) + np.kron(u, b @ v)
-        assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_rotation_block_squares_to_minus_identity(self):
-        # direct 4x4 multiplication oracle
-        j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        m = numerics.kron(j, np.eye(2))
-        assert np.allclose(m @ m, -np.eye(4))
-
-    def test_associative_exact_on_representable_entries(self):
-        rng = np.random.default_rng(9)
-        a, b, c = (rng.integers(-8, 9, size=(2, 2)).astype(float) for _ in range(3))
-        left = numerics.kron(numerics.kron(a, b), c)
-        right = numerics.kron(a, numerics.kron(b, c))
-        assert np.array_equal(left, right)
-
-    def test_associative_on_floats(self):
-        rng = np.random.default_rng(9)
-        a, b, c = (rng.standard_normal((2, 2)) for _ in range(3))
-        left = numerics.kron(numerics.kron(a, b), c)
-        right = numerics.kron(a, numerics.kron(b, c))
-        assert np.linalg.norm(left - right) <= 1e-15 * np.linalg.norm(right)
-
-    def test_mixed_product(self):
-        rng = np.random.default_rng(10)
-        a, c = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-        b, d = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
-        lhs = numerics.kron(a, b) @ numerics.kron(c, d)
-        rhs = numerics.kron(a @ c, b @ d)
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
-
-
     def test_kron_sum_rectangular_stack(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((5, 2, 3)) + 1j * rng.standard_normal((5, 2, 3))

@@ -128,8 +128,8 @@ def _complex_intertwiners(r1, r2, solve=_complex_eig) -> list[np.ndarray]:
     d1, d2 = r1.dim, r2.dim
     rho, sigma = r1.stacked(), r2.stacked()
     cross = numerics.kron_sum(sigma.conj().transpose(0, 2, 1), rho.transpose(0, 2, 1))
-    g = numerics.kron(np.einsum("aji,ajk->ik", sigma.conj(), sigma), np.eye(d1)) - cross
-    g += numerics.kron(np.eye(d2), np.einsum("aij,akj->ik", rho.conj(), rho)) - cross.conj().T
+    g = np.kron(np.einsum("aji,ajk->ik", sigma.conj(), sigma), np.eye(d1)) - cross
+    g += np.kron(np.eye(d2), np.einsum("aij,akj->ik", rho.conj(), rho)) - cross.conj().T
     w, v = solve(g)
     kernel = v[:, w <= reps.KERNEL_TOL * w[-1]]
     return [kernel[:, k].reshape(d2, d1) for k in range(kernel.shape[1])]

@@ -322,65 +322,33 @@ class TestLaplacianPresets:
             wb.laplacian_curvature(curv.sphere(3), reps.rep_vector(b3), "bogus")
 
 
-class TestTwistedTerm:
-    def test_trivial_coefficient_collapses(self, b3):
-        rho = spin.rep_spin(b3)
-        op = curv.random_curvature(3, 4)
-        w = wb.twisted_term(op, rho, reps.rep_trivial(b3))
-        assert np.allclose(w, -4.0 * wb.k_matrix(op, rho), atol=1e-12)
-
-    def test_linear_in_curvature(self, b3):
-        rho = spin.rep_spin(b3)
-        op = curv.random_curvature(3, 5)
-        doubled = curv.curvature_operator(3, 2.0 * op.matrix)
-        assert np.allclose(
-            wb.twisted_term(doubled, rho, rho), 2.0 * wb.twisted_term(op, rho, rho), atol=1e-12
-        )
-
-    def test_twisted_term_k2_matches_pair_version(self, b3):
-        rho = spin.rep_spin(b3)
-        op = curv.random_curvature(3, 6)
-        assert np.allclose(
-            wb.twisted_term_k(op, rho, 2), wb.twisted_term(op, rho, rho), atol=1e-12
-        )
-
-    def test_twisted_term_k1_is_minus_4k(self, b3):
-        rho = spin.rep_spin(b3)
-        op = curv.random_curvature(3, 7)
-        assert np.allclose(wb.twisted_term_k(op, rho, 1), -4.0 * wb.k_matrix(op, rho), atol=1e-12)
-
-    def test_twisted_term_against_loop_oracle(self, b3):
-        # independent assembly: plain double loop over the displayed formula
-        rho = spin.rep_spin(b3)
-        sigma = reps.rep_vector(b3)
-        op = curv.random_curvature(3, 8)
-        d1, d2 = rho.dim, sigma.dim
-        oracle = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-        for a in range(3):
-            for b in range(3):
-                oracle += -4.0 * op.matrix[a, b] * (
-                    np.kron(rho.mats[a] @ rho.mats[b], np.eye(d2))
-                    + np.kron(rho.mats[a], sigma.mats[b])
-                )
-        assert np.allclose(wb.twisted_term(op, rho, sigma), oracle, atol=1e-12)
-
-    def test_twisted_term_k3_against_loop_oracle(self, b3):
-        rho = spin.rep_spin(b3)
-        op = curv.random_curvature(3, 9)
-        d = rho.dim
-        eye = np.eye(d)
-        oracle = np.zeros((d ** 3, d ** 3), dtype=complex)
-        for a in range(3):
-            for b in range(3):
-                tail = np.kron(rho.mats[b], eye) + np.kron(eye, rho.mats[b])
-                oracle += -4.0 * op.matrix[a, b] * (
-                    np.kron(rho.mats[a] @ rho.mats[b], np.kron(eye, eye))
-                    + np.kron(rho.mats[a], tail)
-                )
-        assert np.allclose(wb.twisted_term_k(op, rho, 3), oracle, atol=1e-12)
+def _permutation_oracle(perm, d):
+    """Matrix of a permutation of the k tensor slots of (C^d)^(x)k: write
+    src in base d (slot 0 most significant), move the digit of slot s to
+    slot perm[s], read dst back."""
+    k = len(perm)
+    out = np.zeros((d ** k, d ** k))
+    for src in range(d ** k):
+        digits = [(src // d ** (k - 1 - s)) % d for s in range(k)]
+        moved = [0] * k
+        for s in range(k):
+            moved[perm[s]] = digits[s]
+        out[sum(v * d ** (k - 1 - s) for s, v in enumerate(moved)), src] = 1.0
+    return out
 
 
-def _k4_projector():
+def _fixed_columns(perms, d):
+    """Orthonormal columns of the subspace of (C^d)^(x)k fixed by a group
+    of slot permutations, listed in full: the image of their average."""
+    average = sum(_permutation_oracle(p, d) for p in perms) / len(perms)
+    return numerics.orthonormal_columns(average)
+
+
+def _sym_columns(d, k):
+    return _fixed_columns(list(itertools.permutations(range(k))), d)
+
+
+def _k4_columns():
     t = spin.clifford_symbol(4)
     q2 = t[:, 5:11]
     cols = []
@@ -388,27 +356,70 @@ def _k4_projector():
         for b in range(a, 6):
             v = np.kron(q2[:, a], q2[:, b]) + np.kron(q2[:, b], q2[:, a])
             cols.append(v)
-    e = numerics.orthonormal_columns(np.array(cols).T)
-    return e @ e.conj().T
+    return numerics.orthonormal_columns(np.array(cols).T)
 
 
 K4_GENERATORS = [(1, 0, 3, 2), (2, 3, 0, 1)]
 
 
+def _twisted_loop_oracle(op, rho, k):
+    """The twisted term on the whole k-th tensor power, from a plain double
+    loop over ``W = -4 sum_ab R_ab (rho_a rho_b (x) 1 + rho_a (x) tail_b)``,
+    ``tail_b`` the action of x_b on slots 2..k (zero when k = 1)."""
+    d = rho.dim
+    eye = np.eye(d ** (k - 1))
+    tails = []
+    for m in rho.mats:
+        tail = np.zeros((d ** (k - 1), d ** (k - 1)), dtype=complex)
+        for s in range(k - 1):
+            tail += np.kron(np.kron(np.eye(d ** s), m), np.eye(d ** (k - 2 - s)))
+        tails.append(tail)
+    w = np.zeros((d ** k, d ** k), dtype=complex)
+    for a in range(rho.count):
+        for b in range(rho.count):
+            w += -4.0 * op.matrix[a, b] * (np.kron(rho.mats[a] @ rho.mats[b], eye) + np.kron(rho.mats[a], tails[b]))
+    return w
+
+
+class TestRestrictedTwistedTerm:
+    """The lemma forms W only on E, as ``4 sum_ab R_ab Y1_a^H Y_b``; on any
+    orthonormal columns Q this must be ``Q^H W Q`` of the loop oracle."""
+
+    @pytest.mark.parametrize("n, k", ((3, 1), (3, 2), (3, 3), (4, 2), (4, 4)))
+    def test_against_loop_oracle(self, n, k):
+        rho = spin.rep_spin(so.basis(n))
+        power = wb.tensor_power_rep(rho, k)
+        rng = np.random.default_rng(10 * n + k)
+        raw = rng.standard_normal((power.dim, 3)) + 1j * rng.standard_normal((power.dim, 3))
+        q = np.linalg.qr(raw)[0]  # neither invariant nor slot-symmetric
+        op = curv.random_curvature(n, k)
+        gram = wb._twisted_gram(rho, wb._generator_action(power, q), q)
+        got = 4.0 * np.tensordot(op.matrix, gram, axes=2)
+        want = q.conj().T @ _twisted_loop_oracle(op, rho, k) @ q
+        assert np.abs(got - want).max() <= 1e-12
+
+
 class TestLemmaCheck:
     def test_k2_sym_square(self):
-        p = wb.sym_projector(2)
         ops = [curv.random_curvature(3, seed) for seed in range(20)]
-        reports = wb.lemma_check(ops, 2, p, [(1, 0)])
+        reports = wb.lemma_check(ops, 2, _sym_columns(2, 2), [(1, 0)])
         assert len(reports) == 20
         for rep in reports:
             assert rep.passed
             assert rep.details["t"] == -2.0
 
+    def test_suite_k2_columns_span_sym_square(self):
+        from weitzlab import suites
+
+        n, k, q, generators = suites._lemma_k2_config()
+        assert (n, k, generators) == (3, 2, [(1, 0)])
+        assert np.allclose(q.conj().T @ q, np.eye(3), atol=1e-15)
+        oracle = _sym_columns(2, 2)
+        assert np.allclose(q @ q.conj().T, oracle @ oracle.conj().T, atol=1e-15)
+
     def test_k4_curvature_tensor_space(self):
-        p = _k4_projector()
         ops = [curv.random_curvature(4, seed) for seed in range(3)]
-        reports = wb.lemma_check(ops, 4, p, K4_GENERATORS, tol=1e-8)
+        reports = wb.lemma_check(ops, 4, _k4_columns(), K4_GENERATORS, tol=1e-8)
         assert len(reports) == 3
         for rep in reports:
             assert rep.passed
@@ -418,62 +429,76 @@ class TestLemmaCheck:
     def test_k3_symmetric_cube(self):
         # the identity is not specific to k = 2 or 4: Sym^3 with the full S_3
         # gives t = -4/3
-        import itertools
-
-        d = 2
-        sym = np.zeros((d ** 3, d ** 3))
-        for perm in itertools.permutations(range(3)):
-            sym += wb.permutation_matrix(perm, d)
-        sym /= 6.0
         ops = [curv.random_curvature(3, seed) for seed in range(5)]
-        for rep in wb.lemma_check(ops, 3, sym, [(1, 0, 2), (0, 2, 1)]):
+        for rep in wb.lemma_check(ops, 3, _sym_columns(2, 3), [(1, 0, 2), (0, 2, 1)]):
             assert rep.passed
             assert abs(rep.details["t"] + 4.0 / 3.0) < 1e-12
 
+    @pytest.mark.parametrize("cycle", ((1, 2, 0), (2, 0, 1)))
+    def test_k3_cyclic_subspace_either_convention(self, cycle):
+        # the cyclic group is transitive, so the identity holds on its fixed
+        # subspace, which for d = 4 a transposition does not fix (for d = 2
+        # it is Sym^3); a 3-cycle and its inverse fix the same vectors, so
+        # both conventions give one verdict
+        q = _fixed_columns([(0, 1, 2), (1, 2, 0), (2, 0, 1)], 4)
+        assert q.shape == (64, 24)
+        ops = [curv.random_curvature(4, seed) for seed in range(3)]
+        assert all(rep.passed for rep in wb.lemma_check(ops, 3, q, [cycle]))
+        with pytest.raises(
+            wb.LemmaPreconditionError, match=re.escape("permutation (1, 0, 2) does not fix the subspace pointwise")
+        ):
+            wb.lemma_check(ops, 3, q, [cycle, (1, 0, 2)])
+
     @pytest.mark.parametrize(
-        "n, k, projector, generators",
+        "n, k, columns, generators",
         (
-            (3, 2, lambda: wb.sym_projector(2), [(1, 0)]),
-            (4, 4, _k4_projector, K4_GENERATORS),
+            (3, 2, lambda: _sym_columns(2, 2), [(1, 0)]),
+            (4, 4, _k4_columns, K4_GENERATORS),
         ),
     )
-    def test_sequence_equals_one_call_per_operator(self, n, k, projector, generators):
+    def test_sequence_equals_one_call_per_operator(self, n, k, columns, generators):
         from weitzlab.report import canonical_json
 
-        p = projector()
+        q = columns()
         ops = [curv.random_curvature(n, seed) for seed in (11, 12, 13)]
-        together = wb.lemma_check(ops, k, p, generators, tol=1e-8)
+        together = wb.lemma_check(ops, k, q, generators, tol=1e-8)
         assert len(together) == 3
         for op, rep in zip(ops, together):
-            [alone] = wb.lemma_check([op], k, p, generators, tol=1e-8)
+            [alone] = wb.lemma_check([op], k, q, generators, tol=1e-8)
             assert canonical_json(rep.to_dict()) == canonical_json(alone.to_dict())
 
     @pytest.mark.parametrize(
-        "n, k, projector, generators",
+        "n, k, columns, generators",
         (
-            (3, 2, lambda: wb.sym_projector(2), [(1, 0)]),
-            (4, 4, _k4_projector, K4_GENERATORS),
+            (3, 2, lambda: _sym_columns(2, 2), [(1, 0)]),
+            (4, 4, _k4_columns, K4_GENERATORS),
         ),
     )
-    def test_stacks_equal_single_operators(self, n, k, projector, generators):
+    def test_stacks_equal_single_operators(self, n, k, columns, generators):
         from weitzlab.report import canonical_json
 
-        p = projector()
+        q = columns()
         seeds = (11, 12, 13, 14)
         entries = [curv.random_curvature(n, seeds[:3]), curv.random_curvature(n, seeds[3])]
-        stacked = wb.lemma_check(entries, k, p, generators, tol=1e-8)
-        alone = wb.lemma_check([curv.random_curvature(n, s) for s in seeds], k, p, generators, tol=1e-8)
+        stacked = wb.lemma_check(entries, k, q, generators, tol=1e-8)
+        alone = wb.lemma_check([curv.random_curvature(n, s) for s in seeds], k, q, generators, tol=1e-8)
         assert [canonical_json(r.to_dict()) for r in stacked] == [canonical_json(r.to_dict()) for r in alone]
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="at least one curvature operator") as info:
-            wb.lemma_check([], 2, wb.sym_projector(2), [(1, 0)])
+            wb.lemma_check([], 2, _sym_columns(2, 2), [(1, 0)])
         assert not isinstance(info.value, wb.LemmaPreconditionError)
 
     def test_mixed_n_rejected(self):
         ops = [curv.random_curvature(3, 0), curv.random_curvature(4, 0)]
         with pytest.raises(ValueError, match=re.escape("different so(n)")) as info:
-            wb.lemma_check(ops, 2, wb.sym_projector(2), [(1, 0)])
+            wb.lemma_check(ops, 2, _sym_columns(2, 2), [(1, 0)])
+        assert not isinstance(info.value, wb.LemmaPreconditionError)
+
+    def test_wrong_row_count_rejected(self):
+        ops = [curv.random_curvature(3, 0)]
+        with pytest.raises(ValueError, match="with 4 rows") as info:
+            wb.lemma_check(ops, 2, np.eye(8)[:, :3], [(1, 0)])
         assert not isinstance(info.value, wb.LemmaPreconditionError)
 
     def test_full_tensor_square_fails_precondition(self):
@@ -487,63 +512,56 @@ class TestLemmaCheck:
 
     def test_intransitive_group_fails_precondition(self):
         ops = [curv.random_curvature(3, 0), curv.random_curvature(3, 1)]
-        d = 2
-        p = np.eye(d ** 2)
         with pytest.raises(
             wb.LemmaPreconditionError,
             match=re.escape("the permutation group is not transitive on the factors"),
         ):
-            wb.lemma_check(ops, 2, p, [(0, 1)])  # identity permutation only
+            wb.lemma_check(ops, 2, np.eye(4), [(0, 1)])  # identity permutation only
 
-    def test_non_projector_rejected(self):
+    @pytest.mark.parametrize(
+        "skew",
+        (
+            lambda q: 0.5 * q,
+            lambda q: (1.0 + 1e-6) * q,
+            # unit length, not orthogonal to column 0
+            lambda q: np.column_stack([q[:, 0], (q[:, 0] + q[:, 1]) / np.sqrt(2.0), q[:, 2]]),
+            lambda q: np.where(np.arange(3) == 1, np.nan, q),
+        ),
+    )
+    def test_non_orthonormal_columns_rejected(self, skew):
         ops = [curv.random_curvature(3, 0), curv.random_curvature(3, 1)]
-        with pytest.raises(
-            wb.LemmaPreconditionError, match=re.escape("E_projector is not an orthogonal projector")
-        ):
-            wb.lemma_check(ops, 2, 0.5 * np.eye(4), [(1, 0)])
+        with pytest.raises(wb.LemmaPreconditionError, match=re.escape("E columns are not orthonormal")):
+            wb.lemma_check(ops, 2, skew(_sym_columns(2, 2)), [(1, 0)])
 
-    def test_non_invariant_projector_rejected(self):
+    @pytest.mark.parametrize("perm", ((0, 0), (1, 2), (0, 0, 1)))
+    def test_non_permutation_generator_rejected(self, perm):
+        ops = [curv.random_curvature(3, 0)]
+        with pytest.raises(wb.LemmaPreconditionError, match=re.escape(f"{perm}")):
+            wb.lemma_check(ops, 2, _sym_columns(2, 2), [(1, 0), perm])
+
+    def test_non_invariant_subspace_rejected(self):
         ops = [curv.random_curvature(3, 0), curv.random_curvature(3, 1)]
-        p = np.zeros((4, 4))
-        p[0, 0] = 1.0  # spans e_1 (x) e_1, not spin-invariant
+        q = np.eye(4)[:, :1]  # spans e_1 (x) e_1, not spin-invariant
         with pytest.raises(
             wb.LemmaPreconditionError,
-            match=re.escape("E_projector image is not invariant under the spin action"),
+            match=re.escape("E is not invariant under the spin action"),
         ):
-            wb.lemma_check(ops, 2, p, [(1, 0)])
-
-
-class TestPermutationMatrix:
-    def test_swap(self):
-        p = wb.permutation_matrix((1, 0), 2)
-        v = np.kron(np.array([1.0, 0.0]), np.array([0.0, 1.0]))  # e0 (x) e1
-        w = np.kron(np.array([0.0, 1.0]), np.array([1.0, 0.0]))  # e1 (x) e0
-        assert np.allclose(p @ v, w)
-
-    def test_invalid_permutation(self):
-        with pytest.raises(ValueError):
-            wb.permutation_matrix((0, 0), 2)
-
-    def test_composition(self):
-        a = wb.permutation_matrix((1, 2, 0), 2)
-        b = wb.permutation_matrix((2, 0, 1), 2)
-        assert np.allclose(a @ b, np.eye(8))
+            wb.lemma_check(ops, 2, q, [(1, 0)])
 
     @pytest.mark.parametrize("k", range(1, 5))
     @pytest.mark.parametrize("d", range(1, 4))
-    def test_equals_digit_loop_oracle(self, k, d):
-        # oracle: write src in base d (slot 0 most significant), move the
-        # digit of slot s to slot perm[s], read dst back
+    def test_slot_transpose_fixes_what_the_oracle_fixes(self, k, d):
+        # a column is fixed by the slot transpose of a permutation exactly
+        # when the digit-loop matrix of that permutation fixes it
+        rng = np.random.default_rng(d * 10 + k)
         for perm in itertools.permutations(range(k)):
-            oracle = np.zeros((d ** k, d ** k))
-            for src in range(d ** k):
-                digits = [(src // d ** (k - 1 - s)) % d for s in range(k)]
-                out = [0] * k
-                for s in range(k):
-                    out[perm[s]] = digits[s]
-                oracle[sum(v * d ** (k - 1 - s) for s, v in enumerate(out)), src] = 1.0
-            got = wb.permutation_matrix(perm, d)
-            assert got.dtype == oracle.dtype and got.tobytes() == oracle.tobytes()
+            fixed = numerics.nullspace(_permutation_oracle(perm, d) - np.eye(d ** k), atol=1e-12)
+            loose = rng.standard_normal((d ** k, 1))
+            for cols in (fixed, loose):
+                slots = cols.reshape((d,) * k + (-1,))
+                by_transpose = np.linalg.norm(slots.transpose(*perm, k) - slots) <= 1e-12
+                by_oracle = np.linalg.norm(_permutation_oracle(perm, d) @ cols - cols) <= 1e-12
+                assert by_transpose == by_oracle
 
 
 class TestPositivity:
@@ -688,7 +706,6 @@ def test_one_spectrum_classifier(w, label, vanishing, entry, monkeypatch):
     assert wb.definiteness(w, TOL) == label
     assert wb.definiteness(w[::-1], TOL) == label  # only the extremes count
     assert wb.vanishing_conclusion(label) == vanishing
-    assert wb.vanishing_verdict(np.diag(w), tol=TOL) == vanishing
     # _entry_for classifies -K; hand it a K whose -K has spectrum w
     monkeypatch.setattr(wb, "k_matrix", lambda r, rep: np.diag(-w))
     e = wb._entry_for(curv.sphere(2), reps.rep_vector(so.basis(2)), TOL)
@@ -699,28 +716,32 @@ def test_one_spectrum_classifier(w, label, vanishing, entry, monkeypatch):
 def test_classifier_edge_spectra():
     assert wb.definiteness(np.array([]), TOL) == "zero"
     assert wb.definiteness(np.array([np.nan, 1.0]), TOL) == "indefinite"
-    assert wb.vanishing_verdict(np.zeros((0, 0))) == "parallel-only"
+    assert wb.vanishing_conclusion(wb.definiteness(np.array([]), TOL)) == "parallel-only"
 
 
-class TestVanishingVerdict:
+class TestVanishingConclusion:
+    """The vanishing conclusion of a self-adjoint ``t K``, as the CLI's ``k``
+    forms it: :func:`vanishing_conclusion` of the :func:`definiteness` of its
+    spectrum."""
+
+    @staticmethod
+    def _conclusion(m):
+        return wb.vanishing_conclusion(wb.definiteness(np.linalg.eigvalsh(m), TOL))
+
     def test_positive(self):
-        assert wb.vanishing_verdict(np.eye(3)) == "vanishes"
+        assert self._conclusion(np.eye(3)) == "vanishes"
 
     def test_zero(self):
-        assert wb.vanishing_verdict(np.zeros((3, 3))) == "parallel-only"
+        assert self._conclusion(np.zeros((3, 3))) == "parallel-only"
 
     def test_negative(self):
-        assert wb.vanishing_verdict(-np.eye(3)) == "no-conclusion"
+        assert self._conclusion(-np.eye(3)) == "no-conclusion"
 
     def test_spinor_preset_on_sphere_vanishes(self, b4):
         term = wb.laplacian_curvature(curv.sphere(4), spin.rep_spin(b4), "spinor_dirac")
-        assert wb.vanishing_verdict(term) == "vanishes"
+        assert self._conclusion(term) == "vanishes"
         # the value is s/4 = 6 at n=4
         assert np.allclose(term, 6.0 * np.eye(4), atol=1e-12)
-
-    def test_non_self_adjoint_rejected(self):
-        with pytest.raises(ValueError):
-            wb.vanishing_verdict(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestStandardFamily:
