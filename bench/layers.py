@@ -23,18 +23,20 @@ that it pays every cold cost a CLI process pays:
   suites: seeded draws, Bianchi projection, K on spinors or vectors, the
   4-d blocks and the report digests);
 * ``rep_adjoint`` at n = 10 and 12, ``rep_exterior`` at (n, p) = (10, 5)
-  and (12, 6), ``rep_sym`` at (10, 3) and ``rep_sym0`` at n = 14
-  (representation construction);
+  and (12, 6), ``rep_sym`` at (10, 3), ``rep_sym0`` at n = 14 and
+  ``spin.rep_half_spin`` (the + half) at n = 14 (representation
+  construction);
 * ``weitzenbock.positivity_report`` on ``random_curvature(n, 2)`` for
   n = 3 ... 7; the operator is indefinite, so the diagnostic search over the
   pairwise tensor products of the standard family runs at its default cap
   (the positivity suite with an explicit operator);
 * ``weitzenbock.k_matrix`` on ``random_curvature(n, 1)`` for exterior(5) at
-  n = 10, exterior(6) at n = 12, sym(3) at n = 10, spin at n = 14, the
-  fourth tensor power of the n = 4 spinors (the lemma:k4 power) and
-  exterior(3) (x) exterior(3) at n = 7 (the largest positivity product at
-  n = 7), with the time to build each representation beside it (assembly
-  of K).
+  n = 10, exterior(6) at n = 12, sym(3) at n = 10, spin and the + half-spin
+  at n = 14, the fourth tensor power of the n = 4 spinors (the lemma:k4
+  power) and exterior(3) (x) exterior(3) at n = 7 (the largest positivity
+  product at n = 7), and on the bi-invariant curvature of G2 and of C3 for
+  spin (n = 14 and 21), with the time to build each representation beside
+  it (assembly of K).
 
 Each child runs with one BLAS/OpenMP thread and a 3 GiB address-space cap,
 and reports its own peak RSS (a cold start's comes from its rusage).  The
@@ -102,6 +104,7 @@ REP_CASES = (
     ("rep_exterior", 12, 6),
     ("rep_sym", 10, 3),
     ("rep_sym0", 14, None),
+    ("rep_half_spin", 14, 1),
 )
 #: n of each positivity report; the curvature operator is random_curvature(n, POSITIVITY_SEED).
 POSITIVITY_NS = range(3, 8)
@@ -114,10 +117,13 @@ K_CASES = (
     (12, "exterior:6"),
     (10, "sym:3"),
     (14, "spin"),
+    (14, "spin:+"),
     (4, "power:spin:4"),
     (7, "tensor:exterior:3,exterior:3"),
 )
 K_SEED = 1
+#: (algebra, rep) of each K assembly timed on a group's bi-invariant curvature.
+K_GROUP_CASES = (("G2", "spin"), ("C3", "spin"))
 #: (name, interpreter arguments) of each cold start timed: the whole CLI
 #: process and the package import alone, both compiled from source.
 COLD_CASES = (
@@ -199,11 +205,11 @@ def _child_trials(suite: str, n: int | None) -> dict:
 
 
 def _child_rep(constructor: str, n: int, p: int | None) -> dict:
-    from weitzlab import representations
+    from weitzlab import representations, spin
     from weitzlab.so_algebra import basis
 
     b = basis(n)
-    build = getattr(representations, constructor)
+    build = getattr(spin if constructor == "rep_half_spin" else representations, constructor)
     t0 = time.perf_counter()
     r = build(b) if p is None else build(b, p)
     return {"seconds": time.perf_counter() - t0, "d": r.dim, "peak_rss_mb": _peak_rss_mb()}
@@ -230,13 +236,19 @@ def _child_positivity(n: int) -> dict:
     }
 
 
-def _child_k(n: int, rep: str) -> dict:
+def _child_k(n: int | str, rep: str) -> dict:
+    """K of ``random_curvature(n, K_SEED)``, or of the bi-invariant curvature
+    of the algebra when ``n`` is a label such as ``G2``."""
     import numpy as np
 
     from weitzlab import cli, curvature, weitzenbock
-    from weitzlab.so_algebra import basis
+    from weitzlab.so_algebra import basis, simple_algebra
 
-    op = curvature.random_curvature(n, K_SEED)
+    if isinstance(n, str):
+        op = curvature.bi_invariant_group(simple_algebra(n))
+        n = op.n
+    else:
+        op = curvature.random_curvature(n, K_SEED)
     t0 = time.perf_counter()
     if rep.startswith("power:"):
         _, sel, k = rep.split(":")
@@ -269,7 +281,7 @@ def _child(argv: list[str]) -> None:
     elif kind == "intertwiners":
         result = _child_intertwiners(int(rest[0]), rest[1])
     elif kind == "k":
-        result = _child_k(int(rest[0]), rest[1])
+        result = _child_k(int(rest[0]) if rest[0].isdigit() else rest[0], rest[1])
     else:
         result = _child_decompose(int(rest[0]), rest[1], rest[2])
     sys.stdout.write(json.dumps(result) + "\n")
@@ -397,6 +409,9 @@ def measure(srcs: list[str]) -> list[dict]:
         entry = {"n": n, "rep": rep, "N": n * (n - 1) // 2, "seed": K_SEED}
         medians = ("seconds", "build_seconds", "peak_rss_mb")
         case("k_matrix", ["k", str(n), rep], entry, f"k_matrix {n} {rep}", sizes=("d", "nnz"), medians=medians)
+    for label, rep in K_GROUP_CASES:
+        entry = {"curvature": f"group:{label}", "rep": rep}
+        case("k_matrix", ["k", label, rep], entry, f"k_matrix group:{label} {rep}", sizes=("d", "nnz"), medians=medians)
     return records
 
 

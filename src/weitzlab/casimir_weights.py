@@ -12,12 +12,13 @@ Two coordinate systems appear.
   the matrix Casimir of an irreducible of highest weight w is exactly
   ``-<w, w + 2 delta>`` (conversion to the Killing-dual form is the recorded
   factor ``1 / (2(n-2))``).
+
+Each function imports ``Fraction`` itself, as in :mod:`so_algebra`.
 """
 
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 
 from .report import CheckReport
 from .so_algebra import RootData, SimpleAlgebraData
@@ -36,6 +37,8 @@ __all__ = [
 
 def weyl_vector(g: SimpleAlgebraData | RootData) -> tuple[Fraction, ...]:
     """Half the sum of the positive roots, over the simple-root basis."""
+    from fractions import Fraction
+
     roots = g.roots if isinstance(g, SimpleAlgebraData) else g
     rank = roots.rank
     total = [Fraction(0)] * rank
@@ -63,6 +66,8 @@ def casimir_scalar_hw(g: SimpleAlgebraData | RootData, w) -> Fraction:
     is orthonormal for.  Non-dominant weights trigger a warning but the value
     is still computed.
     """
+    from fractions import Fraction
+
     roots = g.roots if isinstance(g, SimpleAlgebraData) else g
     if not is_dominant(roots, w):
         warnings.warn("weight is not dominant; Casimir value computed anyway", stacklevel=2)
@@ -77,6 +82,8 @@ def strange_formula_check(g: SimpleAlgebraData) -> CheckReport:
     The comparison is exact rational arithmetic; floats only appear in the
     emitted report.
     """
+    from fractions import Fraction
+
     delta = weyl_vector(g)
     norm2 = g.roots.inner_killing(delta, delta)
     lhs = Fraction(g.dim)
@@ -105,6 +112,8 @@ def strange_formula_check(g: SimpleAlgebraData) -> CheckReport:
 def so_positive_roots(n: int) -> list[tuple[Fraction, ...]]:
     """Positive roots of so(n) in the x_i coordinates: e_i +- e_j (i < j),
     plus the short roots e_i when n is odd."""
+    from fractions import Fraction
+
     if n < 3:
         raise ValueError("so(n) root data needs n >= 3")
     m = n // 2
@@ -125,6 +134,8 @@ def so_positive_roots(n: int) -> list[tuple[Fraction, ...]]:
 
 
 def so_weyl_vector(n: int) -> tuple[Fraction, ...]:
+    from fractions import Fraction
+
     m = n // 2
     total = [Fraction(0)] * m
     for beta in so_positive_roots(n):
@@ -135,6 +146,8 @@ def so_weyl_vector(n: int) -> tuple[Fraction, ...]:
 
 def spin_highest_weight(n: int) -> tuple[Fraction, ...]:
     """Highest weight of the spin representation: ``(x_1 + ... + x_m) / 2``."""
+    from fractions import Fraction
+
     if n < 3:
         raise ValueError("spin highest weight needs n >= 3")
     return tuple(Fraction(1, 2) for _ in range(n // 2))
@@ -147,6 +160,8 @@ def so_casimir_scalar(n: int, w) -> Fraction:
     matrix Casimir of the corresponding representation is exactly minus this
     value, with no extra factor.
     """
+    from fractions import Fraction
+
     m = n // 2
     delta = so_weyl_vector(n)
     return sum(Fraction(w[i]) * (Fraction(w[i]) + 2 * delta[i]) for i in range(m))
@@ -155,6 +170,8 @@ def so_casimir_scalar(n: int, w) -> Fraction:
 def so_weight_killing_factor(n: int) -> Fraction:
     """Factor converting the Euclidean x-coordinate form to the Killing-dual
     form on so(n) weights (B = (n-2) tr on so(n))."""
+    from fractions import Fraction
+
     if n < 3:
         raise ValueError("Killing factor needs n >= 3")
     return Fraction(1, 2 * (n - 2))

@@ -28,6 +28,7 @@ __all__ = [
     "Rep",
     "casimir",
     "commutant_dimension",
+    "conjugated_table",
     "homomorphism_residual",
     "intertwiners",
     "invariant_bilinear_forms",
@@ -73,14 +74,21 @@ def gen_table(gen, row, col, val, dim: int) -> GenTable:
 class Rep:
     """Matrix representation: one complex ``dim x dim`` matrix per generator,
     stored as the table of their nonzero entries.  ``mats`` and
-    :meth:`stacked` are dense read-only views, built on first use and kept."""
+    :meth:`stacked` are dense read-only views, built on first use and kept.
 
-    def __init__(self, basis: SoBasis | Subalgebra, dim: int, table: GenTable, label: str):
+    ``clifford`` marks the spin and half-spin representations of so(n): it
+    holds the Clifford blade of each generator (:class:`spin.SpinorBlades`),
+    from which K is assembled without the table join.  Only those two
+    constructors set it; a rep built any other way carries None."""
+
+    def __init__(self, basis: SoBasis | Subalgebra, dim: int, table: GenTable, label: str, clifford=None):
         self.basis, self.dim, self.table, self.label = basis, dim, table, label
+        self.clifford = clifford
 
     def relabeled(self, label: str) -> Rep:
-        """The same representation, sharing its table, under another label."""
-        return Rep(self.basis, self.dim, self.table, label)
+        """The same representation, sharing its table and its Clifford mark,
+        under another label."""
+        return Rep(self.basis, self.dim, self.table, label, self.clifford)
 
     @classmethod
     def from_mats(cls, basis: SoBasis | Subalgebra, dim: int, mats, label: str) -> Rep:
@@ -113,15 +121,30 @@ class Rep:
     def stacked(self) -> np.ndarray:
         return self._dense
 
-    def each_mat(self):
-        """The dense generators one at a time, without building the stack."""
-        t = self.table
-        start = np.searchsorted(t.gen, np.arange(self.count + 1))
-        for a in range(self.count):
-            out = np.zeros((self.dim, self.dim), dtype=complex)
-            part = slice(start[a], start[a + 1])
-            out[t.row[part], t.col[part]] = t.val[part]
-            yield out
+
+def _partners(rows: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (item, nonzero) pair of items on ``rows`` with the nonzeros of
+    their row, the nonzeros of row i being ``start[i]:start[i + 1]``:
+    the item indices and the nonzero indices, item-major."""
+    count = start[rows + 1] - start[rows]
+    item = np.repeat(np.arange(len(rows)), count)
+    run = np.arange(len(item)) - np.repeat(np.cumsum(count) - count, count)
+    return item, start[rows][item] + run
+
+
+def conjugated_table(t: GenTable, cols: np.ndarray) -> GenTable:
+    """Table of ``cols^H m cols`` for every generator m of ``t``, by a join
+    of the table with the nonzeros of ``cols``: an entry ``m[i, j] = v``
+    meets every nonzero ``cols[i, k]`` and ``cols[j, l]`` and adds
+    ``conj(cols[i, k]) v cols[j, l]`` at (k, l), the product taken in the
+    order of the dense ``(cols^H m) cols``."""
+    ci, ck = np.nonzero(cols)  # row-major, so sorted by row
+    start = np.searchsorted(ci, np.arange(len(cols) + 1))
+    entry, left = _partners(t.row, start)
+    pair, right = _partners(t.col[entry], start)
+    entry, left = entry[pair], left[pair]
+    val = cols[ci[left], ck[left]].conj() * t.val[entry] * cols[ci[right], ck[right]]
+    return gen_table(t.gen[entry], ck[left], ck[right], val, cols.shape[1])
 
 
 def _same_basis(r1: Rep, r2: Rep) -> bool:
@@ -257,7 +280,7 @@ def rep_sym0(basis: SoBasis) -> Rep:
             metric[k, 0] = 1.0
     metric /= np.linalg.norm(metric)
     cols = numerics.nullspace(metric.conj().T)  # orthonormal complement of the metric vector
-    return Rep.from_mats(basis, s2.dim - 1, (cols.conj().T @ m @ cols for m in s2.each_mat()), "sym0(2)")
+    return Rep(basis=basis, dim=s2.dim - 1, table=conjugated_table(s2.table, cols), label="sym0(2)")
 
 
 def rep_standard(basis: SoBasis, kind: str, p: int | None = None) -> Rep:

@@ -10,12 +10,13 @@ Conventions fixed here and relied on everywhere else:
 
 Root data is kept in exact rational arithmetic (coefficients over the simple
 roots, rational Gram matrix normalised so long roots have squared length 2).
+``Fraction`` is imported in the functions that build it, so a process that
+never builds root data loads neither ``fractions`` nor ``decimal``.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -89,8 +90,12 @@ def basis(n: int) -> SoBasis:
 
 
 def expand(so: SoBasis, m: np.ndarray) -> np.ndarray:
-    """Coefficients of a skew matrix over the orthonormal basis of ``so``."""
-    return np.array([inner(x, m) for x in so.elements])
+    """Coefficients of a skew matrix over the orthonormal basis of ``so``:
+    ``inner(x_ij, m) = (m[i, j] - m[j, i]) / 2`` of the real part, written
+    so that a zero coefficient carries the sign that the trace gives."""
+    m = np.real(np.asarray(m))
+    i, j = np.array(so.pairs).reshape(-1, 2).T
+    return -(m[j, i] - m[i, j]) / 2.0
 
 
 class Subalgebra(NamedTuple):
@@ -149,6 +154,8 @@ _FAMILIES = ("A", "B", "C", "D", "G")
 
 
 def _gram(family: str, rank: int) -> list[list[Fraction]]:
+    from fractions import Fraction
+
     g = [[Fraction(0)] * rank for _ in range(rank)]
     if family == "A":
         for i in range(rank):
@@ -204,6 +211,8 @@ class RootData(NamedTuple):
 
     @property
     def simple_roots(self) -> tuple[tuple[Fraction, ...], ...]:
+        from fractions import Fraction
+
         eye = []
         for i in range(self.rank):
             row = [Fraction(0)] * self.rank
@@ -213,6 +222,8 @@ class RootData(NamedTuple):
 
     def inner_norm(self, u, v) -> Fraction:
         """Inner product in the long-root-length^2 = 2 normalisation."""
+        from fractions import Fraction
+
         total = Fraction(0)
         for i in range(self.rank):
             for j in range(self.rank):
@@ -225,6 +236,8 @@ class RootData(NamedTuple):
 
 
 def _generate_positive_roots(family: str, rank: int) -> RootData:
+    from fractions import Fraction
+
     gram_rows = _gram(family, rank)
     gram = tuple(tuple(row) for row in gram_rows)
     data = RootData(family=family, rank=rank, gram=gram, positive_roots=(), dual_coxeter=_DUAL_COXETER[family](rank))

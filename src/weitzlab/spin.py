@@ -10,6 +10,7 @@ matrices.  A basis element ``x_ij`` of so(n) acts on spinors as
 
 from __future__ import annotations
 
+import functools
 import itertools
 from functools import reduce
 from typing import NamedTuple
@@ -17,11 +18,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .representations import Rep, gen_table, invariant_bilinear_forms, rep_exterior
+from .representations import Rep, conjugated_table, gen_table, invariant_bilinear_forms, rep_exterior
 from .so_algebra import SoBasis
 
 __all__ = [
     "CliffordGenerators",
+    "SpinorBlades",
     "SpinorPairing",
     "chirality",
     "clifford_symbol",
@@ -58,6 +60,16 @@ def _kron_monomial(a, b):
     return (pa[:, None] * len(pb) + pb).ravel(), (fa[:, None] * fb).ravel()
 
 
+def _monomial_product(factors):
+    """The product, left to right, of monomial matrices given as (perm,
+    phase) pairs: ``(a b)[r, pb[pa[r]]] = fa[r] fb[pa[r]]``."""
+    factors = iter(factors)
+    perm, phase = next(factors)
+    for pb, fb in factors:
+        perm, phase = pb[perm], phase * fb[perm]
+    return perm, phase
+
+
 def _clifford_monomials(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The generators of :func:`gamma` as monomial matrices: ``(perm,
     phase)`` of shape (n, dim), ``gamma_i[r, perm[i, r]] = phase[i, r]``."""
@@ -73,11 +85,8 @@ def _clifford_monomials(n: int) -> tuple[np.ndarray, np.ndarray]:
         eye = (np.arange(2 ** m), np.ones(2 ** m))
         gammas = [_kron_monomial(g, s3) for g in gammas] + [_kron_monomial(eye, g1), _kron_monomial(eye, g2)]
         m += 1
-    if n % 2 == 1:
-        # the volume element: (a b)[r, pb[pa[r]]] = fa[r] fb[pa[r]]
-        perm, phase = gammas[0]
-        for pb, fb in gammas[1:]:
-            perm, phase = pb[perm], phase * fb[perm]
+    if n % 2 == 1:  # the volume element of the even rank below, scaled
+        perm, phase = _monomial_product(gammas)
         gammas.append((perm, (1.0j if m % 2 == 0 else 1.0) * phase))
     perm, phase = (np.array(a) for a in zip(*gammas))
     return perm, phase
@@ -99,17 +108,103 @@ def gamma(n: int) -> CliffordGenerators:
     return CliffordGenerators(n=n, dim=dim, gammas=tuple(gammas))
 
 
+class SpinorBlades:
+    """The Clifford structure of a spin or half-spin representation, from
+    which ``K = sum_ab R_ab rho_a rho_b`` is assembled blade by blade.
+
+    With ``rho_a = -e_i e_j / 2`` for ``x_a = x_ij``, every product
+    ``rho_a rho_b`` is +-1 times one matrix per blade ``e_B``, B the XOR of
+    the generators' masks ``2^i + 2^j``, so ``K = sum_B c_B Gamma_B`` with
+    ``c_B = sum_(a,b)->B s_ab R_ab``: at most 1 + C(n,2) + C(n,4) terms
+    against N^2 products.  ``Gamma_B`` is ``rho_a rho_b`` for the first pair
+    (a, b) of its blade, row-major, and ``s_ab`` the exact sign that turns
+    it into ``rho_a rho_b``, read off one row.  ``perm`` and ``phase`` are
+    the spin generators on the full spinor space as monomial matrices,
+    ``rho_a[r, perm[a, r]] = phase[a, r]``; ``rows`` are the rows of the
+    full space a half-spin keeps, in its column order (all rows for spin).
+    An even blade preserves chirality, so K on a half is that half's rows
+    and columns of K on spin.  Each ``Gamma_B`` has phases all real or all
+    imaginary (the generators' are), so a blade adds to the real or to the
+    imaginary part of K alone.  Nothing here depends on R; the per-row
+    entries are kept when there are at most :data:`CACHE_ENTRIES` of them."""
+
+    #: Most (row, blade) entries of ``Gamma_B`` kept between calls.
+    CACHE_ENTRIES = 1 << 20
+
+    def __init__(self, masks: np.ndarray, perm: np.ndarray, phase: np.ndarray, rows: np.ndarray | None = None):
+        self.masks, self.perm, self.phase = masks, perm, phase
+        self.rows = np.arange(perm.shape[1]) if rows is None else rows
+        self.dim = len(self.rows)
+
+    @functools.cached_property
+    def _pairs(self):
+        """Blade index of each pair, row-major; the first pair of each blade;
+        the sign of each pair; the real and the imaginary blades."""
+        count = len(self.masks)
+        _, first, key = np.unique((self.masks[:, None] ^ self.masks).ravel(), return_index=True, return_inverse=True)
+        a, b = np.divmod(np.arange(count * count), count)
+        lead = self.phase[a, 0] * self.phase[b, self.perm[a, 0]]  # row 0 of rho_a rho_b
+        rep = lead[first][key]
+        if not np.all((lead == rep) | (lead == -rep)):
+            raise RuntimeError("spin generator products are not +-1 times their blade")
+        kind = lead[first].imag == 0
+        return key, np.divmod(first, count), np.where(lead == rep, 1.0, -1.0), np.flatnonzero(kind), np.flatnonzero(~kind)
+
+    @property
+    def count(self) -> int:
+        """Number of blades."""
+        return len(self._pairs[1][0])
+
+    def coefficients(self, matrix: np.ndarray) -> np.ndarray:
+        """``c_B`` for each operator of an (N, N) or (T, N, N) stack, as a
+        (T, blades) array: one ``np.bincount`` over the pairs of all T, each
+        operator's sums in pair order."""
+        key, _, sign, _, _ = self._pairs
+        w = matrix.reshape(-1, len(key))
+        bins = (np.arange(len(w))[:, None] * self.count + key).ravel()
+        return np.bincount(bins, (w * sign).ravel(), len(w) * self.count).reshape(len(w), self.count)
+
+    def entries(self, lo: int, hi: int):
+        """Rows lo..hi of every ``Gamma_B`` as two (blades, columns, values)
+        triples, for the real and for the imaginary part: the blade indices,
+        and (blades, hi - lo) arrays of the one column (a position among
+        ``rows``) and the real or imaginary phase that each row holds."""
+        cached = self._cached
+        if cached is not None:
+            return [(blades, col[:, lo:hi], val[:, lo:hi]) for blades, col, val in cached]
+        return self._entries(self.rows[lo:hi])
+
+    @functools.cached_property
+    def _cached(self):
+        return self._entries(self.rows) if self.dim * self.count <= self.CACHE_ENTRIES else None
+
+    def _entries(self, rows: np.ndarray):
+        _, (a, b), _, real, imag = self._pairs
+        d = self.perm.shape[1]
+        perm, phase = self.perm.ravel(), self.phase.ravel()
+        pos = np.full(d, -1)
+        pos[self.rows] = np.arange(self.dim)
+        out = []
+        for blades, part in ((real, np.real), (imag, np.imag)):
+            left = a[blades, None] * d + rows
+            right = b[blades, None] * d + perm[left]
+            out.append((blades, pos[perm[right]], part(phase[left] * phase[right])))
+        return out
+
+
 def rep_spin(basis: SoBasis) -> Rep:
     """Spin representation: ``x_ij`` maps to ``-e_i e_j / 2``, monomial like
     the Clifford generators: row r holds its one entry in column
-    ``perm_j[perm_i[r]]``."""
+    ``perm_j[perm_i[r]]``.  The rep carries its :class:`SpinorBlades`."""
     perm, phase = _clifford_monomials(basis.n)
     count, dim = len(basis.pairs), perm.shape[1]
     i, j = np.array(basis.pairs).reshape(-1, 2).T
     col = np.take_along_axis(perm[j], perm[i], axis=1)
     val = -(phase[i] * np.take_along_axis(phase[j], perm[i], axis=1)) / 2.0
     gen, row = np.repeat(np.arange(count), dim), np.tile(np.arange(dim), count)
-    return Rep(basis=basis, dim=dim, table=gen_table(gen, row, col.ravel(), val.ravel(), dim), label="spin")
+    blades = SpinorBlades((1 << i) | (1 << j), col, val)
+    table = gen_table(gen, row, col.ravel(), val.ravel(), dim)
+    return Rep(basis=basis, dim=dim, table=table, label="spin", clifford=blades)
 
 
 def chirality(cg: CliffordGenerators) -> np.ndarray:
@@ -120,24 +215,42 @@ def chirality(cg: CliffordGenerators) -> np.ndarray:
     return vol if cg.n % 4 == 0 else 1.0j * vol
 
 
+def _chirality_monomial(n: int) -> np.ndarray:
+    """:func:`chirality` of ``gamma(n)``, composed as a monomial matrix: the
+    dense product's one nonzero per row is the same product of phases."""
+    if n % 2 != 0:
+        raise ValueError("chirality element is defined for even n")
+    perm, phase = _monomial_product(zip(*_clifford_monomials(n)))
+    vol = np.zeros((len(perm), len(perm)), dtype=complex)
+    vol[np.arange(len(perm)), perm] = phase if n % 4 == 0 else 1.0j * phase
+    return vol
+
+
 def half_spin_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (as columns) of the +1 and -1 chirality eigenspaces."""
-    cg = gamma(n)
-    w, v = numerics.eig_hermitian(chirality(cg), hermitian_tol=1e-10)
+    w, v = numerics.eig_hermitian(_chirality_monomial(n), hermitian_tol=1e-10)
     minus = v[:, w < 0]
     plus = v[:, w > 0]
     return plus, minus
 
 
 def rep_half_spin(basis: SoBasis, sign: int) -> Rep:
-    """Half-spin representation on the +-1 chirality eigenspace (even n)."""
+    """Half-spin representation on the +-1 chirality eigenspace (even n):
+    the spin table conjugated by the eigenspace's columns.  The chirality is
+    diagonal, so the columns are unit vectors, and the rep carries the
+    spin's :class:`SpinorBlades` restricted to their rows (it would carry
+    none, and K would come from the join, were they not)."""
     if basis.n % 2 != 0:
         raise ValueError("half-spin representations need even n")
     full = rep_spin(basis)
     plus, minus = half_spin_columns(basis.n)
     cols = plus if sign > 0 else minus
-    mats = (cols.conj().T @ m @ cols for m in full.each_mat())
-    return Rep.from_mats(basis, cols.shape[1], mats, f"spin{'+' if sign > 0 else '-'}")
+    rows = np.abs(cols).argmax(axis=0)
+    whole = full.clifford
+    unit = np.array_equal(cols, np.eye(len(cols))[:, rows])
+    blades = SpinorBlades(whole.masks, whole.perm, whole.phase, rows) if unit else None
+    label = f"spin{'+' if sign > 0 else '-'}"
+    return Rep(basis=basis, dim=cols.shape[1], table=conjugated_table(full.table, cols), label=label, clifford=blades)
 
 
 class SpinorPairing(NamedTuple):

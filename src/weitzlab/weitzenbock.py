@@ -35,7 +35,7 @@ from .representations import (
     rep_vector,
 )
 from .so_algebra import SoBasis
-from .spin import rep_half_spin, rep_spin
+from .spin import SpinorBlades, rep_half_spin, rep_spin
 
 __all__ = [
     "CompatibilityError",
@@ -104,17 +104,22 @@ def k_matrix(r: CurvatureOperator, rep: Rep) -> np.ndarray:
     """The matrix ``sum_ab R_ab rho(x_a) rho(x_b)`` without the spectral data;
     for a stack of T operators, the (T, d, d) stack of their matrices.
 
-    A join of the generator table with itself on the inner index j: every
-    entry ``rho_a[i, j]`` pairs with every entry ``rho_b[j, k]``, and the pair
-    adds ``R_ab rho_a[i, j] rho_b[j, k]`` to ``K[i, k]``.  The pairs are formed
-    in chunks of at most :data:`PAIR_CHUNK` (more only when one entry alone
-    has more partners) and summed by ``np.bincount``.  Each chunk is formed
-    once for the whole stack and weighted by a group of operators at a time,
-    at most ``PAIR_CHUNK // pairs`` of them, whose sums go to one
-    ``np.bincount`` over ``t d^2 + i d + k``.  The chunks do not depend on the
-    stack, so each K is bit-equal to the join of its operator alone.  K is
-    float64 when the table is real and complex otherwise."""
+    On a spin or half-spin rep (one that carries ``clifford``), K is the sum
+    of Clifford blades of :func:`_blade_k_matrix`.  Otherwise it is a join
+    of the generator table with itself on the inner index j: every entry
+    ``rho_a[i, j]`` pairs with every entry ``rho_b[j, k]``, and the pair
+    adds ``R_ab rho_a[i, j] rho_b[j, k]`` to ``K[i, k]``.  The pairs are
+    formed in chunks of at most :data:`PAIR_CHUNK` (more only when one entry
+    alone has more partners) and summed by ``np.bincount`` over the rows of
+    K the chunk touches.  Each chunk is formed once for the whole stack and
+    weighted by a group of operators at a time, at most ``PAIR_CHUNK //
+    pairs`` of them, whose sums go to one ``np.bincount``.  The chunks do
+    not depend on the stack, so each K is bit-equal to the join of its
+    operator alone.  K is float64 when the table is real and complex
+    otherwise."""
     _check_compatible(r, rep)
+    if rep.clifford is not None:
+        return _blade_k_matrix(r, rep.clifford)
     d = rep.dim
     # entries sorted by row: the partners of a left entry rho_a[i, j] are the
     # run of row j, and left entries of one row fill a few rows of K at a time
@@ -134,6 +139,9 @@ def k_matrix(r: CurvatureOperator, rep: Rep) -> np.ndarray:
         left = np.repeat(np.arange(lo, hi), partners[lo:hi])
         right = shift[left] + np.arange(done, done + len(left))
         group = max(1, PAIR_CHUNK // len(left))
+        # the chunk's left entries fill rows row[lo] .. row[hi - 1] of K
+        first, span = row_l[lo], row_l[hi - 1] + d - row_l[lo]
+        flat = row_l[left] - first + col[right]
         for t in range(0, len(weights), group):
             # the gather indexes the first axis alone and the second product is
             # taken in place: a slice beside the index array, or operands of
@@ -142,16 +150,44 @@ def k_matrix(r: CurvatureOperator, rep: Rep) -> np.ndarray:
             rows = rows[0] if len(rows) == 1 else rows.T
             w = rows[gen_l[left] + gen[right]].T * val[left]
             w *= val[right]
-            flat = row_l[left] + col[right]
-            if w.ndim == 2:  # operator t + s sums into bins s d^2 + flat
-                flat = (np.arange(len(w))[:, None] * (d * d) + flat).ravel()
-            part = k[t : t + group]
+            # operator t + s sums into bins s span + flat
+            bins = (np.arange(len(w))[:, None] * span + flat).ravel() if w.ndim == 2 else flat
+            part = k[t : t + group, first : first + span]
             if w.dtype.kind == "c":
-                part.real += np.bincount(flat, w.real.ravel(), part.size).reshape(part.shape)
-                part.imag += np.bincount(flat, w.imag.ravel(), part.size).reshape(part.shape)
+                part.real += np.bincount(bins, w.real.ravel(), part.size).reshape(part.shape)
+                part.imag += np.bincount(bins, w.imag.ravel(), part.size).reshape(part.shape)
             else:
-                part += np.bincount(flat, w.ravel(), part.size).reshape(part.shape)
+                part += np.bincount(bins, w.ravel(), part.size).reshape(part.shape)
         lo = hi
+    return k.reshape(r.matrix.shape[:-2] + (d, d))
+
+
+def _blade_k_matrix(r: CurvatureOperator, blades: SpinorBlades) -> np.ndarray:
+    """K on spinors as ``sum_B c_B Gamma_B`` (:class:`SpinorBlades`):
+    the coefficients from one ``np.bincount`` over the N^2 pairs, then each
+    blade's one entry per row scattered into K, a chunk of rows at a time
+    with at most :data:`PAIR_CHUNK` (row, blade) entries (one row at least),
+    weighted by a group of operators at a time as in the join.  A bin of K
+    belongs to one row, so it sums its blades in blade order whatever the
+    chunks and groups, and each K is bit-equal to that of its operator
+    alone.  K is complex."""
+    coeff = blades.coefficients(r.matrix)
+    d, count = blades.dim, blades.count
+    k = np.zeros((len(coeff), d, d), dtype=complex)
+    step = max(1, PAIR_CHUNK // count)
+    for lo in range(0, d, step):
+        hi = min(d, lo + step)
+        span = (hi - lo) * d
+        group = max(1, PAIR_CHUNK // ((hi - lo) * count))
+        parts = [(part, which, np.arange(hi - lo) * d + col, val)
+                 for part, (which, col, val) in zip((k.real, k.imag), blades.entries(lo, hi))]
+        for t in range(0, len(coeff), group):
+            c = coeff[t : t + group]
+            for part, which, flat, val in parts:
+                # operator t + s sums into bins s span + flat
+                bins = (np.arange(len(c))[:, None, None] * span + flat).ravel()
+                w = c[:, which, None] * val
+                part[t : t + group, lo:hi] = np.bincount(bins, w.ravel(), len(c) * span).reshape(len(c), hi - lo, d)
     return k.reshape(r.matrix.shape[:-2] + (d, d))
 
 

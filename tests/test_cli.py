@@ -215,6 +215,13 @@ class TestScaleLimit:
         assert [r["check"] for r in reports][-1] == "group-spin-curvature-term"
         assert all(r["pass"] for r in reports)
 
+    def test_group_model_d4_refused_with_one_error_line(self):
+        # spin of so(28) asks for a 4 GiB dense K, over the 3 GiB cap
+        out = run_capped(["check", "group-model", "--algebra", "D4"])
+        assert out.returncode == 2, out.stderr
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: out of memory: ") and out.stderr.count("\n") == 1
+
 
 class TestTrialPreflight:
     def test_huge_trial_count_refused_before_any_work(self):
@@ -520,7 +527,7 @@ class TestOutputFormats:
 #: and whether every module of the package named on the command line is loaded.
 _IMPORT_PROBE = """
 import sys
-watched = ("dataclasses", "hashlib", "json")
+watched = ("dataclasses", "decimal", "fractions", "hashlib", "json")
 before = set(sys.modules)
 import weitzlab.cli
 on_import = [m for m in watched if m in sys.modules and m not in before]

@@ -351,7 +351,6 @@ class TestGenTable:
         again = reps.Rep.from_mats(b4, r.dim, r.mats, r.label)
         for a, b in zip(again.table, r.table):
             assert np.array_equal(a, b)
-        assert all(np.array_equal(m, e) for m, e in zip(r.mats, r.each_mat()))
 
     def test_dense_views_are_read_only_and_kept(self, b3):
         r = reps.rep_exterior(b3, 1)
@@ -365,6 +364,32 @@ class TestGenTable:
         v, e = reps.rep_vector(b4), reps.rep_exterior(b4, 2)
         t = reps.rep_tensor(v, e)
         assert len(t.table.val) == len(v.table.val) * e.dim + v.dim * len(e.table.val)
+
+
+class TestConjugatedTable:
+    @pytest.mark.parametrize("make", [lambda b: reps.rep_exterior(b, 2), rep_spin, lambda b: reps.rep_sym(b, 2)])
+    def test_equals_dense_conjugation(self, make):
+        # oracle: cols^H m cols per dense generator, for sparse complex columns
+        r = make(so.basis(5))
+        rng = np.random.default_rng(4)
+        cols = rng.standard_normal((r.dim, 4)) + 1j * rng.standard_normal((r.dim, 4))
+        cols[rng.random(cols.shape) < 0.6] = 0.0
+        got = reps.Rep(r.basis, 4, reps.conjugated_table(r.table, cols), "c")
+        want = np.array([cols.conj().T @ m @ cols for m in r.mats])
+        assert np.max(np.abs(got.stacked() - want)) <= 1e-14 * np.max(np.abs(want))
+        # only entries the dense product has can appear
+        assert not np.any((got.stacked() != 0) & (want == 0))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_sym0_within_rounding_of_dense_conjugation(self, n):
+        b = so.basis(n)
+        s2 = reps.rep_sym(b, 2)
+        metric = np.array([float(i == j) for i, j in itertools.combinations_with_replacement(range(n), 2)])
+        cols = numerics.nullspace((metric / np.linalg.norm(metric))[None, :].astype(complex))
+        want = np.array([cols.conj().T @ m @ cols for m in s2.mats])
+        got = reps.rep_sym0(b)
+        assert np.max(np.abs(got.stacked() - want)) <= 2.3e-16
+        assert len(got.table.val) <= np.count_nonzero(want)
 
 
 class TestTensor:

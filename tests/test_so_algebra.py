@@ -32,6 +32,27 @@ def test_n4_orthonormal_under_trace_form():
         assert abs(-np.trace(x @ y) / 2.0 - expected) < 1e-14
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "C3", "G2"])
+def test_expand_equals_the_inner_products_bit_for_bit(label):
+    # the closed form against -tr(x_ij m)/2 per basis element, signs of zero
+    # included, on the ad matrices that build the group curvature operators
+    g = so.simple_algebra(label)
+    b = so.basis(g.dim)
+    for a in g.ad:
+        want = np.array([so.inner(x, a) for x in b.elements])
+        got = so.expand(b, a)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_expand_reads_the_real_skew_part():
+    b = so.basis(5)
+    m = np.random.default_rng(3).standard_normal((2, 5, 5))
+    z = m[0] + 1j * m[1]
+    want = np.array([so.inner(x, z) for x in b.elements])
+    assert np.allclose(so.expand(b, z), want, rtol=0, atol=1e-15)
+    assert np.allclose(so.expand(b, m[0] - m[0].T), 2 * so.expand(b, m[0]), rtol=0, atol=1e-15)
+
+
 def test_elements_skew():
     for n in range(2, 9):
         for x in so.basis(n).elements:

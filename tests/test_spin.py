@@ -1,4 +1,5 @@
 from functools import reduce
+from math import comb
 
 import numpy as np
 import pytest
@@ -129,6 +130,33 @@ class TestHalfSpin:
             assert not np.any(want.imag)
             assert np.array_equal(got.view(np.uint64), want.real.copy().view(np.uint64))
 
+    @pytest.mark.parametrize("n", range(2, 17, 2))
+    def test_monomial_chirality_feeds_eigh_the_same_bits(self, n):
+        # the composed phases equal the dense product's entries; the zeros'
+        # signs may differ, but not in the Hermitian part that eigh receives
+        got, want = spin._chirality_monomial(n), spin.chirality(spin.gamma(n))
+        assert np.array_equal(got, want)
+        herm = [((m + m.conj().T) / 2.0).view(np.uint64) for m in (got, want)]
+        assert np.array_equal(*herm)
+
+    @pytest.mark.parametrize("n", range(2, 13, 2))
+    def test_table_bit_equal_to_dense_conjugation(self, n):
+        # oracle: the parent's construction, cols^H m cols per dense generator
+        b = so.basis(n)
+        full = spin.rep_spin(b)
+        for sign, cols in zip((1, -1), spin.half_spin_columns(n)):
+            want = reps.Rep.from_mats(b, cols.shape[1], (cols.conj().T @ m @ cols for m in full.mats), "oracle")
+            got = spin.rep_half_spin(b, sign)
+            for a, w in zip(got.table, want.table):
+                assert a.dtype == w.dtype and np.array_equal(a, w)
+
+    @pytest.mark.parametrize("n", range(2, 13, 2))
+    def test_marked_with_the_rows_of_its_columns(self, n):
+        b = so.basis(n)
+        for sign, cols in zip((1, -1), spin.half_spin_columns(n)):
+            rows = spin.rep_half_spin(b, sign).clifford.rows
+            assert np.array_equal(cols, np.eye(2 ** (n // 2))[:, rows])
+
     def test_chirality_squares_to_identity(self):
         for n in (4, 6):
             nu = spin.chirality(spin.gamma(n))
@@ -146,6 +174,42 @@ class TestHalfSpin:
     def test_odd_n_has_no_half_spin(self):
         with pytest.raises(ValueError):
             spin.rep_half_spin(so.basis(5), +1)
+
+
+class TestSpinorBlades:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_blade_count(self, n):
+        # the even blades of grade 0, 2 and 4 (at n = 2 only grade 0: x_12^2)
+        assert spin.rep_spin(so.basis(n)).clifford.count == sum(comb(n, g) for g in (0, 2, 4))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_each_pair_product_is_its_signed_blade(self, n):
+        # rho_a rho_b = s_ab Gamma_B on every row, Gamma_B taken from the cache
+        r = spin.rep_spin(so.basis(n))
+        blades = r.clifford
+        key, _, sign, _, _ = blades._pairs
+        gamma = np.zeros((blades.count, r.dim, r.dim), dtype=complex)
+        for part, (which, col, val) in zip((1.0, 1.0j), blades.entries(0, r.dim)):
+            gamma[which[:, None], np.arange(r.dim), col] = part * val
+        m = r.stacked()
+        prod = np.einsum("aij,bjk->abik", m, m).reshape(-1, r.dim, r.dim)
+        assert np.array_equal(prod, sign[:, None, None] * gamma[key])
+
+    def test_mark_kept_by_relabel_and_dropped_by_other_constructions(self):
+        b = so.basis(4)
+        sp, half = spin.rep_spin(b), spin.rep_half_spin(b, 1)
+        assert sp.relabeled("s").clifford is sp.clifford
+        assert half.relabeled("h").clifford is half.clifford
+        h = so.Subalgebra(ambient=b, elements=b.elements, label="so(4)")
+        unmarked = [
+            reps.rep_tensor(sp, sp),
+            reps.rep_tensor(reps.rep_trivial(b), sp),
+            reps.rep_restrict(sp, h),
+            reps.rep_restrict(half, h),
+            reps.Rep.from_mats(b, sp.dim, sp.mats, "spin"),
+            reps.rep_exterior(b, 2),
+        ]
+        assert all(r.clifford is None for r in unmarked)
 
 
 class TestSpinorPairing:

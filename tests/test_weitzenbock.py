@@ -194,6 +194,74 @@ class TestBatchedKMatrix:
                 assert np.array_equal(row, wb.neg_k_spectrum(op, rep)), rep.label
 
 
+def _unmarked(rep):
+    """The same generator table without the Clifford mark, so K comes from
+    the table join."""
+    return reps.Rep(rep.basis, rep.dim, rep.table, rep.label)
+
+
+def _spinor_builders(n):
+    """Spin, and for even n the two half-spins, as constructors on so(n)."""
+    b = so.basis(n)
+    builders = [lambda: spin.rep_spin(b)]
+    if n % 2 == 0:
+        builders += [lambda: spin.rep_half_spin(b, 1), lambda: spin.rep_half_spin(b, -1)]
+    return builders
+
+
+def _assert_join_agrees(op, rep):
+    want = wb.k_matrix(op, _unmarked(rep))
+    got = wb.k_matrix(op, rep)
+    assert got.shape == want.shape and got.dtype == want.dtype == complex
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want)))), rep.label
+
+
+class TestBladeKMatrix:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_equals_the_join(self, n):
+        ops = [curv.sphere(n), curv.random_curvature(n, 11), curv.random_symmetric(n, 11)]
+        if n == 10:
+            ops.append(curv.bi_invariant_group(so.simple_algebra("B2")))
+        for build in _spinor_builders(n):
+            rep = build()
+            assert rep.clifford is not None
+            for op in ops:
+                _assert_join_agrees(op, rep)
+
+    def test_group_g2_equals_the_join(self):
+        op = curv.bi_invariant_group(so.simple_algebra("G2"))
+        for build in _spinor_builders(14):
+            _assert_join_agrees(op, build())
+
+    def test_marked_reps_take_the_blade_path(self, monkeypatch):
+        calls = []
+        blade = wb._blade_k_matrix
+        monkeypatch.setattr(wb, "_blade_k_matrix", lambda r, blades: calls.append(blades) or blade(r, blades))
+        op = curv.random_curvature(4, 1)
+        for build in _spinor_builders(4):
+            wb.k_matrix(op, build())
+        wb.k_matrix(op, reps.rep_tensor(spin.rep_spin(so.basis(4)), reps.rep_vector(so.basis(4))))
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("n", (3, 4, 6, 7))
+    def test_stack_equals_single_operators(self, n, monkeypatch):
+        stack = curv.random_symmetric(n, (1, 2, 3, 4, 5))
+        for build in _spinor_builders(n):
+            rep = build()
+            got = wb.k_matrix(stack, rep)
+            singles = [wb.k_matrix(op, rep) for op in stack.unstack()]
+            assert got.shape == (5, rep.dim, rep.dim)
+            assert all(np.array_equal(k, one) for k, one in zip(got, singles)), rep.label
+            # one row per chunk, one operator per group and no kept blade
+            # entries: each bin sums the same blades in the same order
+            monkeypatch.setattr(wb, "PAIR_CHUNK", 1)
+            monkeypatch.setattr(spin.SpinorBlades, "CACHE_ENTRIES", 0)
+            fresh = build()
+            assert np.array_equal(wb.k_matrix(stack, fresh), got), rep.label
+            assert fresh.clifford._cached is None
+            monkeypatch.undo()
+
+
 class TestRealSpectrum:
     def test_real_k_takes_the_real_solver(self):
         # vector, exterior and sym0 tables are real: K is real and its
