@@ -24,7 +24,7 @@ that it pays every cold cost a CLI process pays:
   4-d blocks and the report digests);
 * ``rep_adjoint`` at n = 10 and 12, ``rep_exterior`` at (n, p) = (10, 5)
   and (12, 6), ``rep_sym`` at (10, 3), ``rep_sym0`` at n = 14 and
-  ``spin.rep_half_spin`` (the + half) at n = 14 (representation
+  ``spin.rep_half_spin`` (the + half) at n = 14 and 20 (representation
   construction);
 * ``weitzenbock.positivity_report`` on ``random_curvature(n, 2)`` for
   n = 3 ... 7; the operator is indefinite, so the diagnostic search over the
@@ -105,6 +105,7 @@ REP_CASES = (
     ("rep_sym", 10, 3),
     ("rep_sym0", 14, None),
     ("rep_half_spin", 14, 1),
+    ("rep_half_spin", 20, 1),
 )
 #: n of each positivity report; the curvature operator is random_curvature(n, POSITIVITY_SEED).
 POSITIVITY_NS = range(3, 8)

@@ -72,23 +72,14 @@ def _ci_mode() -> bool:
 
 def parse_rep(selector: str, basis) -> reps.Rep:
     """``vector | trivial | adjoint | exterior:p | sym:p | sym0 | spin |
-    spin:+ | spin:- | tensor:a,b`` (tensor factors are selectors again)."""
+    spin:+ | spin:- | tensor:a,b``.  Tensor factors are selectors again,
+    split at the first comma, so a product of three nests to the right,
+    ``tensor:a,tensor:b,c`` (the Kronecker order is associative)."""
     sel = selector.strip()
     if sel.startswith("tensor:"):
-        body = sel[len("tensor:"):]
-        depth = 0
-        split = None
-        for idx, ch in enumerate(body):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                split = idx
-                break
-        if split is None:
+        left, comma, right = sel[len("tensor:"):].partition(",")
+        if not comma:
             raise UsageError(f"tensor selector needs two factors: {selector!r}")
-        left, right = body[:split], body[split + 1:]
         return reps.rep_tensor(parse_rep(left, basis), parse_rep(right, basis))
     try:
         if sel in ("trivial", "vector", "adjoint", "sym0"):
@@ -380,8 +371,11 @@ def _emit(payload: dict, fmt: str, out_path: str | None) -> None:
     else:
         raise UsageError(f"unknown format {fmt!r}")
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text + "\n")
 

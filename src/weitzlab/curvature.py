@@ -271,7 +271,7 @@ def _self_dual_bases() -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal bases of the +-1 eigenspaces of the star,
     labelled so that the + side acts trivially on negative-chirality spinors.
     Built once per process; the arrays are read-only."""
-    from .spin import half_spin_columns, rep_spin
+    from .spin import half_spin_rows, rep_spin
 
     star = _hodge_star_coefficients()
     pairs = pair_list(4)
@@ -291,14 +291,14 @@ def _self_dual_bases() -> tuple[np.ndarray, np.ndarray]:
     # align the labels with the chirality convention of the spin module: the
     # self-dual side must kill the negative-chirality spinors
     sp = rep_spin(so_basis(4))
-    _, neg = half_spin_columns(4)
+    _, neg = half_spin_rows(4)
     stacked = np.array(sp.mats)
 
     def acts_on_minus(cols):
         total = 0.0
         for k in range(3):
             m = np.tensordot(cols[:, k], stacked, axes=(0, 0))
-            total += float(np.linalg.norm(m @ neg))
+            total += float(np.linalg.norm(m[:, neg]))
         return total
 
     if acts_on_minus(bp) > acts_on_minus(bm):

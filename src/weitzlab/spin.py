@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import numerics
-from .representations import Rep, conjugated_table, gen_table, invariant_bilinear_forms, rep_exterior
+from .representations import GenTable, Rep, gen_table, invariant_bilinear_forms, rep_exterior
 from .so_algebra import SoBasis
 
 __all__ = [
@@ -28,7 +27,7 @@ __all__ = [
     "chirality",
     "clifford_symbol",
     "gamma",
-    "half_spin_columns",
+    "half_spin_rows",
     "rep_full_exterior",
     "rep_half_spin",
     "rep_spin",
@@ -121,7 +120,7 @@ class SpinorBlades:
     it into ``rho_a rho_b``, read off one row.  ``perm`` and ``phase`` are
     the spin generators on the full spinor space as monomial matrices,
     ``rho_a[r, perm[a, r]] = phase[a, r]``; ``rows`` are the rows of the
-    full space a half-spin keeps, in its column order (all rows for spin).
+    full space a half-spin keeps, ascending (all rows for spin).
     An even blade preserves chirality, so K on a half is that half's rows
     and columns of K on spin.  Each ``Gamma_B`` has phases all real or all
     imaginary (the generators' are), so a blade adds to the real or to the
@@ -215,42 +214,40 @@ def chirality(cg: CliffordGenerators) -> np.ndarray:
     return vol if cg.n % 4 == 0 else 1.0j * vol
 
 
-def _chirality_monomial(n: int) -> np.ndarray:
-    """:func:`chirality` of ``gamma(n)``, composed as a monomial matrix: the
-    dense product's one nonzero per row is the same product of phases."""
+def half_spin_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the +1 and of the -1 chirality eigenspace, each ascending.
+
+    The volume element ``e_1 ... e_n`` is a product of monomial matrices
+    that is diagonal, with phases +-1 (n = 0 mod 4) or +-i (n = 2 mod 4);
+    the chirality, that times i in the second case, is a real +-1 diagonal,
+    so each eigenspace is spanned by the unit vectors of its rows."""
     if n % 2 != 0:
         raise ValueError("chirality element is defined for even n")
-    perm, phase = _monomial_product(zip(*_clifford_monomials(n)))
-    vol = np.zeros((len(perm), len(perm)), dtype=complex)
-    vol[np.arange(len(perm)), perm] = phase if n % 4 == 0 else 1.0j * phase
-    return vol
-
-
-def half_spin_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (as columns) of the +1 and -1 chirality eigenspaces."""
-    w, v = numerics.eig_hermitian(_chirality_monomial(n), hermitian_tol=1e-10)
-    minus = v[:, w < 0]
-    plus = v[:, w > 0]
-    return plus, minus
+    _, phase = _monomial_product(zip(*_clifford_monomials(n)))
+    diag = (phase if n % 4 == 0 else 1.0j * phase).real
+    return np.flatnonzero(diag > 0), np.flatnonzero(diag < 0)
 
 
 def rep_half_spin(basis: SoBasis, sign: int) -> Rep:
     """Half-spin representation on the +-1 chirality eigenspace (even n):
-    the spin table conjugated by the eigenspace's columns.  The chirality is
-    diagonal, so the columns are unit vectors, and the rep carries the
-    spin's :class:`SpinorBlades` restricted to their rows (it would carry
-    none, and K would come from the join, were they not)."""
+    the spin table's entries on the rows of :func:`half_spin_rows`,
+    renumbered by position.  Even elements keep chirality, so those
+    entries' columns lie in the half too, and the rows ascend, so the table
+    stays sorted.  The rep carries the spin's :class:`SpinorBlades`
+    restricted to the rows."""
     if basis.n % 2 != 0:
         raise ValueError("half-spin representations need even n")
     full = rep_spin(basis)
-    plus, minus = half_spin_columns(basis.n)
-    cols = plus if sign > 0 else minus
-    rows = np.abs(cols).argmax(axis=0)
+    rows = half_spin_rows(basis.n)[0 if sign > 0 else 1]
+    pos = np.full(full.dim, -1)
+    pos[rows] = np.arange(len(rows))
+    t = full.table
+    keep = pos[t.row] >= 0
+    table = GenTable(t.gen[keep], pos[t.row[keep]], pos[t.col[keep]], t.val[keep])
     whole = full.clifford
-    unit = np.array_equal(cols, np.eye(len(cols))[:, rows])
-    blades = SpinorBlades(whole.masks, whole.perm, whole.phase, rows) if unit else None
+    blades = SpinorBlades(whole.masks, whole.perm, whole.phase, rows)
     label = f"spin{'+' if sign > 0 else '-'}"
-    return Rep(basis=basis, dim=cols.shape[1], table=conjugated_table(full.table, cols), label=label, clifford=blades)
+    return Rep(basis=basis, dim=len(rows), table=table, label=label, clifford=blades)
 
 
 class SpinorPairing(NamedTuple):
@@ -283,17 +280,13 @@ def spinor_pairing(n: int) -> SpinorPairing:
 
 
 def _invertible_pairing(n: int) -> np.ndarray:
-    """An invertible invariant pairing on the full spinor space, polar
-    normalised to be unitary (so the symbol map below is an isometry)."""
-    from .so_algebra import basis as so_basis
-
-    sols = invariant_bilinear_forms(rep_spin(so_basis(n)))
-    bmat = sum((k + 1) * b for k, (b, _) in enumerate(sols))
-    w, v = numerics.eig_hermitian(bmat.conj().T @ bmat, hermitian_tol=1e-9)
-    if np.min(w) < 1e-12:
-        raise RuntimeError("could not build an invertible spinor pairing")
-    inv_sqrt = v @ np.diag(w ** -0.5) @ v.conj().T
-    return bmat @ inv_sqrt
+    """A unitary invariant pairing on the full spinor space: the product B of
+    the symmetric generators, in order.  Every generator is symmetric or
+    skew, and each anticommutes with the other factors of B, so
+    ``e_i^T B = eps B e_i`` with one sign eps for all i; then
+    ``rho(x)^T B + B rho(x) = 0``.  B is monomial with unit phases, so the
+    dense products are exact."""
+    return reduce(np.matmul, [g for g in gamma(n).gammas if np.array_equal(g, g.T)])
 
 
 def rep_full_exterior(basis: SoBasis) -> Rep:
@@ -311,7 +304,7 @@ def clifford_symbol(n: int) -> np.ndarray:
 
     Columns are indexed like :func:`rep_full_exterior`; the column of the
     monomial ``e_{i1} ^ ... ^ e_{ip}`` is ``vec(gamma_{i1} ... gamma_{ip}
-    B^{-1}) / sqrt(dim V)`` with B the unitary invariant pairing, which turns
+    B^H) / sqrt(dim V)`` with B the unitary invariant pairing, which turns
     endomorphisms of the spinor space V into elements of V (x) V.  In odd
     dimensions the spinor square is only half the exterior algebra, so this
     map does not exist and a ValueError is raised.
@@ -322,7 +315,7 @@ def clifford_symbol(n: int) -> np.ndarray:
             "is only half the exterior algebra"
         )
     cg = gamma(n)
-    binv = np.linalg.inv(_invertible_pairing(n))
+    binv = _invertible_pairing(n).conj().T
     cols = []
     for p in range(n + 1):
         for combo in itertools.combinations(range(n), p):

@@ -18,6 +18,9 @@ from hypothesis import given, settings, strategies as st
 import weitzlab
 from weitzlab import cli
 from weitzlab import curvature as curv
+from weitzlab import representations as reps
+from weitzlab import so_algebra as so
+from weitzlab import spin
 from weitzlab.report import CheckReport, digest
 
 
@@ -431,6 +434,30 @@ class TestUsageErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: out of memory: {message}\n"
+
+    @pytest.mark.parametrize("target", ("missing-directory", "directory"))
+    def test_unwritable_out_exit_2_with_one_error_line(self, target, tmp_path, capsys):
+        path = tmp_path / "absent" / "x.json" if target == "missing-directory" else tmp_path
+        code = cli.main(["k", "--n", "4", "--rep", "vector", "--curvature", "sphere", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("rep", ("tensor:(vector),spin", "tensor:(tensor:vector,vector),spin"))
+    def test_parenthesised_tensor_factor_exit_2(self, rep, capsys):
+        code = cli.main(["k", "--n", "4", "--rep", rep, "--curvature", "sphere"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_right_nested_tensor_is_the_iterated_product(self):
+        b = so.basis(4)
+        got = cli.parse_rep("tensor:vector,tensor:vector,spin", b)
+        want = reps.rep_tensor(reps.rep_tensor(reps.rep_vector(b), reps.rep_vector(b)), spin.rep_spin(b))
+        assert got.dim == want.dim == 64
+        assert all(np.array_equal(a, w) for a, w in zip(got.table, want.table))
 
     def test_positivity_with_operator_ignores_trials(self, tmp_path, capsys):
         # an explicit operator gives one report and runs no trials

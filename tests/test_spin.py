@@ -1,12 +1,15 @@
+import tracemalloc
 from functools import reduce
 from math import comb
 
 import numpy as np
 import pytest
 
+from weitzlab import curvature as curv
 from weitzlab import representations as reps
 from weitzlab import so_algebra as so
 from weitzlab import spin
+from weitzlab import weitzenbock as wb
 
 
 def _gamma_dense(n):
@@ -114,48 +117,83 @@ class TestRepSpin:
 class TestHalfSpin:
     @pytest.mark.parametrize("n", (4, 6, 8))
     def test_chirality_splits_evenly(self, n):
-        plus, minus = spin.half_spin_columns(n)
-        assert plus.shape[1] == minus.shape[1] == 2 ** (n // 2 - 1)
+        plus, minus = spin.half_spin_rows(n)
+        assert len(plus) == len(minus) == 2 ** (n // 2 - 1)
+        assert np.array_equal(np.sort(np.concatenate([plus, minus])), np.arange(2 ** (n // 2)))
+
+    @pytest.mark.parametrize("n", range(2, 25, 2))
+    def test_volume_element_is_a_real_unit_diagonal(self, n):
+        perm, phase = spin._monomial_product(zip(*spin._clifford_monomials(n)))
+        chi = phase if n % 4 == 0 else 1.0j * phase
+        assert np.array_equal(perm, np.arange(2 ** (n // 2)))
+        assert not np.any(chi.imag) and np.array_equal(np.abs(chi.real), np.ones(len(chi)))
+        plus, minus = spin.half_spin_rows(n)
+        assert np.all(np.diff(plus) > 0) and np.all(np.diff(minus) > 0)
+        assert np.all(chi.real[plus] == 1.0) and np.all(chi.real[minus] == -1.0)
+
+    @pytest.mark.parametrize("n", range(2, 17, 2))
+    def test_monomial_chirality_is_the_dense_diagonal(self, n):
+        nu = spin.chirality(spin.gamma(n))
+        assert np.array_equal(nu, np.diag(np.diag(nu)))
+        sign = np.zeros(len(nu))
+        for s, rows in zip((1.0, -1.0), spin.half_spin_rows(n)):
+            sign[rows] = s
+        assert np.array_equal(np.diag(nu), sign)
 
     @pytest.mark.parametrize("n", range(2, 17, 2))
     def test_columns_bit_equal_to_the_complex_solve(self, n):
-        # the chirality is real, so the real solver takes it; its eigenvectors
-        # are the unit vectors the complex solver gave, in the same order
+        # oracle: the eigh of the dense chirality; its eigenvectors are unit
+        # vectors, and ordered by their one nonzero row they are the unit
+        # columns of the half's rows
         nu = spin.chirality(spin.gamma(n))
-        w, v = np.linalg.eigh((nu + nu.conj().T) / 2.0)
-        for j in range(v.shape[1]):  # the phase convention, column by column in complex
-            pivot = v[np.nonzero(np.abs(v[:, j]) > 1e-12)[0][0], j]
-            v[:, j] = v[:, j] * (np.abs(pivot) / pivot)
-        for got, want in zip(spin.half_spin_columns(n), (v[:, w > 0], v[:, w < 0])):
-            assert not np.any(want.imag)
-            assert np.array_equal(got.view(np.uint64), want.real.copy().view(np.uint64))
-
-    @pytest.mark.parametrize("n", range(2, 17, 2))
-    def test_monomial_chirality_feeds_eigh_the_same_bits(self, n):
-        # the composed phases equal the dense product's entries; the zeros'
-        # signs may differ, but not in the Hermitian part that eigh receives
-        got, want = spin._chirality_monomial(n), spin.chirality(spin.gamma(n))
-        assert np.array_equal(got, want)
-        herm = [((m + m.conj().T) / 2.0).view(np.uint64) for m in (got, want)]
-        assert np.array_equal(*herm)
+        w, v = np.linalg.eigh(nu)
+        for want, rows in zip((v[:, w > 0], v[:, w < 0]), spin.half_spin_rows(n)):
+            want = want[:, np.argsort(np.abs(want).argmax(axis=0))]
+            phases = want[rows, np.arange(len(rows))]
+            assert np.array_equal(want / phases, np.eye(len(nu))[:, rows])
 
     @pytest.mark.parametrize("n", range(2, 13, 2))
     def test_table_bit_equal_to_dense_conjugation(self, n):
-        # oracle: the parent's construction, cols^H m cols per dense generator
+        # oracle: cols^H m cols per dense generator, cols the half's unit columns
         b = so.basis(n)
         full = spin.rep_spin(b)
-        for sign, cols in zip((1, -1), spin.half_spin_columns(n)):
-            want = reps.Rep.from_mats(b, cols.shape[1], (cols.conj().T @ m @ cols for m in full.mats), "oracle")
+        for sign, rows in zip((1, -1), spin.half_spin_rows(n)):
+            cols = np.eye(full.dim)[:, rows]
+            want = reps.Rep.from_mats(b, len(rows), (cols.T @ m @ cols for m in full.mats), "oracle")
             got = spin.rep_half_spin(b, sign)
+            assert got.dim == len(rows)
             for a, w in zip(got.table, want.table):
                 assert a.dtype == w.dtype and np.array_equal(a, w)
 
     @pytest.mark.parametrize("n", range(2, 13, 2))
     def test_marked_with_the_rows_of_its_columns(self, n):
         b = so.basis(n)
-        for sign, cols in zip((1, -1), spin.half_spin_columns(n)):
-            rows = spin.rep_half_spin(b, sign).clifford.rows
-            assert np.array_equal(cols, np.eye(2 ** (n // 2))[:, rows])
+        nu = spin.chirality(spin.gamma(n))
+        for sign, rows in zip((1, -1), spin.half_spin_rows(n)):
+            mark = spin.rep_half_spin(b, sign).clifford
+            assert isinstance(mark, spin.SpinorBlades) and np.array_equal(mark.rows, rows)
+            cols = np.eye(len(nu))[:, rows]
+            assert np.array_equal(nu @ cols, sign * cols)
+
+    @pytest.mark.parametrize("n", range(2, 11, 2))
+    def test_k_is_the_spin_k_on_the_rows(self, n):
+        b = so.basis(n)
+        op = curv.random_curvature(n, 7)
+        k_spin = wb.k_matrix(op, spin.rep_spin(b))
+        for sign, rows in zip((1, -1), spin.half_spin_rows(n)):
+            got = wb.k_matrix(op, spin.rep_half_spin(b, sign))
+            assert np.array_equal(got, k_spin[rows][:, rows])
+
+    def test_n24_builds_without_a_dense_spinor_matrix(self):
+        # one dense 4096 x 4096 complex matrix is 256 MiB
+        tracemalloc.start()
+        try:
+            r = spin.rep_half_spin(so.basis(24), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.dim == 2048 and len(r.table.val) == comb(24, 2) * 2048
+        assert peak < 256 << 20
 
     def test_chirality_squares_to_identity(self):
         for n in (4, 6):
@@ -247,6 +285,23 @@ class TestSpinorPairing:
             for m in r.mats:
                 prod = bform @ m
                 assert np.linalg.norm(prod.T + s * prod) <= 1e-12
+
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_closed_form_pairing_is_a_unitary_monomial_invariant(self, n):
+        # the product of the symmetric generators: exact, and one of the
+        # forms the commutant solve finds
+        bmat = spin._invertible_pairing(n)
+        d = 2 ** (n // 2)
+        for m in spin.rep_spin(so.basis(n)).mats:
+            assert not np.any(m.T @ bmat + bmat @ m)
+        assert np.array_equal(bmat.conj().T @ bmat, np.eye(d))
+        nz = bmat != 0
+        assert np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1)
+        assert np.all(np.abs(bmat[nz]) == 1.0)
+        forms = np.array([f.ravel() for f, _ in spin.spinor_pairing(n).forms]).T
+        coef = np.linalg.lstsq(forms, bmat.ravel(), rcond=None)[0]
+        assert np.linalg.norm(forms @ coef - bmat.ravel()) <= 1e-12
 
 
 class TestCliffordSymbol:
