@@ -15,9 +15,9 @@ that it pays every cold cost a CLI process pays:
   (the dense kernel);
 * a whole ``isotypic_decompose`` for the four ``decompose`` invocations of
   the isotypic workload, plus the ``sym0`` / ``so:3`` case at n = 6;
-* ``suites.lemma_suite("k4", 10, seed)`` and ``lemma_suite("k2", 20, seed)``
-  (a suite: the spinor tensor power, the checks on the subspace basis, K
-  and W restricted to the subspace);
+* ``suites.lemma_suite("k4", 10, seed)``, ``lemma_suite("k4", 100, seed)``
+  and ``lemma_suite("k2", 20, seed)`` (a suite: the checks on the subspace
+  basis, and K and W restricted to the subspace);
 * ``suites.lichnerowicz_suite`` at n = 4, 5 and 7, ``bochner_suite`` at
   n = 7 and ``blocks4_suite``, each with 20 trials (the other trial-driven
   suites: seeded draws, Bianchi projection, K on spinors or vectors, the
@@ -90,7 +90,8 @@ DECOMPOSE_CASES = (
     (6, "sym0", "so:3"),
 )
 #: (kind, trials) of each lemma suite timed; every suite starts at LEMMA_SEED.
-LEMMA_CASES = (("k4", 10), ("k2", 20))
+#: k4 at two trial counts, so that the per-trial cost shows apart from setup.
+LEMMA_CASES = (("k4", 10), ("k4", 100), ("k2", 20))
 LEMMA_SEED = 1
 #: (suite, n or None) of each trial-driven suite timed, with TRIAL_COUNT trials from TRIAL_SEED.
 TRIAL_CASES = (("lichnerowicz", 4), ("lichnerowicz", 5), ("lichnerowicz", 7), ("bochner", 7), ("blocks4", None))

@@ -274,7 +274,7 @@ def cmd_check(args) -> tuple[dict, int]:
             raise UsageError(str(exc)) from exc
     reports = suites.run_suite(
         args.suite,
-        n=n if n is not None else 4,
+        n=n,
         trials=args.trials,
         seed=args.seed if args.seed is not None else 1,
         algebras=algebras,

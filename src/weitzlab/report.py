@@ -51,13 +51,15 @@ def _render(value) -> str:
 
 def _render_floats(a: np.ndarray) -> str:
     """A finite real or complex array as :func:`_render` renders its
-    ``tolist()``, one join per row instead of one recursive call per entry."""
+    ``tolist()``, one printf-style call per row instead of one recursive
+    call per entry; ``%.17g`` writes the bytes of ``format(v, ".17g")``."""
     if a.ndim > 1:
         return "[" + ",".join(_render_floats(row) for row in a) + "]"
     if a.dtype.kind == "c":
-        pairs = zip(a.imag.tolist(), a.real.tolist())
-        return "[" + ",".join(f'{{"im":{im:.17g},"re":{re:.17g}}}' for im, re in pairs) + "]"
-    return "[" + ",".join(format(v, ".17g") for v in a.tolist()) + "]"
+        # the keys of a complex entry sort as "im", "re"
+        parts = np.stack([a.imag, a.real], axis=-1).ravel().tolist()
+        return ("[" + ",".join(['{"im":%.17g,"re":%.17g}'] * len(a)) + "]") % tuple(parts)
+    return ("[" + ",".join(["%.17g"] * len(a)) + "]") % tuple(a.tolist())
 
 
 def canonical_json(value) -> str:

@@ -28,7 +28,8 @@ __all__ = [
 
 class SuiteConfigError(ValueError):
     """A suite request that names no suite, whose verdict would rest on zero
-    trials (a vacuous pass), or whose trials would not fit the report budget."""
+    trials (a vacuous pass), whose trials would not fit the report budget,
+    or that passes an n or an operator the suite would ignore."""
 
 
 #: Bytes of stacked curvature tensors and K's that one batch of trials may
@@ -45,12 +46,12 @@ REPORT_BYTES = 4 << 10
 REPORT_BUDGET_BYTES = 256 << 20
 
 
-def _seed_batches(first: int, trials: int, n: int, d: int):
+def _seed_batches(first: int, trials: int, n: int, d: int, m: int | None = None):
     """Seeds ``first, first + 1, ...`` of ``trials`` trials, in consecutive
     ranges whose curvature tensors (four n^4 float arrays per trial while
-    they are projected) and K's (two d x d complex matrices per trial) fit
-    :data:`TRIAL_BATCH_BYTES`."""
-    size = max(1, TRIAL_BATCH_BYTES // (32 * n**4 + 32 * d * d))
+    they are projected) and K's (two d x m complex arrays per trial, d x d
+    unless ``m`` is given) fit :data:`TRIAL_BATCH_BYTES`."""
+    size = max(1, TRIAL_BATCH_BYTES // (32 * n**4 + 32 * d * (d if m is None else m)))
     for lo in range(0, trials, size):
         yield range(first + lo, first + min(trials, lo + size))
 
@@ -207,7 +208,9 @@ def lemma_suite(kind: str, trials: int, seed: int, tol: float | None = None) -> 
     else:
         raise ValueError(f"unknown lemma configuration {kind!r}")
     d = 2 ** (n // 2)  # spinor dimension
-    stacks = [curv.random_curvature(n, seeds) for seeds in _seed_batches(seed, trials, n, d**k)]
+    # a trial's largest arrays are K Q and one term of it, (d^k, m) each,
+    # larger than its d^2 x d^2 two-slot operator
+    stacks = [curv.random_curvature(n, seeds) for seeds in _seed_batches(seed, trials, n, d**k, cols.shape[1])]
     out = wb.lemma_check(stacks, k, cols, gens, tol=tol)
     for rep, s in zip(out, range(seed, seed + trials)):
         rep.inputs["seed"] = s
@@ -429,17 +432,22 @@ SUITE_NAMES = (
 
 _DEFAULT_ALGEBRAS = ["A1", "A2", "B2", "C3", "D4", "G2"]
 
+#: The so(n) of each suite that runs on one n only.
+FIXED_N = {"lemma:k2": 3, "lemma:k4": 4, "blocks4": 4}
+
 
 def run_suite(
     name: str,
-    n: int = 4,
+    n: int | None = None,
     trials: int = 20,
     seed: int = 1,
     algebras: list[str] | None = None,
     tolerance: float | None = None,
     operator: curv.CurvatureOperator | None = None,
 ) -> list[CheckReport]:
-    """Dispatch a named suite with shared configuration."""
+    """Dispatch a named suite with shared configuration.  ``n`` defaults to
+    4; an ``n`` that a suite of :data:`FIXED_N` does not run on, or an
+    operator for any suite but positivity, is refused rather than ignored."""
     trial_driven = name in ("lichnerowicz", "bochner", "lemma:k2", "lemma:k4", "blocks4") or (
         name == "positivity" and operator is None
     )
@@ -451,6 +459,11 @@ def run_suite(
             f"{-(-trials * REPORT_BYTES >> 20)} MiB at {REPORT_BYTES} bytes each, over the "
             f"{REPORT_BUDGET_BYTES >> 20} MiB report budget (at most {REPORT_BUDGET_BYTES // REPORT_BYTES} trials)"
         )
+    if n is not None and FIXED_N.get(name, n) != n:
+        raise SuiteConfigError(f"suite {name!r} runs on so({FIXED_N[name]}) only, not so({n})")
+    if operator is not None and name != "positivity":
+        raise SuiteConfigError(f"suite {name!r} takes no curvature operator; only positivity does")
+    n = 4 if n is None else n
     algebras = algebras or _DEFAULT_ALGEBRAS
     # an unset tolerance leaves each suite its own default; 0 is a tolerance
     tol = {} if tolerance is None else {"tol": tolerance}

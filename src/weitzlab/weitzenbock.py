@@ -7,8 +7,12 @@ symmetric and the generators are skew-adjoint.  On top of it:
 * named multiples ``t K`` matching the classical geometric operators
   (spinor, Hodge, Lichnerowicz, Killing, curvature-tensor);
 * a verifier for the projection identity ``P K P = -(k/4) P W P`` on
-  permutation-fixed subspaces E of spinor tensor powers, with the twisted
-  term ``W`` formed only on E, from an orthonormal basis of E;
+  permutation-fixed subspaces E of spinor tensor powers, with both sides
+  formed only on E, from an orthonormal basis of E acted on one or two
+  tensor slots at a time: K from its one-slot and two-slot parts, with a
+  closed-form norm, and the twisted term ``W`` from a Gram of generator
+  actions, so that neither the tensor power's table nor any d^k x d^k
+  matrix is formed;
 * a positivity analyzer for families of representations, with a finite
   diagnostic search standing in for the (infinite-dimensional) converse.
 """
@@ -252,22 +256,71 @@ def _transitive(perms: list[tuple[int, ...]], k: int) -> bool:
     return len(reach) == k
 
 
-def _generator_action(rep: Rep, x: np.ndarray) -> np.ndarray:
-    """The (N, dim, m) stack ``rho(x_a) x`` for a (dim, m) block ``x``,
-    scattered from the generator table without the dense generators."""
-    t = rep.table
-    out = np.zeros((rep.count * rep.dim, x.shape[1]), dtype=complex)
-    np.add.at(out, t.gen * rep.dim + t.row, t.val[:, None] * x[t.col])
-    return out.reshape(rep.count, rep.dim, -1)
+def _on_slots(a: np.ndarray, slots: np.ndarray, which: tuple[int, ...]) -> np.ndarray:
+    """A (T, d^s, d^s) stack of operators on the tensor slots ``which`` (s of
+    them, in the order listed) applied to Q reshaped to ``slots`` =
+    ``(d,)*k + (m,)``: the slots moved to the front, one matmul, and moved
+    back.  Returns a (T,) + ``slots.shape`` view; each operator's block is
+    bit-equal to that of the operator alone."""
+    s = len(which)
+    front = np.moveaxis(slots, which, range(s))
+    out = (a @ front.reshape(a.shape[-1], -1)).reshape((len(a),) + front.shape)
+    return np.moveaxis(out, range(1, s + 1), [w + 1 for w in which])
 
 
-def _twisted_gram(rho: Rep, y: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The (N, N, m, m) Gram ``Y1_a^H Y_b`` with ``Y1_a = (rho_a (x) 1) Q``
-    and ``Y_b`` the tensor-power action on Q.  The twisted term is
-    ``W = -4 sum_ab R_ab (rho_a (x) 1) rho^(x)k_b``, so for skew-adjoint
-    generators ``Q^H W Q = 4 sum_ab R_ab Y1_a^H Y_b``; for k = 1, Y1 = Y."""
-    y1 = _generator_action(rho, cols.reshape(rho.dim, -1)).reshape(y.shape)
+def _generator_action(g: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Y1_a = (rho_a (x) 1) Q`` and ``Y_a = P_a Q``, ``P_a`` the sum of
+    rho_a over the k slots, as two (N, d^k, m) stacks, from the dense
+    generators ``g`` of rho acting on one slot at a time."""
+    y1 = _on_slots(g, slots, (0,))
+    y = y1.copy()
+    for i in range(1, slots.ndim - 1):
+        y += _on_slots(g, slots, (i,))
+    return y1.reshape(len(g), -1, slots.shape[-1]), y.reshape(len(g), -1, slots.shape[-1])
+
+
+def _twisted_gram(y1: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (N, N, m, m) Gram ``Y1_a^H Y_b`` of :func:`_generator_action`.
+    The twisted term is ``W = -4 sum_ab R_ab (rho_a (x) 1) P_b``, so for
+    skew-adjoint generators ``Q^H W Q = 4 sum_ab R_ab Y1_a^H Y_b``; for
+    k = 1, Y1 = Y."""
     return y1.conj().swapaxes(1, 2)[:, None] @ y[None]
+
+
+def _restricted_k(r: CurvatureOperator, rho: Rep, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Q^H K Q`` and ``||K||`` for K on the k-th tensor power of ``rho``,
+    one of each per operator of the stack, without K.
+
+    ``K = sum_ab R_ab P_a P_b`` splits into one-slot terms ``K1^(i)``, K1 the
+    K of ``rho`` (:func:`k_matrix`), and two-slot terms ``M^(ij)``, i != j,
+    with ``M = sum_ab R_ab rho_a (x) rho_b`` on d^2 dimensions; each acts on
+    Q by :func:`_on_slots`.  The generators are traceless, so every term of
+    ``tr(K^H K)`` that leaves one generator alone in a slot vanishes:
+    ``||K||^2 = k d^(k-1) ||K1||^2 + k(k-1) d^(k-2) ((tr K1)^2 + tr(RtRt) +
+    tr(tRtR^T))`` with ``t_ab = tr(rho_a rho_b)``.  The largest arrays are the
+    (T, d^2, d^2) M and (T, d^k, m) K Q."""
+    k, d, g = slots.ndim - 1, rho.dim, rho.stacked()
+    mat = r.matrix.reshape(-1, rho.count, rho.count)
+    k1 = k_matrix(r, rho).reshape(-1, d, d)
+    flat = g.reshape(len(g), -1)
+    # M[t, (i, k), (j, l)] = sum_ab R_ab rho_a[i, j] rho_b[k, l]
+    pair = (flat.T @ (mat @ flat)).reshape((-1,) + (d,) * 4).transpose(0, 1, 3, 2, 4).reshape(-1, d * d, d * d)
+    kq = np.zeros((len(mat),) + slots.shape, dtype=complex)
+    for i in range(k):
+        kq += _on_slots(k1, slots, (i,))
+    for ij in itertools.permutations(range(k), 2):
+        kq += _on_slots(pair, slots, ij)
+    restricted = slots.reshape(-1, slots.shape[-1]).conj().T @ kq.reshape(len(mat), -1, slots.shape[-1])
+    t = np.einsum("aij,bji->ab", g, g).real
+    rt, trt = mat @ t, t @ mat @ t
+
+    def total(x):
+        return x.reshape(len(mat), -1).sum(axis=1)
+
+    one_slot = total(np.abs(k1) ** 2)
+    two_slot = total(mat * t) ** 2 + total(rt * rt.swapaxes(1, 2)) + total(trt * mat)
+    knorm = np.sqrt(k * d ** (k - 1) * one_slot + k * (k - 1) * d ** (k - 2.0) * two_slot)
+    return restricted, knorm
 
 
 def lemma_check(
@@ -287,11 +340,14 @@ def lemma_check(
     action and pointwise fixed by every listed permutation of the tensor
     slots, and the permutations must generate a transitive group on the k
     slots.  They do not depend on R, so they are checked once per call, on
-    Q alone.  K comes from the join of the tensor power's table; W is formed
+    Q alone.  Nothing of dimension d^k x d^k is formed, nor the tensor
+    power's table: every operator acts on Q reshaped to ``(d,)*k + (m,)``,
+    one or two slots at a time.  ``Q^H K Q`` and ``||K||`` come from the
+    one-slot and two-slot parts of K (:func:`_restricted_k`); W is formed
     only on E, from the Gram of :func:`_twisted_gram`, so the two sides are
     computed by independent paths.  The operators must be a non-empty
-    sequence on one so(n); an entry may be a stack, whose K's are assembled
-    in one join, and the reports follow the operators in order.
+    sequence on one so(n); an entry may be a stack, whose trials are
+    computed together, and the reports follow the operators in order.
     """
     from .so_algebra import basis as so_basis
 
@@ -310,15 +366,17 @@ def lemma_check(
     if not np.linalg.norm(q.conj().T @ q - np.eye(m)) <= 1e-9:  # NaN fails too
         raise LemmaPreconditionError("E columns are not orthonormal")
     scale = max(1.0, float(np.linalg.norm(q)))
-    power = tensor_power_rep(rho, k)
-    y = _generator_action(power, q)
-    t = power.table
-    gen_norm = float(np.sqrt(np.bincount(t.gen, np.abs(t.val) ** 2, power.count).max()))
-    if np.linalg.norm(y - q @ (q.conj().T @ y), axis=(1, 2)).max() > 1e-9 * max(1.0, gen_norm):
+    slots = q.reshape((d,) * k + (m,))
+    g = rho.stacked()
+    y1, y = _generator_action(g, slots)
+    # ||P_a||^2 = k d^(k-1) ||rho_a||^2: the cross terms are traces of rho_a
+    gen_norm = float(np.sqrt(k * d ** (k - 1)) * np.linalg.norm(g, axis=(1, 2)).max())
+    off = q @ (q.conj().T @ y)
+    off -= y
+    if np.linalg.norm(off, axis=(1, 2)).max() > 1e-9 * max(1.0, gen_norm):
         raise LemmaPreconditionError("E is not invariant under the spin action")
     if not gamma_generators:
         raise LemmaPreconditionError("no permutation generators given")
-    slots = q.reshape((d,) * k + (m,))
     for perm in gamma_generators:
         if len(perm) != k:
             raise LemmaPreconditionError(f"permutation {perm} does not act on {k} letters")
@@ -328,32 +386,31 @@ def lemma_check(
         # exactly when it is fixed by its inverse, so either convention serves
         if np.linalg.norm(slots.transpose(*perm, k) - slots) > 1e-9 * scale:
             raise LemmaPreconditionError(f"permutation {perm} does not fix the subspace pointwise")
-    if not _transitive([tuple(g) for g in gamma_generators], k):
+    if not _transitive([tuple(p) for p in gamma_generators], k):
         raise LemmaPreconditionError("the permutation group is not transitive on the factors")
 
-    gram = _twisted_gram(rho, y, q)
+    gram = _twisted_gram(y1, y)
+    del y1, y, off  # the trials need only the Gram
     out = []
     for batch in ops:
-        kmats = k_matrix(batch, power).reshape(-1, d ** k, d ** k)
-        out.extend(_lemma_report(r, kmat, gram, k, q, gamma_generators, tol) for r, kmat in zip(batch.unstack(), kmats))
-        del kmats  # freed before the next batch is joined
+        restricted, knorm = _restricted_k(batch, rho, slots)
+        for r, rk, kn in zip(batch.unstack(), restricted, knorm):
+            out.append(_lemma_report(r, rk, float(kn), gram, k, gamma_generators, tol))
     return out
 
 
 def _lemma_report(
     r: CurvatureOperator,
-    kmat: np.ndarray,
+    restricted: np.ndarray,
+    knorm: float,
     gram: np.ndarray,
     k: int,
-    cols: np.ndarray,
     gamma_generators: list[tuple[int, ...]],
     tol: float,
 ) -> CheckReport:
-    """The R-dependent part of :func:`lemma_check`, given K on the tensor
-    power and the Gram of :func:`_twisted_gram`."""
-    restricted = cols.conj().T @ kmat @ cols
+    """The report of one operator, given ``Q^H K Q`` and ``||K||`` of
+    :func:`_restricted_k` and the Gram of :func:`_twisted_gram`."""
     w_restricted = 4.0 * np.tensordot(r.matrix, gram, axes=2)
-    knorm = float(np.linalg.norm(kmat))
     residual = float(np.linalg.norm(restricted + (k / 4.0) * w_restricted))
     tolerance = tol * (1.0 + knorm)
     spectrum, _ = numerics.eig_hermitian(restricted, hermitian_tol=1e-8)
@@ -364,7 +421,7 @@ def _lemma_report(
             "n": r.n,
             "k": k,
             "generators": [list(g) for g in gamma_generators],
-            "subspace_dim": int(cols.shape[1]),
+            "subspace_dim": int(restricted.shape[0]),
         },
         residual=residual,
         tolerance=tolerance,

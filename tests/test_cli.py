@@ -400,12 +400,20 @@ class TestUsageErrors:
             ({}, None, ["k", "--n", "3", "--rep", "vector", "--curvature", "random:-1"]),
             ({}, None, ["check", "bochner", "--n", "3", "--seed", "-1"]),
             ({}, None, ["decompose", "--n", "3", "--rep", "vector", "--sub", "so-full", "--seed", "-2"]),
+            ({}, None, ["check", "lemma:k4", "--n", "6", "--trials", "1"]),
+            ({}, None, ["check", "lemma:k2", "--n", "4", "--trials", "1"]),
+            ({}, None, ["check", "blocks4", "--n", "5", "--trials", "1"]),
+            ({}, None, ["check", "lichnerowicz", "--n", "4", "--curvature", "sphere"]),
+            ({}, None, ["check", "lemma:k4", "--n", "4", "--curvature", "random:1"]),
+            ({}, None, ["check", "blocks4", "--n", "4", "--curvature", "sphere"]),
         ),
         ids=(
             "env-tolerance-not-a-float", "nan-tolerance", "negative-tolerance", "infinite-env-tolerance",
             "empty-subalgebra-file", "nan-subalgebra-entry", "symmetric-subalgebra-element",
             "fractional-curvature-n", "boolean-curvature-n", "huge-curvature-entry",
             "negative-curvature-seed", "negative-suite-seed", "negative-decompose-seed",
+            "lemma-k4-other-n", "lemma-k2-other-n", "blocks4-other-n",
+            "lichnerowicz-operator", "lemma-k4-operator", "blocks4-operator",
         ),
     )
     def test_contract_inputs_exit_2_with_one_error_line(self, env, payload, argv, tmp_path, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,19 @@ class TestCanonicalJson:
     def test_negative_zero_renders_signed(self):
         assert canonical_json(np.array([[-0.0, 0.0]])) == "[[-0,0]]"
 
+    def test_rows_render_the_bytes_of_format(self):
+        # each row is one printf-style call; %.17g must write what
+        # format(v, ".17g") writes for every finite double
+        rng = np.random.default_rng(3)
+        edge = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308,
+                1.0, -3.0, 1e16, 2.0**53, 123456789012345678.0, 0.1, 1 / 3]
+        mags = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-300, 300, 2000)
+        for row in (np.array(edge), mags):
+            assert canonical_json(row) == "[" + ",".join(format(v, ".17g") for v in row.tolist()) + "]"
+            c = row + 1j * row[::-1]
+            want = ",".join(f'{{"im":{format(v.imag, ".17g")},"re":{format(v.real, ".17g")}}}' for v in c.tolist())
+            assert canonical_json(c) == "[" + want + "]"
+
     @pytest.mark.parametrize(
         "bad",
         (
@@ -113,6 +128,26 @@ class TestSuites:
     def test_dispatch_unknown(self):
         with pytest.raises(ValueError):
             suites.run_suite("bogus")
+
+    def test_fixed_n_is_the_n_each_suite_runs_on(self):
+        assert suites.FIXED_N == {
+            "lemma:k2": suites._lemma_k2_config()[0],
+            "lemma:k4": suites._lemma_k4_config()[0],
+            "blocks4": 4,
+        }
+        for name, n in suites.FIXED_N.items():
+            assert {r.inputs.get("n", n) for r in suites.run_suite(name, n=n, trials=1)} == {n}
+
+    @pytest.mark.parametrize("name, n", (("lemma:k2", 4), ("lemma:k4", 3), ("lemma:k4", 6), ("blocks4", 5)))
+    def test_other_n_of_a_fixed_suite_rejected(self, name, n):
+        with pytest.raises(suites.SuiteConfigError, match=re.escape(f"runs on so({suites.FIXED_N[name]}) only")):
+            suites.run_suite(name, n=n, trials=1)
+
+    @pytest.mark.parametrize("name", [s for s in suites.SUITE_NAMES if s != "positivity"])
+    def test_operator_for_a_suite_that_ignores_it_rejected(self, name):
+        n = suites.FIXED_N.get(name, 4)
+        with pytest.raises(suites.SuiteConfigError, match="takes no curvature operator"):
+            suites.run_suite(name, n=n, trials=1, operator=curv.sphere(n))
 
     @pytest.mark.parametrize("name", ("lichnerowicz", "bochner", "lemma:k2", "lemma:k4", "blocks4", "positivity"))
     def test_zero_trials_rejected(self, name):
@@ -222,3 +257,20 @@ class TestBatchedTrials:
         monkeypatch.setattr(suites, "TRIAL_BATCH_BYTES", 32 * 3**4 * 5 + 32 * 2 * 2 * 5)
         suites.lichnerowicz_suite(3, 23, 1)
         assert max(sizes) == 5 and sum(sizes) == 23 + 100
+
+    def test_lemma_batches_hold_their_k_q_blocks(self, monkeypatch):
+        # a lemma:k4 trial holds two (256, 21) blocks of K Q, far more than
+        # its 16 x 16 two-slot operator, and its batches are sized by them
+        from weitzlab import weitzenbock as wb
+
+        sizes = []
+        restricted_k = wb._restricted_k
+
+        def counting(r, *args):
+            sizes.append(len(r.matrix))
+            return restricted_k(r, *args)
+
+        monkeypatch.setattr(wb, "_restricted_k", counting)
+        suites.lemma_suite("k4", 12, 1)
+        per_trial = 32 * 4**4 + 32 * 4**4 * 21
+        assert max(sizes) == suites.TRIAL_BATCH_BYTES // per_trial and sum(sizes) == 12

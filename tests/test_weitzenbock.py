@@ -456,15 +456,96 @@ class TestRestrictedTwistedTerm:
     @pytest.mark.parametrize("n, k", ((3, 1), (3, 2), (3, 3), (4, 2), (4, 4)))
     def test_against_loop_oracle(self, n, k):
         rho = spin.rep_spin(so.basis(n))
-        power = wb.tensor_power_rep(rho, k)
-        rng = np.random.default_rng(10 * n + k)
-        raw = rng.standard_normal((power.dim, 3)) + 1j * rng.standard_normal((power.dim, 3))
-        q = np.linalg.qr(raw)[0]  # neither invariant nor slot-symmetric
+        q = _random_columns(rho.dim ** k, 3, 10 * n + k)  # neither invariant nor slot-symmetric
         op = curv.random_curvature(n, k)
-        gram = wb._twisted_gram(rho, wb._generator_action(power, q), q)
+        gram = wb._twisted_gram(*wb._generator_action(rho.stacked(), q.reshape((rho.dim,) * k + (-1,))))
         got = 4.0 * np.tensordot(op.matrix, gram, axes=2)
         want = q.conj().T @ _twisted_loop_oracle(op, rho, k) @ q
         assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("n, k", ((3, 1), (3, 3), (4, 2), (4, 4)))
+    def test_generator_action_is_the_tensor_power_action(self, n, k):
+        # Y_a = P_a Q with P_a the generator of the k-th tensor power, and
+        # Y1_a = (rho_a (x) 1) Q
+        rho = spin.rep_spin(so.basis(n))
+        power = wb.tensor_power_rep(rho, k)
+        q = _random_columns(power.dim, 3, n + k)
+        y1, y = wb._generator_action(rho.stacked(), q.reshape((rho.dim,) * k + (-1,)))
+        assert np.abs(y - power.stacked() @ q).max() <= 1e-14
+        first = np.stack([np.kron(m, np.eye(rho.dim ** (k - 1))) for m in rho.mats])
+        assert np.abs(y1 - first @ q).max() <= 1e-14
+
+
+def _random_columns(rows, m, seed):
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m)))[0]
+
+
+#: (n, k) with d^k <= 1024 for n = 3 ... 6, d the spinor dimension.
+_POWER_CASES = tuple((n, k) for n in range(3, 7) for k in range(1, 5) if 2 ** (n // 2 * k) <= 1024)
+
+
+class TestRestrictedK:
+    """``Q^H K Q`` and ``||K||`` of the lemma come from the one-slot and
+    two-slot parts of K; the oracle is the join of the tensor power."""
+
+    @pytest.mark.parametrize("draw", (curv.random_curvature, curv.random_symmetric), ids=("bianchi", "symmetric"))
+    @pytest.mark.parametrize("n, k", _POWER_CASES)
+    def test_against_the_tensor_power_join(self, n, k, draw):
+        rho = spin.rep_spin(so.basis(n))
+        power = wb.tensor_power_rep(rho, k)
+        ops = draw(n, [3 * n + k, 4 * n + k])
+        q = _random_columns(power.dim, 3, 5 * n + k)
+        restricted, knorm = wb._restricted_k(ops, rho, q.reshape((rho.dim,) * k + (-1,)))
+        kmats = wb.k_matrix(ops, power)
+        want = np.linalg.norm(kmats, axis=(1, 2))
+        assert np.abs(knorm / want - 1.0).max() <= 1e-14
+        assert np.abs(restricted - q.conj().T @ kmats @ q).max() <= 1e-14 * want.max()
+
+    @pytest.mark.parametrize(
+        "n, k, columns, generators",
+        (
+            (3, 2, lambda: _sym_columns(2, 2), [(1, 0)]),
+            (3, 3, lambda: _sym_columns(2, 3), [(1, 0, 2), (0, 2, 1)]),
+            (4, 4, _k4_columns, K4_GENERATORS),
+        ),
+        ids=("k2", "k3", "k4"),
+    )
+    def test_lemma_reports_against_the_join(self, n, k, columns, generators):
+        q = columns()
+        ops = [curv.random_curvature(n, s) for s in (21, 22)] + [curv.random_symmetric(n, 23)]
+        reports = wb.lemma_check(ops, k, q, generators, tol=1e-8)
+        power = wb.tensor_power_rep(spin.rep_spin(so.basis(n)), k)
+        for op, rep in zip(ops, reports):
+            kmat = wb.k_matrix(op, power)
+            knorm = np.linalg.norm(kmat)
+            assert abs(rep.details["k_norm"] / knorm - 1.0) <= 1e-14
+            spectrum = np.linalg.eigvalsh(q.conj().T @ kmat @ q)
+            assert np.abs(np.array(rep.spectrum) - spectrum).max() <= 1e-14 * knorm
+        assert all(rep.passed for rep in reports)
+
+    @pytest.mark.parametrize("kind", ("k2", "k4"))
+    def test_lemma_builds_no_tensor_power(self, kind, monkeypatch):
+        from weitzlab import suites
+
+        n, k, q, generators = getattr(suites, f"_lemma_{kind}_config")()
+
+        def refused(*args):
+            raise AssertionError("the lemma built a tensor power")
+
+        dims = []
+        k_matrix = wb.k_matrix
+
+        def recording(r, rep):
+            dims.append(rep.dim)
+            return k_matrix(r, rep)
+
+        monkeypatch.setattr(wb, "tensor_power_rep", refused)
+        monkeypatch.setattr(wb, "rep_tensor", refused)
+        monkeypatch.setattr(wb, "k_matrix", recording)
+        reports = wb.lemma_check([curv.random_curvature(n, range(3))], k, q, generators, tol=1e-8)
+        assert all(rep.passed for rep in reports)
+        assert dims and max(dims) == 2 ** (n // 2)
 
 
 class TestLemmaCheck:
