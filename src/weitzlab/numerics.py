@@ -7,9 +7,15 @@ eigensolvers: there real input stays float64, and a Hermitian part whose
 imaginary part is exactly zero (:func:`real_if_exact`) goes to the real
 symmetric solver, whose eigenvectors are real.  All functions are pure and
 never mutate their arguments, so concurrent use is safe.
+
+Two rules bound memory: chunked assemblies keep their temporaries within
+:data:`CHUNK_BYTES`, and :func:`require_bytes` refuses a large allocation
+that cannot fit before it is made.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -24,7 +30,13 @@ __all__ = [
     "orthonormal_columns",
     "projector",
     "real_if_exact",
+    "require_bytes",
 ]
+
+#: Bytes of temporaries that one chunk of a chunked assembly (the join or
+#: the blade sum of K, the blade coefficients, the blade cache) holds at
+#: once, besides the result it writes into.
+CHUNK_BYTES = 1 << 20
 
 #: Relative singular-value cutoff used by :func:`nullspace` when no tolerance
 #: is supplied.  The nullspaces downstream have singular-value gaps many
@@ -41,6 +53,21 @@ def as_matrix(a, dtype=np.complex128) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m
+
+
+def require_bytes(nbytes: int, what: str) -> None:
+    """Refuse, before it is made, an allocation of ``nbytes`` for ``what``
+    that cannot fit: raise MemoryError when it exceeds the process's
+    address-space soft limit (``RLIMIT_AS``), or physical memory when no
+    limit is set.  The message names the bytes and the limit."""
+    import resource
+
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    name = "the address-space limit"
+    if limit == resource.RLIM_INFINITY:
+        limit, name = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
+    if nbytes > limit:
+        raise MemoryError(f"{what} needs {nbytes} bytes, more than {name} of {limit} bytes")
 
 
 def frobenius(a) -> float:

@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import numerics
 from .representations import GenTable, Rep, gen_table, invariant_bilinear_forms, rep_exterior
 from .so_algebra import SoBasis
 
@@ -117,91 +118,131 @@ class SpinorBlades:
     ``c_B = sum_(a,b)->B s_ab R_ab``: at most 1 + C(n,2) + C(n,4) terms
     against N^2 products.  ``Gamma_B`` is ``rho_a rho_b`` for the first pair
     (a, b) of its blade, row-major, and ``s_ab`` the exact sign that turns
-    it into ``rho_a rho_b``, read off one row.  ``perm`` and ``phase`` are
-    the spin generators on the full spinor space as monomial matrices,
-    ``rho_a[r, perm[a, r]] = phase[a, r]``; ``rows`` are the rows of the
-    full space a half-spin keeps, ascending (all rows for spin).
-    An even blade preserves chirality, so K on a half is that half's rows
-    and columns of K on spin.  Each ``Gamma_B`` has phases all real or all
-    imaginary (the generators' are), so a blade adds to the real or to the
-    imaginary part of K alone.  Nothing here depends on R; the per-row
-    entries are kept when there are at most :data:`CACHE_ENTRIES` of them."""
+    it into ``rho_a rho_b``, read off row 0.
 
-    #: Most (row, blade) entries of ``Gamma_B`` kept between calls.
-    CACHE_ENTRIES = 1 << 20
+    Every spin generator on the full spinor space (of dimension ``size``)
+    is a signed XOR permutation, a Pauli string: row r of rho_a holds
+    ``phase[a] (-1)^|r & z[a]|`` at column ``r ^ x[a]``.  So each
+    ``Gamma_B`` is one too, with ``x_B = x_a ^ x_b``, ``z_B = z_a ^ z_b``
+    and its row-0 phase, and the entries of any rows follow in closed form
+    (:meth:`entries`), with no (N, d) array kept.  ``rows`` are the rows of
+    the full space a half-spin keeps, ascending (all rows for spin).  An
+    even blade preserves chirality, so K on a half is that half's rows and
+    columns of K on spin.  Each ``Gamma_B`` has phases all real or all
+    imaginary, so a blade adds to the real or to the imaginary part of K
+    alone.  Nothing here depends on R, and no entries are kept between
+    calls: those of a chunk of rows cost one XOR, one AND and one lookup
+    of a sign."""
 
-    def __init__(self, masks: np.ndarray, perm: np.ndarray, phase: np.ndarray, rows: np.ndarray | None = None):
-        self.masks, self.perm, self.phase = masks, perm, phase
-        self.rows = np.arange(perm.shape[1]) if rows is None else rows
-        self.dim = len(self.rows)
+    def __init__(
+        self, masks: np.ndarray, x: np.ndarray, z: np.ndarray, phase: np.ndarray, size: int, rows: np.ndarray | None = None
+    ):
+        self.masks, self.x, self.z, self.phase, self.size = masks, x, z, phase, size
+        self._pos = None  # position among rows of each row of the full space
+        if rows is None:
+            rows = np.arange(size)
+        else:
+            self._pos = np.full(size, -1, dtype=np.int32)
+            self._pos[rows] = np.arange(len(rows))
+        self.rows, self.dim = rows, len(rows)
+
+    def restricted(self, rows: np.ndarray) -> SpinorBlades:
+        """The same generators on the given rows of the full space."""
+        return SpinorBlades(self.masks, self.x, self.z, self.phase, self.size, rows)
 
     @functools.cached_property
     def _pairs(self):
-        """Blade index of each pair, row-major; the first pair of each blade;
-        the sign of each pair; the real and the imaginary blades."""
-        count = len(self.masks)
+        """Blade index of each pair, row-major; the sign of each pair; and
+        for each blade ``x_B`` and ``z_B`` (int32), the real or imaginary
+        part of its row-0 phase (float32, exact: +-1/4) and which of the two
+        it is."""
+        count, x, z = len(self.masks), self.x, self.z
         _, first, key = np.unique((self.masks[:, None] ^ self.masks).ravel(), return_index=True, return_inverse=True)
         a, b = np.divmod(np.arange(count * count), count)
-        lead = self.phase[a, 0] * self.phase[b, self.perm[a, 0]]  # row 0 of rho_a rho_b
+        # row 0 of rho_a rho_b: rho_a takes it to row x_a, where rho_b's phase has the sign (-1)^|x_a & z_b|
+        lead = self.phase[a] * np.where(self._signs[x[a] & z[b]] < 0, -self.phase[b], self.phase[b])
         rep = lead[first][key]
         if not np.all((lead == rep) | (lead == -rep)):
             raise RuntimeError("spin generator products are not +-1 times their blade")
-        kind = lead[first].imag == 0
-        return key, np.divmod(first, count), np.where(lead == rep, 1.0, -1.0), np.flatnonzero(kind), np.flatnonzero(~kind)
+        a, b = np.divmod(first, count)
+        imag = lead[first].imag != 0
+        value = np.where(imag, lead[first].imag, lead[first].real).astype(np.float32)
+        return key, np.where(lead == rep, 1.0, -1.0), (x[a] ^ x[b]).astype(np.int32), (z[a] ^ z[b]).astype(np.int32), value, imag
+
+    @functools.cached_property
+    def _signs(self) -> np.ndarray:
+        """``(-1)^|v|``, the parity of the set bits of v, for every v below
+        ``size`` (float32): the table for v < 2^(k+1) is that for v < 2^k
+        followed by its negative."""
+        signs = np.ones(1, dtype=np.float32)
+        while len(signs) < self.size:
+            signs = np.concatenate((signs, -signs))
+        return signs
 
     @property
     def count(self) -> int:
         """Number of blades."""
-        return len(self._pairs[1][0])
+        return len(self._pairs[4])
+
+    @property
+    def imaginary(self) -> np.ndarray:
+        """For each blade, whether its phases are imaginary."""
+        return self._pairs[5]
 
     def coefficients(self, matrix: np.ndarray) -> np.ndarray:
         """``c_B`` for each operator of an (N, N) or (T, N, N) stack, as a
-        (T, blades) array: one ``np.bincount`` over the pairs of all T, each
-        operator's sums in pair order."""
-        key, _, sign, _, _ = self._pairs
+        (T, blades) array: one ``np.bincount`` over the pairs of a group of
+        operators at a time, as many as :data:`numerics.CHUNK_BYTES` holds at
+        24 bytes per pair (one operator at least), each operator's sums in
+        pair order."""
+        key, sign = self._pairs[:2]
         w = matrix.reshape(-1, len(key))
-        bins = (np.arange(len(w))[:, None] * self.count + key).ravel()
-        return np.bincount(bins, (w * sign).ravel(), len(w) * self.count).reshape(len(w), self.count)
-
-    def entries(self, lo: int, hi: int):
-        """Rows lo..hi of every ``Gamma_B`` as two (blades, columns, values)
-        triples, for the real and for the imaginary part: the blade indices,
-        and (blades, hi - lo) arrays of the one column (a position among
-        ``rows``) and the real or imaginary phase that each row holds."""
-        cached = self._cached
-        if cached is not None:
-            return [(blades, col[:, lo:hi], val[:, lo:hi]) for blades, col, val in cached]
-        return self._entries(self.rows[lo:hi])
-
-    @functools.cached_property
-    def _cached(self):
-        return self._entries(self.rows) if self.dim * self.count <= self.CACHE_ENTRIES else None
-
-    def _entries(self, rows: np.ndarray):
-        _, (a, b), _, real, imag = self._pairs
-        d = self.perm.shape[1]
-        perm, phase = self.perm.ravel(), self.phase.ravel()
-        pos = np.full(d, -1)
-        pos[self.rows] = np.arange(self.dim)
-        out = []
-        for blades, part in ((real, np.real), (imag, np.imag)):
-            left = a[blades, None] * d + rows
-            right = b[blades, None] * d + perm[left]
-            out.append((blades, pos[perm[right]], part(phase[left] * phase[right])))
+        out = np.empty((len(w), self.count))
+        group = max(1, numerics.CHUNK_BYTES // (24 * len(key)))
+        for t in range(0, len(w), group):
+            part = w[t : t + group]
+            bins = (np.arange(len(part))[:, None] * self.count + key).ravel()
+            out[t : t + group] = np.bincount(bins, (part * sign).ravel(), len(part) * self.count).reshape(len(part), -1)
         return out
+
+    def entries(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows lo..hi of every ``Gamma_B`` as two (hi - lo, blades) arrays:
+        the one column each row holds, a position among ``rows`` (int32),
+        and the real or imaginary part of its phase (float32, exact), by
+        :data:`imaginary`.  Row r of ``Gamma_B`` holds its phase at column
+        ``r ^ x_B``, with sign ``(-1)^|r & z_B|`` against row 0."""
+        _, _, x, z, value, _ = self._pairs
+        rows = self.rows[lo:hi, None].astype(np.int32)
+        col = rows ^ x
+        if self._pos is not None:
+            col = self._pos[col]
+        return col, value * self._signs[rows & z]
 
 
 def rep_spin(basis: SoBasis) -> Rep:
     """Spin representation: ``x_ij`` maps to ``-e_i e_j / 2``, monomial like
     the Clifford generators: row r holds its one entry in column
-    ``perm_j[perm_i[r]]``.  The rep carries its :class:`SpinorBlades`."""
+    ``perm_j[perm_i[r]]``.  The rep carries its :class:`SpinorBlades`: each
+    generator's column shift is the column of row 0, and bit k of its sign
+    mask is set where row 2^k has the opposite phase to row 0.
+
+    Its size is known before any of it is built, and a rep that cannot fit
+    is refused first (:func:`numerics.require_bytes`): the (n, d) monomials
+    take about 48 bytes an entry while they are formed, and the (N, d)
+    table about 120 bytes an entry at its peak."""
+    count, dim = len(basis.pairs), 2 ** (basis.n // 2)
+    numerics.require_bytes(
+        48 * basis.n * dim + 120 * count * dim,
+        f"the spin representation of so({basis.n}) ({count} generators on {dim} dimensions)",
+    )
     perm, phase = _clifford_monomials(basis.n)
-    count, dim = len(basis.pairs), perm.shape[1]
     i, j = np.array(basis.pairs).reshape(-1, 2).T
     col = np.take_along_axis(perm[j], perm[i], axis=1)
     val = -(phase[i] * np.take_along_axis(phase[j], perm[i], axis=1)) / 2.0
     gen, row = np.repeat(np.arange(count), dim), np.tile(np.arange(dim), count)
-    blades = SpinorBlades((1 << i) | (1 << j), col, val)
+    bits = 1 << np.arange(basis.n // 2)
+    z = (val[:, bits] != val[:, :1]) @ bits
+    blades = SpinorBlades((1 << i) | (1 << j), col[:, 0].copy(), z, val[:, 0].copy(), dim)
     table = gen_table(gen, row, col.ravel(), val.ravel(), dim)
     return Rep(basis=basis, dim=dim, table=table, label="spin", clifford=blades)
 
@@ -244,10 +285,8 @@ def rep_half_spin(basis: SoBasis, sign: int) -> Rep:
     t = full.table
     keep = pos[t.row] >= 0
     table = GenTable(t.gen[keep], pos[t.row[keep]], pos[t.col[keep]], t.val[keep])
-    whole = full.clifford
-    blades = SpinorBlades(whole.masks, whole.perm, whole.phase, rows)
     label = f"spin{'+' if sign > 0 else '-'}"
-    return Rep(basis=basis, dim=len(rows), table=table, label=label, clifford=blades)
+    return Rep(basis=basis, dim=len(rows), table=table, label=label, clifford=full.clifford.restricted(rows))
 
 
 class SpinorPairing(NamedTuple):

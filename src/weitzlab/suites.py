@@ -29,7 +29,7 @@ __all__ = [
 class SuiteConfigError(ValueError):
     """A suite request that names no suite, whose verdict would rest on zero
     trials (a vacuous pass), whose trials would not fit the report budget,
-    or that passes an n or an operator the suite would ignore."""
+    or that passes an n, algebras or an operator the suite would ignore."""
 
 
 #: Bytes of stacked curvature tensors and K's that one batch of trials may
@@ -435,6 +435,11 @@ _DEFAULT_ALGEBRAS = ["A1", "A2", "B2", "C3", "D4", "G2"]
 #: The so(n) of each suite that runs on one n only.
 FIXED_N = {"lemma:k2": 3, "lemma:k4": 4, "blocks4": 4}
 
+#: The suites that run over simple algebras, each on the so(n) its own
+#: adjoint representation lives on: the only ones that read ``algebras``,
+#: and the only ones that read no ``n``.
+ALGEBRA_SUITES = ("strange", "group-model")
+
 
 def run_suite(
     name: str,
@@ -446,8 +451,10 @@ def run_suite(
     operator: curv.CurvatureOperator | None = None,
 ) -> list[CheckReport]:
     """Dispatch a named suite with shared configuration.  ``n`` defaults to
-    4; an ``n`` that a suite of :data:`FIXED_N` does not run on, or an
-    operator for any suite but positivity, is refused rather than ignored."""
+    4.  What a suite would ignore is refused instead: an ``n`` that a suite
+    of :data:`FIXED_N` does not run on, any ``n`` for the suites of
+    :data:`ALGEBRA_SUITES` and ``algebras`` for every other suite, and an
+    operator for any suite but positivity."""
     trial_driven = name in ("lichnerowicz", "bochner", "lemma:k2", "lemma:k4", "blocks4") or (
         name == "positivity" and operator is None
     )
@@ -463,6 +470,10 @@ def run_suite(
         raise SuiteConfigError(f"suite {name!r} runs on so({FIXED_N[name]}) only, not so({n})")
     if operator is not None and name != "positivity":
         raise SuiteConfigError(f"suite {name!r} takes no curvature operator; only positivity does")
+    if n is not None and name in ALGEBRA_SUITES:
+        raise SuiteConfigError(f"suite {name!r} runs each algebra on its own so(n) and takes no n")
+    if algebras is not None and name in SUITE_NAMES and name not in ALGEBRA_SUITES:
+        raise SuiteConfigError(f"suite {name!r} takes no algebras; only {' and '.join(ALGEBRA_SUITES)} do")
     n = 4 if n is None else n
     algebras = algebras or _DEFAULT_ALGEBRAS
     # an unset tolerance leaves each suite its own default; 0 is a tolerance

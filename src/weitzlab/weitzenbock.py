@@ -98,10 +98,11 @@ def _check_compatible(r: CurvatureOperator, rep: Rep) -> None:
         raise CompatibilityError(f"curvature lives on so({r.n}) but the representation on so({n})")
 
 
-#: Most (left entry, right entry) pairs :func:`k_matrix` forms at once, and
-#: most pairs times operators it weights in one pass; each costs about 70
-#: bytes of temporaries.
-PAIR_CHUNK = 1 << 18
+def _k_zeros(count: int, d: int, dtype) -> np.ndarray:
+    """A zero (count, d, d) stack for K, refused first when it cannot fit."""
+    dtype = np.dtype(dtype)
+    numerics.require_bytes(count * d * d * dtype.itemsize, f"K ({count} x {d} x {d} x {dtype.itemsize} bytes)")
+    return np.zeros((count, d, d), dtype=dtype)
 
 
 def k_matrix(r: CurvatureOperator, rep: Rep) -> np.ndarray:
@@ -112,40 +113,50 @@ def k_matrix(r: CurvatureOperator, rep: Rep) -> np.ndarray:
     of Clifford blades of :func:`_blade_k_matrix`.  Otherwise it is a join
     of the generator table with itself on the inner index j: every entry
     ``rho_a[i, j]`` pairs with every entry ``rho_b[j, k]``, and the pair
-    adds ``R_ab rho_a[i, j] rho_b[j, k]`` to ``K[i, k]``.  The pairs are
-    formed in chunks of at most :data:`PAIR_CHUNK` (more only when one entry
-    alone has more partners) and summed by ``np.bincount`` over the rows of
-    K the chunk touches.  Each chunk is formed once for the whole stack and
-    weighted by a group of operators at a time, at most ``PAIR_CHUNK //
-    pairs`` of them, whose sums go to one ``np.bincount``.  The chunks do
-    not depend on the stack, so each K is bit-equal to the join of its
-    operator alone.  K is float64 when the table is real and complex
+    adds ``R_ab rho_a[i, j] rho_b[j, k]`` to ``K[i, k]``.  The left entries
+    are sorted by row i, and the pairs are formed in chunks that end where
+    that row changes, so each row of K is summed by one ``np.bincount``, in
+    pair order, whatever the chunk sizes.  A chunk holds as many rows as
+    :data:`numerics.CHUNK_BYTES` allows at the join's bytes per pair and per
+    row of K (one row at least).  Each chunk is formed once for the whole
+    stack and weighted by a group of operators at a time, as many as the
+    rest of the budget holds, whose sums go to one ``np.bincount``.  The
+    chunks do not depend on the stack, so each K is bit-equal to the join
+    of its operator alone.  K is float64 when the table is real and complex
     otherwise."""
     _check_compatible(r, rep)
     if rep.clifford is not None:
         return _blade_k_matrix(r, rep.clifford)
     d = rep.dim
     # entries sorted by row: the partners of a left entry rho_a[i, j] are the
-    # run of row j, and left entries of one row fill a few rows of K at a time
+    # run of row j, and left entries of one row fill one row of K
     by_row = np.argsort(rep.table.row, kind="stable")
     gen, row, col, val = (a[by_row] for a in rep.table)
-    val = val.real if not np.any(val.imag) else val
+    val = val.real.copy() if not np.any(val.imag) else val
     start = np.searchsorted(row, np.arange(d + 1))
     partners = start[col + 1] - start[col]
     ends = np.cumsum(partners)
     shift = start[col] - (ends - partners)  # the p-th pair overall takes right entry p + shift
     weights, gen_l, row_l = r.matrix.reshape(-1, rep.count ** 2), gen * rep.count, row * d
-    k = np.zeros((len(weights), d * d), dtype=val.dtype)
-    lo = 0
-    while lo < len(val):
-        done = ends[lo] - partners[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, done + PAIR_CHUNK, side="right")))
+    k = _k_zeros(len(weights), d, val.dtype).reshape(len(weights), d * d)
+    # bytes per pair: its index arrays and left value, and for each operator
+    # its gathered weight, product and bin; bytes per row of K: one bincount
+    per_pair, per_op = 32 + val.itemsize, 24 + 2 * val.itemsize
+    budget = numerics.CHUNK_BYTES
+    held = np.concatenate((np.flatnonzero(start[1:] > start[:-1]), [d]))  # rows with left entries, and d
+    bounds = start[held]  # where the left entries of each begin, and the end
+    done = np.concatenate(([0], ends))[bounds]  # pairs before each
+    cost = done * (per_pair + per_op) + held * (8 * d)
+    i = 0
+    while i < len(bounds) - 1:
+        j = max(i + 1, int(np.searchsorted(cost, cost[i] + budget, side="right")) - 1)
+        lo, hi = bounds[i], bounds[j]
         left = np.repeat(np.arange(lo, hi), partners[lo:hi])
-        right = shift[left] + np.arange(done, done + len(left))
-        group = max(1, PAIR_CHUNK // len(left))
-        # the chunk's left entries fill rows row[lo] .. row[hi - 1] of K
+        right = shift[left] + np.arange(done[i], done[j])
+        # the chunk's left entries fill rows row[lo] .. row[hi - 1] of K, all of each
         first, span = row_l[lo], row_l[hi - 1] + d - row_l[lo]
         flat = row_l[left] - first + col[right]
+        group = max(1, (budget - len(left) * per_pair) // (len(left) * per_op + 8 * span))
         for t in range(0, len(weights), group):
             # the gather indexes the first axis alone and the second product is
             # taken in place: a slice beside the index array, or operands of
@@ -158,40 +169,48 @@ def k_matrix(r: CurvatureOperator, rep: Rep) -> np.ndarray:
             bins = (np.arange(len(w))[:, None] * span + flat).ravel() if w.ndim == 2 else flat
             part = k[t : t + group, first : first + span]
             if w.dtype.kind == "c":
-                part.real += np.bincount(bins, w.real.ravel(), part.size).reshape(part.shape)
-                part.imag += np.bincount(bins, w.imag.ravel(), part.size).reshape(part.shape)
+                part.real = np.bincount(bins, w.real.ravel(), part.size).reshape(part.shape)
+                part.imag = np.bincount(bins, w.imag.ravel(), part.size).reshape(part.shape)
             else:
-                part += np.bincount(bins, w.ravel(), part.size).reshape(part.shape)
-        lo = hi
+                part[...] = np.bincount(bins, w.ravel(), part.size).reshape(part.shape)
+        i = j
     return k.reshape(r.matrix.shape[:-2] + (d, d))
 
 
 def _blade_k_matrix(r: CurvatureOperator, blades: SpinorBlades) -> np.ndarray:
     """K on spinors as ``sum_B c_B Gamma_B`` (:class:`SpinorBlades`):
-    the coefficients from one ``np.bincount`` over the N^2 pairs, then each
-    blade's one entry per row scattered into K, a chunk of rows at a time
-    with at most :data:`PAIR_CHUNK` (row, blade) entries (one row at least),
-    weighted by a group of operators at a time as in the join.  A bin of K
-    belongs to one row, so it sums its blades in blade order whatever the
-    chunks and groups, and each K is bit-equal to that of its operator
-    alone.  K is complex."""
+    the coefficients from ``np.bincount`` over the N^2 pairs, then each
+    blade's one entry per row scattered into K, a chunk of rows at a time,
+    as many as :data:`numerics.CHUNK_BYTES` allows at this path's bytes per
+    (row, blade) entry and per row of K (one row at least), weighted by a
+    group of operators at a time as in the join.  Real and imaginary blades
+    sum into the two halves of one ``np.bincount``.  A bin of K belongs to
+    one row, so it sums its blades in blade order whatever the chunks and
+    groups, and each K is bit-equal to that of its operator alone.  K is
+    complex."""
     coeff = blades.coefficients(r.matrix)
     d, count = blades.dim, blades.count
-    k = np.zeros((len(coeff), d, d), dtype=complex)
-    step = max(1, PAIR_CHUNK // count)
+    k = _k_zeros(len(coeff), d, complex)
+    # bytes per entry: its column, value and bin offset; per entry and
+    # operator: its weight and bin; per row and operator: two rows of bins
+    per_entry, per_op_row = 32, 16 * count + 16 * d
+    budget = numerics.CHUNK_BYTES
+    step = max(1, budget // (count * per_entry + per_op_row))
     for lo in range(0, d, step):
         hi = min(d, lo + step)
         span = (hi - lo) * d
-        group = max(1, PAIR_CHUNK // ((hi - lo) * count))
-        parts = [(part, which, np.arange(hi - lo) * d + col, val)
-                 for part, (which, col, val) in zip((k.real, k.imag), blades.entries(lo, hi))]
+        col, val = blades.entries(lo, hi)
+        # a real blade sums into bins [0, span), an imaginary one into [span, 2 span)
+        flat = col + np.where(blades.imaginary, span, 0)
+        flat += np.arange(hi - lo)[:, None] * d
+        group = max(1, (budget - (hi - lo) * count * per_entry) // ((hi - lo) * per_op_row))
         for t in range(0, len(coeff), group):
             c = coeff[t : t + group]
-            for part, which, flat, val in parts:
-                # operator t + s sums into bins s span + flat
-                bins = (np.arange(len(c))[:, None, None] * span + flat).ravel()
-                w = c[:, which, None] * val
-                part[t : t + group, lo:hi] = np.bincount(bins, w.ravel(), len(c) * span).reshape(len(c), hi - lo, d)
+            # operator t + s sums into bins 2 s span + flat
+            bins = (np.arange(len(c))[:, None, None] * (2 * span) + flat).ravel()
+            sums = np.bincount(bins, (c[:, None] * val).ravel(), 2 * len(c) * span).reshape(len(c), 2, hi - lo, d)
+            k.real[t : t + group, lo:hi] = sums[:, 0]
+            k.imag[t : t + group, lo:hi] = sums[:, 1]
     return k.reshape(r.matrix.shape[:-2] + (d, d))
 
 

@@ -226,6 +226,19 @@ class TestScaleLimit:
         assert out.stderr.startswith("error: out of memory: ") and out.stderr.count("\n") == 1
 
 
+class TestSizePreflight:
+    def test_spin_n40_refused_before_its_tables(self):
+        # the (780, 2^20) spin table would take about 100 GB: refused from
+        # its size, in about a start-up's time, before anything is built
+        started = time.perf_counter()
+        out = run_capped(["k", "--n", "40", "--rep", "spin", "--curvature", "sphere"])
+        elapsed = time.perf_counter() - started
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("error: out of memory: ") and out.stderr.count("\n") == 1
+        assert "bytes, more than the address-space limit of 3221225472 bytes" in out.stderr
+        assert elapsed < 2.0
+
+
 class TestTrialPreflight:
     def test_huge_trial_count_refused_before_any_work(self):
         # 10^9 lemma:k2 trials would be hours of work and gigabytes of
@@ -371,10 +384,14 @@ class TestUsageErrors:
             ["check", "strange", "--algebra", ","],
             ["check", "strange", "--algebra", "A2,"],
             ["check", "strange", "--algebra", " "],
+            ["check", "strange", "--n", "6", "--algebra", "A1"],
+            ["check", "group-model", "--n", "6", "--algebra", "A1"],
+            ["check", "bochner", "--n", "3", "--trials", "1", "--algebra", "G2"],
         ),
         ids=(
             "unknown-algebra", "malformed-subalgebra-size", "n-below-2", "zero-trials",
             "nan-t", "infinite-t", "empty-algebra-labels", "trailing-comma-algebra", "blank-algebra",
+            "n-for-strange", "n-for-group-model", "algebra-for-bochner",
         ),
     )
     def test_exit_2_with_error_line(self, argv, capsys):

@@ -220,15 +220,28 @@ class TestSpinorBlades:
         # the even blades of grade 0, 2 and 4 (at n = 2 only grade 0: x_12^2)
         assert spin.rep_spin(so.basis(n)).clifford.count == sum(comb(n, g) for g in (0, 2, 4))
 
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_table_is_the_closed_form_of_the_blades(self, n):
+        # every generator is a signed XOR permutation: row r of rho_a holds
+        # phase[a] (-1)^|r & z_a| at column r ^ x_a, on every row of the table
+        rep = spin.rep_spin(so.basis(n))
+        blades, t = rep.clifford, rep.table
+        assert np.array_equal(t.gen, np.repeat(np.arange(rep.count), rep.dim))
+        assert np.array_equal(t.row, np.tile(np.arange(rep.dim), rep.count))
+        gen, row = t.gen, t.row
+        assert np.array_equal(t.col, row ^ blades.x[gen])
+        odd = np.array([bin(r & z).count("1") % 2 for r, z in zip(row, blades.z[gen])], dtype=bool)
+        assert np.array_equal(t.val, np.where(odd, -blades.phase[gen], blades.phase[gen]))
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_each_pair_product_is_its_signed_blade(self, n):
-        # rho_a rho_b = s_ab Gamma_B on every row, Gamma_B taken from the cache
+        # rho_a rho_b = s_ab Gamma_B on every row, Gamma_B from its entries
         r = spin.rep_spin(so.basis(n))
         blades = r.clifford
-        key, _, sign, _, _ = blades._pairs
+        key, sign = blades._pairs[:2]
+        col, val = blades.entries(0, r.dim)
         gamma = np.zeros((blades.count, r.dim, r.dim), dtype=complex)
-        for part, (which, col, val) in zip((1.0, 1.0j), blades.entries(0, r.dim)):
-            gamma[which[:, None], np.arange(r.dim), col] = part * val
+        gamma[np.arange(blades.count), np.arange(r.dim)[:, None], col] = np.where(blades.imaginary, 1.0j, 1.0) * val
         m = r.stacked()
         prod = np.einsum("aij,bjk->abik", m, m).reshape(-1, r.dim, r.dim)
         assert np.array_equal(prod, sign[:, None, None] * gamma[key])

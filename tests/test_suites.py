@@ -149,6 +149,16 @@ class TestSuites:
         with pytest.raises(suites.SuiteConfigError, match="takes no curvature operator"):
             suites.run_suite(name, n=n, trials=1, operator=curv.sphere(n))
 
+    @pytest.mark.parametrize("name", suites.ALGEBRA_SUITES)
+    def test_n_for_an_algebra_suite_rejected(self, name):
+        with pytest.raises(suites.SuiteConfigError, match="takes no n"):
+            suites.run_suite(name, n=6, algebras=["A1"])
+
+    @pytest.mark.parametrize("name", [s for s in suites.SUITE_NAMES if s not in suites.ALGEBRA_SUITES])
+    def test_algebras_for_another_suite_rejected(self, name):
+        with pytest.raises(suites.SuiteConfigError, match="takes no algebras"):
+            suites.run_suite(name, n=suites.FIXED_N.get(name, 3), trials=1, algebras=["G2"])
+
     @pytest.mark.parametrize("name", ("lichnerowicz", "bochner", "lemma:k2", "lemma:k4", "blocks4", "positivity"))
     def test_zero_trials_rejected(self, name):
         with pytest.raises(suites.SuiteConfigError):

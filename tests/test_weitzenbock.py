@@ -112,12 +112,12 @@ class TestKMatrixAgainstDenseOracle:
                 assert np.max(np.abs(got - want)) <= 1e-12 * scale, (n, rep.label)
 
     def test_chunked_join_equals_one_chunk(self, monkeypatch):
-        # a budget below one entry's partner count puts every left entry in a
-        # chunk of its own; the pairs and their order are the same
+        # a one-byte budget puts every row of K in a chunk of its own; the
+        # pairs of each row and their order are the same
         rep = reps.rep_sym(so.basis(5), 2)
         op = curv.random_curvature(5, 3)
         whole = wb.k_matrix(op, rep)
-        monkeypatch.setattr(wb, "PAIR_CHUNK", 1)
+        monkeypatch.setattr(numerics, "CHUNK_BYTES", 1)
         assert np.array_equal(wb.k_matrix(op, rep), whole)
 
 
@@ -136,11 +136,6 @@ def _batch_cases(n):
     return cases
 
 
-def _pair_count(rep):
-    """Pairs the join forms: each entry rho_a[i, j] meets every entry of row j."""
-    return int(np.sum(np.bincount(rep.table.row, minlength=rep.dim)[rep.table.col]))
-
-
 class TestBatchedKMatrix:
     SEEDS = (20, 21, 22, 23, 24)
 
@@ -156,28 +151,29 @@ class TestBatchedKMatrix:
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_one_pair_budget(self, n, monkeypatch):
-        # every left entry is a chunk of its own and every operator a group
-        # of its own; the sums keep their order, so nothing moves
+        # every row of K is a chunk of its own and every operator a group of
+        # its own; each row is still summed in one pass, in pair order, so
+        # nothing moves
         stack = curv.random_symmetric(n, self.SEEDS[:2])
         cases = _batch_cases(n)
         whole = [wb.k_matrix(stack, rep) for rep in cases]
-        monkeypatch.setattr(wb, "PAIR_CHUNK", 1)
+        monkeypatch.setattr(numerics, "CHUNK_BYTES", 1)
         for rep, want in zip(cases, whole):
             got = wb.k_matrix(stack, rep)
-            for k, w, op in zip(got, want, stack.unstack()):
+            assert np.array_equal(got, want), (n, rep.label)
+            for k, op in zip(got, stack.unstack()):
                 assert np.array_equal(k, wb.k_matrix(op, rep)), (n, rep.label)
-                if rep.label in ("vector", "exterior(2)"):
-                    # one generator per position: the chunking cannot regroup a sum
-                    assert np.array_equal(k, w), (n, rep.label)
 
     @pytest.mark.parametrize("n", (4, 5))
     def test_groups_smaller_than_the_stack(self, n, monkeypatch):
-        # one chunk, weighted by two operators at a time: groups of 2, 2 and 1
+        # budgets between one row and the whole rep: chunks of several rows,
+        # weighted by groups of 1 to 5 operators
         stack = curv.random_curvature(n, self.SEEDS)
         for rep in _batch_cases(n):
             want = wb.k_matrix(stack, rep)
-            monkeypatch.setattr(wb, "PAIR_CHUNK", 2 * _pair_count(rep))
-            assert np.array_equal(wb.k_matrix(stack, rep), want), rep.label
+            for budget in (1 << 12, 1 << 14, 1 << 16, 1 << 18):
+                monkeypatch.setattr(numerics, "CHUNK_BYTES", budget)
+                assert np.array_equal(wb.k_matrix(stack, rep), want), (rep.label, budget)
             monkeypatch.undo()
 
     def test_stack_of_one_and_empty_stack(self, b4):
@@ -252,14 +248,79 @@ class TestBladeKMatrix:
             singles = [wb.k_matrix(op, rep) for op in stack.unstack()]
             assert got.shape == (5, rep.dim, rep.dim)
             assert all(np.array_equal(k, one) for k, one in zip(got, singles)), rep.label
-            # one row per chunk, one operator per group and no kept blade
-            # entries: each bin sums the same blades in the same order
-            monkeypatch.setattr(wb, "PAIR_CHUNK", 1)
-            monkeypatch.setattr(spin.SpinorBlades, "CACHE_ENTRIES", 0)
-            fresh = build()
-            assert np.array_equal(wb.k_matrix(stack, fresh), got), rep.label
-            assert fresh.clifford._cached is None
+            # one row per chunk and one operator per group: each bin sums the
+            # same blades in the same order
+            monkeypatch.setattr(numerics, "CHUNK_BYTES", 1)
+            assert np.array_equal(wb.k_matrix(stack, build()), got), rep.label
             monkeypatch.undo()
+
+    def test_needs_no_numpy_2(self, monkeypatch):
+        # numpy >= 1.24 is supported, and np.bitwise_count came with numpy 2
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        op = curv.random_curvature(8, 1)
+        for build in _spinor_builders(8):
+            _assert_join_agrees(op, build())
+
+
+def _budget_cases():
+    """Joins on exterior(2) at n = 6, sym0 at n = 5 and vector (x) spin at
+    n = 4; blade sums on spin at n = 7 and the + half-spin at n = 8."""
+    b4, b5, b6, b7, b8 = (so.basis(n) for n in (4, 5, 6, 7, 8))
+    return [
+        reps.rep_exterior(b6, 2),
+        reps.rep_sym0(b5),
+        reps.rep_tensor(reps.rep_vector(b4), spin.rep_spin(b4)),
+        spin.rep_spin(b7),
+        spin.rep_half_spin(b8, 1),
+    ]
+
+
+class TestChunkBudget:
+    @pytest.mark.parametrize("case", range(5))
+    def test_one_row_per_chunk_is_bit_identical(self, case, monkeypatch):
+        rep = _budget_cases()[case]
+        n = rep.basis.n
+        for op in (curv.random_curvature(n, 3), curv.random_symmetric(n, (1, 2, 3, 4, 5))):
+            want = wb.k_matrix(op, rep)
+            monkeypatch.setattr(numerics, "CHUNK_BYTES", 1)
+            assert np.array_equal(wb.k_matrix(op, rep), want), rep.label
+            monkeypatch.undo()
+
+    def test_reused_blades_equal_fresh_ones(self):
+        stack = curv.random_symmetric(8, (1, 2, 3))
+        for build in _spinor_builders(8):
+            reused = build()
+            first = wb.k_matrix(stack, reused)
+            fresh = wb.k_matrix(stack, build())
+            assert np.array_equal(first, fresh) and np.array_equal(wb.k_matrix(stack, reused), fresh)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: reps.rep_exterior(so.basis(10), 5), lambda: spin.rep_spin(so.basis(14))],
+        ids=["exterior5-n10", "spin-n14"],
+    )
+    def test_temporaries_within_twice_the_budget(self, build):
+        import tracemalloc
+
+        rep = build()
+        op = curv.random_curvature(rep.basis.n, 1)
+        tracemalloc.start()
+        try:
+            k = wb.k_matrix(op, rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= k.nbytes + 2 * numerics.CHUNK_BYTES, (peak, k.nbytes)
+
+    def test_k_larger_than_the_limit_is_refused_before_allocation(self, monkeypatch):
+        import resource
+
+        rep = reps.rep_exterior(so.basis(6), 3)
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (3199, hard))
+        message = "K (2 x 20 x 20 x 8 bytes) needs 6400 bytes, more than the address-space limit of 3199 bytes"
+        with pytest.raises(MemoryError, match=re.escape(message)):
+            wb.k_matrix(curv.random_curvature(6, [1, 2]), rep)
 
 
 class TestRealSpectrum:
