@@ -32,8 +32,7 @@ that it pays every cold cost a CLI process pays:
   (the positivity suite with an explicit operator);
 * ``weitzenbock.k_matrix`` on ``random_curvature(n, 1)`` for exterior(5) at
   n = 10, exterior(6) at n = 12, sym(3) at n = 10, spin and the + half-spin
-  at n = 14, the fourth tensor power of the n = 4 spinors (the lemma:k4
-  power) and exterior(3) (x) exterior(3) at n = 7 (the largest positivity
+  at n = 14 and exterior(3) (x) exterior(3) at n = 7 (the largest positivity
   product at n = 7), and on the bi-invariant curvature of G2 and of C3 for
   spin (n = 14 and 21), with the time to build each representation beside
   it (assembly of K).
@@ -113,14 +112,13 @@ POSITIVITY_NS = range(3, 8)
 POSITIVITY_SEED = 2
 #: positivity_report's default cap on the dimension of a searched tensor product.
 SEARCH_DIM_CAP = 4096
-#: (n, rep) of each K assembly timed; "power:SEL:k" is the k-th tensor power of SEL.
+#: (n, rep) of each K assembly timed.
 K_CASES = (
     (10, "exterior:5"),
     (12, "exterior:6"),
     (10, "sym:3"),
     (14, "spin"),
     (14, "spin:+"),
-    (4, "power:spin:4"),
     (7, "tensor:exterior:3,exterior:3"),
 )
 K_SEED = 1
@@ -252,11 +250,7 @@ def _child_k(n: int | str, rep: str) -> dict:
     else:
         op = curvature.random_curvature(n, K_SEED)
     t0 = time.perf_counter()
-    if rep.startswith("power:"):
-        _, sel, k = rep.split(":")
-        r = weitzenbock.tensor_power_rep(cli.parse_rep(sel, basis(n)), int(k))
-    else:
-        r = cli.parse_rep(rep, basis(n))
+    r = cli.parse_rep(rep, basis(n))
     build = time.perf_counter() - t0
     t0 = time.perf_counter()
     weitzenbock.k_matrix(op, r)

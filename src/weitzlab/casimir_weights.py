@@ -18,13 +18,10 @@ Each function imports ``Fraction`` itself, as in :mod:`so_algebra`.
 
 from __future__ import annotations
 
-import warnings
-
 from .report import CheckReport
 from .so_algebra import RootData, SimpleAlgebraData
 
 __all__ = [
-    "casimir_scalar_hw",
     "so_casimir_scalar",
     "so_positive_roots",
     "so_weight_killing_factor",
@@ -46,34 +43,6 @@ def weyl_vector(g: SimpleAlgebraData | RootData) -> tuple[Fraction, ...]:
         for i in range(rank):
             total[i] += Fraction(beta[i])
     return tuple(c / 2 for c in total)
-
-
-def _coroot_pairing(roots: RootData, w, alpha) -> Fraction:
-    return 2 * roots.inner_norm(w, alpha) / roots.inner_norm(alpha, alpha)
-
-
-def is_dominant(g: SimpleAlgebraData | RootData, w) -> bool:
-    roots = g.roots if isinstance(g, SimpleAlgebraData) else g
-    return all(_coroot_pairing(roots, w, alpha) >= 0 for alpha in roots.simple_roots)
-
-
-def casimir_scalar_hw(g: SimpleAlgebraData | RootData, w) -> Fraction:
-    """Casimir value ``<w, w + 2 delta>`` in the Killing normalisation.
-
-    The matrix Casimir built from skew-adjoint generators is the *negative*
-    of this number (times the identity) on an irreducible of highest weight w,
-    after converting between the weight form and the form the generator basis
-    is orthonormal for.  Non-dominant weights trigger a warning but the value
-    is still computed.
-    """
-    from fractions import Fraction
-
-    roots = g.roots if isinstance(g, SimpleAlgebraData) else g
-    if not is_dominant(roots, w):
-        warnings.warn("weight is not dominant; Casimir value computed anyway", stacklevel=2)
-    delta = weyl_vector(roots)
-    shifted = tuple(Fraction(w[i]) + 2 * delta[i] for i in range(roots.rank))
-    return roots.inner_killing(w, shifted)
 
 
 def strange_formula_check(g: SimpleAlgebraData) -> CheckReport:

@@ -25,12 +25,9 @@ __all__ = [
     "FourDimBlocks",
     "bi_invariant_group",
     "bianchi_project",
-    "bianchi_residual",
     "curvature_from_json",
     "curvature_operator",
-    "curvature_to_json",
     "four_dim_blocks",
-    "from_tensor",
     "random_curvature",
     "random_symmetric",
     "ricci",
@@ -112,30 +109,9 @@ def _pair_matrix(t: np.ndarray) -> np.ndarray:
     return (r + r.swapaxes(-1, -2)) / 2.0
 
 
-def from_tensor(t: np.ndarray, tol: float = 1e-10) -> CurvatureOperator:
-    """Inverse of :func:`to_tensor`; validates the pair symmetries."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 4 or len(set(t.shape)) != 1:
-        raise ValueError("tensor form must be an n x n x n x n array")
-    n = t.shape[0]
-    scale = max(1.0, float(np.linalg.norm(t)))
-    for label, viol in (
-        ("antisymmetry in (i, j)", t + np.einsum("jikl->ijkl", t)),
-        ("antisymmetry in (k, l)", t + np.einsum("ijlk->ijkl", t)),
-        ("pair-swap symmetry", t - np.einsum("klij->ijkl", t)),
-    ):
-        if np.linalg.norm(viol) > tol * scale:
-            raise ValueError(f"tensor violates {label} beyond tolerance")
-    return curvature_operator(n, _pair_matrix(t))
-
-
 def _cyclic_sum(t: np.ndarray) -> np.ndarray:
     """First-Bianchi cyclic sum ``T_ijkl + T_jkil + T_kijl``."""
     return t + np.einsum("jkil->ijkl", t) + np.einsum("kijl->ijkl", t)
-
-
-def bianchi_residual(op: CurvatureOperator) -> float:
-    return bianchi_residual_matrix(op.n, op.matrix)
 
 
 def bianchi_residual_matrix(n: int, matrix: np.ndarray) -> float:
@@ -171,11 +147,6 @@ def bianchi_project(op: CurvatureOperator) -> CurvatureOperator:
     """
     t = to_tensor(op)
     return CurvatureOperator(n=op.n, matrix=_pair_matrix(t - _alt(t)), bianchi_flag=True)
-
-
-def bianchi_space_dimension(n: int) -> int:
-    """Dimension of the algebraic-curvature subspace of Sym^2(Lambda^2)."""
-    return n * n * (n * n - 1) // 12
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +308,6 @@ CURVATURE_SCHEMA_BASIS = "lex-upper"
 CURVATURE_SCHEMA_NORMALIZATION = "half-tensor"
 #: Largest magnitude of an entry of R that the JSON schema accepts.
 CURVATURE_ENTRY_MAX = 1e100
-
-
-def curvature_to_json(op: CurvatureOperator) -> dict:
-    return {
-        "n": op.n,
-        "basis": CURVATURE_SCHEMA_BASIS,
-        "normalization": CURVATURE_SCHEMA_NORMALIZATION,
-        "R": [[float(x) for x in row] for row in op.matrix],
-    }
 
 
 def curvature_from_json(payload) -> CurvatureOperator:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .so_algebra import SoBasis, Subalgebra, bracket, expand, inner
+from .so_algebra import SoBasis, Subalgebra, expand
 
 __all__ = [
     "GenTable",
@@ -29,10 +29,7 @@ __all__ = [
     "casimir",
     "commutant_dimension",
     "conjugated_table",
-    "homomorphism_residual",
     "intertwiners",
-    "invariant_bilinear_forms",
-    "is_irreducible",
     "isotypic_decompose",
     "rep_adjoint",
     "rep_exterior",
@@ -152,28 +149,6 @@ def _same_basis(r1: Rep, r2: Rep) -> bool:
         return True
     b1, b2 = r1.basis.elements, r2.basis.elements
     return len(b1) == len(b2) and all(np.array_equal(x, y) for x, y in zip(b1, b2))
-
-
-def homomorphism_residual(r: Rep) -> float:
-    """Worst-case ``|| rho([x_a, x_b]) - [rho(x_a), rho(x_b)] ||`` over pairs.
-
-    Brackets of basis elements are expanded over the (orthonormal) basis, so
-    this also fails loudly if the underlying set is not closed under bracket.
-    """
-    elements = r.basis.elements
-    stacked = r.stacked()
-    worst = 0.0
-    for a, b in itertools.combinations(range(len(elements)), 2):
-        lie = bracket(elements[a], elements[b])
-        coeff = np.array([inner(e, lie) for e in elements])
-        target = np.tensordot(coeff, stacked, axes=(0, 0))
-        got = bracket(r.mats[a], r.mats[b])
-        worst = max(worst, float(np.linalg.norm(got - target)))
-    return worst
-
-
-def skew_adjoint_residual(r: Rep) -> float:
-    return max(float(np.linalg.norm(m + m.conj().T)) for m in r.mats)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +308,7 @@ def rep_restrict(r: Rep, h: Subalgebra) -> Rep:
 
 
 # ---------------------------------------------------------------------------
-# Invariants: commutants, forms, Casimir, isotypic pieces
+# Invariants: commutants, Casimir, isotypic pieces
 # ---------------------------------------------------------------------------
 
 
@@ -356,11 +331,21 @@ def intertwiners(r1: Rep, r2: Rep) -> list[np.ndarray]:
     on the row-major ``vec T``, from one Hermitian eigendecomposition.  For
     skew-adjoint generators G is minus the Casimir of Hom(rho, sigma).  When
     both tables are real, G is built from the real stacks, solved by the real
-    symmetric solver, and the intertwiners are real."""
+    symmetric solver, and the intertwiners are real.
+
+    G has ``(d1 d2)^2`` entries, and a solve that cannot fit is refused
+    before G is formed (:func:`numerics.require_bytes`): with G's Kronecker
+    temporaries and the eigensolver's copy, workspace and eigenvectors, the
+    peak measured 7.0 to 7.7 entries of G's dtype per entry of G, and 8 are
+    reserved."""
     if not _same_basis(r1, r2):
         raise ValueError("intertwiners need representations over the same basis")
     d1, d2 = r1.dim, r2.dim
     real = not (np.any(r1.table.val.imag) or np.any(r2.table.val.imag))
+    numerics.require_bytes(
+        8 * (8 if real else 16) * (d1 * d2) ** 2,
+        f"the commutant solve of {r1.label} and {r2.label} (G has {(d1 * d2) ** 2} entries)",
+    )
     rho, sigma = (r.stacked().real if real else r.stacked() for r in (r1, r2))
     cross = numerics.kron_sum(sigma.conj().transpose(0, 2, 1), rho.transpose(0, 2, 1))
     g = np.kron(np.einsum("aji,ajk->ik", sigma.conj(), sigma), np.eye(d1)) - cross
@@ -378,30 +363,6 @@ def commutant_dimension(r: Rep, field: str = "C") -> int:
     if field == "R" and np.any(r.table.val.imag):
         raise ValueError(f"the real commutant needs real matrices; {r.label} has complex entries")
     return len(intertwiners(r, r))
-
-
-def is_irreducible(r: Rep) -> bool:
-    """Irreducibility over C (commutant is the scalars)."""
-    return commutant_dimension(r, "C") == 1
-
-
-def invariant_bilinear_forms(r: Rep) -> list[tuple[np.ndarray, int]]:
-    """Solutions of ``rho(x_a)^T B + B rho(x_a) = 0`` classified by symmetry:
-    the intertwiners from rho to its dual ``-rho^T``.
-
-    Returns pairs ``(B, s)`` with ``B^T = s B``, ``s = +1`` or ``-1``; the B's
-    are Frobenius-orthonormal and each is purely symmetric or antisymmetric.
-    """
-    d = r.dim
-    t = r.table
-    dual = Rep(basis=r.basis, dim=d, table=gen_table(t.gen, t.col, t.row, -t.val, d), label=f"{r.label}*")
-    forms = intertwiners(r, dual)
-    out = []
-    for sign in (1, -1) if forms else ():
-        # intertwiners are unit norm, so components below 1e-10 are dust
-        span = numerics.orthonormal_columns(np.array([(b + sign * b.T).ravel() / 2 for b in forms]).T, atol=1e-10)
-        out.extend((span[:, k].reshape(d, d), sign) for k in range(span.shape[1]))
-    return out
 
 
 class IsotypicPiece(NamedTuple):

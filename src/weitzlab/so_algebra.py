@@ -31,9 +31,7 @@ __all__ = [
     "basis",
     "bracket",
     "expand",
-    "inner",
     "pair_list",
-    "root_consistency_residual",
     "simple_algebra",
     "u_subalgebra",
 ]
@@ -42,11 +40,6 @@ __all__ = [
 def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     """Index pairs (i, j), i < j, in lexicographic order."""
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
-
-
-def inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Invariant inner product ``-tr(a b) / 2`` (real part)."""
-    return float(np.real(-np.trace(a @ b) / 2.0))
 
 
 def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -69,11 +62,6 @@ class SoBasis(NamedTuple):
     def dim(self) -> int:
         return len(self.elements)
 
-    def pair_index(self, i: int, j: int) -> int:
-        if not (0 <= i < j < self.n):
-            raise ValueError(f"pair ({i}, {j}) out of range for so({self.n})")
-        return self.pairs.index((i, j))
-
 
 def basis(n: int) -> SoBasis:
     """Orthonormal so(n) basis ``x_ij = E_ij - E_ji`` (unit norm for -tr/2)."""
@@ -91,7 +79,7 @@ def basis(n: int) -> SoBasis:
 
 def expand(so: SoBasis, m: np.ndarray) -> np.ndarray:
     """Coefficients of a skew matrix over the orthonormal basis of ``so``:
-    ``inner(x_ij, m) = (m[i, j] - m[j, i]) / 2`` of the real part, written
+    ``<x_ij, m> = (m[i, j] - m[j, i]) / 2`` of the real part, written
     so that a zero coefficient carries the sign that the trace gives."""
     m = np.real(np.asarray(m))
     i, j = np.array(so.pairs).reshape(-1, 2).T
@@ -471,43 +459,3 @@ def simple_algebra(type_rank: str) -> SimpleAlgebraData:
         roots=roots,
     )
 
-
-def root_consistency_residual(g: SimpleAlgebraData, seed: int = 0) -> float:
-    """Cross-check the matrix model against the rational root data.
-
-    A generic element's centralizer gives a Cartan subalgebra; the joint ad
-    spectrum on it yields the roots in coordinates over a -B-orthonormal
-    Cartan basis, where the Killing-dual inner product is plain Euclidean.
-    The multiset of squared root lengths must match the rational data.
-    """
-    rng = np.random.default_rng(seed)
-    ad = np.array([np.real(a) for a in g.ad])
-    h = np.tensordot(rng.standard_normal(g.dim), ad, axes=(0, 0))
-    kernel = numerics.nullspace(h, tol=1e-7)
-    # the kernel of a real matrix has a real basis; re-orthonormalise over R
-    real_span = numerics.orthonormal_columns(
-        np.hstack([np.real(kernel), np.imag(kernel)]), atol=1e-8
-    )
-    if real_span.shape[1] != g.rank:
-        raise RuntimeError(
-            f"{g.label}: generic centralizer has dimension {real_span.shape[1]}, expected rank {g.rank}"
-        )
-    ad_t = [np.tensordot(np.real(real_span[:, i]), ad, axes=(0, 0)) for i in range(g.rank)]
-    combo = sum(c * a for c, a in zip(rng.standard_normal(g.rank), ad_t))
-    _, vecs = np.linalg.eig(combo)
-    model_lengths = []
-    for k in range(g.dim):
-        v = vecs[:, k]
-        coords = np.array([float(np.imag(np.vdot(v, a @ v))) for a in ad_t])
-        length2 = float(np.dot(coords, coords))
-        if length2 > 1e-8:
-            model_lengths.append(length2)
-    expected = []
-    for beta in g.roots.positive_roots:
-        val = float(g.roots.inner_killing(beta, beta))
-        expected.extend([val, val])
-    if len(model_lengths) != len(expected):
-        raise RuntimeError(
-            f"{g.label}: found {len(model_lengths)} nonzero roots, expected {len(expected)}"
-        )
-    return float(np.max(np.abs(np.sort(model_lengths) - np.sort(expected))))

@@ -4,53 +4,29 @@ identifying spin (x) spin with the exterior algebra in even dimensions.
 Generator conventions: ``e_i e_j + e_j e_i = -2 delta_ij``, each ``e_i``
 unitary and skew-adjoint.  The construction is a fixed recursive scheme
 (n -> n+2 by tensoring with 2x2 blocks), so every run produces the same
-matrices.  A basis element ``x_ij`` of so(n) acts on spinors as
-``-e_i e_j / 2``.
+generators.  Each generator is a monomial matrix, one nonzero per row, and
+is kept in that form (:func:`_clifford_monomials`), never as a dense matrix.
+A basis element ``x_ij`` of so(n) acts on spinors as ``-e_i e_j / 2``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from functools import reduce
-from typing import NamedTuple
 
 import numpy as np
 
 from . import numerics
-from .representations import GenTable, Rep, gen_table, invariant_bilinear_forms, rep_exterior
+from .representations import GenTable, Rep, gen_table
 from .so_algebra import SoBasis
 
 __all__ = [
-    "CliffordGenerators",
     "SpinorBlades",
-    "SpinorPairing",
-    "chirality",
     "clifford_symbol",
-    "gamma",
     "half_spin_rows",
-    "rep_full_exterior",
     "rep_half_spin",
     "rep_spin",
-    "spinor_pairing",
 ]
-
-
-class CliffordGenerators(NamedTuple):
-    n: int
-    dim: int
-    gammas: tuple[np.ndarray, ...]
-
-    def relation_residual(self) -> float:
-        """Worst violation of ``e_i e_j + e_j e_i + 2 delta_ij = 0``."""
-        worst = 0.0
-        for i in range(self.n):
-            for j in range(i, self.n):
-                acomm = self.gammas[i] @ self.gammas[j] + self.gammas[j] @ self.gammas[i]
-                if i == j:
-                    acomm = acomm + 2.0 * np.eye(self.dim)
-                worst = max(worst, float(np.linalg.norm(acomm)))
-        return worst
 
 
 def _kron_monomial(a, b):
@@ -71,10 +47,16 @@ def _monomial_product(factors):
 
 
 def _clifford_monomials(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The generators of :func:`gamma` as monomial matrices: ``(perm,
-    phase)`` of shape (n, dim), ``gamma_i[r, perm[i, r]] = phase[i, r]``."""
+    """Clifford generators on ``dim = 2^floor(n/2)`` dimensions as monomial
+    matrices: ``(perm, phase)`` of shape (n, dim), ``e_i[r, perm[i, r]] =
+    phase[i, r]``.
+
+    Even ranks are built recursively: the two seed 2x2 generators, then each
+    step tensors the old generators with diag(1, -1) and appends two new ones
+    acting on the fresh factor.  Odd ranks append the (suitably scaled) volume
+    element of the even-rank algebra below."""
     if n < 2:
-        raise ValueError("gamma needs n >= 2")
+        raise ValueError("Clifford generators need n >= 2")
     swap = np.array([1, 0])
     g1 = (swap, np.array([1.0, -1.0], dtype=complex))
     g2 = (swap, np.array([1.0j, 1.0j]))
@@ -90,22 +72,6 @@ def _clifford_monomials(n: int) -> tuple[np.ndarray, np.ndarray]:
         gammas.append((perm, (1.0j if m % 2 == 0 else 1.0) * phase))
     perm, phase = (np.array(a) for a in zip(*gammas))
     return perm, phase
-
-
-def gamma(n: int) -> CliffordGenerators:
-    """Clifford generators on ``2^floor(n/2)`` dimensions.
-
-    Even ranks are built recursively: the two seed 2x2 generators, then each
-    step tensors the old generators with diag(1, -1) and appends two new ones
-    acting on the fresh factor.  Odd ranks append the (suitably scaled) volume
-    element of the even-rank algebra below.  Every generator is monomial
-    (:func:`_clifford_monomials`); this densifies them.
-    """
-    perm, phase = _clifford_monomials(n)
-    dim = perm.shape[1]
-    gammas = np.zeros((n, dim, dim), dtype=complex)
-    gammas[np.arange(n)[:, None], np.arange(dim), perm] = phase
-    return CliffordGenerators(n=n, dim=dim, gammas=tuple(gammas))
 
 
 class SpinorBlades:
@@ -247,14 +213,6 @@ def rep_spin(basis: SoBasis) -> Rep:
     return Rep(basis=basis, dim=dim, table=table, label="spin", clifford=blades)
 
 
-def chirality(cg: CliffordGenerators) -> np.ndarray:
-    """Normalised volume element: Hermitian, squares to the identity (even n)."""
-    if cg.n % 2 != 0:
-        raise ValueError("chirality element is defined for even n")
-    vol = reduce(lambda a, b: a @ b, cg.gammas)
-    return vol if cg.n % 4 == 0 else 1.0j * vol
-
-
 def half_spin_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the +1 and of the -1 chirality eigenspace, each ascending.
 
@@ -289,77 +247,46 @@ def rep_half_spin(basis: SoBasis, sign: int) -> Rep:
     return Rep(basis=basis, dim=len(rows), table=table, label=label, clifford=full.clifford.restricted(rows))
 
 
-class SpinorPairing(NamedTuple):
-    """Invariant bilinear forms on spinors.
-
-    ``forms`` lives on the full spinor space; ``half_forms`` holds the induced
-    forms on the two chirality halves (even n only; ``None`` when a half pairs
-    with the opposite half instead of itself, as happens for n = 2 mod 4).
-    """
-
-    n: int
-    forms: tuple[tuple[np.ndarray, int], ...]
-    half_forms: dict | None
-
-
-def spinor_pairing(n: int) -> SpinorPairing:
-    """Invariant pairings ``B`` with ``rho(x)^T B + B rho(x) = 0`` and their
-    symmetry signs (``B^T = s B``)."""
-    from .so_algebra import basis as so_basis
-
-    b = so_basis(n)
-    full = tuple(invariant_bilinear_forms(rep_spin(b)))
-    halves = None
-    if n % 2 == 0:
-        halves = {}
-        for sign, tag in ((1, "+"), (-1, "-")):
-            sols = invariant_bilinear_forms(rep_half_spin(b, sign))
-            halves[tag] = sols[0] if sols else None
-    return SpinorPairing(n=n, forms=full, half_forms=halves)
-
-
-def _invertible_pairing(n: int) -> np.ndarray:
-    """A unitary invariant pairing on the full spinor space: the product B of
-    the symmetric generators, in order.  Every generator is symmetric or
-    skew, and each anticommutes with the other factors of B, so
+def _invertible_pairing(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A unitary invariant pairing on the full spinor space, as a monomial
+    ``(perm, phase)``: the product B of the symmetric generators, in order.
+    Every generator is an involution (``e_i^2 = -1``), so it is symmetric
+    exactly when its phases at rows r and ``perm[r]`` agree, and skew
+    otherwise.  Each anticommutes with the other factors of B, so
     ``e_i^T B = eps B e_i`` with one sign eps for all i; then
-    ``rho(x)^T B + B rho(x) = 0``.  B is monomial with unit phases, so the
-    dense products are exact."""
-    return reduce(np.matmul, [g for g in gamma(n).gammas if np.array_equal(g, g.T)])
-
-
-def rep_full_exterior(basis: SoBasis) -> Rep:
-    """Block sum of all exterior powers, degree-major basis order."""
-    parts = [rep_exterior(basis, p) for p in range(basis.n + 1)]
-    offsets = np.cumsum([0] + [r.dim for r in parts])
-    blocks = [(r.table.gen, r.table.row + off, r.table.col + off, r.table.val) for r, off in zip(parts, offsets)]
-    gen, row, col, val = (np.concatenate(a) for a in zip(*blocks))
-    dim = int(offsets[-1])
-    return Rep(basis=basis, dim=dim, table=gen_table(gen, row, col, val, dim), label="exterior(*)")
+    ``rho(x)^T B + B rho(x) = 0``.  The phases are units, so the product is
+    exact."""
+    return _monomial_product((p, f) for p, f in zip(*_clifford_monomials(n)) if np.array_equal(f[p], f))
 
 
 def clifford_symbol(n: int) -> np.ndarray:
     """Unitary intertwiner from the full exterior algebra to spin (x) spin.
 
-    Columns are indexed like :func:`rep_full_exterior`; the column of the
-    monomial ``e_{i1} ^ ... ^ e_{ip}`` is ``vec(gamma_{i1} ... gamma_{ip}
-    B^H) / sqrt(dim V)`` with B the unitary invariant pairing, which turns
-    endomorphisms of the spinor space V into elements of V (x) V.  In odd
-    dimensions the spinor square is only half the exterior algebra, so this
-    map does not exist and a ValueError is raised.
+    Columns are indexed by the monomials ``e_{i1} ^ ... ^ e_{ip}`` in
+    degree-major order, lexicographic within a degree (the basis of the
+    exterior powers ``rep_exterior(basis, p)``, p = 0 ... n, in turn); the
+    column of a monomial is ``vec(e_{i1} ... e_{ip} B^H) / sqrt(dim V)`` with
+    B the unitary invariant pairing of :func:`_invertible_pairing`, which
+    turns endomorphisms of the spinor space V into elements of V (x) V.
+    Each product is monomial with unit phases, formed exactly from the
+    generators' monomial form, so a column has one entry per row of the
+    product.  In odd dimensions the spinor square is only half the exterior
+    algebra, so this map does not exist and a ValueError is raised.
     """
     if n % 2 != 0:
         raise ValueError(
             "clifford_symbol needs even n: in odd dimensions spin (x) spin "
             "is only half the exterior algebra"
         )
-    cg = gamma(n)
-    binv = _invertible_pairing(n).conj().T
-    cols = []
-    for p in range(n + 1):
-        for combo in itertools.combinations(range(n), p):
-            prod = np.eye(cg.dim, dtype=complex)
-            for i in combo:
-                prod = prod @ cg.gammas[i]
-            cols.append((prod @ binv).ravel() / np.sqrt(cg.dim))
-    return np.array(cols).T
+    gens = list(zip(*_clifford_monomials(n)))
+    perm, phase = _invertible_pairing(n)
+    dim = len(perm)
+    inverse = np.argsort(perm)  # B^H holds conj(B[r, perm[r]]) at (perm[r], r)
+    pairing_h = (inverse, phase[inverse].conj())
+    rows = np.arange(dim) * dim
+    combos = itertools.chain.from_iterable(itertools.combinations(range(n), p) for p in range(n + 1))
+    out = np.zeros((dim * dim, 2**n), dtype=complex)
+    for c, combo in enumerate(combos):
+        col, val = _monomial_product([gens[i] for i in combo] + [pairing_h])
+        out[rows + col, c] = val / np.sqrt(dim)
+    return out

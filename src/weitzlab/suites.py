@@ -11,7 +11,6 @@ import numpy as np
 
 from . import casimir_weights as cw
 from . import curvature as curv
-from . import numerics
 from . import representations as reps
 from . import spin as spinmod
 from . import weitzenbock as wb
@@ -185,14 +184,14 @@ def _lemma_k2_config():
 
 
 def _lemma_k4_config():
-    t = spinmod.clifford_symbol(4)
-    q2 = t[:, 5:11]  # Lambda^2 block of the symbol columns (degrees 0,1 first)
-    cols = []
-    for a in range(6):
-        for b in range(a, 6):
-            v = np.kron(q2[:, a], q2[:, b]) + np.kron(q2[:, b], q2[:, a])
-            cols.append(v)
-    return 4, 4, numerics.orthonormal_columns(np.array(cols).T), [(1, 0, 3, 2), (2, 3, 0, 1)]
+    """Sym^2 of the Lambda^2 columns q of the n=4 symbol: the 21 vectors
+    ``q_a (x) q_b + q_b (x) q_a``, a <= b, row-major.  The q are orthonormal,
+    so these are orthogonal with squared norm 4 when a = b and 2 otherwise,
+    and dividing by 2 or sqrt 2 makes them orthonormal."""
+    q2 = spinmod.clifford_symbol(4)[:, 5:11]  # degrees 0 and 1 come first
+    a, b = np.triu_indices(6)
+    cols = (q2[:, None, a] * q2[None, :, b] + q2[:, None, b] * q2[None, :, a]).reshape(-1, len(a))
+    return 4, 4, cols / np.where(a == b, 2.0, np.sqrt(2.0)), [(1, 0, 3, 2), (2, 3, 0, 1)]
 
 
 def lemma_suite(kind: str, trials: int, seed: int, tol: float | None = None) -> list[CheckReport]:

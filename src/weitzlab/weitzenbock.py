@@ -30,7 +30,6 @@ from .curvature import CurvatureOperator
 from .report import CheckReport, digest
 from .representations import (
     Rep,
-    casimir,
     commutant_dimension,
     rep_adjoint,
     rep_exterior,
@@ -51,13 +50,12 @@ __all__ = [
     "definiteness",
     "k_matrix",
     "k_term",
-    "laplacian_curvature",
     "laplacian_t",
     "lemma_check",
     "neg_k_spectrum",
     "positivity_report",
+    "require_k",
     "standard_family",
-    "tensor_power_rep",
     "vanishing_conclusion",
 ]
 
@@ -98,10 +96,18 @@ def _check_compatible(r: CurvatureOperator, rep: Rep) -> None:
         raise CompatibilityError(f"curvature lives on so({r.n}) but the representation on so({n})")
 
 
+def require_k(count: int, d: int, dtype) -> None:
+    """Refuse a (count, d, d) stack of K of ``dtype`` that cannot fit
+    (:func:`numerics.require_bytes`): the size rule of K, applied by
+    :func:`k_matrix` before it allocates, and by a caller that knows d
+    before it builds the representation."""
+    itemsize = np.dtype(dtype).itemsize
+    numerics.require_bytes(count * d * d * itemsize, f"K ({count} x {d} x {d} x {itemsize} bytes)")
+
+
 def _k_zeros(count: int, d: int, dtype) -> np.ndarray:
     """A zero (count, d, d) stack for K, refused first when it cannot fit."""
-    dtype = np.dtype(dtype)
-    numerics.require_bytes(count * d * d * dtype.itemsize, f"K ({count} x {d} x {d} x {dtype.itemsize} bytes)")
+    require_k(count, d, dtype)
     return np.zeros((count, d, d), dtype=dtype)
 
 
@@ -234,21 +240,6 @@ def laplacian_t(t) -> float:
     if not np.isfinite(t):
         raise ValueError(f"the multiple t of K must be finite, got {t}")
     return float(t)
-
-
-def laplacian_curvature(r: CurvatureOperator, rep: Rep, t) -> np.ndarray:
-    """The zeroth-order term ``t K``; ``t`` may be a number or a preset name."""
-    return laplacian_t(t) * k_matrix(r, rep)
-
-
-def tensor_power_rep(rho: Rep, k: int) -> Rep:
-    """k-fold tensor power: generators act by the sum over the k slots."""
-    if k < 1:
-        raise ValueError("tensor power needs k >= 1")
-    power = rho
-    for _ in range(k - 1):
-        power = rep_tensor(power, rho)
-    return power.relabeled(f"{rho.label}^(x){k}")
 
 
 # ---------------------------------------------------------------------------

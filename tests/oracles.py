@@ -1,0 +1,118 @@
+"""Independent references for the tests.
+
+The package builds the Clifford generators, the half-spins and the
+projection lemma from closed forms.  These are the slower, direct
+constructions those forms are checked against, and checks of the premises
+every verdict rests on.  Nothing in ``src/`` imports this module.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import reduce
+
+import numpy as np
+
+from weitzlab import numerics
+from weitzlab import representations as reps
+from weitzlab import so_algebra as so
+
+
+def dense_monomial(perm, phase) -> np.ndarray:
+    """The dense matrices of monomial ``(perm, phase)`` arrays of shape
+    (..., d): row r of each holds ``phase[r]`` in column ``perm[r]``."""
+    perm, phase = np.asarray(perm), np.asarray(phase)
+    out = np.zeros(perm.shape + perm.shape[-1:], dtype=complex)
+    np.put_along_axis(out, perm[..., None], phase[..., None], axis=-1)
+    return out
+
+
+def gamma_dense(n: int) -> list[np.ndarray]:
+    """The Clifford generators by dense Kronecker products: the seed 2x2
+    pair, each step tensoring the old generators with diag(1, -1) and
+    appending two new ones on the fresh factor, and for odd n the scaled
+    volume element of the even rank below."""
+    g1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    g2 = np.array([[0.0, 1.0j], [1.0j, 0.0]], dtype=complex)
+    gammas = [g1, g2]
+    m = 1
+    while 2 * m < n - (n % 2):
+        s3 = np.diag([1.0, -1.0]).astype(complex)
+        gammas = [np.kron(g, s3) for g in gammas]
+        gammas += [np.kron(np.eye(2**m), g1), np.kron(np.eye(2**m), g2)]
+        m += 1
+    if n % 2 == 1:
+        gammas.append((1.0j if m % 2 == 0 else 1.0) * reduce(np.matmul, gammas))
+    return gammas
+
+
+def chirality(n: int) -> np.ndarray:
+    """The normalised volume element of :func:`gamma_dense` (even n), by
+    dense products: Hermitian, squaring to the identity."""
+    vol = reduce(np.matmul, gamma_dense(n))
+    return vol if n % 4 == 0 else 1.0j * vol
+
+
+def tensor_power_rep(rho: reps.Rep, k: int) -> reps.Rep:
+    """The k-fold tensor power by iterated ``rep_tensor``: generators act
+    by the sum over the k slots, from a table of every entry."""
+    power = rho
+    for _ in range(k - 1):
+        power = reps.rep_tensor(power, rho)
+    return power.relabeled(f"{rho.label}^(x){k}")
+
+
+def dual(r: reps.Rep) -> reps.Rep:
+    """The dual representation ``-rho^T``: its intertwiners from ``r`` are
+    the invariant bilinear forms, the B with ``rho^T B + B rho = 0``."""
+    t = r.table
+    return reps.Rep(r.basis, r.dim, reps.gen_table(t.gen, t.col, t.row, -t.val, r.dim), f"{r.label}*")
+
+
+def homomorphism_residual(r: reps.Rep) -> float:
+    """Worst ``|| rho([x_a, x_b]) - [rho(x_a), rho(x_b)] ||`` over pairs,
+    each bracket expanded over the orthonormal basis matrices with the
+    inner product ``-tr(a b) / 2``."""
+    elements, mats = r.basis.elements, r.stacked()
+    worst = 0.0
+    for a, b in itertools.combinations(range(len(elements)), 2):
+        lie = so.bracket(elements[a], elements[b])
+        coeff = np.array([-np.trace(e @ lie).real / 2.0 for e in elements])
+        target = np.tensordot(coeff, mats, axes=(0, 0))
+        worst = max(worst, float(np.linalg.norm(so.bracket(mats[a], mats[b]) - target)))
+    return worst
+
+
+def root_consistency_residual(g: so.SimpleAlgebraData, seed: int = 0) -> float:
+    """The matrix model of a simple algebra against its rational root data.
+
+    A generic element's centralizer gives a Cartan subalgebra; the joint ad
+    spectrum on it yields the roots in coordinates over a -B-orthonormal
+    Cartan basis, where the Killing-dual inner product is plain Euclidean.
+    Returns the largest difference between the sorted squared root lengths
+    and those of the rational data.
+    """
+    rng = np.random.default_rng(seed)
+    ad = np.array([np.real(a) for a in g.ad])
+    h = np.tensordot(rng.standard_normal(g.dim), ad, axes=(0, 0))
+    kernel = numerics.nullspace(h, tol=1e-7)
+    # the kernel of a real matrix has a real basis; re-orthonormalise over R
+    real_span = numerics.orthonormal_columns(np.hstack([np.real(kernel), np.imag(kernel)]), atol=1e-8)
+    assert real_span.shape[1] == g.rank, f"{g.label}: generic centralizer of dimension {real_span.shape[1]}"
+    ad_t = [np.tensordot(np.real(real_span[:, i]), ad, axes=(0, 0)) for i in range(g.rank)]
+    combo = sum(c * a for c, a in zip(rng.standard_normal(g.rank), ad_t))
+    _, vecs = np.linalg.eig(combo)
+    lengths = []
+    for k in range(g.dim):
+        coords = np.array([float(np.imag(np.vdot(vecs[:, k], a @ vecs[:, k]))) for a in ad_t])
+        if coords @ coords > 1e-8:
+            lengths.append(float(coords @ coords))
+    expected = [float(g.roots.inner_killing(beta, beta)) for beta in g.roots.positive_roots for _ in (0, 1)]
+    assert len(lengths) == len(expected), f"{g.label}: {len(lengths)} nonzero roots, expected {len(expected)}"
+    return float(np.max(np.abs(np.sort(lengths) - np.sort(expected))))
+
+
+def curvature_json(op) -> dict:
+    """The JSON schema that ``curvature.curvature_from_json`` reads, written
+    out from the operator's pair-basis matrix."""
+    return {"n": op.n, "basis": "lex-upper", "normalization": "half-tensor", "R": op.matrix.tolist()}

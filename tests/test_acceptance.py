@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+import oracles
 from weitzlab import curvature as curv
 from weitzlab import representations as reps
 from weitzlab import so_algebra as so
@@ -181,18 +182,21 @@ def test_criterion_9_structural_integrity():
     for n in range(2, 9):
         b = so.basis(n)
         for r in wb.standard_family(b):
-            assert reps.homomorphism_residual(r) <= 1e-10, f"n={n} {r.label}"
-            assert reps.skew_adjoint_residual(r) <= 1e-12, f"n={n} {r.label}"
-    extra = [
-        spin.rep_full_exterior(so.basis(4)),
+            m = r.stacked()
+            assert oracles.homomorphism_residual(r) <= 1e-10, f"n={n} {r.label}"
+            assert np.linalg.norm(m + m.conj().swapaxes(1, 2)) <= 1e-12, f"n={n} {r.label}"
+    extra = [reps.rep_exterior(so.basis(4), p) for p in range(5)] + [
         reps.rep_sym(so.basis(5), 2),
         reps.rep_tensor(reps.rep_vector(so.basis(3)), spin.rep_spin(so.basis(3))),
     ]
     for r in extra:
-        assert reps.homomorphism_residual(r) <= 1e-10, r.label
-    # Clifford relations
+        assert oracles.homomorphism_residual(r) <= 1e-10, r.label
+    # Clifford relations e_i e_j + e_j e_i + 2 delta_ij = 0
     for n in range(2, 9):
-        assert spin.gamma(n).relation_residual() <= 1e-12, f"n={n}"
+        g = oracles.dense_monomial(*spin._clifford_monomials(n))
+        acomm = g[:, None] @ g[None] + g[None] @ g[:, None]
+        acomm[np.arange(n), np.arange(n)] += 2.0 * np.eye(g.shape[1])
+        assert np.linalg.norm(acomm) <= 1e-12, f"n={n}"
     # isotypic projectors: idempotent, self-adjoint, orthogonal, complete
     cases = [
         reps.isotypic_decompose(reps.rep_exterior(so.basis(4), 2)),

@@ -1,4 +1,3 @@
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -33,16 +32,9 @@ class TestWeylVector:
 
 class TestCasimirScalar:
     def test_zero_weight(self):
-        g = so.simple_algebra("A2")
-        assert cw.casimir_scalar_hw(g, (Fraction(0), Fraction(0))) == 0
-
-    def test_non_dominant_warns_but_computes(self):
-        g = so.simple_algebra("A2")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = cw.casimir_scalar_hw(g, (Fraction(-1), Fraction(0)))
-        assert any("dominant" in str(w.message) for w in caught)
-        assert isinstance(value, Fraction)
+        # the trivial representation: <0, 0 + 2 delta> = 0
+        for n in (3, 4, 7, 8):
+            assert cw.so_casimir_scalar(n, (Fraction(0),) * (n // 2)) == 0
 
     def test_so3_vector_cross_module(self):
         # matrix Casimir -(n-1) = -2 equals -<w, w+2delta> with factor 1

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import weitzlab
 from weitzlab import cli
 from weitzlab import curvature as curv
@@ -122,7 +123,7 @@ class TestKCommand:
         # diag(1, -1) on the first two basis directions: K has both signs on
         # the vector representation of so(3)
         path = tmp_path / "indefinite.json"
-        path.write_text(json.dumps(curv.curvature_to_json(curv.curvature_operator(3, np.diag([1.0, -1.0, 0.0])))))
+        path.write_text(json.dumps(oracles.curvature_json(curv.curvature_operator(3, np.diag([1.0, -1.0, 0.0])))))
         code, payload = run_json(["k", "--n", "3", "--rep", "vector", "--curvature", f"file:{path}"], capsys)
         assert code == 0
         assert payload["reports"][0]["details"]["definiteness"] == "indefinite"
@@ -180,20 +181,32 @@ class TestKCommand:
 CAP_BYTES = 3 << 30
 
 
-def run_capped(args):
-    """The CLI in a child process under a 3 GiB address-space cap, set in
-    the child only, with one BLAS thread."""
+def _capped_child(args) -> dict:
+    """Arguments of a child process that runs the CLI under a 3 GiB
+    address-space cap, set in the child only, with one BLAS thread."""
     src = os.path.dirname(os.path.dirname(weitzlab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    return subprocess.run(
-        [sys.executable, "-m", "weitzlab", *args],
+    return dict(
+        args=[sys.executable, "-m", "weitzlab", *args],
         env=env,
-        capture_output=True,
         text=True,
-        timeout=300,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (CAP_BYTES, CAP_BYTES)),
     )
+
+
+def run_capped(args):
+    return subprocess.run(**_capped_child(args), capture_output=True, timeout=300)
+
+
+def run_capped_peak(args) -> tuple[int, str, str, float]:
+    """:func:`run_capped` with the child's own peak RSS, in MiB, from
+    ``os.wait4``: exit code, stdout, stderr and the peak."""
+    with subprocess.Popen(**_capped_child(args), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        out, err = proc.stdout.read(), proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, out, err, usage.ru_maxrss / 1024
 
 
 class TestScaleLimit:
@@ -237,6 +250,42 @@ class TestSizePreflight:
         assert out.stderr.startswith("error: out of memory: ") and out.stderr.count("\n") == 1
         assert "bytes, more than the address-space limit of 3221225472 bytes" in out.stderr
         assert elapsed < 2.0
+
+    @pytest.mark.parametrize("rep, n", (("spin", 28), ("spin:-", 30)))
+    def test_spin_k_refused_before_its_rep(self, rep, n):
+        # a 4 GiB complex K on 2^14 spinors: refused from n alone before the
+        # table of the rep (about 750 MB at n = 28) is built.  check
+        # group-model --algebra D4 still builds it first: its K follows a
+        # suite's rep, and only spinor verdicts without K will lift that
+        started = time.perf_counter()
+        code, out, err, peak_mb = run_capped_peak(["k", "--n", str(n), "--rep", rep, "--curvature", "sphere"])
+        elapsed = time.perf_counter() - started
+        assert code == 2 and out == ""
+        assert err == (
+            "error: out of memory: K (1 x 16384 x 16384 x 16 bytes) needs 4294967296 bytes, "
+            "more than the address-space limit of 3221225472 bytes\n"
+        )
+        assert peak_mb < 100 and elapsed < 2.0
+
+    @pytest.mark.parametrize(
+        "rep, label, entries, nbytes",
+        # G of exterior(2) of so(4) is real, 36^2 entries of 8 bytes; that of
+        # spin, complex, 16^2 entries of 16 bytes; 8 of them per entry
+        (("exterior:2", "exterior(2)", 1296, 82944), ("spin", "spin", 256, 32768)),
+    )
+    def test_commutant_solve_refused_before_its_normal_matrix(self, rep, label, entries, nbytes, monkeypatch, capsys):
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        argv = ["decompose", "--n", "4", "--rep", rep, "--sub", "so-full"]
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (nbytes - 1, hard))
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: out of memory: the commutant solve of {label} and {label} (G has {entries} entries) "
+            f"needs {nbytes} bytes, more than the address-space limit of {nbytes - 1} bytes\n"
+        )
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (nbytes, hard))
+        assert cli.main(argv) == 0
 
 
 class TestTrialPreflight:
@@ -308,7 +357,7 @@ class TestCheckCommand:
     def test_positivity_with_indefinite_file_is_diagnostic(self, tmp_path, capsys):
         op = curv.curvature_operator(3, np.diag([1.0, 1.0, -1.0]))
         path = tmp_path / "r.json"
-        path.write_text(json.dumps(curv.curvature_to_json(op)))
+        path.write_text(json.dumps(oracles.curvature_json(op)))
         code, payload = run_json(
             ["check", "positivity", "--n", "3", "--curvature", f"file:{path}"], capsys
         )
@@ -362,7 +411,7 @@ class TestCheckCommand:
         code, payload = run_json(["check", "positivity", "--n", "2", "--seed", "1"], capsys)
         assert code == 0
         path = tmp_path / "r.json"
-        path.write_text(json.dumps(curv.curvature_to_json(curv.curvature_operator(2, np.eye(1)))))
+        path.write_text(json.dumps(oracles.curvature_json(curv.curvature_operator(2, np.eye(1)))))
         code, payload = run_json(["check", "positivity", "--curvature", f"file:{path}"], capsys)
         assert code == 0
         assert [e["label"] for e in payload["reports"][0]["details"]["entries"]] == ["vector", "sym0(2)", "spin+", "spin-"]
@@ -488,7 +537,7 @@ class TestUsageErrors:
         # an explicit operator gives one report and runs no trials
         op = curv.curvature_operator(3, np.eye(3))
         path = tmp_path / "r.json"
-        path.write_text(json.dumps(curv.curvature_to_json(op)))
+        path.write_text(json.dumps(oracles.curvature_json(op)))
         argv = ["check", "positivity", "--n", "3", "--curvature", f"file:{path}", "--trials", "0"]
         code, payload = run_json(argv, capsys)
         assert code == 0

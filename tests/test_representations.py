@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from weitzlab import numerics
 from weitzlab import representations as reps
 from weitzlab import so_algebra as so
@@ -88,19 +89,11 @@ def _intertwiners_oracle(r1, r2) -> np.ndarray:
     return _stacked_kernel([np.kron(m2, i1) - np.kron(i2, m1.T) for m1, m2 in zip(r1.mats, r2.mats)])
 
 
-def _forms_oracle(r) -> list[tuple[np.ndarray, int]]:
-    """Invariant bilinear forms from the stacked system rho^T B + B rho = 0,
-    split into symmetric and antisymmetric parts."""
-    d = r.dim
-    eye = np.eye(d)
-    null = _stacked_kernel([np.kron(m.T, eye) + np.kron(eye, m.T) for m in r.mats])
-    out = []
-    for sign in (1, -1):
-        parts = [((b + sign * b.T) / 2).ravel() for b in (null[:, k].reshape(d, d) for k in range(null.shape[1]))]
-        if parts:
-            span = numerics.orthonormal_columns(np.array(parts).T, atol=1e-10)
-            out.extend((span[:, k].reshape(d, d), sign) for k in range(span.shape[1]))
-    return out
+def _forms_oracle(r) -> np.ndarray:
+    """Columns: row-major vec B of a basis of the invariant bilinear forms,
+    from the stacked system rho^T B + B rho = 0."""
+    eye = np.eye(r.dim)
+    return _stacked_kernel([np.kron(m.T, eye) + np.kron(eye, m.T) for m in r.mats])
 
 
 def _fix_phases_loop(v, tol=1e-12):
@@ -256,8 +249,9 @@ class TestConstructors:
     def test_exterior2_n4(self, b4):
         r = reps.rep_exterior(b4, 2)
         assert r.dim == 6
-        assert reps.homomorphism_residual(r) <= 1e-10
-        assert reps.skew_adjoint_residual(r) <= 1e-12
+        m = r.stacked()
+        assert oracles.homomorphism_residual(r) <= 1e-10
+        assert np.linalg.norm(m + m.conj().swapaxes(1, 2)) <= 1e-12
 
     def test_exterior_range(self, b4):
         with pytest.raises(ValueError):
@@ -279,14 +273,15 @@ class TestConstructors:
     def test_sym0_dimension_and_invariants(self, b4):
         r = reps.rep_sym0(b4)
         assert r.dim == 4 * 5 // 2 - 1
-        assert reps.homomorphism_residual(r) <= 1e-10
-        assert reps.skew_adjoint_residual(r) <= 1e-12
+        m = r.stacked()
+        assert oracles.homomorphism_residual(r) <= 1e-10
+        assert np.linalg.norm(m + m.conj().swapaxes(1, 2)) <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_homomorphism_residuals_across_n(self, n):
         b = so.basis(n)
         for r in (reps.rep_vector(b), reps.rep_adjoint(b), reps.rep_exterior(b, 2)):
-            assert reps.homomorphism_residual(r) <= 1e-10
+            assert oracles.homomorphism_residual(r) <= 1e-10
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_adjoint_equals_bracket_construction(self, n):
@@ -436,7 +431,7 @@ class TestRestrict:
         h = so.u_subalgebra(2)
         r = reps.rep_restrict(reps.rep_vector(b4), h)
         assert r.dim == 4
-        assert reps.homomorphism_residual(r) <= 1e-10
+        assert oracles.homomorphism_residual(r) <= 1e-10
 
     def test_ambient_mismatch(self, b3):
         h = so.u_subalgebra(2)
@@ -468,10 +463,10 @@ class TestIntertwiners:
             assert np.linalg.norm(m2 @ t - t @ m1) <= 1e-10
 
     def test_irreducibility_examples(self, b3, b4):
-        assert reps.is_irreducible(reps.rep_trivial(b3))
-        assert reps.is_irreducible(reps.rep_vector(b3))
-        assert reps.is_irreducible(reps.rep_vector(b4))
-        assert not reps.is_irreducible(reps.rep_exterior(b4, 2))
+        # irreducible over C exactly when the commutant is the scalars
+        assert reps.commutant_dimension(reps.rep_trivial(b3)) == 1
+        assert reps.commutant_dimension(reps.rep_vector(b3)) == 1
+        assert reps.commutant_dimension(reps.rep_vector(b4)) == 1
         assert reps.commutant_dimension(reps.rep_exterior(b4, 2)) == 2
 
     def test_real_commutant_flag(self, b3):
@@ -484,7 +479,8 @@ class TestIntertwiners:
 
 
 class TestKernelOracle:
-    """intertwiners and invariant_bilinear_forms against the stacked
+    """intertwiners, and the invariant bilinear forms as the intertwiners to
+    the dual, against the stacked
     Kronecker system solved by SVD."""
 
     @pytest.mark.parametrize("case", list(_oracle_cases()))
@@ -503,13 +499,10 @@ class TestKernelOracle:
     @pytest.mark.parametrize("case", list(_oracle_cases())[1:])
     def test_forms_match_stacked_system(self, case):
         r, _ = _oracle_cases()[case]
-        got = reps.invariant_bilinear_forms(r)
+        got = reps.intertwiners(r, oracles.dual(r))
         want = _forms_oracle(r)
-        assert [s for _, s in got] == [s for _, s in want]
-        for sign in (1, -1):
-            pg = _span_projector([b for b, s in got if s == sign])
-            pw = _span_projector([b for b, s in want if s == sign])
-            assert np.linalg.norm(pg - pw) <= 1e-12
+        assert len(got) == want.shape[1]
+        assert np.linalg.norm(_span_projector(got) - want @ want.conj().T) <= 1e-12
 
     def test_real_commutant_rejects_complex_matrices(self, b4):
         with pytest.raises(ValueError):
@@ -559,15 +552,16 @@ class TestRealKernel:
 
 class TestInvariantForms:
     def test_vector_standard_form(self, b3):
-        forms = reps.invariant_bilinear_forms(reps.rep_vector(b3))
+        r = reps.rep_vector(b3)
+        forms = reps.intertwiners(r, oracles.dual(r))
         assert len(forms) == 1
-        b, sign = forms[0]
-        assert sign == 1
+        b = forms[0]
+        assert np.array_equal(b, b.T)
         assert np.allclose(b, b[0, 0] * np.eye(3), atol=1e-12)
 
     def test_defining_equation(self, b4):
         r = reps.rep_exterior(b4, 2)
-        for b, _ in reps.invariant_bilinear_forms(r):
+        for b in reps.intertwiners(r, oracles.dual(r)):
             for m in r.mats:
                 assert np.linalg.norm(m.T @ b + b @ m) <= 1e-12
 

@@ -3,7 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from weitzlab import so_algebra as so
+
+
+def _inner(a, b):
+    """The invariant inner product ``-tr(a b) / 2`` (real part)."""
+    return float(np.real(-np.trace(a @ b) / 2.0))
 
 
 def test_n2_single_element():
@@ -39,7 +45,7 @@ def test_expand_equals_the_inner_products_bit_for_bit(label):
     g = so.simple_algebra(label)
     b = so.basis(g.dim)
     for a in g.ad:
-        want = np.array([so.inner(x, a) for x in b.elements])
+        want = np.array([_inner(x, a) for x in b.elements])
         got = so.expand(b, a)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -48,7 +54,7 @@ def test_expand_reads_the_real_skew_part():
     b = so.basis(5)
     m = np.random.default_rng(3).standard_normal((2, 5, 5))
     z = m[0] + 1j * m[1]
-    want = np.array([so.inner(x, z) for x in b.elements])
+    want = np.array([_inner(x, z) for x in b.elements])
     assert np.allclose(so.expand(b, z), want, rtol=0, atol=1e-15)
     assert np.allclose(so.expand(b, m[0] - m[0].T), 2 * so.expand(b, m[0]), rtol=0, atol=1e-15)
 
@@ -77,14 +83,14 @@ def test_jacobi_identity_all_triples(n):
 def test_ad_invariance_of_inner_product(n):
     b = so.basis(n)
     for xc, xa, xb in itertools.product(b.elements, repeat=3):
-        lhs = so.inner(so.bracket(xc, xa), xb) + so.inner(xa, so.bracket(xc, xb))
+        lhs = _inner(so.bracket(xc, xa), xb) + _inner(xa, so.bracket(xc, xb))
         assert abs(lhs) <= 1e-12
 
 
 def test_disjoint_pairs_commute():
     b = so.basis(4)
-    x12 = b.elements[b.pair_index(0, 1)]
-    x34 = b.elements[b.pair_index(2, 3)]
+    x12 = b.elements[b.pairs.index((0, 1))]
+    x34 = b.elements[b.pairs.index((2, 3))]
     assert np.linalg.norm(so.bracket(x12, x34)) == 0.0
 
 
@@ -98,7 +104,7 @@ class TestUSubalgebra:
         h = so.u_subalgebra(1)
         assert h.dim == 1
         j = h.elements[0]
-        assert abs(abs(so.inner(j, so.basis(2).elements[0])) - 1.0) < 1e-12
+        assert abs(abs(_inner(j, so.basis(2).elements[0])) - 1.0) < 1e-12
 
     def test_u2_dimension_and_closure(self):
         h = so.u_subalgebra(2)
@@ -111,7 +117,7 @@ class TestUSubalgebra:
         h = so.u_subalgebra(2)
         for i, a in enumerate(h.elements):
             for j, b in enumerate(h.elements):
-                assert abs(so.inner(a, b) - (1.0 if i == j else 0.0)) <= 1e-12
+                assert abs(_inner(a, b) - (1.0 if i == j else 0.0)) <= 1e-12
 
     def test_elements_commute_with_complex_structure(self):
         for m in (1, 2, 3):
@@ -199,7 +205,7 @@ class TestSimpleAlgebra:
     @pytest.mark.parametrize("label", LABELS)
     def test_root_data_matches_matrix_model(self, label):
         g = so.simple_algebra(label)
-        assert so.root_consistency_residual(g, seed=0) <= 1e-8
+        assert oracles.root_consistency_residual(g, seed=0) <= 1e-8
 
     @pytest.mark.parametrize("label", ["E8", "D2", "B1", "X4", "A0"])
     def test_unsupported_labels(self, label):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from functools import reduce
 from math import comb
@@ -5,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import oracles
 from weitzlab import curvature as curv
 from weitzlab import representations as reps
 from weitzlab import so_algebra as so
@@ -12,45 +14,36 @@ from weitzlab import spin
 from weitzlab import weitzenbock as wb
 
 
-def _gamma_dense(n):
-    """Oracle: the Clifford generators by dense Kronecker products."""
-    g1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    g2 = np.array([[0.0, 1.0j], [1.0j, 0.0]], dtype=complex)
-    gammas = [g1, g2]
-    m = 1
-    while 2 * m < n - (n % 2):
-        s3 = np.diag([1.0, -1.0]).astype(complex)
-        gammas = [np.kron(g, s3) for g in gammas]
-        gammas += [np.kron(np.eye(2 ** m), g1), np.kron(np.eye(2 ** m), g2)]
-        m += 1
-    if n % 2 == 1:
-        gammas.append((1.0j if m % 2 == 0 else 1.0) * reduce(lambda a, b: a @ b, gammas))
-    return gammas
+def _generators(n):
+    """The package's Clifford generators, densified from their monomial form."""
+    return oracles.dense_monomial(*spin._clifford_monomials(n))
 
 
 class TestGamma:
     @pytest.mark.parametrize("n", range(2, 12))
     def test_monomial_form_equals_dense_kronecker_oracle(self, n):
-        got = spin.gamma(n).gammas
-        want = _gamma_dense(n)
+        got = _generators(n)
+        want = oracles.gamma_dense(n)
         assert len(got) == len(want) == n
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_clifford_relations(self, n):
-        cg = spin.gamma(n)
-        assert cg.dim == 2 ** (n // 2)
-        assert cg.relation_residual() <= 1e-12
+        # e_i e_j + e_j e_i + 2 delta_ij = 0 for every pair
+        g = _generators(n)
+        assert g.shape[1] == 2 ** (n // 2)
+        acomm = g[:, None] @ g[None] + g[None] @ g[:, None]
+        acomm[np.arange(n), np.arange(n)] += 2.0 * np.eye(g.shape[1])
+        assert np.linalg.norm(acomm) <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_generators_unitary_and_skew(self, n):
-        for g in spin.gamma(n).gammas:
+        for g in _generators(n):
             assert np.allclose(g @ g.conj().T, np.eye(g.shape[0]), atol=1e-12)
             assert np.allclose(g.conj().T, -g, atol=1e-12)
 
     def test_n2_anticommuting_pair(self):
-        cg = spin.gamma(2)
-        e1, e2 = cg.gammas
+        e1, e2 = _generators(2)
         assert np.allclose(e1 @ e1, -np.eye(2))
         assert np.allclose(e2 @ e2, -np.eye(2))
         assert np.linalg.norm(e1 @ e2 + e2 @ e1) == 0.0
@@ -58,19 +51,19 @@ class TestGamma:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_volume_element_square_sign(self, n):
         # direct multiplication oracle: (e_1...e_n)^2 = (-1)^{n(n+1)/2} I
-        cg = spin.gamma(n)
-        vol = reduce(lambda a, b: a @ b, cg.gammas)
+        g = _generators(n)
+        vol = reduce(np.matmul, g)
         sign = (-1) ** (n * (n + 1) // 2)
-        assert np.allclose(vol @ vol, sign * np.eye(cg.dim), atol=1e-12)
+        assert np.allclose(vol @ vol, sign * np.eye(g.shape[1]), atol=1e-12)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            spin.gamma(1)
+            spin._clifford_monomials(1)
 
     def test_construction_deterministic(self):
-        a = spin.gamma(6)
-        b = spin.gamma(6)
-        for x, y in zip(a.gammas, b.gammas):
+        a = spin._clifford_monomials(6)
+        b = spin._clifford_monomials(6)
+        for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
 
@@ -79,7 +72,7 @@ class TestRepSpin:
     def test_table_equals_dense_products(self, n):
         # the old construction: -e_i e_j / 2 by dense products
         b = so.basis(n)
-        g = _gamma_dense(n)
+        g = oracles.gamma_dense(n)
         want = np.array([-(g[i] @ g[j]) / 2.0 for i, j in b.pairs])
         r = spin.rep_spin(b)
         assert np.array_equal(r.stacked(), want)
@@ -95,15 +88,14 @@ class TestRepSpin:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_rep_invariants(self, n):
         r = spin.rep_spin(so.basis(n))
-        assert reps.homomorphism_residual(r) <= 1e-10
-        assert reps.skew_adjoint_residual(r) <= 1e-12
+        m = r.stacked()
+        assert oracles.homomorphism_residual(r) <= 1e-10
+        assert np.linalg.norm(m + m.conj().swapaxes(1, 2)) <= 1e-12
 
     def test_explicit_bracket_n3(self):
         b = so.basis(3)
         r = spin.rep_spin(b)
-        i12 = b.pair_index(0, 1)
-        i23 = b.pair_index(1, 2)
-        i13 = b.pair_index(0, 2)
+        i12, i23, i13 = (b.pairs.index(p) for p in ((0, 1), (1, 2), (0, 2)))
         got = r.mats[i12] @ r.mats[i23] - r.mats[i23] @ r.mats[i12]
         assert np.linalg.norm(got - r.mats[i13]) <= 1e-12
 
@@ -133,7 +125,7 @@ class TestHalfSpin:
 
     @pytest.mark.parametrize("n", range(2, 17, 2))
     def test_monomial_chirality_is_the_dense_diagonal(self, n):
-        nu = spin.chirality(spin.gamma(n))
+        nu = oracles.chirality(n)
         assert np.array_equal(nu, np.diag(np.diag(nu)))
         sign = np.zeros(len(nu))
         for s, rows in zip((1.0, -1.0), spin.half_spin_rows(n)):
@@ -145,7 +137,7 @@ class TestHalfSpin:
         # oracle: the eigh of the dense chirality; its eigenvectors are unit
         # vectors, and ordered by their one nonzero row they are the unit
         # columns of the half's rows
-        nu = spin.chirality(spin.gamma(n))
+        nu = oracles.chirality(n)
         w, v = np.linalg.eigh(nu)
         for want, rows in zip((v[:, w > 0], v[:, w < 0]), spin.half_spin_rows(n)):
             want = want[:, np.argsort(np.abs(want).argmax(axis=0))]
@@ -168,7 +160,7 @@ class TestHalfSpin:
     @pytest.mark.parametrize("n", range(2, 13, 2))
     def test_marked_with_the_rows_of_its_columns(self, n):
         b = so.basis(n)
-        nu = spin.chirality(spin.gamma(n))
+        nu = oracles.chirality(n)
         for sign, rows in zip((1, -1), spin.half_spin_rows(n)):
             mark = spin.rep_half_spin(b, sign).clifford
             assert isinstance(mark, spin.SpinorBlades) and np.array_equal(mark.rows, rows)
@@ -196,8 +188,10 @@ class TestHalfSpin:
         assert peak < 256 << 20
 
     def test_chirality_squares_to_identity(self):
+        # the monomial volume element, times i when n = 2 mod 4
         for n in (4, 6):
-            nu = spin.chirality(spin.gamma(n))
+            perm, phase = spin._monomial_product(zip(*spin._clifford_monomials(n)))
+            nu = oracles.dense_monomial(perm, phase if n % 4 == 0 else 1.0j * phase)
             assert np.allclose(nu @ nu, np.eye(2 ** (n // 2)), atol=1e-12)
             assert np.allclose(nu, nu.conj().T, atol=1e-12)
 
@@ -206,8 +200,8 @@ class TestHalfSpin:
         for sign in (+1, -1):
             r = spin.rep_half_spin(b, sign)
             assert r.dim == 2
-            assert reps.homomorphism_residual(r) <= 1e-10
-            assert reps.is_irreducible(r)
+            assert oracles.homomorphism_residual(r) <= 1e-10
+            assert reps.commutant_dimension(r) == 1
 
     def test_odd_n_has_no_half_spin(self):
         with pytest.raises(ValueError):
@@ -263,30 +257,42 @@ class TestSpinorBlades:
         assert all(r.clifford is None for r in unmarked)
 
 
+def _pairing(n):
+    """The closed-form invariant pairing B, densified."""
+    return oracles.dense_monomial(*spin._invertible_pairing(n))
+
+
 class TestSpinorPairing:
     def test_schur_one_form_per_half_n4(self):
-        sp = spin.spinor_pairing(4)
-        assert sp.half_forms["+"] is not None
-        assert sp.half_forms["-"] is not None
+        # each half is self-dual: one invariant form (Schur), the restriction of B
+        b, bmat = so.basis(4), _pairing(4)
+        for sign, rows in zip((1, -1), spin.half_spin_rows(4)):
+            half = spin.rep_half_spin(b, sign)
+            assert len(reps.intertwiners(half, oracles.dual(half))) == 1
+            assert np.any(bmat[np.ix_(rows, rows)])
 
     def test_n4_half_forms_antisymmetric(self):
-        sp = spin.spinor_pairing(4)
-        for tag in ("+", "-"):
-            _, sign = sp.half_forms[tag]
-            assert sign == -1
+        bmat = _pairing(4)
+        for rows in spin.half_spin_rows(4):
+            block = bmat[np.ix_(rows, rows)]
+            assert np.array_equal(block.T, -block)
 
     def test_n6_halves_pair_crosswise(self):
-        sp = spin.spinor_pairing(6)
-        assert sp.half_forms["+"] is None
-        assert sp.half_forms["-"] is None
-        assert len(sp.forms) >= 1
+        # no half is self-dual, and B pairs each half with the other
+        b, bmat = so.basis(6), _pairing(6)
+        plus, minus = spin.half_spin_rows(6)
+        for sign in (1, -1):
+            half = spin.rep_half_spin(b, sign)
+            assert reps.intertwiners(half, oracles.dual(half)) == []
+        assert not np.any(bmat[np.ix_(plus, plus)]) and not np.any(bmat[np.ix_(minus, minus)])
+        assert np.any(bmat[np.ix_(plus, minus)])
 
     @pytest.mark.parametrize("n", (3, 4, 5, 6))
     def test_invariance_equation(self, n):
-        b = so.basis(n)
-        r = spin.rep_spin(b)
-        sp = spin.spinor_pairing(n)
-        for bform, _ in sp.forms:
+        r = spin.rep_spin(so.basis(n))
+        forms = reps.intertwiners(r, oracles.dual(r))
+        assert forms
+        for bform in forms:
             for m in r.mats:
                 assert np.linalg.norm(m.T @ bform + bform @ m) <= 1e-12
 
@@ -294,27 +300,41 @@ class TestSpinorPairing:
     def test_algebra_lands_in_sym_or_skew_as_form_dictates(self, n):
         # with B^T = s B, every B rho(x_a) satisfies (B rho)^T = -s (B rho)
         r = spin.rep_spin(so.basis(n))
-        for bform, s in spin.spinor_pairing(n).forms:
-            for m in r.mats:
-                prod = bform @ m
-                assert np.linalg.norm(prod.T + s * prod) <= 1e-12
-
+        bmat = _pairing(n)
+        s = 1 if np.array_equal(bmat.T, bmat) else -1
+        assert np.array_equal(bmat.T, s * bmat)
+        for m in r.mats:
+            prod = bmat @ m
+            assert np.linalg.norm(prod.T + s * prod) <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_closed_form_pairing_is_a_unitary_monomial_invariant(self, n):
-        # the product of the symmetric generators: exact, and one of the
-        # forms the commutant solve finds
-        bmat = spin._invertible_pairing(n)
+        # the product of the symmetric generators: exact, and in the span of
+        # the forms the commutant solve finds
+        bmat = _pairing(n)
         d = 2 ** (n // 2)
-        for m in spin.rep_spin(so.basis(n)).mats:
+        r = spin.rep_spin(so.basis(n))
+        for m in r.mats:
             assert not np.any(m.T @ bmat + bmat @ m)
         assert np.array_equal(bmat.conj().T @ bmat, np.eye(d))
         nz = bmat != 0
         assert np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1)
         assert np.all(np.abs(bmat[nz]) == 1.0)
-        forms = np.array([f.ravel() for f, _ in spin.spinor_pairing(n).forms]).T
+        forms = np.array([f.ravel() for f in reps.intertwiners(r, oracles.dual(r))]).T
         coef = np.linalg.lstsq(forms, bmat.ravel(), rcond=None)[0]
         assert np.linalg.norm(forms @ coef - bmat.ravel()) <= 1e-12
+
+
+def _symbol_blocks(n):
+    """Each exterior power of so(n) with its block of columns of the symbol,
+    degree by degree."""
+    b, t = so.basis(n), spin.clifford_symbol(n)
+    start = 0
+    for p in range(n + 1):
+        ext = reps.rep_exterior(b, p)
+        yield ext, t[:, start : start + ext.dim]
+        start += ext.dim
+    assert start == t.shape[1]
 
 
 class TestCliffordSymbol:
@@ -328,35 +348,48 @@ class TestCliffordSymbol:
 
     @pytest.mark.parametrize("n", (2, 4, 6))
     def test_intertwines(self, n):
+        # each degree's columns intertwine that exterior power with spin (x) spin
         b = so.basis(n)
-        t = spin.clifford_symbol(n)
-        ext = spin.rep_full_exterior(b)
         ss = reps.rep_tensor(spin.rep_spin(b), spin.rep_spin(b))
-        for mext, mss in zip(ext.mats, ss.mats):
-            assert np.linalg.norm(mss @ t - t @ mext) <= 1e-9
+        for ext, block in _symbol_blocks(n):
+            for mext, mss in zip(ext.mats, ss.mats):
+                assert np.linalg.norm(mss @ block - block @ mext) <= 1e-9
 
     def test_degree_zero_maps_to_identity_endomorphism(self):
         # undoing the pairing on the degree-0 column recovers a multiple of Id
         n = 4
         t = spin.clifford_symbol(n)
-        bmat = spin._invertible_pairing(n)
-        m = t[:, 0].reshape(4, 4) @ bmat
+        m = t[:, 0].reshape(4, 4) @ _pairing(n)
         lam = np.trace(m) / 4.0
         assert np.linalg.norm(m - lam * np.eye(4)) <= 1e-12
         assert abs(lam) > 1e-3
+
+    @pytest.mark.parametrize("n", (2, 4, 6))
+    def test_equals_the_dense_products(self, n):
+        # oracle: vec(e_i1 ... e_ip B^H) / sqrt(d) from the dense generators,
+        # B the product of the symmetric ones; the products are exact
+        g = oracles.gamma_dense(n)
+        d = len(g[0])
+        bmat = reduce(np.matmul, [m for m in g if np.array_equal(m, m.T)])
+        cols = []
+        for p in range(n + 1):
+            for combo in itertools.combinations(range(n), p):
+                prod = reduce(np.matmul, [g[i] for i in combo], np.eye(d, dtype=complex))
+                cols.append((prod @ bmat.conj().T).ravel() / np.sqrt(d))
+        assert np.array_equal(spin.clifford_symbol(n), np.array(cols).T)
 
     def test_odd_dimension_refused(self):
         with pytest.raises(ValueError, match="half the exterior algebra"):
             spin.clifford_symbol(5)
 
     def test_full_exterior_dimension(self):
-        ext = spin.rep_full_exterior(so.basis(4))
-        assert ext.dim == 16
-        assert reps.homomorphism_residual(ext) <= 1e-10
+        # the exterior powers of so(4) fill the 16 columns of the symbol
+        exts = [ext for ext, _ in _symbol_blocks(4)]
+        assert sum(ext.dim for ext in exts) == 16
+        assert all(oracles.homomorphism_residual(ext) <= 1e-10 for ext in exts)
 
     def test_intertwiner_space_nonempty_n4(self):
         b = so.basis(4)
-        ext = spin.rep_full_exterior(b)
         ss = reps.rep_tensor(spin.rep_spin(b), spin.rep_spin(b))
-        basis = reps.intertwiners(ext, ss)
-        assert len(basis) >= 1
+        for ext, _ in _symbol_blocks(4):
+            assert len(reps.intertwiners(ext, ss)) >= 1

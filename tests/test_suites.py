@@ -284,3 +284,19 @@ class TestBatchedTrials:
         suites.lemma_suite("k4", 12, 1)
         per_trial = 32 * 4**4 + 32 * 4**4 * 21
         assert max(sizes) == suites.TRIAL_BATCH_BYTES // per_trial and sum(sizes) == 12
+
+
+class TestLemmaK4Basis:
+    def test_closed_form_columns_span_the_svd_oracle(self):
+        # oracle: an SVD of the 21 unnormalised vectors q_a (x) q_b + q_b (x) q_a
+        from weitzlab import numerics, spin
+
+        n, k, q, _ = suites._lemma_k4_config()
+        q2 = spin.clifford_symbol(4)[:, 5:11]
+        pairs = [(a, b) for a in range(6) for b in range(a, 6)]
+        cols = np.array([np.kron(q2[:, a], q2[:, b]) + np.kron(q2[:, b], q2[:, a]) for a, b in pairs]).T
+        assert np.array_equal(cols.conj().T @ cols, np.diag([4.0 if a == b else 2.0 for a, b in pairs]))
+        u = numerics.orthonormal_columns(cols)
+        assert (n, k) == (4, 4) and q.shape == u.shape == (256, 21)
+        assert np.abs(q.conj().T @ q - np.eye(21)).max() <= 1e-15
+        assert np.abs(q @ q.conj().T - u @ u.conj().T).max() <= 1e-15
