@@ -18,10 +18,10 @@ that it pays every cold cost a CLI process pays:
 * ``suites.lemma_suite("k4", 10, seed)``, ``lemma_suite("k4", 100, seed)``
   and ``lemma_suite("k2", 20, seed)`` (a suite: the checks on the subspace
   basis, and K and W restricted to the subspace);
-* ``suites.lichnerowicz_suite`` at n = 4, 5 and 7, ``bochner_suite`` at
+* ``suites.lichnerowicz_suite`` at n = 4, 5, 7 and 16, ``bochner_suite`` at
   n = 7 and ``blocks4_suite``, each with 20 trials (the other trial-driven
-  suites: seeded draws, Bianchi projection, K on spinors or vectors, the
-  4-d blocks and the report digests);
+  suites: seeded draws, Bianchi projection, blade coefficients of K on
+  spinors or K on vectors, the 4-d blocks and the report digests);
 * ``rep_adjoint`` at n = 10 and 12, ``rep_exterior`` at (n, p) = (10, 5)
   and (12, 6), ``rep_sym`` at (10, 3), ``rep_sym0`` at n = 14 and
   ``spin.rep_half_spin`` (the + half) at n = 14 and 20 (representation
@@ -93,7 +93,14 @@ DECOMPOSE_CASES = (
 LEMMA_CASES = (("k4", 10), ("k4", 100), ("k2", 20))
 LEMMA_SEED = 1
 #: (suite, n or None) of each trial-driven suite timed, with TRIAL_COUNT trials from TRIAL_SEED.
-TRIAL_CASES = (("lichnerowicz", 4), ("lichnerowicz", 5), ("lichnerowicz", 7), ("bochner", 7), ("blocks4", None))
+TRIAL_CASES = (
+    ("lichnerowicz", 4),
+    ("lichnerowicz", 5),
+    ("lichnerowicz", 7),
+    ("lichnerowicz", 16),
+    ("bochner", 7),
+    ("blocks4", None),
+)
 TRIAL_COUNT = 20
 TRIAL_SEED = 1
 #: (constructor, n, degree p or None) of each representation timed.

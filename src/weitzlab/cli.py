@@ -228,11 +228,14 @@ def parse_subalgebra(spec: str, n: int):
 def cmd_k(args) -> tuple[dict, int]:
     op, echo = parse_curvature(args.curvature, args.n)
     half = args.rep.strip() in ("spin:+", "spin:-")
+    basis = so_basis(op.n)
     if args.rep.strip() == "spin" or (half and op.n % 2 == 0):
         # K of a spinor rep is complex on 2^(n/2) dimensions, halved for a
-        # half-spin: refused here, before the rep is built, if it cannot fit
-        wb.require_k(1, 2 ** (op.n // 2 - half), complex)
-    basis = so_basis(op.n)
+        # half-spin: refused here, before the rep is built, if it cannot fit,
+        # alone or with its spectrum beside a table of 40 bytes an entry
+        d = 2 ** (op.n // 2 - half)
+        wb.require_k(1, d, complex)
+        wb.require_k_term(d, complex, 40 * len(basis.pairs) * d)
     rep = parse_rep(args.rep, basis)
     try:
         t = wb.laplacian_t(args.preset if args.preset else args.t)

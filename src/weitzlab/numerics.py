@@ -34,8 +34,8 @@ __all__ = [
 ]
 
 #: Bytes of temporaries that one chunk of a chunked assembly (the join or
-#: the blade sum of K, the blade coefficients, the blade cache) holds at
-#: once, besides the result it writes into.
+#: the blade sum of K, the blade coefficients) holds at once, besides the
+#: result it writes into.
 CHUNK_BYTES = 1 << 20
 
 #: Relative singular-value cutoff used by :func:`nullspace` when no tolerance

@@ -15,7 +15,7 @@ from . import representations as reps
 from . import spin as spinmod
 from . import weitzenbock as wb
 from .report import CheckReport, digest
-from .so_algebra import basis as so_basis, simple_algebra
+from .so_algebra import basis as so_basis, expand, simple_algebra
 
 __all__ = [
     "SUITE_NAMES",
@@ -45,31 +45,44 @@ REPORT_BYTES = 4 << 10
 REPORT_BUDGET_BYTES = 256 << 20
 
 
-def _seed_batches(first: int, trials: int, n: int, d: int, m: int | None = None):
+def _seed_batches(first: int, trials: int, n: int, held: int):
     """Seeds ``first, first + 1, ...`` of ``trials`` trials, in consecutive
     ranges whose curvature tensors (four n^4 float arrays per trial while
-    they are projected) and K's (two d x m complex arrays per trial, d x d
-    unless ``m`` is given) fit :data:`TRIAL_BATCH_BYTES`."""
-    size = max(1, TRIAL_BATCH_BYTES // (32 * n**4 + 32 * d * (d if m is None else m)))
+    they are projected) and ``held`` further bytes per trial, the K's or
+    blade coefficients a suite forms from them, fit
+    :data:`TRIAL_BATCH_BYTES`."""
+    size = max(1, TRIAL_BATCH_BYTES // (32 * n**4 + held))
     for lo in range(0, trials, size):
         yield range(first + lo, first + min(trials, lo + size))
 
 
-def _lichnerowicz_residual(op, k: np.ndarray) -> tuple[float, float]:
-    s = curv.scalar(op)
-    resid = float(np.linalg.norm(-4.0 * k - (s / 4.0) * np.eye(len(k))))
-    return resid / (1.0 + float(np.linalg.norm(k))), s
+def _off_scalar(blades: spinmod.SpinorBlades, coeff: np.ndarray, lam) -> np.ndarray:
+    """``||K - lam Id||`` for each K on the full spinor space given by its
+    blade coefficients (:meth:`spinmod.SpinorBlades.scalar_split`), with no
+    matrix formed; lam is a number or one per K."""
+    sigma, rho = blades.scalar_split(coeff)
+    return np.sqrt(blades.dim) * np.hypot(sigma - lam, rho)
+
+
+def _lichnerowicz_residuals(blades: spinmod.SpinorBlades, ops: curv.CurvatureOperator):
+    """``||-4 K - (s/4) Id|| / (1 + ||K||)`` and the scalar curvature s of
+    each operator of a stack, from the blade coefficients of K."""
+    coeff = blades.coefficients(ops.matrix)
+    scal = [curv.scalar(op) for op in ops.unstack()]
+    resid = 4.0 * _off_scalar(blades, coeff, -np.array(scal) / 16.0) / (1.0 + _off_scalar(blades, coeff, 0.0))
+    return [float(r) for r in resid], scal
 
 
 def lichnerowicz_suite(n: int, trials: int, seed: int, tol: float = 1e-9) -> list[CheckReport]:
     """-4 K on spinors equals scalar/4 for Bianchi operators; a control batch
-    of unprojected symmetric operators must violate the identity."""
-    sp = spinmod.rep_spin(so_basis(n))
+    of unprojected symmetric operators must violate the identity.  K is
+    read from its blade coefficients alone: no spin rep and no d x d
+    matrix is formed."""
+    blades = spinmod.spinor_blades(so_basis(n))
     out = []
-    for seeds in _seed_batches(seed, trials, n, sp.dim):
+    for seeds in _seed_batches(seed, trials, n, 8 * blades.count):
         ops = curv.random_curvature(n, seeds)
-        for s, op, k in zip(seeds, ops.unstack(), wb.k_matrix(ops, sp)):
-            resid, scal = _lichnerowicz_residual(op, k)
+        for s, op, resid, scal in zip(seeds, ops.unstack(), *_lichnerowicz_residuals(blades, ops)):
             out.append(
                 CheckReport(
                     check="lichnerowicz",
@@ -83,15 +96,12 @@ def lichnerowicz_suite(n: int, trials: int, seed: int, tol: float = 1e-9) -> lis
     # negative control: without the first Bianchi identity the identity breaks
     control_n = max(n, 4)  # at n=3 every symmetric operator is Bianchi
     if control_n != n:
-        sp = spinmod.rep_spin(so_basis(control_n))
+        blades = spinmod.spinor_blades(so_basis(control_n))
     hits = 0
     control_trials = 100
-    for seeds in _seed_batches(seed + 10_000, control_trials, control_n, sp.dim):
-        ops = curv.random_symmetric(control_n, seeds)
-        for op, k in zip(ops.unstack(), wb.k_matrix(ops, sp)):
-            resid, _ = _lichnerowicz_residual(op, k)
-            if resid > 1e-3:
-                hits += 1
+    for seeds in _seed_batches(seed + 10_000, control_trials, control_n, 8 * blades.count):
+        resid, _ = _lichnerowicz_residuals(blades, curv.random_symmetric(control_n, seeds))
+        hits += sum(r > 1e-3 for r in resid)
     out.append(
         CheckReport(
             check="lichnerowicz-negative-control",
@@ -109,7 +119,7 @@ def bochner_suite(n: int, trials: int, seed: int, tol: float = 1e-10) -> list[Ch
     """-2 K on the vector representation equals the Ricci endomorphism."""
     v = reps.rep_vector(so_basis(n))
     out = []
-    for seeds in _seed_batches(seed, trials, n, v.dim):
+    for seeds in _seed_batches(seed, trials, n, 32 * v.dim**2):  # two d x d complex arrays
         ops = curv.random_curvature(n, seeds)
         for s, op, k in zip(seeds, ops.unstack(), wb.k_matrix(ops, v)):
             resid = float(np.linalg.norm(-2.0 * k - curv.ricci(op)))
@@ -207,9 +217,9 @@ def lemma_suite(kind: str, trials: int, seed: int, tol: float | None = None) -> 
     else:
         raise ValueError(f"unknown lemma configuration {kind!r}")
     d = 2 ** (n // 2)  # spinor dimension
-    # a trial's largest arrays are K Q and one term of it, (d^k, m) each,
-    # larger than its d^2 x d^2 two-slot operator
-    stacks = [curv.random_curvature(n, seeds) for seeds in _seed_batches(seed, trials, n, d**k, cols.shape[1])]
+    # a trial's largest arrays are K Q and one term of it, (d^k, m) complex
+    # each, larger than its d^2 x d^2 two-slot operator
+    stacks = [curv.random_curvature(n, seeds) for seeds in _seed_batches(seed, trials, n, 32 * d**k * cols.shape[1])]
     out = wb.lemma_check(stacks, k, cols, gens, tol=tol)
     for rep, s in zip(out, range(seed, seed + trials)):
         rep.inputs["seed"] = s
@@ -263,13 +273,15 @@ def group_model_suite(labels: list[str], tol: float = 1e-10) -> list[CheckReport
         # spinor curvature term -(1/2) sum rho(ad y_c)^2 = (dim/16) Id,
         # equivalently -4K = s/4 for the group curvature operator.  With C
         # the coefficients of the ad(y_c), the term is -K(R') for
-        # R' = C^T C / 2, built here apart from bi_invariant_group.
-        sp = spinmod.rep_spin(so_basis(g.dim))
-        k = wb.k_matrix(op, sp)
-        term_resid = float(np.linalg.norm(-4.0 * k - (g.dim / 16.0) * np.eye(sp.dim)))
-        c = np.array(_ad_coefficients(g))
-        direct = -wb.k_matrix(curv.curvature_operator(g.dim, c.T @ c / 2.0), sp)
-        direct_resid = float(np.linalg.norm(direct - (g.dim / 16.0) * np.eye(sp.dim)))
+        # R' = C^T C / 2, built here apart from bi_invariant_group.  Both
+        # are read from the blade coefficients of K, with no matrix formed.
+        so = so_basis(g.dim)
+        blades = spinmod.spinor_blades(so)
+        c = np.array([expand(so, np.real(a)) for a in g.ad])
+        direct = curv.curvature_operator(g.dim, c.T @ c / 2.0)
+        coeff = blades.coefficients(np.stack([op.matrix, direct.matrix]))
+        off = _off_scalar(blades, coeff, -g.dim / np.array([64.0, 16.0]))  # ||-4K - dim/16|| = 4 ||K + dim/64||
+        term_resid, direct_resid = float(4.0 * off[0]), float(off[1])
         out.append(
             CheckReport(
                 check="group-spin-curvature-term",
@@ -281,14 +293,6 @@ def group_model_suite(labels: list[str], tol: float = 1e-10) -> list[CheckReport
             )
         )
     return out
-
-
-def _ad_coefficients(g) -> list[list[float]]:
-    """Coefficients of each ad(y_c) over the orthonormal so(dim) basis."""
-    from .so_algebra import expand
-
-    so = so_basis(g.dim)
-    return [list(expand(so, np.real(a))) for a in g.ad]
 
 
 def blocks4_suite(trials: int, seed: int, tol: float = 1e-9) -> list[CheckReport]:
@@ -390,7 +394,7 @@ def positivity_suite(
         return out
     worst = np.inf
     distinct = {id(r.table): r for r in family}.values()  # the adjoint shares exterior(2)'s table
-    for seeds in _seed_batches(seed, trials, n, max(r.dim for r in family)):
+    for seeds in _seed_batches(seed, trials, n, 32 * max(r.dim for r in family) ** 2):
         ops = positive_definite_curvature(n, seeds)
         for r in distinct:
             worst = min(worst, float(np.min(wb.neg_k_spectrum(ops, r))))

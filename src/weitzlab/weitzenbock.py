@@ -55,6 +55,7 @@ __all__ = [
     "neg_k_spectrum",
     "positivity_report",
     "require_k",
+    "require_k_term",
     "standard_family",
     "vanishing_conclusion",
 ]
@@ -103,6 +104,16 @@ def require_k(count: int, d: int, dtype) -> None:
     before it builds the representation."""
     itemsize = np.dtype(dtype).itemsize
     numerics.require_bytes(count * d * d * itemsize, f"K ({count} x {d} x {d} x {itemsize} bytes)")
+
+
+def require_k_term(d: int, dtype, held: int) -> None:
+    """Refuse a :func:`k_term` on d dimensions whose peak cannot fit beside
+    ``held`` bytes of its representation: K and two arrays of its size, a
+    conjugate and a difference, then the Hermitian part and the solver's
+    copy of it (peak RSS: 3.01 K's in fresh processes at d = 2048 and 4096)."""
+    itemsize = np.dtype(dtype).itemsize
+    what = f"the spectrum of K (3 x {d} x {d} x {itemsize} bytes beside {held} bytes of its representation)"
+    numerics.require_bytes(3 * d * d * itemsize + held, what)
 
 
 def _k_zeros(count: int, d: int, dtype) -> np.ndarray:

@@ -18,12 +18,16 @@ from weitzlab import representations as reps
 from weitzlab import so_algebra as so
 
 
-def dense_monomial(perm, phase) -> np.ndarray:
-    """The dense matrices of monomial ``(perm, phase)`` arrays of shape
-    (..., d): row r of each holds ``phase[r]`` in column ``perm[r]``."""
-    perm, phase = np.asarray(perm), np.asarray(phase)
-    out = np.zeros(perm.shape + perm.shape[-1:], dtype=complex)
-    np.put_along_axis(out, perm[..., None], phase[..., None], axis=-1)
+def dense_pauli(x, z, phase, dim: int) -> np.ndarray:
+    """The dense matrices on ``dim`` dimensions of Pauli strings given as
+    arrays ``x``, ``z`` and ``phase`` of shape (...): row r of each holds
+    ``phase (-1)^|r & z|`` in column ``r ^ x``, the parity counted bit by
+    bit."""
+    x, z, phase = np.asarray(x)[..., None], np.asarray(z)[..., None], np.asarray(phase)[..., None]
+    rows = np.arange(dim)
+    parity = sum((rows & z) >> k & 1 for k in range(dim.bit_length())) % 2
+    out = np.zeros(np.broadcast(x, z, phase).shape[:-1] + (dim, dim), dtype=complex)
+    np.put_along_axis(out, (rows ^ x)[..., None], (phase * (1 - 2 * parity))[..., None], axis=-1)
     return out
 
 

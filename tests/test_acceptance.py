@@ -193,7 +193,8 @@ def test_criterion_9_structural_integrity():
         assert oracles.homomorphism_residual(r) <= 1e-10, r.label
     # Clifford relations e_i e_j + e_j e_i + 2 delta_ij = 0
     for n in range(2, 9):
-        g = oracles.dense_monomial(*spin._clifford_monomials(n))
+        g = oracles.dense_pauli(*spin._clifford_strings(n), 2 ** (n // 2))
+        assert np.array_equal(g, oracles.gamma_dense(n)), f"n={n}"
         acomm = g[:, None] @ g[None] + g[None] @ g[:, None]
         acomm[np.arange(n), np.arange(n)] += 2.0 * np.eye(g.shape[1])
         assert np.linalg.norm(acomm) <= 1e-12, f"n={n}"

@@ -224,19 +224,25 @@ class TestScaleLimit:
         assert json.loads(out.stdout)["reports"][0]["pass"] is True
 
     def test_group_model_c3(self):
-        # spin of so(21): 210 monomial generators on 1024 dimensions
+        # spinors of so(21): 210 generators on 1024 dimensions
         out = run_capped(["check", "group-model", "--algebra", "C3", "--seed", "1"])
         assert out.returncode == 0, out.stderr
         reports = json.loads(out.stdout)["reports"]
         assert [r["check"] for r in reports][-1] == "group-spin-curvature-term"
         assert all(r["pass"] for r in reports)
 
-    def test_group_model_d4_refused_with_one_error_line(self):
-        # spin of so(28) asks for a 4 GiB dense K, over the 3 GiB cap
-        out = run_capped(["check", "group-model", "--algebra", "D4"])
-        assert out.returncode == 2, out.stderr
-        assert out.stdout == ""
-        assert out.stderr.startswith("error: out of memory: ") and out.stderr.count("\n") == 1
+    def test_group_model_defaults_pass_without_a_dense_k(self):
+        # the default algebras include D4, whose spinors of so(28) would take
+        # a 4 GiB dense K; the suite reads K from its blade coefficients
+        started = time.perf_counter()
+        code, out, err, peak_mb = run_capped_peak(["check", "group-model"])
+        elapsed = time.perf_counter() - started
+        assert code == 0, err
+        reports = json.loads(out)["reports"]
+        spin_terms = [r for r in reports if r["check"] == "group-spin-curvature-term"]
+        assert [r["inputs"]["algebra"] for r in spin_terms] == ["A1", "A2", "B2", "C3", "D4", "G2"]
+        assert all(r["pass"] for r in reports)
+        assert elapsed < 2.0 and peak_mb < 100
 
 
 class TestSizePreflight:
@@ -251,20 +257,21 @@ class TestSizePreflight:
         assert "bytes, more than the address-space limit of 3221225472 bytes" in out.stderr
         assert elapsed < 2.0
 
-    @pytest.mark.parametrize("rep, n", (("spin", 28), ("spin:-", 30)))
+    @pytest.mark.parametrize("rep, n", (("spin", 28), ("spin:-", 30), ("spin:+", 28)))
     def test_spin_k_refused_before_its_rep(self, rep, n):
         # a 4 GiB complex K on 2^14 spinors: refused from n alone before the
-        # table of the rep (about 750 MB at n = 28) is built.  check
-        # group-model --algebra D4 still builds it first: its K follows a
-        # suite's rep, and only spinor verdicts without K will lift that
+        # table of the rep (about 750 MB at n = 28) is built.  The 1 GiB K of
+        # spin:+ at n = 28 fits, but the spectrum's three K-sized arrays
+        # beside the rep's table (378 generators x 8192 rows x 40 bytes) do not
         started = time.perf_counter()
         code, out, err, peak_mb = run_capped_peak(["k", "--n", str(n), "--rep", rep, "--curvature", "sphere"])
         elapsed = time.perf_counter() - started
         assert code == 2 and out == ""
-        assert err == (
-            "error: out of memory: K (1 x 16384 x 16384 x 16 bytes) needs 4294967296 bytes, "
-            "more than the address-space limit of 3221225472 bytes\n"
-        )
+        if rep == "spin:+":
+            what = "the spectrum of K (3 x 8192 x 8192 x 16 bytes beside 123863040 bytes of its representation) needs 3345088512"
+        else:
+            what = "K (1 x 16384 x 16384 x 16 bytes) needs 4294967296"
+        assert err == f"error: out of memory: {what} bytes, more than the address-space limit of 3221225472 bytes\n"
         assert peak_mb < 100 and elapsed < 2.0
 
     @pytest.mark.parametrize(
@@ -782,7 +789,7 @@ def _contract_case(draw):
         size = [] if n is None else ["--n", str(n)]
         return {}, ["k", *size, "--rep", "vector", f"--curvature={draw(_SOURCE)}"], None, False
     if kind == "algebra":
-        # an empty list means the default algebras, whose D4 asks for a 4 GiB K
+        # an empty list means the default algebras, run whole in TestScaleLimit
         labels = draw(st.lists(_LABEL, min_size=1, max_size=2).map(",".join).filter(bool))
         suite = draw(st.sampled_from(("strange", "group-model")))
         return {}, ["check", suite, f"--algebra={labels}"], None, False

@@ -15,8 +15,13 @@ from weitzlab import weitzenbock as wb
 
 
 def _generators(n):
-    """The package's Clifford generators, densified from their monomial form."""
-    return oracles.dense_monomial(*spin._clifford_monomials(n))
+    """The package's Clifford generators, densified from their Pauli strings."""
+    return oracles.dense_pauli(*spin._clifford_strings(n), 2 ** (n // 2))
+
+
+def _volume(n):
+    """The Pauli string of the volume element ``e_1 ... e_n``."""
+    return spin._product(zip(*spin._clifford_strings(n)), 2 ** (n // 2))
 
 
 class TestGamma:
@@ -58,11 +63,11 @@ class TestGamma:
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            spin._clifford_monomials(1)
+            spin._clifford_strings(1)
 
     def test_construction_deterministic(self):
-        a = spin._clifford_monomials(6)
-        b = spin._clifford_monomials(6)
+        a = spin._clifford_strings(6)
+        b = spin._clifford_strings(6)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -115,9 +120,11 @@ class TestHalfSpin:
 
     @pytest.mark.parametrize("n", range(2, 25, 2))
     def test_volume_element_is_a_real_unit_diagonal(self, n):
-        perm, phase = spin._monomial_product(zip(*spin._clifford_monomials(n)))
-        chi = phase if n % 4 == 0 else 1.0j * phase
-        assert np.array_equal(perm, np.arange(2 ** (n // 2)))
+        x, z, phase = _volume(n)
+        rows = np.arange(2 ** (n // 2))
+        odd = np.array([bin(r & z).count("1") % 2 for r in rows], dtype=bool)
+        chi = np.where(odd, -phase, phase) * (1.0 if n % 4 == 0 else 1.0j)
+        assert x == 0
         assert not np.any(chi.imag) and np.array_equal(np.abs(chi.real), np.ones(len(chi)))
         plus, minus = spin.half_spin_rows(n)
         assert np.all(np.diff(plus) > 0) and np.all(np.diff(minus) > 0)
@@ -190,8 +197,8 @@ class TestHalfSpin:
     def test_chirality_squares_to_identity(self):
         # the monomial volume element, times i when n = 2 mod 4
         for n in (4, 6):
-            perm, phase = spin._monomial_product(zip(*spin._clifford_monomials(n)))
-            nu = oracles.dense_monomial(perm, phase if n % 4 == 0 else 1.0j * phase)
+            x, z, phase = _volume(n)
+            nu = oracles.dense_pauli(x, z, phase if n % 4 == 0 else 1.0j * phase, 2 ** (n // 2))
             assert np.allclose(nu @ nu, np.eye(2 ** (n // 2)), atol=1e-12)
             assert np.allclose(nu, nu.conj().T, atol=1e-12)
 
@@ -227,18 +234,48 @@ class TestSpinorBlades:
         odd = np.array([bin(r & z).count("1") % 2 for r, z in zip(row, blades.z[gen])], dtype=bool)
         assert np.array_equal(t.val, np.where(odd, -blades.phase[gen], blades.phase[gen]))
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_each_pair_product_is_its_signed_blade(self, n):
         # rho_a rho_b = s_ab Gamma_B on every row, Gamma_B from its entries
-        r = spin.rep_spin(so.basis(n))
-        blades = r.clifford
-        key, sign = blades._pairs[:2]
-        col, val = blades.entries(0, r.dim)
-        gamma = np.zeros((blades.count, r.dim, r.dim), dtype=complex)
-        gamma[np.arange(blades.count), np.arange(r.dim)[:, None], col] = np.where(blades.imaginary, 1.0j, 1.0) * val
-        m = r.stacked()
-        prod = np.einsum("aij,bjk->abik", m, m).reshape(-1, r.dim, r.dim)
-        assert np.array_equal(prod, sign[:, None, None] * gamma[key])
+        # and rho_a = -e_i e_j / 2 from the dense Kronecker generators
+        b = so.basis(n)
+        g = oracles.gamma_dense(n)
+        m = np.array([-(g[i] @ g[j]) / 2.0 for i, j in b.pairs])
+        blades = spin.spinor_blades(b)
+        d = len(g[0])
+        key, sign = blades.key, blades.sign
+        col, val = blades.entries(0, d)
+        gamma = np.zeros((blades.count, d, d), dtype=complex)
+        gamma[np.arange(blades.count), np.arange(d)[:, None], col] = np.where(blades.imaginary, 1.0j, 1.0) * val
+        key, sign = key.reshape(len(m), -1), sign.reshape(len(m), -1)
+        for a in range(len(m)):
+            assert np.array_equal(m[a] @ m, sign[a, :, None, None] * gamma[key[a]])
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_spinor_blades_are_those_of_the_rep(self, n):
+        b = so.basis(n)
+        mark, blades = spin.rep_spin(b).clifford, spin.spinor_blades(b)
+        for name in ("masks", "x", "z", "phase", "rows", "key", "sign", "bx", "bz", "imaginary", "value"):
+            assert np.array_equal(getattr(mark, name), getattr(blades, name))
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_scalar_split_is_the_dense_decomposition(self, n):
+        # oracle: the trace and the traceless remainder of the dense K
+        b = so.basis(n)
+        rep, blades = spin.rep_spin(b), spin.spinor_blades(b)
+        ops = curv.random_curvature(n, [3, 4])
+        sigma, rho = blades.scalar_split(blades.coefficients(ops.matrix))
+        for k, s, r in zip(wb.k_matrix(ops, rep), sigma, rho):
+            trace = np.trace(k) / rep.dim
+            assert abs(s - trace) <= 1e-15 * max(1.0, abs(trace))
+            rest = np.linalg.norm(k - trace * np.eye(rep.dim)) / np.sqrt(rep.dim)
+            assert abs(r - rest) <= 1e-14 * max(1.0, rest)
+
+    def test_scalar_split_refuses_a_half_spin(self):
+        # on a half, the volume blade is a scalar too
+        half = spin.rep_half_spin(so.basis(4), 1).clifford
+        with pytest.raises(ValueError, match="full spin module"):
+            half.scalar_split(np.zeros((1, half.count)))
 
     def test_mark_kept_by_relabel_and_dropped_by_other_constructions(self):
         b = so.basis(4)
@@ -259,7 +296,7 @@ class TestSpinorBlades:
 
 def _pairing(n):
     """The closed-form invariant pairing B, densified."""
-    return oracles.dense_monomial(*spin._invertible_pairing(n))
+    return oracles.dense_pauli(*spin._invertible_pairing(n), 2 ** (n // 2))
 
 
 class TestSpinorPairing:

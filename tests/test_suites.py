@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from weitzlab import curvature as curv
-from weitzlab import suites
+from weitzlab import so_algebra as so
+from weitzlab import spin, suites
+from weitzlab import weitzenbock as wb
 from weitzlab.report import CheckReport, canonical_json, digest
 
 
@@ -202,6 +204,15 @@ class TestSuites:
         checks = {r.check for r in reports}
         assert "group-spin-curvature-term" in checks
 
+    def test_spinor_suites_build_no_spin_rep_and_no_k(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a spinor suite built a spin rep or a dense K")
+
+        for module, name in ((spin, "rep_spin"), (spin, "rep_half_spin"), (wb, "k_matrix")):
+            monkeypatch.setattr(module, name, refuse)
+        assert suites.run_passed(suites.run_suite("lichnerowicz", n=6, trials=3, seed=2))
+        assert suites.run_passed(suites.run_suite("group-model", algebras=["A1", "B2"]))
+
     def test_blocks4_suite(self):
         reports = suites.run_suite("blocks4", trials=5, seed=9)
         assert all(r.passed for r in reports)
@@ -225,6 +236,37 @@ class TestSuites:
             assert np.min(np.linalg.eigvalsh(op.matrix)) > 0.5
 
 
+def _dense_lichnerowicz_residual(op, rep):
+    """The Lichnerowicz residual ``||-4K - (s/4) Id|| / (1 + ||K||)`` from the
+    dense K of the spin rep."""
+    k = wb.k_matrix(op, rep)
+    s = curv.scalar(op)
+    return float(np.linalg.norm(-4.0 * k - (s / 4.0) * np.eye(len(k)))) / (1.0 + float(np.linalg.norm(k)))
+
+
+class TestSpinorClosedForms:
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_lichnerowicz_residual_is_the_dense_one(self, n):
+        # on Bianchi operators (residual near 0) and unprojected symmetric ones
+        b = so.basis(n)
+        rep, blades = spin.rep_spin(b), spin.spinor_blades(b)
+        for ops in (curv.random_curvature(n, [1, 7, 42]), curv.random_symmetric(n, [1, 7, 42])):
+            got, scal = suites._lichnerowicz_residuals(blades, ops)
+            for op, r, s in zip(ops.unstack(), got, scal):
+                want = _dense_lichnerowicz_residual(op, rep)
+                assert abs(r - want) <= 2.1e-14 * max(1.0, want)
+                assert s == curv.scalar(op)
+
+    @pytest.mark.parametrize("label", ("A1", "A2", "B2", "G2"))
+    def test_group_spin_term_is_the_dense_one(self, label):
+        g = so.simple_algebra(label)
+        rep = spin.rep_spin(so.basis(g.dim))
+        k = wb.k_matrix(curv.bi_invariant_group(g), rep)
+        want = float(np.linalg.norm(-4.0 * k - (g.dim / 16.0) * np.eye(rep.dim)))
+        [report] = [r for r in suites.group_model_suite([label]) if r.check == "group-spin-curvature-term"]
+        assert abs(report.details["via_k_term"] - want) <= 2.1e-14 * max(1.0, want)
+
+
 class TestBatchedTrials:
     CASES = (
         ("lichnerowicz", {"n": 3, "trials": 4, "seed": 2}),
@@ -245,34 +287,31 @@ class TestBatchedTrials:
         assert [canonical_json(r.to_dict()) for r in suites.run_suite(name, **kwargs)] == whole
 
     def test_seed_batches_cover_the_trials_in_order(self, monkeypatch):
-        batches = list(suites._seed_batches(10, 100, 7, 8))
+        batches = list(suites._seed_batches(10, 100, 7, 32 * 8 * 8))
         assert [s for b in batches for s in b] == list(range(10, 110))
         per_trial = 32 * 7**4 + 32 * 8 * 8
         assert all(len(b) * per_trial <= suites.TRIAL_BATCH_BYTES for b in batches)
         assert len(batches) > 1
         monkeypatch.setattr(suites, "TRIAL_BATCH_BYTES", 1)
-        assert [len(b) for b in suites._seed_batches(0, 3, 4, 256)] == [1, 1, 1]
+        assert [len(b) for b in suites._seed_batches(0, 3, 4, 32 * 256 * 256)] == [1, 1, 1]
 
     def test_batches_do_not_grow_with_the_trials(self, monkeypatch):
-        from weitzlab import weitzenbock as wb
-
         sizes = []
-        join = wb.k_matrix
+        coefficients = spin.SpinorBlades.coefficients
 
-        def counting(r, rep):
-            sizes.append(r.matrix.shape[0] if r.matrix.ndim == 3 else 1)
-            return join(r, rep)
+        def counting(blades, matrix):
+            sizes.append(matrix.shape[0] if matrix.ndim == 3 else 1)
+            return coefficients(blades, matrix)
 
-        monkeypatch.setattr(wb, "k_matrix", counting)
-        monkeypatch.setattr(suites, "TRIAL_BATCH_BYTES", 32 * 3**4 * 5 + 32 * 2 * 2 * 5)
+        monkeypatch.setattr(spin.SpinorBlades, "coefficients", counting)
+        # five trials at n = 3: four n^4 curvature tensors and 4 blade coefficients each
+        monkeypatch.setattr(suites, "TRIAL_BATCH_BYTES", (32 * 3**4 + 8 * 4) * 5)
         suites.lichnerowicz_suite(3, 23, 1)
         assert max(sizes) == 5 and sum(sizes) == 23 + 100
 
     def test_lemma_batches_hold_their_k_q_blocks(self, monkeypatch):
         # a lemma:k4 trial holds two (256, 21) blocks of K Q, far more than
         # its 16 x 16 two-slot operator, and its batches are sized by them
-        from weitzlab import weitzenbock as wb
-
         sizes = []
         restricted_k = wb._restricted_k
 
