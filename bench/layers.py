@@ -11,8 +11,8 @@ that it pays every cold cost a CLI process pays:
   process, import included);
 * ``random_curvature(n, seed)`` for n = 4 ... 16 (curvature sources);
 * ``representations.intertwiners(r, r)``, the commutant solve, for sym0 at
-  n = 6, the adjoint at n = 7, spin at n = 8 and exterior(3) at n = 7 and 8
-  (the dense kernel);
+  n = 6, the adjoint at n = 7, spin at n = 8, exterior(3) at n = 7, 8 and
+  10, and vector (x) spin restricted to u(3) at n = 6 (the dense kernel);
 * a whole ``isotypic_decompose`` for the four ``decompose`` invocations of
   the isotypic workload, plus the ``sym0`` / ``so:3`` case at n = 6;
 * ``suites.lemma_suite("k4", 10, seed)``, ``lemma_suite("k4", 100, seed)``
@@ -38,7 +38,12 @@ that it pays every cold cost a CLI process pays:
   it (assembly of K).
 
 Each child runs with one BLAS/OpenMP thread and a 3 GiB address-space cap,
-and reports its own peak RSS (a cold start's comes from its rusage).  The
+and reports its own peak RSS (a cold start's comes from its rusage).  A
+commutant solve or an isotypic split whose calls average under
+``LOOP_BELOW_S`` is called again in the same child, each time on a freshly
+built representation (untimed), until the timed calls add up to
+``LOOP_TARGET_S``; the child reports the mean time per call and the number
+of calls (``loops``), so that a case of a few milliseconds is resolved.  The
 record holds the median of five repeats (21 for a cold start), the sizes
 (n, rep dimension d, generator count N, tensor power k, commutant dimension,
 number of isotypic pieces, family dimensions, products searched, the largest
@@ -78,8 +83,20 @@ CAP_BYTES = 3 << 30
 REPEATS = 5
 CHILD_TIMEOUT_S = 300
 CURVATURE_NS = range(4, 17)
-#: (n, rep) of each commutant solve timed.
-INTERTWINER_CASES = ((6, "sym0"), (7, "adjoint"), (8, "spin"), (7, "exterior:3"), (8, "exterior:3"))
+#: (n, rep, subalgebra) of each commutant solve timed.
+INTERTWINER_CASES = (
+    (6, "sym0", "so-full"),
+    (7, "adjoint", "so-full"),
+    (8, "spin", "so-full"),
+    (7, "exterior:3", "so-full"),
+    (8, "exterior:3", "so-full"),
+    (10, "exterior:3", "so-full"),
+    (6, "tensor:vector,spin", "u:3"),
+)
+#: Calls that average less than LOOP_BELOW_S seconds are repeated in
+#: process, each on a fresh representation, until they take LOOP_TARGET_S.
+LOOP_BELOW_S = 0.03
+LOOP_TARGET_S = 0.2
 #: (n, rep, subalgebra) of each isotypic decomposition timed.
 DECOMPOSE_CASES = (
     (6, "exterior:2", "u:3"),
@@ -157,29 +174,50 @@ def _child_curvature(n: int) -> dict:
     return {"seconds": time.perf_counter() - t0, "peak_rss_mb": _peak_rss_mb()}
 
 
-def _child_intertwiners(n: int, rep: str) -> dict:
+def _looped(build, call) -> tuple[float, int, object, object]:
+    """``call(build())`` timed without its build: once, and while the calls
+    average under LOOP_BELOW_S, again on a fresh ``build()`` each time until
+    the timed calls add up to LOOP_TARGET_S.  The mean seconds per call, the
+    number of calls, and the last input and result."""
+    total, loops = 0.0, 0
+    while loops == 0 or (total < LOOP_TARGET_S and total / loops < LOOP_BELOW_S):
+        arg = build()
+        t0 = time.perf_counter()
+        result = call(arg)
+        total += time.perf_counter() - t0
+        loops += 1
+    return total / loops, loops, arg, result
+
+
+def _restricted(n: int, rep: str, sub: str):
+    """The representation ``rep`` of so(n), restricted to ``sub`` unless that
+    is so-full, built afresh."""
     from weitzlab import cli, representations
     from weitzlab.so_algebra import basis
 
     r = cli.parse_rep(rep, basis(n))
-    t0 = time.perf_counter()
-    comm = representations.intertwiners(r, r)
-    seconds = time.perf_counter() - t0
-    return {"seconds": seconds, "d": r.dim, "commutant_dim": len(comm), "peak_rss_mb": _peak_rss_mb()}
+    return r if sub == "so-full" else representations.rep_restrict(r, cli.parse_subalgebra(sub, n))
+
+
+def _child_intertwiners(n: int, rep: str, sub: str) -> dict:
+    from weitzlab import representations
+
+    seconds, loops, r, comm = _looped(lambda: _restricted(n, rep, sub), lambda r: representations.intertwiners(r, r))
+    return {
+        "seconds": seconds, "loops": loops, "d": r.dim, "N": r.count, "commutant_dim": len(comm),
+        "peak_rss_mb": _peak_rss_mb(),
+    }
 
 
 def _child_decompose(n: int, rep: str, sub: str) -> dict:
-    from weitzlab import cli, representations
-    from weitzlab.so_algebra import basis
+    from weitzlab import representations
 
-    restricted = cli.parse_rep(rep, basis(n))
-    if sub != "so-full":
-        restricted = representations.rep_restrict(restricted, cli.parse_subalgebra(sub, n))
-    t0 = time.perf_counter()
-    pieces = representations.isotypic_decompose(restricted, seed=0)
-    seconds = time.perf_counter() - t0
+    seconds, loops, restricted, pieces = _looped(
+        lambda: _restricted(n, rep, sub), lambda r: representations.isotypic_decompose(r, seed=0)
+    )
     return {
         "seconds": seconds,
+        "loops": loops,
         "d": restricted.dim,
         "N": len(restricted.mats),
         "pieces": len(pieces),
@@ -282,7 +320,7 @@ def _child(argv: list[str]) -> None:
     elif kind == "positivity":
         result = _child_positivity(int(rest[0]))
     elif kind == "intertwiners":
-        result = _child_intertwiners(int(rest[0]), rest[1])
+        result = _child_intertwiners(int(rest[0]), rest[1], rest[2])
     elif kind == "k":
         result = _child_k(int(rest[0]) if rest[0].isdigit() else rest[0], rest[1])
     else:
@@ -385,12 +423,15 @@ def measure(srcs: list[str]) -> list[dict]:
             break
         failed = case("random_curvature", ["curvature", str(n)], {"n": n, "N": n * (n - 1) // 2}, f"random_curvature n={n}", trees=ladder)
         ladder = [t for t in ladder if t not in failed]
-    for n, rep in INTERTWINER_CASES:
-        entry = {"n": n, "rep": rep, "N": n * (n - 1) // 2}
-        case("intertwiners", ["intertwiners", str(n), rep], entry, f"intertwiners {n} {rep}", sizes=("d", "commutant_dim"))
+    looped = ("seconds", "loops", "peak_rss_mb")
+    for n, rep, sub in INTERTWINER_CASES:
+        entry = {"n": n, "rep": rep, "sub": sub}
+        args = ["intertwiners", str(n), rep, sub]
+        case("intertwiners", args, entry, f"intertwiners {n} {rep} {sub}", sizes=("d", "N", "commutant_dim"), medians=looped)
     for n, rep, sub in DECOMPOSE_CASES:
         entry = {"n": n, "rep": rep, "sub": sub}
-        case("isotypic_decompose", ["decompose", str(n), rep, sub], entry, f"isotypic_decompose {n} {rep} {sub}", sizes=("d", "N", "pieces"))
+        args = ["decompose", str(n), rep, sub]
+        case("isotypic_decompose", args, entry, f"isotypic_decompose {n} {rep} {sub}", sizes=("d", "N", "pieces"), medians=looped)
     for kind, trials in LEMMA_CASES:
         entry = {"suite": f"lemma:{kind}", "trials": trials, "seed": LEMMA_SEED, "k": int(kind[1:])}
         case("lemma_suite", ["lemma", kind, str(trials)], entry, f"lemma_suite {kind} x{trials}", sizes=("n", "d", "N", "power_dim"))

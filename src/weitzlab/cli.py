@@ -385,7 +385,14 @@ def _emit(payload: dict, fmt: str, out_path: str | None) -> None:
         except OSError as exc:
             raise UsageError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(text + "\n")
+        try:
+            sys.stdout.write(text + "\n")
+            sys.stdout.flush()
+        except OSError as exc:
+            # the interpreter flushes stdout again at exit; pointed at the
+            # null device, that flush neither fails nor prints a traceback
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise UsageError(f"cannot write to stdout: {exc.strerror or exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,9 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=ARTIFACT_VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed_help="seed for random inputs"):
         p.add_argument("--n", type=int, default=None, help="dimension n of so(n)")
-        p.add_argument("--seed", type=int, default=None, help="seed for random inputs")
+        p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--tolerance", type=float, default=None, help="tolerance override (default: WEITZLAB_TOL)")
         p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -418,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--curvature", default=None, help="curvature source for positivity")
 
     pd = sub.add_parser("decompose", help="isotypic decomposition under a subalgebra")
-    common(pd)
+    common(pd, "selects the generic combination of the commutant basis whose eigenspaces split the pieces (default 0)")
     pd.add_argument("--rep", required=True)
     pd.add_argument("--sub", required=True, help="so-full|u:m|so:m|file:<path>")
 

@@ -1,6 +1,5 @@
 """Dense matrix kernel: Hermitian eigenvalues and eigendecomposition,
-nullspaces, Kronecker sums ``sum_x a[x] (x) b[x]`` over stacks of matrices,
-orthonormal column bases and orthogonal projectors.
+nullspaces, orthonormal column bases and orthogonal projectors.
 
 Matrices are double-precision complex, except in the Hermitian
 eigensolvers: there real input stays float64, and a Hermitian part whose
@@ -25,7 +24,6 @@ __all__ = [
     "eigvals_hermitian",
     "fix_phases",
     "frobenius",
-    "kron_sum",
     "nullspace",
     "orthonormal_columns",
     "projector",
@@ -157,15 +155,6 @@ def nullspace(a, tol: float = DEFAULT_NULLSPACE_TOL, atol: float = 0.0) -> np.nd
     rank = int(np.sum(s > cutoff)) if smax > cutoff else 0
     basis = vh[rank:].conj().T
     return fix_phases(basis)
-
-
-def kron_sum(a, b) -> np.ndarray:
-    """``sum_x a[x] (x) b[x]`` for stacks ``a`` of shape (N, p, q) and ``b`` of
-    shape (N, r, s): one (p q, N) @ (N, r s) product, then one transpose."""
-    a, b = np.asarray(a), np.asarray(b)
-    (count, p, q), (_, r, s) = a.shape, b.shape
-    prod = a.reshape(count, p * q).T @ b.reshape(count, r * s)
-    return prod.reshape(p, q, r, s).transpose(0, 2, 1, 3).reshape(p * r, q * s)
 
 
 def orthonormal_columns(a, tol: float = DEFAULT_NULLSPACE_TOL, atol: float = 0.0) -> np.ndarray:

@@ -71,7 +71,8 @@ def gen_table(gen, row, col, val, dim: int) -> GenTable:
 class Rep:
     """Matrix representation: one complex ``dim x dim`` matrix per generator,
     stored as the table of their nonzero entries.  ``mats`` and
-    :meth:`stacked` are dense read-only views, built on first use and kept.
+    :meth:`stacked` are dense read-only views, built on first use and kept,
+    and refused before they are built if they cannot fit.
 
     ``clifford`` marks the spin and half-spin representations of so(n): it
     holds the Clifford blade of each generator (:class:`spin.SpinorBlades`),
@@ -106,6 +107,7 @@ class Rep:
 
     @functools.cached_property
     def _dense(self) -> np.ndarray:
+        numerics.require_bytes(16 * self.count * self.dim**2, f"the dense generators of {self.label}")
         out = np.zeros((self.count, self.dim, self.dim), dtype=complex)
         out[self.table.gen, self.table.row, self.table.col] = self.table.val
         out.flags.writeable = False
@@ -319,40 +321,115 @@ def casimir(r: Rep) -> np.ndarray:
 
 
 #: Relative cutoff of :func:`intertwiners`: an eigenvalue of G at or below
-#: this multiple of the largest counts as zero.  On the constructed reps the
-#: kernel's are rounding dust (<= 1e-15 relative) and the rest >= 1/40 of it.
+#: this multiple of ``tr(sum_a sigma~^H sigma~) / d2 + tr(sum_a rho~ rho~^H)
+#: / d1`` (minus the mean Casimir eigenvalues) counts as zero.  G's own
+#: largest is rounding dust when its positions hold only the kernel.  On
+#: the constructed reps the kernel's are <= 1e-15 of that scale, the rest
+#: >= 1/40 of the full normal matrix's largest, of the same order.
 KERNEL_TOL = 1e-9
+
+#: Eigenvalues of iρ1(X) and iρ2(X) within this multiple of max(1, largest
+#: |eigenvalue|) pair up.  Equal weights differ by rounding (<= 1e-14
+#: relative); pairing distinct ones only adds unknowns.
+WEIGHT_TOL = 1e-8
+
+#: Entries of an intertwiner at or below this multiple of its largest are
+#: rounding dust of the change of basis (<= 1e-15 relative) and set to zero.
+DUST_TOL = 1e-13
+
+#: 2^64 / φ rounded to odd: the step of the Weyl sequence of :func:`_golden`.
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _golden(count: int, seed: int = 0) -> np.ndarray:
+    """``count`` fixed coefficients in [-1, 1), no two equal: 2 frac(k/φ) - 1
+    for the integers k from ``seed * count + 1`` on, in 64-bit fixed point,
+    so that every seed below 2^64 / count selects its own run."""
+    k = np.arange(count, dtype=np.uint64) + np.uint64((seed * count + 1) % 2**64)
+    return (k * np.uint64(_GOLDEN) >> np.uint64(11)) * 2.0**-52 - 1.0
+
+
+def _torus_eigh(r: Rep, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the Hermitian iρ(X), X = sum_a coeff[a] x_a."""
+    m = np.zeros((r.dim, r.dim), dtype=complex)
+    np.add.at(m, (r.table.row, r.table.col), 1j * coeff[r.table.gen] * r.table.val)
+    return numerics.eig_hermitian(m)
 
 
 def intertwiners(r1: Rep, r2: Rep) -> list[np.ndarray]:
     """Orthonormal basis (Frobenius) of ``{T : sigma(x_a) T = T rho(x_a)}``,
-    maps from the space of ``r1`` (rho) to that of ``r2`` (sigma): the kernel
-    of ``G = sum_a B_a^H B_a``, ``B_a = sigma_a (x) 1 - 1 (x) rho_a^T`` acting
-    on the row-major ``vec T``, from one Hermitian eigendecomposition.  For
-    skew-adjoint generators G is minus the Casimir of Hom(rho, sigma).  When
-    both tables are real, G is built from the real stacks, solved by the real
-    symmetric solver, and the intertwiners are real.
+    maps from the space of ``r1`` (rho) to that of ``r2`` (sigma).
 
-    G has ``(d1 d2)^2`` entries, and a solve that cannot fit is refused
-    before G is formed (:func:`numerics.require_bytes`): with G's Kronecker
-    temporaries and the eigensolver's copy, workspace and eigenvectors, the
-    peak measured 7.0 to 7.7 entries of G's dtype per entry of G, and 8 are
-    reserved."""
+    Such a T commutes with ρ(X) for every X, so it maps each eigenspace of
+    iρ(X) into the eigenspace of iσ(X) with the same eigenvalue.  For the
+    fixed X of :func:`_golden` (no random state) and eigenbases U1, U2,
+    ``A = U2^H T U1`` lives on the S positions whose eigenvalues pair up:
+    sum of m_mu^2 for a commutant with weight multiplicities m_mu when X is
+    regular, more when it is not.  A solves ``sigma~_a A = A rho~_a``,
+    ``rho~_a = U1^H rho_a U1``, whose normal matrix on those positions is
+
+        G[(ij),(kl)] = δ_jl (sum_a sigma~^H sigma~)[i,k]
+                     + δ_ik (sum_a rho~ rho~^H)[l,j] - C[(ij),(kl)] - conj C[(kl),(ij)],
+        C[(ij),(kl)] = sum_a conj(sigma~_a[k,i]) rho~_a[l,j],
+
+    C summed one generator at a time.  Its kernel (one eigh, KERNEL_TOL)
+    maps back by the unitary ``T = U2 A U1^H``.  When both tables are real
+    the commutant is closed under conjugation, and the real and imaginary
+    parts of the T are orthonormalised into as many real intertwiners.
+
+    Each step is refused before it allocates if it cannot fit
+    (:func:`numerics.require_bytes`): the eigendecompositions at 96 bytes
+    per entry of d1^2 + d2^2 (5.8 x 16 measured), then the dense views at 16
+    per entry of N (d1^2 + d2^2) and G at 128 per entry of S^2 (peaks 0.9
+    and 0.7 of these shares where each dominates)."""
     if not _same_basis(r1, r2):
         raise ValueError("intertwiners need representations over the same basis")
+    return _intertwiners_at(r1, r2, _golden(r1.count))
+
+
+def _intertwiners_at(r1: Rep, r2: Rep, coeff: np.ndarray) -> list[np.ndarray]:
+    """:func:`intertwiners` from the eigenspaces of iρ(X), X = sum_a
+    coeff[a] x_a."""
     d1, d2 = r1.dim, r2.dim
-    real = not (np.any(r1.table.val.imag) or np.any(r2.table.val.imag))
+    numerics.require_bytes(96 * (d1 * d1 + d2 * d2), f"the torus eigendecompositions of {r1.label} and {r2.label}")
+    w1, u1 = _torus_eigh(r1, coeff)
+    w2, u2 = (w1, u1) if r2 is r1 else _torus_eigh(r2, coeff)
+    tol = WEIGHT_TOL * np.max(np.abs(np.concatenate([w1, w2])), initial=1.0)
+    i, j = np.nonzero(np.abs(w2[:, None] - w1) <= tol)
+    size = len(i)
     numerics.require_bytes(
-        8 * (8 if real else 16) * (d1 * d2) ** 2,
-        f"the commutant solve of {r1.label} and {r2.label} (G has {(d1 * d2) ** 2} entries)",
+        16 * r1.count * (d1 * d1 + d2 * d2) + 128 * size * size,
+        f"the commutant solve of {r1.label} and {r2.label} ({size} unknowns)",
     )
-    rho, sigma = (r.stacked().real if real else r.stacked() for r in (r1, r2))
-    cross = numerics.kron_sum(sigma.conj().transpose(0, 2, 1), rho.transpose(0, 2, 1))
-    g = np.kron(np.einsum("aji,ajk->ik", sigma.conj(), sigma), np.eye(d1)) - cross
-    g += np.kron(np.eye(d2), np.einsum("aij,akj->ik", rho.conj(), rho)) - cross.conj().T
+    if size == 0:
+        return []
+    ii, jj = np.ix_(i, i), np.ix_(j, j)
+    sum_ss, sum_rr = np.zeros((d2, d2), dtype=complex), np.zeros((d1, d1), dtype=complex)
+    cross = np.zeros((size, size), dtype=complex)  # C transposed
+    u1h, u2h = u1.conj().T, u2.conj().T
+    for m1, m2 in zip(r1.stacked(), r2.stacked()):
+        rho = u1h @ m1 @ u1
+        sigma = rho if r2 is r1 else u2h @ m2 @ u2
+        sum_ss += sigma.conj().T @ sigma
+        sum_rr += rho @ rho.conj().T
+        cross += sigma[ii].conj() * rho[jj]
+    g = (j[:, None] == j) * sum_ss[ii] + (i[:, None] == i) * sum_rr.T[jj]
+    g -= cross.T + cross.conj()
+    scale = np.trace(sum_ss).real / d2 + np.trace(sum_rr).real / d1
     w, v = numerics.eig_hermitian(g)
-    kernel = v[:, w <= KERNEL_TOL * w[-1]]
-    return [kernel[:, k].reshape(d2, d1) for k in range(kernel.shape[1])]
+    kernel = v[:, w <= KERNEL_TOL * scale]
+    if kernel.shape[1] == 0:
+        return []
+    a = np.zeros((kernel.shape[1], d2, d1), dtype=complex)
+    a[:, i, j] = kernel.T
+    t = u2 @ a @ u1h
+    if not (np.any(r1.table.val.imag) or np.any(r2.table.val.imag)):
+        parts = t.reshape(len(t), -1)
+        parts = np.concatenate([parts.real, parts.imag])
+        w, v = numerics.eig_hermitian(parts @ parts.T)  # eigenvalues 1 and 0, half each
+        t = (v[:, w > 0.5].T @ parts).reshape(-1, d2, d1)
+    t[np.abs(t) <= DUST_TOL * np.abs(t).max(axis=(1, 2), keepdims=True)] = 0.0
+    return list(t)
 
 
 def commutant_dimension(r: Rep, field: str = "C") -> int:
@@ -379,9 +456,10 @@ def isotypic_decompose(r: Rep, seed: int = 0, cluster_tol: float = 1e-6) -> list
     """Split a representation into isotypic pieces.
 
     By Schur's lemma the commutant is the sum of one matrix algebra M_m(C)
-    per isotypic piece V (x) C^m.  The Hermitian part of a pseudorandom
-    (seeded, recorded by callers) complex combination of the commutant's
-    orthonormal basis T_k acts on each piece as 1 (x) A with A generic, so
+    per isotypic piece V (x) C^m.  The Hermitian part of a generic complex
+    combination of the commutant's orthonormal basis T_k, whose coefficients
+    ``seed`` selects from the closed-form sequence of :func:`_golden` (no
+    random state), acts on each piece as 1 (x) A with A generic, so
     its eigenvalue clusters are irreducible subrepresentations E_p.  With
     Q_p the columns of cluster p, ``L[p, q] = sum_k ||Q_p^H T_k Q_q||^2``
     is dim Hom(E_q, E_p): 1 between equivalent clusters, 0 otherwise.  A
@@ -395,8 +473,8 @@ def isotypic_decompose(r: Rep, seed: int = 0, cluster_tol: float = 1e-6) -> list
     happens to return.
     """
     comm = np.array(intertwiners(r, r))
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(len(comm)) + 1j * rng.standard_normal(len(comm))
+    parts = _golden(2 * len(comm), seed)
+    coeff = parts[: len(comm)] + 1j * parts[len(comm):]
     generic = np.tensordot(coeff, comm, axes=1)
     w, v = numerics.eig_hermitian((generic + generic.conj().T) / 2)
     scale = max(1.0, float(np.max(np.abs(w))))

@@ -1,9 +1,10 @@
 """Independent references for the tests.
 
 The package builds the Clifford generators, the half-spins and the
-projection lemma from closed forms.  These are the slower, direct
-constructions those forms are checked against, and checks of the premises
-every verdict rests on.  Nothing in ``src/`` imports this module.
+projection lemma from closed forms, and solves for intertwiners on the
+weight blocks of a torus element.  These are the slower, direct
+constructions those are checked against, and checks of the premises every
+verdict rests on.  Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -64,6 +65,30 @@ def tensor_power_rep(rho: reps.Rep, k: int) -> reps.Rep:
     for _ in range(k - 1):
         power = reps.rep_tensor(power, rho)
     return power.relabeled(f"{rho.label}^(x){k}")
+
+
+def kron_sum(a, b) -> np.ndarray:
+    """``sum_x a[x] (x) b[x]`` for stacks ``a`` of shape (N, p, q) and ``b`` of
+    shape (N, r, s): one (p q, N) @ (N, r s) product, then one transpose."""
+    a, b = np.asarray(a), np.asarray(b)
+    (count, p, q), (_, r, s) = a.shape, b.shape
+    prod = a.reshape(count, p * q).T @ b.reshape(count, r * s)
+    return prod.reshape(p, q, r, s).transpose(0, 2, 1, 3).reshape(p * r, q * s)
+
+
+def dense_intertwiners(r1: reps.Rep, r2: reps.Rep) -> list[np.ndarray]:
+    """The intertwiners from ``r1`` to ``r2`` as the kernel of the full
+    normal matrix ``G = sum_a B_a^H B_a``, ``B_a = sigma_a (x) 1 - 1 (x)
+    rho_a^T`` on the row-major ``vec T``, (d1 d2)^2 entries, from the
+    complex Hermitian solver with the cutoff of ``representations.KERNEL_TOL``."""
+    d1, d2 = r1.dim, r2.dim
+    rho, sigma = r1.stacked(), r2.stacked()
+    cross = kron_sum(sigma.conj().transpose(0, 2, 1), rho.transpose(0, 2, 1))
+    g = np.kron(np.einsum("aji,ajk->ik", sigma.conj(), sigma), np.eye(d1)) - cross
+    g += np.kron(np.eye(d2), np.einsum("aij,akj->ik", rho.conj(), rho)) - cross.conj().T
+    w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
+    kernel = v[:, w <= reps.KERNEL_TOL * w[-1]]
+    return [kernel[:, k].reshape(d2, d1) for k in range(kernel.shape[1])]
 
 
 def dual(r: reps.Rep) -> reps.Rep:

@@ -275,12 +275,13 @@ class TestSizePreflight:
         assert peak_mb < 100 and elapsed < 2.0
 
     @pytest.mark.parametrize(
-        "rep, label, entries, nbytes",
-        # G of exterior(2) of so(4) is real, 36^2 entries of 8 bytes; that of
-        # spin, complex, 16^2 entries of 16 bytes; 8 of them per entry
-        (("exterior:2", "exterior(2)", 1296, 82944), ("spin", "spin", 256, 32768)),
+        "rep, label, unknowns, nbytes",
+        # 16 bytes per entry of the dense views, 6 generators x 2 d^2, and 128
+        # per entry of G, S^2: exterior(2) of so(4) has d = 6 and S = 4 + 2^2
+        # (four weights and the zero weight twice), spin d = 4 and S = 4
+        (("exterior:2", "exterior(2)", 8, 15104), ("spin", "spin", 4, 5120)),
     )
-    def test_commutant_solve_refused_before_its_normal_matrix(self, rep, label, entries, nbytes, monkeypatch, capsys):
+    def test_commutant_solve_refused_before_its_normal_matrix(self, rep, label, unknowns, nbytes, monkeypatch, capsys):
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         argv = ["decompose", "--n", "4", "--rep", rep, "--sub", "so-full"]
         monkeypatch.setattr(resource, "getrlimit", lambda which: (nbytes - 1, hard))
@@ -288,11 +289,34 @@ class TestSizePreflight:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == (
-            f"error: out of memory: the commutant solve of {label} and {label} (G has {entries} entries) "
+            f"error: out of memory: the commutant solve of {label} and {label} ({unknowns} unknowns) "
             f"needs {nbytes} bytes, more than the address-space limit of {nbytes - 1} bytes\n"
         )
         monkeypatch.setattr(resource, "getrlimit", lambda which: (nbytes, hard))
         assert cli.main(argv) == 0
+
+
+    def test_torus_eigendecomposition_refused_before_its_matrices(self, monkeypatch, capsys):
+        # spin of so(4): two 4 x 4 eigendecompositions, 96 bytes an entry
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (3071, hard))
+        code = cli.main(["decompose", "--n", "4", "--rep", "spin", "--sub", "so-full"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: out of memory: the torus eigendecompositions of spin and spin needs 3072 bytes, "
+            "more than the address-space limit of 3071 bytes\n"
+        )
+
+    def test_dense_views_refused_before_they_are_built(self, monkeypatch):
+        # exterior(2) of so(5): 10 generators on 10 dimensions, 16 bytes each
+        r = reps.rep_exterior(so.basis(5), 2)
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (15999, hard))
+        with pytest.raises(MemoryError, match=r"^the dense generators of exterior\(2\) needs 16000 bytes"):
+            r.stacked()
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (16000, hard))
+        assert r.stacked().shape == (10, 10, 10)
 
 
 class TestTrialPreflight:
@@ -525,6 +549,20 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_closed_stdout_pipe_exit_2_with_one_error_line(self):
+        # the reader has gone before the report is written: EPIPE
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            out = subprocess.run(
+                **_capped_child(["k", "--n", "10", "--rep", "sym:3", "--curvature", "sphere"]),
+                stdout=write, stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert out.returncode == 2
+        assert out.stderr == "error: cannot write to stdout: Broken pipe\n"
+
     @pytest.mark.parametrize("rep", ("tensor:(vector),spin", "tensor:(tensor:vector,vector),spin"))
     def test_parenthesised_tensor_factor_exit_2(self, rep, capsys):
         code = cli.main(["k", "--n", "4", "--rep", rep, "--curvature", "sphere"])
@@ -578,6 +616,24 @@ class TestDecomposeCommand:
         assert sum(p["dim"] for p in pieces) == 6
         trivial = [p for p in pieces if abs(p["casimir_eigenvalue"]) < 1e-9]
         assert len(trivial) == 1 and trivial[0]["dim"] == 1
+
+    @pytest.mark.parametrize(
+        "n, rep, sub", ((6, "exterior:2", "u:3"), (5, "adjoint", "so:4"), (5, "sym0", "so:3"), (4, "tensor:vector,vector", "so-full"))
+    )
+    def test_pieces_do_not_depend_on_the_seed(self, n, rep, sub, capsys):
+        # the seed selects the generic combination of the commutant basis,
+        # never the pieces, their order or their rounded projectors
+        runs = []
+        for seed in (0, 1, 7, 999999):
+            code, payload = run_json(["decompose", "--n", str(n), "--rep", rep, "--sub", sub, "--seed", str(seed)], capsys)
+            assert code == 0
+            runs.append(payload["reports"][0]["details"]["pieces"])
+        for pieces in runs[1:]:
+            assert [(p["dim"], p["multiplicity"], p["projector_digest"]) for p in pieces] == [
+                (p["dim"], p["multiplicity"], p["projector_digest"]) for p in runs[0]
+            ]
+            for p, q in zip(pieces, runs[0]):
+                assert abs(p["casimir_eigenvalue"] - q["casimir_eigenvalue"]) <= 1e-12 * max(1.0, abs(q["casimir_eigenvalue"]))
 
     def test_u_subalgebra_dimension_mismatch(self, capsys):
         code = cli.main(["decompose", "--n", "5", "--rep", "vector", "--sub", "u:2"])
@@ -667,6 +723,35 @@ class TestColdStart:
         on_import, layers, on_run = ast.literal_eval(out.stdout.splitlines()[-1])
         assert layers, tracing.MODULES
         assert on_import == [] and on_run == []
+
+
+#: Runs the CLI on the command line given, in a fresh interpreter, and
+#: reports its exit code and whether numpy.random was loaded on the way.
+_RANDOM_PROBE = """
+import sys
+import weitzlab.cli
+code = weitzlab.cli.main(sys.argv[1:])
+print(repr((code, "numpy.random" in sys.modules)), file=sys.stderr)
+"""
+
+
+class TestNoRandomState:
+    @pytest.mark.parametrize("command", ("decompose", "positivity"))
+    def test_runs_without_numpy_random(self, command, tmp_path):
+        # the commutant solve and the isotypic split take closed-form
+        # coefficients, so neither command imports numpy.random
+        if command == "decompose":
+            argv = ["decompose", "--n", "6", "--rep", "exterior:2", "--sub", "u:3", "--seed", "7"]
+        else:
+            path = tmp_path / "r.json"
+            path.write_text(json.dumps(oracles.curvature_json(curv.curvature_operator(3, np.diag([1.0, 1.0, -1.0])))))
+            argv = ["check", "positivity", "--n", "3", "--curvature", f"file:{path}"]
+        src = os.path.dirname(os.path.dirname(weitzlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run(
+            [sys.executable, "-c", _RANDOM_PROBE, *argv], env=env, capture_output=True, text=True, check=True, timeout=60
+        )
+        assert out.stderr.splitlines()[-1] == "(0, False)"
 
 
 class TestDeterminism:

@@ -96,38 +96,6 @@ def _forms_oracle(r) -> np.ndarray:
     return _stacked_kernel([np.kron(m.T, eye) + np.kron(eye, m.T) for m in r.mats])
 
 
-def _fix_phases_loop(v, tol=1e-12):
-    """Oracle: the phase convention one column at a time, in complex."""
-    v = np.array(v, dtype=np.complex128, copy=True)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.nonzero(np.abs(col) > tol)[0]
-        if nz.size:
-            v[:, j] = col * (np.abs(col[nz[0]]) / col[nz[0]])
-    return v
-
-
-def _complex_eig(g):
-    """Oracle: the complex Hermitian solver and the column loop of the phase
-    convention, whatever the imaginary part of ``g`` holds."""
-    w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
-    return w, _fix_phases_loop(v)
-
-
-def _complex_intertwiners(r1, r2, solve=_complex_eig) -> list[np.ndarray]:
-    """Oracle: the normal-matrix kernel with G built from the complex stacks,
-    whatever the tables hold.  With ``solve=numerics.eig_hermitian`` this is
-    the complex-table solve as it stood before real tables were kept real."""
-    d1, d2 = r1.dim, r2.dim
-    rho, sigma = r1.stacked(), r2.stacked()
-    cross = numerics.kron_sum(sigma.conj().transpose(0, 2, 1), rho.transpose(0, 2, 1))
-    g = np.kron(np.einsum("aji,ajk->ik", sigma.conj(), sigma), np.eye(d1)) - cross
-    g += np.kron(np.eye(d2), np.einsum("aij,akj->ik", rho.conj(), rho)) - cross.conj().T
-    w, v = solve(g)
-    kernel = v[:, w <= reps.KERNEL_TOL * w[-1]]
-    return [kernel[:, k].reshape(d2, d1) for k in range(kernel.shape[1])]
-
-
 def _center_oracle(comm) -> list[np.ndarray]:
     """Oracle: the center of the commutant, the nullspace of the matrix whose
     column j stacks [C_j, C_i] over i."""
@@ -509,45 +477,103 @@ class TestKernelOracle:
             reps.commutant_dimension(rep_spin(b4), "R")
 
 
+def _complex_table_cases() -> dict:
+    """Spin and half-spin reps and vector (x) spin, whose tables are complex."""
+    cases = {}
+    for n in (3, 4, 5, 6):
+        cases[f"spin n={n}"] = lambda b: rep_spin(b)
+    for n in (4, 6, 8):
+        cases[f"spin+ n={n}"] = lambda b: rep_half_spin(b, 1)
+        cases[f"spin- n={n}"] = lambda b: rep_half_spin(b, -1)
+    for n in (3, 4):
+        cases[f"vector(x)spin n={n}"] = lambda b: reps.rep_tensor(reps.rep_vector(b), rep_spin(b))
+    return cases
+
+
+def _complex_table_rep(case: str) -> reps.Rep:
+    return _complex_table_cases()[case](so.basis(int(case.split(" n=")[1])))
+
+
+def _pair_cases() -> dict:
+    """Pairs r1 -> r2 of different reps: the vector into vector (x) vector
+    and into two reps that it does not occur in, and reps into their duals
+    (real, complex, self-dual or not)."""
+    v3 = reps.rep_vector(so.basis(3))
+    cases = {
+        "vector->vector(x)vector n=3": (v3, reps.rep_tensor(v3, v3)),
+        "vector->trivial n=3": (v3, reps.rep_trivial(v3.basis)),
+        "vector->sym0 n=3": (v3, reps.rep_sym0(v3.basis)),
+    }
+    for name, r in (
+        ("exterior(2) n=4", reps.rep_exterior(so.basis(4), 2)),
+        ("sym0 n=5", reps.rep_sym0(so.basis(5))),
+        ("spin n=5", rep_spin(so.basis(5))),
+        ("spin+ n=4", rep_half_spin(so.basis(4), 1)),
+        ("spin- n=6", rep_half_spin(so.basis(6), -1)),
+    ):
+        cases[f"{name}->dual"] = (r, oracles.dual(r))
+    return cases
+
+
 class TestRealKernel:
-    """Real tables give a real G and a real kernel with the span of the
-    complex solve; complex tables take the complex solve unchanged."""
+    """The torus-block solve against the kernel of the full normal matrix G
+    (the dense-G oracle): the same span to 1e-12, real float64 intertwiners
+    for real tables, and the same span from a degenerate torus element."""
 
     @pytest.mark.parametrize(("case", "spec"), list(_real_kernel_cases().items()), ids=list(_real_kernel_cases()))
     def test_real_kernel_spans_the_complex_kernel(self, case, spec):
         r = _build_rep(*spec)
         assert not np.any(r.table.val.imag)
         got = reps.intertwiners(r, r)
-        want = _complex_intertwiners(r, r)
+        want = oracles.dense_intertwiners(r, r)
         assert len(got) == len(want)
         assert all(t.dtype == np.float64 for t in got)
         assert np.linalg.norm(_span_projector(got) - _span_projector(want)) <= 1e-12
 
-    @pytest.mark.parametrize(
-        "case",
-        ("spin n=3", "spin n=5", "spin n=6", "spin+ n=4", "spin- n=6", "spin+ n=8", "vector(x)spin n=3", "vector(x)spin n=4"),
-    )
-    def test_complex_tables_bit_equal_to_the_complex_solve(self, case):
-        label, n = case.split(" n=")
-        b = so.basis(int(n))
-        r = {
-            "spin": lambda: rep_spin(b),
-            "spin+": lambda: rep_half_spin(b, 1),
-            "spin-": lambda: rep_half_spin(b, -1),
-            "vector(x)spin": lambda: reps.rep_tensor(reps.rep_vector(b), rep_spin(b)),
-        }[label]()
+    @pytest.mark.parametrize("case", list(_complex_table_cases()))
+    def test_complex_tables_span_the_dense_solve(self, case):
+        r = _complex_table_rep(case)
         assert np.any(r.table.val.imag)
         got = reps.intertwiners(r, r)
-        want = _complex_intertwiners(r, r, solve=numerics.eig_hermitian)
+        want = oracles.dense_intertwiners(r, r)
         assert len(got) == len(want)
-        for t, u in zip(got, want):
-            assert t.dtype == u.dtype
-            assert np.array_equal(t.view(np.uint64), u.view(np.uint64))
-        # the spin commutants' G has an exactly zero imaginary part, so the
-        # real solver takes it; the span is the complex solver's
-        full = _complex_intertwiners(r, r)
-        assert len(full) == len(got)
-        assert np.linalg.norm(_span_projector(got) - _span_projector(full)) <= 1e-12
+        assert np.linalg.norm(_span_projector(got) - _span_projector(want)) <= 1e-12
+
+    @pytest.mark.parametrize("case", list(_pair_cases()))
+    def test_pairs_span_the_dense_solve(self, case):
+        r1, r2 = _pair_cases()[case]
+        got = reps.intertwiners(r1, r2)
+        want = oracles.dense_intertwiners(r1, r2)
+        assert len(got) == len(want)
+        assert all(t.shape == (r2.dim, r1.dim) for t in got)
+        if want:
+            assert np.linalg.norm(_span_projector(got) - _span_projector(want)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "case", ("exterior:2|u:3 n=6", "sym0|so:4 n=5", "adjoint n=4", "spin n=5", "vector(x)spin n=4", "pair")
+    )
+    def test_degenerate_torus_element_gives_the_same_span(self, case):
+        # X = 0 pairs every position with every other: the solve is then
+        # the full normal matrix in the eigenbasis of the zero matrix
+        if case == "pair":
+            r1, r2 = _pair_cases()["vector->vector(x)vector n=3"]
+        elif case in _complex_table_cases():
+            r1 = r2 = _complex_table_rep(case)
+        else:
+            kind, n = case.split(" n=")
+            r1 = r2 = _build_rep(int(n), *(kind.split("|") + [None])[:2])
+        got = reps._intertwiners_at(r1, r2, np.zeros(r1.count))
+        want = reps.intertwiners(r1, r2)
+        assert len(got) == len(want) >= 1
+        assert np.linalg.norm(_span_projector(got) - _span_projector(want)) <= 1e-12
+
+    def test_golden_coefficients_are_fixed_distinct_and_seed_selected(self):
+        first = reps._golden(50)
+        assert np.array_equal(first, reps._golden(50))
+        assert np.all((first >= -1.0) & (first < 1.0)) and len(np.unique(first)) == 50
+        # seed s takes the run of count values after the first s runs
+        assert np.array_equal(reps._golden(10, seed=3), reps._golden(40)[30:])
+        assert len(np.unique(reps._golden(8, seed=2**70))) == 8
 
 
 class TestInvariantForms:
