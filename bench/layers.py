@@ -9,7 +9,8 @@ that it pays every cold cost a CLI process pays:
   with ``PYTHONDONTWRITEBYTECODE=1``, timed from spawn to exit, so that each
   compiles the package from source as a benchmark child does (the CLI
   process, import included);
-* ``random_curvature(n, seed)`` for n = 4 ... 16 (curvature sources);
+* ``random_curvature(n, seed)`` for n = 4 ... 16, 24, 32 and 40 (curvature
+  sources);
 * ``representations.intertwiners(r, r)``, the commutant solve, for sym0 at
   n = 6, the adjoint at n = 7, spin at n = 8, exterior(3) at n = 7, 8 and
   10, and vector (x) spin restricted to u(3) at n = 6 (the dense kernel);
@@ -82,7 +83,7 @@ THREADS = "1"
 CAP_BYTES = 3 << 30
 REPEATS = 5
 CHILD_TIMEOUT_S = 300
-CURVATURE_NS = range(4, 17)
+CURVATURE_NS = (*range(4, 17), 24, 32, 40)
 #: (n, rep, subalgebra) of each commutant solve timed.
 INTERTWINER_CASES = (
     (6, "sym0", "so-full"),

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import numerics
 from .so_algebra import SimpleAlgebraData, basis as so_basis, expand, pair_list
 
 __all__ = [
@@ -33,14 +34,13 @@ __all__ = [
     "ricci",
     "scalar",
     "sphere",
-    "to_tensor",
 ]
 
 
 class CurvatureOperator(NamedTuple):
     """Symmetric N x N matrix over the so(n) pair basis, N = n(n-1)/2, or a
-    stack of them with shape (T, N, N), which :func:`to_tensor`,
-    :func:`bianchi_project` and :func:`weitzenbock.k_matrix` take whole."""
+    stack of them with shape (T, N, N), which :func:`bianchi_project`,
+    :func:`ricci` and :func:`weitzenbock.k_matrix` take whole."""
 
     n: int
     matrix: np.ndarray
@@ -74,8 +74,13 @@ def curvature_operator(n: int, matrix, bianchi: bool | None = None, sym_tol: flo
 
 
 # ---------------------------------------------------------------------------
-# Tensor form and Bianchi projection
+# Bianchi projection in pair coordinates
 # ---------------------------------------------------------------------------
+
+
+def _pair_number(n: int, i, j):
+    """Position of the pair (i, j), i < j, in the lexicographic pair basis."""
+    return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
 @functools.cache
@@ -88,65 +93,76 @@ def _pair_index(n: int):
     return i[:, None], j[:, None], i[None, :], j[None, :]
 
 
-def to_tensor(op: CurvatureOperator) -> np.ndarray:
-    """Rank-4 form: ``T[i,j,k,l]`` with the pair (anti)symmetries, ``T = 2 R``
-    on sorted pairs; a stack of operators gives a stack of tensors."""
-    n = op.n
-    v = 2.0 * op.matrix
-    t = np.zeros(v.shape[:-2] + (n, n, n, n))
-    i, j, k, l = _pair_index(n)
-    t[..., i, j, k, l] = v
-    t[..., j, i, k, l] = -v
-    t[..., i, j, l, k] = -v
-    t[..., j, i, l, k] = v
-    return t
+@functools.cache
+def _pairings(n: int) -> np.ndarray:
+    """Flat positions in an N x N matrix of the three pairings (ij, kl),
+    (ik, jl), (il, jk) of every 4-subset i < j < k < l, shape (2, 3,
+    C(n, 4)): at [0] the entries themselves, at [1] their transposes.
+    Built once per n; read-only."""
+    quads = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), 4)), dtype=np.intp)
+    i, j, k, l = quads.reshape(-1, 4).T
+    rows = _pair_number(n, np.array([i, i, i]), np.array([j, k, l]))
+    cols = _pair_number(n, np.array([k, j, j]), np.array([l, l, k]))
+    npairs = n * (n - 1) // 2
+    flat = np.stack([rows * npairs + cols, cols * npairs + rows])
+    flat.flags.writeable = False
+    return flat
 
 
-def _pair_matrix(t: np.ndarray) -> np.ndarray:
-    """Symmetric pair-basis matrix ``R_ab = T[i_a, j_a, i_b, j_b] / 2``, over
-    the last four axes."""
-    r = t[(Ellipsis, *_pair_index(t.shape[-1]))] / 2.0
-    return (r + r.swapaxes(-1, -2)) / 2.0
+#: Sign of each pairing in the Lambda^4 part.
+_PAIRING_SIGNS = (1.0, -1.0, 1.0)
 
 
-def _cyclic_sum(t: np.ndarray) -> np.ndarray:
-    """First-Bianchi cyclic sum ``T_ijkl + T_jkil + T_kijl``."""
-    return t + np.einsum("jkil->ijkl", t) + np.einsum("kijl->ijkl", t)
+def _lambda4(matrix: np.ndarray, n: int) -> np.ndarray:
+    """The Lambda^4 part of symmetric pair-basis matrices, one coefficient
+    per 4-subset over the last axis: ``b = (R_ij,kl - R_ik,jl + R_il,jk) / 3``,
+    the entry ``Alt(T)_ijkl / 2`` of the tensor form's antisymmetrisation.
+    On the pairing entries of its 4-subset that part is ``+b, -b, +b``, and
+    zero everywhere else."""
+    r = _flat(matrix)[..., _pairings(n)[0]]
+    return (r[..., 0, :] - r[..., 1, :] + r[..., 2, :]) / 3.0
+
+
+def _flat(matrix: np.ndarray) -> np.ndarray:
+    """Pair-basis matrices with their last two axes as one, a view when
+    they are contiguous."""
+    return matrix.reshape(matrix.shape[:-2] + (matrix.shape[-2] * matrix.shape[-1],))
 
 
 def bianchi_residual_matrix(n: int, matrix: np.ndarray) -> float:
-    t = to_tensor(CurvatureOperator(n=n, matrix=np.asarray(matrix, dtype=float), bianchi_flag=False))
-    scale = max(1.0, float(np.linalg.norm(t)))
-    return float(np.linalg.norm(_cyclic_sum(t))) / scale
-
-
-#: The 24 permutations of four slots, each with its sign.
-_SIGNED_PERMUTATIONS = tuple(
-    (perm, (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
-    for perm in itertools.permutations(range(4))
-)
-
-
-def _alt(t: np.ndarray) -> np.ndarray:
-    """Full antisymmetrisation of a 4-tensor (an orthogonal projector), over
-    the last four axes."""
-    batch = tuple(range(t.ndim - 4))
-    out = np.zeros_like(t)
-    for perm, sign in _SIGNED_PERMUTATIONS:
-        out += sign * np.transpose(t, batch + tuple(len(batch) + p for p in perm))
-    return out / 24.0
+    """``||T_ijkl + T_jkil + T_kijl|| / max(1, ||T||)`` of the tensor form T
+    of a symmetric pair-basis matrix R.  The cyclic sum is 3 Alt(T), 24
+    index orders times 6 b in size on each 4-subset, and ``||T|| = 4 ||R||``,
+    so this is ``12 sqrt(6) ||b|| / max(1, 4 ||R||)``."""
+    m = np.asarray(matrix, dtype=float)
+    return 12.0 * np.sqrt(6.0) * float(np.linalg.norm(_lambda4(m, n))) / max(1.0, 4.0 * float(np.linalg.norm(m)))
 
 
 def bianchi_project(op: CurvatureOperator) -> CurvatureOperator:
     """Orthogonal projection onto the algebraic-curvature subspace.
 
     On Sym^2(Lambda^2) the first-Bianchi defect is exactly the Lambda^4
-    component, so the projection is ``T -> T - Alt(T)`` on the tensor form.
-    A stack is projected whole; every step is elementwise over the stack, so
-    each operator comes out bit-equal to its projection alone.
+    component, ``T -> T - Alt(T)`` on the tensor form.  That component
+    lives on the 4-subsets, so it is taken off the N x N matrix in closed
+    form (:func:`_lambda4`), with no n^4 tensor.  A stack is projected
+    whole; every step is elementwise over the stack, so each operator
+    comes out bit-equal to its projection alone.
     """
-    t = to_tensor(op)
-    return CurvatureOperator(n=op.n, matrix=_pair_matrix(t - _alt(t)), bianchi_flag=True)
+    m = np.array(op.matrix, dtype=float, order="C")
+    _remove_lambda4(m, op.n)
+    return CurvatureOperator(n=op.n, matrix=m, bianchi_flag=True)
+
+
+def _remove_lambda4(m: np.ndarray, n: int) -> None:
+    """Subtract, in place, the Lambda^4 part of :func:`_lambda4` from
+    C-contiguous symmetric pair-basis matrices: ``+b, -b, +b`` off the
+    three pairing entries of each 4-subset and off their transposes."""
+    b = _lambda4(m, n)
+    flat, positions = _flat(m), _pairings(n)
+    for pairing, sign in enumerate(_PAIRING_SIGNS):
+        part = sign * b
+        flat[..., positions[0, pairing]] -= part
+        flat[..., positions[1, pairing]] -= part
 
 
 # ---------------------------------------------------------------------------
@@ -163,22 +179,51 @@ def sphere(n: int) -> CurvatureOperator:
     return CurvatureOperator(n=n, matrix=np.eye(npairs), bianchi_flag=True)
 
 
+@functools.cache
+def _upper(npairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each entry of an N x N symmetric matrix, row-major, sits in
+    its upper triangle, diagonal included, read row by row, and the scale
+    of each upper-triangle entry that gives the diagonal variance 1 and the
+    rest variance 1/2.  Built once per N; the arrays are read-only."""
+    rows, cols = np.triu_indices(npairs)
+    source = np.empty(npairs * npairs, dtype=np.intp)
+    source[rows * npairs + cols] = source[cols * npairs + rows] = np.arange(len(rows))
+    scale = np.where(rows == cols, 1.0, np.sqrt(0.5))
+    source.flags.writeable = scale.flags.writeable = False
+    return source, scale
+
+
 def random_symmetric(n: int, seed) -> CurvatureOperator:
-    """Seeded Gaussian symmetric operator, *not* Bianchi-projected.  A
-    sequence of seeds gives the stack of their operators, each drawn from
-    ``default_rng`` of its own seed; one seed is the stack of one."""
+    """Seeded Gaussian symmetric operator, *not* Bianchi-projected: the
+    ensemble of ``(G + G^T) / 2`` for a standard normal G, with diagonal
+    entries of variance 1 and the others of variance 1/2.  Its upper
+    triangle, row by row, takes the standard normals of the seed's
+    counter-hash stream (:func:`numerics.standard_normal`), with no random
+    state.  A seed is a non-negative integer of any size.  A sequence of
+    seeds gives the stack of their operators, each bit-equal to its seed's
+    operator alone; one seed is the stack of one."""
     npairs = n * (n - 1) // 2
     single = np.ndim(seed) == 0
-    draws = [np.random.default_rng(s).standard_normal((npairs, npairs)) for s in ([seed] if single else seed)]
-    g = np.array(draws).reshape(-1, npairs, npairs)
-    m = (g + g.swapaxes(1, 2)) / 2.0
+    seeds = [seed] if single else list(seed)
+    source, scale = _upper(npairs)
+    flat = np.empty((len(seeds), npairs * npairs))
+    # a group of seeds holds about 40 bytes of temporaries per entry drawn
+    group = max(1, numerics.CHUNK_BYTES // (40 * len(scale) + 1))
+    for lo in range(0, len(seeds), group):
+        values = numerics.standard_normal(seeds[lo : lo + group], len(scale))
+        values *= scale
+        # mode "clip" takes the unbuffered path; every position is in range
+        np.take(values, source, axis=1, out=flat[lo : lo + group], mode="clip")
+    m = flat.reshape(len(seeds), npairs, npairs)
     return CurvatureOperator(n=n, matrix=m[0] if single else m, bianchi_flag=False)
 
 
 def random_curvature(n: int, seed) -> CurvatureOperator:
-    """Seeded Gaussian symmetric operator projected onto the Bianchi
-    subspace; a sequence of seeds gives the stack of their operators."""
-    return bianchi_project(random_symmetric(n, seed))
+    """:func:`random_symmetric` projected onto the Bianchi subspace; a
+    sequence of seeds gives the stack of their operators."""
+    op = random_symmetric(n, seed)
+    _remove_lambda4(op.matrix, n)  # the draw is fresh: project it in place
+    return op._replace(bianchi_flag=True)
 
 
 def bi_invariant_group(g: SimpleAlgebraData) -> CurvatureOperator:
@@ -199,13 +244,38 @@ def bi_invariant_group(g: SimpleAlgebraData) -> CurvatureOperator:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _ricci_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair number ``P[i, j]`` of {i, j} (0 on the diagonal) and the weight
+    ``W[i, k, j] = 2 s_ij s_kj``, with ``s_ij`` the sign of j - i, so that
+    ``T_ijkj = W[i, k, j] R[P[i, j], P[k, j]]``.  Built once per n; the
+    arrays are read-only."""
+    number = np.zeros((n, n), dtype=np.intp)
+    i, j = np.triu_indices(n, 1)
+    number[i, j] = number[j, i] = np.arange(len(i))
+    sign = np.sign(np.subtract.outer(np.arange(n), np.arange(n))).astype(float).T
+    weight = 2.0 * sign[:, None, :] * sign[None, :, :]
+    number.flags.writeable = weight.flags.writeable = False
+    return number, weight
+
+
 def ricci(op: CurvatureOperator) -> np.ndarray:
-    """Ricci tensor by index contraction of the tensor form."""
-    return np.einsum("ijkj->ik", to_tensor(op))
+    """Ricci tensor ``Ric_ik = sum_j T_ijkj`` of an operator or a stack, by
+    n gathers of n x n entries on the pair-basis matrix: no n^4 tensor is
+    formed.  The terms add in the order of j, so each Ricci tensor of a
+    stack is bit-equal to its operator's alone."""
+    number, weight = _ricci_gather(op.n)
+    m = np.asarray(op.matrix, dtype=float)
+    out = np.zeros(m.shape[:-2] + (op.n, op.n))
+    for j in range(op.n):
+        out += weight[:, :, j] * m[..., number[:, None, j], number[None, :, j]]
+    return out
 
 
 def scalar(op: CurvatureOperator) -> float:
-    return float(np.trace(ricci(op)))
+    """Scalar curvature, ``tr Ric = 4 tr R``: each pair a = (i, j) meets
+    its diagonal entry twice in the trace, at weight 2 each."""
+    return float(4.0 * np.trace(op.matrix))
 
 
 class FourDimBlocks(NamedTuple):
@@ -353,13 +423,8 @@ def einstein_project(op: CurvatureOperator) -> CurvatureOperator:
     proj = bianchi_project(op)
     ric = ricci(proj)
     ric0 = ric - np.trace(ric) / n * np.eye(n)
-    g = np.eye(n)
-    kn = (
-        np.einsum("ik,jl->ijkl", ric0, g)
-        + np.einsum("jl,ik->ijkl", ric0, g)
-        - np.einsum("il,jk->ijkl", ric0, g)
-        - np.einsum("jk,il->ijkl", ric0, g)
-    )
+    # (ric0 (.) g) on the pair grid, halved by the pair-basis normalisation
+    i, j, k, l = _pair_index(n)
+    kn = ric0[i, k] * (j == l) + ric0[j, l] * (i == k) - ric0[i, l] * (j == k) - ric0[j, k] * (i == l)
     # at n = 2 the trace-free Ricci tensor of a Bianchi operator is exactly 0
-    t = to_tensor(proj) - kn / max(n - 2, 1)
-    return CurvatureOperator(n=n, matrix=_pair_matrix(t), bianchi_flag=True)
+    return CurvatureOperator(n=n, matrix=proj.matrix - kn / (2.0 * max(n - 2, 1)), bianchi_flag=True)

@@ -10,10 +10,14 @@ never mutate their arguments, so concurrent use is safe.
 Two rules bound memory: chunked assemblies keep their temporaries within
 :data:`CHUNK_BYTES`, and :func:`require_bytes` refuses a large allocation
 that cannot fit before it is made.
+
+Random draws and content digests share one stateless counter hash,
+:func:`splitmix64`, so no command loads ``numpy.random`` or ``hashlib``.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 
 import numpy as np
@@ -29,6 +33,9 @@ __all__ = [
     "projector",
     "real_if_exact",
     "require_bytes",
+    "seed_key",
+    "splitmix64",
+    "standard_normal",
 ]
 
 #: Bytes of temporaries that one chunk of a chunked assembly (the join or
@@ -66,6 +73,89 @@ def require_bytes(nbytes: int, what: str) -> None:
         limit, name = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
     if nbytes > limit:
         raise MemoryError(f"{what} needs {nbytes} bytes, more than {name} of {limit} bytes")
+
+
+#: splitmix64's state increment (2^64 over the golden ratio) and the two
+#: multipliers of its finaliser (Steele, Lea and Flood, OOPSLA 2014).
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(key: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Output ``index`` of the splitmix64 stream whose state starts at
+    ``key``: the finaliser of ``key + (index + 1) gamma``, in wrapping
+    uint64 arithmetic, broadcast over arrays of ``key`` and ``index``.
+    Stateless: any output comes without the ones before it.  Both must be
+    arrays of at least one dimension, because numpy warns on the overflow
+    of uint64 scalars, not of arrays."""
+    z = (index + np.uint64(1)) * _GAMMA + key
+    t = z >> np.uint64(30)
+    for mult, shift in ((_MIX1, 27), (_MIX2, 31)):
+        z ^= t
+        z *= mult
+        np.right_shift(z, np.uint64(shift), out=t)
+    z ^= t
+    return z
+
+
+def seed_key(seed) -> np.ndarray:
+    """The stream key, shape (1,), of a non-negative integer seed of any
+    size: its 64-bit limbs, lowest first, each folded in by one splitmix64
+    step indexed by its position, so that seeds of more than 64 bits stay
+    distinct from their neighbours."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    key = np.zeros(1, dtype=np.uint64)
+    for limb in range(max(1, -(-seed.bit_length() // 64))):
+        key = splitmix64(key ^ np.uint64(seed >> 64 * limb & _MASK64), np.full(1, limb, dtype=np.uint64))
+    return key
+
+
+def _unit_interval(bits: np.ndarray) -> np.ndarray:
+    """The top 52 bits of fresh uint64 hashes as doubles in [1, 2), in place:
+    they become the mantissa under the exponent of 1.0."""
+    bits >>= np.uint64(12)
+    bits |= np.uint64(0x3FF0000000000000)
+    return bits.view(np.float64)
+
+
+#: Pairs of normals that one step of :func:`standard_normal` draws for all
+#: its seeds at once: its temporaries stay in cache.
+NORMAL_STEP_PAIRS = 8192
+
+
+def standard_normal(seeds, count: int) -> np.ndarray:
+    """The first ``count`` standard normals of each seed, shape
+    ``(len(seeds), count)``, by Box-Muller: pair m takes its radius
+    ``sqrt(-2 log u)`` from splitmix64 output 2m of the seed's stream and
+    its angle from output 2m + 1, the cosines of the pairs first, then
+    their sines.  The angle's top 52 bits give psi in [0, pi/2), where cos
+    and sin are fast, and its two low bits the signs of the cosine and the
+    sine, which take psi to its quadrant.  Each row is elementwise in its
+    own seed, so a seed gives the same normals alone or among others."""
+    keys = np.array([seed_key(s)[0] for s in seeds], dtype=np.uint64)[:, None]
+    # whole SIMD lanes per row and per step: each entry sits at the same
+    # lane, seed alone or not
+    half = -(-count // 16) * 8
+    out = np.empty((len(keys), 2 * half))
+    step = max(8, NORMAL_STEP_PAIRS // max(1, len(keys)) // 8 * 8)
+    pairs = 2 * np.arange(half, dtype=np.uint64)
+    for lo in range(0, half, step):
+        pair = pairs[lo : lo + step]
+        radius = np.sqrt(-2.0 * np.log(2.0 - _unit_interval(splitmix64(keys, pair)))).view(np.uint64)
+        bits = splitmix64(keys, pair + np.uint64(1))
+        # bits 0 and 1 as the sign bits of the radius
+        cos_radius = (radius | bits << np.uint64(63)).view(np.float64)
+        sin_radius = (radius | (bits >> np.uint64(1)) << np.uint64(63)).view(np.float64)
+        psi = _unit_interval(bits) - 1.0
+        psi *= np.pi / 2.0
+        hi = lo + len(pair)
+        np.multiply(np.cos(psi), cos_radius, out=out[:, lo:hi])
+        np.multiply(np.sin(psi), sin_radius, out=out[:, half + lo : half + hi])
+    return out[:, :count]
 
 
 def frobenius(a) -> float:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import numerics
+
 __all__ = ["ARTIFACT_VERSION", "CheckReport", "canonical_json", "digest"]
 
 ARTIFACT_VERSION = "0.1.0"
@@ -68,10 +70,41 @@ def canonical_json(value) -> str:
 
 
 def digest(value) -> str:
-    """Short content digest of any canonically serialisable value."""
-    import hashlib  # on first use: a process that never digests does not load it
+    """Short content digest, 16 hex digits, of a canonically serialisable
+    value.  A numeric array is hashed from its dtype, shape and
+    little-endian bytes, with no text rendered; a float array must be
+    finite.  Any other value is hashed from the bytes of its canonical
+    JSON.  The hash is :func:`numerics.splitmix64`, so no OpenSSL loads."""
+    key = np.zeros(1, dtype=np.uint64)
+    if isinstance(value, np.ndarray) and value.dtype.kind in "biufc":
+        if value.dtype.kind in "fc" and not np.isfinite(value).all():
+            raise ValueError("cannot digest non-finite float")
+        data = np.ascontiguousarray(value, dtype=value.dtype.newbyteorder("<"))
+        key = _hash_bytes(canonical_json([data.dtype.str, list(data.shape)]).encode(), key)
+        raw = data.reshape(-1).view(np.uint8)
+    else:
+        raw = canonical_json(value).encode()
+    return f"{int(_hash_bytes(raw, key)[0]):016x}"
 
-    return hashlib.sha256(canonical_json(value).encode()).hexdigest()[:16]
+
+def _hash_bytes(data, key: np.ndarray) -> np.ndarray:
+    """A uint64, shape (1,), of a byte string under ``key``: word i, of the
+    zero-padded little-endian 64-bit words, goes in as
+    ``splitmix64(w_i ^ splitmix64(key, i), i)``; the words' wrapping sum is
+    finished with the byte count.  Words go a chunk at a time, so the
+    temporaries stay within :data:`numerics.CHUNK_BYTES`."""
+    data = np.frombuffer(data, dtype=np.uint8) if isinstance(data, bytes) else data
+    nbytes = data.size
+    if nbytes % 8:
+        data = np.concatenate([data, np.zeros(8 - nbytes % 8, dtype=np.uint8)])
+    words = data.view("<u8")
+    total = np.zeros(1, dtype=np.uint64)
+    step = numerics.CHUNK_BYTES // 32
+    for lo in range(0, words.size, step):
+        index = np.arange(lo, min(lo + step, words.size), dtype=np.uint64)
+        mixed = numerics.splitmix64(words[lo : lo + step] ^ numerics.splitmix64(key, index), index)
+        total += mixed.sum(dtype=np.uint64, keepdims=True)
+    return numerics.splitmix64(total, np.full(1, nbytes, dtype=np.uint64))
 
 
 class CheckReport:

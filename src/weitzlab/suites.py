@@ -31,7 +31,7 @@ class SuiteConfigError(ValueError):
     or that passes an n, algebras or an operator the suite would ignore."""
 
 
-#: Bytes of stacked curvature tensors and K's that one batch of trials may
+#: Bytes of stacked curvature operators and K's that one batch of trials may
 #: hold, so that memory does not grow with the number of trials.
 TRIAL_BATCH_BYTES = 1 << 20
 
@@ -47,11 +47,12 @@ REPORT_BUDGET_BYTES = 256 << 20
 
 def _seed_batches(first: int, trials: int, n: int, held: int):
     """Seeds ``first, first + 1, ...`` of ``trials`` trials, in consecutive
-    ranges whose curvature tensors (four n^4 float arrays per trial while
-    they are projected) and ``held`` further bytes per trial, the K's or
-    blade coefficients a suite forms from them, fit
-    :data:`TRIAL_BATCH_BYTES`."""
-    size = max(1, TRIAL_BATCH_BYTES // (32 * n**4 + held))
+    ranges whose curvature operators (about four N x N float arrays per
+    trial, N = n(n-1)/2, while they are drawn and projected) and ``held``
+    further bytes per trial, the K's or blade coefficients a suite forms
+    from them, fit :data:`TRIAL_BATCH_BYTES`."""
+    npairs = n * (n - 1) // 2
+    size = max(1, TRIAL_BATCH_BYTES // (32 * npairs**2 + held))
     for lo in range(0, trials, size):
         yield range(first + lo, first + min(trials, lo + size))
 
@@ -121,8 +122,8 @@ def bochner_suite(n: int, trials: int, seed: int, tol: float = 1e-10) -> list[Ch
     out = []
     for seeds in _seed_batches(seed, trials, n, 32 * v.dim**2):  # two d x d complex arrays
         ops = curv.random_curvature(n, seeds)
-        for s, op, k in zip(seeds, ops.unstack(), wb.k_matrix(ops, v)):
-            resid = float(np.linalg.norm(-2.0 * k - curv.ricci(op)))
+        for s, op, k, ric in zip(seeds, ops.unstack(), wb.k_matrix(ops, v), curv.ricci(ops)):
+            resid = float(np.linalg.norm(-2.0 * k - ric))
             out.append(
                 CheckReport(
                     check="bochner",

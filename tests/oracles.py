@@ -1,8 +1,9 @@
 """Independent references for the tests.
 
 The package builds the Clifford generators, the half-spins and the
-projection lemma from closed forms, and solves for intertwiners on the
-weight blocks of a torus element.  These are the slower, direct
+projection lemma from closed forms, solves for intertwiners on the
+weight blocks of a torus element, and keeps curvature operators in pair
+coordinates.  These are the slower, direct
 constructions those are checked against, and checks of the premises every
 verdict rests on.  Nothing in ``src/`` imports this module.
 """
@@ -139,6 +140,64 @@ def root_consistency_residual(g: so.SimpleAlgebraData, seed: int = 0) -> float:
     expected = [float(g.roots.inner_killing(beta, beta)) for beta in g.roots.positive_roots for _ in (0, 1)]
     assert len(lengths) == len(expected), f"{g.label}: {len(lengths)} nonzero roots, expected {len(expected)}"
     return float(np.max(np.abs(np.sort(lengths) - np.sort(expected))))
+
+
+def to_tensor(op) -> np.ndarray:
+    """Rank-4 form of an operator or a stack: ``T[i,j,k,l]`` with the pair
+    (anti)symmetries, ``T = 2 R`` on sorted pairs."""
+    n = op.n
+    v = 2.0 * np.asarray(op.matrix, dtype=float)
+    t = np.zeros(v.shape[:-2] + (n, n, n, n))
+    i, j = np.triu_indices(n, 1)
+    i, j, k, l = i[:, None], j[:, None], i[None, :], j[None, :]
+    t[..., i, j, k, l] = v
+    t[..., j, i, k, l] = -v
+    t[..., i, j, l, k] = -v
+    t[..., j, i, l, k] = v
+    return t
+
+
+def pair_matrix(t: np.ndarray) -> np.ndarray:
+    """Symmetric pair-basis matrix ``R_ab = T[i_a, j_a, i_b, j_b] / 2``, over
+    the last four axes."""
+    i, j = np.triu_indices(t.shape[-1], 1)
+    r = t[..., i[:, None], j[:, None], i[None, :], j[None, :]] / 2.0
+    return (r + r.swapaxes(-1, -2)) / 2.0
+
+
+def cyclic_sum(t: np.ndarray) -> np.ndarray:
+    """First-Bianchi cyclic sum ``T_ijkl + T_jkil + T_kijl``, over the last
+    four axes."""
+    return t + np.einsum("...jkil->...ijkl", t) + np.einsum("...kijl->...ijkl", t)
+
+
+def alt(t: np.ndarray) -> np.ndarray:
+    """Full antisymmetrisation of a 4-tensor over its 24 signed
+    permutations (an orthogonal projector), over the last four axes."""
+    batch = tuple(range(t.ndim - 4))
+    out = np.zeros_like(t)
+    for perm in itertools.permutations(range(4)):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        out += sign * np.transpose(t, batch + tuple(len(batch) + p for p in perm))
+    return out / 24.0
+
+
+def bianchi_project(op) -> np.ndarray:
+    """The Bianchi projection ``T -> T - Alt(T)`` on the tensor form, back
+    in pair coordinates."""
+    t = to_tensor(op)
+    return pair_matrix(t - alt(t))
+
+
+def bianchi_residual(op) -> float:
+    """``||cyclic sum of T|| / max(1, ||T||)`` on the tensor form."""
+    t = to_tensor(op)
+    return float(np.linalg.norm(cyclic_sum(t))) / max(1.0, float(np.linalg.norm(t)))
+
+
+def ricci(op) -> np.ndarray:
+    """Ricci tensor ``sum_j T_ijkj`` by an einsum over the tensor form."""
+    return np.einsum("...ijkj->...ik", to_tensor(op))
 
 
 def curvature_json(op) -> dict:

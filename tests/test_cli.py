@@ -21,7 +21,7 @@ from weitzlab import cli
 from weitzlab import curvature as curv
 from weitzlab import representations as reps
 from weitzlab import so_algebra as so
-from weitzlab import spin
+from weitzlab import spin, suites
 from weitzlab.report import CheckReport, digest
 
 
@@ -725,14 +725,32 @@ class TestColdStart:
         assert on_import == [] and on_run == []
 
 
-#: Runs the CLI on the command line given, in a fresh interpreter, and
-#: reports its exit code and whether numpy.random was loaded on the way.
+#: Modules that no command may load: numpy's random state, the ``secrets``
+#: module it imports, and OpenSSL's hash bindings.
+_UNWANTED_MODULES = ("numpy.random", "secrets", "_hashlib")
+
+#: Runs the CLI on each command line of the JSON list given, in one fresh
+#: interpreter, and reports after each its exit code and which of the
+#: unwanted modules are loaded by then.
 _RANDOM_PROBE = """
-import sys
+import json, sys
 import weitzlab.cli
-code = weitzlab.cli.main(sys.argv[1:])
-print(repr((code, "numpy.random" in sys.modules)), file=sys.stderr)
+for argv in json.loads(sys.argv[1]):
+    code = weitzlab.cli.main(argv)
+    print(repr((code, [m for m in json.loads(sys.argv[2]) if m in sys.modules])), file=sys.stderr)
 """
+
+
+def _probe(commands: list[list[str]]) -> list[tuple]:
+    import ast
+
+    src = os.path.dirname(os.path.dirname(weitzlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", _RANDOM_PROBE, json.dumps(commands), json.dumps(_UNWANTED_MODULES)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return [ast.literal_eval(line) for line in out.stderr.splitlines()[-len(commands):]]
 
 
 class TestNoRandomState:
@@ -746,12 +764,42 @@ class TestNoRandomState:
             path = tmp_path / "r.json"
             path.write_text(json.dumps(oracles.curvature_json(curv.curvature_operator(3, np.diag([1.0, 1.0, -1.0])))))
             argv = ["check", "positivity", "--n", "3", "--curvature", f"file:{path}"]
-        src = os.path.dirname(os.path.dirname(weitzlab.__file__))
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        out = subprocess.run(
-            [sys.executable, "-c", _RANDOM_PROBE, *argv], env=env, capture_output=True, text=True, check=True, timeout=60
-        )
-        assert out.stderr.splitlines()[-1] == "(0, False)"
+        assert _probe([argv]) == [(0, [])]
+
+    def test_no_suite_draws_from_random_state_or_hashes_with_openssl(self):
+        # random operators come from the counter hash and digests from the
+        # same hash, so no suite, no k on random: curvature and no
+        # decompose loads numpy.random, secrets or _hashlib
+        suite_args = {
+            "lichnerowicz": ["--n", "4", "--trials", "2"],
+            "bochner": ["--n", "4", "--trials", "2"],
+            "sphere-casimir": ["--n", "4"],
+            "lemma:k2": ["--trials", "2"],
+            "lemma:k4": ["--trials", "2"],
+            "strange": ["--algebra", "A2"],
+            "group-model": ["--algebra", "A2"],
+            "blocks4": ["--trials", "2"],
+            "positivity": ["--n", "3", "--trials", "2"],
+        }
+        assert sorted(suite_args) == sorted(suites.SUITE_NAMES)
+        commands = [["check", name, *args, "--seed", "3"] for name, args in suite_args.items()]
+        commands += [
+            ["k", "--n", "4", "--rep", "vector", "--curvature", "random:1"],
+            ["decompose", "--n", "4", "--rep", "vector", "--sub", "so:3", "--seed", "1"],
+        ]
+        assert _probe(commands) == [(0, [])] * len(commands)
+
+    def test_seed_past_64_bits(self, capsys):
+        import warnings
+
+        # uint64 overflow is the hash's arithmetic, and warns on no array
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["check", "lichnerowicz", "--n", "4", "--trials", "2", "--seed", "99999999999999999999999"])
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert code == 0
+        assert [r["inputs"]["seed"] for r in reports[:2]] == [99999999999999999999999, 100000000000000000000000]
+        assert reports[0]["inputs"]["curvature"] != reports[1]["inputs"]["curvature"]
 
 
 class TestDeterminism:

@@ -246,3 +246,64 @@ class TestRealEigHermitian:
         assert numerics.real_if_exact(z + 1e-300j).dtype == np.complex128
         r = np.eye(2)
         assert numerics.real_if_exact(r) is r
+
+
+class TestCounterHashDraws:
+    def test_splitmix64_matches_the_sequential_generator(self):
+        # the reference splitmix64: state += gamma, then the finaliser, in
+        # Python integers modulo 2^64
+        mask = (1 << 64) - 1
+
+        def sequential(state, count):
+            out = []
+            for _ in range(count):
+                state = (state + 0x9E3779B97F4A7C15) & mask
+                z = state
+                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                out.append(z ^ (z >> 31))
+            return out
+
+        for state in (0, 1, 12345, mask):
+            got = numerics.splitmix64(np.full(1, state, dtype=np.uint64), np.arange(50, dtype=np.uint64))
+            assert [int(v) for v in got] == sequential(state, 50)
+
+    def test_seeds_past_64_bits_stay_distinct(self):
+        big = 99999999999999999999999
+        seeds = [0, 1, 2**64 - 1, 2**64, 2**64 + 1, 2**65 + 1, 2**128, big, big + 1, big + 10_000, 2**64 * 5 + 7, 7]
+        keys = [int(numerics.seed_key(s)[0]) for s in seeds]
+        assert len(set(keys)) == len(seeds)
+        normals = numerics.standard_normal(seeds, 8)
+        assert len({row.tobytes() for row in normals}) == len(seeds)
+        with pytest.raises(ValueError, match="non-negative"):
+            numerics.seed_key(-1)
+        with pytest.raises(TypeError):
+            numerics.seed_key(1.5)
+
+    def test_mean_and_variance_over_1e5_draws(self):
+        # standard errors: 1/sqrt(1e5) = 0.0032 for the mean and sqrt(2/1e5)
+        # = 0.0045 for the variance; the bounds sit at about six of them
+        for seed in (0, 1, 2**70):
+            z = numerics.standard_normal([seed], 100_000)[0]
+            assert abs(z.mean()) <= 0.02
+            assert abs(z.var() - 1.0) <= 0.03
+            assert abs(np.mean(z**4) - 3.0) <= 0.15
+            assert abs(np.mean(np.abs(z) <= 1.0) - 0.6827) <= 0.01
+        # across seeds as well: the first normal of each of 20000 seeds
+        first = numerics.standard_normal(range(20_000), 1)[:, 0]
+        assert abs(first.mean()) <= 0.05 and abs(first.var() - 1.0) <= 0.06
+
+    def test_a_seed_draws_the_same_alone_or_among_others(self):
+        seeds = [3, 2**65 + 3, 11, 0]
+        together = numerics.standard_normal(seeds, 1001)
+        for seed, row in zip(seeds, together):
+            assert np.array_equal(row, numerics.standard_normal([seed], 1001)[0])
+        assert numerics.standard_normal([], 5).shape == (0, 5)
+
+    def test_no_runtime_warning(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            numerics.standard_normal([0, 2**64 - 1, 99999999999999999999999], 100)
+            numerics.splitmix64(np.full(1, 2**64 - 1, dtype=np.uint64), np.full(1, 2**64 - 2, dtype=np.uint64))

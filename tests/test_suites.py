@@ -7,7 +7,7 @@ from weitzlab import curvature as curv
 from weitzlab import so_algebra as so
 from weitzlab import spin, suites
 from weitzlab import weitzenbock as wb
-from weitzlab.report import CheckReport, canonical_json, digest
+from weitzlab.report import CheckReport, _hash_bytes, canonical_json, digest
 
 
 class TestCanonicalJson:
@@ -116,6 +116,40 @@ class TestCanonicalJson:
         a = digest({"x": [1.0, 2.0]})
         b = digest({"x": [1.0, 2.0]})
         assert a == b and len(a) == 16
+
+    @pytest.mark.parametrize("bad", (np.array([1.0, np.nan]), np.array([[0j], [complex(0.0, -np.inf)]]), np.array(np.inf)))
+    def test_digest_rejects_non_finite_arrays(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            digest(bad)
+
+    def test_digest_of_an_array_reads_dtype_shape_and_values(self):
+        a = np.arange(12.0).reshape(3, 4)
+        seen = {
+            digest(a),
+            digest(a.reshape(4, 3)),
+            digest(a.ravel()),
+            digest(a.astype(np.float32)),
+            digest(a.astype(np.int64)),
+            digest(a.astype(complex)),
+            digest(a + 2.0**-40 * np.eye(3, 4)),
+            digest(a.tolist()),
+        }
+        assert len(seen) == 8 and all(len(d) == 16 and int(d, 16) >= 0 for d in seen)
+        # the values decide, not the memory layout or byte order
+        assert digest(np.asfortranarray(a)) == digest(a) == digest(a.astype(">f8"))
+        assert digest(a[:, ::2]) == digest(np.ascontiguousarray(a[:, ::2]))
+        # -0.0 and +0.0 differ in their bytes, as in their JSON text
+        assert digest(np.zeros(2)) != digest(-np.zeros(2))
+
+    def test_digest_of_text_reads_every_byte(self):
+        # values whose canonical JSON bytes differ only in padding or in
+        # one character of the last word still differ
+        texts = ["", "a", "ab", "abcdefgh", "abcdefgh" + "\x00", "abcdefgi", "x" * 1000, "x" * 999 + "y"]
+        assert len({digest(t) for t in texts}) == len(texts)
+        assert len({digest(s) for s in range(10_000)}) == 10_000
+        # trailing zero bytes pad a word alike, so the byte count goes in too
+        key = np.zeros(1, np.uint64)
+        assert _hash_bytes(b"a", key) != _hash_bytes(b"a\x00", key)
 
     def test_check_report_schema(self):
         rep = CheckReport(
@@ -287,9 +321,9 @@ class TestBatchedTrials:
         assert [canonical_json(r.to_dict()) for r in suites.run_suite(name, **kwargs)] == whole
 
     def test_seed_batches_cover_the_trials_in_order(self, monkeypatch):
-        batches = list(suites._seed_batches(10, 100, 7, 32 * 8 * 8))
+        batches = list(suites._seed_batches(10, 100, 7, 32 * 64 * 64))
         assert [s for b in batches for s in b] == list(range(10, 110))
-        per_trial = 32 * 7**4 + 32 * 8 * 8
+        per_trial = 32 * 21**2 + 32 * 64 * 64
         assert all(len(b) * per_trial <= suites.TRIAL_BATCH_BYTES for b in batches)
         assert len(batches) > 1
         monkeypatch.setattr(suites, "TRIAL_BATCH_BYTES", 1)
@@ -304,8 +338,9 @@ class TestBatchedTrials:
             return coefficients(blades, matrix)
 
         monkeypatch.setattr(spin.SpinorBlades, "coefficients", counting)
-        # five trials at n = 3: four n^4 curvature tensors and 4 blade coefficients each
-        monkeypatch.setattr(suites, "TRIAL_BATCH_BYTES", (32 * 3**4 + 8 * 4) * 5)
+        # five trials at n = 3: four N x N curvature matrices (N = 3) and 4
+        # blade coefficients each
+        monkeypatch.setattr(suites, "TRIAL_BATCH_BYTES", (32 * 3**2 + 8 * 4) * 5)
         suites.lichnerowicz_suite(3, 23, 1)
         assert max(sizes) == 5 and sum(sizes) == 23 + 100
 
@@ -321,7 +356,7 @@ class TestBatchedTrials:
 
         monkeypatch.setattr(wb, "_restricted_k", counting)
         suites.lemma_suite("k4", 12, 1)
-        per_trial = 32 * 4**4 + 32 * 4**4 * 21
+        per_trial = 32 * 6**2 + 32 * 4**4 * 21
         assert max(sizes) == suites.TRIAL_BATCH_BYTES // per_trial and sum(sizes) == 12
 
 
