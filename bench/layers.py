@@ -1,8 +1,9 @@
 """Layer bench: the cold start, curvature sources, commutant solves,
 isotypic splits, the projection lemma suites, the other trial-driven suites,
-representation construction, the positivity report and the assembly of K.
+the sphere-Casimir suite, representation construction, the positivity
+report and the assembly of K.
 
-Times nine layers of weitzlab, each measurement in a fresh interpreter so
+Times ten layers of weitzlab, each measurement in a fresh interpreter so
 that it pays every cold cost a CLI process pays:
 
 * ``python -m weitzlab --version`` and ``python -c "import weitzlab.cli"``
@@ -15,7 +16,8 @@ that it pays every cold cost a CLI process pays:
   n = 6, the adjoint at n = 7, spin at n = 8, exterior(3) at n = 7, 8 and
   10, and vector (x) spin restricted to u(3) at n = 6 (the dense kernel);
 * a whole ``isotypic_decompose`` for the four ``decompose`` invocations of
-  the isotypic workload, plus the ``sym0`` / ``so:3`` case at n = 6;
+  the isotypic workload, plus the ``sym0`` / ``so:3`` case at n = 6 and
+  exterior(4) restricted to u(6) at n = 12;
 * ``suites.lemma_suite("k4", 10, seed)``, ``lemma_suite("k4", 100, seed)``
   and ``lemma_suite("k2", 20, seed)`` (a suite: the checks on the subspace
   basis, and K and W restricted to the subspace);
@@ -23,6 +25,9 @@ that it pays every cold cost a CLI process pays:
   n = 7 and ``blocks4_suite``, each with 20 trials (the other trial-driven
   suites: seeded draws, Bianchi projection, blade coefficients of K on
   spinors or K on vectors, the 4-d blocks and the report digests);
+* ``suites.sphere_casimir_suite`` at n = 10, 11 and 12 (K of the sphere
+  against the Casimir on the standard family, and the highest-weight
+  Casimir scalars);
 * ``rep_adjoint`` at n = 10 and 12, ``rep_exterior`` at (n, p) = (10, 5)
   and (12, 6), ``rep_sym`` at (10, 3), ``rep_sym0`` at n = 14 and
   ``spin.rep_half_spin`` (the + half) at n = 14 and 20 (representation
@@ -105,6 +110,7 @@ DECOMPOSE_CASES = (
     (5, "sym0", "so:3"),
     (4, "tensor:vector,vector", "so-full"),
     (6, "sym0", "so:3"),
+    (12, "exterior:4", "u:6"),
 )
 #: (kind, trials) of each lemma suite timed; every suite starts at LEMMA_SEED.
 #: k4 at two trial counts, so that the per-trial cost shows apart from setup.
@@ -121,6 +127,8 @@ TRIAL_CASES = (
 )
 TRIAL_COUNT = 20
 TRIAL_SEED = 1
+#: n of each sphere-Casimir suite timed.
+SPHERE_CASIMIR_NS = (10, 11, 12)
 #: (constructor, n, degree p or None) of each representation timed.
 REP_CASES = (
     ("rep_adjoint", 10, None),
@@ -220,7 +228,7 @@ def _child_decompose(n: int, rep: str, sub: str) -> dict:
         "seconds": seconds,
         "loops": loops,
         "d": restricted.dim,
-        "N": len(restricted.mats),
+        "N": restricted.count,
         "pieces": len(pieces),
         "peak_rss_mb": _peak_rss_mb(),
     }
@@ -248,6 +256,17 @@ def _child_trials(suite: str, n: int | None) -> dict:
     reports = run(TRIAL_COUNT, TRIAL_SEED) if n is None else run(n, TRIAL_COUNT, TRIAL_SEED)
     seconds = time.perf_counter() - t0
     return {"seconds": seconds, "reports": len(reports), "peak_rss_mb": _peak_rss_mb()}
+
+
+def _child_sphere_casimir(n: int) -> dict:
+    from weitzlab import suites, weitzenbock
+    from weitzlab.so_algebra import basis
+
+    t0 = time.perf_counter()
+    reports = suites.sphere_casimir_suite(n)
+    seconds = time.perf_counter() - t0
+    dims = [r.dim for r in weitzenbock.standard_family(basis(n))]
+    return {"seconds": seconds, "reports": len(reports), "family_dims": dims, "peak_rss_mb": _peak_rss_mb()}
 
 
 def _child_rep(constructor: str, n: int, p: int | None) -> dict:
@@ -285,8 +304,6 @@ def _child_positivity(n: int) -> dict:
 def _child_k(n: int | str, rep: str) -> dict:
     """K of ``random_curvature(n, K_SEED)``, or of the bi-invariant curvature
     of the algebra when ``n`` is a label such as ``G2``."""
-    import numpy as np
-
     from weitzlab import cli, curvature, weitzenbock
     from weitzlab.so_algebra import basis, simple_algebra
 
@@ -301,10 +318,7 @@ def _child_k(n: int | str, rep: str) -> dict:
     t0 = time.perf_counter()
     weitzenbock.k_matrix(op, r)
     seconds = time.perf_counter() - t0
-    peak = _peak_rss_mb()
-    # a tree without generator tables counts the nonzeros of its dense matrices
-    nnz = len(r.table.val) if hasattr(r, "table") else sum(int(np.count_nonzero(m)) for m in r.mats)
-    return {"seconds": seconds, "build_seconds": build, "d": r.dim, "nnz": nnz, "peak_rss_mb": peak}
+    return {"seconds": seconds, "build_seconds": build, "d": r.dim, "nnz": len(r.table.val), "peak_rss_mb": _peak_rss_mb()}
 
 
 def _child(argv: list[str]) -> None:
@@ -316,6 +330,8 @@ def _child(argv: list[str]) -> None:
         result = _child_lemma(rest[0], int(rest[1]))
     elif kind == "trials":
         result = _child_trials(rest[0], int(rest[1]) if len(rest) > 1 else None)
+    elif kind == "sphere-casimir":
+        result = _child_sphere_casimir(int(rest[0]))
     elif kind == "rep":
         result = _child_rep(rest[0], int(rest[1]), int(rest[2]) if len(rest) > 2 else None)
     elif kind == "positivity":
@@ -442,6 +458,9 @@ def measure(srcs: list[str]) -> list[dict]:
         entry = {"suite": suite, "n": size, "d": d, "N": size * (size - 1) // 2, "trials": TRIAL_COUNT, "seed": TRIAL_SEED}
         args = ["trials", suite] + ([] if n is None else [str(n)])
         case("trial_suites", args, entry, f"{suite}_suite n={size} x{TRIAL_COUNT}", sizes=("reports",))
+    for n in SPHERE_CASIMIR_NS:
+        entry = {"n": n, "N": n * (n - 1) // 2}
+        case("sphere_casimir_suite", ["sphere-casimir", str(n)], entry, f"sphere_casimir_suite n={n}", sizes=("reports", "family_dims"))
     for constructor, n, p in REP_CASES:
         entry = {"constructor": constructor, "n": n, "p": p, "N": n * (n - 1) // 2}
         args = ["rep", constructor, str(n)] + ([] if p is None else [str(p)])

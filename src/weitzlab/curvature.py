@@ -312,7 +312,7 @@ def _self_dual_bases() -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal bases of the +-1 eigenspaces of the star,
     labelled so that the + side acts trivially on negative-chirality spinors.
     Built once per process; the arrays are read-only."""
-    from .spin import half_spin_rows, rep_spin
+    from .spin import rep_half_spin
 
     star = _hodge_star_coefficients()
     pairs = pair_list(4)
@@ -331,16 +331,12 @@ def _self_dual_bases() -> tuple[np.ndarray, np.ndarray]:
     bm = np.array(minus).T
     # align the labels with the chirality convention of the spin module: the
     # self-dual side must kill the negative-chirality spinors
-    sp = rep_spin(so_basis(4))
-    _, neg = half_spin_rows(4)
-    stacked = np.array(sp.mats)
+    t = rep_half_spin(so_basis(4), -1).table
 
     def acts_on_minus(cols):
-        total = 0.0
-        for k in range(3):
-            m = np.tensordot(cols[:, k], stacked, axes=(0, 0))
-            total += float(np.linalg.norm(m[:, neg]))
-        return total
+        m = np.zeros((3, 2, 2), dtype=complex)  # sum_a cols[a, k] rho_a on the half, for each k
+        np.add.at(m, (slice(None), t.row, t.col), cols[t.gen].T * t.val)
+        return np.linalg.norm(m, axis=(1, 2)).sum()
 
     if acts_on_minus(bp) > acts_on_minus(bm):
         bp, bm = bm, bp

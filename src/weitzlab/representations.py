@@ -6,7 +6,8 @@ orthonormal basis, so every constructed action is skew-adjoint.  Tensor,
 exterior and symmetric powers act by derivations.
 
 The endomorphisms are stored as one table of their nonzero entries
-(:class:`GenTable`); the dense matrices are views built on demand.
+(:class:`GenTable`), the only form of a representation: restriction, the
+Casimir and the commutant read it, and no (N, dim, dim) stack is formed.
 Representations are stored extensionally; no symbolic machinery.
 """
 
@@ -70,9 +71,7 @@ def gen_table(gen, row, col, val, dim: int) -> GenTable:
 
 class Rep:
     """Matrix representation: one complex ``dim x dim`` matrix per generator,
-    stored as the table of their nonzero entries.  ``mats`` and
-    :meth:`stacked` are dense read-only views, built on first use and kept,
-    and refused before they are built if they cannot fit.
+    stored as the table of their nonzero entries.
 
     ``clifford`` marks the spin and half-spin representations of so(n): it
     holds the Clifford blade of each generator (:class:`spin.SpinorBlades`),
@@ -88,37 +87,10 @@ class Rep:
         under another label."""
         return Rep(self.basis, self.dim, self.table, label, self.clifford)
 
-    @classmethod
-    def from_mats(cls, basis: SoBasis | Subalgebra, dim: int, mats, label: str) -> Rep:
-        """Rep from dense generators, read one at a time, so an iterable of
-        matrices computed on the fly never exists as a whole stack."""
-        parts = []
-        for a, m in enumerate(mats):
-            m = np.asarray(m, dtype=complex)
-            row, col = np.nonzero(m)
-            parts.append((np.full(len(row), a), row, col, m[row, col]))
-        gen, row, col, val = (np.concatenate(p) for p in zip(*parts)) if parts else ([], [], [], [])
-        return cls(basis=basis, dim=dim, table=gen_table(gen, row, col, val, dim), label=label)
-
     @property
     def count(self) -> int:
         """Number of generators, one per basis element."""
         return len(self.basis.elements)
-
-    @functools.cached_property
-    def _dense(self) -> np.ndarray:
-        numerics.require_bytes(16 * self.count * self.dim**2, f"the dense generators of {self.label}")
-        out = np.zeros((self.count, self.dim, self.dim), dtype=complex)
-        out[self.table.gen, self.table.row, self.table.col] = self.table.val
-        out.flags.writeable = False
-        return out
-
-    @functools.cached_property
-    def mats(self) -> tuple[np.ndarray, ...]:
-        return tuple(self._dense)
-
-    def stacked(self) -> np.ndarray:
-        return self._dense
 
 
 def _partners(rows: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,7 +135,9 @@ def rep_trivial(basis: SoBasis | Subalgebra) -> Rep:
 
 
 def rep_vector(basis: SoBasis) -> Rep:
-    return Rep.from_mats(basis, basis.n, basis.elements, "vector")
+    elements = np.array(basis.elements)
+    gen, row, col = np.nonzero(elements)
+    return Rep(basis, basis.n, gen_table(gen, row, col, elements[gen, row, col], basis.n), "vector")
 
 
 def rep_adjoint(basis: SoBasis) -> Rep:
@@ -298,15 +272,19 @@ def rep_tensor(r1: Rep, r2: Rep) -> Rep:
 
 
 def rep_restrict(r: Rep, h: Subalgebra) -> Rep:
-    """Restrict a representation of so(n) to a subalgebra (by expanding the
-    orthonormalised generators of h over the so(n) basis)."""
+    """Restrict a representation of so(n) to a subalgebra: with c_j the
+    expansion of the j-th orthonormal element of h over the so(n) basis,
+    ``sum_a c_ja rho_a`` from the entries of every rho_a with ``c_ja != 0``."""
     if not isinstance(r.basis, SoBasis):
         raise ValueError("can only restrict a representation of the full so(n)")
     if h.ambient.n != r.basis.n:
         raise ValueError(f"subalgebra ambient so({h.ambient.n}) does not match rep over so({r.basis.n})")
-    stacked = r.stacked()
-    mats = (np.tensordot(expand(r.basis, g), stacked, axes=(0, 0)) for g in h.elements)
-    return Rep.from_mats(h, r.dim, mats, f"{r.label}|{h.label}")
+    coeff = np.array([expand(r.basis, g) for g in h.elements]).reshape(-1, r.count)
+    j, a = np.nonzero(coeff)  # row-major: sorted by j, then a
+    t = r.table
+    pair, entry = _partners(a, np.searchsorted(t.gen, np.arange(r.count + 1)))
+    val = coeff[j[pair], a[pair]] * t.val[entry]
+    return Rep(h, r.dim, gen_table(j[pair], t.row[entry], t.col[entry], val, r.dim), f"{r.label}|{h.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +293,19 @@ def rep_restrict(r: Rep, h: Subalgebra) -> Rep:
 
 
 def casimir(r: Rep) -> np.ndarray:
-    """Quadratic Casimir ``sum_a rho(x_a)^2`` over the orthonormal basis."""
-    m = r.stacked()
-    return np.einsum("aij,ajk->ik", m, m)
+    """Quadratic Casimir ``sum_a rho(x_a)^2`` over the orthonormal basis, as
+    the a = b self-join of the table: each entry ``rho_a[i, j]`` meets the
+    run of row j of the same generator, and one ``np.bincount`` sums the
+    products, taken part by part (no fused multiply-add), in order of a, j."""
+    t, d = r.table, r.dim
+    start = np.searchsorted(t.gen * d + t.row, np.arange(r.count * d + 1))
+    entry, right = _partners(t.gen * d + t.col, start)
+    x, y = t.val[entry], t.val[right]
+    bins = t.row[entry] * d + t.col[right]
+    out = np.empty(d * d, dtype=complex)
+    out.real = np.bincount(bins, x.real * y.real - x.imag * y.imag, d * d)
+    out.imag = np.bincount(bins, x.real * y.imag + x.imag * y.real, d * d)
+    return out.reshape(d, d)
 
 
 #: Relative cutoff of :func:`intertwiners`: an eigenvalue of G at or below
@@ -356,6 +344,14 @@ def _torus_eigh(r: Rep, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return numerics.eig_hermitian(m)
 
 
+def _generator(r: Rep, a: int) -> np.ndarray:
+    """The dense ``rho(x_a)`` from its run of the table."""
+    lo, hi = np.searchsorted(r.table.gen, (a, a + 1))
+    m = np.zeros((r.dim, r.dim), dtype=complex)
+    m[r.table.row[lo:hi], r.table.col[lo:hi]] = r.table.val[lo:hi]
+    return m
+
+
 def intertwiners(r1: Rep, r2: Rep) -> list[np.ndarray]:
     """Orthonormal basis (Frobenius) of ``{T : sigma(x_a) T = T rho(x_a)}``,
     maps from the space of ``r1`` (rho) to that of ``r2`` (sigma).
@@ -372,16 +368,18 @@ def intertwiners(r1: Rep, r2: Rep) -> list[np.ndarray]:
                      + δ_ik (sum_a rho~ rho~^H)[l,j] - C[(ij),(kl)] - conj C[(kl),(ij)],
         C[(ij),(kl)] = sum_a conj(sigma~_a[k,i]) rho~_a[l,j],
 
-    C summed one generator at a time.  Its kernel (one eigh, KERNEL_TOL)
+    C summed one generator at a time, each rho_a and sigma_a formed dense
+    from its run of the table.  Its kernel (one eigh, KERNEL_TOL)
     maps back by the unitary ``T = U2 A U1^H``.  When both tables are real
     the commutant is closed under conjugation, and the real and imaginary
     parts of the T are orthonormalised into as many real intertwiners.
 
     Each step is refused before it allocates if it cannot fit
     (:func:`numerics.require_bytes`): the eigendecompositions at 96 bytes
-    per entry of d1^2 + d2^2 (5.8 x 16 measured), then the dense views at 16
-    per entry of N (d1^2 + d2^2) and G at 128 per entry of S^2 (peaks 0.9
-    and 0.7 of these shares where each dominates)."""
+    per entry of d1^2 + d2^2 (5.8 x 16 measured), then the eigenbases, sums
+    and one generator's products at 128 per entry of d1^2 + d2^2 (90 to 123
+    traced) and G at 128 per entry of S^2 (a peak 0.7 of that share where
+    it dominates)."""
     if not _same_basis(r1, r2):
         raise ValueError("intertwiners need representations over the same basis")
     return _intertwiners_at(r1, r2, _golden(r1.count))
@@ -398,7 +396,7 @@ def _intertwiners_at(r1: Rep, r2: Rep, coeff: np.ndarray) -> list[np.ndarray]:
     i, j = np.nonzero(np.abs(w2[:, None] - w1) <= tol)
     size = len(i)
     numerics.require_bytes(
-        16 * r1.count * (d1 * d1 + d2 * d2) + 128 * size * size,
+        128 * (d1 * d1 + d2 * d2 + size * size),
         f"the commutant solve of {r1.label} and {r2.label} ({size} unknowns)",
     )
     if size == 0:
@@ -407,9 +405,9 @@ def _intertwiners_at(r1: Rep, r2: Rep, coeff: np.ndarray) -> list[np.ndarray]:
     sum_ss, sum_rr = np.zeros((d2, d2), dtype=complex), np.zeros((d1, d1), dtype=complex)
     cross = np.zeros((size, size), dtype=complex)  # C transposed
     u1h, u2h = u1.conj().T, u2.conj().T
-    for m1, m2 in zip(r1.stacked(), r2.stacked()):
-        rho = u1h @ m1 @ u1
-        sigma = rho if r2 is r1 else u2h @ m2 @ u2
+    for a in range(r1.count):
+        rho = u1h @ _generator(r1, a) @ u1
+        sigma = rho if r2 is r1 else u2h @ _generator(r2, a) @ u2
         sum_ss += sigma.conj().T @ sigma
         sum_rr += rho @ rho.conj().T
         cross += sigma[ii].conj() * rho[jj]

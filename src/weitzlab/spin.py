@@ -37,7 +37,9 @@ __all__ = [
 def _signs(dim: int) -> np.ndarray:
     """``(-1)^|v|`` for every v below ``dim``, a power of two (float32): the
     table for v < 2^(k+1) is that for v < 2^k and its negative.  A lookup is
-    faster than folding the bits, and numpy before 2.0 has no bit count."""
+    faster than folding the bits, and numpy before 2.0 has no bit count.
+    Refused first if the last doubling, 8 bytes an entry, cannot fit."""
+    numerics.require_bytes(8 * dim, f"the sign table of {dim} spinor rows (8 bytes an entry)")
     signs = np.ones(1, dtype=np.float32)
     while len(signs) < dim:
         signs = np.concatenate((signs, -signs))

@@ -232,7 +232,9 @@ def _blade_k_matrix(r: CurvatureOperator, blades: SpinorBlades) -> np.ndarray:
 
 
 def k_term(r: CurvatureOperator, rep: Rep) -> CurvatureEndomorphism:
-    """Curvature endomorphism of a representation, with spectrum."""
+    """Curvature endomorphism of a representation, with spectrum, refused first if it cannot fit."""
+    dtype = complex if rep.clifford is not None or np.any(rep.table.val.imag) else float
+    require_k_term(rep.dim, dtype, sum(a.nbytes for a in rep.table))
     k = k_matrix(r, rep)
     scale = max(1.0, float(np.linalg.norm(k)))
     residual = float(np.linalg.norm(k - k.conj().T)) / scale
@@ -308,9 +310,9 @@ def _twisted_gram(y1: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y1.conj().swapaxes(1, 2)[:, None] @ y[None]
 
 
-def _restricted_k(r: CurvatureOperator, rho: Rep, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``Q^H K Q`` and ``||K||`` for K on the k-th tensor power of ``rho``,
-    one of each per operator of the stack, without K.
+def _restricted_k(r: CurvatureOperator, rho: Rep, g: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Q^H K Q`` and ``||K||`` for K on the k-th tensor power of ``rho``
+    (dense generators ``g``), one of each per operator of the stack, without K.
 
     ``K = sum_ab R_ab P_a P_b`` splits into one-slot terms ``K1^(i)``, K1 the
     K of ``rho`` (:func:`k_matrix`), and two-slot terms ``M^(ij)``, i != j,
@@ -320,7 +322,7 @@ def _restricted_k(r: CurvatureOperator, rho: Rep, slots: np.ndarray) -> tuple[np
     ``||K||^2 = k d^(k-1) ||K1||^2 + k(k-1) d^(k-2) ((tr K1)^2 + tr(RtRt) +
     tr(tRtR^T))`` with ``t_ab = tr(rho_a rho_b)``.  The largest arrays are the
     (T, d^2, d^2) M and (T, d^k, m) K Q."""
-    k, d, g = slots.ndim - 1, rho.dim, rho.stacked()
+    k, d = slots.ndim - 1, rho.dim
     mat = r.matrix.reshape(-1, rho.count, rho.count)
     k1 = k_matrix(r, rho).reshape(-1, d, d)
     flat = g.reshape(len(g), -1)
@@ -363,7 +365,8 @@ def lemma_check(
     slots.  They do not depend on R, so they are checked once per call, on
     Q alone.  Nothing of dimension d^k x d^k is formed, nor the tensor
     power's table: every operator acts on Q reshaped to ``(d,)*k + (m,)``,
-    one or two slots at a time.  ``Q^H K Q`` and ``||K||`` come from the
+    one or two slots at a time, with the generators scattered from the
+    table into one (N, d, d) array, d <= 4 at the suites' n = 3 and 4.  ``Q^H K Q`` and ``||K||`` come from the
     one-slot and two-slot parts of K (:func:`_restricted_k`); W is formed
     only on E, from the Gram of :func:`_twisted_gram`, so the two sides are
     computed by independent paths.  The operators must be a non-empty
@@ -388,7 +391,8 @@ def lemma_check(
         raise LemmaPreconditionError("E columns are not orthonormal")
     scale = max(1.0, float(np.linalg.norm(q)))
     slots = q.reshape((d,) * k + (m,))
-    g = rho.stacked()
+    g = np.zeros((rho.count, d, d), dtype=complex)
+    g[rho.table.gen, rho.table.row, rho.table.col] = rho.table.val
     y1, y = _generator_action(g, slots)
     # ||P_a||^2 = k d^(k-1) ||rho_a||^2: the cross terms are traces of rho_a
     gen_norm = float(np.sqrt(k * d ** (k - 1)) * np.linalg.norm(g, axis=(1, 2)).max())
@@ -414,7 +418,7 @@ def lemma_check(
     del y1, y, off  # the trials need only the Gram
     out = []
     for batch in ops:
-        restricted, knorm = _restricted_k(batch, rho, slots)
+        restricted, knorm = _restricted_k(batch, rho, g, slots)
         for r, rk, kn in zip(batch.unstack(), restricted, knorm):
             out.append(_lemma_report(r, rk, float(kn), gram, k, gamma_generators, tol))
     return out

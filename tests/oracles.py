@@ -1,11 +1,12 @@
 """Independent references for the tests.
 
 The package builds the Clifford generators, the half-spins and the
-projection lemma from closed forms, solves for intertwiners on the
-weight blocks of a torus element, and keeps curvature operators in pair
-coordinates.  These are the slower, direct
-constructions those are checked against, and checks of the premises every
-verdict rests on.  Nothing in ``src/`` imports this module.
+projection lemma from closed forms, keeps a representation as the table of
+its generators' nonzero entries, solves for intertwiners on the weight
+blocks of a torus element, and keeps curvature operators in pair
+coordinates.  These are the slower, direct constructions those are checked
+against (dense generator stacks among them), and checks of the premises
+every verdict rests on.  Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -18,6 +19,36 @@ import numpy as np
 from weitzlab import numerics
 from weitzlab import representations as reps
 from weitzlab import so_algebra as so
+
+
+def dense(r: reps.Rep) -> np.ndarray:
+    """The (N, d, d) stack of a representation's generators, scattered from
+    its table."""
+    out = np.zeros((r.count, r.dim, r.dim), dtype=complex)
+    out[r.table.gen, r.table.row, r.table.col] = r.table.val
+    return out
+
+
+def rep_from_mats(basis, dim: int, mats, label: str) -> reps.Rep:
+    """A representation from dense generators: the table of their nonzero
+    entries."""
+    mats = np.asarray(list(mats), dtype=complex).reshape(-1, dim, dim)
+    gen, row, col = np.nonzero(mats)
+    return reps.Rep(basis, dim, reps.gen_table(gen, row, col, mats[gen, row, col], dim), label)
+
+
+def casimir(r: reps.Rep) -> np.ndarray:
+    """``sum_a rho_a^2`` by an einsum over the dense stack."""
+    m = dense(r)
+    return np.einsum("aij,ajk->ik", m, m)
+
+
+def restrict(r: reps.Rep, h: so.Subalgebra) -> reps.Rep:
+    """The restriction to a subalgebra by a ``tensordot`` of each element's
+    coefficients with the dense stack."""
+    stacked = dense(r)
+    mats = [np.tensordot(so.expand(r.basis, g), stacked, axes=(0, 0)) for g in h.elements]
+    return rep_from_mats(h, r.dim, mats, f"{r.label}|{h.label}")
 
 
 def dense_pauli(x, z, phase, dim: int) -> np.ndarray:
@@ -83,7 +114,7 @@ def dense_intertwiners(r1: reps.Rep, r2: reps.Rep) -> list[np.ndarray]:
     rho_a^T`` on the row-major ``vec T``, (d1 d2)^2 entries, from the
     complex Hermitian solver with the cutoff of ``representations.KERNEL_TOL``."""
     d1, d2 = r1.dim, r2.dim
-    rho, sigma = r1.stacked(), r2.stacked()
+    rho, sigma = dense(r1), dense(r2)
     cross = kron_sum(sigma.conj().transpose(0, 2, 1), rho.transpose(0, 2, 1))
     g = np.kron(np.einsum("aji,ajk->ik", sigma.conj(), sigma), np.eye(d1)) - cross
     g += np.kron(np.eye(d2), np.einsum("aij,akj->ik", rho.conj(), rho)) - cross.conj().T
@@ -103,7 +134,7 @@ def homomorphism_residual(r: reps.Rep) -> float:
     """Worst ``|| rho([x_a, x_b]) - [rho(x_a), rho(x_b)] ||`` over pairs,
     each bracket expanded over the orthonormal basis matrices with the
     inner product ``-tr(a b) / 2``."""
-    elements, mats = r.basis.elements, r.stacked()
+    elements, mats = r.basis.elements, dense(r)
     worst = 0.0
     for a, b in itertools.combinations(range(len(elements)), 2):
         lie = so.bracket(elements[a], elements[b])

@@ -115,7 +115,7 @@ def test_criterion_5_bi_invariant_model():
     g = so.simple_algebra("A1")
     sob = so.basis(g.dim)
     sp = spin.rep_spin(sob)
-    stacked = sp.stacked()
+    stacked = oracles.dense(sp)
     total = np.zeros((sp.dim, sp.dim), dtype=complex)
     for a in g.ad:
         coeff = so.expand(sob, np.real(a))
@@ -182,7 +182,7 @@ def test_criterion_9_structural_integrity():
     for n in range(2, 9):
         b = so.basis(n)
         for r in wb.standard_family(b):
-            m = r.stacked()
+            m = oracles.dense(r)
             assert oracles.homomorphism_residual(r) <= 1e-10, f"n={n} {r.label}"
             assert np.linalg.norm(m + m.conj().swapaxes(1, 2)) <= 1e-12, f"n={n} {r.label}"
     extra = [reps.rep_exterior(so.basis(4), p) for p in range(5)] + [

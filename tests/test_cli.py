@@ -245,7 +245,36 @@ class TestScaleLimit:
         assert elapsed < 2.0 and peak_mb < 100
 
 
+    def test_sphere_casimir_n12_from_the_tables(self):
+        # the Casimir is the self-join of each rep's table: no (N, d, d)
+        # stack, 66 x 495 x 495 complex for exterior(4), is formed
+        code, out, err, peak_mb = run_capped_peak(["check", "sphere-casimir", "--n", "12"])
+        assert code == 0, err
+        assert all(r["pass"] for r in json.loads(out)["reports"])
+        assert peak_mb < 200
+
+
 class TestSizePreflight:
+    def test_k_term_refused_before_k_on_a_tensor_rep(self):
+        # d = 120^2: a float64 K of 1.66 GB fits, but not the spectrum's
+        # three K-sized arrays beside the table (604800 entries x 40 bytes)
+        code, out, err, peak_mb = run_capped_peak(
+            ["k", "--n", "10", "--rep", "tensor:exterior:3,exterior:3", "--curvature", "random:1"]
+        )
+        assert code == 2 and out == ""
+        what = "the spectrum of K (3 x 14400 x 14400 x 8 bytes beside 24192000 bytes of its representation) needs 5000832000"
+        assert err == f"error: out of memory: {what} bytes, more than the address-space limit of 3221225472 bytes\n"
+        assert peak_mb <= 150
+
+    def test_sign_table_refused_before_its_doublings(self):
+        # the Pauli strings of so(60) act on 2^30 spinor rows: the last
+        # doubling of the float32 sign table would hold 8 GiB
+        code, out, err, peak_mb = run_capped_peak(["check", "lichnerowicz", "--n", "60", "--trials", "2"])
+        assert code == 2 and out == ""
+        what = "the sign table of 1073741824 spinor rows (8 bytes an entry) needs 8589934592"
+        assert err == f"error: out of memory: {what} bytes, more than the address-space limit of 3221225472 bytes\n"
+        assert peak_mb <= 150
+
     def test_spin_n40_refused_before_its_tables(self):
         # the (780, 2^20) spin table would take about 100 GB: refused from
         # its size, in about a start-up's time, before anything is built
@@ -276,10 +305,10 @@ class TestSizePreflight:
 
     @pytest.mark.parametrize(
         "rep, label, unknowns, nbytes",
-        # 16 bytes per entry of the dense views, 6 generators x 2 d^2, and 128
-        # per entry of G, S^2: exterior(2) of so(4) has d = 6 and S = 4 + 2^2
+        # 128 bytes per entry of the eigenbases and one generator's products,
+        # 2 d^2, and of G, S^2: exterior(2) of so(4) has d = 6 and S = 4 + 2^2
         # (four weights and the zero weight twice), spin d = 4 and S = 4
-        (("exterior:2", "exterior(2)", 8, 15104), ("spin", "spin", 4, 5120)),
+        (("exterior:2", "exterior(2)", 8, 17408), ("spin", "spin", 4, 6144)),
     )
     def test_commutant_solve_refused_before_its_normal_matrix(self, rep, label, unknowns, nbytes, monkeypatch, capsys):
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
@@ -307,16 +336,6 @@ class TestSizePreflight:
             "error: out of memory: the torus eigendecompositions of spin and spin needs 3072 bytes, "
             "more than the address-space limit of 3071 bytes\n"
         )
-
-    def test_dense_views_refused_before_they_are_built(self, monkeypatch):
-        # exterior(2) of so(5): 10 generators on 10 dimensions, 16 bytes each
-        r = reps.rep_exterior(so.basis(5), 2)
-        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        monkeypatch.setattr(resource, "getrlimit", lambda which: (15999, hard))
-        with pytest.raises(MemoryError, match=r"^the dense generators of exterior\(2\) needs 16000 bytes"):
-            r.stacked()
-        monkeypatch.setattr(resource, "getrlimit", lambda which: (16000, hard))
-        assert r.stacked().shape == (10, 10, 10)
 
 
 class TestTrialPreflight:

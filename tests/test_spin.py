@@ -80,20 +80,20 @@ class TestRepSpin:
         g = oracles.gamma_dense(n)
         want = np.array([-(g[i] @ g[j]) / 2.0 for i, j in b.pairs])
         r = spin.rep_spin(b)
-        assert np.array_equal(r.stacked(), want)
+        assert np.array_equal(oracles.dense(r), want)
         # monomial: one entry per row and generator
         assert len(r.table.val) == len(b.pairs) * r.dim
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_generator_squares(self, n):
         r = spin.rep_spin(so.basis(n))
-        for m in r.mats:
+        for m in oracles.dense(r):
             assert np.allclose(m @ m, -0.25 * np.eye(r.dim), atol=1e-12)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_rep_invariants(self, n):
         r = spin.rep_spin(so.basis(n))
-        m = r.stacked()
+        m = oracles.dense(r)
         assert oracles.homomorphism_residual(r) <= 1e-10
         assert np.linalg.norm(m + m.conj().swapaxes(1, 2)) <= 1e-12
 
@@ -101,8 +101,9 @@ class TestRepSpin:
         b = so.basis(3)
         r = spin.rep_spin(b)
         i12, i23, i13 = (b.pairs.index(p) for p in ((0, 1), (1, 2), (0, 2)))
-        got = r.mats[i12] @ r.mats[i23] - r.mats[i23] @ r.mats[i12]
-        assert np.linalg.norm(got - r.mats[i13]) <= 1e-12
+        m = oracles.dense(r)
+        got = m[i12] @ m[i23] - m[i23] @ m[i12]
+        assert np.linalg.norm(got - m[i13]) <= 1e-12
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_casimir(self, n):
@@ -158,7 +159,7 @@ class TestHalfSpin:
         full = spin.rep_spin(b)
         for sign, rows in zip((1, -1), spin.half_spin_rows(n)):
             cols = np.eye(full.dim)[:, rows]
-            want = reps.Rep.from_mats(b, len(rows), (cols.T @ m @ cols for m in full.mats), "oracle")
+            want = oracles.rep_from_mats(b, len(rows), (cols.T @ m @ cols for m in oracles.dense(full)), "oracle")
             got = spin.rep_half_spin(b, sign)
             assert got.dim == len(rows)
             for a, w in zip(got.table, want.table):
@@ -288,7 +289,7 @@ class TestSpinorBlades:
             reps.rep_tensor(reps.rep_trivial(b), sp),
             reps.rep_restrict(sp, h),
             reps.rep_restrict(half, h),
-            reps.Rep.from_mats(b, sp.dim, sp.mats, "spin"),
+            oracles.rep_from_mats(b, sp.dim, oracles.dense(sp), "spin"),
             reps.rep_exterior(b, 2),
         ]
         assert all(r.clifford is None for r in unmarked)
@@ -330,7 +331,7 @@ class TestSpinorPairing:
         forms = reps.intertwiners(r, oracles.dual(r))
         assert forms
         for bform in forms:
-            for m in r.mats:
+            for m in oracles.dense(r):
                 assert np.linalg.norm(m.T @ bform + bform @ m) <= 1e-12
 
     @pytest.mark.parametrize("n", (4, 6))
@@ -340,7 +341,7 @@ class TestSpinorPairing:
         bmat = _pairing(n)
         s = 1 if np.array_equal(bmat.T, bmat) else -1
         assert np.array_equal(bmat.T, s * bmat)
-        for m in r.mats:
+        for m in oracles.dense(r):
             prod = bmat @ m
             assert np.linalg.norm(prod.T + s * prod) <= 1e-12
 
@@ -351,7 +352,7 @@ class TestSpinorPairing:
         bmat = _pairing(n)
         d = 2 ** (n // 2)
         r = spin.rep_spin(so.basis(n))
-        for m in r.mats:
+        for m in oracles.dense(r):
             assert not np.any(m.T @ bmat + bmat @ m)
         assert np.array_equal(bmat.conj().T @ bmat, np.eye(d))
         nz = bmat != 0
@@ -389,7 +390,7 @@ class TestCliffordSymbol:
         b = so.basis(n)
         ss = reps.rep_tensor(spin.rep_spin(b), spin.rep_spin(b))
         for ext, block in _symbol_blocks(n):
-            for mext, mss in zip(ext.mats, ss.mats):
+            for mext, mss in zip(oracles.dense(ext), oracles.dense(ss)):
                 assert np.linalg.norm(mss @ block - block @ mext) <= 1e-9
 
     def test_degree_zero_maps_to_identity_endomorphism(self):

@@ -68,7 +68,7 @@ class TestKTerm:
 
 def _k_matrix_dense(r, rep):
     """Oracle: K from the dense (N, d, d) generator stack, by N dense products."""
-    m = rep.stacked()
+    m = oracles.dense(rep)
     s = np.tensordot(r.matrix, m, axes=(1, 0))
     return np.matmul(m, s).sum(axis=0)
 
@@ -503,10 +503,10 @@ def _twisted_loop_oracle(op, rho, k):
     """The twisted term on the whole k-th tensor power, from a plain double
     loop over ``W = -4 sum_ab R_ab (rho_a rho_b (x) 1 + rho_a (x) tail_b)``,
     ``tail_b`` the action of x_b on slots 2..k (zero when k = 1)."""
-    d = rho.dim
+    d, mats = rho.dim, oracles.dense(rho)
     eye = np.eye(d ** (k - 1))
     tails = []
-    for m in rho.mats:
+    for m in mats:
         tail = np.zeros((d ** (k - 1), d ** (k - 1)), dtype=complex)
         for s in range(k - 1):
             tail += np.kron(np.kron(np.eye(d ** s), m), np.eye(d ** (k - 2 - s)))
@@ -514,7 +514,7 @@ def _twisted_loop_oracle(op, rho, k):
     w = np.zeros((d ** k, d ** k), dtype=complex)
     for a in range(rho.count):
         for b in range(rho.count):
-            w += -4.0 * op.matrix[a, b] * (np.kron(rho.mats[a] @ rho.mats[b], eye) + np.kron(rho.mats[a], tails[b]))
+            w += -4.0 * op.matrix[a, b] * (np.kron(mats[a] @ mats[b], eye) + np.kron(mats[a], tails[b]))
     return w
 
 
@@ -527,7 +527,7 @@ class TestRestrictedTwistedTerm:
         rho = spin.rep_spin(so.basis(n))
         q = _random_columns(rho.dim ** k, 3, 10 * n + k)  # neither invariant nor slot-symmetric
         op = curv.random_curvature(n, k)
-        gram = wb._twisted_gram(*wb._generator_action(rho.stacked(), q.reshape((rho.dim,) * k + (-1,))))
+        gram = wb._twisted_gram(*wb._generator_action(oracles.dense(rho), q.reshape((rho.dim,) * k + (-1,))))
         got = 4.0 * np.tensordot(op.matrix, gram, axes=2)
         want = q.conj().T @ _twisted_loop_oracle(op, rho, k) @ q
         assert np.abs(got - want).max() <= 1e-12
@@ -539,9 +539,9 @@ class TestRestrictedTwistedTerm:
         rho = spin.rep_spin(so.basis(n))
         power = oracles.tensor_power_rep(rho, k)
         q = _random_columns(power.dim, 3, n + k)
-        y1, y = wb._generator_action(rho.stacked(), q.reshape((rho.dim,) * k + (-1,)))
-        assert np.abs(y - power.stacked() @ q).max() <= 1e-14
-        first = np.stack([np.kron(m, np.eye(rho.dim ** (k - 1))) for m in rho.mats])
+        y1, y = wb._generator_action(oracles.dense(rho), q.reshape((rho.dim,) * k + (-1,)))
+        assert np.abs(y - oracles.dense(power) @ q).max() <= 1e-14
+        first = np.stack([np.kron(m, np.eye(rho.dim ** (k - 1))) for m in oracles.dense(rho)])
         assert np.abs(y1 - first @ q).max() <= 1e-14
 
 
@@ -565,7 +565,7 @@ class TestRestrictedK:
         power = oracles.tensor_power_rep(rho, k)
         ops = draw(n, [3 * n + k, 4 * n + k])
         q = _random_columns(power.dim, 3, 5 * n + k)
-        restricted, knorm = wb._restricted_k(ops, rho, q.reshape((rho.dim,) * k + (-1,)))
+        restricted, knorm = wb._restricted_k(ops, rho, oracles.dense(rho), q.reshape((rho.dim,) * k + (-1,)))
         kmats = wb.k_matrix(ops, power)
         want = np.linalg.norm(kmats, axis=(1, 2))
         assert np.abs(knorm / want - 1.0).max() <= 1e-14
@@ -989,7 +989,7 @@ class TestStandardFamily:
     def test_adjoint_shares_the_exterior2_table(self, n):
         fam = {r.label: r for r in wb.standard_family(so.basis(n))}
         adjoint = fam["adjoint"]
-        assert np.array_equal(adjoint.stacked(), reps.rep_adjoint(so.basis(n)).stacked())
+        assert np.array_equal(oracles.dense(adjoint), oracles.dense(reps.rep_adjoint(so.basis(n))))
         if n >= 5:
             assert adjoint.table is fam["exterior(2)"].table
 
