@@ -6,10 +6,11 @@ report and the assembly of K.
 Times ten layers of weitzlab, each measurement in a fresh interpreter so
 that it pays every cold cost a CLI process pays:
 
-* ``python -m weitzlab --version`` and ``python -c "import weitzlab.cli"``
-  with ``PYTHONDONTWRITEBYTECODE=1``, timed from spawn to exit, so that each
-  compiles the package from source as a benchmark child does (the CLI
-  process, import included);
+* ``python -m weitzlab --version``, ``python -m weitzlab check lemma:k4
+  --trials 0`` (a usage error, exit 2) and ``python -c "import
+  weitzlab.cli"`` with ``PYTHONDONTWRITEBYTECODE=1``, timed from spawn to
+  exit, so that each compiles the package from source as a benchmark child
+  does (the CLI process, import included);
 * ``random_curvature(n, seed)`` for n = 4 ... 16, 24, 32 and 40 (curvature
   sources);
 * ``representations.intertwiners(r, r)``, the commutant solve, for sym0 at
@@ -73,6 +74,7 @@ the run lands on both alike.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -157,11 +159,13 @@ K_CASES = (
 K_SEED = 1
 #: (algebra, rep) of each K assembly timed on a group's bi-invariant curvature.
 K_GROUP_CASES = (("G2", "spin"), ("C3", "spin"))
-#: (name, interpreter arguments) of each cold start timed: the whole CLI
-#: process and the package import alone, both compiled from source.
+#: (name, interpreter arguments, exit code) of each cold start timed: the
+#: whole CLI process on --version and on a usage error, and the package
+#: import alone, all compiled from source.
 COLD_CASES = (
-    ("weitzlab --version", ["-m", "weitzlab", "--version"]),
-    ("import weitzlab.cli", ["-c", "import weitzlab.cli"]),
+    ("weitzlab --version", ["-m", "weitzlab", "--version"], 0),
+    ("weitzlab check lemma:k4 --trials 0", ["-m", "weitzlab", "check", "lemma:k4", "--trials", "0"], 2),
+    ("import weitzlab.cli", ["-c", "import weitzlab.cli"], 0),
 )
 COLD_REPEATS = 21
 
@@ -372,9 +376,10 @@ def _cap_child() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (CAP_BYTES, CAP_BYTES))
 
 
-def _run_cold(src: str, args: list[str]) -> dict:
+def _run_cold(src: str, args: list[str], expect: int = 0) -> dict:
     """One fresh ``python ARGS`` that compiles the package from source, timed
-    from outside from spawn to exit, with its peak RSS from its rusage."""
+    from outside from spawn to exit, with its peak RSS from its rusage; an
+    exit code other than ``expect`` is an error."""
     env = dict(_child_env(src), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     proc = subprocess.Popen(
@@ -383,7 +388,7 @@ def _run_cold(src: str, args: list[str]) -> dict:
     _, status, usage = os.wait4(proc.pid, 0)
     seconds = time.perf_counter() - start
     code = os.waitstatus_to_exitcode(status)
-    if code != 0:
+    if code != expect:
         return {"error": f"exit {code}"}
     return {"seconds": seconds, "peak_rss_mb": usage.ru_maxrss / 1024.0}
 
@@ -432,8 +437,9 @@ def measure(srcs: list[str]) -> list[dict]:
             print(f"  [{t}] {label}: {values['seconds']:.4f} s", file=sys.stderr)
         return failed
 
-    for name, args in COLD_CASES:
-        case("cold_start", args, {"command": name, "repeats": COLD_REPEATS}, name, run=_run_cold, repeats=COLD_REPEATS)
+    for name, args, code in COLD_CASES:
+        run = functools.partial(_run_cold, expect=code)
+        case("cold_start", args, {"command": name, "exit": code, "repeats": COLD_REPEATS}, name, run=run, repeats=COLD_REPEATS)
     ladder = list(range(len(srcs)))  # the trees whose curvature ladder goes on
     for n in CURVATURE_NS:
         if not ladder:

@@ -9,9 +9,13 @@ Typical use::
     b = so_algebra.basis(4)
     R = curvature.random_curvature(4, seed=7)
     K = weitzenbock.k_term(R, spin.rep_spin(b))
+
+Importing the package loads :mod:`weitzlab.options` alone, which needs no
+numpy, so ``python -m weitzlab`` answers ``--version``, ``--help`` and
+usage errors before numpy loads; each module above loads when imported.
 """
 
-from .report import ARTIFACT_VERSION
+from .options import ARTIFACT_VERSION
 
 __version__ = ARTIFACT_VERSION
 
@@ -21,6 +25,7 @@ __all__ = [
     "cli",
     "curvature",
     "numerics",
+    "options",
     "report",
     "representations",
     "so_algebra",

@@ -1,5 +1,6 @@
-"""Dense matrix kernel: Hermitian eigenvalues and eigendecomposition,
-nullspaces, orthonormal column bases and orthogonal projectors.
+"""Dense matrix kernel: Hermitian eigenvalues and eigendecomposition, a
+positive-definiteness test, nullspaces, orthonormal column bases and
+orthogonal projectors.
 
 Matrices are double-precision complex, except in the Hermitian
 eigensolvers: there real input stays float64, and a Hermitian part whose
@@ -30,6 +31,7 @@ __all__ = [
     "frobenius",
     "nullspace",
     "orthonormal_columns",
+    "positive_definite",
     "projector",
     "real_if_exact",
     "require_bytes",
@@ -167,6 +169,17 @@ def real_if_exact(a: np.ndarray) -> np.ndarray:
     exactly zero, else ``a``: the rule that sends a Hermitian matrix to the
     real symmetric solver."""
     return a.real if np.iscomplexobj(a) and not np.any(a.imag) else a
+
+
+def positive_definite(a: np.ndarray) -> bool:
+    """Whether the Hermitian matrix ``a`` (its lower triangle) has a finite
+    Cholesky factor, one LAPACK ``potrf``: a pivot that is not positive
+    stops it, and a NaN one, which the potrf of some BLAS builds passes
+    on, leaves NaN in the factor."""
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(a)).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 def fix_phases(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:

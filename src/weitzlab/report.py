@@ -11,9 +11,7 @@ import numpy as np
 
 from . import numerics
 
-__all__ = ["ARTIFACT_VERSION", "CheckReport", "canonical_json", "digest"]
-
-ARTIFACT_VERSION = "0.1.0"
+__all__ = ["CheckReport", "canonical_json", "digest"]
 
 
 def _render(value) -> str:

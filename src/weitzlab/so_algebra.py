@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
+from .options import parse_type_rank
 
 __all__ = [
     "SoBasis",
@@ -136,11 +137,9 @@ def u_subalgebra(m: int) -> Subalgebra:
 # Root data in exact rational arithmetic
 # ---------------------------------------------------------------------------
 
-#: Gram matrices of the simple roots, normalised so long roots have squared
-#: length 2, and dual Coxeter numbers.  Keys are (family, rank validity check).
-_FAMILIES = ("A", "B", "C", "D", "G")
 
-
+# Gram matrices of the simple roots, normalised so long roots have squared
+# length 2.
 def _gram(family: str, rank: int) -> list[list[Fraction]]:
     from fractions import Fraction
 
@@ -414,22 +413,6 @@ _DIMENSIONS = {
     "D": lambda r: r * (2 * r - 1),
     "G": lambda r: 14,
 }
-
-
-def parse_type_rank(label: str) -> tuple[str, int]:
-    label = label.strip().upper().replace("_", "")
-    if not label:
-        raise ValueError("empty algebra label")
-    if label == "G2":
-        return "G", 2
-    family, rank_s = label[0], label[1:]
-    if family not in _FAMILIES or not rank_s.isdigit():
-        raise ValueError(f"unsupported algebra label {label!r}")
-    rank = int(rank_s)
-    minimum = {"A": 1, "B": 2, "C": 2, "D": 3}.get(family)
-    if minimum is None or rank < minimum:
-        raise ValueError(f"unsupported rank for {family}: {rank}")
-    return family, rank
 
 
 def simple_algebra(type_rank: str) -> SimpleAlgebraData:

@@ -103,11 +103,12 @@ class SpinorBlades:
     spinor space (of dimension ``size``), and so is each ``Gamma_B``
     (:func:`_product`), whose entries on any rows follow from the row
     formula (:meth:`entries`), with no (N, d) array kept.  ``rows`` are the
-    rows of the full space a half-spin keeps, ascending (all rows for
-    spin).  An even blade preserves chirality, so K on a half is that
-    half's rows and columns of K on spin.  Each ``Gamma_B`` has phases all
-    real or all imaginary, so a blade adds to the real or to the imaginary
-    part of K alone."""
+    rows of the full space a half-spin keeps, ascending, and None for spin,
+    whose rows are formed a chunk at a time where they are read.  An even
+    blade preserves chirality, so K on a half is that half's rows and
+    columns of K on spin.  Each ``Gamma_B`` has phases all real or all
+    imaginary, so a blade adds to the real or to the imaginary part of K
+    alone."""
 
     def __init__(self, masks, x, z, phase, size: int, rows: np.ndarray | None = None):
         self.masks, self.x, self.z, self.phase, self.size = masks, x, z, phase, size
@@ -126,8 +127,8 @@ class SpinorBlades:
         if rows is not None:
             self._pos = np.full(size, -1, dtype=np.int32)
             self._pos[rows] = np.arange(len(rows))
-        self.rows = np.arange(size, dtype=np.int32) if rows is None else rows.astype(np.int32)
-        self.dim = len(self.rows)
+        self.rows = None if rows is None else rows.astype(np.int32)
+        self.dim = size if rows is None else len(rows)
 
     def coefficients(self, matrix: np.ndarray) -> np.ndarray:
         """``c_B`` for each operator of an (N, N) or (T, N, N) stack, as a
@@ -170,7 +171,11 @@ class SpinorBlades:
         """Rows lo..hi of the Pauli strings ``x``, ``z``, ``phase`` (arrays
         along the last axis) by :func:`_row_entries`, with each column a
         position among ``rows``."""
-        col, val = _row_entries(self.rows[lo:hi, None], x, z, phase, self.size)
+        if self.rows is None:  # the full space: rows lo..hi themselves
+            rows = np.arange(lo, self.size if hi is None else hi, dtype=np.int32)
+        else:
+            rows = self.rows[lo:hi]
+        col, val = _row_entries(rows[:, None], x, z, phase, self.size)
         return (col if self._pos is None else self._pos[col]), val
 
 

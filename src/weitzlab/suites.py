@@ -14,35 +14,18 @@ from . import curvature as curv
 from . import representations as reps
 from . import spin as spinmod
 from . import weitzenbock as wb
+from .options import SUITE_NAMES, SuiteConfigError, check_suite
 from .report import CheckReport, digest
 from .so_algebra import basis as so_basis, expand, simple_algebra
 
 __all__ = [
-    "SUITE_NAMES",
-    "SuiteConfigError",
     "run_passed",
     "run_suite",
 ]
 
-
-class SuiteConfigError(ValueError):
-    """A suite request that names no suite, whose verdict would rest on zero
-    trials (a vacuous pass), whose trials would not fit the report budget,
-    or that passes an n, algebras or an operator the suite would ignore."""
-
-
 #: Bytes of stacked curvature operators and K's that one batch of trials may
 #: hold, so that memory does not grow with the number of trials.
 TRIAL_BATCH_BYTES = 1 << 20
-
-#: Bytes one trial's report is taken to cost.  Measured as Python objects,
-#: a lichnerowicz report holds about 2.5 KiB and a lemma:k4 report, the
-#: largest, 4 KiB; their canonical JSON adds 0.2 and 0.7 KiB.
-REPORT_BYTES = 4 << 10
-
-#: Bytes of reports one suite run may hold.  :func:`run_suite` refuses a
-#: larger trial count before it draws any operator.
-REPORT_BUDGET_BYTES = 256 << 20
 
 
 def _seed_batches(first: int, trials: int, n: int, held: int):
@@ -422,27 +405,7 @@ def run_passed(reports: list[CheckReport]) -> bool:
     return bool(gating) and all(r.passed for r in gating)
 
 
-SUITE_NAMES = (
-    "lichnerowicz",
-    "bochner",
-    "sphere-casimir",
-    "lemma:k2",
-    "lemma:k4",
-    "strange",
-    "group-model",
-    "blocks4",
-    "positivity",
-)
-
 _DEFAULT_ALGEBRAS = ["A1", "A2", "B2", "C3", "D4", "G2"]
-
-#: The so(n) of each suite that runs on one n only.
-FIXED_N = {"lemma:k2": 3, "lemma:k4": 4, "blocks4": 4}
-
-#: The suites that run over simple algebras, each on the so(n) its own
-#: adjoint representation lives on: the only ones that read ``algebras``,
-#: and the only ones that read no ``n``.
-ALGEBRA_SUITES = ("strange", "group-model")
 
 
 def run_suite(
@@ -455,29 +418,9 @@ def run_suite(
     operator: curv.CurvatureOperator | None = None,
 ) -> list[CheckReport]:
     """Dispatch a named suite with shared configuration.  ``n`` defaults to
-    4.  What a suite would ignore is refused instead: an ``n`` that a suite
-    of :data:`FIXED_N` does not run on, any ``n`` for the suites of
-    :data:`ALGEBRA_SUITES` and ``algebras`` for every other suite, and an
-    operator for any suite but positivity."""
-    trial_driven = name in ("lichnerowicz", "bochner", "lemma:k2", "lemma:k4", "blocks4") or (
-        name == "positivity" and operator is None
-    )
-    if trial_driven and trials < 1:
-        raise SuiteConfigError(f"suite {name!r} needs trials >= 1, got {trials}")
-    if trial_driven and trials * REPORT_BYTES > REPORT_BUDGET_BYTES:
-        raise SuiteConfigError(
-            f"suite {name!r} cannot run {trials} trials: their reports would take about "
-            f"{-(-trials * REPORT_BYTES >> 20)} MiB at {REPORT_BYTES} bytes each, over the "
-            f"{REPORT_BUDGET_BYTES >> 20} MiB report budget (at most {REPORT_BUDGET_BYTES // REPORT_BYTES} trials)"
-        )
-    if n is not None and FIXED_N.get(name, n) != n:
-        raise SuiteConfigError(f"suite {name!r} runs on so({FIXED_N[name]}) only, not so({n})")
-    if operator is not None and name != "positivity":
-        raise SuiteConfigError(f"suite {name!r} takes no curvature operator; only positivity does")
-    if n is not None and name in ALGEBRA_SUITES:
-        raise SuiteConfigError(f"suite {name!r} runs each algebra on its own so(n) and takes no n")
-    if algebras is not None and name in SUITE_NAMES and name not in ALGEBRA_SUITES:
-        raise SuiteConfigError(f"suite {name!r} takes no algebras; only {' and '.join(ALGEBRA_SUITES)} do")
+    4.  A request the suite could not honour is refused first, by the rules
+    of :func:`options.check_suite`, before any operator is drawn."""
+    check_suite(name, n, trials, algebras, operator is not None)
     n = 4 if n is None else n
     algebras = algebras or _DEFAULT_ALGEBRAS
     # an unset tolerance leaves each suite its own default; 0 is a tolerance

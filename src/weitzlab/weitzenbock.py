@@ -4,8 +4,6 @@ The central object is ``K = sum_ab R_ab rho(x_a) rho(x_b)`` for a curvature
 operator R and a representation rho; it is self-adjoint because R is
 symmetric and the generators are skew-adjoint.  On top of it:
 
-* named multiples ``t K`` matching the classical geometric operators
-  (spinor, Hodge, Lichnerowicz, Killing, curvature-tensor);
 * a verifier for the projection identity ``P K P = -(k/4) P W P`` on
   permutation-fixed subspaces E of spinor tensor powers, with both sides
   formed only on E, from an orthonormal basis of E acted on one or two
@@ -46,11 +44,9 @@ __all__ = [
     "LemmaPreconditionError",
     "PositivityEntry",
     "PositivityReport",
-    "LAPLACIAN_PRESETS",
     "definiteness",
     "k_matrix",
     "k_term",
-    "laplacian_t",
     "lemma_check",
     "neg_k_spectrum",
     "positivity_report",
@@ -59,17 +55,6 @@ __all__ = [
     "standard_family",
     "vanishing_conclusion",
 ]
-
-#: Values of t for the classical operators: the spinor Laplacian carries -4K,
-#: the Hodge and Lichnerowicz Laplacians -2K, Killing fields +2K, and the
-#: Laplacian on curvature tensors -1K.
-LAPLACIAN_PRESETS = {
-    "spinor_dirac": -4.0,
-    "hodge": -2.0,
-    "lichnerowicz": -2.0,
-    "killing": 2.0,
-    "curvature_tensor": -1.0,
-}
 
 
 class CurvatureEndomorphism(NamedTuple):
@@ -242,17 +227,6 @@ def k_term(r: CurvatureOperator, rep: Rep) -> CurvatureEndomorphism:
     return CurvatureEndomorphism(
         rep_label=rep.label, matrix=k, spectrum=w, self_adjoint_residual=residual
     )
-
-
-def laplacian_t(t) -> float:
-    """The multiple t of K for a number or a preset name."""
-    if isinstance(t, str):
-        if t not in LAPLACIAN_PRESETS:
-            raise ValueError(f"unknown Laplacian preset {t!r}; choose from {sorted(LAPLACIAN_PRESETS)}")
-        t = LAPLACIAN_PRESETS[t]
-    if not np.isfinite(t):
-        raise ValueError(f"the multiple t of K must be finite, got {t}")
-    return float(t)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +504,23 @@ def _classify_neg_k(r: CurvatureOperator, rep: Rep, tol: float) -> tuple[float, 
     return float(np.min(neg_w)), verdicts.get(definiteness(neg_w, tol), "indefinite")
 
 
+def _negative_direction(r: CurvatureOperator, rep: Rep, tol: float) -> bool:
+    """Whether -K on ``rep`` has an eigenvalue below -tol, the verdict
+    "indefinite" of :func:`_classify_neg_k`, from one Cholesky
+    factorisation and no eigenvalues: ``tol Id - H`` is not positive
+    definite, H the Hermitian part of K.  A NaN in H fails it, as a NaN
+    spectrum is "indefinite".  ``tol Id - H`` is formed in place, so that
+    no more than three d x d arrays are held at once."""
+    k = k_matrix(r, rep)
+    h = k.conj().T
+    h += k
+    h /= -2.0
+    del k
+    h = numerics.real_if_exact(h)
+    h.flat[:: len(h) + 1] += tol
+    return not numerics.positive_definite(h)
+
+
 def _entry_for(r: CurvatureOperator, rep: Rep, tol: float) -> PositivityEntry:
     min_eig, verdict = _classify_neg_k(r, rep, tol)
     return PositivityEntry(
@@ -555,8 +546,9 @@ def positivity_report(
     over the family and pairwise tensor products up to ``search_dim_cap``
     total dimension; that search is reported as DIAGNOSTIC only, because the
     genuine converse quantifies over all representations.  The search only
-    classifies -K on each product; irreducibility is computed for the family
-    entries alone.
+    asks whether -K has a negative direction on each product, by one
+    Cholesky factorisation (:func:`_negative_direction`); the spectrum and
+    irreducibility are computed for the family entries alone.
     """
     from .so_algebra import basis as so_basis
 
@@ -592,7 +584,7 @@ def positivity_report(
             searched.append(t.label)
             key = (id(ra.table), id(rb.table))
             if key not in indefinite:
-                indefinite[key] = _classify_neg_k(r, t, tol)[1] == "indefinite"
+                indefinite[key] = _negative_direction(r, t, tol)
             if indefinite[key]:
                 counterexamples.append(t.label)
         diagnostic = {

@@ -162,6 +162,27 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+class TestPositiveDefinite:
+    def test_definite_matrices(self):
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert numerics.positive_definite(a)
+        assert numerics.positive_definite(np.array([[2.0, 1.0j], [-1.0j, 2.0]]))
+        assert not numerics.positive_definite(-a)
+
+    @pytest.mark.parametrize(
+        "a",
+        (np.zeros((3, 3)), np.diag([1.0, 0.0, 2.0]), np.diag([1.0, -1e-12, 2.0]), np.diag([1.0, np.nan, 2.0])),
+        ids=("zero", "singular", "slightly-negative", "nan-pivot"),
+    )
+    def test_not_definite(self, a):
+        assert not numerics.positive_definite(a)
+
+    def test_nan_below_the_diagonal(self):
+        a = np.eye(3)
+        a[2, 0] = a[0, 2] = np.nan
+        assert not numerics.positive_definite(a)
+
+
 class TestFixPhases:
     @pytest.mark.parametrize("seed", range(4))
     def test_bit_equal_to_the_column_loop(self, seed):

@@ -300,6 +300,26 @@ def _pairing(n):
     return oracles.dense_pauli(*spin._invertible_pairing(n), 2 ** (n // 2))
 
 
+class TestFullModuleBlades:
+    def test_no_spinor_sized_array_kept(self):
+        # n = 40: 2^20 spinor rows against 780^2 = 608400 generator pairs;
+        # the rows of the full module are formed a chunk at a time where read
+        blades = spin.spinor_blades(so.basis(40))
+        assert blades.rows is None and blades.dim == 2**20
+        assert max(a.size for a in vars(blades).values() if isinstance(a, np.ndarray)) < blades.dim
+
+    @pytest.mark.parametrize("n", (4, 7))
+    def test_entries_on_any_rows(self, n):
+        blades = spin.spinor_blades(so.basis(n))
+        col, val = blades.entries(0, blades.dim)
+        for lo, hi in ((0, 1), (1, 3), (blades.dim - 2, blades.dim)):
+            c, v = blades.entries(lo, hi)
+            assert c.dtype == col.dtype and v.dtype == val.dtype
+            assert np.array_equal(c, col[lo:hi]) and np.array_equal(v, val[lo:hi])
+        rows = np.arange(blades.dim)[:, None]
+        assert np.array_equal(col, rows ^ blades.bx)
+
+
 class TestSpinorPairing:
     def test_schur_one_form_per_half_n4(self):
         # each half is self-dual: one invariant form (Schur), the restriction of B

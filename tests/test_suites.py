@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from weitzlab import curvature as curv
+from weitzlab import options
 from weitzlab import so_algebra as so
 from weitzlab import spin, suites
 from weitzlab import weitzenbock as wb
@@ -166,34 +167,34 @@ class TestSuites:
             suites.run_suite("bogus")
 
     def test_fixed_n_is_the_n_each_suite_runs_on(self):
-        assert suites.FIXED_N == {
+        assert options.FIXED_N == {
             "lemma:k2": suites._lemma_k2_config()[0],
             "lemma:k4": suites._lemma_k4_config()[0],
             "blocks4": 4,
         }
-        for name, n in suites.FIXED_N.items():
+        for name, n in options.FIXED_N.items():
             assert {r.inputs.get("n", n) for r in suites.run_suite(name, n=n, trials=1)} == {n}
 
     @pytest.mark.parametrize("name, n", (("lemma:k2", 4), ("lemma:k4", 3), ("lemma:k4", 6), ("blocks4", 5)))
     def test_other_n_of_a_fixed_suite_rejected(self, name, n):
-        with pytest.raises(suites.SuiteConfigError, match=re.escape(f"runs on so({suites.FIXED_N[name]}) only")):
+        with pytest.raises(suites.SuiteConfigError, match=re.escape(f"runs on so({options.FIXED_N[name]}) only")):
             suites.run_suite(name, n=n, trials=1)
 
     @pytest.mark.parametrize("name", [s for s in suites.SUITE_NAMES if s != "positivity"])
     def test_operator_for_a_suite_that_ignores_it_rejected(self, name):
-        n = suites.FIXED_N.get(name, 4)
+        n = options.FIXED_N.get(name, 4)
         with pytest.raises(suites.SuiteConfigError, match="takes no curvature operator"):
             suites.run_suite(name, n=n, trials=1, operator=curv.sphere(n))
 
-    @pytest.mark.parametrize("name", suites.ALGEBRA_SUITES)
+    @pytest.mark.parametrize("name", options.ALGEBRA_SUITES)
     def test_n_for_an_algebra_suite_rejected(self, name):
         with pytest.raises(suites.SuiteConfigError, match="takes no n"):
             suites.run_suite(name, n=6, algebras=["A1"])
 
-    @pytest.mark.parametrize("name", [s for s in suites.SUITE_NAMES if s not in suites.ALGEBRA_SUITES])
+    @pytest.mark.parametrize("name", [s for s in suites.SUITE_NAMES if s not in options.ALGEBRA_SUITES])
     def test_algebras_for_another_suite_rejected(self, name):
         with pytest.raises(suites.SuiteConfigError, match="takes no algebras"):
-            suites.run_suite(name, n=suites.FIXED_N.get(name, 3), trials=1, algebras=["G2"])
+            suites.run_suite(name, n=options.FIXED_N.get(name, 3), trials=1, algebras=["G2"])
 
     @pytest.mark.parametrize("name", ("lichnerowicz", "bochner", "lemma:k2", "lemma:k4", "blocks4", "positivity"))
     def test_zero_trials_rejected(self, name):
@@ -211,11 +212,11 @@ class TestSuites:
             suites.run_suite(name, n=3, trials=trials)
         message = str(info.value)
         assert str(trials) in message
-        assert f"{suites.REPORT_BUDGET_BYTES >> 20} MiB" in message
+        assert f"{options.REPORT_BUDGET_BYTES >> 20} MiB" in message
         assert "\n" not in message
 
     def test_report_budget_is_a_trial_cap(self, monkeypatch):
-        monkeypatch.setattr(suites, "REPORT_BUDGET_BYTES", 3 * suites.REPORT_BYTES)
+        monkeypatch.setattr(options, "REPORT_BUDGET_BYTES", 3 * options.REPORT_BYTES)
         assert len(suites.run_suite("bochner", n=3, trials=3)) == 3
         with pytest.raises(suites.SuiteConfigError, match="at most 3 trials"):
             suites.run_suite("bochner", n=3, trials=4)

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from weitzlab import curvature as curv
-from weitzlab import numerics
+from weitzlab import numerics, options
 from weitzlab import representations as reps
 from weitzlab import so_algebra as so
 from weitzlab import spin
@@ -404,7 +404,7 @@ class TestNaturality:
         # term on Lambda^p to the one on spin (x) spin
         t = spin.clifford_symbol(4)
         ss = reps.rep_tensor(spin.rep_spin(b4), spin.rep_spin(b4))
-        hodge = wb.laplacian_t("hodge")
+        hodge = options.laplacian_t("hodge")
         for seed in range(5):
             op = curv.random_curvature(4, seed)
             hodge_ss = hodge * wb.k_matrix(op, ss)
@@ -431,7 +431,7 @@ class TestCompatibility:
 
 class TestLaplacianPresets:
     def test_preset_values(self):
-        assert wb.LAPLACIAN_PRESETS == {
+        assert options.LAPLACIAN_PRESETS == {
             "spinor_dirac": -4.0,
             "hodge": -2.0,
             "lichnerowicz": -2.0,
@@ -441,22 +441,22 @@ class TestLaplacianPresets:
 
     def test_spinor_preset_is_quarter_scalar(self, b4):
         op = curv.random_curvature(4, 9)
-        term = wb.laplacian_t("spinor_dirac") * wb.k_matrix(op, spin.rep_spin(b4))
+        term = options.laplacian_t("spinor_dirac") * wb.k_matrix(op, spin.rep_spin(b4))
         s = curv.scalar(op)
         assert np.linalg.norm(term - (s / 4.0) * np.eye(4)) <= 1e-9 * (1 + np.linalg.norm(term))
 
     def test_hodge_preset_on_vector_is_ricci(self, b4):
         op = curv.random_curvature(4, 10)
-        term = wb.laplacian_t("hodge") * wb.k_matrix(op, reps.rep_vector(b4))
+        term = options.laplacian_t("hodge") * wb.k_matrix(op, reps.rep_vector(b4))
         assert np.linalg.norm(term - curv.ricci(op)) <= 1e-10
 
     def test_zero_t(self, b3):
-        term = wb.laplacian_t(0.0) * wb.k_matrix(curv.sphere(3), reps.rep_vector(b3))
+        term = options.laplacian_t(0.0) * wb.k_matrix(curv.sphere(3), reps.rep_vector(b3))
         assert np.linalg.norm(term) == 0.0
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="preset"):
-            wb.laplacian_t("bogus")
+            options.laplacian_t("bogus")
 
 
 def _permutation_oracle(perm, d):
@@ -890,6 +890,28 @@ class TestPositivity:
             for e in entries
         ]
 
+    @pytest.mark.parametrize("n", (3, 4, 5))
+    def test_negative_direction_is_the_indefinite_verdict(self, n):
+        # one Cholesky of tol Id - H answers what the eigenvalues of -K
+        # answered: an eigenvalue below -tol, "indefinite" in an entry,
+        # also where -K is negative definite, semi-definite or zero
+        npairs = n * (n - 1) // 2
+        ops = [curv.random_curvature(n, seed) for seed in (1, 2, 3)]
+        ops += [curv.sphere(n), curv.curvature_operator(n, -np.eye(npairs)), curv.curvature_operator(n, np.zeros((npairs, npairs)))]
+        family = wb.standard_family(so.basis(n))
+        products = [reps.rep_tensor(a, b) for a, b in itertools.combinations_with_replacement(family, 2)]
+        verdicts = set()
+        for op in ops:
+            for t in family + products:
+                want = wb._classify_neg_k(op, t, TOL)[1] == "indefinite"
+                assert wb._negative_direction(op, t, TOL) == want, (t.label, want)
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_nan_operator_has_a_negative_direction(self):
+        op = curv.CurvatureOperator(n=3, matrix=np.full((3, 3), np.nan), bianchi_flag=False)
+        assert wb._negative_direction(op, reps.rep_vector(so.basis(3)), TOL)
+
     def test_empty_family_rejected(self, b3):
         with pytest.raises(ValueError):
             wb.positivity_report(curv.sphere(3), reps=[])
@@ -955,7 +977,7 @@ class TestVanishingConclusion:
         assert self._conclusion(-np.eye(3)) == "no-conclusion"
 
     def test_spinor_preset_on_sphere_vanishes(self, b4):
-        term = wb.laplacian_t("spinor_dirac") * wb.k_matrix(curv.sphere(4), spin.rep_spin(b4))
+        term = options.laplacian_t("spinor_dirac") * wb.k_matrix(curv.sphere(4), spin.rep_spin(b4))
         assert self._conclusion(term) == "vanishes"
         # the value is s/4 = 6 at n=4
         assert np.allclose(term, 6.0 * np.eye(4), atol=1e-12)
@@ -1017,25 +1039,31 @@ class TestDistinctTables:
         op = curv.random_curvature(n, 2)
         family = wb.standard_family(so.basis(n))
         want = self._undeduplicated(op, family)
-        classified, solved = [], []
-        classify, solve = wb._classify_neg_k, wb.commutant_dimension
+        classified, searched, solved = [], [], []
+        classify, negative, solve = wb._classify_neg_k, wb._negative_direction, wb.commutant_dimension
 
         def counting_classify(r, rep, tol):
             classified.append(rep.label)
             return classify(r, rep, tol)
+
+        def counting_negative(r, rep, tol):
+            searched.append(rep.label)
+            return negative(r, rep, tol)
 
         def counting_solve(rep, field):
             solved.append(rep.label)
             return solve(rep, field)
 
         monkeypatch.setattr(wb, "_classify_neg_k", counting_classify)
+        monkeypatch.setattr(wb, "_negative_direction", counting_negative)
         monkeypatch.setattr(wb, "commutant_dimension", counting_solve)
         got = wb.positivity_report(op, reps=family)
         tables = [id(r.table) for r in family]
         pairs = {(id(a.table), id(b.table)) for a, b in itertools.combinations_with_replacement(family, 2)}
         assert len(set(tables)) == len(family) - 1  # the adjoint is exterior(2)'s table
         assert solved == [r.label for r in family if r.label != "adjoint"]
-        assert len(classified) == len(set(tables)) + len(pairs) == len(set(classified))
+        assert len(classified) == len(set(tables)) == len(set(classified))
+        assert len(searched) == len(pairs) == len(set(searched))
         assert got.entries == want["entries"]
         assert got.diagnostic["searched"] == want["searched"]
         assert got.diagnostic["counterexamples"] == want["counterexamples"]
