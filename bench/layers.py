@@ -7,10 +7,11 @@ Times ten layers of weitzlab, each measurement in a fresh interpreter so
 that it pays every cold cost a CLI process pays:
 
 * ``python -m weitzlab --version``, ``python -m weitzlab check lemma:k4
-  --trials 0`` (a usage error, exit 2) and ``python -c "import
-  weitzlab.cli"`` with ``PYTHONDONTWRITEBYTECODE=1``, timed from spawn to
-  exit, so that each compiles the package from source as a benchmark child
-  does (the CLI process, import included);
+  --trials 0`` (a usage error, exit 2), ``python -m weitzlab k --n 4 --rep
+  vector --curvature sphere`` (a valid request, interpreter exit included)
+  and ``python -c "import weitzlab.cli"`` with ``PYTHONDONTWRITEBYTECODE=1``,
+  timed from spawn to exit, so that each compiles the package from source
+  as a benchmark child does (the CLI process, import included);
 * ``random_curvature(n, seed)`` for n = 4 ... 16, 24, 32 and 40 (curvature
   sources);
 * ``representations.intertwiners(r, r)``, the commutant solve, for sym0 at
@@ -160,11 +161,17 @@ K_SEED = 1
 #: (algebra, rep) of each K assembly timed on a group's bi-invariant curvature.
 K_GROUP_CASES = (("G2", "spin"), ("C3", "spin"))
 #: (name, interpreter arguments, exit code) of each cold start timed: the
-#: whole CLI process on --version and on a usage error, and the package
+#: whole CLI process on --version, on a usage error and on a small valid
+#: request (which runs with the import-time heap frozen), and the package
 #: import alone, all compiled from source.
 COLD_CASES = (
     ("weitzlab --version", ["-m", "weitzlab", "--version"], 0),
     ("weitzlab check lemma:k4 --trials 0", ["-m", "weitzlab", "check", "lemma:k4", "--trials", "0"], 2),
+    (
+        "weitzlab k --n 4 --rep vector --curvature sphere",
+        ["-m", "weitzlab", "k", "--n", "4", "--rep", "vector", "--curvature", "sphere"],
+        0,
+    ),
     ("import weitzlab.cli", ["-c", "import weitzlab.cli"], 0),
 )
 COLD_REPEATS = 21

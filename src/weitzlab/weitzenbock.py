@@ -498,19 +498,34 @@ def neg_k_spectrum(r: CurvatureOperator, rep: Rep) -> np.ndarray:
 
 def _classify_neg_k(r: CurvatureOperator, rep: Rep, tol: float) -> tuple[float, str]:
     """Smallest eigenvalue of -K on ``rep`` and its positivity verdict:
-    positive, semi-definite or indefinite."""
+    positive, semi-definite, negative (definite or semi-definite) or
+    indefinite (a NaN spectrum included)."""
     neg_w = neg_k_spectrum(r, rep)
-    verdicts = {"positive-definite": "positive", "zero": "semi-definite", "positive-semidefinite": "semi-definite"}
-    return float(np.min(neg_w)), verdicts.get(definiteness(neg_w, tol), "indefinite")
+    return float(np.min(neg_w)), _VERDICTS[definiteness(neg_w, tol)]
+
+
+#: The positivity verdict of each sign class of -K.
+_VERDICTS = {
+    "positive-definite": "positive",
+    "positive-semidefinite": "semi-definite",
+    "zero": "semi-definite",
+    "indefinite": "indefinite",
+    "negative-semidefinite": "negative",
+    "negative-definite": "negative",
+}
+
+#: The verdicts of an entry where -K has an eigenvalue below -tol, each one
+#: a counterexample of the converse search.
+_NEGATIVE_DIRECTION = ("negative", "indefinite")
 
 
 def _negative_direction(r: CurvatureOperator, rep: Rep, tol: float) -> bool:
-    """Whether -K on ``rep`` has an eigenvalue below -tol, the verdict
-    "indefinite" of :func:`_classify_neg_k`, from one Cholesky
-    factorisation and no eigenvalues: ``tol Id - H`` is not positive
-    definite, H the Hermitian part of K.  A NaN in H fails it, as a NaN
-    spectrum is "indefinite".  ``tol Id - H`` is formed in place, so that
-    no more than three d x d arrays are held at once."""
+    """Whether -K on ``rep`` has an eigenvalue below -tol, the verdicts
+    :data:`_NEGATIVE_DIRECTION` of :func:`_classify_neg_k`, from one
+    Cholesky factorisation and no eigenvalues: ``tol Id - H`` is not
+    positive definite, H the Hermitian part of K.  A NaN in H fails it, as
+    a NaN spectrum is "indefinite".  ``tol Id - H`` is formed in place, so
+    that no more than three d x d arrays are held at once."""
     k = k_matrix(r, rep)
     h = k.conj().T
     h += k
@@ -574,18 +589,18 @@ def positivity_report(
     elif np.min(r_eigs) >= -tol:
         overall = "semi-definite curvature operator: vanishing predicts parallel sections only"
     else:
-        counterexamples = [e.label for e in entries if e.verdict == "indefinite"]
+        counterexamples = [e.label for e in entries if e.verdict in _NEGATIVE_DIRECTION]
         searched = [e.label for e in entries]
-        indefinite: dict = {}
+        negative: dict = {}
         for ra, rb in itertools.combinations_with_replacement(reps, 2):
             if ra.dim * rb.dim > search_dim_cap:
                 continue
             t = rep_tensor(ra, rb)
             searched.append(t.label)
             key = (id(ra.table), id(rb.table))
-            if key not in indefinite:
-                indefinite[key] = _negative_direction(r, t, tol)
-            if indefinite[key]:
+            if key not in negative:
+                negative[key] = _negative_direction(r, t, tol)
+            if negative[key]:
                 counterexamples.append(t.label)
         diagnostic = {
             "searched": searched,

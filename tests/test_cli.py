@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -416,6 +417,20 @@ class TestCheckCommand:
         assert code == 0
         assert payload["summary"]["diagnostic"] >= 1
 
+    def test_positivity_calls_a_negative_entry_negative(self, capsys):
+        # at n = 3, -K on spin is (s/16) Id, and random:1 has s < 0: the
+        # spin entry is negative, not indefinite, and still a counterexample
+        code, payload = run_json(["check", "positivity", "--n", "3", "--curvature", "random:1"], capsys)
+        details = payload["reports"][0]["details"]
+        assert code == 0
+        assert {e["label"]: e["verdict"] for e in details["entries"]} == {
+            "vector": "indefinite",
+            "sym0(2)": "indefinite",
+            "spin": "negative",
+            "adjoint": "indefinite",
+        }
+        assert "spin" in details["diagnostic"]["counterexamples"]
+
     @pytest.mark.parametrize(("n", "seed"), ((4, 1), (5, 2)))
     def test_positivity_search_completes_for_random_curvature(self, n, seed, capsys):
         # these random operators are indefinite, so the only report is the
@@ -708,21 +723,29 @@ class TestOutputFormats:
 
 
 #: ``python -m weitzlab ARG...`` in a fresh interpreter (as ``python -c
-#: PROBE REFUSE ARG...``), with every import of numpy refused when REFUSE is
-#: "1"; at exit it adds one stderr line, whether numpy is loaded.
+#: PROBE REFUSE ENTRY ARG...``), with every import of numpy refused when
+#: REFUSE is "1"; ENTRY "-m" runs the package as ``python -m`` does, and a
+#: ``module:function`` target is called as an installed script calls it.  At
+#: exit it adds one stderr line: whether numpy is loaded, and the number of
+#: objects frozen by ``gc.freeze``.
 _FRONT_END_PROBE = """
-import atexit, runpy, sys
+import atexit, gc, importlib, runpy, sys
 
 class RefuseNumpy:
     def find_spec(self, name, path=None, target=None):
         if name.partition(".")[0] == "numpy":
             raise ImportError("numpy is refused in this probe")
 
-if sys.argv[1] == "1":
+refuse, entry = sys.argv[1:3]
+if refuse == "1":
     sys.meta_path.insert(0, RefuseNumpy())
-atexit.register(lambda: print("numpy" in sys.modules, file=sys.stderr))
-del sys.argv[1]
-runpy.run_module("weitzlab", run_name="__main__", alter_sys=True)
+atexit.register(lambda: print("numpy" in sys.modules, gc.get_freeze_count(), file=sys.stderr))
+del sys.argv[1:3]
+if entry == "-m":
+    runpy.run_module("weitzlab", run_name="__main__", alter_sys=True)
+else:
+    module, _, function = entry.partition(":")
+    sys.exit(getattr(importlib.import_module(module), function)())
 """
 
 #: ``(env, argv, exit code)`` of the command lines that the options front
@@ -736,24 +759,39 @@ _FRONT_END_LINES = {
 }
 
 
-def _front_end(env: dict, argv: list[str], refuse_numpy: bool) -> tuple[int, str, bool]:
-    """Exit code, first stderr line and whether numpy was loaded at exit of
-    ``python -m weitzlab ARGV`` in a fresh interpreter (:data:`_FRONT_END_PROBE`)."""
+class FrontEndRun(NamedTuple):
+    code: int
+    first_err: str
+    numpy_loaded: bool
+    frozen: int
+    out: str
+
+
+def _front_end(env: dict, argv: list[str], refuse_numpy: bool = False, entry: str = "-m") -> FrontEndRun:
+    """Exit code, first stderr line, whether numpy was loaded at exit, the
+    frozen object count at exit and stdout of ``python -m weitzlab ARGV``
+    (or of the script ``entry``) in a fresh interpreter (:data:`_FRONT_END_PROBE`)."""
     src = os.path.dirname(os.path.dirname(weitzlab.__file__))
     base = {k: v for k, v in os.environ.items() if k not in ("WEITZLAB_TOL", "WEITZLAB_CI")}
     out = subprocess.run(
-        [sys.executable, "-c", _FRONT_END_PROBE, "1" if refuse_numpy else "0", *argv],
-        env=dict(base, PYTHONPATH=src, **env), capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", _FRONT_END_PROBE, "1" if refuse_numpy else "0", entry, *argv],
+        env=dict(base, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", **env), capture_output=True, text=True, timeout=60,
     )
-    *lines, loaded = out.stderr.splitlines()
-    return out.returncode, (lines or [""])[0], loaded == "True"
+    *lines, at_exit = out.stderr.splitlines()
+    loaded, frozen = at_exit.split()
+    return FrontEndRun(out.returncode, (lines or [""])[0], loaded == "True", int(frozen), out.stdout)
+
+
+#: A valid request, which loads numpy and runs with the import-time heap frozen.
+_VALID_LINE = ["k", "--n", "4", "--rep", "vector", "--curvature", "sphere"]
 
 
 class TestOptionsFrontEnd:
     @pytest.mark.parametrize(("env", "argv", "code"), list(_FRONT_END_LINES.values()), ids=list(_FRONT_END_LINES))
     def test_answered_before_numpy_loads(self, env, argv, code):
-        got, _, numpy_loaded = _front_end(env, argv, refuse_numpy=False)
-        assert (got, numpy_loaded) == (code, False)
+        # ... and before anything is frozen
+        run = _front_end(env, argv)
+        assert (run.code, run.numpy_loaded, run.frozen) == (code, False, 0)
 
     @pytest.mark.parametrize(("env", "argv", "code"), list(_FRONT_END_LINES.values()), ids=list(_FRONT_END_LINES))
     def test_same_answer_as_main_with_numpy_refused(self, env, argv, code, monkeypatch, capsys):
@@ -769,6 +807,37 @@ class TestOptionsFrontEnd:
         first = (capsys.readouterr().err.splitlines() or [""])[0]
         assert want == code
         assert _front_end(env, argv, refuse_numpy=True)[:2] == (want, first)
+
+
+class TestFrozenHeap:
+    """``python -m weitzlab`` freezes the objects left by import before a
+    valid request runs; ``cli.main`` and ``cli.run`` never freeze."""
+
+    def test_valid_request_runs_frozen_with_main_s_answer(self, capsys):
+        run = _front_end({}, _VALID_LINE)
+        want = cli.main(_VALID_LINE)
+        assert run.frozen > 0 and run.numpy_loaded
+        assert (run.code, run.out) == (want, capsys.readouterr().out)
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        import gc
+
+        before = gc.get_freeze_count()
+        assert cli.main(_VALID_LINE) == 0
+        assert cli.main(["check", "lemma:k4", "--trials", "0"]) == 2
+        assert gc.get_freeze_count() == before
+
+    def test_script_runs_what_python_m_runs(self):
+        # the installed script's target is the function that python -m
+        # weitzlab runs: same answers, the front end and the freeze included
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["weitzlab"]
+        assert target == "weitzlab.__main__:main"
+        for argv in (_VALID_LINE, ["--version"], ["check", "lemma:k4", "--trials", "0"]):
+            script, module = (_front_end({}, argv, entry=entry) for entry in (target, "-m"))
+            assert script._replace(frozen=script.frozen > 0) == module._replace(frozen=module.frozen > 0), argv
 
 
 #: Reports, in a fresh interpreter, the standard modules below that

@@ -852,7 +852,13 @@ class TestPositivity:
             k = wb.k_matrix(op, rep)
             neg_w = -np.linalg.eigvalsh(numerics.real_if_exact((k + k.conj().T) / 2.0))
             label = wb.definiteness(neg_w, TOL)
-            verdict = {"positive-definite": "positive", "zero": "semi-definite", "positive-semidefinite": "semi-definite"}
+            verdict = {
+                "positive-definite": "positive",
+                "zero": "semi-definite",
+                "positive-semidefinite": "semi-definite",
+                "negative-semidefinite": "negative",
+                "negative-definite": "negative",
+            }
             return wb.PositivityEntry(
                 label=rep.label,
                 dim=rep.dim,
@@ -863,12 +869,12 @@ class TestPositivity:
 
         entries = [full_entry(r) for r in family]
         searched = [e.label for e in entries]
-        counterexamples = [e.label for e in entries if e.verdict == "indefinite"]
+        counterexamples = [e.label for e in entries if e.verdict in ("negative", "indefinite")]
         for ra, rb in itertools.combinations_with_replacement(family, 2):
             if ra.dim * rb.dim <= cap:
                 e = full_entry(reps.rep_tensor(ra, rb))
                 searched.append(e.label)
-                if e.verdict == "indefinite":
+                if e.verdict in ("negative", "indefinite"):
                     counterexamples.append(e.label)
 
         got = wb.positivity_report(op, reps=family, tol=TOL, search_dim_cap=cap).to_dict()
@@ -893,8 +899,8 @@ class TestPositivity:
     @pytest.mark.parametrize("n", (3, 4, 5))
     def test_negative_direction_is_the_indefinite_verdict(self, n):
         # one Cholesky of tol Id - H answers what the eigenvalues of -K
-        # answered: an eigenvalue below -tol, "indefinite" in an entry,
-        # also where -K is negative definite, semi-definite or zero
+        # answered: an eigenvalue below -tol, "negative" or "indefinite" in
+        # an entry, also where -K is semi-definite or zero
         npairs = n * (n - 1) // 2
         ops = [curv.random_curvature(n, seed) for seed in (1, 2, 3)]
         ops += [curv.sphere(n), curv.curvature_operator(n, -np.eye(npairs)), curv.curvature_operator(n, np.zeros((npairs, npairs)))]
@@ -903,10 +909,11 @@ class TestPositivity:
         verdicts = set()
         for op in ops:
             for t in family + products:
-                want = wb._classify_neg_k(op, t, TOL)[1] == "indefinite"
-                assert wb._negative_direction(op, t, TOL) == want, (t.label, want)
-                verdicts.add(want)
-        assert verdicts == {True, False}
+                verdict = wb._classify_neg_k(op, t, TOL)[1]
+                want = verdict in ("negative", "indefinite")
+                assert wb._negative_direction(op, t, TOL) == want, (t.label, verdict)
+                verdicts.add(verdict)
+        assert {"negative", "indefinite"} <= verdicts and len(verdicts) > 2
 
     def test_nan_operator_has_a_negative_direction(self):
         op = curv.CurvatureOperator(n=3, matrix=np.full((3, 3), np.nan), bianchi_flag=False)
@@ -933,9 +940,9 @@ CLASSIFIER_CASES = [
     ([-1.5 * TOL, 1.0], "indefinite", "no-conclusion", "indefinite"),
     ([-TOL, TOL], "zero", "parallel-only", "semi-definite"),
     ([-1.0, 1.5 * TOL], "indefinite", "no-conclusion", "indefinite"),
-    ([-1.0, TOL], "negative-semidefinite", "no-conclusion", "indefinite"),
-    ([-1.0, -TOL], "negative-semidefinite", "no-conclusion", "indefinite"),
-    ([-1.0, -1.5 * TOL], "negative-definite", "no-conclusion", "indefinite"),
+    ([-1.0, TOL], "negative-semidefinite", "no-conclusion", "negative"),
+    ([-1.0, -TOL], "negative-semidefinite", "no-conclusion", "negative"),
+    ([-1.0, -1.5 * TOL], "negative-definite", "no-conclusion", "negative"),
 ]
 
 
@@ -950,6 +957,11 @@ def test_one_spectrum_classifier(w, label, vanishing, entry, monkeypatch):
     e = wb._entry_for(curv.sphere(2), reps.rep_vector(so.basis(2)), TOL)
     assert e.verdict == entry
     assert e.min_eig_neg_k == w.min()
+
+
+def test_nan_spectrum_entry_is_indefinite(monkeypatch):
+    monkeypatch.setattr(wb, "neg_k_spectrum", lambda r, rep: np.array([np.nan, 1.0]))
+    assert wb._classify_neg_k(curv.sphere(2), reps.rep_vector(so.basis(2)), TOL)[1] == "indefinite"
 
 
 def test_classifier_edge_spectra():
@@ -1025,12 +1037,12 @@ class TestDistinctTables:
     def _undeduplicated(op, family, tol=1e-9, cap=4096) -> dict:
         entries = [wb._entry_for(op, r, tol) for r in family]
         searched = [e.label for e in entries]
-        counterexamples = [e.label for e in entries if e.verdict == "indefinite"]
+        counterexamples = [e.label for e in entries if e.verdict in ("negative", "indefinite")]
         for ra, rb in itertools.combinations_with_replacement(family, 2):
             if ra.dim * rb.dim <= cap:
                 t = reps.rep_tensor(ra, rb)
                 searched.append(t.label)
-                if wb._classify_neg_k(op, t, tol)[1] == "indefinite":
+                if wb._classify_neg_k(op, t, tol)[1] in ("negative", "indefinite"):
                     counterexamples.append(t.label)
         return {"entries": entries, "searched": searched, "counterexamples": sorted(set(counterexamples))}
 
