@@ -1,17 +1,21 @@
-"""Layer bench: the cold start, curvature sources, commutant solves,
+"""Layer bench: the cold start, algebra construction, curvature sources, commutant solves,
 isotypic splits, the projection lemma suites, the other trial-driven suites,
 the sphere-Casimir suite, representation construction, the positivity
 report and the assembly of K.
 
-Times ten layers of weitzlab, each measurement in a fresh interpreter so
+Times eleven layers of weitzlab, each measurement in a fresh interpreter so
 that it pays every cold cost a CLI process pays:
 
 * ``python -m weitzlab --version``, ``python -m weitzlab check lemma:k4
   --trials 0`` (a usage error, exit 2), ``python -m weitzlab k --n 4 --rep
   vector --curvature sphere`` (a valid request, interpreter exit included)
-  and ``python -c "import weitzlab.cli"`` with ``PYTHONDONTWRITEBYTECODE=1``,
-  timed from spawn to exit, so that each compiles the package from source
-  as a benchmark child does (the CLI process, import included);
+  ``python -m weitzlab check bochner --n 60 --trials 2`` (vectors of
+  so(60), 1770 generators) and ``python -c "import weitzlab.cli"`` with
+  ``PYTHONDONTWRITEBYTECODE=1``, timed from spawn to exit, so that each
+  compiles the package from source as a benchmark child does (the CLI
+  process, import included);
+* ``so_algebra.basis(n)`` for n = 40 and 60 and ``so_algebra.u_subalgebra(6)``,
+  each with its tracemalloc peak ``temp_mb`` (algebra construction);
 * ``random_curvature(n, seed)`` for n = 4 ... 16, 24, 32 and 40 (curvature
   sources);
 * ``representations.intertwiners(r, r)``, the commutant solve, for sym0 at
@@ -161,9 +165,9 @@ K_SEED = 1
 #: (algebra, rep) of each K assembly timed on a group's bi-invariant curvature.
 K_GROUP_CASES = (("G2", "spin"), ("C3", "spin"))
 #: (name, interpreter arguments, exit code) of each cold start timed: the
-#: whole CLI process on --version, on a usage error and on a small valid
-#: request (which runs with the import-time heap frozen), and the package
-#: import alone, all compiled from source.
+#: whole CLI process on --version, on a usage error, on a small valid
+#: request (which runs with the import-time heap frozen) and on a suite
+#: over so(60), and the package import alone, all compiled from source.
 COLD_CASES = (
     ("weitzlab --version", ["-m", "weitzlab", "--version"], 0),
     ("weitzlab check lemma:k4 --trials 0", ["-m", "weitzlab", "check", "lemma:k4", "--trials", "0"], 2),
@@ -172,9 +176,16 @@ COLD_CASES = (
         ["-m", "weitzlab", "k", "--n", "4", "--rep", "vector", "--curvature", "sphere"],
         0,
     ),
+    (
+        "weitzlab check bochner --n 60 --trials 2",
+        ["-m", "weitzlab", "check", "bochner", "--n", "60", "--trials", "2"],
+        0,
+    ),
     ("import weitzlab.cli", ["-c", "import weitzlab.cli"], 0),
 )
 COLD_REPEATS = 21
+#: (function of so_algebra, argument) of each algebra construction timed.
+ALGEBRA_CASES = (("basis", 40), ("basis", 60), ("u_subalgebra", 6))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +195,21 @@ COLD_REPEATS = 21
 
 def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _child_algebra(function: str, n: int) -> dict:
+    import tracemalloc
+
+    from weitzlab import so_algebra
+
+    build = getattr(so_algebra, function)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    algebra = build(n)
+    seconds = time.perf_counter() - t0
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return {"seconds": seconds, "dim": algebra.dim, "temp_mb": peak / 2**20, "peak_rss_mb": _peak_rss_mb()}
 
 
 def _child_curvature(n: int) -> dict:
@@ -337,6 +363,8 @@ def _child(argv: list[str]) -> None:
     kind, *rest = argv
     if kind == "curvature":
         result = _child_curvature(int(rest[0]))
+    elif kind == "algebra":
+        result = _child_algebra(rest[0], int(rest[1]))
     elif kind == "lemma":
         result = _child_lemma(rest[0], int(rest[1]))
     elif kind == "trials":
@@ -447,6 +475,10 @@ def measure(srcs: list[str]) -> list[dict]:
     for name, args, code in COLD_CASES:
         run = functools.partial(_run_cold, expect=code)
         case("cold_start", args, {"command": name, "exit": code, "repeats": COLD_REPEATS}, name, run=run, repeats=COLD_REPEATS)
+    for function, n in ALGEBRA_CASES:
+        entry = {"function": function, "n": n if function == "basis" else 2 * n}
+        medians = ("seconds", "temp_mb", "peak_rss_mb")
+        case("algebra", ["algebra", function, str(n)], entry, f"{function}({n})", sizes=("dim",), medians=medians)
     ladder = list(range(len(srcs)))  # the trees whose curvature ladder goes on
     for n in CURVATURE_NS:
         if not ladder:

@@ -23,7 +23,6 @@ from .so_algebra import RootData, SimpleAlgebraData
 
 __all__ = [
     "so_casimir_scalar",
-    "so_positive_roots",
     "so_weight_killing_factor",
     "so_weyl_vector",
     "spin_highest_weight",
@@ -78,39 +77,15 @@ def strange_formula_check(g: SimpleAlgebraData) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def so_positive_roots(n: int) -> list[tuple[Fraction, ...]]:
-    """Positive roots of so(n) in the x_i coordinates: e_i +- e_j (i < j),
-    plus the short roots e_i when n is odd."""
+def so_weyl_vector(n: int) -> tuple[Fraction, ...]:
+    """Half the sum of the positive roots of so(n) (e_i +- e_j for i < j,
+    and e_i at odd n) in the x_i coordinates: ``delta_i = n/2 - 1 - i``
+    for i < floor(n/2), 0-based."""
     from fractions import Fraction
 
     if n < 3:
         raise ValueError("so(n) root data needs n >= 3")
-    m = n // 2
-    out = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            plus = [Fraction(0)] * m
-            plus[i], plus[j] = Fraction(1), Fraction(1)
-            minus = [Fraction(0)] * m
-            minus[i], minus[j] = Fraction(1), Fraction(-1)
-            out.extend([tuple(plus), tuple(minus)])
-    if n % 2 == 1:
-        for i in range(m):
-            short = [Fraction(0)] * m
-            short[i] = Fraction(1)
-            out.append(tuple(short))
-    return out
-
-
-def so_weyl_vector(n: int) -> tuple[Fraction, ...]:
-    from fractions import Fraction
-
-    m = n // 2
-    total = [Fraction(0)] * m
-    for beta in so_positive_roots(n):
-        for i in range(m):
-            total[i] += beta[i]
-    return tuple(c / 2 for c in total)
+    return tuple(Fraction(n, 2) - 1 - i for i in range(n // 2))
 
 
 def spin_highest_weight(n: int) -> tuple[Fraction, ...]:

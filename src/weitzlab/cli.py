@@ -36,7 +36,7 @@ from . import suites
 from . import weitzenbock as wb
 from .options import ARTIFACT_VERSION, EXIT_USAGE, UsageError
 from .report import CheckReport, canonical_json, digest
-from .so_algebra import Subalgebra, basis as so_basis, expand, simple_algebra, u_subalgebra
+from .so_algebra import Subalgebra, basis as so_basis, expand, pair_number, simple_algebra, u_subalgebra
 
 __all__ = ["main", "run"]
 
@@ -108,24 +108,23 @@ def build_curvature(spec: tuple, n: int | None) -> tuple[curv.CurvatureOperator,
 
 def build_subalgebra(spec: tuple, n: int) -> Subalgebra:
     """The subalgebra of so(n) of a parsed ``--sub`` spec
-    (:func:`options.parse_subalgebra`)."""
+    (:func:`options.parse_subalgebra`), as orthonormal rows: so(m) (all n
+    for so-full) by the unit rows of its pairs, u(m) in closed form, and a
+    file's matrices by an orthonormal basis of their coefficients' span."""
     kind, arg = spec
     amb = so_basis(n)
-    if kind == "so-full":
-        return Subalgebra(ambient=amb, elements=amb.elements, label=f"so({n})")
     if kind == "u":
         if 2 * arg != n:
             raise DimensionError(f"u({arg}) needs ambient so({2 * arg}), got so({n})")
         return u_subalgebra(arg)
-    if kind == "so":
-        if not 2 <= arg <= n:
-            raise DimensionError(f"so({arg}) does not embed in so({n})")
-        elements = []
-        for x in so_basis(arg).elements:
-            big = np.zeros((n, n))
-            big[:arg, :arg] = x
-            elements.append(big)
-        return Subalgebra(ambient=amb, elements=tuple(elements), label=f"so({arg})")
+    if kind in ("so", "so-full"):
+        m = n if kind == "so-full" else arg
+        if not 2 <= m <= n:
+            raise DimensionError(f"so({m}) does not embed in so({n})")
+        i, j = np.triu_indices(m, 1)
+        coeff = np.zeros((len(i), amb.dim))
+        coeff[np.arange(len(i)), pair_number(n, i, j)] = 1.0
+        return Subalgebra(ambient=amb, coeff=coeff, label=f"so({m})")
     import json
 
     path = arg
@@ -145,12 +144,8 @@ def build_subalgebra(spec: tuple, n: int) -> Subalgebra:
         a = m / max(1.0, float(np.max(np.abs(m))))  # the same test, safe from overflow
         if np.linalg.norm(a + a.T) > 1e-9 * max(1.0, float(np.linalg.norm(a))):
             raise UsageError(f"subalgebra element in {path!r} is not skew-symmetric")
-    coeff = np.array([expand(amb, m) for m in mats])
-    span = numerics.orthonormal_columns(coeff.T)
-    elements = []
-    for k in range(span.shape[1]):
-        elements.append(sum(float(np.real(span[a, k])) * amb.elements[a] for a in range(amb.dim)))
-    sub = Subalgebra(ambient=amb, elements=tuple(elements), label=f"file:{path}")
+    span = numerics.orthonormal_columns(np.array([expand(amb, m) for m in mats]).T)
+    sub = Subalgebra(ambient=amb, coeff=np.ascontiguousarray(np.real(span).T), label=f"file:{path}")
     if sub.closure_residual() > 1e-9:
         raise UsageError(f"matrices in {path!r} do not span a subalgebra (bracket closure fails)")
     return sub

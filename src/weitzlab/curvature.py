@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .so_algebra import SimpleAlgebraData, basis as so_basis, expand, pair_list
+from .so_algebra import SimpleAlgebraData, basis as so_basis, expand, pair_number
 
 __all__ = [
     "CurvatureOperator",
@@ -45,10 +45,6 @@ class CurvatureOperator(NamedTuple):
     n: int
     matrix: np.ndarray
     bianchi_flag: bool
-
-    @property
-    def pairs(self):
-        return pair_list(self.n)
 
     def unstack(self) -> list[CurvatureOperator]:
         """The operators of a stack, each a view of its slice; a single
@@ -78,11 +74,6 @@ def curvature_operator(n: int, matrix, bianchi: bool | None = None, sym_tol: flo
 # ---------------------------------------------------------------------------
 
 
-def _pair_number(n: int, i, j):
-    """Position of the pair (i, j), i < j, in the lexicographic pair basis."""
-    return i * (2 * n - i - 1) // 2 + j - i - 1
-
-
 @functools.cache
 def _pair_index(n: int):
     """Index arrays ``(i_a, j_a, i_b, j_b)`` broadcasting over the pair grid;
@@ -101,8 +92,8 @@ def _pairings(n: int) -> np.ndarray:
     Built once per n; read-only."""
     quads = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), 4)), dtype=np.intp)
     i, j, k, l = quads.reshape(-1, 4).T
-    rows = _pair_number(n, np.array([i, i, i]), np.array([j, k, l]))
-    cols = _pair_number(n, np.array([k, j, j]), np.array([l, l, k]))
+    rows = pair_number(n, np.array([i, i, i]), np.array([j, k, l]))
+    cols = pair_number(n, np.array([k, j, j]), np.array([l, l, k]))
     npairs = n * (n - 1) // 2
     flat = np.stack([rows * npairs + cols, cols * npairs + rows])
     flat.flags.writeable = False
@@ -300,10 +291,9 @@ def _hodge_star_coefficients() -> np.ndarray:
     """Hodge star on Lambda^2(R^4) over the lexicographic pair basis."""
     star = np.zeros((6, 6))
     signs = {((0, 1), (2, 3)): 1.0, ((0, 2), (1, 3)): -1.0, ((0, 3), (1, 2)): 1.0}
-    pairs = pair_list(4)
     for (p, q), s in signs.items():
-        star[pairs.index(q), pairs.index(p)] = s
-        star[pairs.index(p), pairs.index(q)] = s
+        star[pair_number(4, *q), pair_number(4, *p)] = s
+        star[pair_number(4, *p), pair_number(4, *q)] = s
     return star
 
 
@@ -315,17 +305,17 @@ def _self_dual_bases() -> tuple[np.ndarray, np.ndarray]:
     from .spin import rep_half_spin
 
     star = _hodge_star_coefficients()
-    pairs = pair_list(4)
     plus, minus = [], []
     for p, q in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-        s = star[pairs.index(q), pairs.index(p)]
+        a, b = pair_number(4, *p), pair_number(4, *q)
+        s = star[b, a]
         v = np.zeros(6)
-        v[pairs.index(p)] = 1.0 / np.sqrt(2.0)
-        v[pairs.index(q)] = s / np.sqrt(2.0)
+        v[a] = 1.0 / np.sqrt(2.0)
+        v[b] = s / np.sqrt(2.0)
         plus.append(v)
         w = np.zeros(6)
-        w[pairs.index(p)] = 1.0 / np.sqrt(2.0)
-        w[pairs.index(q)] = -s / np.sqrt(2.0)
+        w[a] = 1.0 / np.sqrt(2.0)
+        w[b] = -s / np.sqrt(2.0)
         minus.append(w)
     bp = np.array(plus).T
     bm = np.array(minus).T

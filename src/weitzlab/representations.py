@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .so_algebra import SoBasis, Subalgebra, expand
+from .so_algebra import SoBasis, Subalgebra, pair_number
 
 __all__ = [
     "GenTable",
@@ -90,7 +90,7 @@ class Rep:
     @property
     def count(self) -> int:
         """Number of generators, one per basis element."""
-        return len(self.basis.elements)
+        return self.basis.dim
 
 
 def _partners(rows: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,10 +119,11 @@ def conjugated_table(t: GenTable, cols: np.ndarray) -> GenTable:
 
 
 def _same_basis(r1: Rep, r2: Rep) -> bool:
-    if r1.basis is r2.basis:
-        return True
-    b1, b2 = r1.basis.elements, r2.basis.elements
-    return len(b1) == len(b2) and all(np.array_equal(x, y) for x, y in zip(b1, b2))
+    """Whether two reps act by one basis: so(n) of one n, or the same rows."""
+    b1, b2 = r1.basis, r2.basis
+    if isinstance(b1, SoBasis) or isinstance(b2, SoBasis):
+        return b1 == b2
+    return b1.ambient == b2.ambient and np.array_equal(b1.coeff, b2.coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +136,9 @@ def rep_trivial(basis: SoBasis | Subalgebra) -> Rep:
 
 
 def rep_vector(basis: SoBasis) -> Rep:
-    elements = np.array(basis.elements)
-    gen, row, col = np.nonzero(elements)
-    return Rep(basis, basis.n, gen_table(gen, row, col, elements[gen, row, col], basis.n), "vector")
+    """The defining representation, ``rep_exterior(basis, 1)`` under its own
+    label: x_ij holds 1 at (i, j) and -1 at (j, i)."""
+    return rep_exterior(basis, 1).relabeled("vector")
 
 
 def rep_adjoint(basis: SoBasis) -> Rep:
@@ -194,16 +195,13 @@ def _derivation_table(n: int, p: int, alternating: bool) -> tuple[np.ndarray, ..
 
 def _power_table(basis: SoBasis, p: int, alternating: bool, dim: int) -> GenTable:
     """Generator table on Lambda^p or Sym^p: each :func:`_derivation_table`
-    term taken with the generator whose x[j, i] is nonzero."""
+    term taken with the one generator whose x[j, i] is nonzero, x_ab for
+    {a, b} = {i, j}, which holds 1 at (a, b) and -1 at (b, a), a < b."""
     col, i, j, row, weight = _derivation_table(basis.n, p, alternating)
-    x = rep_vector(basis).table
-    # entry of the vector table at each position; the pair basis
-    # x_ab = E_ab - E_ba has at most one generator nonzero there
-    entry = np.full((basis.n, basis.n), -1)
-    entry[x.row, x.col] = np.arange(len(x.val))
-    term = np.flatnonzero(entry[j, i] >= 0)
-    e = entry[j[term], i[term]]
-    return gen_table(x.gen[e], row[term], col[term], weight[term] * x.val[e], dim)
+    term = np.flatnonzero(i != j)
+    i, j = i[term], j[term]
+    gen = pair_number(basis.n, np.minimum(i, j), np.maximum(i, j))
+    return gen_table(gen, row[term], col[term], weight[term] * np.where(j < i, 1.0, -1.0), dim)
 
 
 def rep_exterior(basis: SoBasis, p: int) -> Rep:
@@ -273,17 +271,16 @@ def rep_tensor(r1: Rep, r2: Rep) -> Rep:
 
 def rep_restrict(r: Rep, h: Subalgebra) -> Rep:
     """Restrict a representation of so(n) to a subalgebra: with c_j the
-    expansion of the j-th orthonormal element of h over the so(n) basis,
-    ``sum_a c_ja rho_a`` from the entries of every rho_a with ``c_ja != 0``."""
+    j-th coefficient row of h over the so(n) basis, ``sum_a c_ja rho_a``
+    from the entries of every rho_a with ``c_ja != 0``."""
     if not isinstance(r.basis, SoBasis):
         raise ValueError("can only restrict a representation of the full so(n)")
     if h.ambient.n != r.basis.n:
         raise ValueError(f"subalgebra ambient so({h.ambient.n}) does not match rep over so({r.basis.n})")
-    coeff = np.array([expand(r.basis, g) for g in h.elements]).reshape(-1, r.count)
-    j, a = np.nonzero(coeff)  # row-major: sorted by j, then a
+    j, a = np.nonzero(h.coeff)  # row-major: sorted by j, then a
     t = r.table
     pair, entry = _partners(a, np.searchsorted(t.gen, np.arange(r.count + 1)))
-    val = coeff[j[pair], a[pair]] * t.val[entry]
+    val = h.coeff[j[pair], a[pair]] * t.val[entry]
     return Rep(h, r.dim, gen_table(j[pair], t.row[entry], t.col[entry], val, r.dim), f"{r.label}|{h.label}")
 
 

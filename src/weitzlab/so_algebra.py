@@ -5,6 +5,9 @@ Conventions fixed here and relied on everywhere else:
 * inner product on so(n): ``<A, B> = -tr(A B) / 2``, which makes the matrices
   ``x_ij = E_ij - E_ji`` (i < j) an orthonormal basis;
 * basis order: lexicographic on the index pairs (i, j), i < j;
+* an algebra is stored by coefficient rows over that basis: so(n) by its
+  pairs, a subalgebra by orthonormal rows; only :func:`matrices` forms
+  n x n matrices, for the matrix models and the closure check;
 * compact simple algebras carry a basis ``y_a`` orthonormal for ``-B`` where
   B is the Killing form, so that ``sum_a ad(y_a)^2 = -Id``.
 
@@ -32,7 +35,9 @@ __all__ = [
     "basis",
     "bracket",
     "expand",
+    "matrices",
     "pair_list",
+    "pair_number",
     "simple_algebra",
     "u_subalgebra",
 ]
@@ -41,6 +46,12 @@ __all__ = [
 def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     """Index pairs (i, j), i < j, in lexicographic order."""
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+
+
+def pair_number(n: int, i, j):
+    """Position of the pair (i, j), i < j, in the lexicographic pair basis
+    of so(n), elementwise over arrays."""
+    return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
 def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,29 +64,35 @@ def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class SoBasis(NamedTuple):
-    """Orthonormal basis of so(n): skew matrices x_a indexed by pairs (i, j)."""
+    """Orthonormal basis of so(n), the matrices x_ij = E_ij - E_ji, stored
+    as its index pairs (i, j); :func:`matrices` forms the matrices."""
 
     n: int
-    elements: tuple[np.ndarray, ...]
     pairs: tuple[tuple[int, int], ...]
 
     @property
     def dim(self) -> int:
-        return len(self.elements)
+        return len(self.pairs)
 
 
 def basis(n: int) -> SoBasis:
     """Orthonormal so(n) basis ``x_ij = E_ij - E_ji`` (unit norm for -tr/2)."""
     if n < 2:
         raise ValueError("so(n) basis needs n >= 2")
-    pairs = pair_list(n)
-    elements = []
-    for i, j in pairs:
-        x = np.zeros((n, n))
-        x[i, j] = 1.0
-        x[j, i] = -1.0
-        elements.append(x)
-    return SoBasis(n=n, elements=tuple(elements), pairs=pairs)
+    return SoBasis(n=n, pairs=pair_list(n))
+
+
+def matrices(so: SoBasis, coeff=None) -> np.ndarray:
+    """The (h, n, n) array of ``sum_a c_ja x_a`` for each row c_j of the
+    (h, N) ``coeff`` (the basis matrices by default).  Entry (i, j) is
+    ``c_ij + 0.0`` and (j, i) is ``0.0 - c_ij``: a zero of either sign
+    leaves +0.0, like the zeros around it."""
+    coeff = np.eye(so.dim) if coeff is None else np.asarray(coeff, dtype=float)
+    i, j = np.triu_indices(so.n, 1)
+    out = np.zeros((len(coeff), so.n, so.n))
+    out[:, i, j] = coeff + 0.0
+    out[:, j, i] = 0.0 - coeff
+    return out
 
 
 def expand(so: SoBasis, m: np.ndarray) -> np.ndarray:
@@ -83,54 +100,52 @@ def expand(so: SoBasis, m: np.ndarray) -> np.ndarray:
     ``<x_ij, m> = (m[i, j] - m[j, i]) / 2`` of the real part, written
     so that a zero coefficient carries the sign that the trace gives."""
     m = np.real(np.asarray(m))
-    i, j = np.array(so.pairs).reshape(-1, 2).T
+    i, j = np.triu_indices(so.n, 1)
     return -(m[j, i] - m[i, j]) / 2.0
 
 
 class Subalgebra(NamedTuple):
-    """Orthonormalised spanning set of a subalgebra h of so(n)."""
+    """A subalgebra h of so(n), stored as the (h, N) array ``coeff`` of
+    orthonormal coefficient rows over the pair basis of ``ambient``."""
 
     ambient: SoBasis
-    elements: tuple[np.ndarray, ...]
+    coeff: np.ndarray
     label: str = "h"
 
     @property
     def dim(self) -> int:
-        return len(self.elements)
+        return len(self.coeff)
 
     def closure_residual(self) -> float:
         """Largest norm of a bracket's component outside span(h)."""
-        coeff = np.array([expand(self.ambient, h) for h in self.elements])
         worst = 0.0
-        for a, b in itertools.combinations_with_replacement(self.elements, 2):
-            c = bracket(a, b)
-            v = expand(self.ambient, c)
-            inside = coeff.T @ (coeff @ v)
+        for x, y in itertools.combinations_with_replacement(matrices(self.ambient, self.coeff), 2):
+            v = expand(self.ambient, bracket(x, y))
+            inside = self.coeff.T @ (self.coeff @ v)
             worst = max(worst, float(np.linalg.norm(v - inside)))
         return worst
 
 
 def u_subalgebra(m: int) -> Subalgebra:
-    """The unitary subalgebra u(m) of so(2m): matrices commuting with the
-    standard complex structure J (J e_{2k-1} = e_{2k})."""
+    """The unitary subalgebra u(m) of so(2m): the matrices commuting with
+    the standard complex structure J (J e_2k = e_2k+1, 0-based), in closed
+    form.  Its rows are x_(2k,2k+1) for k < m, then for each i < j < m
+    ``(x_(2i,2j) + x_(2i+1,2j+1)) / sqrt 2`` and ``(x_(2i,2j+1) -
+    x_(2i+1,2j)) / sqrt 2``."""
     if m < 1:
         raise ValueError("u(m) needs m >= 1")
     so = basis(2 * m)
-    jmat = np.zeros((2 * m, 2 * m))
-    for k in range(m):
-        jmat[2 * k + 1, 2 * k] = 1.0
-        jmat[2 * k, 2 * k + 1] = -1.0
-    # g in so(2m) commutes with J  <=>  the coefficient vector of g lies in
-    # the kernel of a -> vec([x_a, J]).
-    cols = [bracket(x, jmat).ravel() for x in so.elements]
-    null = numerics.nullspace(np.array(cols).T.real)
-    elements = []
-    for k in range(null.shape[1]):
-        g = sum(float(np.real(null[a, k])) * so.elements[a] for a in range(so.dim))
-        elements.append(g)
-    if len(elements) != m * m:
-        raise RuntimeError(f"u({m}) construction found dimension {len(elements)}, expected {m * m}")
-    return Subalgebra(ambient=so, elements=tuple(elements), label=f"u({m})")
+    k = np.arange(m)
+    i, j = np.triu_indices(m, 1)
+    row = m + 2 * np.arange(len(i))
+    s = np.sqrt(0.5)
+    coeff = np.zeros((m * m, so.dim))
+    coeff[k, pair_number(so.n, 2 * k, 2 * k + 1)] = 1.0
+    coeff[row, pair_number(so.n, 2 * i, 2 * j)] = s
+    coeff[row, pair_number(so.n, 2 * i + 1, 2 * j + 1)] = s
+    coeff[row + 1, pair_number(so.n, 2 * i, 2 * j + 1)] = s
+    coeff[row + 1, pair_number(so.n, 2 * i + 1, 2 * j)] = -s
+    return Subalgebra(ambient=so, coeff=coeff, label=f"u({m})")
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +349,17 @@ def _octonion_table() -> np.ndarray:
     return c
 
 
-def _g2_basis() -> list[np.ndarray]:
-    """Derivations of the octonions, acting on the imaginary units (7 x 7).
+def _g2_basis() -> np.ndarray:
+    """Derivations of the octonions, acting on the imaginary units, as a
+    (14, 7, 7) array.
 
     so(7) splits as g2 plus a copy of R^7, and contracting D with the
     octonion 3-form c projects onto that copy, so g2 is the D in so(7) with
     ``sum_jk c[i,j,k] D[j,k] = 0`` for every i: over the pair basis
     x_ab = E_ab - E_ba, seven equations ``sum_(a<b) c[i,a,b] t_ab = 0``.
     """
-    so7 = basis(7)
-    a, b = np.array(so7.pairs).T
-    null = numerics.nullspace(_octonion_table()[:, a, b])
-    out = [np.tensordot(np.real(null[:, k]), np.array(so7.elements), axes=(0, 0)) for k in range(null.shape[1])]
-    if len(out) != 14:
-        raise RuntimeError(f"octonion derivation algebra has dimension {len(out)}, expected 14")
-    return out
+    a, b = np.triu_indices(7, 1)
+    return matrices(basis(7), np.real(numerics.nullspace(_octonion_table()[:, a, b])).T)
 
 
 class SimpleAlgebraData(NamedTuple):
@@ -400,10 +411,10 @@ def _orthonormalize_killing(raw: list[np.ndarray]) -> tuple[list[np.ndarray], li
 
 _MODEL_BUILDERS = {
     "A": lambda r: _su_basis(r + 1),
-    "B": lambda r: [np.asarray(x, dtype=complex) for x in basis(2 * r + 1).elements],
+    "B": lambda r: list(matrices(basis(2 * r + 1)).astype(complex)),
     "C": lambda r: _sp_basis(r),
-    "D": lambda r: [np.asarray(x, dtype=complex) for x in basis(2 * r).elements],
-    "G": lambda r: [np.asarray(x, dtype=complex) for x in _g2_basis()],
+    "D": lambda r: list(matrices(basis(2 * r)).astype(complex)),
+    "G": lambda r: list(_g2_basis().astype(complex)),
 }
 
 _DIMENSIONS = {

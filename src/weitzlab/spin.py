@@ -7,9 +7,10 @@ unitary and skew-adjoint.  The construction is a fixed recursive scheme
 generators.  Each generator, and each product of generators, is a Pauli
 string ``(x, z, phase)``: row r holds ``phase (-1)^|r & z|`` at column
 ``r ^ x`` (:func:`_row_entries`).  Strings multiply in closed form
-(:func:`_product`), so no spinor-sized array is formed until the rows of
-one are asked for.  A basis element ``x_ij`` of so(n) acts on spinors as
-``-e_i e_j / 2``.
+(:func:`_product`), and every sign is a parity folded from the bits of an
+int64 (:func:`_parity_signs`), so no spinor-sized array is formed until the
+rows of one are asked for.  A basis element ``x_ij`` of so(n) acts on
+spinors as ``-e_i e_j / 2``, whose blade is the bit set ``2^i + 2^j``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import itertools
 import numpy as np
 
 from . import numerics
+from .options import UsageError
 from .representations import Rep, gen_table
 from .so_algebra import SoBasis
 
@@ -32,34 +34,35 @@ __all__ = [
     "spinor_blades",
 ]
 
-
-@functools.cache
-def _signs(dim: int) -> np.ndarray:
-    """``(-1)^|v|`` for every v below ``dim``, a power of two (float32): the
-    table for v < 2^(k+1) is that for v < 2^k and its negative.  A lookup is
-    faster than folding the bits, and numpy before 2.0 has no bit count.
-    Refused first if the last doubling, 8 bytes an entry, cannot fit."""
-    numerics.require_bytes(8 * dim, f"the sign table of {dim} spinor rows (8 bytes an entry)")
-    signs = np.ones(1, dtype=np.float32)
-    while len(signs) < dim:
-        signs = np.concatenate((signs, -signs))
-    return signs
+#: The largest n whose blade masks fit in int64 bit sets (bit 63 is the
+#: sign): spinors of a larger so(n) are refused.
+MAX_N = 63
 
 
-def _row_entries(rows, x, z, phase, dim: int):
-    """The row formula of Pauli strings on ``dim`` dimensions, broadcast
-    over rows and strings: the column ``rows ^ x`` and the entry."""
-    return rows ^ x, phase * _signs(dim)[rows & z]
+def _parity_signs(v) -> np.ndarray:
+    """``(-1)^|v|`` (float32) of int64 bit sets ``v``, elementwise: the
+    parity of the 64 bits, folded into bit 0 by xor-shifts, with no
+    table.  Only the low 32 bits of the first fold are read on."""
+    v = np.array(v, dtype=np.int64)  # a copy, folded in place
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> shift
+    return (1 - 2 * (v & 1)).astype(np.float32)
 
 
-def _product(strings, dim: int):
-    """The product, left to right, of Pauli strings ``(x, z, phase)`` on
-    ``dim`` dimensions, elementwise over arrays: row r of a meets row
-    ``r ^ x_a`` of b, whose sign against row 0 is ``(-1)^|x_a & z_b|``."""
+def _row_entries(rows, x, z, phase):
+    """The row formula of Pauli strings, broadcast over rows and strings:
+    the column ``rows ^ x`` and the entry."""
+    return rows ^ x, phase * _parity_signs(rows & z)
+
+
+def _product(strings):
+    """The product, left to right, of Pauli strings ``(x, z, phase)``,
+    elementwise over arrays: row r of a meets row ``r ^ x_a`` of b, whose
+    sign against row 0 is ``(-1)^|x_a & z_b|``."""
 
     def times(a, b):
         (xa, za, pa), (xb, zb, pb) = a, b
-        return xa ^ xb, za ^ zb, pa * pb * _signs(dim)[xa & zb]
+        return xa ^ xb, za ^ zb, pa * pb * _parity_signs(xa & zb)
 
     return functools.reduce(times, strings)
 
@@ -77,12 +80,14 @@ def _clifford_strings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     below."""
     if n < 2:
         raise ValueError("Clifford generators need n >= 2")
+    if n > MAX_N:
+        raise UsageError(f"spinors of so({n}) are out of range: blade masks are 64-bit sets of at most {MAX_N} generators")
     m = n // 2
     x = np.repeat(1 << np.arange(m - 1, -1, -1), 2)
     z = x - 1 + x * np.tile([1, 0], m)
     phase = np.tile([1.0 + 0.0j, 1.0j], m)
     if n % 2 == 1:  # the volume element of the even rank below, scaled
-        vx, vz, vp = _product(zip(x, z, phase), 2**m)
+        vx, vz, vp = _product(zip(x, z, phase))
         x, z, phase = np.append(x, vx), np.append(z, vz), np.append(phase, (1.0j if m % 2 == 0 else 1.0) * vp)
     return x, z, phase
 
@@ -115,7 +120,7 @@ class SpinorBlades:
         # the blade of each pair, row-major, and the sign of its product
         # against the blade's first; blade 0 is empty, its mask 0 sorts first
         _, first, self.key = np.unique((masks[:, None] ^ masks).ravel(), return_index=True, return_inverse=True)
-        bx, bz, lead = (a.ravel() for a in _product([(x[:, None], z[:, None], phase[:, None]), (x, z, phase)], size))
+        bx, bz, lead = (a.ravel() for a in _product([(x[:, None], z[:, None], phase[:, None]), (x, z, phase)]))
         blade = lead[first]
         self.sign = np.where(lead == blade[self.key], 1.0, -1.0)
         # each blade's x_B and z_B (int32), whether its phases are imaginary,
@@ -175,7 +180,7 @@ class SpinorBlades:
             rows = np.arange(lo, self.size if hi is None else hi, dtype=np.int32)
         else:
             rows = self.rows[lo:hi]
-        col, val = _row_entries(rows[:, None], x, z, phase, self.size)
+        col, val = _row_entries(rows[:, None], x, z, phase)
         return (col if self._pos is None else self._pos[col]), val
 
 
@@ -186,7 +191,7 @@ def spinor_blades(basis: SoBasis, rows: np.ndarray | None = None) -> SpinorBlade
     x, z, phase = _clifford_strings(basis.n)
     i, j = np.array(basis.pairs).reshape(-1, 2).T
     dim = 2 ** (basis.n // 2)
-    gx, gz, gp = _product([(x[i], z[i], phase[i]), (x[j], z[j], phase[j])], dim)
+    gx, gz, gp = _product([(x[i], z[i], phase[i]), (x[j], z[j], phase[j])])
     return SpinorBlades((1 << i) | (1 << j), gx, gz, -gp / 2.0, dim, rows)
 
 
@@ -219,9 +224,8 @@ def half_spin_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     each eigenspace is spanned by the unit vectors of its rows."""
     if n % 2 != 0:
         raise ValueError("chirality element is defined for even n")
-    dim = 2 ** (n // 2)
-    _, z, phase = _product(zip(*_clifford_strings(n)), dim)
-    _, diag = _row_entries(np.arange(dim), 0, z, phase if n % 4 == 0 else 1.0j * phase, dim)
+    _, z, phase = _product(zip(*_clifford_strings(n)))
+    _, diag = _row_entries(np.arange(2 ** (n // 2)), 0, z, phase if n % 4 == 0 else 1.0j * phase)
     return np.flatnonzero(diag.real > 0), np.flatnonzero(diag.real < 0)
 
 
@@ -244,10 +248,9 @@ def _invertible_pairing(n: int) -> tuple[int, int, complex]:
     the other factors of B, so ``e_i^T B = eps B e_i`` with one sign eps for
     all i; then ``rho(x)^T B + B rho(x) = 0``.  The phases are units, so
     the product is exact."""
-    dim = 2 ** (n // 2)
     x, z, phase = _clifford_strings(n)
-    symmetric = _signs(dim)[x & z] > 0
-    return _product(zip(x[symmetric], z[symmetric], phase[symmetric]), dim)
+    symmetric = _parity_signs(x & z) > 0
+    return _product(zip(x[symmetric], z[symmetric], phase[symmetric]))
 
 
 def clifford_symbol(n: int) -> np.ndarray:
@@ -269,11 +272,11 @@ def clifford_symbol(n: int) -> np.ndarray:
     dim = 2 ** (n // 2)
     gens = list(zip(*_clifford_strings(n)))
     x, z, phase = _invertible_pairing(n)
-    pairing_h = (x, z, np.conj(phase) * _signs(dim)[x & z])  # row r of B^H is row r ^ x of B, conjugated
+    pairing_h = (x, z, np.conj(phase) * _parity_signs(x & z))  # row r of B^H is row r ^ x of B, conjugated
     rows = np.arange(dim)
     combos = itertools.chain.from_iterable(itertools.combinations(range(n), p) for p in range(n + 1))
     out = np.zeros((dim * dim, 2**n), dtype=complex)
     for c, combo in enumerate(combos):
-        col, val = _row_entries(rows, *_product([gens[i] for i in combo] + [pairing_h], dim), dim)
+        col, val = _row_entries(rows, *_product([gens[i] for i in combo] + [pairing_h]))
         out[rows * dim + col, c] = val / np.sqrt(dim)
     return out

@@ -3,15 +3,17 @@
 The package builds the Clifford generators, the half-spins and the
 projection lemma from closed forms, keeps a representation as the table of
 its generators' nonzero entries, solves for intertwiners on the weight
-blocks of a torus element, and keeps curvature operators in pair
-coordinates.  These are the slower, direct constructions those are checked
-against (dense generator stacks among them), and checks of the premises
+blocks of a torus element, keeps curvature operators in pair
+coordinates, and keeps so(n) and its subalgebras as coefficient rows (u(m)
+in closed form).  These are the slower, direct constructions those are checked
+against (dense generator stacks and dense basis matrices among them), and checks of the premises
 every verdict rests on.  Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -19,6 +21,67 @@ import numpy as np
 from weitzlab import numerics
 from weitzlab import representations as reps
 from weitzlab import so_algebra as so
+
+
+def dense_basis(n: int) -> tuple[np.ndarray, ...]:
+    """The so(n) basis matrices ``x_ij = E_ij - E_ji``, one array each, in
+    pair order."""
+    out = []
+    for i, j in so.pair_list(n):
+        x = np.zeros((n, n))
+        x[i, j] = 1.0
+        x[j, i] = -1.0
+        out.append(x)
+    return tuple(out)
+
+
+def elements(basis) -> tuple[np.ndarray, ...]:
+    """The basis matrices of so(n), or those of a subalgebra as the sums
+    ``sum_a c_ja x_a`` of its rows over :func:`dense_basis`."""
+    if isinstance(basis, so.SoBasis):
+        return dense_basis(basis.n)
+    xs = dense_basis(basis.ambient.n)
+    return tuple(sum(float(c) * x for c, x in zip(row, xs)) for row in basis.coeff)
+
+
+def subalgebra(ambient: so.SoBasis, mats, label: str = "h") -> so.Subalgebra:
+    """The subalgebra whose rows are the expansions of the given
+    orthonormal skew matrices."""
+    return so.Subalgebra(ambient=ambient, coeff=np.array([so.expand(ambient, m) for m in mats]), label=label)
+
+
+def u_nullspace(m: int) -> np.ndarray:
+    """u(m) in so(2m) as the nullspace of its 4m^2 bracket equations: the
+    coefficient vectors c with ``[sum_a c_a x_a, J] = 0`` (J e_2k = e_2k+1,
+    0-based), as orthonormal rows from an SVD."""
+    xs = dense_basis(2 * m)
+    jmat = np.zeros((2 * m, 2 * m))
+    for k in range(m):
+        jmat[2 * k + 1, 2 * k] = 1.0
+        jmat[2 * k, 2 * k + 1] = -1.0
+    null = numerics.nullspace(np.array([so.bracket(x, jmat).ravel() for x in xs]).T)
+    assert null.shape[1] == m * m, f"u({m}) nullspace of dimension {null.shape[1]}"
+    return np.real(null).T
+
+
+def so_positive_roots(n: int) -> list[tuple[Fraction, ...]]:
+    """Positive roots of so(n) in the x_i coordinates: e_i +- e_j (i < j),
+    plus the short roots e_i when n is odd."""
+    m = n // 2
+    out = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            plus = [Fraction(0)] * m
+            plus[i], plus[j] = Fraction(1), Fraction(1)
+            minus = [Fraction(0)] * m
+            minus[i], minus[j] = Fraction(1), Fraction(-1)
+            out.extend([tuple(plus), tuple(minus)])
+    if n % 2 == 1:
+        for i in range(m):
+            short = [Fraction(0)] * m
+            short[i] = Fraction(1)
+            out.append(tuple(short))
+    return out
 
 
 def dense(r: reps.Rep) -> np.ndarray:
@@ -44,10 +107,10 @@ def casimir(r: reps.Rep) -> np.ndarray:
 
 
 def restrict(r: reps.Rep, h: so.Subalgebra) -> reps.Rep:
-    """The restriction to a subalgebra by a ``tensordot`` of each element's
-    coefficients with the dense stack."""
+    """The restriction to a subalgebra by a ``tensordot`` of each
+    coefficient row with the dense stack."""
     stacked = dense(r)
-    mats = [np.tensordot(so.expand(r.basis, g), stacked, axes=(0, 0)) for g in h.elements]
+    mats = [np.tensordot(row, stacked, axes=(0, 0)) for row in h.coeff]
     return rep_from_mats(h, r.dim, mats, f"{r.label}|{h.label}")
 
 
@@ -134,11 +197,11 @@ def homomorphism_residual(r: reps.Rep) -> float:
     """Worst ``|| rho([x_a, x_b]) - [rho(x_a), rho(x_b)] ||`` over pairs,
     each bracket expanded over the orthonormal basis matrices with the
     inner product ``-tr(a b) / 2``."""
-    elements, mats = r.basis.elements, dense(r)
+    xs, mats = elements(r.basis), dense(r)
     worst = 0.0
-    for a, b in itertools.combinations(range(len(elements)), 2):
-        lie = so.bracket(elements[a], elements[b])
-        coeff = np.array([-np.trace(e @ lie).real / 2.0 for e in elements])
+    for a, b in itertools.combinations(range(len(xs)), 2):
+        lie = so.bracket(xs[a], xs[b])
+        coeff = np.array([-np.trace(e @ lie).real / 2.0 for e in xs])
         target = np.tensordot(coeff, mats, axes=(0, 0))
         worst = max(worst, float(np.linalg.norm(so.bracket(mats[a], mats[b]) - target)))
     return worst

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from weitzlab import casimir_weights as cw
 from weitzlab import representations as reps
 from weitzlab import so_algebra as so
@@ -107,14 +108,26 @@ class TestStrangeFormula:
 class TestSoWeights:
     def test_positive_root_counts(self):
         # B_m: m^2 roots; D_m: m(m-1)
-        assert len(cw.so_positive_roots(5)) == 4
-        assert len(cw.so_positive_roots(7)) == 9
-        assert len(cw.so_positive_roots(6)) == 6
-        assert len(cw.so_positive_roots(8)) == 12
+        assert len(oracles.so_positive_roots(5)) == 4
+        assert len(oracles.so_positive_roots(7)) == 9
+        assert len(oracles.so_positive_roots(6)) == 6
+        assert len(oracles.so_positive_roots(8)) == 12
 
     def test_weyl_vectors(self):
         assert cw.so_weyl_vector(5) == (Fraction(3, 2), Fraction(1, 2))
         assert cw.so_weyl_vector(6) == (Fraction(2), Fraction(1), Fraction(0))
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_weyl_vector_is_half_the_positive_root_sum(self, n):
+        roots = oracles.so_positive_roots(n)
+        half_sum = tuple(sum(beta[i] for beta in roots) / 2 for i in range(n // 2))
+        assert cw.so_weyl_vector(n) == half_sum
+        assert all(isinstance(c, Fraction) for c in cw.so_weyl_vector(n))
+
+    @pytest.mark.parametrize("n", (0, 1, 2))
+    def test_weyl_vector_needs_n_at_least_3(self, n):
+        with pytest.raises(ValueError):
+            cw.so_weyl_vector(n)
 
     def test_killing_factor(self):
         assert cw.so_weight_killing_factor(5) == Fraction(1, 6)

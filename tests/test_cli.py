@@ -268,14 +268,22 @@ class TestSizePreflight:
         assert err == f"error: out of memory: {what} bytes, more than the address-space limit of 3221225472 bytes\n"
         assert peak_mb < 100  # refused from the factors, before their table is joined
 
-    def test_sign_table_refused_before_its_doublings(self):
-        # the Pauli strings of so(60) act on 2^30 spinor rows: the last
-        # doubling of the float32 sign table would hold 8 GiB
-        code, out, err, peak_mb = run_capped_peak(["check", "lichnerowicz", "--n", "60", "--trials", "2"])
+    @pytest.mark.parametrize(
+        "argv, n, peak_bound_mb",
+        (
+            (["check", "lichnerowicz", "--n", "64", "--trials", "2"], 64, 150),
+            # the A8 model on so(80) is built before its spinors are asked for
+            (["check", "group-model", "--algebra", "A8"], 80, None),
+        ),
+        ids=["lichnerowicz-n64", "group-model-A8"],
+    )
+    def test_spinors_beyond_63_generators_refused(self, argv, n, peak_bound_mb):
+        # blade masks are int64 bit sets of the generators: from n = 64 they
+        # would overflow, so the request is refused with one line, no verdict
+        code, out, err, peak_mb = run_capped_peak(argv)
         assert code == 2 and out == ""
-        what = "the sign table of 1073741824 spinor rows (8 bytes an entry) needs 8589934592"
-        assert err == f"error: out of memory: {what} bytes, more than the address-space limit of 3221225472 bytes\n"
-        assert peak_mb <= 150
+        assert err == f"error: spinors of so({n}) are out of range: blade masks are 64-bit sets of at most 63 generators\n"
+        assert peak_bound_mb is None or peak_mb <= peak_bound_mb
 
     def test_spin_n40_refused_before_its_tables(self):
         # the (780, 2^20) spin table would take about 100 GB: refused from

@@ -1,0 +1,98 @@
+"""The golden outputs of ``decompose`` (``bench/golden/decompose.json``,
+written by ``bench/golden/record.py``) against the package, in process.
+
+Exit codes, report structure, every string (the projector digests among
+them) and the integers ``dim``, ``multiplicity`` and ``total_dim`` must
+match exactly; every other number may move by RELATIVE_TOL of max(1, |x|),
+the largest rounding move any change to ``decompose`` has made.  Canonical
+JSON writes an integral float as an integer, so numbers are told apart by
+their key, not by their type."""
+
+import json
+import pathlib
+
+import pytest
+
+from weitzlab import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((ROOT / "bench" / "golden" / "decompose.json").read_text())
+RELATIVE_TOL = 2.1e-14
+EXACT_NUMBERS = ("dim", "multiplicity", "total_dim")
+
+
+def differences(want, got, path="", key=""):
+    """Where ``got`` departs from ``want`` by the rules above, as
+    ``path: reason`` lines."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or want.keys() != got.keys():
+            return [f"{path}: keys {sorted(want)} != {sorted(got) if isinstance(got, dict) else got!r}"]
+        return [d for k in want for d in differences(want[k], got[k], f"{path}.{k}", k)]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(want) != len(got):
+            return [f"{path}: {len(want)} items != {got!r:.80}"]
+        return [d for i, (w, g) in enumerate(zip(want, got)) for d in differences(w, g, f"{path}[{i}]", key)]
+    number = (int, float)
+    if isinstance(want, number) and not isinstance(want, bool) and key not in EXACT_NUMBERS:
+        if not isinstance(got, number) or isinstance(got, bool):
+            return [f"{path}: {want!r} != {got!r}"]
+        if abs(got - want) > RELATIVE_TOL * max(1.0, abs(want)):
+            return [f"{path}: {got!r} is not {want!r} within {RELATIVE_TOL} of max(1, |x|)"]
+        return []
+    if type(want) is not type(got) or want != got:
+        return [f"{path}: {want!r} != {got!r}"]
+    return []
+
+
+@pytest.mark.parametrize("record", GOLDEN, ids=[" ".join(r["argv"][1:7]) for r in GOLDEN])
+def test_decompose_matches_the_golden_output(record, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("WEITZLAB_TOL", raising=False)
+    monkeypatch.setenv("WEITZLAB_CI", "1")
+    code = cli.main(record["argv"])
+    out = capsys.readouterr().out
+    assert code == record["exit"]
+    if not record["stdout"]:
+        assert out == ""
+        return
+    assert differences(json.loads(record["stdout"]), json.loads(out)) == []
+
+
+class TestComparer:
+    WANT = {
+        "reports": [{"residual": 1e-15, "details": {"pieces": [{"dim": 3, "multiplicity": 1, "casimir_eigenvalue": -4, "projector_digest": "ab"}], "total_dim": 3}}],
+        "summary": {"passed": 1},
+    }
+
+    def _moved(self, path, value):
+        got = json.loads(json.dumps(self.WANT))
+        *head, last = path
+        node = got
+        for k in head:
+            node = node[k]
+        node[last] = value
+        return differences(self.WANT, got)
+
+    def test_equal_passes(self):
+        assert differences(self.WANT, json.loads(json.dumps(self.WANT))) == []
+
+    def test_floats_within_the_tolerance_pass(self):
+        piece = ("reports", 0, "details", "pieces", 0)
+        assert self._moved((*piece, "casimir_eigenvalue"), -4.000000000000001) == []
+        assert self._moved(("reports", 0, "residual"), 1e-15 + 1e-14) == []
+
+    @pytest.mark.parametrize(
+        "path, value",
+        (
+            (("reports", 0, "details", "pieces", 0, "casimir_eigenvalue"), -4.0000000000001),
+            (("reports", 0, "details", "pieces", 0, "dim"), 2),
+            (("reports", 0, "details", "pieces", 0, "multiplicity"), 2),
+            (("reports", 0, "details", "pieces", 0, "projector_digest"), "ac"),
+            (("reports", 0, "details", "total_dim"), 4),
+            (("reports", 0, "details", "pieces"), []),
+            (("summary", "extra"), 1),
+            (("summary", "passed"), True),
+        ),
+    )
+    def test_departures_are_found(self, path, value):
+        assert self._moved(path, value) != []

@@ -70,7 +70,7 @@ def _power_mats_dense(b, p, alternating, dim):
     generator at a time from the derivation table."""
     col, i, j, row, weight = reps._derivation_table(b.n, p, alternating)
     mats = []
-    for x in b.elements:
+    for x in so.matrices(b):
         c = np.asarray(x, dtype=complex)[j, i]
         nz = c != 0
         out = np.zeros((dim, dim), dtype=complex)
@@ -212,7 +212,7 @@ class TestConstructors:
 
     def test_vector_is_defining(self, b3):
         r = reps.rep_vector(b3)
-        for m, x in zip(oracles.dense(r), b3.elements):
+        for m, x in zip(oracles.dense(r), oracles.dense_basis(3)):
             assert np.array_equal(np.real(m), x)
 
     def test_exterior2_n4(self, b4):
@@ -257,8 +257,8 @@ class TestConstructors:
         # oracle: column b of ad(x_a) is the expansion of [x_a, x_b]
         b = so.basis(n)
         oracle = [
-            np.array([so.expand(b, so.bracket(xa, xb)) for xb in b.elements], dtype=complex).T
-            for xa in b.elements
+            np.array([so.expand(b, so.bracket(xa, xb)) for xb in so.matrices(b)], dtype=complex).T
+            for xa in so.matrices(b)
         ]
         r = reps.rep_adjoint(b)
         assert r.label == "adjoint" and r.dim == b.dim
@@ -270,7 +270,7 @@ class TestConstructors:
         b = so.basis(n)
         for p in range(n + 1):
             r = reps.rep_exterior(b, p)
-            oracle = [_exterior_action_loop(np.asarray(x, dtype=complex), n, p) for x in b.elements]
+            oracle = [_exterior_action_loop(np.asarray(x, dtype=complex), n, p) for x in so.matrices(b)]
             assert r.dim == oracle[0].shape[0] and r.label == f"exterior({p})"
             assert [m.tobytes() for m in oracles.dense(r)] == [o.tobytes() for o in oracle]
 
@@ -279,7 +279,7 @@ class TestConstructors:
         b = so.basis(n)
         for p in range(1, 5):
             r = reps.rep_sym(b, p)
-            oracle = [_sym_action_loop(np.asarray(x, dtype=complex), n, p) for x in b.elements]
+            oracle = [_sym_action_loop(np.asarray(x, dtype=complex), n, p) for x in so.matrices(b)]
             assert r.dim == oracle[0].shape[0] and r.label == f"sym({p})"
             assert [m.tobytes() for m in oracles.dense(r)] == [o.tobytes() for o in oracle]
 
@@ -387,11 +387,11 @@ def _rotated_so3(n: int) -> so.Subalgebra:
     every element has a dense row of coefficients over the so(n) basis."""
     q, _ = np.linalg.qr(np.cos(np.arange(n * n, dtype=float).reshape(n, n)) + np.eye(n))
     elements = []
-    for x in so.basis(3).elements:
+    for x in so.matrices(so.basis(3)):
         big = np.zeros((n, n))
         big[:3, :3] = x
         elements.append(q @ big @ q.T)
-    return so.Subalgebra(ambient=so.basis(n), elements=tuple(elements), label="rotated so(3)")
+    return oracles.subalgebra(so.basis(n), elements, "rotated so(3)")
 
 
 #: (n, rep, subalgebra) of restricted reps; None is :func:`_rotated_so3`
@@ -424,7 +424,7 @@ class TestRestrict:
 
     def test_restrict_to_full_so_is_identity(self, b4):
         r = reps.rep_vector(b4)
-        full = so.Subalgebra(ambient=b4, elements=b4.elements, label="so(4)")
+        full = so.Subalgebra(ambient=b4, coeff=np.eye(b4.dim), label="so(4)")
         got = reps.rep_restrict(r, full)
         for ma, mb in zip(oracles.dense(got), oracles.dense(r)):
             assert np.allclose(ma, mb, atol=1e-12)

@@ -1,9 +1,12 @@
 import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from weitzlab import cli, numerics
 from weitzlab import so_algebra as so
 
 
@@ -15,7 +18,7 @@ def _inner(a, b):
 def test_n2_single_element():
     b = so.basis(2)
     assert b.dim == 1
-    assert np.array_equal(b.elements[0], np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    assert np.array_equal(so.matrices(b)[0], np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 def test_rejects_n_below_2():
@@ -25,17 +28,17 @@ def test_rejects_n_below_2():
 
 def test_n3_brackets_by_direct_multiplication():
     b = so.basis(3)
-    x12, x13, x23 = b.elements
+    x12, x13, x23 = so.matrices(b)
     # oracle: plain 3x3 matrix arithmetic
     assert np.array_equal(x12 @ x23 - x23 @ x12, x13)
     assert np.array_equal(x12 @ x13 - x13 @ x12, -x23)
 
 
 def test_n4_orthonormal_under_trace_form():
-    b = so.basis(4)
-    for x, y in itertools.combinations_with_replacement(b.elements, 2):
-        expected = 1.0 if x is y else 0.0
-        assert abs(-np.trace(x @ y) / 2.0 - expected) < 1e-14
+    xs = so.matrices(so.basis(4))
+    for a, b in itertools.combinations_with_replacement(range(len(xs)), 2):
+        expected = 1.0 if a == b else 0.0
+        assert abs(-np.trace(xs[a] @ xs[b]) / 2.0 - expected) < 1e-14
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "C3", "G2"])
@@ -45,7 +48,7 @@ def test_expand_equals_the_inner_products_bit_for_bit(label):
     g = so.simple_algebra(label)
     b = so.basis(g.dim)
     for a in g.ad:
-        want = np.array([_inner(x, a) for x in b.elements])
+        want = np.array([_inner(x, a) for x in oracles.dense_basis(g.dim)])
         got = so.expand(b, a)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -54,22 +57,21 @@ def test_expand_reads_the_real_skew_part():
     b = so.basis(5)
     m = np.random.default_rng(3).standard_normal((2, 5, 5))
     z = m[0] + 1j * m[1]
-    want = np.array([_inner(x, z) for x in b.elements])
+    want = np.array([_inner(x, z) for x in oracles.dense_basis(5)])
     assert np.allclose(so.expand(b, z), want, rtol=0, atol=1e-15)
     assert np.allclose(so.expand(b, m[0] - m[0].T), 2 * so.expand(b, m[0]), rtol=0, atol=1e-15)
 
 
 def test_elements_skew():
     for n in range(2, 9):
-        for x in so.basis(n).elements:
+        for x in so.matrices(so.basis(n)):
             assert np.array_equal(x.T, -x)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_jacobi_identity_all_triples(n):
-    b = so.basis(n)
     worst = 0.0
-    for x, y, z in itertools.combinations(b.elements, 3):
+    for x, y, z in itertools.combinations(so.matrices(so.basis(n)), 3):
         s = (
             so.bracket(x, so.bracket(y, z))
             + so.bracket(y, so.bracket(z, x))
@@ -81,16 +83,16 @@ def test_jacobi_identity_all_triples(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_ad_invariance_of_inner_product(n):
-    b = so.basis(n)
-    for xc, xa, xb in itertools.product(b.elements, repeat=3):
+    xs = so.matrices(so.basis(n))
+    for xc, xa, xb in itertools.product(xs, repeat=3):
         lhs = _inner(so.bracket(xc, xa), xb) + _inner(xa, so.bracket(xc, xb))
         assert abs(lhs) <= 1e-12
 
 
 def test_disjoint_pairs_commute():
-    b = so.basis(4)
-    x12 = b.elements[b.pairs.index((0, 1))]
-    x34 = b.elements[b.pairs.index((2, 3))]
+    xs = so.matrices(so.basis(4))
+    x12 = xs[so.pair_number(4, 0, 1)]
+    x34 = xs[so.pair_number(4, 2, 3)]
     assert np.linalg.norm(so.bracket(x12, x34)) == 0.0
 
 
@@ -99,39 +101,178 @@ def test_bracket_size_mismatch():
         so.bracket(np.eye(2), np.eye(3))
 
 
+class TestPairBasis:
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_pair_number_is_the_position_in_pair_list(self, n):
+        pairs = so.pair_list(n)
+        i, j = np.array(pairs).T
+        assert so.pair_number(n, i, j).tolist() == list(range(len(pairs)))
+        assert [so.pair_number(n, *p) for p in pairs] == list(range(len(pairs)))
+
+    def test_basis_is_its_pairs(self):
+        b = so.basis(5)
+        assert b == (5, so.pair_list(5)) and b.dim == 10
+        assert not hasattr(b, "elements")
+        assert not hasattr(so.u_subalgebra(2), "elements")
+
+    def test_basis_n60_allocates_no_matrices(self):
+        # 1770 dense 60 x 60 basis matrices took 49 MiB
+        tracemalloc.start()
+        try:
+            b = so.basis(60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert b.dim == 1770 and peak < 1 << 20
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matrices_bit_equal_to_the_dense_basis(self, n):
+        b = so.basis(n)
+        assert so.matrices(b).tobytes() == np.array(oracles.dense_basis(n)).tobytes()
+        rows = np.random.default_rng(n).standard_normal((3, b.dim))
+        rows[0, 0] = 0.0
+        want = np.array(oracles.elements(so.Subalgebra(ambient=b, coeff=rows)))
+        assert so.matrices(b, rows).tobytes() == want.tobytes()
+
+
+def _jmat(m):
+    """The standard complex structure of R^2m, J e_2k = e_2k+1 (0-based)."""
+    jmat = np.zeros((2 * m, 2 * m))
+    for k in range(m):
+        jmat[2 * k + 1, 2 * k] = 1.0
+        jmat[2 * k, 2 * k + 1] = -1.0
+    return jmat
+
+
 class TestUSubalgebra:
     def test_u1_is_so2(self):
         h = so.u_subalgebra(1)
         assert h.dim == 1
-        j = h.elements[0]
-        assert abs(abs(_inner(j, so.basis(2).elements[0])) - 1.0) < 1e-12
+        j = so.matrices(h.ambient, h.coeff)[0]
+        assert abs(abs(_inner(j, so.matrices(so.basis(2))[0])) - 1.0) < 1e-12
 
     def test_u2_dimension_and_closure(self):
         h = so.u_subalgebra(2)
         assert h.dim == 4
         assert h.closure_residual() <= 1e-12
-        for g in h.elements:
+        for g in so.matrices(h.ambient, h.coeff):
             assert np.linalg.norm(g + g.T) <= 1e-12
 
     def test_u_elements_orthonormal(self):
         h = so.u_subalgebra(2)
-        for i, a in enumerate(h.elements):
-            for j, b in enumerate(h.elements):
+        xs = so.matrices(h.ambient, h.coeff)
+        for i, a in enumerate(xs):
+            for j, b in enumerate(xs):
                 assert abs(_inner(a, b) - (1.0 if i == j else 0.0)) <= 1e-12
 
     def test_elements_commute_with_complex_structure(self):
         for m in (1, 2, 3):
             h = so.u_subalgebra(m)
-            jmat = np.zeros((2 * m, 2 * m))
-            for k in range(m):
-                jmat[2 * k + 1, 2 * k] = 1.0
-                jmat[2 * k, 2 * k + 1] = -1.0
-            for g in h.elements:
+            jmat = _jmat(m)
+            for g in so.matrices(h.ambient, h.coeff):
                 assert np.linalg.norm(g @ jmat - jmat @ g) <= 1e-12
 
     def test_rejects_m_below_1(self):
         with pytest.raises(ValueError):
             so.u_subalgebra(0)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_closed_form_spans_the_nullspace_oracle(self, m):
+        h = so.u_subalgebra(m)
+        c = h.coeff
+        assert h.ambient == so.basis(2 * m) and h.label == f"u({m})" and c.shape == (m * m, m * (2 * m - 1))
+        assert np.max(np.abs(c @ c.T - np.eye(m * m))) <= 1e-15
+        jmat = _jmat(m)
+        xs = so.matrices(h.ambient, c)
+        assert np.max(np.abs(xs @ jmat - jmat @ xs)) <= 1e-15
+        assert h.closure_residual() <= 1e-14
+        null = oracles.u_nullspace(m)
+        assert np.max(np.abs(c.T @ c - null.T @ null)) <= 1e-14
+
+    def test_row_order(self):
+        # x_01, x_23, then (x_02 + x_13) / sqrt 2 and (x_03 - x_12) / sqrt 2
+        s = np.sqrt(0.5)
+        want = np.zeros((4, 6))
+        for row, entries in enumerate(([(0, 1, 1.0)], [(2, 3, 1.0)], [(0, 2, s), (1, 3, s)], [(0, 3, s), (1, 2, -s)])):
+            for i, j, v in entries:
+                want[row, so.pair_list(4).index((i, j))] = v
+        assert so.u_subalgebra(2).coeff.tobytes() == want.tobytes()
+
+    def test_no_singular_value_decomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("u(m) is a closed form")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(so.numerics, "nullspace", refuse)
+        assert so.u_subalgebra(4).dim == 16
+
+
+def _padded(n, m):
+    """The old dense so(m) on the first m coordinates of R^n."""
+    out = []
+    for x in oracles.dense_basis(m):
+        big = np.zeros((n, n))
+        big[:m, :m] = x
+        out.append(big)
+    return out
+
+
+def _bits(rows):
+    """The bytes of coefficient rows with -0.0 read as +0.0: a restriction
+    skips zero coefficients of either sign."""
+    return (np.asarray(rows) + 0.0).tobytes()
+
+
+class TestSubalgebraRows:
+    """The rows of every ``--sub`` against ``expand`` of the dense elements
+    that the subalgebras were once stored as."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_so_full(self, n):
+        h = cli.parse_subalgebra("so-full", n)
+        want = [so.expand(h.ambient, x) for x in oracles.dense_basis(n)]
+        assert h.label == f"so({n})" and _bits(h.coeff) == _bits(want)
+
+    @pytest.mark.parametrize("n, m", [(3, 2), (4, 3), (5, 3), (6, 4), (7, 5), (5, 5)])
+    def test_so_m(self, n, m):
+        h = cli.parse_subalgebra(f"so:{m}", n)
+        want = [so.expand(h.ambient, x) for x in _padded(n, m)]
+        assert h.label == f"so({m})" and _bits(h.coeff) == _bits(want)
+
+    @pytest.mark.parametrize("n", (4, 5, 6))
+    def test_file(self, n, tmp_path):
+        q, _ = np.linalg.qr(np.cos(np.arange(n * n, dtype=float).reshape(n, n)) + np.eye(n))
+        mats = [q @ x @ q.T for x in _padded(n, 3)]
+        mats.append(mats[0] + 2.0 * mats[1])  # a redundant element
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps([m.tolist() for m in mats]))
+        h = cli.parse_subalgebra(f"file:{path}", n)
+        amb = so.basis(n)
+        span = numerics.orthonormal_columns(np.array([so.expand(amb, m) for m in mats]).T)
+        xs = oracles.dense_basis(n)
+        old = [sum(float(np.real(span[a, k])) * xs[a] for a in range(amb.dim)) for k in range(span.shape[1])]
+        assert h.dim == 3 and _bits(h.coeff) == _bits([so.expand(amb, x) for x in old])
+
+
+def _old_raw(family, rank):
+    """The matrix models as the dense basis once built them."""
+    if family == "G":
+        a, b = np.triu_indices(7, 1)
+        null = numerics.nullspace(so._octonion_table()[:, a, b])
+        dense = np.array(oracles.dense_basis(7))
+        return [np.asarray(np.tensordot(np.real(null[:, k]), dense, axes=(0, 0)), dtype=complex) for k in range(14)]
+    return [np.asarray(x, dtype=complex) for x in oracles.dense_basis(2 * rank + (family == "B"))]
+
+
+@pytest.mark.parametrize("label", ["B2", "B3", "D4", "G2"])
+def test_matrix_models_bit_equal_to_the_dense_basis_construction(label):
+    family, rank = so.parse_type_rank(label)
+    raw, old = so._MODEL_BUILDERS[family](rank), _old_raw(family, rank)
+    assert np.array(raw).tobytes() == np.array(old).tobytes()
+    g = so.simple_algebra(label)
+    y, ad = so._orthonormalize_killing(old)
+    assert np.array(g.model).tobytes() == np.array(y).tobytes()
+    assert np.array(g.ad).tobytes() == np.real(np.array(ad)).tobytes()
 
 
 LABELS = ["A1", "A2", "B2", "C3", "D4", "G2"]

@@ -21,7 +21,7 @@ def _generators(n):
 
 def _volume(n):
     """The Pauli string of the volume element ``e_1 ... e_n``."""
-    return spin._product(zip(*spin._clifford_strings(n)), 2 ** (n // 2))
+    return spin._product(zip(*spin._clifford_strings(n)))
 
 
 class TestGamma:
@@ -283,7 +283,7 @@ class TestSpinorBlades:
         sp, half = spin.rep_spin(b), spin.rep_half_spin(b, 1)
         assert sp.relabeled("s").clifford is sp.clifford
         assert half.relabeled("h").clifford is half.clifford
-        h = so.Subalgebra(ambient=b, elements=b.elements, label="so(4)")
+        h = so.Subalgebra(ambient=b, coeff=np.eye(b.dim), label="so(4)")
         unmarked = [
             reps.rep_tensor(sp, sp),
             reps.rep_tensor(reps.rep_trivial(b), sp),
@@ -318,6 +318,52 @@ class TestFullModuleBlades:
             assert np.array_equal(c, col[lo:hi]) and np.array_equal(v, val[lo:hi])
         rows = np.arange(blades.dim)[:, None]
         assert np.array_equal(col, rows ^ blades.bx)
+
+
+    def test_sphere_at_n60_with_no_sign_table(self):
+        # 2^30 spinor rows: the signs are parities of the generators' bit
+        # sets, so the blades of so(60) and their coefficients need nothing
+        # of that size.  On the sphere -4K = s/4, so K = -n(n-1)/8 Id.
+        tracemalloc.start()
+        try:
+            blades = spin.spinor_blades(so.basis(60))
+            sigma, rho = blades.scalar_split(blades.coefficients(curv.sphere(60).matrix))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert blades.dim == 2**30
+        assert sigma.tolist() == [-442.5] and rho.tolist() == [0.0]
+        assert peak < 300 << 20
+
+    def test_entries_stay_float32(self):
+        blades = spin.spinor_blades(so.basis(8))
+        col, val = blades.entries(0, blades.dim)
+        assert col.dtype == np.int32 and val.dtype == np.float32
+
+    @pytest.mark.parametrize("n", (64, 65, 80))
+    def test_beyond_63_generators_refused(self, n):
+        with pytest.raises(spin.UsageError, match=f"spinors of so\\({n}\\) are out of range"):
+            spin.spinor_blades(so.basis(n))
+
+
+class TestParitySigns:
+    def test_against_a_bit_count(self):
+        rng = np.random.default_rng(0)
+        v = np.concatenate([np.arange(4096), rng.integers(-(2**63), 2**63 - 1, 4096, dtype=np.int64), [-1, -(2**63)]])
+        want = np.array([1.0 - 2.0 * (bin(int(x) & (2**64 - 1)).count("1") % 2) for x in v], dtype=np.float32)
+        got = spin._parity_signs(v)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_pair_products_equal_the_dense_products(self, n):
+        # every product of two generators, its sign from the fold, against
+        # the dense matrices of the Pauli strings
+        dim = 2 ** (n // 2)
+        x, z, phase = spin._clifford_strings(n)
+        gx, gz, gp = spin._product([(x[:, None], z[:, None], phase[:, None]), (x, z, phase)])
+        dense = oracles.dense_pauli(x, z, phase, dim)
+        want = np.einsum("aij,bjk->abik", dense, dense)
+        assert np.array_equal(oracles.dense_pauli(gx, gz, gp, dim), want)
 
 
 class TestSpinorPairing:
