@@ -1,12 +1,13 @@
-"""Record the golden outputs of ``decompose``: the exit code and the
-canonical stdout of each command line in :data:`LINES`, one fresh
-``python -m weitzlab`` per line, run from the root of the checkout with one
-BLAS thread, ``WEITZLAB_CI=1`` and no ``WEITZLAB_TOL``.
+"""Record golden outputs: the exit code and the canonical stdout of each
+command line in :data:`RECORDS`, one fresh ``python -m weitzlab`` per line,
+run from the root of the checkout with one BLAS thread, ``WEITZLAB_CI=1``
+and no ``WEITZLAB_TOL``.
 
-    python bench/golden/record.py
+    python bench/golden/record.py [decompose.json] [groups.json]
 
-writes ``bench/golden/decompose.json``, which ``tests/test_golden.py``
-compares the package against.  Every line carries an explicit seed.
+writes the named record files under ``bench/golden/`` (all of them when none
+is named), which ``tests/test_golden.py`` compares the package against.
+Every ``decompose`` and ``check`` line carries an explicit seed.
 ``rotated_so3_n5.json`` is so(3) on the first three axes of R^5, turned by a
 fixed rotation, so that every element has a dense row over the pair basis;
 ``not_closed_n4.json`` holds x_01 and x_12 of so(4), whose bracket x_02
@@ -22,12 +23,11 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
-OUT = os.path.join(HERE, "decompose.json")
 
 #: The u(m) lines, clibench's isotypic plan at its seed 1, a file: subalgebra
 #: and the refusals (exit 3 for a u(m) that does not fit, exit 2 for a file
 #: whose matrices do not close).
-LINES = [
+DECOMPOSE = [
     "decompose --n 4 --rep vector --sub u:2 --seed 0",
     "decompose --n 4 --rep exterior:2 --sub u:2 --seed 0",
     "decompose --n 4 --rep spin --sub u:2 --seed 0",
@@ -53,19 +53,40 @@ LINES = [
     "decompose --n 4 --rep vector --sub file:bench/golden/not_closed_n4.json --seed 0",
 ]
 
+#: The compact simple algebras: the strange formula from root data, the
+#: bi-invariant group models, and ``k`` on ``group:`` curvature as
+#: clibench's k-spectra workload runs it.
+GROUPS = [
+    "check strange --seed 1",
+    "check strange --algebra A4,B3,C4,D5 --seed 1",
+    "check group-model --seed 1",
+    "k --rep vector --curvature group:A2 --preset hodge",
+    "k --rep spin --curvature group:B2 --preset spinor_dirac",
+    "k --rep spin --curvature group:G2 --preset spinor_dirac",
+    "k --rep adjoint --curvature group:C3",
+]
 
-def main() -> None:
-    env = {k: v for k, v in os.environ.items() if k != "WEITZLAB_TOL"}
-    env.update(PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", WEITZLAB_CI="1")
+RECORDS = {"decompose.json": DECOMPOSE, "groups.json": GROUPS}
+
+
+def record(lines: list[str], env: dict[str, str]) -> list[dict]:
     records = []
-    for line in LINES:
+    for line in lines:
         argv = line.split()
         proc = subprocess.run([sys.executable, "-m", "weitzlab", *argv], env=env, cwd=ROOT, capture_output=True, text=True)
         records.append({"argv": argv, "exit": proc.returncode, "stdout": proc.stdout})
         print(f"exit {proc.returncode}  {line}", file=sys.stderr)
-    with open(OUT, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=1)
-        fh.write("\n")
+    return records
+
+
+def main() -> None:
+    env = {k: v for k, v in os.environ.items() if k != "WEITZLAB_TOL"}
+    env.update(PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", WEITZLAB_CI="1")
+    for name in sys.argv[1:] or RECORDS:
+        records = record(RECORDS[name], env)
+        with open(os.path.join(HERE, name), "w", encoding="utf-8") as fh:
+            json.dump(records, fh, indent=1)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

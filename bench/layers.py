@@ -10,12 +10,15 @@ that it pays every cold cost a CLI process pays:
   --trials 0`` (a usage error, exit 2), ``python -m weitzlab k --n 4 --rep
   vector --curvature sphere`` (a valid request, interpreter exit included)
   ``python -m weitzlab check bochner --n 60 --trials 2`` (vectors of
-  so(60), 1770 generators) and ``python -c "import weitzlab.cli"`` with
+  so(60), 1770 generators), ``python -m weitzlab check strange --seed 1``
+  (root data of six algebras) and ``python -c "import weitzlab.cli"`` with
   ``PYTHONDONTWRITEBYTECODE=1``, timed from spawn to exit, so that each
   compiles the package from source as a benchmark child does (the CLI
   process, import included);
-* ``so_algebra.basis(n)`` for n = 40 and 60 and ``so_algebra.u_subalgebra(6)``,
-  each with its tracemalloc peak ``temp_mb`` (algebra construction);
+* ``so_algebra.basis(n)`` for n = 40 and 60, ``so_algebra.u_subalgebra(6)``
+  and ``so_algebra.simple_algebra`` for D4 and A8 (model, Killing pass and
+  root data), each with its tracemalloc peak ``temp_mb`` (algebra
+  construction);
 * ``random_curvature(n, seed)`` for n = 4 ... 16, 24, 32 and 40 (curvature
   sources);
 * ``representations.intertwiners(r, r)``, the commutant solve, for sym0 at
@@ -40,8 +43,9 @@ that it pays every cold cost a CLI process pays:
   construction);
 * ``weitzenbock.positivity_report`` on ``random_curvature(n, 2)`` for
   n = 3 ... 7; the operator is indefinite, so the diagnostic search over the
-  pairwise tensor products of the standard family runs at its default cap
-  (the positivity suite with an explicit operator);
+  pairwise tensor products of the standard family runs up to
+  ``weitzenbock.SEARCH_DIM_CAP`` (the positivity suite with an explicit
+  operator);
 * ``weitzenbock.k_matrix`` on ``random_curvature(n, 1)`` for exterior(5) at
   n = 10, exterior(6) at n = 12, sym(3) at n = 10, spin and the + half-spin
   at n = 14 and exterior(3) (x) exterior(3) at n = 7 (the largest positivity
@@ -150,8 +154,6 @@ REP_CASES = (
 #: n of each positivity report; the curvature operator is random_curvature(n, POSITIVITY_SEED).
 POSITIVITY_NS = range(3, 8)
 POSITIVITY_SEED = 2
-#: positivity_report's default cap on the dimension of a searched tensor product.
-SEARCH_DIM_CAP = 4096
 #: (n, rep) of each K assembly timed.
 K_CASES = (
     (10, "exterior:5"),
@@ -181,11 +183,12 @@ COLD_CASES = (
         ["-m", "weitzlab", "check", "bochner", "--n", "60", "--trials", "2"],
         0,
     ),
+    ("weitzlab check strange --seed 1", ["-m", "weitzlab", "check", "strange", "--seed", "1"], 0),
     ("import weitzlab.cli", ["-c", "import weitzlab.cli"], 0),
 )
 COLD_REPEATS = 21
 #: (function of so_algebra, argument) of each algebra construction timed.
-ALGEBRA_CASES = (("basis", 40), ("basis", 60), ("u_subalgebra", 6))
+ALGEBRA_CASES = (("basis", 40), ("basis", 60), ("u_subalgebra", 6), ("simple_algebra", "D4"), ("simple_algebra", "A8"))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +200,7 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _child_algebra(function: str, n: int) -> dict:
+def _child_algebra(function: str, n: int | str) -> dict:
     import tracemalloc
 
     from weitzlab import so_algebra
@@ -317,6 +320,16 @@ def _child_rep(constructor: str, n: int, p: int | None) -> dict:
     return {"seconds": time.perf_counter() - t0, "d": r.dim, "peak_rss_mb": _peak_rss_mb()}
 
 
+def _search_dim_cap(weitzenbock) -> int:
+    """The cap on a searched tensor product of the tree measured: its
+    module constant, or the default of the keyword that older trees took."""
+    import inspect
+
+    if hasattr(weitzenbock, "SEARCH_DIM_CAP"):
+        return weitzenbock.SEARCH_DIM_CAP
+    return inspect.signature(weitzenbock.positivity_report).parameters["search_dim_cap"].default
+
+
 def _child_positivity(n: int) -> dict:
     from weitzlab import curvature, weitzenbock
     from weitzlab.so_algebra import basis
@@ -328,9 +341,11 @@ def _child_positivity(n: int) -> dict:
     if not report.diagnostic:
         raise SystemExit(f"random_curvature({n}, {POSITIVITY_SEED}) is not indefinite: no search ran")
     dims = [r.dim for r in weitzenbock.standard_family(basis(n))]
-    products = [a * b for a, b in itertools.combinations_with_replacement(dims, 2) if a * b <= SEARCH_DIM_CAP]
+    cap = _search_dim_cap(weitzenbock)
+    products = [a * b for a, b in itertools.combinations_with_replacement(dims, 2) if a * b <= cap]
     return {
         "seconds": seconds,
+        "search_dim_cap": cap,
         "family_dims": dims,
         "products_searched": len(report.diagnostic["searched"]) - len(dims),
         "max_product_dim": max(products),
@@ -364,7 +379,7 @@ def _child(argv: list[str]) -> None:
     if kind == "curvature":
         result = _child_curvature(int(rest[0]))
     elif kind == "algebra":
-        result = _child_algebra(rest[0], int(rest[1]))
+        result = _child_algebra(rest[0], int(rest[1]) if rest[1].isdigit() else rest[1])
     elif kind == "lemma":
         result = _child_lemma(rest[0], int(rest[1]))
     elif kind == "trials":
@@ -476,7 +491,7 @@ def measure(srcs: list[str]) -> list[dict]:
         run = functools.partial(_run_cold, expect=code)
         case("cold_start", args, {"command": name, "exit": code, "repeats": COLD_REPEATS}, name, run=run, repeats=COLD_REPEATS)
     for function, n in ALGEBRA_CASES:
-        entry = {"function": function, "n": n if function == "basis" else 2 * n}
+        entry = {"function": function, **({"label": n} if isinstance(n, str) else {"n": n if function == "basis" else 2 * n})}
         medians = ("seconds", "temp_mb", "peak_rss_mb")
         case("algebra", ["algebra", function, str(n)], entry, f"{function}({n})", sizes=("dim",), medians=medians)
     ladder = list(range(len(srcs)))  # the trees whose curvature ladder goes on
@@ -511,8 +526,8 @@ def measure(srcs: list[str]) -> list[dict]:
         args = ["rep", constructor, str(n)] + ([] if p is None else [str(p)])
         case("representations", args, entry, f"{constructor} n={n} p={p}", sizes=("d",))
     for n in POSITIVITY_NS:
-        entry = {"n": n, "N": n * (n - 1) // 2, "seed": POSITIVITY_SEED, "search_dim_cap": SEARCH_DIM_CAP}
-        sizes = ("family_dims", "products_searched", "max_product_dim")
+        entry = {"n": n, "N": n * (n - 1) // 2, "seed": POSITIVITY_SEED}
+        sizes = ("family_dims", "products_searched", "max_product_dim", "search_dim_cap")
         case("positivity_report", ["positivity", str(n)], entry, f"positivity_report n={n}", sizes=sizes)
     for n, rep in K_CASES:
         entry = {"n": n, "rep": rep, "N": n * (n - 1) // 2, "seed": K_SEED}

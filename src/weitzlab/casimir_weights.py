@@ -3,7 +3,7 @@ formula and the Freudenthal-de Vries strange formula.
 
 Two coordinate systems appear.
 
-* Simple algebras: rational coordinates over the simple roots, with the
+* Simple algebras: coordinates over the simple roots, with the
   Killing-normalised inner product ``RootData.inner_killing`` (the
   long-root-squared-2 form divided by twice the dual Coxeter number).
 * so(n): the standard weight coordinates x_1 .. x_m (m = floor(n/2)) dual to
@@ -19,7 +19,7 @@ Each function imports ``Fraction`` itself, as in :mod:`so_algebra`.
 from __future__ import annotations
 
 from .report import CheckReport
-from .so_algebra import RootData, SimpleAlgebraData
+from .so_algebra import RootData
 
 __all__ = [
     "so_casimir_scalar",
@@ -31,43 +31,38 @@ __all__ = [
 ]
 
 
-def weyl_vector(g: SimpleAlgebraData | RootData) -> tuple[Fraction, ...]:
+def weyl_vector(roots: RootData) -> tuple[Fraction, ...]:
     """Half the sum of the positive roots, over the simple-root basis."""
     from fractions import Fraction
 
-    roots = g.roots if isinstance(g, SimpleAlgebraData) else g
-    rank = roots.rank
-    total = [Fraction(0)] * rank
-    for beta in roots.positive_roots:
-        for i in range(rank):
-            total[i] += Fraction(beta[i])
-    return tuple(c / 2 for c in total)
+    return tuple(Fraction(sum(column), 2) for column in zip(*roots.positive_roots))
 
 
-def strange_formula_check(g: SimpleAlgebraData) -> CheckReport:
-    """Compare dim G with ``24 |delta|^2`` in the Killing normalisation.
+def strange_formula_check(roots: RootData) -> CheckReport:
+    """Compare dim G with ``24 |delta|^2`` in the Killing normalisation,
+    from the root data alone: dim G is read from the family and rank.
 
     The comparison is exact rational arithmetic; floats only appear in the
     emitted report.
     """
     from fractions import Fraction
 
-    delta = weyl_vector(g)
-    norm2 = g.roots.inner_killing(delta, delta)
-    lhs = Fraction(g.dim)
+    delta = weyl_vector(roots)
+    norm2 = roots.inner_killing(delta, delta)
+    lhs = Fraction(roots.dim)
     rhs = 24 * norm2
     residual = abs(lhs - rhs)
-    tolerance = Fraction(g.dim) * Fraction(1, 10 ** 9)
+    tolerance = Fraction(roots.dim) * Fraction(1, 10 ** 9)
     return CheckReport(
         check="strange-formula",
-        inputs={"algebra": g.label, "dim": g.dim},
+        inputs={"algebra": roots.label, "dim": roots.dim},
         residual=float(residual),
         tolerance=float(tolerance),
         passed=residual <= tolerance,
         details={
             "delta_norm_squared": str(norm2),
             "delta_norm_squared_float": float(norm2),
-            "dim_over_24": str(Fraction(g.dim, 24)),
+            "dim_over_24": str(Fraction(roots.dim, 24)),
         },
     )
 

@@ -83,6 +83,7 @@ def build_curvature(spec: tuple, n: int | None) -> tuple[curv.CurvatureOperator,
     if kind == "sphere":
         return curv.sphere(n), {"source": "sphere", "n": n}
     if kind == "group":
+        curv.require_group(arg)
         g = simple_algebra(arg)
         op = curv.bi_invariant_group(g)
         if n is not None and n != op.n:
@@ -144,7 +145,7 @@ def build_subalgebra(spec: tuple, n: int) -> Subalgebra:
         a = m / max(1.0, float(np.max(np.abs(m))))  # the same test, safe from overflow
         if np.linalg.norm(a + a.T) > 1e-9 * max(1.0, float(np.linalg.norm(a))):
             raise UsageError(f"subalgebra element in {path!r} is not skew-symmetric")
-    span = numerics.orthonormal_columns(np.array([expand(amb, m) for m in mats]).T)
+    span = numerics.orthonormal_columns(expand(amb, np.array(mats)).T)
     sub = Subalgebra(ambient=amb, coeff=np.ascontiguousarray(np.real(span).T), label=f"file:{path}")
     if sub.closure_residual() > 1e-9:
         raise UsageError(f"matrices in {path!r} do not span a subalgebra (bracket closure fails)")

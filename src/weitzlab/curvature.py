@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
+from .options import algebra_dim
 from .so_algebra import SimpleAlgebraData, basis as so_basis, expand, pair_number
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "four_dim_blocks",
     "random_curvature",
     "random_symmetric",
+    "require_group",
     "ricci",
     "scalar",
     "sphere",
@@ -217,14 +219,21 @@ def random_curvature(n: int, seed) -> CurvatureOperator:
     return op._replace(bianchi_flag=True)
 
 
+def require_group(label: str) -> None:
+    """Refuse, before its algebra is built, the operator of a compact simple
+    group that cannot fit: R is N^2 float64 over the pair basis of so(d),
+    N = d(d-1)/2, d the dimension of the algebra."""
+    d = algebra_dim(label)
+    pairs = d * (d - 1) // 2
+    numerics.require_bytes(8 * pairs * pairs, f"the curvature operator of group:{label} on so({d}) ({pairs}^2 x 8 bytes)")
+
+
 def bi_invariant_group(g: SimpleAlgebraData) -> CurvatureOperator:
     """Curvature operator of a compact simple group with the metric -B:
     ``R = (1/8) sum_c ad(y_c) (x) ad(y_c)`` over the so(dim g) pair basis."""
-    d = g.dim
-    so = so_basis(d)
-    coeff = np.array([expand(so, np.real(a)) for a in g.ad])  # (d, N)
+    coeff = expand(so_basis(g.dim), g.ad)  # (d, N)
     r = coeff.T @ coeff / 8.0
-    op = curvature_operator(d, r, bianchi=None)
+    op = curvature_operator(g.dim, r, bianchi=None)
     if not op.bianchi_flag:
         raise RuntimeError(f"bi-invariant curvature of {g.label} failed the Bianchi check")
     return op

@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "as_matrix",
     "eig_hermitian",
-    "eigvals_hermitian",
     "fix_phases",
     "frobenius",
     "nullspace",
@@ -218,12 +217,6 @@ def eig_hermitian(a, hermitian_tol: float = 1e-12):
     """
     w, v = np.linalg.eigh(_hermitian_part(a, hermitian_tol))
     return w, fix_phases(v)
-
-
-def eigvals_hermitian(a, hermitian_tol: float = 1e-12) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, under the precondition
-    of :func:`eig_hermitian`, without the eigenvectors, from the same solver."""
-    return np.linalg.eigvalsh(_hermitian_part(a, hermitian_tol))
 
 
 def _hermitian_part(a, hermitian_tol: float) -> np.ndarray:

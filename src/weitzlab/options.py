@@ -26,9 +26,12 @@ __all__ = [
     "ARTIFACT_VERSION",
     "FIXED_N",
     "LAPLACIAN_PRESETS",
+    "MAX_N",
     "SUITE_NAMES",
     "SuiteConfigError",
     "UsageError",
+    "algebra_dim",
+    "check_spinor_n",
     "check_suite",
     "laplacian_t",
     "parse",
@@ -98,13 +101,25 @@ REPORT_BYTES = 4 << 10
 REPORT_BUDGET_BYTES = 256 << 20
 
 
+#: The largest n whose spinors are built: blade masks are int64 bit sets of
+#: the generators (bit 63 is the sign).
+MAX_N = 63
+
+
+def check_spinor_n(n: int) -> None:
+    """Refuse spinors of so(n) for n above :data:`MAX_N`."""
+    if n > MAX_N:
+        raise UsageError(f"spinors of so({n}) are out of range: blade masks are 64-bit sets of at most {MAX_N} generators")
+
+
 def check_suite(name: str, n: int | None, trials: int, algebras: list[str] | None, has_operator: bool) -> None:
     """Refuse a suite request that the suite could not honour: too few
     trials or more than the report budget holds, an ``n`` that a suite of
     :data:`FIXED_N` does not run on, an operator for any suite but
-    positivity, any ``n`` for the suites of :data:`ALGEBRA_SUITES` and
-    ``algebras`` for every other suite.  ``suites.run_suite`` applies the
-    same rules."""
+    positivity, any ``n`` for the suites of :data:`ALGEBRA_SUITES`,
+    ``algebras`` for every other suite, and spinors beyond :data:`MAX_N`
+    (lichnerowicz on its n, group-model on each algebra's dimension).
+    ``suites.run_suite`` applies the same rules."""
     trial_driven = name in _TRIAL_SUITES and not (name == "positivity" and has_operator)
     if trial_driven and trials < 1:
         raise SuiteConfigError(f"suite {name!r} needs trials >= 1, got {trials}")
@@ -122,6 +137,11 @@ def check_suite(name: str, n: int | None, trials: int, algebras: list[str] | Non
         raise SuiteConfigError(f"suite {name!r} runs each algebra on its own so(n) and takes no n")
     if algebras is not None and name in SUITE_NAMES and name not in ALGEBRA_SUITES:
         raise SuiteConfigError(f"suite {name!r} takes no algebras; only {' and '.join(ALGEBRA_SUITES)} do")
+    if name == "lichnerowicz" and n is not None:
+        check_spinor_n(n)
+    if name == "group-model":
+        for label in algebras or ():
+            check_spinor_n(algebra_dim(label))
 
 
 def parse_type_rank(label: str) -> tuple[str, int]:
@@ -140,6 +160,22 @@ def parse_type_rank(label: str) -> tuple[str, int]:
     if minimum is None or rank < minimum:
         raise ValueError(f"unsupported rank for {family}: {rank}")
     return family, rank
+
+
+#: The dimension of the compact simple algebra of each family, by its rank.
+_DIMENSIONS = {
+    "A": lambda r: (r + 1) ** 2 - 1,
+    "B": lambda r: r * (2 * r + 1),
+    "C": lambda r: r * (2 * r + 1),
+    "D": lambda r: r * (2 * r - 1),
+    "G": lambda r: 14,
+}
+
+
+def algebra_dim(label: str) -> int:
+    """The dimension of the compact simple algebra of a label."""
+    family, rank = parse_type_rank(label)
+    return _DIMENSIONS[family](rank)
 
 
 # ---------------------------------------------------------------------------

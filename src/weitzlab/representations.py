@@ -322,6 +322,11 @@ WEIGHT_TOL = 1e-8
 #: rounding dust of the change of basis (<= 1e-15 relative) and set to zero.
 DUST_TOL = 1e-13
 
+#: Eigenvalues of the generic commutant element in :func:`isotypic_decompose`
+#: more than this multiple of max(1, largest |eigenvalue|) apart open a new
+#: cluster.
+CLUSTER_TOL = 1e-6
+
 #: 2^64 / φ rounded to odd: the step of the Weyl sequence of :func:`_golden`.
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -427,13 +432,9 @@ def _intertwiners_at(r1: Rep, r2: Rep, coeff: np.ndarray) -> list[np.ndarray]:
     return list(t)
 
 
-def commutant_dimension(r: Rep, field: str = "C") -> int:
-    """Dimension of the commutant over C, or over R for a rep by real
-    matrices, whose real commutant has the complex one's dimension."""
-    if field not in ("C", "R"):
-        raise ValueError("field must be 'C' or 'R'")
-    if field == "R" and np.any(r.table.val.imag):
-        raise ValueError(f"the real commutant needs real matrices; {r.label} has complex entries")
+def commutant_dimension(r: Rep) -> int:
+    """Dimension of the commutant over C; for a rep by real matrices, also
+    that of its real commutant."""
     return len(intertwiners(r, r))
 
 
@@ -447,7 +448,7 @@ class IsotypicPiece(NamedTuple):
     casimir_eigenvalue: float
 
 
-def isotypic_decompose(r: Rep, seed: int = 0, cluster_tol: float = 1e-6) -> list[IsotypicPiece]:
+def isotypic_decompose(r: Rep, seed: int = 0) -> list[IsotypicPiece]:
     """Split a representation into isotypic pieces.
 
     By Schur's lemma the commutant is the sum of one matrix algebra M_m(C)
@@ -474,7 +475,7 @@ def isotypic_decompose(r: Rep, seed: int = 0, cluster_tol: float = 1e-6) -> list
     w, v = numerics.eig_hermitian((generic + generic.conj().T) / 2)
     scale = max(1.0, float(np.max(np.abs(w))))
     # eigenvalues ascend, so each cluster is a run of them
-    opens = np.diff(w, prepend=-np.inf) > cluster_tol * scale
+    opens = np.diff(w, prepend=-np.inf) > CLUSTER_TOL * scale
     cluster = np.cumsum(opens) - 1
     starts = np.flatnonzero(opens)
     # |Q^H T_k Q|^2 summed over k, then over each pair of clusters

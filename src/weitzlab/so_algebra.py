@@ -9,23 +9,24 @@ Conventions fixed here and relied on everywhere else:
   pairs, a subalgebra by orthonormal rows; only :func:`matrices` forms
   n x n matrices, for the matrix models and the closure check;
 * compact simple algebras carry a basis ``y_a`` orthonormal for ``-B`` where
-  B is the Killing form, so that ``sum_a ad(y_a)^2 = -Id``.
+  B is the Killing form, so that ``sum_a ad(y_a)^2 = -Id``; they are kept
+  by the ad matrices of that basis alone.
 
-Root data is kept in exact rational arithmetic (coefficients over the simple
-roots, rational Gram matrix normalised so long roots have squared length 2).
-``Fraction`` is imported in the functions that build it, so a process that
+Root data holds the positive roots as integer coefficients over the simple
+roots, found from the integer Cartan matrix, and the rational Gram matrix of
+the simple roots, normalised so long roots have squared length 2.
+``Fraction`` is imported in the functions that use it, so a process that
 never builds root data loads neither ``fractions`` nor ``decimal``.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 import numpy as np
 
 from . import numerics
-from .options import parse_type_rank
+from .options import algebra_dim, parse_type_rank
 
 __all__ = [
     "SoBasis",
@@ -33,11 +34,11 @@ __all__ = [
     "RootData",
     "SimpleAlgebraData",
     "basis",
-    "bracket",
     "expand",
     "matrices",
     "pair_list",
     "pair_number",
+    "root_data",
     "simple_algebra",
     "u_subalgebra",
 ]
@@ -52,15 +53,6 @@ def pair_number(n: int, i, j):
     """Position of the pair (i, j), i < j, in the lexicographic pair basis
     of so(n), elementwise over arrays."""
     return i * (2 * n - i - 1) // 2 + j - i - 1
-
-
-def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix commutator ``a b - b a``."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"bracket needs equal square matrices, got {a.shape} and {b.shape}")
-    return a @ b - b @ a
 
 
 class SoBasis(NamedTuple):
@@ -96,12 +88,13 @@ def matrices(so: SoBasis, coeff=None) -> np.ndarray:
 
 
 def expand(so: SoBasis, m: np.ndarray) -> np.ndarray:
-    """Coefficients of a skew matrix over the orthonormal basis of ``so``:
-    ``<x_ij, m> = (m[i, j] - m[j, i]) / 2`` of the real part, written
-    so that a zero coefficient carries the sign that the trace gives."""
+    """Coefficients of a skew matrix, or of each of a stack, over the
+    orthonormal basis of ``so``: ``<x_ij, m> = (m[i, j] - m[j, i]) / 2`` of
+    the real part, written so that a zero coefficient carries the sign
+    that the trace gives."""
     m = np.real(np.asarray(m))
     i, j = np.triu_indices(so.n, 1)
-    return -(m[j, i] - m[i, j]) / 2.0
+    return -(m[..., j, i] - m[..., i, j]) / 2.0
 
 
 class Subalgebra(NamedTuple):
@@ -117,13 +110,15 @@ class Subalgebra(NamedTuple):
         return len(self.coeff)
 
     def closure_residual(self) -> float:
-        """Largest norm of a bracket's component outside span(h)."""
-        worst = 0.0
-        for x, y in itertools.combinations_with_replacement(matrices(self.ambient, self.coeff), 2):
-            v = expand(self.ambient, bracket(x, y))
-            inside = self.coeff.T @ (self.coeff @ v)
-            worst = max(worst, float(np.linalg.norm(v - inside)))
-        return worst
+        """Largest norm of a bracket's component outside span(h), from all
+        brackets at once, refused first if their (h, h, n, n) products and
+        brackets cannot fit."""
+        h, n = self.dim, self.ambient.n
+        numerics.require_bytes(24 * h * h * n * n, f"the brackets of {self.label} (3 x {h}^2 x {n}^2 x 8 bytes)")
+        x = matrices(self.ambient, self.coeff)
+        prod = np.matmul(x[:, None], x[None])
+        v = expand(self.ambient, prod - prod.swapaxes(0, 1))  # (h, h, N)
+        return float(np.max(np.linalg.norm(v - v @ self.coeff.T @ self.coeff, axis=-1)))
 
 
 def u_subalgebra(m: int) -> Subalgebra:
@@ -149,137 +144,107 @@ def u_subalgebra(m: int) -> Subalgebra:
 
 
 # ---------------------------------------------------------------------------
-# Root data in exact rational arithmetic
+# Root data
 # ---------------------------------------------------------------------------
 
 
-# Gram matrices of the simple roots, normalised so long roots have squared
-# length 2.
-def _gram(family: str, rank: int) -> list[list[Fraction]]:
+def _cartan(family: str, rank: int) -> tuple[np.ndarray, list[Fraction]]:
+    """The integer Cartan matrix ``a[k, i] = <alpha_k, alpha_i^v>`` of a
+    family (its Dynkin diagram a chain, forked at the end for D) and the
+    squared lengths of the simple roots, long roots of length^2 2."""
     from fractions import Fraction
 
-    g = [[Fraction(0)] * rank for _ in range(rank)]
-    if family == "A":
-        for i in range(rank):
-            g[i][i] = Fraction(2)
-        for i in range(rank - 1):
-            g[i][i + 1] = g[i + 1][i] = Fraction(-1)
-    elif family == "B":
-        # last simple root short (length^2 = 1)
-        for i in range(rank):
-            g[i][i] = Fraction(2) if i < rank - 1 else Fraction(1)
-        for i in range(rank - 1):
-            g[i][i + 1] = g[i + 1][i] = Fraction(-1)
-    elif family == "C":
-        # last simple root long (length^2 = 2), others short (1)
-        for i in range(rank):
-            g[i][i] = Fraction(1) if i < rank - 1 else Fraction(2)
-        for i in range(rank - 2):
-            g[i][i + 1] = g[i + 1][i] = Fraction(-1, 2)
-        if rank >= 2:
-            g[rank - 2][rank - 1] = g[rank - 1][rank - 2] = Fraction(-1)
-    elif family == "D":
-        for i in range(rank):
-            g[i][i] = Fraction(2)
-        for i in range(rank - 2):
-            g[i][i + 1] = g[i + 1][i] = Fraction(-1)
-        g[rank - 3][rank - 1] = g[rank - 1][rank - 3] = Fraction(-1)
+    a = 2 * np.eye(rank, dtype=np.int64) - np.eye(rank, k=1, dtype=np.int64) - np.eye(rank, k=-1, dtype=np.int64)
+    length = [Fraction(2)] * rank
+    if family == "B":  # the last simple root short
+        a[-2, -1], length[-1] = -2, Fraction(1)
+    elif family == "C":  # the last simple root long, the others short
+        a[-1, -2], length[:-1] = -2, [Fraction(1)] * (rank - 1)
+    elif family == "D":  # the last node hangs from the third last
+        a[-1, -2] = a[-2, -1] = 0
+        a[-1, -3] = a[-3, -1] = -1
     elif family == "G":
-        g[0][0] = Fraction(2, 3)
-        g[1][1] = Fraction(2)
-        g[0][1] = g[1][0] = Fraction(-1)
-    else:  # pragma: no cover
-        raise ValueError(family)
-    return g
-
-
-_DUAL_COXETER = {
-    "A": lambda r: r + 1,
-    "B": lambda r: 2 * r - 1,
-    "C": lambda r: r + 1,
-    "D": lambda r: 2 * r - 2,
-    "G": lambda r: 4,
-}
+        a[1, 0], length[0] = -3, Fraction(2, 3)
+    return a, length
 
 
 class RootData(NamedTuple):
-    """Rational root data: roots as coefficient vectors over the simple roots."""
+    """Root data: the positive roots as integer coefficient vectors over the
+    simple roots, and the rational Gram matrix of the simple roots."""
 
     family: str
     rank: int
     gram: tuple[tuple[Fraction, ...], ...]
-    positive_roots: tuple[tuple[Fraction, ...], ...]
+    positive_roots: tuple[tuple[int, ...], ...]
     dual_coxeter: int
 
     @property
-    def simple_roots(self) -> tuple[tuple[Fraction, ...], ...]:
-        from fractions import Fraction
+    def label(self) -> str:
+        return f"{self.family}{self.rank}"
 
-        eye = []
-        for i in range(self.rank):
-            row = [Fraction(0)] * self.rank
-            row[i] = Fraction(1)
-            eye.append(tuple(row))
-        return tuple(eye)
+    @property
+    def dim(self) -> int:
+        return algebra_dim(self.label)
 
     def inner_norm(self, u, v) -> Fraction:
         """Inner product in the long-root-length^2 = 2 normalisation."""
-        from fractions import Fraction
-
-        total = Fraction(0)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                total += Fraction(u[i]) * self.gram[i][j] * Fraction(v[j])
-        return total
+        return sum(u[i] * self.gram[i][j] * v[j] for i in range(self.rank) for j in range(self.rank))
 
     def inner_killing(self, u, v) -> Fraction:
         """Inner product induced by the Killing form, ``inner_norm / (2 h^v)``."""
         return self.inner_norm(u, v) / (2 * self.dual_coxeter)
 
 
-def _generate_positive_roots(family: str, rank: int) -> RootData:
-    from fractions import Fraction
+def _positive_roots(cartan: np.ndarray) -> np.ndarray:
+    """The positive roots of the integer Cartan matrix ``cartan[k, i] =
+    <alpha_k, alpha_i^v>``, as rows of coefficients over the simple roots,
+    by height and within a height in lexicographic order.
 
-    gram_rows = _gram(family, rank)
-    gram = tuple(tuple(row) for row in gram_rows)
-    data = RootData(family=family, rank=rank, gram=gram, positive_roots=(), dual_coxeter=_DUAL_COXETER[family](rank))
+    Root strings (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, 9.4): beta + alpha_i is a root iff ``p - <beta, alpha_i^v> > 0``,
+    where p is the length of the alpha_i-string below beta and
+    ``<beta, alpha_i^v> = sum_k beta_k cartan[k, i]``.  A root of the next
+    height steps down by alpha_j into this one or leaves the roots, so its
+    string lengths ``below`` are one more than that root's, or 0."""
+    rank = len(cartan)
+    eye = np.eye(rank, dtype=np.int64)
+    level, below = eye[::-1], np.zeros((rank, rank), dtype=np.int64)
+    levels = []
+    while True:
+        levels.append(level)
+        k, i = np.nonzero(below - level @ cartan > 0)
+        if not len(k):
+            return np.concatenate(levels)
+        up = np.unique(level[k] + eye[i], axis=0)  # sorted rows
+        # which root of this height, if any, each up - alpha_j is
+        rows, ids = np.unique(np.concatenate([level, (up[:, None] - eye).reshape(-1, rank)]), axis=0, return_inverse=True)
+        at = np.full(len(rows), -1)
+        at[ids[: len(level)]] = np.arange(len(level))
+        down = at[ids[len(level) :]].reshape(len(up), rank)
+        below = np.where(down >= 0, below[down, np.arange(rank)] + 1, 0)
+        level = up
 
-    def cartan_pairing(beta, i) -> Fraction:
-        alpha = [Fraction(0)] * rank
-        alpha[i] = Fraction(1)
-        return 2 * data.inner_norm(beta, alpha) / data.inner_norm(alpha, alpha)
 
-    roots = {tuple(s) for s in data.simple_roots}
-    frontier = list(roots)
-    while frontier:
-        new = []
-        for beta in frontier:
-            for i in range(rank):
-                # beta + alpha_i is a root iff q - p > 0, where q counts how far
-                # the alpha_i-string through beta extends backwards.
-                q = 0
-                back = list(beta)
-                while True:
-                    back[i] -= 1
-                    if tuple(back) not in roots:
-                        break
-                    q += 1
-                p = cartan_pairing(beta, i)
-                if q - p > 0:
-                    fwd = list(beta)
-                    fwd[i] += 1
-                    new.append(tuple(fwd))
-        added = [r for r in new if r not in roots]
-        roots.update(added)
-        frontier = added
-    ordered = sorted(roots, key=lambda r: (sum(r), r))
-    return RootData(
+def root_data(label: str) -> RootData:
+    """Root data of the compact simple algebra of a label such as ``A2``,
+    ``C3`` or ``G2``: no matrix model is built.  The dual Coxeter number
+    is ``1 + <rho, theta^v>``, theta the highest root (the last one), whose
+    coroot has the coefficients ``theta_k |alpha_k|^2 / 2`` over the simple
+    coroots."""
+    family, rank = parse_type_rank(label)
+    cartan, length = _cartan(family, rank)
+    roots = tuple(map(tuple, _positive_roots(cartan).tolist()))
+    data = RootData(
         family=family,
         rank=rank,
-        gram=gram,
-        positive_roots=tuple(tuple(Fraction(c) for c in r) for r in ordered),
-        dual_coxeter=_DUAL_COXETER[family](rank),
+        # (alpha_k, alpha_i) = <alpha_k, alpha_i^v> |alpha_i|^2 / 2
+        gram=tuple(tuple(int(cartan[k, i]) * length[i] / 2 for i in range(rank)) for k in range(rank)),
+        positive_roots=roots,
+        dual_coxeter=1 + int(sum(c * l / 2 for c, l in zip(roots[-1], length))),
     )
+    if len(roots) != (data.dim - rank) // 2:
+        raise RuntimeError(f"{label}: generated {len(roots)} positive roots, expected {(data.dim - rank) // 2}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -363,50 +328,43 @@ def _g2_basis() -> np.ndarray:
 
 
 class SimpleAlgebraData(NamedTuple):
-    """A compact simple Lie algebra in a -B-orthonormal basis.
+    """A compact simple Lie algebra in a -B-orthonormal basis y_a.
 
-    ``model`` holds the basis matrices y_a of the defining matrix model,
-    ``ad`` their adjoint matrices (real, skew, dim x dim), and ``roots`` the
-    rational root data.  In this basis ``sum_a ad(y_a)^2 = -Id``.
-    """
+    ``ad`` is the (dim, dim, dim) real array of the adjoint matrices
+    ``ad(y_a)``, skew, with ``sum_a ad(y_a)^2 = -Id``; ``roots`` is the
+    root data."""
 
     label: str
     dim: int
     rank: int
-    model: tuple[np.ndarray, ...]
-    ad: tuple[np.ndarray, ...]
+    ad: np.ndarray
     roots: RootData
 
 
-def _orthonormalize_killing(raw: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Return (-B)-orthonormal basis matrices and their ad matrices."""
+def _killing_ad(raw: np.ndarray) -> np.ndarray:
+    """The adjoint matrices of a (-B)-orthonormal basis of the algebra that
+    the (d, s, s) stack ``raw`` spans.
+
+    Every bracket ``[raw_p, raw_q]`` comes from one batched product and is
+    expanded over raw by one solve with the Frobenius Gram matrix of raw;
+    a bracket that leaves the span is refused.  With ``-B = L L^T`` the
+    basis ``y = raw L^-T`` is -B-orthonormal, and its ad matrices come from
+    those of raw in one contraction."""
     d = len(raw)
-    flat = np.array([m.ravel() for m in raw]).T  # (size^2, d)
-    pinv = np.linalg.pinv(flat)
-
-    def expand_raw(x):
-        coeff = pinv @ x.ravel()
-        resid = np.linalg.norm(flat @ coeff - x.ravel())
-        if resid > 1e-9 * max(1.0, np.linalg.norm(x)):
-            raise RuntimeError("bracket left the algebra span; model is not closed")
-        return coeff
-
-    ad_raw = np.zeros((d, d, d), dtype=complex)
-    for p in range(d):
-        for q in range(d):
-            ad_raw[p][:, q] = expand_raw(bracket(raw[p], raw[q]))
-    ad_raw = np.real(ad_raw)
-    killing = np.einsum("pij,qji->pq", ad_raw, ad_raw)
-    # -B = L L^T; y = raw . L^{-T} is -B-orthonormal
-    lmat = np.linalg.cholesky(-killing)
-    minv = np.linalg.inv(lmat).T  # columns: coefficients of y_c over raw
-    y = [sum(minv[p, c] * raw[p] for p in range(d)) for c in range(d)]
-    ad_y = []
-    basis_change = np.linalg.inv(minv)
-    for c in range(d):
-        a = sum(minv[p, c] * ad_raw[p] for p in range(d))
-        ad_y.append(basis_change @ a @ minv)
-    return y, ad_y
+    flat = raw.reshape(d, -1)
+    prod = np.matmul(raw[:, None], raw[None])
+    brackets = (prod - prod.swapaxes(0, 1)).reshape(d * d, -1)
+    del prod
+    coeff = np.linalg.solve(flat.conj() @ flat.T, flat.conj() @ brackets.T)  # (d, d^2)
+    resid = coeff.T @ flat
+    resid -= brackets
+    if np.any(np.linalg.norm(resid, axis=1) > 1e-9 * np.maximum(1.0, np.linalg.norm(brackets, axis=1))):
+        raise RuntimeError("bracket left the algebra span; model is not closed")
+    # ad_raw[p, r, q]: the coefficient of raw_r in [raw_p, raw_q]
+    ad_raw = np.real(coeff).reshape(d, d, d).transpose(1, 0, 2)
+    lmat = np.linalg.cholesky(-np.einsum("pij,qji->pq", ad_raw, ad_raw, optimize=True))
+    minv = np.linalg.inv(lmat).T  # column c: the coefficients of y_c over raw
+    return np.einsum("ar,pc,prq,qb->cab", lmat.T, minv, ad_raw, minv, optimize=True)
 
 
 _MODEL_BUILDERS = {
@@ -417,39 +375,19 @@ _MODEL_BUILDERS = {
     "G": lambda r: list(_g2_basis().astype(complex)),
 }
 
-_DIMENSIONS = {
-    "A": lambda r: (r + 1) ** 2 - 1,
-    "B": lambda r: r * (2 * r + 1),
-    "C": lambda r: r * (2 * r + 1),
-    "D": lambda r: r * (2 * r - 1),
-    "G": lambda r: 14,
-}
-
 
 def simple_algebra(type_rank: str) -> SimpleAlgebraData:
     """Compact simple Lie algebra data for a label like ``A2``, ``C3`` or ``G2``.
 
     The returned basis is orthonormal with respect to -B (B the Killing form);
     root data is rational and Killing-normalised via ``roots.inner_killing``.
+    The brackets of the s x s matrix model, two (dim^2, s^2) arrays, real
+    for a real model, are refused first if they cannot fit.
     """
-    family, rank = parse_type_rank(type_rank)
-    raw = _MODEL_BUILDERS[family](rank)
-    dim = _DIMENSIONS[family](rank)
-    if len(raw) != dim:
-        raise RuntimeError(f"{type_rank}: model has {len(raw)} elements, expected {dim}")
-    y, ad_y = _orthonormalize_killing(raw)
-    roots = _generate_positive_roots(family, rank)
-    expected_pos = (dim - rank) // 2
-    if len(roots.positive_roots) != expected_pos:
-        raise RuntimeError(
-            f"{type_rank}: generated {len(roots.positive_roots)} positive roots, expected {expected_pos}"
-        )
-    return SimpleAlgebraData(
-        label=f"{family}{rank}" if family != "G" else "G2",
-        dim=dim,
-        rank=rank,
-        model=tuple(y),
-        ad=tuple(np.real(a) for a in ad_y),
-        roots=roots,
-    )
-
+    roots = root_data(type_rank)
+    raw = numerics.real_if_exact(np.array(_MODEL_BUILDERS[roots.family](roots.rank)))
+    if len(raw) != roots.dim:
+        raise RuntimeError(f"{type_rank}: model has {len(raw)} elements, expected {roots.dim}")
+    size, item = raw.shape[1] ** 2, raw.itemsize
+    numerics.require_bytes(2 * roots.dim**2 * size * item, f"the brackets of {roots.label} (2 x {roots.dim}^2 x {size} x {item} bytes)")
+    return SimpleAlgebraData(label=roots.label, dim=roots.dim, rank=roots.rank, ad=_killing_ad(raw), roots=roots)

@@ -21,7 +21,7 @@ import itertools
 import numpy as np
 
 from . import numerics
-from .options import UsageError
+from .options import check_spinor_n
 from .representations import Rep, gen_table
 from .so_algebra import SoBasis
 
@@ -33,11 +33,6 @@ __all__ = [
     "rep_spin",
     "spinor_blades",
 ]
-
-#: The largest n whose blade masks fit in int64 bit sets (bit 63 is the
-#: sign): spinors of a larger so(n) are refused.
-MAX_N = 63
-
 
 def _parity_signs(v) -> np.ndarray:
     """``(-1)^|v|`` (float32) of int64 bit sets ``v``, elementwise: the
@@ -80,8 +75,7 @@ def _clifford_strings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     below."""
     if n < 2:
         raise ValueError("Clifford generators need n >= 2")
-    if n > MAX_N:
-        raise UsageError(f"spinors of so({n}) are out of range: blade masks are 64-bit sets of at most {MAX_N} generators")
+    check_spinor_n(n)  # blade masks are int64 bit sets
     m = n // 2
     x = np.repeat(1 << np.arange(m - 1, -1, -1), 2)
     z = x - 1 + x * np.tile([1, 0], m)

@@ -16,7 +16,7 @@ from . import spin as spinmod
 from . import weitzenbock as wb
 from .options import SUITE_NAMES, SuiteConfigError, check_suite
 from .report import CheckReport, digest
-from .so_algebra import basis as so_basis, expand, simple_algebra
+from .so_algebra import basis as so_basis, expand, root_data, simple_algebra
 
 __all__ = [
     "run_passed",
@@ -211,7 +211,7 @@ def lemma_suite(kind: str, trials: int, seed: int, tol: float | None = None) -> 
 
 
 def strange_suite(labels: list[str]) -> list[CheckReport]:
-    return [cw.strange_formula_check(simple_algebra(label)) for label in labels]
+    return [cw.strange_formula_check(root_data(label)) for label in labels]
 
 
 def group_model_suite(labels: list[str], tol: float = 1e-10) -> list[CheckReport]:
@@ -220,6 +220,7 @@ def group_model_suite(labels: list[str], tol: float = 1e-10) -> list[CheckReport
     and the ad-representation data is internally consistent."""
     out = []
     for label in labels:
+        curv.require_group(label)
         g = simple_algebra(label)
         op = curv.bi_invariant_group(g)
         ric = curv.ricci(op)
@@ -261,7 +262,7 @@ def group_model_suite(labels: list[str], tol: float = 1e-10) -> list[CheckReport
         # are read from the blade coefficients of K, with no matrix formed.
         so = so_basis(g.dim)
         blades = spinmod.spinor_blades(so)
-        c = np.array([expand(so, np.real(a)) for a in g.ad])
+        c = expand(so, g.ad)
         direct = curv.curvature_operator(g.dim, c.T @ c / 2.0)
         coeff = blades.coefficients(np.stack([op.matrix, direct.matrix]))
         off = _off_scalar(blades, coeff, -g.dim / np.array([64.0, 16.0]))  # ||-4K - dim/16|| = 4 ||K + dim/64||

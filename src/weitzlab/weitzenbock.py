@@ -221,9 +221,12 @@ def k_term(r: CurvatureOperator, rep: Rep) -> CurvatureEndomorphism:
     dtype = complex if rep.clifford is not None or np.any(rep.table.val.imag) else float
     require_k_term(rep.dim, dtype, sum(a.nbytes for a in rep.table))
     k = k_matrix(r, rep)
-    scale = max(1.0, float(np.linalg.norm(k)))
-    residual = float(np.linalg.norm(k - k.conj().T)) / scale
-    w = numerics.eigvals_hermitian(k, hermitian_tol=1e-10)
+    numerics.as_matrix(k, k.dtype)  # refuses non-finite entries
+    # the spectrum is that of the Hermitian part H; how far K is from it,
+    # ||K - K*|| = 2 ||K - H||, is left to the caller's verdict
+    h = (k + k.conj().T) / 2.0
+    residual = 2.0 * float(np.linalg.norm(k - h)) / max(1.0, float(np.linalg.norm(k)))
+    w = np.linalg.eigvalsh(numerics.real_if_exact(h))
     return CurvatureEndomorphism(
         rep_label=rep.label, matrix=k, spectrum=w, self_adjoint_residual=residual
     )
@@ -518,6 +521,10 @@ _VERDICTS = {
 #: a counterexample of the converse search.
 _NEGATIVE_DIRECTION = ("negative", "indefinite")
 
+#: The largest dimension of a pairwise tensor product that the converse
+#: search of :func:`positivity_report` tries.
+SEARCH_DIM_CAP = 4096
+
 
 def _negative_direction(r: CurvatureOperator, rep: Rep, tol: float) -> bool:
     """Whether -K on ``rep`` has an eigenvalue below -tol, the verdicts
@@ -541,7 +548,7 @@ def _entry_for(r: CurvatureOperator, rep: Rep, tol: float) -> PositivityEntry:
     return PositivityEntry(
         label=rep.label,
         dim=rep.dim,
-        irreducible=commutant_dimension(rep, "C") == 1,
+        irreducible=commutant_dimension(rep) == 1,
         min_eig_neg_k=min_eig,
         verdict=verdict,
     )
@@ -551,14 +558,13 @@ def positivity_report(
     r: CurvatureOperator,
     reps: list[Rep] | None = None,
     tol: float = 1e-9,
-    search_dim_cap: int = 4096,
 ) -> PositivityReport:
     """Positivity of -K across a family of representations.
 
     Forward direction: a positive-definite curvature operator must make -K
     positive on every representation without trivial summands.  When the
     operator has a negative direction, a finite counterexample search runs
-    over the family and pairwise tensor products up to ``search_dim_cap``
+    over the family and pairwise tensor products up to :data:`SEARCH_DIM_CAP`
     total dimension; that search is reported as DIAGNOSTIC only, because the
     genuine converse quantifies over all representations.  The search only
     asks whether -K has a negative direction on each product, by one
@@ -593,7 +599,7 @@ def positivity_report(
         searched = [e.label for e in entries]
         negative: dict = {}
         for ra, rb in itertools.combinations_with_replacement(reps, 2):
-            if ra.dim * rb.dim > search_dim_cap:
+            if ra.dim * rb.dim > SEARCH_DIM_CAP:
                 continue
             t = rep_tensor(ra, rb)
             searched.append(t.label)

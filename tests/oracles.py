@@ -23,6 +23,15 @@ from weitzlab import representations as reps
 from weitzlab import so_algebra as so
 
 
+def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix commutator ``a b - b a``."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+        raise ValueError(f"bracket needs equal square matrices, got {a.shape} and {b.shape}")
+    return a @ b - b @ a
+
+
 def dense_basis(n: int) -> tuple[np.ndarray, ...]:
     """The so(n) basis matrices ``x_ij = E_ij - E_ji``, one array each, in
     pair order."""
@@ -59,7 +68,7 @@ def u_nullspace(m: int) -> np.ndarray:
     for k in range(m):
         jmat[2 * k + 1, 2 * k] = 1.0
         jmat[2 * k, 2 * k + 1] = -1.0
-    null = numerics.nullspace(np.array([so.bracket(x, jmat).ravel() for x in xs]).T)
+    null = numerics.nullspace(np.array([bracket(x, jmat).ravel() for x in xs]).T)
     assert null.shape[1] == m * m, f"u({m}) nullspace of dimension {null.shape[1]}"
     return np.real(null).T
 
@@ -200,11 +209,105 @@ def homomorphism_residual(r: reps.Rep) -> float:
     xs, mats = elements(r.basis), dense(r)
     worst = 0.0
     for a, b in itertools.combinations(range(len(xs)), 2):
-        lie = so.bracket(xs[a], xs[b])
+        lie = bracket(xs[a], xs[b])
         coeff = np.array([-np.trace(e @ lie).real / 2.0 for e in xs])
         target = np.tensordot(coeff, mats, axes=(0, 0))
-        worst = max(worst, float(np.linalg.norm(so.bracket(mats[a], mats[b]) - target)))
+        worst = max(worst, float(np.linalg.norm(bracket(mats[a], mats[b]) - target)))
     return worst
+
+
+def fraction_gram(family: str, rank: int) -> list[list[Fraction]]:
+    """The Gram matrix of the simple roots, entry by entry, normalised so
+    long roots have squared length 2."""
+    g = [[Fraction(0)] * rank for _ in range(rank)]
+    if family == "A":
+        for i in range(rank):
+            g[i][i] = Fraction(2)
+        for i in range(rank - 1):
+            g[i][i + 1] = g[i + 1][i] = Fraction(-1)
+    elif family == "B":
+        # last simple root short (length^2 = 1)
+        for i in range(rank):
+            g[i][i] = Fraction(2) if i < rank - 1 else Fraction(1)
+        for i in range(rank - 1):
+            g[i][i + 1] = g[i + 1][i] = Fraction(-1)
+    elif family == "C":
+        # last simple root long (length^2 = 2), others short (1)
+        for i in range(rank):
+            g[i][i] = Fraction(1) if i < rank - 1 else Fraction(2)
+        for i in range(rank - 2):
+            g[i][i + 1] = g[i + 1][i] = Fraction(-1, 2)
+        if rank >= 2:
+            g[rank - 2][rank - 1] = g[rank - 1][rank - 2] = Fraction(-1)
+    elif family == "D":
+        for i in range(rank):
+            g[i][i] = Fraction(2)
+        for i in range(rank - 2):
+            g[i][i + 1] = g[i + 1][i] = Fraction(-1)
+        g[rank - 3][rank - 1] = g[rank - 1][rank - 3] = Fraction(-1)
+    elif family == "G":
+        g[0][0] = Fraction(2, 3)
+        g[1][1] = Fraction(2)
+        g[0][1] = g[1][0] = Fraction(-1)
+    return g
+
+
+def fraction_positive_roots(family: str, rank: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The positive roots over the simple roots by the root-string search
+    in ``Fraction`` arithmetic on the Gram matrix: ``beta + alpha_i`` is a
+    root iff ``q - <beta, alpha_i^v> > 0``, q the length of the
+    alpha_i-string below beta, each pairing a sum of rank^2 products.
+    Sorted by height, then lexicographically.  Each new root enters the
+    frontier once."""
+    gram = fraction_gram(family, rank)
+
+    def inner(u, v):
+        return sum(Fraction(u[i]) * gram[i][j] * Fraction(v[j]) for i in range(rank) for j in range(rank))
+
+    simple = [tuple(Fraction(int(i == k)) for i in range(rank)) for k in range(rank)]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        new = set()
+        for beta in frontier:
+            for i in range(rank):
+                q = 0
+                back = list(beta)
+                while True:
+                    back[i] -= 1
+                    if tuple(back) not in roots:
+                        break
+                    q += 1
+                if q - 2 * inner(beta, simple[i]) / inner(simple[i], simple[i]) > 0:
+                    fwd = list(beta)
+                    fwd[i] += 1
+                    new.add(tuple(fwd))
+        frontier = sorted(new - roots)
+        roots.update(frontier)
+    return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+
+
+def killing_orthonormal_loop(raw) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(-B)-orthonormal basis matrices of the algebra that the matrices
+    ``raw`` span, and their ad matrices, one bracket and one pseudo-inverse
+    product at a time."""
+    d = len(raw)
+    flat = np.array([m.ravel() for m in raw]).T  # (size^2, d)
+    pinv = np.linalg.pinv(flat)
+    ad_raw = np.zeros((d, d, d), dtype=complex)
+    for p in range(d):
+        for q in range(d):
+            x = bracket(raw[p], raw[q])
+            coeff = pinv @ x.ravel()
+            assert np.linalg.norm(flat @ coeff - x.ravel()) <= 1e-9 * max(1.0, np.linalg.norm(x))
+            ad_raw[p][:, q] = coeff
+    ad_raw = np.real(ad_raw)
+    killing = np.einsum("pij,qji->pq", ad_raw, ad_raw)
+    minv = np.linalg.inv(np.linalg.cholesky(-killing)).T  # columns: coefficients of y_c over raw
+    y = [sum(minv[p, c] * raw[p] for p in range(d)) for c in range(d)]
+    basis_change = np.linalg.inv(minv)
+    ad_y = [basis_change @ sum(minv[p, c] * ad_raw[p] for p in range(d)) @ minv for c in range(d)]
+    return y, ad_y
 
 
 def root_consistency_residual(g: so.SimpleAlgebraData, seed: int = 0) -> float:

@@ -23,6 +23,7 @@ from weitzlab import curvature as curv
 from weitzlab import representations as reps
 from weitzlab import so_algebra as so
 from weitzlab import spin, suites
+from weitzlab import weitzenbock as wb
 from weitzlab.report import CheckReport, digest
 
 
@@ -131,8 +132,6 @@ class TestKCommand:
 
     def test_compatibility_error_exit_3_other_value_error_exit_2(self, monkeypatch, capsys):
         # the exit code follows the exception type, not its message
-        from weitzlab import weitzenbock as wb
-
         argv = ["k", "--n", "3", "--rep", "vector", "--curvature", "sphere"]
 
         def raising(exc):
@@ -145,6 +144,32 @@ class TestKCommand:
         monkeypatch.setattr(wb, "k_term", raising(ValueError("3 basis directions; lives on so(3)")))
         assert cli.main(argv) == 2
         capsys.readouterr()
+
+    @staticmethod
+    def _upper_vector(spec, basis):
+        """The vector generators with their entries below the diagonal
+        dropped: no representation by skew matrices, and K on it is not
+        self-adjoint."""
+        t = reps.rep_vector(basis).table
+        up = t.row < t.col
+        return reps.Rep(basis, basis.n, reps.gen_table(t.gen[up], t.row[up], t.col[up], t.val[up], basis.n), "upper")
+
+    def test_non_self_adjoint_k_fails_its_report(self, monkeypatch, capsys):
+        # the residual ||K - K*|| / max(1, ||K||) is the report's verdict,
+        # exit 1, not a refusal of the solver
+        monkeypatch.setattr(cli, "_k_rep", self._upper_vector)
+        code, payload = run_json(["k", "--n", "3", "--rep", "vector", "--curvature", "random:1"], capsys)
+        [report] = payload["reports"]
+        k = wb.k_matrix(curv.random_curvature(3, 1), self._upper_vector(None, so.basis(3)))
+        want = np.linalg.norm(k - k.conj().T) / max(1.0, np.linalg.norm(k))
+        assert code == 1 and report["pass"] is False
+        assert want > 0.1 and abs(report["residual"] - want) <= 1e-15
+        assert report["details"]["k_spectrum"] == np.linalg.eigvalsh(((k + k.conj().T) / 2).real).tolist()
+
+    def test_non_finite_k_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(wb, "k_matrix", lambda r, rep: np.full((rep.dim, rep.dim), np.nan))
+        code = cli.main(["k", "--n", "3", "--rep", "vector", "--curvature", "sphere"])
+        assert (code, capsys.readouterr().err) == (2, "error: matrix has non-finite entries\n")
 
     def test_dimension_mismatch_exit_3(self, capsys):
         code = cli.main(["k", "--n", "5", "--rep", "vector", "--curvature", "group:A1"])
@@ -272,8 +297,8 @@ class TestSizePreflight:
         "argv, n, peak_bound_mb",
         (
             (["check", "lichnerowicz", "--n", "64", "--trials", "2"], 64, 150),
-            # the A8 model on so(80) is built before its spinors are asked for
-            (["check", "group-model", "--algebra", "A8"], 80, None),
+            # so(80) from the dimension of A8, before its model is built
+            (["check", "group-model", "--algebra", "A8"], 80, 150),
         ),
         ids=["lichnerowicz-n64", "group-model-A8"],
     )
@@ -283,7 +308,16 @@ class TestSizePreflight:
         code, out, err, peak_mb = run_capped_peak(argv)
         assert code == 2 and out == ""
         assert err == f"error: spinors of so({n}) are out of range: blade masks are 64-bit sets of at most 63 generators\n"
-        assert peak_bound_mb is None or peak_mb <= peak_bound_mb
+        assert peak_mb <= peak_bound_mb
+
+    def test_group_curvature_refused_before_its_algebra(self):
+        # R of A20 on so(440) is 96580^2 float64, about 75 GB: refused from
+        # the label, before the 440 brackets of its model are formed
+        code, out, err, peak_mb = run_capped_peak(["k", "--rep", "vector", "--curvature", "group:A20"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: out of memory: the curvature operator of group:A20 on so(440)")
+        assert err.count("\n") == 1
+        assert peak_mb < 100
 
     def test_spin_n40_refused_before_its_tables(self):
         # the (780, 2^20) spin table would take about 100 GB: refused from
@@ -377,6 +411,20 @@ class TestCheckCommand:
         assert code == 0
         assert payload["summary"]["total"] == 4
         assert payload["summary"]["passed"] == 4
+
+    def test_strange_builds_no_matrix_model(self, capsys, monkeypatch):
+        class NoModels(dict):
+            def __getitem__(self, family):
+                raise AssertionError(f"the strange suite built a matrix model of family {family}")
+
+        monkeypatch.setattr(so, "_MODEL_BUILDERS", NoModels())
+        code, payload = run_json(["check", "strange", "--seed", "1"], capsys)
+        assert code == 0 and payload["summary"]["passed"] == 6
+        code, payload = run_json(["check", "strange", "--algebra", "A10,D7", "--seed", "1"], capsys)
+        assert code == 0 and [r["inputs"] for r in payload["reports"]] == [
+            {"algebra": "A10", "dim": 120},
+            {"algebra": "D7", "dim": 91},
+        ]
 
     @pytest.mark.parametrize(
         "suite, check",
@@ -508,6 +556,8 @@ _USAGE_LINES = {
     "n-for-strange": ["check", "strange", "--n", "6", "--algebra", "A1"],
     "n-for-group-model": ["check", "group-model", "--n", "6", "--algebra", "A1"],
     "algebra-for-bochner": ["check", "bochner", "--n", "3", "--trials", "1", "--algebra", "G2"],
+    "group-model-spinors-beyond-63": ["check", "group-model", "--algebra", "A8"],
+    "lichnerowicz-spinors-beyond-63": ["check", "lichnerowicz", "--n", "64", "--trials", "2", "--seed", "1"],
 }
 
 #: ``(env, payload, argv)`` of command lines refused with exit 2 and one

@@ -1,5 +1,7 @@
-"""The golden outputs of ``decompose`` (``bench/golden/decompose.json``,
-written by ``bench/golden/record.py``) against the package, in process.
+"""The golden outputs that ``bench/golden/record.py`` writes against the
+package, in process: ``decompose.json`` for ``decompose``, ``groups.json``
+for the compact simple algebras (``check strange``, ``check group-model``
+and ``k`` on ``group:`` curvature).
 
 Exit codes, report structure, every string (the projector digests among
 them) and the integers ``dim``, ``multiplicity`` and ``total_dim`` must
@@ -17,6 +19,7 @@ from weitzlab import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "bench" / "golden" / "decompose.json").read_text())
+GROUPS = json.loads((ROOT / "bench" / "golden" / "groups.json").read_text())
 RELATIVE_TOL = 2.1e-14
 EXACT_NUMBERS = ("dim", "multiplicity", "total_dim")
 
@@ -44,8 +47,7 @@ def differences(want, got, path="", key=""):
     return []
 
 
-@pytest.mark.parametrize("record", GOLDEN, ids=[" ".join(r["argv"][1:7]) for r in GOLDEN])
-def test_decompose_matches_the_golden_output(record, capsys, monkeypatch):
+def _matches(record, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv("WEITZLAB_TOL", raising=False)
     monkeypatch.setenv("WEITZLAB_CI", "1")
@@ -56,6 +58,16 @@ def test_decompose_matches_the_golden_output(record, capsys, monkeypatch):
         assert out == ""
         return
     assert differences(json.loads(record["stdout"]), json.loads(out)) == []
+
+
+@pytest.mark.parametrize("record", GOLDEN, ids=[" ".join(r["argv"][1:7]) for r in GOLDEN])
+def test_decompose_matches_the_golden_output(record, capsys, monkeypatch):
+    _matches(record, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("record", GROUPS, ids=[" ".join(r["argv"]) for r in GROUPS])
+def test_groups_match_the_golden_output(record, capsys, monkeypatch):
+    _matches(record, capsys, monkeypatch)
 
 
 class TestComparer:

@@ -242,8 +242,6 @@ class TestRealEigHermitian:
         w_real, v_real = numerics.eig_hermitian(a.real)
         assert v.dtype == np.float64
         assert np.array_equal(w, w_real) and np.array_equal(v, v_real)
-        # the eigenvalues-only solve is another LAPACK routine, equal to rounding
-        assert np.max(np.abs(numerics.eigvals_hermitian(a) - w)) <= 1e-12 * np.linalg.norm(a)
 
     def test_complex_hermitian_stays_complex(self):
         rng = np.random.default_rng(14)
@@ -258,8 +256,6 @@ class TestRealEigHermitian:
         a = np.array([[1.0, 2.0], [2.0 + 1e-6, 1.0]])
         with pytest.raises(ValueError, match="Hermitian"):
             numerics.eig_hermitian(a)
-        with pytest.raises(ValueError, match="Hermitian"):
-            numerics.eigvals_hermitian(a)
 
     def test_real_if_exact(self):
         z = np.array([[1.0, -0.0j]])

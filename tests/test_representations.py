@@ -102,7 +102,7 @@ def _center_oracle(comm) -> list[np.ndarray]:
     column j stacks [C_j, C_i] over i."""
     if len(comm) == 1:
         return list(comm)
-    cols = [np.concatenate([so.bracket(a, b).ravel() for b in comm]) for a in comm]
+    cols = [np.concatenate([oracles.bracket(a, b).ravel() for b in comm]) for a in comm]
     null = numerics.nullspace(np.array(cols).T, atol=1e-10)
     return [sum(null[j, m] * comm[j] for j in range(len(comm))) for m in range(null.shape[1])]
 
@@ -257,7 +257,7 @@ class TestConstructors:
         # oracle: column b of ad(x_a) is the expansion of [x_a, x_b]
         b = so.basis(n)
         oracle = [
-            np.array([so.expand(b, so.bracket(xa, xb)) for xb in so.matrices(b)], dtype=complex).T
+            np.array([so.expand(b, oracles.bracket(xa, xb)) for xb in so.matrices(b)], dtype=complex).T
             for xa in so.matrices(b)
         ]
         r = reps.rep_adjoint(b)
@@ -472,12 +472,15 @@ class TestIntertwiners:
         assert reps.commutant_dimension(reps.rep_exterior(b4, 2)) == 2
 
     def test_real_commutant_flag(self, b3):
-        # the complex 2-dim rep of so(2) is real-irreducible but splits over C
+        # the complex 2-dim rep of so(2) is real-irreducible but splits over
+        # C; a rep by real matrices has a real commutant of the complex
+        # one's dimension, here {aI + bJ}
         b2 = so.basis(2)
         r = reps.rep_vector(b2)
-        assert reps.commutant_dimension(r, "C") == 2
-        assert reps.commutant_dimension(r, "R") == 2  # {aI + bJ}
-        assert reps.commutant_dimension(reps.rep_vector(b3), "R") == 1
+        assert reps.commutant_dimension(r) == 2
+        for rep, dim in ((r, 2), (reps.rep_vector(b3), 1)):
+            comm = reps.intertwiners(rep, rep)
+            assert len(comm) == dim and not np.any(np.imag(comm))
 
 
 class TestKernelOracle:
@@ -505,10 +508,6 @@ class TestKernelOracle:
         want = _forms_oracle(r)
         assert len(got) == want.shape[1]
         assert np.linalg.norm(_span_projector(got) - want @ want.conj().T) <= 1e-12
-
-    def test_real_commutant_rejects_complex_matrices(self, b4):
-        with pytest.raises(ValueError):
-            reps.commutant_dimension(rep_spin(b4), "R")
 
 
 def _complex_table_cases() -> dict:

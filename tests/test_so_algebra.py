@@ -73,9 +73,9 @@ def test_jacobi_identity_all_triples(n):
     worst = 0.0
     for x, y, z in itertools.combinations(so.matrices(so.basis(n)), 3):
         s = (
-            so.bracket(x, so.bracket(y, z))
-            + so.bracket(y, so.bracket(z, x))
-            + so.bracket(z, so.bracket(x, y))
+            oracles.bracket(x, oracles.bracket(y, z))
+            + oracles.bracket(y, oracles.bracket(z, x))
+            + oracles.bracket(z, oracles.bracket(x, y))
         )
         worst = max(worst, np.linalg.norm(s))
     assert worst <= 1e-12
@@ -85,7 +85,7 @@ def test_jacobi_identity_all_triples(n):
 def test_ad_invariance_of_inner_product(n):
     xs = so.matrices(so.basis(n))
     for xc, xa, xb in itertools.product(xs, repeat=3):
-        lhs = _inner(so.bracket(xc, xa), xb) + _inner(xa, so.bracket(xc, xb))
+        lhs = _inner(oracles.bracket(xc, xa), xb) + _inner(xa, oracles.bracket(xc, xb))
         assert abs(lhs) <= 1e-12
 
 
@@ -93,12 +93,12 @@ def test_disjoint_pairs_commute():
     xs = so.matrices(so.basis(4))
     x12 = xs[so.pair_number(4, 0, 1)]
     x34 = xs[so.pair_number(4, 2, 3)]
-    assert np.linalg.norm(so.bracket(x12, x34)) == 0.0
+    assert np.linalg.norm(oracles.bracket(x12, x34)) == 0.0
 
 
 def test_bracket_size_mismatch():
     with pytest.raises(ValueError):
-        so.bracket(np.eye(2), np.eye(3))
+        oracles.bracket(np.eye(2), np.eye(3))
 
 
 class TestPairBasis:
@@ -264,15 +264,59 @@ def _old_raw(family, rank):
     return [np.asarray(x, dtype=complex) for x in oracles.dense_basis(2 * rank + (family == "B"))]
 
 
+def _raw(label):
+    """The matrix model of a label, as the algebra is built from it."""
+    family, rank = so.parse_type_rank(label)
+    return np.array(so._MODEL_BUILDERS[family](rank))
+
+
 @pytest.mark.parametrize("label", ["B2", "B3", "D4", "G2"])
 def test_matrix_models_bit_equal_to_the_dense_basis_construction(label):
     family, rank = so.parse_type_rank(label)
-    raw, old = so._MODEL_BUILDERS[family](rank), _old_raw(family, rank)
-    assert np.array(raw).tobytes() == np.array(old).tobytes()
+    raw, old = _raw(label), _old_raw(family, rank)
+    assert raw.tobytes() == np.array(old).tobytes()
+    # the batched Killing pass sums in another order than the loop one
+    _, ad = oracles.killing_orthonormal_loop(old)
+    assert np.max(np.abs(so.simple_algebra(label).ad - np.real(np.array(ad)))) <= 1e-14
+
+
+#: A1-A8, B2-B6, C2-C6, D3-D7 and G2.
+ROOT_LABELS = (
+    [f"A{r}" for r in range(1, 9)]
+    + [f"{family}{r}" for family in "BC" for r in range(2, 7)]
+    + [f"D{r}" for r in range(3, 8)]
+    + ["G2"]
+)
+
+
+#: The dual Coxeter numbers, by family and rank.
+DUAL_COXETER = {"A": lambda r: r + 1, "B": lambda r: 2 * r - 1, "C": lambda r: r + 1, "D": lambda r: 2 * r - 2, "G": lambda r: 4}
+
+
+@pytest.mark.parametrize("label", ROOT_LABELS)
+def test_roots_equal_the_fraction_root_string_search(label):
+    family, rank = so.parse_type_rank(label)
+    roots = so.root_data(label)
+    assert roots.positive_roots == oracles.fraction_positive_roots(family, rank)
+    assert all(type(c) is int for beta in roots.positive_roots for c in beta)
+    assert roots.gram == tuple(map(tuple, oracles.fraction_gram(family, rank)))
+    assert roots.dual_coxeter == DUAL_COXETER[family](rank)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A4", "A8", "B2", "B3", "B5", "C2", "C3", "C5", "D3", "D4", "D7", "G2"])
+def test_killing_ad_equals_the_loop_pass(label):
     g = so.simple_algebra(label)
-    y, ad = so._orthonormalize_killing(old)
-    assert np.array(g.model).tobytes() == np.array(y).tobytes()
-    assert np.array(g.ad).tobytes() == np.real(np.array(ad)).tobytes()
+    _, ad = oracles.killing_orthonormal_loop(list(_raw(label)))
+    assert g.ad.shape == (g.dim, g.dim, g.dim) and g.ad.dtype == np.float64
+    assert np.max(np.abs(g.ad - np.real(np.array(ad)))) <= 1e-14
+    assert np.max(np.abs(np.einsum("aij,ajk->ik", g.ad, g.ad) + np.eye(g.dim))) <= 1e-14
+
+
+def test_an_open_model_is_refused():
+    # x_01 and x_12 of so(3) do not close: their bracket is x_02
+    raw = np.array(oracles.dense_basis(3)[::2], dtype=complex)
+    with pytest.raises(RuntimeError, match="not closed"):
+        so._killing_ad(raw)
 
 
 LABELS = ["A1", "A2", "B2", "C3", "D4", "G2"]
@@ -294,15 +338,15 @@ class TestSimpleAlgebra:
 
     @pytest.mark.parametrize("label", LABELS)
     def test_jacobi(self, label):
-        g = so.simple_algebra(label)
+        model = _raw(label)
         rng = np.random.default_rng(0)
-        idx = rng.integers(0, g.dim, size=(25, 3))
+        idx = rng.integers(0, len(model), size=(25, 3))
         for a, b, c in idx:
-            x, y, z = g.model[a], g.model[b], g.model[c]
+            x, y, z = model[a], model[b], model[c]
             s = (
-                so.bracket(x, so.bracket(y, z))
-                + so.bracket(y, so.bracket(z, x))
-                + so.bracket(z, so.bracket(x, y))
+                oracles.bracket(x, oracles.bracket(y, z))
+                + oracles.bracket(y, oracles.bracket(z, x))
+                + oracles.bracket(z, oracles.bracket(x, y))
             )
             assert np.linalg.norm(s) <= 1e-12
 
@@ -328,9 +372,9 @@ class TestSimpleAlgebra:
         # D(xy) = D(x) y + x D(y) on the imaginary units, where
         # e_i e_j = -delta_ij + sum_k c[i,j,k] e_k
         c = so._octonion_table()
-        g = so.simple_algebra("G2")
-        assert len(g.model) == 14
-        for d in g.model:
+        model = _raw("G2")
+        assert len(model) == 14
+        for d in model:
             d = np.real(d)
             lhs = np.einsum("km,ijm->ijk", d, c)
             rhs = np.einsum("ai,ajk->ijk", d, c) + np.einsum("aj,iak->ijk", d, c)
@@ -355,6 +399,5 @@ class TestSimpleAlgebra:
 
     def test_model_matrices_anti_hermitian(self):
         for label in LABELS:
-            g = so.simple_algebra(label)
-            for y in g.model:
+            for y in _raw(label):
                 assert np.linalg.norm(y + y.conj().T) <= 1e-12

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from weitzlab import curvature as curv
+from weitzlab import options
 from weitzlab import representations as reps
 from weitzlab import so_algebra as so
 from weitzlab import spin
@@ -342,7 +343,7 @@ class TestFullModuleBlades:
 
     @pytest.mark.parametrize("n", (64, 65, 80))
     def test_beyond_63_generators_refused(self, n):
-        with pytest.raises(spin.UsageError, match=f"spinors of so\\({n}\\) are out of range"):
+        with pytest.raises(options.UsageError, match=f"spinors of so\\({n}\\) are out of range"):
             spin.spinor_blades(so.basis(n))
 
 

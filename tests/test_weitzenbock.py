@@ -347,7 +347,7 @@ class TestRealSpectrum:
 
     def test_hermiticity_precondition_still_applies(self):
         with pytest.raises(ValueError, match="not Hermitian"):
-            numerics.eigvals_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            numerics.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestLichnerowicz:
@@ -794,9 +794,10 @@ class TestPositivity:
         rep = wb.positivity_report(op)
         assert "parallel" in rep.overall
 
-    def test_indefinite_curvature_diagnostic_search(self):
+    def test_indefinite_curvature_diagnostic_search(self, monkeypatch):
         op = curv.curvature_operator(3, np.diag([1.0, 1.0, -1.0]))
-        rep = wb.positivity_report(op, search_dim_cap=64)
+        monkeypatch.setattr(wb, "SEARCH_DIM_CAP", 64)
+        rep = wb.positivity_report(op)
         assert rep.diagnostic
         assert "DIAGNOSTIC" in rep.overall
         assert "searched" in rep.diagnostic
@@ -823,9 +824,9 @@ class TestPositivity:
         calls = []
         solve = wb.commutant_dimension
 
-        def counting(rep, field):
+        def counting(rep):
             calls.append(rep.label)
-            return solve(rep, field)
+            return solve(rep)
 
         monkeypatch.setattr(wb, "commutant_dimension", counting)
         rep = wb.positivity_report(op, reps=family)
@@ -841,7 +842,7 @@ class TestPositivity:
         ),
         ids=("n3-one-negative", "n3-mixed-verdicts", "n4-cap24"),
     )
-    def test_report_equals_full_entry_oracle(self, n, matrix, cap):
+    def test_report_equals_full_entry_oracle(self, n, matrix, cap, monkeypatch):
         # oracle: the search builds a full entry, commutant included, for
         # every product and keeps only its label and verdict
         op = curv.curvature_operator(n, matrix)
@@ -861,7 +862,7 @@ class TestPositivity:
             return wb.PositivityEntry(
                 label=rep.label,
                 dim=rep.dim,
-                irreducible=reps.commutant_dimension(rep, "C") == 1,
+                irreducible=reps.commutant_dimension(rep) == 1,
                 min_eig_neg_k=float(np.min(neg_w)),
                 verdict=verdict.get(label, "indefinite"),
             )
@@ -876,7 +877,8 @@ class TestPositivity:
                 if e.verdict in ("negative", "indefinite"):
                     counterexamples.append(e.label)
 
-        got = wb.positivity_report(op, reps=family, tol=TOL, search_dim_cap=cap).to_dict()
+        monkeypatch.setattr(wb, "SEARCH_DIM_CAP", cap)
+        got = wb.positivity_report(op, reps=family, tol=TOL).to_dict()
         assert got["diagnostic"]["searched"] == searched
         assert got["diagnostic"]["counterexamples"] == sorted(set(counterexamples))
         assert got["overall"] == (
@@ -1061,9 +1063,9 @@ class TestDistinctTables:
             searched.append(rep.label)
             return negative(r, rep, tol)
 
-        def counting_solve(rep, field):
+        def counting_solve(rep):
             solved.append(rep.label)
-            return solve(rep, field)
+            return solve(rep)
 
         monkeypatch.setattr(wb, "_classify_neg_k", counting_classify)
         monkeypatch.setattr(wb, "_negative_direction", counting_negative)
