@@ -3,7 +3,7 @@ command line in :data:`RECORDS`, one fresh ``python -m weitzlab`` per line,
 run from the root of the checkout with one BLAS thread, ``WEITZLAB_CI=1``
 and no ``WEITZLAB_TOL``.
 
-    python bench/golden/record.py [decompose.json] [groups.json]
+    python bench/golden/record.py [decompose.json] [groups.json] [curvature.json]
 
 writes the named record files under ``bench/golden/`` (all of them when none
 is named), which ``tests/test_golden.py`` compares the package against.
@@ -11,7 +11,9 @@ Every ``decompose`` and ``check`` line carries an explicit seed.
 ``rotated_so3_n5.json`` is so(3) on the first three axes of R^5, turned by a
 fixed rotation, so that every element has a dense row over the pair basis;
 ``not_closed_n4.json`` holds x_01 and x_12 of so(4), whose bracket x_02
-leaves their span.
+leaves their span.  ``einstein_n4.json`` is a curvature operator of so(4)
+that satisfies the first Bianchi identity, with entries between
+complementary pairs, and is Einstein with Ricci tensor 8 g.
 """
 
 from __future__ import annotations
@@ -66,7 +68,24 @@ GROUPS = [
     "k --rep adjoint --curvature group:C3",
 ]
 
-RECORDS = {"decompose.json": DECOMPOSE, "groups.json": GROUPS}
+#: ``k`` on the sphere, ``random:`` and ``file:`` sources, ``check`` on a
+#: ``file:`` operator and on the sphere, and the refusals of a file on the
+#: wrong so(n) (exit 3) and of a file that cannot be read (exit 2).  No line
+#: reports the digest of a ``random:`` draw: the draws are bit-stable only
+#: on one machine and numpy build, and the comparer matches strings exactly.
+CURVATURE = [
+    "k --n 4 --rep vector --curvature sphere",
+    "k --n 5 --rep exterior:2 --curvature random:7",
+    "k --n 5 --rep sym0 --curvature sphere --preset hodge",
+    "k --rep spin --curvature file:bench/golden/einstein_n4.json --preset spinor_dirac",
+    "k --rep adjoint --curvature file:bench/golden/einstein_n4.json",
+    "k --n 5 --rep vector --curvature file:bench/golden/einstein_n4.json",
+    "k --n 4 --rep vector --curvature file:bench/golden/missing.json",
+    "check positivity --curvature file:bench/golden/einstein_n4.json --seed 1",
+    "check sphere-casimir --n 5 --seed 1",
+]
+
+RECORDS = {"decompose.json": DECOMPOSE, "groups.json": GROUPS, "curvature.json": CURVATURE}
 
 
 def record(lines: list[str], env: dict[str, str]) -> list[dict]:

@@ -11,7 +11,10 @@ that it pays every cold cost a CLI process pays:
   vector --curvature sphere`` (a valid request, interpreter exit included)
   ``python -m weitzlab check bochner --n 60 --trials 2`` (vectors of
   so(60), 1770 generators), ``python -m weitzlab check strange --seed 1``
-  (root data of six algebras) and ``python -c "import weitzlab.cli"`` with
+  (root data of six algebras), ``python -m weitzlab decompose --n 6 --rep
+  exterior:2 --sub u:3 --seed 1`` and ``python -m weitzlab check blocks4
+  --trials 20 --seed 1`` (each of which loads only part of the package)
+  and ``python -c "import weitzlab.cli"`` with
   ``PYTHONDONTWRITEBYTECODE=1``, timed from spawn to exit, so that each
   compiles the package from source as a benchmark child does (the CLI
   process, import included);
@@ -168,8 +171,10 @@ K_SEED = 1
 K_GROUP_CASES = (("G2", "spin"), ("C3", "spin"))
 #: (name, interpreter arguments, exit code) of each cold start timed: the
 #: whole CLI process on --version, on a usage error, on a small valid
-#: request (which runs with the import-time heap frozen) and on a suite
-#: over so(60), and the package import alone, all compiled from source.
+#: request (which runs with the import-time heap frozen), on a suite over
+#: so(60), on the root data of six algebras and on two commands that
+#: execute only part of the package, and the package import alone, all
+#: compiled from source.
 COLD_CASES = (
     ("weitzlab --version", ["-m", "weitzlab", "--version"], 0),
     ("weitzlab check lemma:k4 --trials 0", ["-m", "weitzlab", "check", "lemma:k4", "--trials", "0"], 2),
@@ -184,6 +189,16 @@ COLD_CASES = (
         0,
     ),
     ("weitzlab check strange --seed 1", ["-m", "weitzlab", "check", "strange", "--seed", "1"], 0),
+    (
+        "weitzlab decompose --n 6 --rep exterior:2 --sub u:3 --seed 1",
+        ["-m", "weitzlab", "decompose", "--n", "6", "--rep", "exterior:2", "--sub", "u:3", "--seed", "1"],
+        0,
+    ),
+    (
+        "weitzlab check blocks4 --trials 20 --seed 1",
+        ["-m", "weitzlab", "check", "blocks4", "--trials", "20", "--seed", "1"],
+        0,
+    ),
     ("import weitzlab.cli", ["-c", "import weitzlab.cli"], 0),
 )
 COLD_REPEATS = 21

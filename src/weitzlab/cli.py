@@ -344,12 +344,13 @@ def run(args) -> int:
     except DimensionError as exc:
         sys.stderr.write(f"dimension mismatch: {exc}\n")
         return EXIT_DIMENSION
-    except wb.LemmaPreconditionError as exc:
-        sys.stderr.write(f"precondition failed: {exc}\n")
-        return EXIT_USAGE
     except MemoryError as exc:
         # numpy's message names the shape and size that could not be allocated
         sys.stderr.write(f"error: out of memory: {str(exc) or 'allocation failed'}\n")
+        return EXIT_USAGE
+    except wb.LemmaPreconditionError as exc:
+        # last: under lazy loading, naming the class may first compile weitzenbock
+        sys.stderr.write(f"precondition failed: {exc}\n")
         return EXIT_USAGE
 
 

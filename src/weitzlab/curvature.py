@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -221,11 +222,20 @@ def random_curvature(n: int, seed) -> CurvatureOperator:
 
 def require_group(label: str) -> None:
     """Refuse, before its algebra is built, the operator of a compact simple
-    group that cannot fit: R is N^2 float64 over the pair basis of so(d),
-    N = d(d-1)/2, d the dimension of the algebra."""
+    group that cannot fit with its Bianchi check.  R is N^2 float64 over the
+    pair basis of so(d), N = d(d-1)/2, d the dimension of the algebra, held
+    twice (by :func:`bi_invariant_group` and symmetrised); beside it the
+    check builds :func:`_pairings` (48 bytes per 4-subset), at a peak of 176
+    bytes per 4-subset with its index temporaries, and gathers from it.
+    The peak RSS of ``k --rep vector`` on A8, A9 and A10 is these
+    2 x 8 N^2 + 176 C(d, 4) bytes plus 50 MB of interpreter and numpy."""
     d = algebra_dim(label)
-    pairs = d * (d - 1) // 2
-    numerics.require_bytes(8 * pairs * pairs, f"the curvature operator of group:{label} on so({d}) ({pairs}^2 x 8 bytes)")
+    pairs, quads = d * (d - 1) // 2, comb(d, 4)
+    numerics.require_bytes(
+        16 * pairs * pairs + 176 * quads,
+        f"the curvature operator of group:{label} on so({d}) and its Bianchi check "
+        f"(2 x {pairs}^2 x 8 bytes beside {quads} 4-subsets x 176 bytes)",
+    )
 
 
 def bi_invariant_group(g: SimpleAlgebraData) -> CurvatureOperator:

@@ -215,7 +215,9 @@ def _positive_roots(cartan: np.ndarray) -> np.ndarray:
         k, i = np.nonzero(below - level @ cartan > 0)
         if not len(k):
             return np.concatenate(levels)
-        up = np.unique(level[k] + eye[i], axis=0)  # sorted rows
+        # sorted rows; asking for the inverse skips the masked-array test
+        # of np.unique, which would import numpy.ma (about 15 ms)
+        up = np.unique(level[k] + eye[i], axis=0, return_inverse=True)[0]
         # which root of this height, if any, each up - alpha_j is
         rows, ids = np.unique(np.concatenate([level, (up[:, None] - eye).reshape(-1, rank)]), axis=0, return_inverse=True)
         at = np.full(len(rows), -1)

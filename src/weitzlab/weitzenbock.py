@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
+from . import spin as spinmod
 from .curvature import CurvatureOperator
 from .report import CheckReport, digest
 from .representations import (
@@ -36,7 +37,6 @@ from .representations import (
     rep_vector,
 )
 from .so_algebra import SoBasis
-from .spin import SpinorBlades, rep_half_spin, rep_spin
 
 __all__ = [
     "CompatibilityError",
@@ -179,7 +179,7 @@ def k_matrix(r: CurvatureOperator, rep: Rep) -> np.ndarray:
     return k.reshape(r.matrix.shape[:-2] + (d, d))
 
 
-def _blade_k_matrix(r: CurvatureOperator, blades: SpinorBlades) -> np.ndarray:
+def _blade_k_matrix(r: CurvatureOperator, blades: spinmod.SpinorBlades) -> np.ndarray:
     """K on spinors as ``sum_B c_B Gamma_B`` (:class:`SpinorBlades`):
     the coefficients from ``np.bincount`` over the N^2 pairs, then each
     blade's one entry per row scattered into K, a chunk of rows at a time,
@@ -358,7 +358,7 @@ def lemma_check(
     if any(r.n != ops[0].n for r in ops):
         raise ValueError(f"curvature operators live on different so(n): n in {sorted({r.n for r in ops})}")
     n = ops[0].n
-    rho = rep_spin(so_basis(n))
+    rho = spinmod.rep_spin(so_basis(n))
     d = rho.dim
     q = np.asarray(e_columns, dtype=complex)
     if q.ndim != 2 or q.shape[0] != d ** k:
@@ -481,10 +481,10 @@ def standard_family(basis: SoBasis) -> list[Rep]:
     fam.extend(rep_exterior(basis, p) for p in range(2, (n + 1) // 2))
     fam.append(rep_sym0(basis))
     if n % 2 == 0:
-        fam.append(rep_half_spin(basis, +1))
-        fam.append(rep_half_spin(basis, -1))
+        fam.append(spinmod.rep_half_spin(basis, +1))
+        fam.append(spinmod.rep_half_spin(basis, -1))
     else:
-        fam.append(rep_spin(basis))
+        fam.append(spinmod.rep_spin(basis))
     # ad is the derivation action on 2-forms: for n >= 5 it shares the table
     # of the family's exterior(2), so each result on it is computed once
     if n >= 3:

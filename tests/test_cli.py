@@ -319,6 +319,27 @@ class TestSizePreflight:
         assert err.count("\n") == 1
         assert peak_mb < 100
 
+    def test_group_bianchi_check_refused_before_its_tables(self):
+        # A11 on so(143): R is 10153^2 float64 (825 MB), held twice, and the
+        # Bianchi check's 4-subset tables peak near 2.9 GB beside it
+        started = time.perf_counter()
+        code, out, err, peak_mb = run_capped_peak(["k", "--rep", "vector", "--curvature", "group:A11"])
+        elapsed = time.perf_counter() - started
+        assert code == 2 and out == ""
+        assert err == (
+            "error: out of memory: the curvature operator of group:A11 on so(143) and its Bianchi check "
+            "(2 x 10153^2 x 8 bytes beside 16701685 4-subsets x 176 bytes) needs 4588831104 bytes, "
+            "more than the address-space limit of 3221225472 bytes\n"
+        )
+        assert peak_mb < 100 and elapsed < 1.0
+
+    @pytest.mark.parametrize("label", ("A9", "A10"))
+    def test_group_that_fits_with_its_bianchi_check_is_not_refused(self, label, monkeypatch):
+        # A9 and A10 run to exit 0 under a 3 GiB cap, at 1.09 and 2.31 GB
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (3 << 30, hard))
+        curv.require_group(label)
+
     def test_spin_n40_refused_before_its_tables(self):
         # the (780, 2^20) spin table would take about 100 GB: refused from
         # its size, in about a start-up's time, before anything is built
@@ -784,10 +805,17 @@ class TestOutputFormats:
 #: PROBE REFUSE ENTRY ARG...``), with every import of numpy refused when
 #: REFUSE is "1"; ENTRY "-m" runs the package as ``python -m`` does, and a
 #: ``module:function`` target is called as an installed script calls it.  At
-#: exit it adds one stderr line: whether numpy is loaded, and the number of
-#: objects frozen by ``gc.freeze``.
+#: exit it adds one stderr line: whether numpy is loaded, the number of
+#: objects frozen by ``gc.freeze``, and the package's modules that executed
+#: (comma-separated, "-" for none).  A module that was imported lazily and
+#: never used sits in ``sys.modules`` as a stub of another type, which
+#: ``type`` reads without loading it.
 _FRONT_END_PROBE = """
-import atexit, gc, importlib, runpy, sys
+import atexit, gc, importlib, runpy, sys, types
+
+def executed():
+    names = [n.partition(".")[2] for n, m in sys.modules.items() if n.startswith("weitzlab.") and type(m) is types.ModuleType]
+    return ",".join(sorted(n for n in names if n != "__main__")) or "-"
 
 class RefuseNumpy:
     def find_spec(self, name, path=None, target=None):
@@ -797,7 +825,7 @@ class RefuseNumpy:
 refuse, entry = sys.argv[1:3]
 if refuse == "1":
     sys.meta_path.insert(0, RefuseNumpy())
-atexit.register(lambda: print("numpy" in sys.modules, gc.get_freeze_count(), file=sys.stderr))
+atexit.register(lambda: print("numpy" in sys.modules, gc.get_freeze_count(), executed(), file=sys.stderr))
 del sys.argv[1:3]
 if entry == "-m":
     runpy.run_module("weitzlab", run_name="__main__", alter_sys=True)
@@ -823,12 +851,14 @@ class FrontEndRun(NamedTuple):
     numpy_loaded: bool
     frozen: int
     out: str
+    executed: tuple[str, ...]
 
 
 def _front_end(env: dict, argv: list[str], refuse_numpy: bool = False, entry: str = "-m") -> FrontEndRun:
     """Exit code, first stderr line, whether numpy was loaded at exit, the
-    frozen object count at exit and stdout of ``python -m weitzlab ARGV``
-    (or of the script ``entry``) in a fresh interpreter (:data:`_FRONT_END_PROBE`)."""
+    frozen object count at exit, stdout and the package's executed modules
+    of ``python -m weitzlab ARGV`` (or of the script ``entry``) in a fresh
+    interpreter (:data:`_FRONT_END_PROBE`)."""
     src = os.path.dirname(os.path.dirname(weitzlab.__file__))
     base = {k: v for k, v in os.environ.items() if k not in ("WEITZLAB_TOL", "WEITZLAB_CI")}
     out = subprocess.run(
@@ -836,8 +866,9 @@ def _front_end(env: dict, argv: list[str], refuse_numpy: bool = False, entry: st
         env=dict(base, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", **env), capture_output=True, text=True, timeout=60,
     )
     *lines, at_exit = out.stderr.splitlines()
-    loaded, frozen = at_exit.split()
-    return FrontEndRun(out.returncode, (lines or [""])[0], loaded == "True", int(frozen), out.stdout)
+    loaded, frozen, executed = at_exit.split()
+    modules = () if executed == "-" else tuple(executed.split(","))
+    return FrontEndRun(out.returncode, (lines or [""])[0], loaded == "True", int(frozen), out.stdout, modules)
 
 
 #: A valid request, which loads numpy and runs with the import-time heap frozen.
@@ -898,6 +929,49 @@ class TestFrozenHeap:
             assert script._replace(frozen=script.frozen > 0) == module._replace(frozen=module.frozen > 0), argv
 
 
+#: The modules of the package that each command line below executes.
+_ALWAYS_EXECUTED = ("cli", "numerics", "options", "report", "representations", "so_algebra")
+
+#: ``(argv, modules it must not execute)`` of command lines whose process
+#: runs only part of the package, by test id.
+_LAZY_LINES = {
+    "decompose": (
+        ["decompose", "--n", "6", "--rep", "exterior:2", "--sub", "u:3"],
+        ("curvature", "spin", "weitzenbock", "suites", "casimir_weights"),
+    ),
+    "k-vector": (["k", "--n", "4", "--rep", "vector", "--curvature", "sphere"], ("suites", "casimir_weights", "spin")),
+    "lichnerowicz": (["check", "lichnerowicz", "--n", "4", "--seed", "1"], ("weitzenbock",)),
+}
+
+
+class TestLazyLoading:
+    """``python -m weitzlab`` loads the package lazily, so a command
+    executes only the modules it runs; ``cli.main`` in process and
+    ``import weitzlab.cli`` stay eager (:class:`TestColdStart`)."""
+
+    @pytest.mark.parametrize(("argv", "unused"), list(_LAZY_LINES.values()), ids=list(_LAZY_LINES))
+    def test_command_executes_only_what_it_runs(self, argv, unused, capsys, monkeypatch):
+        monkeypatch.delenv("WEITZLAB_TOL", raising=False)
+        monkeypatch.delenv("WEITZLAB_CI", raising=False)
+        run = _front_end({}, argv)
+        assert (run.code, run.out) == (cli.main(argv), capsys.readouterr().out)
+        assert set(_ALWAYS_EXECUTED) <= set(run.executed)
+        assert not set(unused) & set(run.executed), run.executed
+
+    def test_usage_answer_executes_options_alone(self):
+        assert _front_end({}, ["--version"]).executed == ("options",)
+
+    def test_main_in_process_leaves_the_import_system_alone(self, capsys):
+        import types
+
+        before = list(sys.meta_path)
+        assert cli.main(_VALID_LINE) == 0
+        capsys.readouterr()
+        assert sys.meta_path == before
+        loaded = {n: type(m) for n, m in sys.modules.items() if n.startswith("weitzlab.")}
+        assert set(loaded.values()) == {types.ModuleType}, loaded
+
+
 #: Reports, in a fresh interpreter, the standard modules below that
 #: ``import weitzlab.cli`` loads, then those that a ``k`` run loads as well,
 #: and whether every module of the package named on the command line is loaded.
@@ -938,8 +1012,9 @@ class TestColdStart:
 
 
 #: Modules that no command may load: numpy's random state, the ``secrets``
-#: module it imports, and OpenSSL's hash bindings.
-_UNWANTED_MODULES = ("numpy.random", "secrets", "_hashlib")
+#: module it imports, OpenSSL's hash bindings, and numpy's masked arrays
+#: (which ``np.unique`` imports to test its input unless asked for indices).
+_UNWANTED_MODULES = ("numpy.random", "secrets", "_hashlib", "numpy.ma")
 
 #: Runs the CLI on each command line of the JSON list given, in one fresh
 #: interpreter, and reports after each its exit code and which of the

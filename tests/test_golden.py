@@ -1,7 +1,10 @@
 """The golden outputs that ``bench/golden/record.py`` writes against the
-package, in process: ``decompose.json`` for ``decompose``, ``groups.json``
-for the compact simple algebras (``check strange``, ``check group-model``
-and ``k`` on ``group:`` curvature).
+package: ``decompose.json`` for ``decompose``, ``groups.json`` for the
+compact simple algebras (``check strange``, ``check group-model`` and ``k``
+on ``group:`` curvature), ``curvature.json`` for the other curvature
+sources.  Every record is replayed through
+``cli.main`` in process, and a slice of them through ``python -m weitzlab``
+in a fresh process as well, where the package loads lazily.
 
 Exit codes, report structure, every string (the projector digests among
 them) and the integers ``dim``, ``multiplicity`` and ``total_dim`` must
@@ -11,7 +14,10 @@ JSON writes an integral float as an integer, so numbers are told apart by
 their key, not by their type."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +26,7 @@ from weitzlab import cli
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "bench" / "golden" / "decompose.json").read_text())
 GROUPS = json.loads((ROOT / "bench" / "golden" / "groups.json").read_text())
+CURVATURE = json.loads((ROOT / "bench" / "golden" / "curvature.json").read_text())
 RELATIVE_TOL = 2.1e-14
 EXACT_NUMBERS = ("dim", "multiplicity", "total_dim")
 
@@ -52,7 +59,10 @@ def _matches(record, capsys, monkeypatch):
     monkeypatch.delenv("WEITZLAB_TOL", raising=False)
     monkeypatch.setenv("WEITZLAB_CI", "1")
     code = cli.main(record["argv"])
-    out = capsys.readouterr().out
+    _compare(record, code, capsys.readouterr().out)
+
+
+def _compare(record, code, out):
     assert code == record["exit"]
     if not record["stdout"]:
         assert out == ""
@@ -68,6 +78,51 @@ def test_decompose_matches_the_golden_output(record, capsys, monkeypatch):
 @pytest.mark.parametrize("record", GROUPS, ids=[" ".join(r["argv"]) for r in GROUPS])
 def test_groups_match_the_golden_output(record, capsys, monkeypatch):
     _matches(record, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("record", CURVATURE, ids=[" ".join(r["argv"]) for r in CURVATURE])
+def test_curvature_sources_match_the_golden_output(record, capsys, monkeypatch):
+    _matches(record, capsys, monkeypatch)
+
+
+#: The records that also run through ``python -m weitzlab``: every line of
+#: ``curvature.json`` (``k`` and ``check`` on each curvature source kind but
+#: ``group:``, exit codes 0, 2 and 3), ``decompose`` on u(m), so(m) and a file
+#: subalgebra, with its exit-3 and exit-2 refusals, ``check strange`` and
+#: ``k`` on ``group:`` curvature.
+PROCESS_REPLAY = CURVATURE + [
+    r
+    for r in GOLDEN + GROUPS
+    if " ".join(r["argv"])
+    in (
+        "decompose --n 6 --rep exterior:2 --sub u:3 --seed 0",
+        "decompose --n 5 --rep adjoint --sub so:4 --seed 511821",
+        "decompose --n 5 --rep exterior:2 --sub file:bench/golden/rotated_so3_n5.json --seed 0",
+        "decompose --n 6 --rep vector --sub u:2 --seed 0",
+        "decompose --n 4 --rep vector --sub file:bench/golden/not_closed_n4.json --seed 0",
+        "check strange --seed 1",
+        "k --rep spin --curvature group:G2 --preset spinor_dirac",
+    )
+]
+
+
+@pytest.mark.parametrize("record", PROCESS_REPLAY, ids=[" ".join(r["argv"]) for r in PROCESS_REPLAY])
+def test_process_entry_matches_the_golden_output(record):
+    env = {k: v for k, v in os.environ.items() if k != "WEITZLAB_TOL"}
+    env.update(PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", WEITZLAB_CI="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "weitzlab", *record["argv"]], env=env, cwd=ROOT, capture_output=True, text=True, timeout=60
+    )
+    _compare(record, proc.returncode, proc.stdout)
+
+
+def test_process_replay_covers_every_command_and_source():
+    assert len(PROCESS_REPLAY) == len(CURVATURE) + 7
+    lines = [r["argv"] for r in PROCESS_REPLAY]
+    assert {argv[0] for argv in lines} == {"k", "check", "decompose"}
+    sources = {argv[argv.index("--curvature") + 1].partition(":")[0] for argv in lines if "--curvature" in argv}
+    assert sources == {"sphere", "random", "file", "group"}
+    assert {r["exit"] for r in PROCESS_REPLAY} == {0, 2, 3}
 
 
 class TestComparer:
