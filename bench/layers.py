@@ -13,8 +13,10 @@ that it pays every cold cost a CLI process pays:
   so(60), 1770 generators), ``python -m weitzlab check strange --seed 1``
   (root data of six algebras), ``python -m weitzlab decompose --n 6 --rep
   exterior:2 --sub u:3 --seed 1`` and ``python -m weitzlab check blocks4
-  --trials 20 --seed 1`` (each of which loads only part of the package)
-  and ``python -c "import weitzlab.cli"`` with
+  --trials 20 --seed 1`` (each of which loads only part of the package),
+  ``python -m weitzlab check positivity --n 3 --curvature random:1 --seed
+  1`` (which executes every module but ``casimir_weights``) and ``python
+  -c "import weitzlab.cli"`` with
   ``PYTHONDONTWRITEBYTECODE=1``, timed from spawn to exit, so that each
   compiles the package from source as a benchmark child does (the CLI
   process, import included);
@@ -197,6 +199,11 @@ COLD_CASES = (
     (
         "weitzlab check blocks4 --trials 20 --seed 1",
         ["-m", "weitzlab", "check", "blocks4", "--trials", "20", "--seed", "1"],
+        0,
+    ),
+    (
+        "weitzlab check positivity --n 3 --curvature random:1 --seed 1",
+        ["-m", "weitzlab", "check", "positivity", "--n", "3", "--curvature", "random:1", "--seed", "1"],
         0,
     ),
     ("import weitzlab.cli", ["-c", "import weitzlab.cli"], 0),

@@ -58,18 +58,21 @@ class CurvatureOperator(NamedTuple):
 
 
 def curvature_operator(n: int, matrix, bianchi: bool | None = None, sym_tol: float = 1e-12) -> CurvatureOperator:
-    """Validated constructor; symmetrises exactly after checking the residual."""
+    """Validated constructor; symmetrises exactly after checking the residual,
+    in one new array that holds ``m - m.T`` and then ``(m + m.T) / 2``."""
     m = np.asarray(matrix, dtype=float)
     npairs = n * (n - 1) // 2
     if m.shape != (npairs, npairs):
         raise ValueError(f"curvature matrix for n={n} must be {npairs} x {npairs}, got {m.shape}")
     scale = max(1.0, float(np.linalg.norm(m)))
-    if np.linalg.norm(m - m.T) > sym_tol * scale:
+    sym = np.subtract(m, m.T)
+    if np.linalg.norm(sym) > sym_tol * scale:
         raise ValueError("curvature operator is not symmetric within tolerance")
-    m = (m + m.T) / 2.0
+    np.add(m, m.T, out=sym)
+    sym /= 2.0
     if bianchi is None:
-        bianchi = bianchi_residual_matrix(n, m) <= 1e-10
-    return CurvatureOperator(n=n, matrix=m, bianchi_flag=bool(bianchi))
+        bianchi = bianchi_residual_matrix(n, sym) <= 1e-10
+    return CurvatureOperator(n=n, matrix=sym, bianchi_flag=bool(bianchi))
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +227,18 @@ def require_group(label: str) -> None:
     """Refuse, before its algebra is built, the operator of a compact simple
     group that cannot fit with its Bianchi check.  R is N^2 float64 over the
     pair basis of so(d), N = d(d-1)/2, d the dimension of the algebra, held
-    twice (by :func:`bi_invariant_group` and symmetrised); beside it the
-    check builds :func:`_pairings` (48 bytes per 4-subset), at a peak of 176
-    bytes per 4-subset with its index temporaries, and gathers from it.
-    The peak RSS of ``k --rep vector`` on A8, A9 and A10 is these
-    2 x 8 N^2 + 176 C(d, 4) bytes plus 50 MB of interpreter and numpy."""
+    once through the check (twice while it is symmetrised, which is less);
+    beside it the check builds :func:`_pairings` (48 bytes per 4-subset) and
+    gathers from it, at a peak of 190 bytes per 4-subset.  The peak RSS of
+    ``k --rep vector`` on A8, A9 and A10 (430, 956 and 2014 MB from
+    ``os.wait4``) is these 8 N^2 + 190 C(d, 4) bytes plus 50 MB of
+    interpreter and numpy, within 5 MB."""
     d = algebra_dim(label)
     pairs, quads = d * (d - 1) // 2, comb(d, 4)
     numerics.require_bytes(
-        16 * pairs * pairs + 176 * quads,
+        8 * pairs * pairs + 190 * quads,
         f"the curvature operator of group:{label} on so({d}) and its Bianchi check "
-        f"(2 x {pairs}^2 x 8 bytes beside {quads} 4-subsets x 176 bytes)",
+        f"({pairs}^2 x 8 bytes beside {quads} 4-subsets x 190 bytes)",
     )
 
 
@@ -242,9 +246,11 @@ def bi_invariant_group(g: SimpleAlgebraData) -> CurvatureOperator:
     """Curvature operator of a compact simple group with the metric -B:
     ``R = (1/8) sum_c ad(y_c) (x) ad(y_c)`` over the so(dim g) pair basis."""
     coeff = expand(so_basis(g.dim), g.ad)  # (d, N)
-    r = coeff.T @ coeff / 8.0
-    op = curvature_operator(g.dim, r, bianchi=None)
-    if not op.bianchi_flag:
+    r = coeff.T @ coeff
+    r /= 8.0
+    op = curvature_operator(g.dim, r, bianchi=True)
+    del r  # only the symmetrised copy is alive through the Bianchi check
+    if bianchi_residual_matrix(g.dim, op.matrix) > 1e-10:
         raise RuntimeError(f"bi-invariant curvature of {g.label} failed the Bianchi check")
     return op
 

@@ -320,22 +320,22 @@ class TestSizePreflight:
         assert peak_mb < 100
 
     def test_group_bianchi_check_refused_before_its_tables(self):
-        # A11 on so(143): R is 10153^2 float64 (825 MB), held twice, and the
-        # Bianchi check's 4-subset tables peak near 2.9 GB beside it
+        # A11 on so(143): R is 10153^2 float64 (825 MB), and the Bianchi
+        # check's 4-subset tables peak near 3.2 GB beside it
         started = time.perf_counter()
         code, out, err, peak_mb = run_capped_peak(["k", "--rep", "vector", "--curvature", "group:A11"])
         elapsed = time.perf_counter() - started
         assert code == 2 and out == ""
         assert err == (
             "error: out of memory: the curvature operator of group:A11 on so(143) and its Bianchi check "
-            "(2 x 10153^2 x 8 bytes beside 16701685 4-subsets x 176 bytes) needs 4588831104 bytes, "
+            "(10153^2 x 8 bytes beside 16701685 4-subsets x 190 bytes) needs 3997987422 bytes, "
             "more than the address-space limit of 3221225472 bytes\n"
         )
         assert peak_mb < 100 and elapsed < 1.0
 
     @pytest.mark.parametrize("label", ("A9", "A10"))
     def test_group_that_fits_with_its_bianchi_check_is_not_refused(self, label, monkeypatch):
-        # A9 and A10 run to exit 0 under a 3 GiB cap, at 1.09 and 2.31 GB
+        # A9 and A10 run to exit 0 under a 3 GiB cap, at 0.96 and 2.01 GB
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         monkeypatch.setattr(resource, "getrlimit", lambda which: (3 << 30, hard))
         curv.require_group(label)
@@ -806,8 +806,8 @@ class TestOutputFormats:
 #: REFUSE is "1"; ENTRY "-m" runs the package as ``python -m`` does, and a
 #: ``module:function`` target is called as an installed script calls it.  At
 #: exit it adds one stderr line: whether numpy is loaded, the number of
-#: objects frozen by ``gc.freeze``, and the package's modules that executed
-#: (comma-separated, "-" for none).  A module that was imported lazily and
+#: objects frozen by ``gc.freeze``, the package's modules that executed
+#: (comma-separated, "-" for none) and whether the collector is enabled.  A module that was imported lazily and
 #: never used sits in ``sys.modules`` as a stub of another type, which
 #: ``type`` reads without loading it.
 _FRONT_END_PROBE = """
@@ -825,7 +825,7 @@ class RefuseNumpy:
 refuse, entry = sys.argv[1:3]
 if refuse == "1":
     sys.meta_path.insert(0, RefuseNumpy())
-atexit.register(lambda: print("numpy" in sys.modules, gc.get_freeze_count(), executed(), file=sys.stderr))
+atexit.register(lambda: print("numpy" in sys.modules, gc.get_freeze_count(), executed(), gc.isenabled(), file=sys.stderr))
 del sys.argv[1:3]
 if entry == "-m":
     runpy.run_module("weitzlab", run_name="__main__", alter_sys=True)
@@ -852,23 +852,28 @@ class FrontEndRun(NamedTuple):
     frozen: int
     out: str
     executed: tuple[str, ...]
+    gc_enabled: bool
+    err: str
 
 
 def _front_end(env: dict, argv: list[str], refuse_numpy: bool = False, entry: str = "-m") -> FrontEndRun:
     """Exit code, first stderr line, whether numpy was loaded at exit, the
-    frozen object count at exit, stdout and the package's executed modules
-    of ``python -m weitzlab ARGV`` (or of the script ``entry``) in a fresh
-    interpreter (:data:`_FRONT_END_PROBE`)."""
+    frozen object count at exit, stdout, the package's executed modules,
+    whether the collector was enabled at exit and the stderr before the
+    probe's line of ``python -m weitzlab ARGV`` (or of the script
+    ``entry``) in a fresh interpreter (:data:`_FRONT_END_PROBE`)."""
     src = os.path.dirname(os.path.dirname(weitzlab.__file__))
-    base = {k: v for k, v in os.environ.items() if k not in ("WEITZLAB_TOL", "WEITZLAB_CI")}
+    base = {k: v for k, v in os.environ.items() if k not in ("WEITZLAB_TOL", "WEITZLAB_CI", "PYTHONUNBUFFERED")}
     out = subprocess.run(
         [sys.executable, "-c", _FRONT_END_PROBE, "1" if refuse_numpy else "0", entry, *argv],
         env=dict(base, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", **env), capture_output=True, text=True, timeout=60,
     )
-    *lines, at_exit = out.stderr.splitlines()
-    loaded, frozen, executed = at_exit.split()
+    *lines, at_exit = out.stderr.splitlines(keepends=True)
+    loaded, frozen, executed, enabled = at_exit.split()
     modules = () if executed == "-" else tuple(executed.split(","))
-    return FrontEndRun(out.returncode, (lines or [""])[0], loaded == "True", int(frozen), out.stdout, modules)
+    err = "".join(lines)
+    first = err.partition("\n")[0]
+    return FrontEndRun(out.returncode, first, loaded == "True", int(frozen), out.stdout, modules, enabled == "True", err)
 
 
 #: A valid request, which loads numpy and runs with the import-time heap frozen.
@@ -927,6 +932,137 @@ class TestFrozenHeap:
         for argv in (_VALID_LINE, ["--version"], ["check", "lemma:k4", "--trials", "0"]):
             script, module = (_front_end({}, argv, entry=entry) for entry in (target, "-m"))
             assert script._replace(frozen=script.frozen > 0) == module._replace(frozen=module.frozen > 0), argv
+
+
+#: The einstein_n4 operator of the golden records, an n = 4 ``file:`` source.
+_EINSTEIN_N4 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "golden", "einstein_n4.json")
+
+#: ``(env, argv, exit code)`` of command lines that end the process through
+#: :func:`weitzlab.__main__.main`, one for each exit code, by test id.
+_EXIT_LINES = {
+    "pass": ({}, _VALID_LINE, 0),
+    "check-failed": ({"WEITZLAB_TOL": "1e-30"}, ["check", "lichnerowicz", "--n", "5", "--trials", "2", "--seed", "1"], 1),
+    "refused-by-the-options": ({}, ["check", "lemma:k4", "--trials", "0"], 2),
+    "refused-after-numpy": ({}, ["k", "--n", "4", "--rep", "vector", "--curvature", "file:/nonexistent/R.json"], 2),
+    "dimension-mismatch": ({}, ["k", "--n", "5", "--rep", "vector", "--curvature", f"file:{_EINSTEIN_N4}"], 3),
+}
+
+#: ``python -m weitzlab ARG...`` in a fresh interpreter, run with ``-v``
+#: so that interpreter teardown writes its "# cleanup[" lines to stderr.
+#: An atexit handler adds a stdout line with the number of collections that
+#: started while numpy was being imported: numpy in ``sys.modules`` and
+#: nothing frozen yet.
+_EXIT_PROBE = """
+import atexit, gc, runpy, sys
+
+def count(phase, info):
+    if phase == "start" and "numpy" in sys.modules and not gc.get_freeze_count():
+        during_import.append(info["generation"])
+
+def report():
+    gc.callbacks.remove(count)
+    print("collections while numpy imports:", len(during_import))
+
+during_import = []
+gc.callbacks.append(count)
+atexit.register(report)
+runpy.run_module("weitzlab", run_name="__main__", alter_sys=True)
+"""
+
+
+def _exit_probe(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m weitzlab ARGV`` under :data:`_EXIT_PROBE`, with stdout
+    block-buffered as a pipe has it by default."""
+    src = os.path.dirname(os.path.dirname(weitzlab.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-v", "-c", _EXIT_PROBE, *argv],
+        env=dict(env, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=60,
+    )
+
+
+class TestProcessExit:
+    """Once it has the exit code of a valid request or of a refusal,
+    ``python -m weitzlab`` runs the atexit handlers, flushes and ends the
+    process with no interpreter teardown; ``cli.main`` does none of it."""
+
+    @pytest.mark.parametrize("entry", ("-m", "weitzlab.__main__:main"))
+    @pytest.mark.parametrize(("env", "argv", "code"), list(_EXIT_LINES.values()), ids=list(_EXIT_LINES))
+    def test_same_code_and_bytes_as_main(self, env, argv, code, entry, monkeypatch, capsys):
+        monkeypatch.delenv("WEITZLAB_TOL", raising=False)
+        monkeypatch.delenv("WEITZLAB_CI", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        want = cli.main(argv)
+        captured = capsys.readouterr()
+        run = _front_end(env, argv, entry=entry)
+        assert want == code
+        assert (run.code, run.out, run.err) == (want, captured.out, captured.err)
+
+    @pytest.mark.parametrize(("env", "argv", "code"), list(_EXIT_LINES.values()), ids=list(_EXIT_LINES))
+    def test_atexit_handler_runs_once_with_the_collector_on(self, env, argv, code):
+        # the probe's handler writes the last stderr line; had it run twice,
+        # a second line would sit in the stderr before it
+        run = _front_end(env, argv)
+        assert run.code == code and run.gc_enabled
+        assert not re.search(r"^(True|False) \d+ ", run.err, re.MULTILINE), run.err
+
+    def test_out_file_is_complete(self, tmp_path, capsys):
+        argv = ["k", "--n", "6", "--rep", "exterior:2", "--curvature", "random:1", "--format", "json"]
+        assert cli.main([*argv, "--out", str(tmp_path / "want.json")]) == 0
+        run = _front_end({}, [*argv, "--out", str(tmp_path / "got.json")])
+        assert (run.code, run.out, run.err) == (0, "", "") and capsys.readouterr().out == ""
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, code, teardown",
+        ((_VALID_LINE, 0, False), (["check", "lemma:k4", "--trials", "0"], 2, False), (["--version"], 0, True)),
+        ids=["valid", "refused", "version"],
+    )
+    def test_no_teardown_after_the_exit_code(self, argv, code, teardown):
+        # argparse's own exits raise SystemExit and the interpreter exits as
+        # usual; either way the atexit handler's stdout line is flushed
+        out = _exit_probe(argv)
+        assert out.returncode == code
+        assert ("\n# cleanup[" in out.stderr) is teardown
+        assert out.stdout.endswith("collections while numpy imports: 0\n"), out.stdout
+
+    def test_no_collection_while_numpy_imports(self):
+        # the collector is off from before numpy's import to the freeze, so
+        # the probe's count is 0, where it was 26 to 30 young collections
+        out = _exit_probe(_VALID_LINE)
+        assert out.returncode == 0
+        assert out.stdout.splitlines()[-1] == "collections while numpy imports: 0"
+
+    def test_failed_flush_returns_the_code_for_the_interpreter_s_exit(self, monkeypatch):
+        import atexit
+
+        from weitzlab import __main__ as entry
+
+        class BrokenStream:
+            def flush(self):
+                raise OSError(28, "No space left on device")
+
+        ran = []
+        monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: ran.append(True))
+        monkeypatch.setattr(os, "_exit", lambda code: pytest.fail("os._exit after a failed flush"))
+        monkeypatch.setattr(sys, "stderr", BrokenStream())
+        assert entry._end(3) == 3 and ran == [True]
+
+    def test_main_in_process_leaves_the_collector_and_atexit_alone(self, capsys):
+        import atexit
+        import gc
+
+        handlers = atexit._ncallbacks()
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                assert cli.main(_VALID_LINE) == 0
+                assert cli.main(["check", "lemma:k4", "--trials", "0"]) == 2
+                assert gc.isenabled() is enabled
+            finally:
+                gc.enable()
+        assert atexit._ncallbacks() == handlers
 
 
 #: The modules of the package that each command line below executes.

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -131,6 +132,20 @@ class TestTensorConversion:
     def test_operator_constructor_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             curv.curvature_operator(3, np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]))
+
+    def test_operator_constructor_symmetrises_in_one_new_array(self):
+        # m - m.T and then (m + m.T) / 2 share one buffer: beside the input,
+        # the traced peak is that one N^2 array, and the result is the
+        # input's exact symmetrisation, with the input left as it was
+        m = curv.random_symmetric(30, 3).matrix.copy()
+        m[0, 1] += 1e-15
+        given = m.copy()
+        tracemalloc.start()
+        op = curv.curvature_operator(30, m, bianchi=False)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert np.array_equal(op.matrix, (given + given.T) / 2.0) and np.array_equal(m, given)
+        assert m.nbytes <= peak < 1.5 * m.nbytes
 
 
 class TestBianchi:
@@ -384,6 +399,25 @@ class TestBiInvariantGroup:
         op = curv.bi_invariant_group(g)
         assert np.min(np.linalg.eigvalsh(op.matrix)) >= -1e-12
         assert op.bianchi_flag
+
+    @pytest.mark.parametrize("label", ("G2", "A5"))
+    def test_peak_within_the_preflight_estimate(self, label):
+        # the unsymmetrised R is gone before the Bianchi check, so the traced
+        # peak with the check's tables built afresh stays within the
+        # 8 N^2 + 190 C(d, 4) bytes of require_group (R held twice: 1.2 x)
+        g = so.simple_algebra(label)
+        pairs = g.dim * (g.dim - 1) // 2
+        curv._pairings.cache_clear()
+        tracemalloc.start()
+        curv.bi_invariant_group(g)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 8 * pairs * pairs + 190 * comb(g.dim, 4)
+
+    def test_failed_bianchi_check_raises(self, monkeypatch):
+        monkeypatch.setattr(curv, "bianchi_residual_matrix", lambda n, m: 1.0)
+        with pytest.raises(RuntimeError, match="A2 failed the Bianchi check"):
+            curv.bi_invariant_group(so.simple_algebra("A2"))
 
 
 class TestFourDimBlocks:
