@@ -26,9 +26,10 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 
-#: The u(m) lines, clibench's isotypic plan at its seed 1, a file: subalgebra
-#: and the refusals (exit 3 for a u(m) that does not fit, exit 2 for a file
-#: whose matrices do not close).
+#: The u(m) lines, clibench's isotypic plan at its seed 1, a file: subalgebra,
+#: the refusals (exit 3 for a u(m) that does not fit, exit 2 for a file
+#: whose matrices do not close), and complex tables and multiplicities above
+#: 1 under so(m) and u(m).
 DECOMPOSE = [
     "decompose --n 4 --rep vector --sub u:2 --seed 0",
     "decompose --n 4 --rep exterior:2 --sub u:2 --seed 0",
@@ -53,6 +54,12 @@ DECOMPOSE = [
     "decompose --n 5 --rep exterior:2 --sub file:bench/golden/rotated_so3_n5.json --seed 0",
     "decompose --n 6 --rep vector --sub u:2 --seed 0",
     "decompose --n 4 --rep vector --sub file:bench/golden/not_closed_n4.json --seed 0",
+    "decompose --n 7 --rep spin --sub so:5 --seed 0",
+    "decompose --n 6 --rep tensor:vector,spin:+ --sub so:4 --seed 0",
+    "decompose --n 7 --rep exterior:3 --sub so:5 --seed 0",
+    "decompose --n 6 --rep sym:3 --sub u:3 --seed 0",
+    "decompose --n 5 --rep tensor:spin,spin --sub so-full --seed 0",
+    "decompose --n 8 --rep spin --sub u:4 --seed 0",
 ]
 
 #: The compact simple algebras: the strange formula from root data, the

@@ -19,14 +19,17 @@ that it pays every cold cost a CLI process pays:
   -c "import weitzlab.cli"`` with
   ``PYTHONDONTWRITEBYTECODE=1``, timed from spawn to exit, so that each
   compiles the package from source as a benchmark child does (the CLI
-  process, import included);
+  process, import included), and the two ``decompose`` lines at the edge of
+  the commutant solve, ``--n 12 --rep exterior:4 --sub u:6`` and ``--n 6
+  --rep tensor:exterior:2,exterior:2 --sub so-full``, the same way;
 * ``so_algebra.basis(n)`` for n = 40 and 60, ``so_algebra.u_subalgebra(6)``
   and ``so_algebra.simple_algebra`` for D4 and A8 (model, Killing pass and
   root data), each with its tracemalloc peak ``temp_mb`` (algebra
   construction);
 * ``random_curvature(n, seed)`` for n = 4 ... 16, 24, 32 and 40 (curvature
   sources);
-* ``representations.intertwiners(r, r)``, the commutant solve, for sym0 at
+* ``representations.intertwiners(r)``, the commutant solve (``(r, r)`` on
+  older trees, whose solve took two reps), for sym0 at
   n = 6, the adjoint at n = 7, spin at n = 8, exterior(3) at n = 7, 8 and
   10, and vector (x) spin restricted to u(3) at n = 6 (the dense kernel);
 * a whole ``isotypic_decompose`` for the four ``decompose`` invocations of
@@ -65,7 +68,8 @@ commutant solve or an isotypic split whose calls average under
 built representation (untimed), until the timed calls add up to
 ``LOOP_TARGET_S``; the child reports the mean time per call and the number
 of calls (``loops``), so that a case of a few milliseconds is resolved.  The
-record holds the median of five repeats (21 for a cold start), the sizes
+record holds the median of five repeats (21 for a cold start but the two
+``decompose`` edge lines), the sizes
 (n, rep dimension d, generator count N, tensor power k, commutant dimension,
 number of isotypic pieces, family dimensions, products searched, the largest
 product dimension and the nonzero generator entries) and the git revision of
@@ -209,6 +213,20 @@ COLD_CASES = (
     ("import weitzlab.cli", ["-c", "import weitzlab.cli"], 0),
 )
 COLD_REPEATS = 21
+#: (name, interpreter arguments) of each ``decompose`` at the edge of what
+#: the commutant solve handles, timed as a cold start with REPEATS repeats
+#: (each takes seconds): exterior(4) under u(6) at n = 12, and Λ² ⊗ Λ² at
+#: n = 6 over the whole so(6).
+EDGE_CASES = (
+    (
+        "weitzlab decompose --n 12 --rep exterior:4 --sub u:6",
+        ["-m", "weitzlab", "decompose", "--n", "12", "--rep", "exterior:4", "--sub", "u:6"],
+    ),
+    (
+        "weitzlab decompose --n 6 --rep tensor:exterior:2,exterior:2 --sub so-full",
+        ["-m", "weitzlab", "decompose", "--n", "6", "--rep", "tensor:exterior:2,exterior:2", "--sub", "so-full"],
+    ),
+)
 #: (function of so_algebra, argument) of each algebra construction timed.
 ALGEBRA_CASES = (("basis", 40), ("basis", 60), ("u_subalgebra", 6), ("simple_algebra", "D4"), ("simple_algebra", "A8"))
 
@@ -270,10 +288,20 @@ def _restricted(n: int, rep: str, sub: str):
     return r if sub == "so-full" else representations.rep_restrict(r, cli.parse_subalgebra(sub, n))
 
 
+def _commutant(representations, r):
+    """The commutant solve of the tree measured: ``intertwiners(r)``, or
+    ``intertwiners(r, r)`` in older trees, whose solve took two reps."""
+    import inspect
+
+    if len(inspect.signature(representations.intertwiners).parameters) == 1:
+        return representations.intertwiners(r)
+    return representations.intertwiners(r, r)
+
+
 def _child_intertwiners(n: int, rep: str, sub: str) -> dict:
     from weitzlab import representations
 
-    seconds, loops, r, comm = _looped(lambda: _restricted(n, rep, sub), lambda r: representations.intertwiners(r, r))
+    seconds, loops, r, comm = _looped(lambda: _restricted(n, rep, sub), lambda r: _commutant(representations, r))
     return {
         "seconds": seconds, "loops": loops, "d": r.dim, "N": r.count, "commutant_dim": len(comm),
         "peak_rss_mb": _peak_rss_mb(),
@@ -512,6 +540,8 @@ def measure(srcs: list[str]) -> list[dict]:
     for name, args, code in COLD_CASES:
         run = functools.partial(_run_cold, expect=code)
         case("cold_start", args, {"command": name, "exit": code, "repeats": COLD_REPEATS}, name, run=run, repeats=COLD_REPEATS)
+    for name, args in EDGE_CASES:
+        case("cold_start", args, {"command": name, "exit": 0, "repeats": REPEATS}, name, run=_run_cold)
     for function, n in ALGEBRA_CASES:
         entry = {"function": function, **({"label": n} if isinstance(n, str) else {"n": n if function == "basis" else 2 * n})}
         medians = ("seconds", "temp_mb", "peak_rss_mb")

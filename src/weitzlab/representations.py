@@ -222,11 +222,9 @@ def rep_sym0(basis: SoBasis) -> Rep:
     """Trace-free part of Sym^2 (dimension n(n+1)/2 - 1)."""
     s2 = rep_sym(basis, 2)
     n = basis.n
-    monos = list(itertools.combinations_with_replacement(range(n), 2))
+    i = np.arange(n)
     metric = np.zeros((s2.dim, 1), dtype=complex)
-    for k, (i, j) in enumerate(monos):
-        if i == j:
-            metric[k, 0] = 1.0
+    metric[i * n - i * (i - 1) // 2, 0] = 1.0  # (i, i) in combinations_with_replacement order
     metric /= np.linalg.norm(metric)
     cols = numerics.nullspace(metric.conj().T)  # orthonormal complement of the metric vector
     return Rep(basis=basis, dim=s2.dim - 1, table=conjugated_table(s2.table, cols), label="sym0(2)")
@@ -306,16 +304,16 @@ def casimir(r: Rep) -> np.ndarray:
 
 
 #: Relative cutoff of :func:`intertwiners`: an eigenvalue of G at or below
-#: this multiple of ``tr(sum_a sigma~^H sigma~) / d2 + tr(sum_a rho~ rho~^H)
-#: / d1`` (minus the mean Casimir eigenvalues) counts as zero.  G's own
-#: largest is rounding dust when its positions hold only the kernel.  On
-#: the constructed reps the kernel's are <= 1e-15 of that scale, the rest
-#: >= 1/40 of the full normal matrix's largest, of the same order.
+#: this multiple of ``-2 tr(casimir) / d``, twice minus the mean Casimir
+#: eigenvalue, counts as zero.  G's own largest is rounding dust when its
+#: positions hold only the kernel.  On the constructed reps the kernel's are
+#: <= 1e-15 of that scale, the rest >= 1/40 of the full normal matrix's
+#: largest, of the same order.
 KERNEL_TOL = 1e-9
 
-#: Eigenvalues of iρ1(X) and iρ2(X) within this multiple of max(1, largest
-#: |eigenvalue|) pair up.  Equal weights differ by rounding (<= 1e-14
-#: relative); pairing distinct ones only adds unknowns.
+#: Eigenvalues of iρ(X) within this multiple of max(1, largest |eigenvalue|)
+#: pair up.  Equal weights differ by rounding (<= 1e-14 relative); pairing
+#: distinct ones only adds unknowns.
 WEIGHT_TOL = 1e-8
 
 #: Entries of an intertwiner at or below this multiple of its largest are
@@ -354,80 +352,71 @@ def _generator(r: Rep, a: int) -> np.ndarray:
     return m
 
 
-def intertwiners(r1: Rep, r2: Rep) -> list[np.ndarray]:
-    """Orthonormal basis (Frobenius) of ``{T : sigma(x_a) T = T rho(x_a)}``,
-    maps from the space of ``r1`` (rho) to that of ``r2`` (sigma).
+def intertwiners(r: Rep) -> list[np.ndarray]:
+    """Orthonormal basis (Frobenius) of the commutant ``{T : rho(x_a) T =
+    T rho(x_a)}`` of ``r``.
 
     Such a T commutes with ρ(X) for every X, so it maps each eigenspace of
-    iρ(X) into the eigenspace of iσ(X) with the same eigenvalue.  For the
-    fixed X of :func:`_golden` (no random state) and eigenbases U1, U2,
-    ``A = U2^H T U1`` lives on the S positions whose eigenvalues pair up:
-    sum of m_mu^2 for a commutant with weight multiplicities m_mu when X is
-    regular, more when it is not.  A solves ``sigma~_a A = A rho~_a``,
-    ``rho~_a = U1^H rho_a U1``, whose normal matrix on those positions is
+    iρ(X) into itself.  For the fixed X of :func:`_golden` (no random state)
+    and the eigenbasis U, ``A = U^H T U`` lives on the S positions whose
+    eigenvalues pair up: sum of m_mu^2 for weight multiplicities m_mu when X
+    is regular, more when it is not.  A solves ``rho~_a A = A rho~_a``,
+    ``rho~_a = U^H rho_a U``, whose normal matrix on those positions is
 
-        G[(ij),(kl)] = δ_jl (sum_a sigma~^H sigma~)[i,k]
-                     + δ_ik (sum_a rho~ rho~^H)[l,j] - C[(ij),(kl)] - conj C[(kl),(ij)],
-        C[(ij),(kl)] = sum_a conj(sigma~_a[k,i]) rho~_a[l,j],
+        G[(ij),(kl)] = -δ_jl Cas~[i,k] - δ_ik Cas~[l,j] - C[(ij),(kl)] - conj C[(kl),(ij)],
+        C[(ij),(kl)] = sum_a conj(rho~_a[k,i]) rho~_a[l,j],
 
-    C summed one generator at a time, each rho_a and sigma_a formed dense
-    from its run of the table.  Its kernel (one eigh, KERNEL_TOL)
-    maps back by the unitary ``T = U2 A U1^H``.  When both tables are real
-    the commutant is closed under conjugation, and the real and imaginary
-    parts of the T are orthonormalised into as many real intertwiners.
+    with ``Cas~ = U^H casimir(r) U``: the generators are skew-adjoint, so
+    sum_a rho~^H rho~ and sum_a rho~ rho~^H are both -Cas~.  C is summed one
+    generator at a time, each rho_a formed dense from its run of the table.
+    Its kernel (one eigh, KERNEL_TOL) maps back by the unitary ``T = U A
+    U^H``.  When the table is real the commutant is closed under
+    conjugation, and the real and imaginary parts of the T are
+    orthonormalised into as many real intertwiners.
 
     Each step is refused before it allocates if it cannot fit
-    (:func:`numerics.require_bytes`): the eigendecompositions at 96 bytes
-    per entry of d1^2 + d2^2 (5.8 x 16 measured), then the eigenbases, sums
-    and one generator's products at 128 per entry of d1^2 + d2^2 (90 to 123
-    traced) and G at 128 per entry of S^2 (a peak 0.7 of that share where
-    it dominates)."""
-    if not _same_basis(r1, r2):
-        raise ValueError("intertwiners need representations over the same basis")
-    return _intertwiners_at(r1, r2, _golden(r1.count))
+    (:func:`numerics.require_bytes`): the eigendecomposition at 96 bytes per
+    entry of 2 d^2 (5.8 x 16 measured), then the eigenbasis, the Casimir and
+    one generator's products at 128 per entry of 2 d^2 (90 to 123 traced)
+    and G at 128 per entry of S^2 (a peak 0.7 of that share where it
+    dominates)."""
+    return _intertwiners_at(r, _golden(r.count))
 
 
-def _intertwiners_at(r1: Rep, r2: Rep, coeff: np.ndarray) -> list[np.ndarray]:
+def _intertwiners_at(r: Rep, coeff: np.ndarray) -> list[np.ndarray]:
     """:func:`intertwiners` from the eigenspaces of iρ(X), X = sum_a
     coeff[a] x_a."""
-    d1, d2 = r1.dim, r2.dim
-    numerics.require_bytes(96 * (d1 * d1 + d2 * d2), f"the torus eigendecompositions of {r1.label} and {r2.label}")
-    w1, u1 = _torus_eigh(r1, coeff)
-    w2, u2 = (w1, u1) if r2 is r1 else _torus_eigh(r2, coeff)
-    tol = WEIGHT_TOL * np.max(np.abs(np.concatenate([w1, w2])), initial=1.0)
-    i, j = np.nonzero(np.abs(w2[:, None] - w1) <= tol)
+    d = r.dim
+    numerics.require_bytes(96 * 2 * d * d, f"the torus eigendecompositions of {r.label} and {r.label}")
+    w, u = _torus_eigh(r, coeff)
+    tol = WEIGHT_TOL * np.max(np.abs(w), initial=1.0)
+    i, j = np.nonzero(np.abs(w[:, None] - w) <= tol)
     size = len(i)
     numerics.require_bytes(
-        128 * (d1 * d1 + d2 * d2 + size * size),
-        f"the commutant solve of {r1.label} and {r2.label} ({size} unknowns)",
+        128 * (2 * d * d + size * size),
+        f"the commutant solve of {r.label} and {r.label} ({size} unknowns)",
     )
-    if size == 0:
-        return []
     ii, jj = np.ix_(i, i), np.ix_(j, j)
-    sum_ss, sum_rr = np.zeros((d2, d2), dtype=complex), np.zeros((d1, d1), dtype=complex)
+    uh, cas = u.conj().T, casimir(r)
+    gram = uh @ -cas @ u  # sum_a rho~^H rho~ = sum_a rho~ rho~^H = -Cas~
     cross = np.zeros((size, size), dtype=complex)  # C transposed
-    u1h, u2h = u1.conj().T, u2.conj().T
-    for a in range(r1.count):
-        rho = u1h @ _generator(r1, a) @ u1
-        sigma = rho if r2 is r1 else u2h @ _generator(r2, a) @ u2
-        sum_ss += sigma.conj().T @ sigma
-        sum_rr += rho @ rho.conj().T
-        cross += sigma[ii].conj() * rho[jj]
-    g = (j[:, None] == j) * sum_ss[ii] + (i[:, None] == i) * sum_rr.T[jj]
+    for a in range(r.count):
+        rho = uh @ _generator(r, a) @ u
+        cross += rho[ii].conj() * rho[jj]
+    g = (j[:, None] == j) * gram[ii] + (i[:, None] == i) * gram.T[jj]
     g -= cross.T + cross.conj()
-    scale = np.trace(sum_ss).real / d2 + np.trace(sum_rr).real / d1
     w, v = numerics.eig_hermitian(g)
-    kernel = v[:, w <= KERNEL_TOL * scale]
+    kernel = v[:, w <= KERNEL_TOL * -2.0 * np.trace(cas).real / d]
     if kernel.shape[1] == 0:
         return []
-    a = np.zeros((kernel.shape[1], d2, d1), dtype=complex)
+    a = np.zeros((kernel.shape[1], d, d), dtype=complex)
     a[:, i, j] = kernel.T
-    t = u2 @ a @ u1h
-    if not (np.any(r1.table.val.imag) or np.any(r2.table.val.imag)):
+    t = u @ a @ uh
+    if not np.any(r.table.val.imag):
         parts = t.reshape(len(t), -1)
         parts = np.concatenate([parts.real, parts.imag])
         w, v = numerics.eig_hermitian(parts @ parts.T)  # eigenvalues 1 and 0, half each
-        t = (v[:, w > 0.5].T @ parts).reshape(-1, d2, d1)
+        t = (v[:, w > 0.5].T @ parts).reshape(-1, d, d)
     t[np.abs(t) <= DUST_TOL * np.abs(t).max(axis=(1, 2), keepdims=True)] = 0.0
     return list(t)
 
@@ -435,7 +424,7 @@ def _intertwiners_at(r1: Rep, r2: Rep, coeff: np.ndarray) -> list[np.ndarray]:
 def commutant_dimension(r: Rep) -> int:
     """Dimension of the commutant over C; for a rep by real matrices, also
     that of its real commutant."""
-    return len(intertwiners(r, r))
+    return len(intertwiners(r))
 
 
 class IsotypicPiece(NamedTuple):
@@ -468,7 +457,7 @@ def isotypic_decompose(r: Rep, seed: int = 0) -> list[IsotypicPiece]:
     entries, so the order does not depend on the basis :func:`intertwiners`
     happens to return.
     """
-    comm = np.array(intertwiners(r, r))
+    comm = np.array(intertwiners(r))
     parts = _golden(2 * len(comm), seed)
     coeff = parts[: len(comm)] + 1j * parts[len(comm):]
     generic = np.tensordot(coeff, comm, axes=1)

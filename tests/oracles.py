@@ -195,6 +195,21 @@ def dense_intertwiners(r1: reps.Rep, r2: reps.Rep) -> list[np.ndarray]:
     return [kernel[:, k].reshape(d2, d1) for k in range(kernel.shape[1])]
 
 
+def direct_sum(r1: reps.Rep, r2: reps.Rep) -> reps.Rep:
+    """``rho (+) sigma`` on the space of ``r1`` followed by that of ``r2``:
+    the two tables side by side, r2's shifted by ``r1.dim``.  Its commutant
+    holds Hom(r1, r2) as the lower-left (d2, d1) blocks."""
+    t1, t2, d = r1.table, r2.table, r1.dim + r2.dim
+    table = reps.gen_table(
+        np.concatenate([t1.gen, t2.gen]),
+        np.concatenate([t1.row, t2.row + r1.dim]),
+        np.concatenate([t1.col, t2.col + r1.dim]),
+        np.concatenate([t1.val, t2.val]),
+        d,
+    )
+    return reps.Rep(r1.basis, d, table, f"{r1.label}+{r2.label}")
+
+
 def dual(r: reps.Rep) -> reps.Rep:
     """The dual representation ``-rho^T``: its intertwiners from ``r`` are
     the invariant bilinear forms, the B with ``rho^T B + B rho = 0``."""

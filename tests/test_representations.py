@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from weitzlab import representations as reps
 from weitzlab import so_algebra as so
 from weitzlab import weitzenbock as wb
 from weitzlab.spin import rep_half_spin, rep_spin
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _exterior_action_loop(x, n, p):
@@ -179,6 +182,17 @@ def _build_rep(n, kind, sub):
 def _span_projector(vecs) -> np.ndarray:
     q = np.array([np.ravel(v) for v in vecs]).T
     return q @ q.conj().T
+
+
+def _hom(r1, r2) -> list[np.ndarray]:
+    """Hom(r1, r2) from the one-rep solve: the commutant of ``r1`` when the
+    two are one rep, else an orthonormal basis of the span of the
+    lower-left (d2, d1) blocks of the commutant of r1 (+) r2."""
+    if r1 is r2:
+        return reps.intertwiners(r1)
+    blocks = [t[r1.dim:, : r1.dim].ravel() for t in reps.intertwiners(oracles.direct_sum(r1, r2))]
+    q = numerics.orthonormal_columns(np.array(blocks).T, atol=1e-10)
+    return [q[:, k].reshape(r2.dim, r1.dim) for k in range(q.shape[1])]
 
 
 def _oracle_cases():
@@ -444,11 +458,11 @@ class TestRestrict:
 class TestIntertwiners:
     def test_schur_for_irreducible(self, b3):
         r = reps.rep_vector(b3)
-        basis = reps.intertwiners(r, r)
+        basis = reps.intertwiners(r)
         assert len(basis) == 1
 
     def test_basis_frobenius_orthonormal(self, b4):
-        basis = reps.intertwiners(reps.rep_exterior(b4, 2), reps.rep_exterior(b4, 2))
+        basis = reps.intertwiners(reps.rep_exterior(b4, 2))
         assert len(basis) == 2
         for i, s in enumerate(basis):
             for j, t in enumerate(basis):
@@ -456,13 +470,17 @@ class TestIntertwiners:
                 assert abs(gram - (1.0 if i == j else 0.0)) <= 1e-10
 
     def test_intertwiners_intertwine(self, b3):
-        r1 = reps.rep_exterior(b3, 2)  # isomorphic to the vector rep
+        # exterior(2) is isomorphic to the vector rep, so the commutant of
+        # their sum is M_2(C), and its lower-left blocks are Hom(r1, r2)
+        r1 = reps.rep_exterior(b3, 2)
         r2 = reps.rep_vector(b3)
-        basis = reps.intertwiners(r1, r2)
-        assert len(basis) == 1
-        t = basis[0]
-        for m1, m2 in zip(oracles.dense(r1), oracles.dense(r2)):
-            assert np.linalg.norm(m2 @ t - t @ m1) <= 1e-10
+        total = oracles.direct_sum(r1, r2)
+        basis = reps.intertwiners(total)
+        assert len(basis) == 4
+        for t in basis:
+            for m in oracles.dense(total):
+                assert np.linalg.norm(m @ t - t @ m) <= 1e-10
+        assert len(_hom(r1, r2)) == 1
 
     def test_irreducibility_examples(self, b3, b4):
         # irreducible over C exactly when the commutant is the scalars
@@ -479,19 +497,19 @@ class TestIntertwiners:
         r = reps.rep_vector(b2)
         assert reps.commutant_dimension(r) == 2
         for rep, dim in ((r, 2), (reps.rep_vector(b3), 1)):
-            comm = reps.intertwiners(rep, rep)
+            comm = reps.intertwiners(rep)
             assert len(comm) == dim and not np.any(np.imag(comm))
 
 
 class TestKernelOracle:
-    """intertwiners, and the invariant bilinear forms as the intertwiners to
-    the dual, against the stacked
+    """intertwiners, Hom(r1, r2) from the commutant of r1 (+) r2, and the
+    invariant bilinear forms as the maps to the dual, against the stacked
     Kronecker system solved by SVD."""
 
     @pytest.mark.parametrize("case", list(_oracle_cases()))
     def test_intertwiners_match_stacked_system(self, case):
         r1, r2 = _oracle_cases()[case]
-        got = reps.intertwiners(r1, r2)
+        got = _hom(r1, r2)
         want = _intertwiners_oracle(r1, r2)
         assert len(got) == want.shape[1]
         assert all(t.shape == (r2.dim, r1.dim) for t in got)
@@ -499,12 +517,12 @@ class TestKernelOracle:
 
     def test_rectangular_hom_is_one_dimensional(self):
         r1, r2 = _oracle_cases()["vector->vector(x)vector"]
-        assert len(reps.intertwiners(r1, r2)) == 1
+        assert len(_hom(r1, r2)) == 1
 
     @pytest.mark.parametrize("case", list(_oracle_cases())[1:])
     def test_forms_match_stacked_system(self, case):
         r, _ = _oracle_cases()[case]
-        got = reps.intertwiners(r, oracles.dual(r))
+        got = _hom(r, oracles.dual(r))
         want = _forms_oracle(r)
         assert len(got) == want.shape[1]
         assert np.linalg.norm(_span_projector(got) - want @ want.conj().T) <= 1e-12
@@ -551,13 +569,14 @@ def _pair_cases() -> dict:
 class TestRealKernel:
     """The torus-block solve against the kernel of the full normal matrix G
     (the dense-G oracle): the same span to 1e-12, real float64 intertwiners
-    for real tables, and the same span from a degenerate torus element."""
+    for real tables, Hom(r1, r2) from the commutant of r1 (+) r2, and the
+    same span from a degenerate torus element."""
 
     @pytest.mark.parametrize(("case", "spec"), list(_real_kernel_cases().items()), ids=list(_real_kernel_cases()))
     def test_real_kernel_spans_the_complex_kernel(self, case, spec):
         r = _build_rep(*spec)
         assert not np.any(r.table.val.imag)
-        got = reps.intertwiners(r, r)
+        got = reps.intertwiners(r)
         want = oracles.dense_intertwiners(r, r)
         assert len(got) == len(want)
         assert all(t.dtype == np.float64 for t in got)
@@ -567,7 +586,7 @@ class TestRealKernel:
     def test_complex_tables_span_the_dense_solve(self, case):
         r = _complex_table_rep(case)
         assert np.any(r.table.val.imag)
-        got = reps.intertwiners(r, r)
+        got = reps.intertwiners(r)
         want = oracles.dense_intertwiners(r, r)
         assert len(got) == len(want)
         assert np.linalg.norm(_span_projector(got) - _span_projector(want)) <= 1e-12
@@ -575,7 +594,7 @@ class TestRealKernel:
     @pytest.mark.parametrize("case", list(_pair_cases()))
     def test_pairs_span_the_dense_solve(self, case):
         r1, r2 = _pair_cases()[case]
-        got = reps.intertwiners(r1, r2)
+        got = _hom(r1, r2)
         want = oracles.dense_intertwiners(r1, r2)
         assert len(got) == len(want)
         assert all(t.shape == (r2.dim, r1.dim) for t in got)
@@ -589,14 +608,14 @@ class TestRealKernel:
         # X = 0 pairs every position with every other: the solve is then
         # the full normal matrix in the eigenbasis of the zero matrix
         if case == "pair":
-            r1, r2 = _pair_cases()["vector->vector(x)vector n=3"]
+            r = oracles.direct_sum(*_pair_cases()["vector->vector(x)vector n=3"])
         elif case in _complex_table_cases():
-            r1 = r2 = _complex_table_rep(case)
+            r = _complex_table_rep(case)
         else:
             kind, n = case.split(" n=")
-            r1 = r2 = _build_rep(int(n), *(kind.split("|") + [None])[:2])
-        got = reps._intertwiners_at(r1, r2, np.zeros(r1.count))
-        want = reps.intertwiners(r1, r2)
+            r = _build_rep(int(n), *(kind.split("|") + [None])[:2])
+        got = reps._intertwiners_at(r, np.zeros(r.count))
+        want = reps.intertwiners(r)
         assert len(got) == len(want) >= 1
         assert np.linalg.norm(_span_projector(got) - _span_projector(want)) <= 1e-12
 
@@ -612,7 +631,7 @@ class TestRealKernel:
 class TestInvariantForms:
     def test_vector_standard_form(self, b3):
         r = reps.rep_vector(b3)
-        forms = reps.intertwiners(r, oracles.dual(r))
+        forms = oracles.dense_intertwiners(r, oracles.dual(r))
         assert len(forms) == 1
         b = forms[0]
         assert np.array_equal(b, b.T)
@@ -620,9 +639,24 @@ class TestInvariantForms:
 
     def test_defining_equation(self, b4):
         r = reps.rep_exterior(b4, 2)
-        for b in reps.intertwiners(r, oracles.dual(r)):
+        for b in oracles.dense_intertwiners(r, oracles.dual(r)):
             for m in oracles.dense(r):
                 assert np.linalg.norm(m.T @ b + b @ m) <= 1e-12
+
+
+#: The premise of the commutant solve is checked on every ``--rep`` selector,
+#: restrictions to so(m), u(m) and a file: subalgebra, and tensors with spin:
+#: case id -> (n, rep, subalgebra or None).
+_ROTATED_FILE = os.path.join(ROOT, "bench", "golden", "rotated_so3_n5.json")
+_GRAM_CASES = {
+    **{f"{kind} n=6": (6, kind, None) for kind in ("trivial", "vector", "adjoint", "exterior:3", "sym:3", "sym0", "spin", "spin:+", "spin:-")},
+    "tensor:vector,spin n=5": (5, "tensor:vector,spin", None),
+    "tensor:spin,spin n=4": (4, "tensor:spin,spin", None),
+    "sym0|so:3 n=5": (5, "sym0", "so:3"),
+    "exterior:2|u:3 n=6": (6, "exterior:2", "u:3"),
+    "tensor:vector,spin:+|so:4 n=6": (6, "tensor:vector,spin:+", "so:4"),
+    "exterior:2|file n=5": (5, "exterior:2", f"file:{_ROTATED_FILE}"),
+}
 
 
 class TestCasimir:
@@ -657,6 +691,16 @@ class TestCasimir:
     def test_table_join_bit_equal_to_einsum_when_restricted(self, n, rep, sub):
         r = reps.rep_restrict(*_restriction(n, rep, sub))
         assert reps.casimir(r).tobytes() == oracles.casimir(r).tobytes()
+
+    @pytest.mark.parametrize(("n", "rep", "sub"), list(_GRAM_CASES.values()), ids=list(_GRAM_CASES))
+    def test_gram_of_the_generators_is_minus_the_casimir(self, n, rep, sub):
+        # the premise of the commutant solve's diagonal blocks: the
+        # generators are skew-adjoint, so sum_a rho_a^H rho_a = -casimir
+        r = _build_rep(n, rep, sub)
+        m = oracles.dense(r)
+        cas = reps.casimir(r)
+        gram = np.einsum("aji,ajk->ik", m.conj(), m)
+        assert np.linalg.norm(gram + cas) <= 1e-13 * max(1.0, np.linalg.norm(cas))
 
     def test_scalar_on_irreducible(self, b3):
         r = reps.rep_sym0(b3)
@@ -731,10 +775,7 @@ class TestIsotypic:
 
     def test_multiplicity_detection(self, b4):
         r = reps.rep_vector(b4)
-        mats = tuple(
-            np.block([[m, np.zeros((4, 4))], [np.zeros((4, 4)), m]]) for m in oracles.dense(r)
-        )
-        doubled = oracles.rep_from_mats(b4, 8, mats, "vector+vector")
+        doubled = oracles.direct_sum(r, r)
         pieces = reps.isotypic_decompose(doubled)
         assert len(pieces) == 1
         assert pieces[0].dim == 8
@@ -762,7 +803,7 @@ class TestIsotypic:
     @pytest.mark.parametrize(("case", "spec"), list(_isotypic_cases().items()), ids=list(_isotypic_cases()))
     def test_matches_the_center_of_commutant_oracle(self, case, spec, monkeypatch):
         r = _build_rep(*spec)
-        comm = reps.intertwiners(r, r)
+        comm = reps.intertwiners(r)
         want = _isotypic_oracle(r, comm)
         monkeypatch.setattr(reps, "intertwiners", lambda *a: comm)
         got = reps.isotypic_decompose(r)
@@ -770,9 +811,8 @@ class TestIsotypic:
 
     def test_doubled_vector_matches_the_oracle(self, b4):
         r = reps.rep_vector(b4)
-        mats = tuple(np.block([[m, np.zeros((4, 4))], [np.zeros((4, 4)), m]]) for m in oracles.dense(r))
-        doubled = oracles.rep_from_mats(b4, 8, mats, "vector+vector")
-        _assert_same_pieces(reps.isotypic_decompose(doubled), _isotypic_oracle(doubled, reps.intertwiners(doubled, doubled)))
+        doubled = oracles.direct_sum(r, r)
+        _assert_same_pieces(reps.isotypic_decompose(doubled), _isotypic_oracle(doubled, reps.intertwiners(doubled)))
 
     def test_piece_order_independent_of_nullspace_basis(self, monkeypatch):
         # the two 3-dimensional pieces of the 2-forms under u(3) tie on

@@ -373,7 +373,7 @@ class TestSpinorPairing:
         b, bmat = so.basis(4), _pairing(4)
         for sign, rows in zip((1, -1), spin.half_spin_rows(4)):
             half = spin.rep_half_spin(b, sign)
-            assert len(reps.intertwiners(half, oracles.dual(half))) == 1
+            assert len(oracles.dense_intertwiners(half, oracles.dual(half))) == 1
             assert np.any(bmat[np.ix_(rows, rows)])
 
     def test_n4_half_forms_antisymmetric(self):
@@ -388,14 +388,14 @@ class TestSpinorPairing:
         plus, minus = spin.half_spin_rows(6)
         for sign in (1, -1):
             half = spin.rep_half_spin(b, sign)
-            assert reps.intertwiners(half, oracles.dual(half)) == []
+            assert oracles.dense_intertwiners(half, oracles.dual(half)) == []
         assert not np.any(bmat[np.ix_(plus, plus)]) and not np.any(bmat[np.ix_(minus, minus)])
         assert np.any(bmat[np.ix_(plus, minus)])
 
     @pytest.mark.parametrize("n", (3, 4, 5, 6))
     def test_invariance_equation(self, n):
         r = spin.rep_spin(so.basis(n))
-        forms = reps.intertwiners(r, oracles.dual(r))
+        forms = oracles.dense_intertwiners(r, oracles.dual(r))
         assert forms
         for bform in forms:
             for m in oracles.dense(r):
@@ -425,7 +425,7 @@ class TestSpinorPairing:
         nz = bmat != 0
         assert np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1)
         assert np.all(np.abs(bmat[nz]) == 1.0)
-        forms = np.array([f.ravel() for f in reps.intertwiners(r, oracles.dual(r))]).T
+        forms = np.array([f.ravel() for f in oracles.dense_intertwiners(r, oracles.dual(r))]).T
         coef = np.linalg.lstsq(forms, bmat.ravel(), rcond=None)[0]
         assert np.linalg.norm(forms @ coef - bmat.ravel()) <= 1e-12
 
@@ -497,4 +497,4 @@ class TestCliffordSymbol:
         b = so.basis(4)
         ss = reps.rep_tensor(spin.rep_spin(b), spin.rep_spin(b))
         for ext, _ in _symbol_blocks(4):
-            assert len(reps.intertwiners(ext, ss)) >= 1
+            assert len(oracles.dense_intertwiners(ext, ss)) >= 1

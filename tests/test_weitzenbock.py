@@ -391,7 +391,7 @@ class TestNaturality:
     def test_k_commutes_with_intertwiners(self, b3):
         r1 = reps.rep_exterior(b3, 2)
         r2 = reps.rep_vector(b3)
-        t = reps.intertwiners(r1, r2)[0]
+        t = oracles.dense_intertwiners(r1, r2)[0]
         for seed in range(5):
             op = curv.random_curvature(3, seed)
             k1 = wb.k_matrix(op, r1)
