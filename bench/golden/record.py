@@ -28,8 +28,10 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 
 #: The u(m) lines, clibench's isotypic plan at its seed 1, a file: subalgebra,
 #: the refusals (exit 3 for a u(m) that does not fit, exit 2 for a file
-#: whose matrices do not close), and complex tables and multiplicities above
-#: 1 under so(m) and u(m).
+#: whose matrices do not close), complex tables and multiplicities above 1
+#: under so(m) and u(m), the lines at the edge of the normal-matrix commutant
+#: solve (Λ² ⊗ Λ² over so(6) and so(7), Λ⁴ under u(6)), the abelian so(2) and
+#: spin ⊗ spin under u(3).
 DECOMPOSE = [
     "decompose --n 4 --rep vector --sub u:2 --seed 0",
     "decompose --n 4 --rep exterior:2 --sub u:2 --seed 0",
@@ -60,6 +62,11 @@ DECOMPOSE = [
     "decompose --n 6 --rep sym:3 --sub u:3 --seed 0",
     "decompose --n 5 --rep tensor:spin,spin --sub so-full --seed 0",
     "decompose --n 8 --rep spin --sub u:4 --seed 0",
+    "decompose --n 6 --rep tensor:exterior:2,exterior:2 --sub so-full --seed 0",
+    "decompose --n 7 --rep tensor:exterior:2,exterior:2 --sub so-full --seed 0",
+    "decompose --n 12 --rep exterior:4 --sub u:6 --seed 0",
+    "decompose --n 4 --rep vector --sub so:2 --seed 0",
+    "decompose --n 6 --rep tensor:spin,spin --sub u:3 --seed 0",
 ]
 
 #: The compact simple algebras: the strange formula from root data, the

@@ -1,4 +1,4 @@
-"""Layer bench: the cold start, algebra construction, curvature sources, commutant solves,
+"""Layer bench: the cold start, algebra construction, curvature sources, commutant dimensions,
 isotypic splits, the projection lemma suites, the other trial-driven suites,
 the sphere-Casimir suite, representation construction, the positivity
 report and the assembly of K.
@@ -19,19 +19,21 @@ that it pays every cold cost a CLI process pays:
   -c "import weitzlab.cli"`` with
   ``PYTHONDONTWRITEBYTECODE=1``, timed from spawn to exit, so that each
   compiles the package from source as a benchmark child does (the CLI
-  process, import included), and the two ``decompose`` lines at the edge of
-  the commutant solve, ``--n 12 --rep exterior:4 --sub u:6`` and ``--n 6
-  --rep tensor:exterior:2,exterior:2 --sub so-full``, the same way;
+  process, import included), and the three ``decompose`` lines at the edge
+  of what the normal-matrix commutant solve handled, ``--n 12 --rep
+  exterior:4 --sub u:6`` and ``--n 6`` and ``--n 7 --rep
+  tensor:exterior:2,exterior:2 --sub so-full``, the same way;
 * ``so_algebra.basis(n)`` for n = 40 and 60, ``so_algebra.u_subalgebra(6)``
   and ``so_algebra.simple_algebra`` for D4 and A8 (model, Killing pass and
   root data), each with its tracemalloc peak ``temp_mb`` (algebra
   construction);
 * ``random_curvature(n, seed)`` for n = 4 ... 16, 24, 32 and 40 (curvature
   sources);
-* ``representations.intertwiners(r)``, the commutant solve (``(r, r)`` on
-  older trees, whose solve took two reps), for sym0 at
-  n = 6, the adjoint at n = 7, spin at n = 8, exterior(3) at n = 7, 8 and
-  10, and vector (x) spin restricted to u(3) at n = 6 (the dense kernel);
+* ``representations.commutant_dimension(r)``, the commutant's dimension
+  (from highest-weight multiplicities, or from the normal-matrix solve in
+  older trees), for sym0 at n = 6, the adjoint at n = 7, spin at n = 8,
+  exterior(3) at n = 7, 8 and 10, and vector (x) spin restricted to u(3) at
+  n = 6 (the dense kernel);
 * a whole ``isotypic_decompose`` for the four ``decompose`` invocations of
   the isotypic workload, plus the ``sym0`` / ``so:3`` case at n = 6 and
   exterior(4) restricted to u(6) at n = 12;
@@ -63,13 +65,14 @@ that it pays every cold cost a CLI process pays:
 
 Each child runs with one BLAS/OpenMP thread and a 3 GiB address-space cap,
 and reports its own peak RSS (a cold start's comes from its rusage).  A
-commutant solve or an isotypic split whose calls average under
+commutant dimension or an isotypic split whose calls average under
 ``LOOP_BELOW_S`` is called again in the same child, each time on a freshly
 built representation (untimed), until the timed calls add up to
 ``LOOP_TARGET_S``; the child reports the mean time per call and the number
 of calls (``loops``), so that a case of a few milliseconds is resolved.  The
-record holds the median of five repeats (21 for a cold start but the two
-``decompose`` edge lines), the sizes
+record holds the median of five repeats (21 for a cold start but the
+``decompose`` edge lines; one in the baseline tree for the n = 7 line, which
+took minutes before highest weights), the sizes
 (n, rep dimension d, generator count N, tensor power k, commutant dimension,
 number of isotypic pieces, family dimensions, products searched, the largest
 product dimension and the nonzero generator entries) and the git revision of
@@ -109,7 +112,7 @@ CAP_BYTES = 3 << 30
 REPEATS = 5
 CHILD_TIMEOUT_S = 300
 CURVATURE_NS = (*range(4, 17), 24, 32, 40)
-#: (n, rep, subalgebra) of each commutant solve timed.
+#: (n, rep, subalgebra) of each commutant dimension timed.
 INTERTWINER_CASES = (
     (6, "sym0", "so-full"),
     (7, "adjoint", "so-full"),
@@ -213,18 +216,27 @@ COLD_CASES = (
     ("import weitzlab.cli", ["-c", "import weitzlab.cli"], 0),
 )
 COLD_REPEATS = 21
-#: (name, interpreter arguments) of each ``decompose`` at the edge of what
-#: the commutant solve handles, timed as a cold start with REPEATS repeats
-#: (each takes seconds): exterior(4) under u(6) at n = 12, and Λ² ⊗ Λ² at
-#: n = 6 over the whole so(6).
+#: (name, interpreter arguments, repeats in the baseline tree) of each
+#: ``decompose`` at the edge of what the normal-matrix commutant solve
+#: handled, timed as a cold start with REPEATS repeats: exterior(4) under
+#: u(6) at n = 12, and Λ² ⊗ Λ² over the whole so(6) and so(7).  The n = 7
+#: line took 138-167 s and 2 GB with that solve, so one repeat of it is
+#: enough in a baseline tree that still has it.
 EDGE_CASES = (
     (
         "weitzlab decompose --n 12 --rep exterior:4 --sub u:6",
         ["-m", "weitzlab", "decompose", "--n", "12", "--rep", "exterior:4", "--sub", "u:6"],
+        REPEATS,
     ),
     (
         "weitzlab decompose --n 6 --rep tensor:exterior:2,exterior:2 --sub so-full",
         ["-m", "weitzlab", "decompose", "--n", "6", "--rep", "tensor:exterior:2,exterior:2", "--sub", "so-full"],
+        REPEATS,
+    ),
+    (
+        "weitzlab decompose --n 7 --rep tensor:exterior:2,exterior:2 --sub so-full",
+        ["-m", "weitzlab", "decompose", "--n", "7", "--rep", "tensor:exterior:2,exterior:2", "--sub", "so-full"],
+        1,
     ),
 )
 #: (function of so_algebra, argument) of each algebra construction timed.
@@ -288,24 +300,11 @@ def _restricted(n: int, rep: str, sub: str):
     return r if sub == "so-full" else representations.rep_restrict(r, cli.parse_subalgebra(sub, n))
 
 
-def _commutant(representations, r):
-    """The commutant solve of the tree measured: ``intertwiners(r)``, or
-    ``intertwiners(r, r)`` in older trees, whose solve took two reps."""
-    import inspect
-
-    if len(inspect.signature(representations.intertwiners).parameters) == 1:
-        return representations.intertwiners(r)
-    return representations.intertwiners(r, r)
-
-
 def _child_intertwiners(n: int, rep: str, sub: str) -> dict:
     from weitzlab import representations
 
-    seconds, loops, r, comm = _looped(lambda: _restricted(n, rep, sub), lambda r: _commutant(representations, r))
-    return {
-        "seconds": seconds, "loops": loops, "d": r.dim, "N": r.count, "commutant_dim": len(comm),
-        "peak_rss_mb": _peak_rss_mb(),
-    }
+    seconds, loops, r, dim = _looped(lambda: _restricted(n, rep, sub), representations.commutant_dimension)
+    return {"seconds": seconds, "loops": loops, "d": r.dim, "N": r.count, "commutant_dim": dim, "peak_rss_mb": _peak_rss_mb()}
 
 
 def _child_decompose(n: int, rep: str, sub: str) -> dict:
@@ -493,16 +492,17 @@ def _run_cold(src: str, args: list[str], expect: int = 0) -> dict:
     return {"seconds": seconds, "peak_rss_mb": usage.ru_maxrss / 1024.0}
 
 
-def _repeat(srcs: list[str], args: list[str], run=_run_child, repeats: int = REPEATS) -> list:
-    """``repeats`` runs of one case in each tree, the trees taking turns run
-    by run (and the first turn alternating), so that a drift of the host
-    between runs lands on every tree alike.  Per tree, the list of runs or
-    the first failed run's error."""
+def _repeat(srcs: list[str], args: list[str], run=_run_child, repeats: int | list[int] = REPEATS) -> list:
+    """``repeats`` runs of one case in each tree (or ``repeats[t]`` in tree
+    t), the trees taking turns run by run (and the first turn alternating),
+    so that a drift of the host between runs lands on every tree alike.
+    Per tree, the list of runs or the first failed run's error."""
+    counts = repeats if isinstance(repeats, list) else [repeats] * len(srcs)
     runs: list = [[] for _ in srcs]
-    for i in range(repeats):
+    for i in range(max(counts)):
         order = range(len(srcs)) if i % 2 == 0 else reversed(range(len(srcs)))
         for t in order:
-            if isinstance(runs[t], list):
+            if i < counts[t] and isinstance(runs[t], list):
                 result = run(srcs[t], args)
                 runs[t] = result if "error" in result else runs[t] + [result]
     return runs
@@ -526,7 +526,10 @@ def measure(srcs: list[str]) -> list[dict]:
         to each tree's ``section``; returns the trees where it failed."""
         trees = range(len(srcs)) if trees is None else trees
         failed = []
+        counts = how.get("repeats")
         for t, runs in zip(trees, _repeat([srcs[t] for t in trees], args, **how)):
+            if isinstance(counts, list):
+                entry = {**entry, "repeats": counts[t]}
             if isinstance(runs, dict):
                 failed.append(t)
                 records[t].setdefault(section, []).append({**entry, **runs})
@@ -540,8 +543,9 @@ def measure(srcs: list[str]) -> list[dict]:
     for name, args, code in COLD_CASES:
         run = functools.partial(_run_cold, expect=code)
         case("cold_start", args, {"command": name, "exit": code, "repeats": COLD_REPEATS}, name, run=run, repeats=COLD_REPEATS)
-    for name, args in EDGE_CASES:
-        case("cold_start", args, {"command": name, "exit": 0, "repeats": REPEATS}, name, run=_run_cold)
+    for name, args, baseline in EDGE_CASES:
+        repeats = [REPEATS, baseline][: len(srcs)]
+        case("cold_start", args, {"command": name, "exit": 0}, name, run=_run_cold, repeats=repeats)
     for function, n in ALGEBRA_CASES:
         entry = {"function": function, **({"label": n} if isinstance(n, str) else {"n": n if function == "basis" else 2 * n})}
         medians = ("seconds", "temp_mb", "peak_rss_mb")

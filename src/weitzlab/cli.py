@@ -146,6 +146,8 @@ def build_subalgebra(spec: tuple, n: int) -> Subalgebra:
         if np.linalg.norm(a + a.T) > 1e-9 * max(1.0, float(np.linalg.norm(a))):
             raise UsageError(f"subalgebra element in {path!r} is not skew-symmetric")
     span = numerics.orthonormal_columns(expand(amb, np.array(mats)).T)
+    if not span.shape[1]:
+        raise UsageError(f"matrices in {path!r} are all zero and span no subalgebra")
     sub = Subalgebra(ambient=amb, coeff=np.ascontiguousarray(np.real(span).T), label=f"file:{path}")
     if sub.closure_residual() > 1e-9:
         raise UsageError(f"matrices in {path!r} do not span a subalgebra (bracket closure fails)")

@@ -340,7 +340,7 @@ def _parser() -> argparse.ArgumentParser:
     pc.add_argument("--curvature", default=None, help="curvature source for positivity")
 
     pd = sub.add_parser("decompose", help="isotypic decomposition under a subalgebra")
-    common(pd, "selects the generic combination of the commutant basis whose eigenspaces split the pieces (default 0)")
+    common(pd, "selects the generic torus element (default 0)")
     pd.add_argument("--rep", required=True)
     pd.add_argument("--sub", required=True, help="so-full|u:m|so:m|file:<path>")
     return parser

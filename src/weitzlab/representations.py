@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .so_algebra import SoBasis, Subalgebra, pair_number
+from .options import UsageError
+from .so_algebra import SoBasis, Subalgebra, expand, matrices, pair_number
 
 __all__ = [
     "GenTable",
@@ -30,7 +31,6 @@ __all__ = [
     "casimir",
     "commutant_dimension",
     "conjugated_table",
-    "intertwiners",
     "isotypic_decompose",
     "rep_adjoint",
     "rep_exterior",
@@ -303,27 +303,19 @@ def casimir(r: Rep) -> np.ndarray:
     return out.reshape(d, d)
 
 
-#: Relative cutoff of :func:`intertwiners`: an eigenvalue of G at or below
-#: this multiple of ``-2 tr(casimir) / d``, twice minus the mean Casimir
-#: eigenvalue, counts as zero.  G's own largest is rounding dust when its
-#: positions hold only the kernel.  On the constructed reps the kernel's are
-#: <= 1e-15 of that scale, the rest >= 1/40 of the full normal matrix's
-#: largest, of the same order.
-KERNEL_TOL = 1e-9
-
-#: Eigenvalues of iρ(X) within this multiple of max(1, largest |eigenvalue|)
-#: pair up.  Equal weights differ by rounding (<= 1e-14 relative); pairing
-#: distinct ones only adds unknowns.
+#: Eigenvalues of iρ(X), and of i·ad(X) on the algebra, within this multiple
+#: of max(1, largest |eigenvalue|) are one weight, and one root; a root
+#: within it of zero spans the centralizer of X.  Equal weights differ by
+#: rounding (<= 1e-14 relative).
 WEIGHT_TOL = 1e-8
 
-#: Entries of an intertwiner at or below this multiple of its largest are
-#: rounding dust of the change of basis (<= 1e-15 relative) and set to zero.
-DUST_TOL = 1e-13
-
-#: Eigenvalues of the generic commutant element in :func:`isotypic_decompose`
-#: more than this multiple of max(1, largest |eigenvalue|) apart open a new
-#: cluster.
-CLUSTER_TOL = 1e-6
+#: Singular values at or below this multiple of the largest generator norm
+#: ||ρ(x_a)||_F count as zero: in the kernel of the raising operators, in
+#: the span of lowered vectors and in the residual of the regularity guard.
+#: A root vector is a unit combination of generators, so its ρ is of that
+#: scale.  On the golden lines the zeros are <= 6e-15 of it, the guard's
+#: residuals <= 2e-14 and the rest >= 0.04.
+RANK_TOL = 1e-9
 
 #: 2^64 / φ rounded to odd: the step of the Weyl sequence of :func:`_golden`.
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -344,87 +336,81 @@ def _torus_eigh(r: Rep, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return numerics.eig_hermitian(m)
 
 
-def _generator(r: Rep, a: int) -> np.ndarray:
-    """The dense ``rho(x_a)`` from its run of the table."""
-    lo, hi = np.searchsorted(r.table.gen, (a, a + 1))
-    m = np.zeros((r.dim, r.dim), dtype=complex)
-    m[r.table.row[lo:hi], r.table.col[lo:hi]] = r.table.val[lo:hi]
-    return m
+def _root_eigh(h: SoBasis | Subalgebra, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the Hermitian i·ad(X) on h, X = sum_a coeff[a]
+    x_a, from the brackets [X, x_j] of h's matrices expanded over h's rows:
+    no structure constants.  An eigenvector v of eigenvalue θ is the root
+    vector E = sum_a v_a x_a, and ρ(E) moves the eigenvalues of iρ(X) up by
+    θ.  A file: subalgebra closes within 1e-9, so ad(X) is skew to that."""
+    amb, rows = (h, None) if isinstance(h, SoBasis) else (h.ambient, h.coeff)
+    xs = matrices(amb, rows)
+    x = np.tensordot(coeff, xs, axes=1)
+    ad = expand(amb, x @ xs - xs @ x)  # row j: [X, x_j] over the pair basis
+    if rows is not None:
+        ad = ad @ rows.T
+    return numerics.eig_hermitian(1j * ad.T, hermitian_tol=WEIGHT_TOL)
 
 
-def intertwiners(r: Rep) -> list[np.ndarray]:
-    """Orthonormal basis (Frobenius) of the commutant ``{T : rho(x_a) T =
-    T rho(x_a)}`` of ``r``.
-
-    Such a T commutes with ρ(X) for every X, so it maps each eigenspace of
-    iρ(X) into itself.  For the fixed X of :func:`_golden` (no random state)
-    and the eigenbasis U, ``A = U^H T U`` lives on the S positions whose
-    eigenvalues pair up: sum of m_mu^2 for weight multiplicities m_mu when X
-    is regular, more when it is not.  A solves ``rho~_a A = A rho~_a``,
-    ``rho~_a = U^H rho_a U``, whose normal matrix on those positions is
-
-        G[(ij),(kl)] = -δ_jl Cas~[i,k] - δ_ik Cas~[l,j] - C[(ij),(kl)] - conj C[(kl),(ij)],
-        C[(ij),(kl)] = sum_a conj(rho~_a[k,i]) rho~_a[l,j],
-
-    with ``Cas~ = U^H casimir(r) U``: the generators are skew-adjoint, so
-    sum_a rho~^H rho~ and sum_a rho~ rho~^H are both -Cas~.  C is summed one
-    generator at a time, each rho_a formed dense from its run of the table.
-    Its kernel (one eigh, KERNEL_TOL) maps back by the unitary ``T = U A
-    U^H``.  When the table is real the commutant is closed under
-    conjugation, and the real and imaginary parts of the T are
-    orthonormalised into as many real intertwiners.
-
-    Each step is refused before it allocates if it cannot fit
-    (:func:`numerics.require_bytes`): the eigendecomposition at 96 bytes per
-    entry of 2 d^2 (5.8 x 16 measured), then the eigenbasis, the Casimir and
-    one generator's products at 128 per entry of 2 d^2 (90 to 123 traced)
-    and G at 128 per entry of S^2 (a peak 0.7 of that share where it
-    dominates)."""
-    return _intertwiners_at(r, _golden(r.count))
+def _apply(r: Rep, coeff: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``(sum_a coeff[k, a] rho(x_a)) @ cols`` for each row k, shape (K, d,
+    c): every generator applied to ``cols`` from its run of the table, one
+    sum per (generator, row), then one contraction over the generators."""
+    t = r.table
+    key = t.gen * r.dim + t.row
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    per_gen = np.zeros((r.count, r.dim * cols.shape[1]), dtype=complex)
+    if len(key):
+        per_gen.reshape(-1, cols.shape[1])[key[start]] = np.add.reduceat(t.val[:, None] * cols[t.col], start)
+    return (coeff @ per_gen).reshape(len(coeff), r.dim, -1)
 
 
-def _intertwiners_at(r: Rep, coeff: np.ndarray) -> list[np.ndarray]:
-    """:func:`intertwiners` from the eigenspaces of iρ(X), X = sum_a
-    coeff[a] x_a."""
+def _weight_pass(r: Rep, coeff: np.ndarray) -> tuple[list, np.ndarray, np.ndarray, float]:
+    """Highest-weight vectors of ``r`` for the torus element X = sum_a
+    coeff[a] x_a (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, §20-21).  One eigh of i·ad(X) on the algebra gives the positive
+    roots θ > 0 with their root vectors (rows over the algebra's basis) and
+    the centralizer of X (|θ| within WEIGHT_TOL); one eigh of iρ(X) gives
+    the weight blocks U_μ, descending.  HW_μ is the kernel of the stacked
+    ``rho(E_α) U_μ`` over the positive α, so for a regular X dim HW_μ is the
+    multiplicity of the irreducible of highest weight μ.  The guard: every
+    element of the centralizer acts on each HW_μ as a scalar, else weights
+    or roots of a singular X merged and the request is refused (exit 2).
+    Returns the blocks (U_μ, μ, HW_μ over U_μ's columns), θ, the raising
+    root vectors and the RANK_TOL cutoff.  The eigendecompositions are
+    refused first if they cannot fit, at 96 bytes per entry of 2 d^2 (5.8 x
+    16 measured)."""
     d = r.dim
     numerics.require_bytes(96 * 2 * d * d, f"the torus eigendecompositions of {r.label} and {r.label}")
+    theta, roots = _root_eigh(r.basis, coeff)
+    zero = np.abs(theta) <= WEIGHT_TOL * np.max(np.abs(theta), initial=1.0)
+    positive = (theta > 0) & ~zero
+    raising, centre = roots[:, positive].T, roots[:, zero].T
+    cut = RANK_TOL * float(np.sqrt(np.max(np.bincount(r.table.gen, np.abs(r.table.val) ** 2), initial=0.0)))
     w, u = _torus_eigh(r, coeff)
-    tol = WEIGHT_TOL * np.max(np.abs(w), initial=1.0)
-    i, j = np.nonzero(np.abs(w[:, None] - w) <= tol)
-    size = len(i)
-    numerics.require_bytes(
-        128 * (2 * d * d + size * size),
-        f"the commutant solve of {r.label} and {r.label} ({size} unknowns)",
-    )
-    ii, jj = np.ix_(i, i), np.ix_(j, j)
-    uh, cas = u.conj().T, casimir(r)
-    gram = uh @ -cas @ u  # sum_a rho~^H rho~ = sum_a rho~ rho~^H = -Cas~
-    cross = np.zeros((size, size), dtype=complex)  # C transposed
-    for a in range(r.count):
-        rho = uh @ _generator(r, a) @ u
-        cross += rho[ii].conj() * rho[jj]
-    g = (j[:, None] == j) * gram[ii] + (i[:, None] == i) * gram.T[jj]
-    g -= cross.T + cross.conj()
-    w, v = numerics.eig_hermitian(g)
-    kernel = v[:, w <= KERNEL_TOL * -2.0 * np.trace(cas).real / d]
-    if kernel.shape[1] == 0:
-        return []
-    a = np.zeros((kernel.shape[1], d, d), dtype=complex)
-    a[:, i, j] = kernel.T
-    t = u @ a @ uh
-    if not np.any(r.table.val.imag):
-        parts = t.reshape(len(t), -1)
-        parts = np.concatenate([parts.real, parts.imag])
-        w, v = numerics.eig_hermitian(parts @ parts.T)  # eigenvalues 1 and 0, half each
-        t = (v[:, w > 0.5].T @ parts).reshape(-1, d, d)
-    t[np.abs(t) <= DUST_TOL * np.abs(t).max(axis=(1, 2), keepdims=True)] = 0.0
-    return list(t)
+    opens = np.flatnonzero(np.diff(w, prepend=-np.inf) > WEIGHT_TOL * np.max(np.abs(w), initial=1.0))
+    blocks = []
+    for lo, hi in reversed(list(zip(opens, [*opens[1:], d]))):
+        ub = u[:, lo:hi]
+        hw = numerics.nullspace(_apply(r, raising, ub).reshape(-1, hi - lo), atol=cut) if len(raising) else np.eye(hi - lo)
+        v = ub @ hw
+        if hw.shape[1] and len(centre):
+            moved = _apply(r, centre, v)
+            moved -= np.einsum("dk,cdk->c", v.conj(), moved)[:, None, None] * v / hw.shape[1]
+            residual = float(np.max(np.linalg.norm(moved, axis=(1, 2))))
+            if residual > cut:
+                raise UsageError(
+                    f"the torus element is not regular on {r.label}: its centralizer acts on {hw.shape[1]} "
+                    f"highest-weight vectors as no scalar (residual {residual:.3g}); another --seed selects another"
+                )
+        blocks.append((ub, w[lo:hi].mean(), hw))
+    return blocks, theta[positive], raising, cut
 
 
 def commutant_dimension(r: Rep) -> int:
-    """Dimension of the commutant over C; for a rep by real matrices, also
-    that of its real commutant."""
-    return len(intertwiners(r))
+    """Dimension of the commutant over C, one M_m(C) per isotypic piece
+    (Schur): sum_μ (dim HW_μ)^2; for a rep by real matrices, also that of
+    its real commutant."""
+    return sum(hw.shape[1] ** 2 for _, _, hw in _weight_pass(r, _golden(r.count))[0])
 
 
 class IsotypicPiece(NamedTuple):
@@ -438,50 +424,54 @@ class IsotypicPiece(NamedTuple):
 
 
 def isotypic_decompose(r: Rep, seed: int = 0) -> list[IsotypicPiece]:
-    """Split a representation into isotypic pieces.
+    """Split a representation into isotypic pieces, one per weight block
+    with highest-weight vectors; ``seed`` selects the torus element X of
+    :func:`_weight_pass` from the sequence of :func:`_golden`.
 
-    By Schur's lemma the commutant is the sum of one matrix algebra M_m(C)
-    per isotypic piece V (x) C^m.  The Hermitian part of a generic complex
-    combination of the commutant's orthonormal basis T_k, whose coefficients
-    ``seed`` selects from the closed-form sequence of :func:`_golden` (no
-    random state), acts on each piece as 1 (x) A with A generic, so
-    its eigenvalue clusters are irreducible subrepresentations E_p.  With
-    Q_p the columns of cluster p, ``L[p, q] = sum_k ||Q_p^H T_k Q_q||^2``
-    is dim Hom(E_q, E_p): 1 between equivalent clusters, 0 otherwise.  A
-    piece joins the clusters linked to its first one, and its multiplicity
-    is sqrt(sum of L over them), the square root of its commutant block's
-    dimension.  The coefficients are complex: a real combination of a real
-    rep's commutant has no antisymmetric Hermitian part, and the pieces a
-    complex structure separates would merge.  Pieces are ordered by
-    ascending Casimir eigenvalue, then by dimension, then by their projector
-    entries, so the order does not depend on the basis :func:`intertwiners`
-    happens to return.
-    """
-    comm = np.array(intertwiners(r))
-    parts = _golden(2 * len(comm), seed)
-    coeff = parts[: len(comm)] + 1j * parts[len(comm):]
-    generic = np.tensordot(coeff, comm, axes=1)
-    w, v = numerics.eig_hermitian((generic + generic.conj().T) / 2)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    # eigenvalues ascend, so each cluster is a run of them
-    opens = np.diff(w, prepend=-np.inf) > CLUSTER_TOL * scale
-    cluster = np.cumsum(opens) - 1
-    starts = np.flatnonzero(opens)
-    # |Q^H T_k Q|^2 summed over k, then over each pair of clusters
-    mass = np.sum(np.abs(v.conj().T @ comm @ v) ** 2, axis=0)
-    links = np.add.reduceat(np.add.reduceat(mass, starts, axis=0), starts, axis=1)
-    first = (links > 0.5).argmax(axis=1)
+    The piece of highest weight μ is the closure of HW_μ under the lowering
+    operators ``rho(E_α)^H``, block by block downward: its share of a block
+    spans (RANK_TOL cutoff) the block's coordinates of its lowered shares
+    above.  The shares of two or more pieces in one block are made
+    orthonormal together (Löwdin), so the projectors sum to the identity to
+    rounding.  The multiplicity is dim HW_μ and the Casimir eigenvalue
+    tr(H^H Cas H) / m over the HW vectors H.  Pieces are ordered by
+    ascending Casimir eigenvalue, then dimension, then projector entries, so
+    the order does not depend on X.
+    The projectors are refused first if they cannot fit, at 16 bytes per
+    entry of (pieces + 6) d^2 (pieces + 3.5 to 5.6 measured from the weight
+    pass to the completeness check's sum, d >= 56)."""
+    blocks, theta, raising, cut = _weight_pass(r, _golden(r.count, seed))
+    lead = [b for b, (_, _, hw) in enumerate(blocks) if hw.shape[1]]
+    numerics.require_bytes(16 * (len(lead) + 6) * r.dim**2, f"the projectors of the {len(lead)} isotypic pieces of {r.label}")
+    weight = np.array([mu for _, mu, _ in blocks])
+    tol = WEIGHT_TOL * np.max(np.abs(weight), initial=1.0)
+    lowering = -raising.conj()  # rho(E)^H = -rho(conj E): the generators are skew-adjoint
+    incoming = [[(np.full(hw.shape[1], b), hw)] for b, (_, _, hw) in enumerate(blocks)]  # (piece, columns)
+    shares = {p: [] for p in lead}
+    for b, (ub, mu, _) in enumerate(blocks):
+        owner, image = (np.concatenate(x, axis=-1) for x in zip(*incoming[b]))
+        found = sorted(set(owner.tolist()))
+        parts = [numerics.orthonormal_columns(image[:, owner == p], atol=cut) for p in found]
+        owner = np.repeat(found, [q.shape[1] for q in parts])
+        if not len(owner):
+            continue
+        q = np.hstack(parts)
+        if len(found) > 1:
+            w, v = numerics.eig_hermitian(q.conj().T @ q)
+            q = q @ (v / np.sqrt(w)) @ v.conj().T  # the nearest orthonormal columns
+        q = ub @ q
+        for p in found:
+            shares[p].append(q[:, owner == p])
+        below = np.abs(weight - (mu - theta)[:, None]) <= tol  # (root, block) pairs
+        moved = _apply(r, lowering, q) if below.any() else None
+        for a, target in zip(*np.nonzero(below)):
+            incoming[target].append((owner, blocks[target][0].conj().T @ moved[a]))
     cas = casimir(r)
     pieces = []
-    for lead in sorted(set(first.tolist())):
-        member = first == lead
-        cols = v[:, member[cluster]]
-        proj = numerics.projector(cols)
-        lam = float(np.real(np.trace(cols.conj().T @ cas @ cols)) / cols.shape[1])
-        mult = int(round(np.sqrt(links[np.ix_(member, member)].sum())))
-        pieces.append(
-            IsotypicPiece(projector=proj, dim=cols.shape[1], multiplicity=mult, casimir_eigenvalue=lam)
-        )
+    for p in lead:
+        cols, hw = np.hstack(shares[p]), blocks[p][0] @ blocks[p][2]
+        lam = float(np.real(np.trace(hw.conj().T @ cas @ hw)) / hw.shape[1])
+        pieces.append(IsotypicPiece(numerics.projector(cols), cols.shape[1], hw.shape[1], lam))
     pieces.sort(key=functools.cmp_to_key(_piece_order))
     return pieces
 

@@ -2,12 +2,13 @@
 
 The package builds the Clifford generators, the half-spins and the
 projection lemma from closed forms, keeps a representation as the table of
-its generators' nonzero entries, solves for intertwiners on the weight
-blocks of a torus element, keeps curvature operators in pair
-coordinates, and keeps so(n) and its subalgebras as coefficient rows (u(m)
-in closed form).  These are the slower, direct constructions those are checked
-against (dense generator stacks and dense basis matrices among them), and checks of the premises
-every verdict rests on.  Nothing in ``src/`` imports this module.
+its generators' nonzero entries, counts and splits it by highest-weight
+vectors, keeps curvature operators in pair coordinates, and keeps so(n) and
+its subalgebras as coefficient rows (u(m) in closed form).  These are the
+slower, direct constructions those are checked against (dense generator
+stacks, dense basis matrices and the normal-matrix commutant solves among
+them), and checks of the premises every verdict rests on.  Nothing in
+``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -180,18 +181,86 @@ def kron_sum(a, b) -> np.ndarray:
     return prod.reshape(p, q, r, s).transpose(0, 2, 1, 3).reshape(p * r, q * s)
 
 
+#: Relative cutoff of :func:`torus_intertwiners`: an eigenvalue of G at or
+#: below this multiple of ``-2 tr(casimir) / d``, twice minus the mean
+#: Casimir eigenvalue, counts as zero.  G's own largest is rounding dust when
+#: its positions hold only the kernel.  On the constructed reps the kernel's
+#: are <= 1e-15 of that scale, the rest >= 1/40 of the full normal matrix's
+#: largest, of the same order.  :func:`dense_intertwiners` cuts at it too.
+KERNEL_TOL = 1e-9
+
+#: Entries of an intertwiner at or below this multiple of its largest are
+#: rounding dust of the change of basis (<= 1e-15 relative) and set to zero.
+DUST_TOL = 1e-13
+
+
+def torus_intertwiners(r: reps.Rep, coeff: np.ndarray | None = None) -> list[np.ndarray]:
+    """Orthonormal basis (Frobenius) of the commutant ``{T : rho(x_a) T =
+    T rho(x_a)}`` of ``r``, by the normal-matrix solve on the weight blocks
+    of a torus element: the reference for the package's highest-weight
+    counts and split.
+
+    Such a T commutes with ρ(X) for every X, so it maps each eigenspace of
+    iρ(X) into itself.  For X = sum_a coeff[a] x_a (the fixed X of
+    ``representations._golden`` by default) and the eigenbasis U, ``A = U^H
+    T U`` lives on the S positions whose eigenvalues pair up: sum of m_mu^2
+    for weight multiplicities m_mu when X is regular, more when it is not
+    (X = 0 is the whole dense problem).  A solves ``rho~_a A = A rho~_a``,
+    ``rho~_a = U^H rho_a U``, whose normal matrix on those positions is
+
+        G[(ij),(kl)] = -δ_jl Cas~[i,k] - δ_ik Cas~[l,j] - C[(ij),(kl)] - conj C[(kl),(ij)],
+        C[(ij),(kl)] = sum_a conj(rho~_a[k,i]) rho~_a[l,j],
+
+    with ``Cas~ = U^H casimir(r) U``: the generators are skew-adjoint, so
+    sum_a rho~^H rho~ and sum_a rho~ rho~^H are both -Cas~.  C is summed one
+    generator at a time, each rho_a formed dense from the table.  Its kernel
+    (one eigh, KERNEL_TOL) maps back by the unitary ``T = U A U^H``.  When
+    the table is real the commutant is closed under conjugation, and the
+    real and imaginary parts of the T are orthonormalised into as many real
+    intertwiners."""
+    d = r.dim
+    coeff = reps._golden(r.count) if coeff is None else coeff
+    w, u = reps._torus_eigh(r, coeff)
+    tol = reps.WEIGHT_TOL * np.max(np.abs(w), initial=1.0)
+    i, j = np.nonzero(np.abs(w[:, None] - w) <= tol)
+    size = len(i)
+    ii, jj = np.ix_(i, i), np.ix_(j, j)
+    uh, cas = u.conj().T, reps.casimir(r)
+    gram = uh @ -cas @ u  # sum_a rho~^H rho~ = sum_a rho~ rho~^H = -Cas~
+    cross = np.zeros((size, size), dtype=complex)  # C transposed
+    for generator in dense(r):
+        rho = uh @ generator @ u
+        cross += rho[ii].conj() * rho[jj]
+    g = (j[:, None] == j) * gram[ii] + (i[:, None] == i) * gram.T[jj]
+    g -= cross.T + cross.conj()
+    w, v = numerics.eig_hermitian(g)
+    kernel = v[:, w <= KERNEL_TOL * -2.0 * np.trace(cas).real / d]
+    if kernel.shape[1] == 0:
+        return []
+    a = np.zeros((kernel.shape[1], d, d), dtype=complex)
+    a[:, i, j] = kernel.T
+    t = u @ a @ uh
+    if not np.any(r.table.val.imag):
+        parts = t.reshape(len(t), -1)
+        parts = np.concatenate([parts.real, parts.imag])
+        w, v = numerics.eig_hermitian(parts @ parts.T)  # eigenvalues 1 and 0, half each
+        t = (v[:, w > 0.5].T @ parts).reshape(-1, d, d)
+    t[np.abs(t) <= DUST_TOL * np.abs(t).max(axis=(1, 2), keepdims=True)] = 0.0
+    return list(t)
+
+
 def dense_intertwiners(r1: reps.Rep, r2: reps.Rep) -> list[np.ndarray]:
     """The intertwiners from ``r1`` to ``r2`` as the kernel of the full
     normal matrix ``G = sum_a B_a^H B_a``, ``B_a = sigma_a (x) 1 - 1 (x)
     rho_a^T`` on the row-major ``vec T``, (d1 d2)^2 entries, from the
-    complex Hermitian solver with the cutoff of ``representations.KERNEL_TOL``."""
+    complex Hermitian solver with the cutoff :data:`KERNEL_TOL`."""
     d1, d2 = r1.dim, r2.dim
     rho, sigma = dense(r1), dense(r2)
     cross = kron_sum(sigma.conj().transpose(0, 2, 1), rho.transpose(0, 2, 1))
     g = np.kron(np.einsum("aji,ajk->ik", sigma.conj(), sigma), np.eye(d1)) - cross
     g += np.kron(np.eye(d2), np.einsum("aij,akj->ik", rho.conj(), rho)) - cross.conj().T
     w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
-    kernel = v[:, w <= reps.KERNEL_TOL * w[-1]]
+    kernel = v[:, w <= KERNEL_TOL * w[-1]]
     return [kernel[:, k].reshape(d2, d1) for k in range(kernel.shape[1])]
 
 

@@ -369,26 +369,28 @@ class TestSizePreflight:
         assert peak_mb < 100 and elapsed < 2.0
 
     @pytest.mark.parametrize(
-        "rep, label, unknowns, nbytes",
-        # 128 bytes per entry of the eigenbases and one generator's products,
-        # 2 d^2, and of G, S^2: exterior(2) of so(4) has d = 6 and S = 4 + 2^2
-        # (four weights and the zero weight twice), spin d = 4 and S = 4
-        (("exterior:2", "exterior(2)", 8, 17408), ("spin", "spin", 4, 6144)),
+        "n, rep, sub, label, pieces, nbytes",
+        # 16 bytes per entry of (pieces + 6) d^2: spin (x) spin under u(3) has
+        # d = 64 and 10 pieces, exterior(4) under u(6) d = 495 and 9; both
+        # need more than the torus eigendecompositions' 192 d^2
+        (
+            (6, "tensor:spin,spin", "u:3", "spin(x)spin|u(3)", 10, 1048576),
+            (12, "exterior:4", "u:6", "exterior(4)|u(6)", 9, 58806000),
+        ),
     )
-    def test_commutant_solve_refused_before_its_normal_matrix(self, rep, label, unknowns, nbytes, monkeypatch, capsys):
+    def test_projectors_refused_before_they_are_formed(self, n, rep, sub, label, pieces, nbytes, monkeypatch, capsys):
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        argv = ["decompose", "--n", "4", "--rep", rep, "--sub", "so-full"]
+        argv = ["decompose", "--n", str(n), "--rep", rep, "--sub", sub]
         monkeypatch.setattr(resource, "getrlimit", lambda which: (nbytes - 1, hard))
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == (
-            f"error: out of memory: the commutant solve of {label} and {label} ({unknowns} unknowns) "
+            f"error: out of memory: the projectors of the {pieces} isotypic pieces of {label} "
             f"needs {nbytes} bytes, more than the address-space limit of {nbytes - 1} bytes\n"
         )
         monkeypatch.setattr(resource, "getrlimit", lambda which: (nbytes, hard))
         assert cli.main(argv) == 0
-
 
     def test_torus_eigendecomposition_refused_before_its_matrices(self, monkeypatch, capsys):
         # spin of so(4): two 4 x 4 eigendecompositions, 96 bytes an entry
@@ -594,6 +596,7 @@ _CONTRACT_LINES = {
         ["decompose", "--n", "3", "--rep", "vector", "--sub", "file:{path}"],
     ),
     "symmetric-subalgebra-element": ({}, [np.eye(3).tolist()], ["decompose", "--n", "3", "--rep", "vector", "--sub", "file:{path}"]),
+    "zero-subalgebra-element": ({}, [np.zeros((2, 2)).tolist()], ["decompose", "--n", "2", "--rep", "vector", "--sub", "file:{path}"]),
     "fractional-curvature-n": (
         {}, {"n": 2.7, "basis": "lex-upper", "normalization": "half-tensor", "R": [[1.0]]},
         ["k", "--rep", "vector", "--curvature", "file:{path}"],
@@ -736,8 +739,8 @@ class TestDecomposeCommand:
         "n, rep, sub", ((6, "exterior:2", "u:3"), (5, "adjoint", "so:4"), (5, "sym0", "so:3"), (4, "tensor:vector,vector", "so-full"))
     )
     def test_pieces_do_not_depend_on_the_seed(self, n, rep, sub, capsys):
-        # the seed selects the generic combination of the commutant basis,
-        # never the pieces, their order or their rounded projectors
+        # the seed selects the generic torus element, never the pieces or
+        # their order, and here not their rounded projectors either
         runs = []
         for seed in (0, 1, 7, 999999):
             code, payload = run_json(["decompose", "--n", str(n), "--rep", rep, "--sub", sub, "--seed", str(seed)], capsys)
@@ -749,6 +752,16 @@ class TestDecomposeCommand:
             ]
             for p, q in zip(pieces, runs[0]):
                 assert abs(p["casimir_eigenvalue"] - q["casimir_eigenvalue"]) <= 1e-12 * max(1.0, abs(q["casimir_eigenvalue"]))
+
+    def test_singular_torus_element_refused(self, capsys):
+        # seed 2^63 - 1 gives the one coefficient 2 frac(k/φ) - 1 = 0 on
+        # so(2): X = 0, whose weight pass would count a commutant of
+        # dimension 16 where the vector of so(4) under so(2) has 6
+        code = cli.main(["decompose", "--n", "4", "--rep", "vector", "--sub", "so:2", "--seed", str(2**63 - 1)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: the torus element is not regular on vector|so(2): ")
+        assert captured.err.count("\n") == 1
 
     def test_u_subalgebra_dimension_mismatch(self, capsys):
         code = cli.main(["decompose", "--n", "5", "--rep", "vector", "--sub", "u:2"])
@@ -1179,7 +1192,7 @@ def _probe(commands: list[list[str]]) -> list[tuple]:
 class TestNoRandomState:
     @pytest.mark.parametrize("command", ("decompose", "positivity"))
     def test_runs_without_numpy_random(self, command, tmp_path):
-        # the commutant solve and the isotypic split take closed-form
+        # the torus element of the weight pass has closed-form
         # coefficients, so neither command imports numpy.random
         if command == "decompose":
             argv = ["decompose", "--n", "6", "--rep", "exterior:2", "--sub", "u:3", "--seed", "7"]

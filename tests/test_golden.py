@@ -13,6 +13,7 @@ the largest rounding move any change to ``decompose`` has made.  Canonical
 JSON writes an integral float as an integer, so numbers are told apart by
 their key, not by their type."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -54,12 +55,17 @@ def differences(want, got, path="", key=""):
     return []
 
 
-def _matches(record, capsys, monkeypatch):
+def _run(argv, capsys, monkeypatch):
+    """Exit code and stdout of ``cli.main(argv)`` as the recorder runs it."""
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv("WEITZLAB_TOL", raising=False)
     monkeypatch.setenv("WEITZLAB_CI", "1")
-    code = cli.main(record["argv"])
-    _compare(record, code, capsys.readouterr().out)
+    code = cli.main(argv)
+    return code, capsys.readouterr().out
+
+
+def _matches(record, capsys, monkeypatch):
+    _compare(record, *_run(record["argv"], capsys, monkeypatch))
 
 
 def _compare(record, code, out):
@@ -75,6 +81,50 @@ def test_decompose_matches_the_golden_output(record, capsys, monkeypatch):
     _matches(record, capsys, monkeypatch)
 
 
+def _load_branching():
+    """``clibench/oracle.py``, which imports nothing of the package: the
+    Weyl dimension formula and Brauer-Racah branching."""
+    spec = importlib.util.spec_from_file_location("branching_oracle", ROOT / "clibench" / "oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _option(argv, name):
+    return argv[argv.index(name) + 1]
+
+
+#: The exit-0 ``decompose`` records on so-full, so:m and u:m, but for the
+#: half-spins, which the oracle has no weights for.
+BRANCHED = [
+    r
+    for r in GOLDEN
+    if r["exit"] == 0 and not _option(r["argv"], "--sub").startswith("file:") and "spin:" not in _option(r["argv"], "--rep")
+]
+
+
+@pytest.mark.parametrize("record", BRANCHED, ids=[" ".join(r["argv"][1:7]) for r in BRANCHED])
+def test_decompose_agrees_with_brauer_racah(record, capsys, monkeypatch):
+    # the dimensions and multiplicities of the highest-weight split, and on
+    # so-full its Casimir eigenvalues -<λ, λ + 2δ>, from the branching rule
+    argv = record["argv"]
+    want = _load_branching().expected_pieces(int(_option(argv, "--n")), _option(argv, "--rep"), _option(argv, "--sub"))
+    code, out = _run(argv, capsys, monkeypatch)
+    assert code == 0
+    pieces = json.loads(out)["reports"][0]["details"]["pieces"]
+    assert sorted((p["dim"], p["multiplicity"]) for p in pieces) == sorted((d, m) for d, m, _ in want)
+    if _option(argv, "--sub") == "so-full":
+        got = sorted((p["casimir_eigenvalue"], p["dim"]) for p in pieces)
+        expected = sorted((c, d) for d, _, c in want)
+        assert [d for _, d in got] == [d for _, d in expected]
+        assert all(abs(g - c) <= 1e-12 * max(1.0, abs(c)) for (g, _), (c, _) in zip(got, expected))
+
+
+def test_brauer_racah_covers_every_kind_of_subalgebra():
+    assert len(BRANCHED) == 29
+    assert {_option(r["argv"], "--sub").partition(":")[0] for r in BRANCHED} == {"so", "so-full", "u"}
+
+
 @pytest.mark.parametrize("record", GROUPS, ids=[" ".join(r["argv"]) for r in GROUPS])
 def test_groups_match_the_golden_output(record, capsys, monkeypatch):
     _matches(record, capsys, monkeypatch)
@@ -87,9 +137,10 @@ def test_curvature_sources_match_the_golden_output(record, capsys, monkeypatch):
 
 #: The records that also run through ``python -m weitzlab``: every line of
 #: ``curvature.json`` (``k`` and ``check`` on each curvature source kind but
-#: ``group:``, exit codes 0, 2 and 3), ``decompose`` on u(m), so(m) and a file
-#: subalgebra, with its exit-3 and exit-2 refusals, ``check strange`` and
-#: ``k`` on ``group:`` curvature.
+#: ``group:``, exit codes 0, 2 and 3), ``decompose`` on u(m), so(m), the
+#: abelian so(2), the whole so(7) at d = 441 and a file subalgebra, with its
+#: exit-3 and exit-2 refusals, ``check strange`` and ``k`` on ``group:``
+#: curvature.
 PROCESS_REPLAY = CURVATURE + [
     r
     for r in GOLDEN + GROUPS
@@ -100,6 +151,8 @@ PROCESS_REPLAY = CURVATURE + [
         "decompose --n 5 --rep exterior:2 --sub file:bench/golden/rotated_so3_n5.json --seed 0",
         "decompose --n 6 --rep vector --sub u:2 --seed 0",
         "decompose --n 4 --rep vector --sub file:bench/golden/not_closed_n4.json --seed 0",
+        "decompose --n 7 --rep tensor:exterior:2,exterior:2 --sub so-full --seed 0",
+        "decompose --n 4 --rep vector --sub so:2 --seed 0",
         "check strange --seed 1",
         "k --rep spin --curvature group:G2 --preset spinor_dirac",
     )
@@ -117,7 +170,7 @@ def test_process_entry_matches_the_golden_output(record):
 
 
 def test_process_replay_covers_every_command_and_source():
-    assert len(PROCESS_REPLAY) == len(CURVATURE) + 7
+    assert len(PROCESS_REPLAY) == len(CURVATURE) + 9
     lines = [r["argv"] for r in PROCESS_REPLAY]
     assert {argv[0] for argv in lines} == {"k", "check", "decompose"}
     sources = {argv[argv.index("--curvature") + 1].partition(":")[0] for argv in lines if "--curvature" in argv}

@@ -11,6 +11,7 @@ from weitzlab import cli, numerics
 from weitzlab import representations as reps
 from weitzlab import so_algebra as so
 from weitzlab import weitzenbock as wb
+from weitzlab.options import UsageError
 from weitzlab.spin import rep_half_spin, rep_spin
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -148,7 +149,7 @@ def _isotypic_oracle(r, comm, seed=0, cluster_tol=1e-6) -> list:
 def _isotypic_cases() -> dict:
     """Vector, exterior 2 and 3, sym0, spin, the half-spins and vector (x)
     spin at n = 3 ... 7, with their restrictions to so(n-1) and u(n/2).
-    vector (x) spin stops at n = 5: at n = 6 its complex commutant solve
+    vector (x) spin stops at n = 5: at n = 6 the oracles' complex commutant solve
     (d = 48) takes about half a minute."""
     cases = {}
     for n in range(3, 8):
@@ -185,12 +186,12 @@ def _span_projector(vecs) -> np.ndarray:
 
 
 def _hom(r1, r2) -> list[np.ndarray]:
-    """Hom(r1, r2) from the one-rep solve: the commutant of ``r1`` when the
+    """Hom(r1, r2) from the one-rep torus-block solve of the oracles: the commutant of ``r1`` when the
     two are one rep, else an orthonormal basis of the span of the
     lower-left (d2, d1) blocks of the commutant of r1 (+) r2."""
     if r1 is r2:
-        return reps.intertwiners(r1)
-    blocks = [t[r1.dim:, : r1.dim].ravel() for t in reps.intertwiners(oracles.direct_sum(r1, r2))]
+        return oracles.torus_intertwiners(r1)
+    blocks = [t[r1.dim:, : r1.dim].ravel() for t in oracles.torus_intertwiners(oracles.direct_sum(r1, r2))]
     q = numerics.orthonormal_columns(np.array(blocks).T, atol=1e-10)
     return [q[:, k].reshape(r2.dim, r1.dim) for k in range(q.shape[1])]
 
@@ -456,13 +457,16 @@ class TestRestrict:
 
 
 class TestIntertwiners:
+    """The torus-block solve of the oracles on small cases, and the
+    package's commutant dimension."""
+
     def test_schur_for_irreducible(self, b3):
         r = reps.rep_vector(b3)
-        basis = reps.intertwiners(r)
+        basis = oracles.torus_intertwiners(r)
         assert len(basis) == 1
 
     def test_basis_frobenius_orthonormal(self, b4):
-        basis = reps.intertwiners(reps.rep_exterior(b4, 2))
+        basis = oracles.torus_intertwiners(reps.rep_exterior(b4, 2))
         assert len(basis) == 2
         for i, s in enumerate(basis):
             for j, t in enumerate(basis):
@@ -475,7 +479,7 @@ class TestIntertwiners:
         r1 = reps.rep_exterior(b3, 2)
         r2 = reps.rep_vector(b3)
         total = oracles.direct_sum(r1, r2)
-        basis = reps.intertwiners(total)
+        basis = oracles.torus_intertwiners(total)
         assert len(basis) == 4
         for t in basis:
             for m in oracles.dense(total):
@@ -497,12 +501,12 @@ class TestIntertwiners:
         r = reps.rep_vector(b2)
         assert reps.commutant_dimension(r) == 2
         for rep, dim in ((r, 2), (reps.rep_vector(b3), 1)):
-            comm = reps.intertwiners(rep)
+            comm = oracles.torus_intertwiners(rep)
             assert len(comm) == dim and not np.any(np.imag(comm))
 
 
 class TestKernelOracle:
-    """intertwiners, Hom(r1, r2) from the commutant of r1 (+) r2, and the
+    """The torus-block solve, Hom(r1, r2) from the commutant of r1 (+) r2, and the
     invariant bilinear forms as the maps to the dual, against the stacked
     Kronecker system solved by SVD."""
 
@@ -567,16 +571,17 @@ def _pair_cases() -> dict:
 
 
 class TestRealKernel:
-    """The torus-block solve against the kernel of the full normal matrix G
-    (the dense-G oracle): the same span to 1e-12, real float64 intertwiners
-    for real tables, Hom(r1, r2) from the commutant of r1 (+) r2, and the
-    same span from a degenerate torus element."""
+    """The torus-block solve of the oracles against the kernel of the full
+    normal matrix G (the dense-G oracle): the same span to 1e-12, real
+    float64 intertwiners for real tables, Hom(r1, r2) from the commutant of
+    r1 (+) r2, and the same span from a degenerate torus element, which the
+    solve, unlike the package's weight pass, takes."""
 
     @pytest.mark.parametrize(("case", "spec"), list(_real_kernel_cases().items()), ids=list(_real_kernel_cases()))
     def test_real_kernel_spans_the_complex_kernel(self, case, spec):
         r = _build_rep(*spec)
         assert not np.any(r.table.val.imag)
-        got = reps.intertwiners(r)
+        got = oracles.torus_intertwiners(r)
         want = oracles.dense_intertwiners(r, r)
         assert len(got) == len(want)
         assert all(t.dtype == np.float64 for t in got)
@@ -586,7 +591,7 @@ class TestRealKernel:
     def test_complex_tables_span_the_dense_solve(self, case):
         r = _complex_table_rep(case)
         assert np.any(r.table.val.imag)
-        got = reps.intertwiners(r)
+        got = oracles.torus_intertwiners(r)
         want = oracles.dense_intertwiners(r, r)
         assert len(got) == len(want)
         assert np.linalg.norm(_span_projector(got) - _span_projector(want)) <= 1e-12
@@ -614,8 +619,8 @@ class TestRealKernel:
         else:
             kind, n = case.split(" n=")
             r = _build_rep(int(n), *(kind.split("|") + [None])[:2])
-        got = reps._intertwiners_at(r, np.zeros(r.count))
-        want = reps.intertwiners(r)
+        got = oracles.torus_intertwiners(r, np.zeros(r.count))
+        want = oracles.torus_intertwiners(r)
         assert len(got) == len(want) >= 1
         assert np.linalg.norm(_span_projector(got) - _span_projector(want)) <= 1e-12
 
@@ -644,7 +649,7 @@ class TestInvariantForms:
                 assert np.linalg.norm(m.T @ b + b @ m) <= 1e-12
 
 
-#: The premise of the commutant solve is checked on every ``--rep`` selector,
+#: The premise of the oracles' commutant solve is checked on every ``--rep`` selector,
 #: restrictions to so(m), u(m) and a file: subalgebra, and tensors with spin:
 #: case id -> (n, rep, subalgebra or None).
 _ROTATED_FILE = os.path.join(ROOT, "bench", "golden", "rotated_so3_n5.json")
@@ -694,7 +699,7 @@ class TestCasimir:
 
     @pytest.mark.parametrize(("n", "rep", "sub"), list(_GRAM_CASES.values()), ids=list(_GRAM_CASES))
     def test_gram_of_the_generators_is_minus_the_casimir(self, n, rep, sub):
-        # the premise of the commutant solve's diagonal blocks: the
+        # the premise of the oracles' commutant solve's diagonal blocks: the
         # generators are skew-adjoint, so sum_a rho_a^H rho_a = -casimir
         r = _build_rep(n, rep, sub)
         m = oracles.dense(r)
@@ -801,28 +806,93 @@ class TestIsotypic:
         assert np.linalg.norm(a - b.conj()) <= 1e-12
 
     @pytest.mark.parametrize(("case", "spec"), list(_isotypic_cases().items()), ids=list(_isotypic_cases()))
-    def test_matches_the_center_of_commutant_oracle(self, case, spec, monkeypatch):
+    def test_matches_the_center_of_commutant_oracle(self, case, spec):
+        # the highest-weight split against the center of the commutant
+        # that the oracles' torus-block solve returns
         r = _build_rep(*spec)
-        comm = reps.intertwiners(r)
-        want = _isotypic_oracle(r, comm)
-        monkeypatch.setattr(reps, "intertwiners", lambda *a: comm)
-        got = reps.isotypic_decompose(r)
-        _assert_same_pieces(got, want)
+        _assert_same_pieces(reps.isotypic_decompose(r), _isotypic_oracle(r, oracles.torus_intertwiners(r)))
 
     def test_doubled_vector_matches_the_oracle(self, b4):
         r = reps.rep_vector(b4)
         doubled = oracles.direct_sum(r, r)
-        _assert_same_pieces(reps.isotypic_decompose(doubled), _isotypic_oracle(doubled, reps.intertwiners(doubled)))
+        _assert_same_pieces(reps.isotypic_decompose(doubled), _isotypic_oracle(doubled, oracles.torus_intertwiners(doubled)))
 
-    def test_piece_order_independent_of_nullspace_basis(self, monkeypatch):
+    def test_piece_order_independent_of_nullspace_basis(self):
         # the two 3-dimensional pieces of the 2-forms under u(3) tie on
         # Casimir eigenvalue and dimension and are complex conjugates; their
-        # order must not follow the commutant basis
+        # order must not follow the torus element, which moves the weight
+        # blocks and every nullspace basis
         r = reps.rep_restrict(reps.rep_exterior(so.basis(6), 2), so.u_subalgebra(3))
         want = reps.isotypic_decompose(r)
-        solve = reps.intertwiners
-        monkeypatch.setattr(reps, "intertwiners", lambda *a: solve(*a)[::-1])
-        got = reps.isotypic_decompose(r)
-        assert [p.dim for p in got] == [p.dim for p in want]
-        for a, b in zip(want, got):
-            assert np.linalg.norm(a.projector - b.projector) <= 1e-9
+        for seed in (1, 7, 999999):
+            got = reps.isotypic_decompose(r, seed=seed)
+            assert [p.dim for p in got] == [p.dim for p in want]
+            for a, b in zip(want, got):
+                assert np.linalg.norm(a.projector - b.projector) <= 1e-9
+
+
+def _commutant_grid() -> dict:
+    """The standard family (``weitzenbock.standard_family``) at n = 2 ... 8,
+    tensor products, sym:3, and the vector, exterior(2) and spin restricted
+    to so(n-1) and to u(n/2): 83 reps, case id -> (n, rep, subalgebra or None)."""
+    cases = {}
+    for n in range(2, 9):
+        kinds = ["vector", *(f"exterior:{p}" for p in range(2, (n + 1) // 2)), "sym0"]
+        kinds += ["spin:+", "spin:-"] if n % 2 == 0 else ["spin"]
+        kinds += ["adjoint"] if n >= 3 else []
+        kinds += ["tensor:vector,vector"] if n <= 6 else []
+        kinds += ["tensor:vector,spin"] if n <= 5 else []
+        kinds += ["tensor:spin,spin"] if 3 <= n <= 5 else []
+        kinds += ["tensor:exterior:2,exterior:2"] if n in (4, 5) else []
+        kinds += ["sym:3"] if n <= 6 else []
+        cases.update({f"{kind} n={n}": (n, kind, None) for kind in kinds})
+        subs = [f"so:{n - 1}"] + ([f"u:{n // 2}"] if n % 2 == 0 else []) if n >= 3 else []
+        cases.update({f"{kind}|{sub} n={n}": (n, kind, sub) for kind in ("vector", "exterior:2", "spin") for sub in subs})
+    return cases
+
+
+class TestWeightPass:
+    """Highest-weight multiplicities against the normal-matrix solve, and
+    the refusal of a torus element that is not regular."""
+
+    def test_grid_has_83_reps(self):
+        assert len(_commutant_grid()) == 83
+
+    @pytest.mark.parametrize(("case", "spec"), list(_commutant_grid().items()), ids=list(_commutant_grid()))
+    def test_commutant_dimension_equals_the_torus_solve(self, case, spec):
+        r = _build_rep(*spec)
+        assert reps.commutant_dimension(r) == len(oracles.torus_intertwiners(r))
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_zero_torus_element_refused(self, n):
+        # X = 0: one weight block, no roots, the whole algebra its
+        # centralizer; the count would be d^2 where the vector has 1 (or 2
+        # on the abelian so(2))
+        r = reps.rep_vector(so.basis(n))
+        with pytest.raises(UsageError, match="not regular on vector: its centralizer acts on"):
+            reps._weight_pass(r, np.zeros(r.count))
+
+    def test_torus_element_on_a_wall_refused(self, b4):
+        # x_01 alone is singular in so(4): x_23 commutes with it, and the
+        # self-dual and anti-self-dual highest weights of exterior(2) share
+        # its eigenvalue
+        r = reps.rep_exterior(b4, 2)
+        coeff = np.zeros(r.count)
+        coeff[0] = 1.0
+        with pytest.raises(UsageError, match="not regular on exterior"):
+            reps._weight_pass(r, coeff)
+
+    @pytest.mark.parametrize(
+        "n, rep, sub", ((6, "tensor:exterior:2,exterior:2", "so-full"), (8, "exterior:3", "u:4"), (6, "tensor:spin,spin", "u:3"))
+    )
+    def test_highest_weight_vectors_are_killed_by_every_raising_operator(self, n, rep, sub):
+        r = _build_rep(n, rep, None if sub == "so-full" else sub)
+        blocks, _, raising, _ = reps._weight_pass(r, reps._golden(r.count))
+        dense = oracles.dense(r)
+        raising = np.tensordot(raising, dense, axes=1)
+        scale = np.max(np.linalg.norm(dense, axis=(1, 2)))
+        for ub, _, hw in blocks:
+            v = ub @ hw
+            if v.shape[1]:
+                assert np.max(np.linalg.norm(raising @ v, axis=(1, 2))) <= 1e-12 * scale
+                assert np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])) <= 1e-12

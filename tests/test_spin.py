@@ -415,7 +415,7 @@ class TestSpinorPairing:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_closed_form_pairing_is_a_unitary_monomial_invariant(self, n):
         # the product of the symmetric generators: exact, and in the span of
-        # the forms the commutant solve finds
+        # the forms the dense normal-matrix solve finds
         bmat = _pairing(n)
         d = 2 ** (n // 2)
         r = spin.rep_spin(so.basis(n))
